@@ -13,38 +13,37 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "==> cargo test -q"
 cargo test -q
 
-# Chaos stress: the fault and chaos suites in release mode across three
-# seeds (RNA_CHAOS_SEED reseeds the scenario without recompiling). Each
-# pass runs under a watchdog so a protocol deadlock fails CI with a
-# timeout instead of hanging it.
-echo "==> chaos stress (3 seeds, --release, watchdogged)"
-for seed in 11 23 37; do
-  echo "    seed ${seed}"
-  RNA_CHAOS_SEED="${seed}" timeout 600 cargo test -q --release \
-    -p rna-experiments --test chaos --test fault_tolerance
-  RNA_CHAOS_SEED="${seed}" timeout 600 cargo test -q --release \
-    -p rna-runtime --test fault_injection
-done
+# The frozen benchmark package (perf/, its own workspace) builds against the
+# crates' public API: run its tests here so an API break fails CI instead of
+# the benchmark pipeline.
+echo "==> perf package tests (--release, offline)"
+cargo test --release --offline --manifest-path perf/Cargo.toml
+
+# stress <label> <cargo-test-args...>: one release-mode test selection under
+# each of three seeds (RNA_CHAOS_SEED reseeds the scenario without
+# recompiling). Each pass runs under a watchdog so a protocol deadlock fails
+# CI with a timeout instead of hanging it.
+stress() {
+  local label="$1"
+  shift
+  echo "==> ${label} (3 seeds, --release, watchdogged)"
+  for seed in 11 23 37; do
+    echo "    seed ${seed}"
+    RNA_CHAOS_SEED="${seed}" timeout 600 cargo test -q --release "$@"
+  done
+}
+
+# Chaos stress: the fault and chaos suites, simulator then threaded runtime.
+stress "chaos stress (DES)" -p rna-experiments --test chaos --test fault_tolerance
+stress "chaos stress (threaded)" -p rna-runtime --test fault_injection
 
 # Control-plane stress: controller kills, checkpoint/resume roundtrips,
-# and PS-shard failover across three seeds in release mode, watchdogged
-# like the chaos pass above.
-echo "==> recovery stress (3 seeds, --release, watchdogged)"
-for seed in 11 23 37; do
-  echo "    seed ${seed}"
-  RNA_CHAOS_SEED="${seed}" timeout 600 cargo test -q --release \
-    -p rna-experiments --test recovery
-done
+# and PS-shard failover.
+stress "recovery stress" -p rna-experiments --test recovery
 
 # Elastic-membership stress: mid-run joins, graceful retirements,
-# evictions and the online ζ-split regroup in all three worlds across
-# three seeds in release mode, watchdogged like the chaos pass above.
-echo "==> churn stress (3 seeds, --release, watchdogged)"
-for seed in 11 23 37; do
-  echo "    seed ${seed}"
-  RNA_CHAOS_SEED="${seed}" timeout 600 cargo test -q --release \
-    -p rna-experiments --test churn
-done
+# evictions and the online ζ-split regroup in all three worlds.
+stress "churn stress" -p rna-experiments --test churn
 
 echo "==> faults bench smoke (watchdogged)"
 timeout 900 cargo bench -q --bench faults
@@ -113,27 +112,16 @@ timeout 600 cargo test -q --release -p rna-experiments --test three_worlds
 # reseeded three ways and across two lossy codecs without recompiling.
 # Every combination must complete its rounds with frame-exact
 # socket-measured byte totals.
-echo "==> compressed-hop smoke (3 seeds x 2 codecs, --release, watchdogged)"
-for seed in 11 23 37; do
-  for codec in fp16 int8; do
-    echo "    seed ${seed} codec ${codec}"
-    RNA_CHAOS_SEED="${seed}" RNA_HOP_CODEC="${codec}" timeout 600 \
-      cargo test -q --release -p rna-runtime --test process_world \
-      compressed_hop_smoke
-  done
+for codec in fp16 int8; do
+  RNA_HOP_CODEC="${codec}" stress "compressed-hop smoke (${codec})" \
+    -p rna-runtime --test process_world compressed_hop_smoke
 done
 
 # Survivability stress: coordinator kill + restart-from-disk with worker
 # reconnects, hostile-handshake rejection, the same-seed counter replay,
-# and the chaos matrix through the real-socket fault proxy, across three
-# seeds in release mode (RNA_CHAOS_SEED reseeds the proxy's plan),
-# watchdogged like the chaos pass above.
-echo "==> coordinator-kill + fault-proxy stress (3 seeds, --release, watchdogged)"
-for seed in 11 23 37; do
-  echo "    seed ${seed}"
-  RNA_CHAOS_SEED="${seed}" timeout 600 cargo test -q --release \
-    -p rna-runtime --test coordinator_death
-done
+# and the chaos matrix through the real-socket fault proxy
+# (RNA_CHAOS_SEED reseeds the proxy's plan).
+stress "coordinator-kill + fault-proxy stress" -p rna-runtime --test coordinator_death
 
 # Codec property tests in debug mode: roundtrip invariants, error-feedback
 # telescoping, and frame-size models get their debug_assert! coverage.

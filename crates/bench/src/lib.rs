@@ -19,6 +19,8 @@
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
 
+use std::path::{Path, PathBuf};
+
 use rna_core::sim::TrainSpec;
 use rna_workload::HeterogeneityModel;
 
@@ -56,30 +58,49 @@ pub fn json_header(schema: &str) -> String {
 
 /// Best-effort short commit hash read straight from `.git` — the offline
 /// build spawns no processes. Walks up from the current directory so the
-/// bins work from the workspace root or any crate directory.
+/// bins work from the workspace root or any crate directory; `"unknown"`
+/// outside a checkout (an exported tree).
 fn git_commit() -> String {
     let mut dir = std::env::current_dir().ok();
     while let Some(d) = dir {
-        let git = d.join(".git");
-        if git.is_dir() {
+        if let Some(git) = git_dir(&d) {
             return resolve_head(&git).unwrap_or_else(|| "unknown".to_string());
         }
-        dir = d.parent().map(std::path::Path::to_path_buf);
+        dir = d.parent().map(Path::to_path_buf);
     }
     "unknown".to_string()
 }
 
+/// The git directory of a checkout rooted at `root`: `.git` itself, or — in
+/// a linked worktree or submodule, where `.git` is a one-line file — the
+/// directory its `gitdir:` line names.
+fn git_dir(root: &Path) -> Option<PathBuf> {
+    let git = root.join(".git");
+    if git.is_dir() {
+        return Some(git);
+    }
+    let pointer = std::fs::read_to_string(&git).ok()?;
+    let target = pointer.trim().strip_prefix("gitdir:")?.trim();
+    Some(root.join(target)) // `join` keeps an absolute target as is
+}
+
 /// Resolves `HEAD` to a hash: either detached (hash inline) or a symbolic
-/// ref found loose under `refs/` or in `packed-refs`.
-fn resolve_head(git: &std::path::Path) -> Option<String> {
+/// ref found loose under `refs/` or in `packed-refs`. A linked worktree
+/// keeps its own `HEAD` but shares refs with the main checkout, which its
+/// `commondir` file names.
+fn resolve_head(git: &Path) -> Option<String> {
     let head = std::fs::read_to_string(git.join("HEAD")).ok()?;
     let head = head.trim();
+    let common = match std::fs::read_to_string(git.join("commondir")) {
+        Ok(rel) => git.join(rel.trim()),
+        Err(_) => git.to_path_buf(),
+    };
     let hash = match head.strip_prefix("ref: ") {
         None => head.to_string(),
-        Some(r) => match std::fs::read_to_string(git.join(r)) {
+        Some(r) => match std::fs::read_to_string(common.join(r)) {
             Ok(loose) => loose.trim().to_string(),
             Err(_) => {
-                let packed = std::fs::read_to_string(git.join("packed-refs")).ok()?;
+                let packed = std::fs::read_to_string(common.join("packed-refs")).ok()?;
                 packed.lines().find_map(|line| {
                     let (hash, name) = line.split_once(' ')?;
                     (name == r).then(|| hash.to_string())
@@ -93,16 +114,71 @@ fn resolve_head(git: &std::path::Path) -> Option<String> {
 
 #[cfg(test)]
 mod tests {
+    use super::{git_dir, resolve_head};
+    use std::fs;
+
+    const HASH: &str = "0123456789abcdef0123456789abcdef01234567";
+
+    /// `HEAD` resolution against a fixture checkout, never the ambient one.
+    #[test]
+    fn resolve_head_reads_loose_packed_detached_and_worktree_heads_and_rejects_garbage() {
+        let root = std::env::temp_dir().join(format!("rna-bench-git-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&root);
+        fs::create_dir_all(root.join(".git/refs/heads")).unwrap();
+        let short = Some(&HASH[..12]);
+        let git = git_dir(&root).expect("a .git directory");
+        assert_eq!(git, root.join(".git"));
+        // Symbolic HEAD, loose ref.
+        fs::write(git.join("HEAD"), "ref: refs/heads/main\n").unwrap();
+        fs::write(git.join("refs/heads/main"), format!("{HASH}\n")).unwrap();
+        assert_eq!(resolve_head(&git).as_deref(), short);
+        // A linked worktree: `.git` is a file naming an admin directory with
+        // its own HEAD, whose refs live in the main checkout (`commondir`).
+        let (wt, admin) = (root.join("wt"), git.join("worktrees/wt"));
+        fs::create_dir_all(&wt).unwrap();
+        fs::create_dir_all(&admin).unwrap();
+        fs::write(admin.join("HEAD"), "ref: refs/heads/main\n").unwrap();
+        fs::write(admin.join("commondir"), "../..\n").unwrap();
+        fs::write(wt.join(".git"), format!("gitdir: {}\n", admin.display())).unwrap();
+        let linked = git_dir(&wt).expect("the gitdir: pointer is followed");
+        assert_eq!(resolve_head(&linked).as_deref(), short);
+        fs::write(wt.join(".git"), "neither a directory nor a pointer\n").unwrap();
+        assert_eq!(git_dir(&wt), None);
+        assert_eq!(git_dir(&root.join("nowhere")), None);
+        // Symbolic HEAD, ref only in packed-refs (among other lines).
+        fs::remove_file(git.join("refs/heads/main")).unwrap();
+        let other = "f".repeat(40);
+        let packed =
+            format!("# pack-refs with: peeled\n{other} refs/heads/x\n{HASH} refs/heads/main\n");
+        fs::write(git.join("packed-refs"), packed).unwrap();
+        assert_eq!(resolve_head(&git).as_deref(), short);
+        // Detached HEAD.
+        fs::write(git.join("HEAD"), format!("{HASH}\n")).unwrap();
+        assert_eq!(resolve_head(&git).as_deref(), short);
+        // Garbage: not hex, too short, a ref that resolves nowhere, no HEAD.
+        for head in ["not a hash at all", "0123abc", "ref: refs/heads/gone"] {
+            fs::write(git.join("HEAD"), head).unwrap();
+            assert_eq!(resolve_head(&git), None, "HEAD = {head:?}");
+        }
+        fs::remove_file(git.join("HEAD")).unwrap();
+        assert_eq!(resolve_head(&git), None);
+        let _ = fs::remove_dir_all(&root);
+    }
+
     #[test]
     fn header_carries_schema_commit_features_and_threads() {
         let h = super::json_header("test-schema-v1");
         assert!(h.starts_with("  \"schema\": \"test-schema-v1\",\n  \"commit\": \""));
         assert!(h.ends_with(","));
-        // The workspace is a real git repo, so the hash must resolve.
+        // In a checkout (plain clone or linked worktree) the commit is a
+        // short hash; an exported tree has no commit to name.
         let commit_line = h.lines().nth(1).unwrap();
         let commit = commit_line.rsplit('"').nth(1).unwrap();
-        assert_eq!(commit.len(), 12, "short hash, got {commit:?}");
-        assert!(commit.bytes().all(|b| b.is_ascii_hexdigit()));
+        assert!(
+            commit == "unknown"
+                || (commit.len() == 12 && commit.bytes().all(|b| b.is_ascii_hexdigit())),
+            "short hash or \"unknown\", got {commit:?}"
+        );
         // Hardware stamp: a features array (possibly empty) and a positive
         // thread count, so floors are comparable across machines.
         assert!(h.contains("\"cpu_features\": ["), "header: {h}");

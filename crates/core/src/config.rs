@@ -38,11 +38,6 @@ pub struct RnaConfig {
     pub max_lead: u64,
     /// Probe RPC payload in bytes (probes are "lightweight RPCs").
     pub probe_bytes: u64,
-    /// Route reduce rounds through the fused, buffer-pooled data path
-    /// (zero steady-state allocations). `false` replays the naive
-    /// allocate-per-round path, kept for bit-identity regression tests —
-    /// both paths produce bit-identical results.
-    pub pooled: bool,
     /// Base probe-retry timeout in virtual microseconds: when the fabric
     /// injects network faults, an election round with no accepted reply
     /// after this long is re-probed, with exponential backoff per retry.
@@ -65,7 +60,6 @@ impl Default for RnaConfig {
             dynamic_lr_scaling: true,
             max_lead: 8,
             probe_bytes: 64,
-            pooled: true,
             probe_retry_us: 2_000,
             compression: Compression::Lossless,
         }
@@ -118,12 +112,6 @@ impl RnaConfig {
         self
     }
 
-    /// Enables or disables the pooled zero-allocation data path.
-    pub fn with_pooled(mut self, on: bool) -> Self {
-        self.pooled = on;
-        self
-    }
-
     /// Sets the base probe-retry timeout (doubling per retry).
     ///
     /// # Panics
@@ -164,7 +152,6 @@ mod tests {
         assert!(c.dynamic_lr_scaling);
         assert!(c.staleness_bound >= 1);
         assert!(c.max_lead >= 1);
-        assert!(c.pooled, "the pooled data path is the default");
         assert_eq!(
             c.compression,
             Compression::Lossless,

@@ -27,6 +27,7 @@
 //!   the threaded world approximates.
 
 use rna_simnet::{NetFaults, SimDuration, SimTime};
+use rna_tensor::wire::{self, Reader};
 
 /// One injected fault against one worker.
 ///
@@ -382,6 +383,48 @@ impl WorkerFate {
             self,
             WorkerFate::Retired { .. } | WorkerFate::Evicted { .. }
         )
+    }
+
+    /// Appends the fate in its one binary form — a kind byte, the
+    /// iteration or round it names (0 for `Healthy`), and for `Restarted`
+    /// the `rejoined` flag — shared by the DES checkpoint and the process
+    /// world's `Fate` frame.
+    pub fn encode_into(&self, out: &mut Vec<u8>) {
+        let (kind, at) = match *self {
+            WorkerFate::Healthy => (0, 0),
+            WorkerFate::Crashed { at_iter } => (1, at_iter),
+            WorkerFate::Hung { at_iter } => (2, at_iter),
+            WorkerFate::Slowed { from_iter } => (3, from_iter),
+            WorkerFate::Restarted { at_iter, .. } => (4, at_iter),
+            WorkerFate::Retired { at_round } => (5, at_round),
+            WorkerFate::Evicted { at_round } => (6, at_round),
+        };
+        out.push(kind);
+        wire::put_u64(out, at);
+        if let WorkerFate::Restarted { rejoined, .. } = *self {
+            wire::put_bool(out, rejoined);
+        }
+    }
+
+    /// Reads a fate written by [`WorkerFate::encode_into`]; `None` on
+    /// truncation, an unknown kind, or a `rejoined` flag that is not a
+    /// boolean.
+    pub fn decode(r: &mut Reader<'_>) -> Option<Self> {
+        let kind = r.bytes_exact(1)?[0];
+        let at = r.u64()?;
+        Some(match kind {
+            0 => WorkerFate::Healthy,
+            1 => WorkerFate::Crashed { at_iter: at },
+            2 => WorkerFate::Hung { at_iter: at },
+            3 => WorkerFate::Slowed { from_iter: at },
+            4 => WorkerFate::Restarted {
+                at_iter: at,
+                rejoined: r.bool()?,
+            },
+            5 => WorkerFate::Retired { at_round: at },
+            6 => WorkerFate::Evicted { at_round: at },
+            _ => return None,
+        })
     }
 }
 
@@ -931,6 +974,49 @@ impl NetFaultPlan {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn fate_codec_roundtrips_and_rejects_malformed_input() {
+        for fate in [
+            WorkerFate::Healthy,
+            WorkerFate::Crashed { at_iter: 2 },
+            WorkerFate::Hung { at_iter: 3 },
+            WorkerFate::Slowed { from_iter: 4 },
+            WorkerFate::Restarted {
+                at_iter: 5,
+                rejoined: true,
+            },
+            WorkerFate::Restarted {
+                at_iter: u64::MAX,
+                rejoined: false,
+            },
+            WorkerFate::Retired { at_round: 40 },
+            WorkerFate::Evicted { at_round: 41 },
+        ] {
+            let mut buf = Vec::new();
+            fate.encode_into(&mut buf);
+            let mut r = Reader::new(&buf);
+            assert_eq!(WorkerFate::decode(&mut r), Some(fate));
+            assert_eq!(r.remaining(), 0, "{fate:?}");
+            for cut in 0..buf.len() {
+                assert_eq!(
+                    WorkerFate::decode(&mut Reader::new(&buf[..cut])),
+                    None,
+                    "{fate:?} cut={cut}"
+                );
+            }
+        }
+        // Unknown kind, and a rejoined flag that is not a boolean.
+        assert_eq!(WorkerFate::decode(&mut Reader::new(&[7; 9])), None);
+        let mut bad_flag = Vec::new();
+        WorkerFate::Restarted {
+            at_iter: 1,
+            rejoined: true,
+        }
+        .encode_into(&mut bad_flag);
+        *bad_flag.last_mut().unwrap() = 2;
+        assert_eq!(WorkerFate::decode(&mut Reader::new(&bad_flag)), None);
+    }
 
     #[test]
     fn plan_builders_accumulate() {

@@ -33,6 +33,7 @@ use rna_tensor::Tensor;
 use rna_ps::ReplicatedGroupServer;
 
 use crate::cache::GradientCache;
+use crate::fault::WorkerFate;
 use crate::grouping::{group_of, partition_groups};
 use crate::membership::{
     hetero_ratio, regroup_decision, ChurnEvent, RegroupPolicy, SpeedEstimator,
@@ -240,24 +241,17 @@ impl HierRnaProtocol {
             if let Some(server) = self.server.as_mut() {
                 if shard < server.num_groups() {
                     server.kill_primary(shard);
-                    ctx.note_ps_failover();
+                    ctx.counters_mut().ps_failovers += 1;
                 }
             }
         }
     }
 
     fn accumulate(&mut self, ctx: &mut Ctx<'_, RnaMsg>, gid: usize, reduced: &Tensor, scale: f32) {
-        let dim = reduced.len();
-        let pooled = self.config.pooled;
-        let pending = self.pending[gid].get_or_insert_with(|| {
-            // Pooled buffers arrive zeroed, so both arms start the
-            // accumulator from exact zero.
-            if pooled {
-                ctx.pool_mut().acquire(dim)
-            } else {
-                Tensor::zeros(dim)
-            }
-        });
+        // Pooled buffers arrive zeroed, so the accumulator starts from
+        // exact zero.
+        let pending =
+            self.pending[gid].get_or_insert_with(|| ctx.pool_mut().acquire(reduced.len()));
         pending.axpy(scale, reduced);
     }
 
@@ -290,7 +284,7 @@ impl HierRnaProtocol {
                 &mut draw,
                 threads,
             );
-            ctx.note_codec_error(err);
+            ctx.counters_mut().codec_error_l2 += err;
         }
         // The master applies the gradient at *send* time: the PS serializes
         // pushes, so the state the group later broadcasts already includes
@@ -305,18 +299,11 @@ impl HierRnaProtocol {
             // so a later primary crash degrades to this round's value.
             let _ = server.pull_slot(gid);
         }
-        // The broadcast payload snapshots the master; on the pooled path
-        // both it and the drained accumulator cycle through the pool.
-        let blended = if self.config.pooled {
-            let mut b = ctx.pool_mut().acquire(master.len());
-            b.copy_from(master);
-            b
-        } else {
-            master.clone()
-        };
-        if self.config.pooled {
-            ctx.pool_release(grad);
-        }
+        // The broadcast payload snapshots the master; both it and the
+        // drained accumulator cycle through the pool.
+        let mut blended = ctx.pool_mut().acquire(master.len());
+        blended.copy_from(master);
+        ctx.pool_release(grad);
         let bytes = ctx.grad_bytes();
         let cost = ctx.cost();
         let group_size = self.groups[gid].members.len();
@@ -389,7 +376,7 @@ impl HierRnaProtocol {
                         self.groups[gid].depart(&self.config, w);
                         self.departed[w] = true;
                         self.speed.forget(w);
-                        ctx.note_worker_retired(w, at_round);
+                        ctx.note_worker_departed(w, WorkerFate::Retired { at_round });
                     }
                 }
                 ChurnEvent::Evict { at_round } => {
@@ -397,7 +384,7 @@ impl HierRnaProtocol {
                         self.groups[gid].depart(&self.config, w);
                         self.departed[w] = true;
                         self.speed.forget(w);
-                        ctx.note_worker_evicted(w, at_round);
+                        ctx.note_worker_departed(w, WorkerFate::Evicted { at_round });
                     }
                 }
                 ChurnEvent::Join { at_round, .. } => {
@@ -413,7 +400,7 @@ impl HierRnaProtocol {
                         }
                         self.groups[gid].handle_rejoin(ctx, &self.config, w);
                         ctx.charge_bytes(snapshot_bytes);
-                        ctx.note_worker_joined(w, snapshot_bytes);
+                        ctx.note_worker_joined(snapshot_bytes);
                     }
                 }
             }
@@ -504,9 +491,7 @@ impl HierRnaProtocol {
                 let missed = std::mem::take(&mut self.missed_exchanges[gid]);
                 let lr = ctx.current_lr() * rna_ps::staleness_discount(missed);
                 master.axpy(-lr, &grad);
-                if self.config.pooled {
-                    ctx.pool_release(grad);
-                }
+                ctx.pool_release(grad);
             }
         }
         // 2. Steal every worker's cache and liveness so accumulated but
@@ -562,7 +547,8 @@ impl HierRnaProtocol {
         //    pull can wedge on a dead primary mid-handoff.
         let master = self.master.as_ref().expect("master set in on_start");
         let moved = self.server.as_mut().map_or(0, |s| s.rebalance(master, k));
-        ctx.note_regroup(moved);
+        ctx.counters_mut().regroup_events += 1;
+        ctx.counters_mut().ps_keys_rebalanced += moved;
         self.last_swap_edge = self.round_edges;
         self.last_ratio = ratio;
         // 6. Atomic swap done: restart every group's compute and election.
@@ -675,7 +661,7 @@ impl Protocol for HierRnaProtocol {
                     if exchange {
                         // The group is cut off from the PS: keep training on
                         // the local accumulation and reconcile on heal.
-                        ctx.note_partition_round();
+                        ctx.counters_mut().partition_rounds += 1;
                         self.missed_exchanges[group] += 1;
                     }
                     // Preview the update group-locally; the accumulated
@@ -688,10 +674,8 @@ impl Protocol for HierRnaProtocol {
                         &applied,
                     );
                 }
-                if self.config.pooled {
-                    ctx.pool_release(reduced);
-                }
-                ctx.note_datapath_allocs(rna_tensor::alloc::count() - allocs_before);
+                ctx.pool_release(reduced);
+                ctx.counters_mut().datapath_allocs += rna_tensor::alloc::count() - allocs_before;
                 if deferred {
                     // Defer the round advance until the master broadcast
                     // returns.
@@ -716,19 +700,15 @@ impl Protocol for HierRnaProtocol {
                 // untouched (`idle_for_swap` refuses to commit while one
                 // is outstanding), so a valid id here is never stale.
                 if group >= self.groups.len() {
-                    if self.config.pooled {
-                        ctx.pool_release(blended);
-                    }
+                    ctx.pool_release(blended);
                     return;
                 }
                 let allocs_before = rna_tensor::alloc::count();
                 for &w in &self.groups[group].members.clone() {
                     ctx.set_params(w, &blended);
                 }
-                if self.config.pooled {
-                    ctx.pool_release(blended);
-                }
-                ctx.note_datapath_allocs(rna_tensor::alloc::count() - allocs_before);
+                ctx.pool_release(blended);
+                ctx.counters_mut().datapath_allocs += rna_tensor::alloc::count() - allocs_before;
                 if let Some(contributors) = self.groups[group].take_deferred() {
                     self.groups[group].complete_round(ctx, contributors);
                     self.after_round_edge(ctx, group);

@@ -39,8 +39,10 @@ use crate::fault::ConfigError;
 /// Magic bytes opening every checkpoint file: "RNACKPT1".
 pub const CHECKPOINT_MAGIC: &[u8; 8] = b"RNACKPT1";
 
-/// Current checkpoint framing version.
-pub const CHECKPOINT_VERSION: u32 = 1;
+/// Current checkpoint format version, covering the framing and the payload
+/// layouts the callers write under it. 2: payloads moved to the shared field
+/// codec (one-byte booleans and `Option` tags, one `Counters` block).
+pub const CHECKPOINT_VERSION: u32 = 2;
 
 /// Why a checkpoint could not be loaded.
 #[derive(Debug)]
@@ -386,13 +388,7 @@ pub fn put_rng(out: &mut Vec<u8>, state: &SimRngState) {
     }
     wire::put_u64(out, state.counter);
     wire::put_u32(out, state.next_word as u32);
-    match state.gauss_spare {
-        Some(v) => {
-            wire::put_u32(out, 1);
-            wire::put_f64(out, v);
-        }
-        None => wire::put_u32(out, 0),
-    }
+    wire::put_opt_u64(out, state.gauss_spare.map(f64::to_bits));
 }
 
 /// Deserializes an RNG stream position written by [`put_rng`].
@@ -406,11 +402,7 @@ pub fn read_rng(r: &mut Reader<'_>) -> Option<SimRngState> {
     if next_word > 16 {
         return None;
     }
-    let gauss_spare = match r.u32()? {
-        0 => None,
-        1 => Some(r.f64()?),
-        _ => return None,
-    };
+    let gauss_spare = r.opt_u64()?.map(f64::from_bits);
     Some(SimRngState {
         key,
         counter,

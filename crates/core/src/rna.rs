@@ -21,14 +21,14 @@
 //! [`RnaProtocol`] wraps a single group spanning the whole cluster;
 //! `rna-core::hier` reuses [`GroupState`] for per-group RNA.
 
-use rna_collectives::{partial_allreduce, partial_allreduce_pooled};
+use rna_collectives::partial_allreduce_pooled;
 use rna_simnet::trace::SpanKind;
 use rna_tensor::codec;
 use rna_tensor::wire::{self, Reader};
 use rna_tensor::Tensor;
 
 use crate::cache::GradientCache;
-use crate::fault::ToleranceConfig;
+use crate::fault::{ToleranceConfig, WorkerFate};
 use crate::membership::ChurnEvent;
 use crate::probe::ProbeRound;
 use crate::recovery::RoundJournal;
@@ -289,7 +289,7 @@ impl GroupState {
         if probe.winner().is_some() {
             return;
         }
-        ctx.note_probe_retry();
+        ctx.counters_mut().probe_retries += 1;
         self.retry_backoff_us = self
             .retry_backoff_us
             .saturating_mul(2)
@@ -444,32 +444,24 @@ impl GroupState {
             .map(|&m| m == initiator || ctx.link_up(initiator, m))
             .collect();
         if reachable.iter().any(|&r| !r) {
-            ctx.note_partition_round();
+            ctx.counters_mut().partition_rounds += 1;
         }
         // Everything from the cache drain to the reduced output runs on the
-        // pooled, fused data path (bit-identical to the naive one); the
-        // debug alloc delta proves steady-state rounds allocate nothing.
+        // pooled, fused data path; the debug alloc delta proves steady-state
+        // rounds allocate nothing.
         let allocs_before = rna_tensor::alloc::count();
-        let caches = &mut self.caches;
-        let mut contributions: Vec<Option<Tensor>> = if config.pooled {
-            caches
-                .iter_mut()
-                .zip(&reachable)
-                .map(|(c, &r)| {
-                    if r {
-                        c.take_contribution_pooled(k, ctx.pool_mut())
-                    } else {
-                        None
-                    }
-                })
-                .collect()
-        } else {
-            caches
-                .iter_mut()
-                .zip(&reachable)
-                .map(|(c, &r)| if r { c.take_contribution(k) } else { None })
-                .collect()
-        };
+        let mut contributions: Vec<Option<Tensor>> = self
+            .caches
+            .iter_mut()
+            .zip(&reachable)
+            .map(|(c, &r)| {
+                if r {
+                    c.take_contribution_pooled(k, ctx.pool_mut())
+                } else {
+                    None
+                }
+            })
+            .collect();
         let codec = config.compression;
         if !codec.is_lossless() {
             // Lossy wire: each contribution crosses the network as
@@ -491,22 +483,16 @@ impl GroupState {
                     &mut draw,
                     threads,
                 );
-                ctx.note_codec_error(err);
+                ctx.counters_mut().codec_error_l2 += err;
             }
         }
         let refs: Vec<Option<&Tensor>> = contributions.iter().map(Option::as_ref).collect();
-        let outcome = if config.pooled {
-            partial_allreduce_pooled(&refs, ctx.pool_mut())
-        } else {
-            partial_allreduce(&refs)
+        let outcome = partial_allreduce_pooled(&refs, ctx.pool_mut())
+            .expect("initiator has a ready gradient, so the round cannot be empty");
+        for g in contributions.into_iter().flatten() {
+            ctx.pool_release(g);
         }
-        .expect("initiator has a ready gradient, so the round cannot be empty");
-        if config.pooled {
-            for g in contributions.into_iter().flatten() {
-                ctx.pool_release(g);
-            }
-        }
-        ctx.note_datapath_allocs(rna_tensor::alloc::count() - allocs_before);
+        ctx.counters_mut().datapath_allocs += rna_tensor::alloc::count() - allocs_before;
         let applied: Vec<usize> = self
             .members
             .iter()
@@ -606,10 +592,8 @@ impl GroupState {
         let (reduced, contributors, applied) = self.take_reduce_result(round)?;
         let allocs_before = rna_tensor::alloc::count();
         self.apply_reduce(ctx, config, &reduced, contributors, &applied);
-        if config.pooled {
-            ctx.pool_release(reduced);
-        }
-        ctx.note_datapath_allocs(rna_tensor::alloc::count() - allocs_before);
+        ctx.pool_release(reduced);
+        ctx.counters_mut().datapath_allocs += rna_tensor::alloc::count() - allocs_before;
         Some(contributors)
     }
 
@@ -862,146 +846,66 @@ impl GroupState {
         wire::put_u64(out, self.probe_epoch);
         wire::put_u64(out, self.retry_backoff_us);
         wire::put_u64(out, self.members.len() as u64);
-        match self.last_initiator {
-            Some(w) => {
-                wire::put_u32(out, 1);
-                wire::put_u64(out, w as u64);
-            }
-            None => wire::put_u32(out, 0),
-        }
+        wire::put_opt_u64(out, self.last_initiator.map(|w| w as u64));
         for local in 0..self.members.len() {
-            wire::put_u32(out, u32::from(self.live[local]));
-            wire::put_u32(out, u32::from(self.paused[local]));
+            wire::put_bool(out, self.live[local]);
+            wire::put_bool(out, self.paused[local]);
             wire::put_u64(out, self.initiator_counts[local]);
-            match self.pending_reply[local] {
-                Some(r) => {
-                    wire::put_u32(out, 1);
-                    wire::put_u64(out, r);
-                }
-                None => wire::put_u32(out, 0),
-            }
+            wire::put_opt_u64(out, self.pending_reply[local]);
             let cache = &self.caches[local];
             wire::put_u64(out, cache.bound() as u64);
-            wire::put_u32(out, u32::from(cache.weighted()));
+            wire::put_bool(out, cache.weighted());
             wire::put_u64(out, cache.evicted());
             wire::put_u64(out, cache.entries().len() as u64);
             for (iter, grad) in cache.entries() {
                 wire::put_u64(out, *iter);
                 wire::put_tensor(out, grad);
             }
-        }
-        // Error-feedback residuals: without them a lossy-codec resume
-        // would re-drop what the pre-crash run already owed its members.
-        for local in 0..self.members.len() {
-            match &self.residuals[local] {
-                Some(t) => {
-                    wire::put_u32(out, 1);
-                    wire::put_tensor(out, t);
-                }
-                None => wire::put_u32(out, 0),
-            }
+            // Error-feedback residual: without it a lossy-codec resume
+            // would re-drop what the pre-crash run already owed the member.
+            wire::put_opt_tensor(out, self.residuals[local].as_ref());
         }
     }
 
-    /// Restores state written by [`GroupState::encode_into`]. Returns
-    /// `false` on any mismatch (member count, malformed cache) instead of
-    /// panicking — the caller surfaces a typed corruption error.
-    pub fn restore_from(&mut self, r: &mut Reader<'_>) -> bool {
-        let Some(round) = r.u64() else { return false };
-        let Some(probe_epoch) = r.u64() else {
-            return false;
-        };
-        let Some(retry_backoff_us) = r.u64() else {
-            return false;
-        };
-        match r.u64() {
-            Some(n) if n as usize == self.members.len() => {}
-            _ => return false,
+    /// Restores state written by [`GroupState::encode_into`] into a freshly
+    /// built group. Returns `None` on any mismatch (member count, malformed
+    /// cache) instead of panicking — the group is then partly overwritten
+    /// and must be discarded, as [`crate::sim::Engine::resume`] does when it
+    /// surfaces the typed corruption error.
+    pub fn restore_from(&mut self, r: &mut Reader<'_>) -> Option<()> {
+        self.round = r.u64()?;
+        self.probe_epoch = r.u64()?;
+        self.retry_backoff_us = r.u64()?;
+        if r.u64()? != self.members.len() as u64 {
+            return None;
         }
-        let last_initiator = match r.u32() {
-            Some(0) => None,
-            Some(1) => match r.u64() {
-                Some(w) => Some(w as usize),
-                None => return false,
-            },
-            _ => return false,
-        };
-        let n = self.members.len();
-        let mut live = vec![true; n];
-        let mut paused = vec![false; n];
-        let mut initiator_counts = vec![0u64; n];
-        let mut pending_reply = vec![None; n];
-        let mut caches = Vec::with_capacity(n);
-        for local in 0..n {
-            live[local] = match r.u32() {
-                Some(v) => v != 0,
-                None => return false,
-            };
-            paused[local] = match r.u32() {
-                Some(v) => v != 0,
-                None => return false,
-            };
-            initiator_counts[local] = match r.u64() {
-                Some(v) => v,
-                None => return false,
-            };
-            pending_reply[local] = match r.u32() {
-                Some(0) => None,
-                Some(1) => match r.u64() {
-                    Some(v) => Some(v),
-                    None => return false,
-                },
-                _ => return false,
-            };
-            let Some(bound) = r.u64() else { return false };
-            let Some(weighted) = r.u32() else {
-                return false;
-            };
-            let Some(evicted) = r.u64() else { return false };
-            let Some(count) = r.u64() else { return false };
+        self.last_initiator = r.opt_u64()?.map(|w| w as usize);
+        for local in 0..self.members.len() {
+            self.live[local] = r.bool()?;
+            self.paused[local] = r.bool()?;
+            self.initiator_counts[local] = r.u64()?;
+            self.pending_reply[local] = r.opt_u64()?;
+            let bound = r.u64()?;
+            let weighted = r.bool()?;
+            let evicted = r.u64()?;
+            let count = r.u64()?;
             if bound == 0 || count > bound || count > r.remaining() as u64 / 8 {
-                return false;
+                return None;
             }
             let mut entries = Vec::with_capacity(count as usize);
             for _ in 0..count {
-                let Some(iter) = r.u64() else { return false };
-                let Some(grad) = r.tensor() else { return false };
-                entries.push((iter, grad));
+                entries.push((r.u64()?, r.tensor()?));
             }
-            caches.push(GradientCache::from_checkpoint(
-                bound as usize,
-                weighted != 0,
-                evicted,
-                entries,
-            ));
+            self.caches[local] =
+                GradientCache::from_checkpoint(bound as usize, weighted, evicted, entries);
+            self.residuals[local] = r.opt_tensor()?;
         }
-        let mut residuals: Vec<Option<Tensor>> = Vec::with_capacity(n);
-        for _ in 0..n {
-            residuals.push(match r.u32() {
-                Some(0) => None,
-                Some(1) => match r.tensor() {
-                    Some(t) => Some(t),
-                    None => return false,
-                },
-                _ => return false,
-            });
-        }
-        self.round = round;
-        self.probe_epoch = probe_epoch;
-        self.retry_backoff_us = retry_backoff_us;
-        self.last_initiator = last_initiator;
-        self.live = live;
-        self.paused = paused;
-        self.initiator_counts = initiator_counts;
-        self.pending_reply = pending_reply;
-        self.caches = caches;
-        self.residuals = residuals;
         self.probe = None;
         self.reducing = false;
         self.in_flight = None;
         self.deferred = None;
         self.quiescing = false;
-        true
+        Some(())
     }
 }
 
@@ -1124,7 +1028,8 @@ impl RnaProtocol {
         );
         self.group.recover_for_takeover(round);
         // One probe round was abandoned: the downtime cost of the takeover.
-        ctx.note_controller_failover(1);
+        ctx.counters_mut().controller_failovers += 1;
+        ctx.counters_mut().failover_rounds_lost += 1;
         self.start_next_round(ctx);
     }
 
@@ -1155,14 +1060,14 @@ impl RnaProtocol {
                     if at_round + 1 == next && !self.departed[w] {
                         self.group.depart(&self.config, w);
                         self.departed[w] = true;
-                        ctx.note_worker_retired(w, at_round);
+                        ctx.note_worker_departed(w, WorkerFate::Retired { at_round });
                     }
                 }
                 ChurnEvent::Evict { at_round } => {
                     if at_round == next && !self.departed[w] {
                         self.group.depart(&self.config, w);
                         self.departed[w] = true;
-                        ctx.note_worker_evicted(w, at_round);
+                        ctx.note_worker_departed(w, WorkerFate::Evicted { at_round });
                     }
                 }
                 ChurnEvent::Join { at_round, .. } => {
@@ -1170,7 +1075,7 @@ impl RnaProtocol {
                         let snapshot_bytes = 4 * ctx.params(w).len() as u64;
                         self.group.handle_rejoin(ctx, &self.config, w);
                         ctx.charge_bytes(snapshot_bytes);
-                        ctx.note_worker_joined(w, snapshot_bytes);
+                        ctx.note_worker_joined(snapshot_bytes);
                     }
                 }
             }
@@ -1194,6 +1099,20 @@ impl RnaProtocol {
         self.group.end_quiesce();
         self.group.resume_paused(ctx, &self.config);
         self.start_next_round(ctx);
+    }
+
+    /// Decodes the blob [`RnaProtocol::try_cut_checkpoint`] wrote; `None`
+    /// when it is malformed or was cut for another cluster shape.
+    fn try_restore(&mut self, blob: &[u8]) -> Option<()> {
+        let mut r = Reader::new(blob);
+        self.term = r.u64()?;
+        self.crash_idx = usize::try_from(r.u64()?).ok()?;
+        self.journal = RoundJournal::decode(&mut r)?;
+        self.group.restore_from(&mut r)?;
+        // Checkpoints are only cut at quiesce points, where the controller
+        // is alive by construction.
+        self.ctrl_down = false;
+        Some(())
     }
 }
 
@@ -1293,24 +1212,7 @@ impl Protocol for RnaProtocol {
     }
 
     fn restore(&mut self, blob: &[u8]) -> bool {
-        let mut r = Reader::new(blob);
-        let Some(term) = r.u64() else { return false };
-        let Some(crash_idx) = r.u64() else {
-            return false;
-        };
-        let Some(journal) = RoundJournal::decode(&mut r) else {
-            return false;
-        };
-        if !self.group.restore_from(&mut r) {
-            return false;
-        }
-        self.term = term;
-        self.crash_idx = crash_idx as usize;
-        self.journal = journal;
-        // Checkpoints are only cut at quiesce points, where the controller
-        // is alive by construction.
-        self.ctrl_down = false;
-        true
+        self.try_restore(blob).is_some()
     }
 
     fn on_resume(&mut self, ctx: &mut Ctx<'_, RnaMsg>) {

@@ -33,7 +33,7 @@ use rna_workload::{HeterogeneityModel, ModelProfile};
 use crate::fault::{FaultPlan, NetFaultPlan, ToleranceConfig, WorkerFate, WorkerFault};
 use crate::membership::ChurnPlan;
 use crate::recovery::{self, CheckpointStore, RecoveryConfig, RecoveryError};
-use crate::stats::{RunResult, StopReason};
+use crate::stats::{Counters, RunResult, StopReason};
 use rna_tensor::wire::{self, Reader};
 
 /// The learnable task a run optimizes.
@@ -450,28 +450,13 @@ pub struct SimState<M> {
     workload_trace: WorkloadTrace,
     fates: Vec<WorkerFate>,
     restart_fired: Vec<bool>,
-    messages_dropped: u64,
-    probe_retries: u64,
-    partition_rounds: u64,
-    controller_failovers: u64,
-    failover_rounds_lost: u64,
-    ps_failovers: u64,
-    checkpoints_written: u64,
+    counters: Counters,
     rejoin_at: Vec<Option<SimTime>>,
     recovery: Option<EngineRecovery>,
     resumed: bool,
     pool: TensorPool,
     apply_scratch: Tensor,
     eval_scratch: Tensor,
-    datapath_allocs: u64,
-    bytes_on_wire: u64,
-    bytes_saved: u64,
-    codec_error_l2: f64,
-    workers_joined: u64,
-    workers_retired: u64,
-    regroup_events: u64,
-    ps_keys_rebalanced: u64,
-    snapshot_bytes_streamed: u64,
 }
 
 /// The protocol's handle onto the engine.
@@ -684,7 +669,7 @@ impl<M: Clone + std::fmt::Debug> Ctx<'_, M> {
     /// the link's α–β cost for `bytes` and the bytes are accounted. Under
     /// a [`NetFaultPlan`] the fabric may eat the message: the bytes are
     /// still billed (the sender did transmit) but nothing arrives, and
-    /// [`Ctx::messages_dropped`] ticks.
+    /// [`Counters::messages_dropped`] ticks.
     pub fn send(&mut self, from: usize, to: usize, bytes: u64, msg: M) {
         let s = &mut *self.0;
         if from != to {
@@ -692,7 +677,7 @@ impl<M: Clone + std::fmt::Debug> Ctx<'_, M> {
         }
         match s.net.try_delivery(from, to, bytes, s.clock) {
             Some(at) => s.queue.schedule(at, Event::Message { from, to, msg }),
-            None => s.messages_dropped += 1,
+            None => s.counters.messages_dropped += 1,
         }
     }
 
@@ -720,20 +705,11 @@ impl<M: Clone + std::fmt::Debug> Ctx<'_, M> {
         &self.0.spec.fault_plan
     }
 
-    /// Records one probe-round retry (re-issued after a timeout).
-    pub fn note_probe_retry(&mut self) {
-        self.0.probe_retries += 1;
-    }
-
-    /// Records one partition-degraded round (a live node was unreachable
-    /// where the protocol needed it).
-    pub fn note_partition_round(&mut self) {
-        self.0.partition_rounds += 1;
-    }
-
-    /// Messages the fabric has dropped so far.
-    pub fn messages_dropped(&self) -> u64 {
-        self.0.messages_dropped
+    /// The run ledger. Protocols bump their own tallies in place
+    /// (`ctx.counters_mut().probe_retries += 1`); the engine bumps the
+    /// fabric's and checkpoints all of them.
+    pub fn counters_mut(&mut self) -> &mut Counters {
+        &mut self.0.counters
     }
 
     /// The engine's tensor-buffer pool. Protocols route their reduce data
@@ -748,28 +724,13 @@ impl<M: Clone + std::fmt::Debug> Ctx<'_, M> {
         self.0.pool.release(t);
     }
 
-    /// Accumulates `n` fresh tensor-buffer allocations observed on the
-    /// reduce data path into the run's [`RunResult::datapath_allocs`]
-    /// counter (protocols sample `rna_tensor::alloc::count()` as a delta
-    /// around their reduce regions; the hook is debug-only, so `n` is 0 in
-    /// release builds).
-    pub fn note_datapath_allocs(&mut self, n: u64) {
-        self.0.datapath_allocs += n;
-    }
-
     /// Accounts one gradient exchange's encoded wire footprint: `actual`
     /// bytes really moved (codec frames, headers included) against the
     /// `baseline` a lossless wire would have moved for the same exchange.
-    /// Feeds [`RunResult::bytes_on_wire`] / [`RunResult::bytes_saved`].
+    /// Feeds [`Counters::bytes_on_wire`] / [`Counters::bytes_saved`].
     pub fn note_wire_bytes(&mut self, actual: u64, baseline: u64) {
-        self.0.bytes_on_wire += actual;
-        self.0.bytes_saved += baseline.saturating_sub(actual);
-    }
-
-    /// Accumulates the L2 norm of one lossy encode's error-feedback
-    /// residual into [`RunResult::codec_error_l2`].
-    pub fn note_codec_error(&mut self, l2: f64) {
-        self.0.codec_error_l2 += l2;
+        self.0.counters.bytes_on_wire += actual;
+        self.0.counters.bytes_saved += baseline.saturating_sub(actual);
     }
 
     /// Schedules a message to `to` after `delay` with no network charge —
@@ -896,73 +857,24 @@ impl<M: Clone + std::fmt::Debug> Ctx<'_, M> {
             s.computing.iter().all(|&c| !c),
             "checkpoint cut while an iteration is in flight"
         );
+        let mut payload = Vec::new();
+        put_section(&mut payload, &s.encode_engine_section());
+        put_section(&mut payload, blob);
+        // Without a store (a protocol that never polled `checkpoint_due`)
+        // there is nowhere to write.
         let Some(r) = &mut s.recovery else {
             return;
         };
-        let engine = encode_engine_state_fields(
-            s.clock,
-            &s.models,
-            &s.opts,
-            &s.samplers,
-            &s.workload_rngs,
-            &s.proto_rng,
-            &s.codec_rng,
-            &s.local_iter,
-            &s.next_iter,
-            &s.crashed,
-            &s.restart_fired,
-            &s.rejoin_at,
-            &s.fates,
-            &s.history,
-            EngineCounters {
-                global_round: s.global_round,
-                participation_sum: s.participation_sum,
-                comm_bytes: s.comm_bytes,
-                evals_done: s.evals_done,
-                messages_dropped: s.messages_dropped,
-                probe_retries: s.probe_retries,
-                partition_rounds: s.partition_rounds,
-                controller_failovers: s.controller_failovers,
-                failover_rounds_lost: s.failover_rounds_lost,
-                ps_failovers: s.ps_failovers,
-                checkpoints_written: s.checkpoints_written + 1,
-                last_top5: s.last_top5,
-                bytes_on_wire: s.bytes_on_wire,
-                bytes_saved: s.bytes_saved,
-                codec_error_l2: s.codec_error_l2,
-                workers_joined: s.workers_joined,
-                workers_retired: s.workers_retired,
-                regroup_events: s.regroup_events,
-                ps_keys_rebalanced: s.ps_keys_rebalanced,
-                snapshot_bytes_streamed: s.snapshot_bytes_streamed,
-            },
-        );
-        let mut payload = Vec::with_capacity(engine.len() + blob.len() + 16);
-        wire::put_u64(&mut payload, engine.len() as u64);
-        payload.extend_from_slice(&engine);
-        wire::put_u64(&mut payload, blob.len() as u64);
-        payload.extend_from_slice(blob);
         match r.store.save(&payload) {
             Ok(()) => {
                 r.last_round = s.global_round;
-                s.checkpoints_written += 1;
+                s.counters.checkpoints_written += 1;
             }
             Err(e) => eprintln!(
                 "checkpoint write failed at round {}: {e} (continuing)",
                 s.global_round
             ),
         }
-    }
-
-    /// Records one controller failover and the probe rounds it cost.
-    pub fn note_controller_failover(&mut self, rounds_lost: u64) {
-        self.0.controller_failovers += 1;
-        self.0.failover_rounds_lost += rounds_lost;
-    }
-
-    /// Records one PS shard primary crash (degraded to its replica).
-    pub fn note_ps_failover(&mut self) {
-        self.0.ps_failovers += 1;
     }
 
     /// The run's elastic-membership script. Protocols that honour it
@@ -972,33 +884,20 @@ impl<M: Clone + std::fmt::Debug> Ctx<'_, M> {
         &self.0.spec.churn_plan
     }
 
-    /// Records one mid-run admission: `worker` joined and was streamed
+    /// Records one mid-run admission: a worker joined and was streamed
     /// `snapshot_bytes` of model snapshot.
-    pub fn note_worker_joined(&mut self, worker: usize, snapshot_bytes: u64) {
-        let _ = worker;
-        self.0.workers_joined += 1;
-        self.0.snapshot_bytes_streamed += snapshot_bytes;
+    pub fn note_worker_joined(&mut self, snapshot_bytes: u64) {
+        self.0.counters.workers_joined += 1;
+        self.0.counters.snapshot_bytes_streamed += snapshot_bytes;
     }
 
-    /// Records one graceful retirement: `worker` left after contributing
-    /// through global round `at_round` (its final gradient drained).
-    pub fn note_worker_retired(&mut self, worker: usize, at_round: u64) {
-        self.0.workers_retired += 1;
-        self.0.fates[worker] = WorkerFate::Retired { at_round };
-    }
-
-    /// Records one eviction: `worker` was removed as round `at_round`
-    /// began, in-flight work discarded.
-    pub fn note_worker_evicted(&mut self, worker: usize, at_round: u64) {
-        self.0.workers_retired += 1;
-        self.0.fates[worker] = WorkerFate::Evicted { at_round };
-    }
-
-    /// Records one online regroup (topology re-split committed at a
-    /// quiesce point) and the PS keys it rehomed.
-    pub fn note_regroup(&mut self, ps_keys_rebalanced: u64) {
-        self.0.regroup_events += 1;
-        self.0.ps_keys_rebalanced += ps_keys_rebalanced;
+    /// Records one planned departure with the fate that names its round:
+    /// `Retired` (left after contributing through that round, final
+    /// gradient drained) or `Evicted` (removed as that round began,
+    /// in-flight work discarded).
+    pub fn note_worker_departed(&mut self, worker: usize, fate: WorkerFate) {
+        self.0.counters.workers_retired += 1;
+        self.0.fates[worker] = fate;
     }
 
     /// The compute duration of `worker`'s most recently scheduled
@@ -1148,28 +1047,13 @@ impl<P: Protocol> Engine<P> {
             workload_trace: WorkloadTrace::new(n),
             fates: vec![WorkerFate::Healthy; n],
             restart_fired: vec![false; n],
-            messages_dropped: 0,
-            probe_retries: 0,
-            partition_rounds: 0,
-            controller_failovers: 0,
-            failover_rounds_lost: 0,
-            ps_failovers: 0,
-            checkpoints_written: 0,
+            counters: Counters::default(),
             rejoin_at: vec![None; n],
             recovery: None,
             resumed: false,
             pool: TensorPool::new(),
             apply_scratch: Tensor::zeros(num_params),
             eval_scratch: Tensor::zeros(num_params),
-            datapath_allocs: 0,
-            bytes_on_wire: 0,
-            bytes_saved: 0,
-            codec_error_l2: 0.0,
-            workers_joined: 0,
-            workers_retired: 0,
-            regroup_events: 0,
-            ps_keys_rebalanced: 0,
-            snapshot_bytes_streamed: 0,
             clock: SimTime::ZERO,
             // Steady state keeps a few events in flight per worker
             // (compute-done plus protocol messages); sizing the heap up
@@ -1231,20 +1115,16 @@ impl<P: Protocol> Engine<P> {
     ) -> Result<Self, RecoveryError> {
         let loaded = store.load_latest()?;
         let mut engine = Engine::new(spec, protocol);
-        let mut r = Reader::new(&loaded.payload);
-        let engine_len = r
-            .u64()
-            .ok_or_else(|| RecoveryError::Corrupt("payload too short".into()))?;
-        let engine_bytes = read_exact(&mut r, engine_len)?;
-        let proto_len = r
-            .u64()
-            .ok_or_else(|| RecoveryError::Corrupt("payload too short".into()))?;
-        let proto_bytes = read_exact(&mut r, proto_len)?;
-        restore_engine_state(&mut engine.state, engine_bytes)?;
+        let r = &mut Reader::new(&loaded.payload);
+        let (Some(engine_bytes), Some(proto_bytes)) = (section(r), section(r)) else {
+            return Err(corrupt("section length exceeds payload"));
+        };
+        engine
+            .state
+            .restore_engine_section(engine_bytes)
+            .ok_or_else(|| corrupt("engine section is malformed or does not match the spec"))?;
         if !engine.protocol.restore(proto_bytes) {
-            return Err(RecoveryError::Corrupt(
-                "protocol rejected its checkpoint blob".into(),
-            ));
+            return Err(corrupt("protocol rejected its checkpoint blob"));
         }
         engine.state.resumed = true;
         let last_round = engine.state.global_round;
@@ -1396,275 +1276,131 @@ impl<P: Protocol> Engine<P> {
             workload_trace: s.workload_trace,
             timeline,
             worker_fates: s.fates,
-            messages_dropped: s.messages_dropped,
-            probe_retries: s.probe_retries,
-            partition_rounds: s.partition_rounds,
-            controller_failovers: s.controller_failovers,
-            failover_rounds_lost: s.failover_rounds_lost,
-            ps_failovers: s.ps_failovers,
-            checkpoints_written: s.checkpoints_written,
-            datapath_allocs: s.datapath_allocs,
-            bytes_on_wire: s.bytes_on_wire,
-            bytes_saved: s.bytes_saved,
-            codec_error_l2: s.codec_error_l2,
-            workers_joined: s.workers_joined,
-            workers_retired: s.workers_retired,
-            regroup_events: s.regroup_events,
-            ps_keys_rebalanced: s.ps_keys_rebalanced,
-            snapshot_bytes_streamed: s.snapshot_bytes_streamed,
+            counters: s.counters,
         }
     }
-}
-
-/// Scalar counters bundled into the engine checkpoint section.
-struct EngineCounters {
-    global_round: u64,
-    participation_sum: f64,
-    comm_bytes: u64,
-    evals_done: u64,
-    messages_dropped: u64,
-    probe_retries: u64,
-    partition_rounds: u64,
-    controller_failovers: u64,
-    failover_rounds_lost: u64,
-    ps_failovers: u64,
-    checkpoints_written: u64,
-    last_top5: f64,
-    bytes_on_wire: u64,
-    bytes_saved: u64,
-    codec_error_l2: f64,
-    workers_joined: u64,
-    workers_retired: u64,
-    regroup_events: u64,
-    ps_keys_rebalanced: u64,
-    snapshot_bytes_streamed: u64,
-}
-
-fn put_fate(out: &mut Vec<u8>, fate: &WorkerFate) {
-    match *fate {
-        WorkerFate::Healthy => wire::put_u32(out, 0),
-        WorkerFate::Crashed { at_iter } => {
-            wire::put_u32(out, 1);
-            wire::put_u64(out, at_iter);
-        }
-        WorkerFate::Hung { at_iter } => {
-            wire::put_u32(out, 2);
-            wire::put_u64(out, at_iter);
-        }
-        WorkerFate::Slowed { from_iter } => {
-            wire::put_u32(out, 3);
-            wire::put_u64(out, from_iter);
-        }
-        WorkerFate::Restarted { at_iter, rejoined } => {
-            wire::put_u32(out, 4);
-            wire::put_u64(out, at_iter);
-            wire::put_u32(out, u32::from(rejoined));
-        }
-        WorkerFate::Retired { at_round } => {
-            wire::put_u32(out, 5);
-            wire::put_u64(out, at_round);
-        }
-        WorkerFate::Evicted { at_round } => {
-            wire::put_u32(out, 6);
-            wire::put_u64(out, at_round);
-        }
-    }
-}
-
-fn read_fate(r: &mut Reader<'_>) -> Option<WorkerFate> {
-    Some(match r.u32()? {
-        0 => WorkerFate::Healthy,
-        1 => WorkerFate::Crashed { at_iter: r.u64()? },
-        2 => WorkerFate::Hung { at_iter: r.u64()? },
-        3 => WorkerFate::Slowed {
-            from_iter: r.u64()?,
-        },
-        4 => WorkerFate::Restarted {
-            at_iter: r.u64()?,
-            rejoined: r.u32()? != 0,
-        },
-        5 => WorkerFate::Retired { at_round: r.u64()? },
-        6 => WorkerFate::Evicted { at_round: r.u64()? },
-        _ => return None,
-    })
-}
-
-/// Serializes the engine's training state at a quiesce point. Split out of
-/// [`Ctx::write_checkpoint`] so the borrow of each field is explicit.
-#[allow(clippy::too_many_arguments)]
-fn encode_engine_state_fields(
-    clock: SimTime,
-    models: &[Box<dyn Model>],
-    opts: &[Sgd],
-    samplers: &[BatchSampler],
-    workload_rngs: &[SimRng],
-    proto_rng: &SimRng,
-    codec_rng: &SimRng,
-    local_iter: &[u64],
-    next_iter: &[u64],
-    crashed: &[bool],
-    restart_fired: &[bool],
-    rejoin_at: &[Option<SimTime>],
-    fates: &[WorkerFate],
-    history: &History,
-    c: EngineCounters,
-) -> Vec<u8> {
-    let n = models.len();
-    let mut out = Vec::new();
-    wire::put_u64(&mut out, (clock - SimTime::ZERO).as_nanos());
-    wire::put_u64(&mut out, c.global_round);
-    wire::put_f64(&mut out, c.participation_sum);
-    wire::put_u64(&mut out, c.comm_bytes);
-    wire::put_u64(&mut out, c.evals_done);
-    wire::put_u64(&mut out, c.messages_dropped);
-    wire::put_u64(&mut out, c.probe_retries);
-    wire::put_u64(&mut out, c.partition_rounds);
-    wire::put_u64(&mut out, c.controller_failovers);
-    wire::put_u64(&mut out, c.failover_rounds_lost);
-    wire::put_u64(&mut out, c.ps_failovers);
-    wire::put_u64(&mut out, c.checkpoints_written);
-    wire::put_f64(&mut out, c.last_top5);
-    wire::put_u64(&mut out, c.bytes_on_wire);
-    wire::put_u64(&mut out, c.bytes_saved);
-    wire::put_f64(&mut out, c.codec_error_l2);
-    wire::put_u64(&mut out, c.workers_joined);
-    wire::put_u64(&mut out, c.workers_retired);
-    wire::put_u64(&mut out, c.regroup_events);
-    wire::put_u64(&mut out, c.ps_keys_rebalanced);
-    wire::put_u64(&mut out, c.snapshot_bytes_streamed);
-    wire::put_u64(&mut out, n as u64);
-    wire::put_u64(&mut out, models[0].num_params() as u64);
-    for w in 0..n {
-        wire::put_u64(&mut out, local_iter[w]);
-        wire::put_u64(&mut out, next_iter[w]);
-        wire::put_u32(&mut out, u32::from(crashed[w]));
-        wire::put_u32(&mut out, u32::from(restart_fired[w]));
-        match rejoin_at[w] {
-            Some(at) => {
-                wire::put_u32(&mut out, 1);
-                wire::put_u64(&mut out, (at - SimTime::ZERO).as_nanos());
-            }
-            None => wire::put_u32(&mut out, 0),
-        }
-        put_fate(&mut out, &fates[w]);
-        wire::put_tensor(&mut out, models[w].params());
-        wire::put_tensor(&mut out, opts[w].velocity());
-        recovery::put_rng(&mut out, &samplers[w].rng_state());
-        recovery::put_rng(&mut out, &workload_rngs[w].state());
-    }
-    recovery::put_rng(&mut out, &proto_rng.state());
-    recovery::put_rng(&mut out, &codec_rng.state());
-    wire::put_u64(&mut out, history.points().len() as u64);
-    for p in history.points() {
-        wire::put_f64(&mut out, p.time_s);
-        wire::put_u64(&mut out, p.iteration);
-        wire::put_f64(&mut out, p.loss);
-        wire::put_f64(&mut out, p.accuracy);
-    }
-    out
-}
-
-fn read_exact<'a>(r: &mut Reader<'a>, len: u64) -> Result<&'a [u8], RecoveryError> {
-    r.bytes_exact(len as usize)
-        .ok_or_else(|| RecoveryError::Corrupt("section length exceeds payload".into()))
 }
 
 fn corrupt(why: &str) -> RecoveryError {
     RecoveryError::Corrupt(why.into())
 }
 
-/// Restores the engine section written by [`encode_engine_state_fields`]
-/// into a freshly built [`SimState`].
-fn restore_engine_state<M>(s: &mut SimState<M>, bytes: &[u8]) -> Result<(), RecoveryError> {
-    let r = &mut Reader::new(bytes);
-    let short = || corrupt("engine section truncated");
-    let clock_ns = r.u64().ok_or_else(short)?;
-    s.clock = SimTime::ZERO + SimDuration::from_nanos(clock_ns);
-    s.global_round = r.u64().ok_or_else(short)?;
-    s.participation_sum = r.f64().ok_or_else(short)?;
-    s.comm_bytes = r.u64().ok_or_else(short)?;
-    s.evals_done = r.u64().ok_or_else(short)?;
-    s.messages_dropped = r.u64().ok_or_else(short)?;
-    s.probe_retries = r.u64().ok_or_else(short)?;
-    s.partition_rounds = r.u64().ok_or_else(short)?;
-    s.controller_failovers = r.u64().ok_or_else(short)?;
-    s.failover_rounds_lost = r.u64().ok_or_else(short)?;
-    s.ps_failovers = r.u64().ok_or_else(short)?;
-    s.checkpoints_written = r.u64().ok_or_else(short)?;
-    s.last_top5 = r.f64().ok_or_else(short)?;
-    s.bytes_on_wire = r.u64().ok_or_else(short)?;
-    s.bytes_saved = r.u64().ok_or_else(short)?;
-    s.codec_error_l2 = r.f64().ok_or_else(short)?;
-    s.workers_joined = r.u64().ok_or_else(short)?;
-    s.workers_retired = r.u64().ok_or_else(short)?;
-    s.regroup_events = r.u64().ok_or_else(short)?;
-    s.ps_keys_rebalanced = r.u64().ok_or_else(short)?;
-    s.snapshot_bytes_streamed = r.u64().ok_or_else(short)?;
-    let n = r.u64().ok_or_else(short)? as usize;
-    if n != s.spec.num_workers {
-        return Err(corrupt("worker count mismatch"));
-    }
-    let num_params = r.u64().ok_or_else(short)? as usize;
-    if num_params != s.models[0].num_params() {
-        return Err(corrupt("model size mismatch"));
-    }
-    for w in 0..n {
-        s.local_iter[w] = r.u64().ok_or_else(short)?;
-        s.next_iter[w] = r.u64().ok_or_else(short)?;
-        s.crashed[w] = r.u32().ok_or_else(short)? != 0;
-        s.restart_fired[w] = r.u32().ok_or_else(short)? != 0;
-        s.rejoin_at[w] = match r.u32().ok_or_else(short)? {
-            0 => None,
-            1 => Some(SimTime::ZERO + SimDuration::from_nanos(r.u64().ok_or_else(short)?)),
-            _ => return Err(corrupt("bad rejoin tag")),
-        };
-        s.fates[w] = read_fate(r).ok_or_else(|| corrupt("bad worker fate"))?;
-        let params = r.tensor().ok_or_else(short)?;
-        if params.len() != num_params {
-            return Err(corrupt("parameter tensor size mismatch"));
+/// Appends one `u64`-length-prefixed section of a checkpoint payload.
+fn put_section(out: &mut Vec<u8>, bytes: &[u8]) {
+    wire::put_u64(out, bytes.len() as u64);
+    out.extend_from_slice(bytes);
+}
+
+/// Reads a section written by [`put_section`].
+fn section<'a>(r: &mut Reader<'a>) -> Option<&'a [u8]> {
+    let len = usize::try_from(r.u64()?).ok()?;
+    r.bytes_exact(len)
+}
+
+impl<M> SimState<M> {
+    /// Serializes the engine's training state at a quiesce point (the
+    /// engine half of [`Ctx::write_checkpoint`]).
+    fn encode_engine_section(&self) -> Vec<u8> {
+        let mut section = Vec::new();
+        let out = &mut section;
+        wire::put_u64(out, self.clock.as_nanos());
+        wire::put_u64(out, self.global_round);
+        wire::put_f64(out, self.participation_sum);
+        wire::put_u64(out, self.comm_bytes);
+        wire::put_u64(out, self.evals_done);
+        wire::put_f64(out, self.last_top5);
+        // The checkpoint counts itself, so a resumed run ends with the
+        // same tally as the uninterrupted one.
+        Counters {
+            checkpoints_written: self.counters.checkpoints_written + 1,
+            ..self.counters
         }
-        s.models[w].set_params(&params);
-        let velocity = r.tensor().ok_or_else(short)?;
-        if velocity.len() != num_params {
-            return Err(corrupt("velocity tensor size mismatch"));
+        .encode_into(out);
+        wire::put_u64(out, self.models.len() as u64);
+        wire::put_u64(out, self.models[0].num_params() as u64);
+        for w in 0..self.models.len() {
+            wire::put_u64(out, self.local_iter[w]);
+            wire::put_u64(out, self.next_iter[w]);
+            wire::put_bool(out, self.crashed[w]);
+            wire::put_bool(out, self.restart_fired[w]);
+            wire::put_opt_u64(out, self.rejoin_at[w].map(|t| t.as_nanos()));
+            self.fates[w].encode_into(out);
+            wire::put_tensor(out, self.models[w].params());
+            wire::put_tensor(out, self.opts[w].velocity());
+            recovery::put_rng(out, &self.samplers[w].rng_state());
+            recovery::put_rng(out, &self.workload_rngs[w].state());
         }
-        s.opts[w].set_velocity(&velocity);
-        let sampler = recovery::read_rng(r).ok_or_else(|| corrupt("bad sampler rng"))?;
-        s.samplers[w].restore_rng(&sampler);
-        let workload = recovery::read_rng(r).ok_or_else(|| corrupt("bad workload rng"))?;
-        s.workload_rngs[w] = SimRng::from_state(&workload);
-        s.in_flight[w] = None;
-        s.pending[w] = None;
-        s.computing[w] = false;
-    }
-    let proto = recovery::read_rng(r).ok_or_else(|| corrupt("bad protocol rng"))?;
-    s.proto_rng = SimRng::from_state(&proto);
-    let codec = recovery::read_rng(r).ok_or_else(|| corrupt("bad codec rng"))?;
-    s.codec_rng = SimRng::from_state(&codec);
-    let points = r.u64().ok_or_else(short)?;
-    if points > bytes.len() as u64 / 32 {
-        return Err(corrupt("history length implausible"));
-    }
-    s.history = History::new();
-    for _ in 0..points {
-        let time_s = r.f64().ok_or_else(short)?;
-        let iteration = r.u64().ok_or_else(short)?;
-        let loss = r.f64().ok_or_else(short)?;
-        let accuracy = r.f64().ok_or_else(short)?;
-        s.history.record(time_s, iteration, loss, accuracy);
-    }
-    // Early stopping has no snapshot of its own: replaying the recorded
-    // losses reproduces its best/strike state exactly (it is a pure fold
-    // over the evaluation sequence).
-    if let Some(early) = &mut s.early {
-        let patience = s.spec.patience.expect("early implies patience");
-        *early = EarlyStopping::new(patience, 1e-3);
-        for p in s.history.points() {
-            let _ = early.update(p.loss);
+        recovery::put_rng(out, &self.proto_rng.state());
+        recovery::put_rng(out, &self.codec_rng.state());
+        wire::put_u64(out, self.history.points().len() as u64);
+        for p in self.history.points() {
+            wire::put_f64(out, p.time_s);
+            wire::put_u64(out, p.iteration);
+            wire::put_f64(out, p.loss);
+            wire::put_f64(out, p.accuracy);
         }
+        section
     }
-    s.stop = None;
-    Ok(())
+
+    /// Restores a section written by [`SimState::encode_engine_section`]
+    /// into a freshly built state. `None` when the bytes are truncated or
+    /// malformed, or were written for another worker count or model size.
+    fn restore_engine_section(&mut self, bytes: &[u8]) -> Option<()> {
+        let r = &mut Reader::new(bytes);
+        self.clock = SimTime::from_nanos(r.u64()?);
+        self.global_round = r.u64()?;
+        self.participation_sum = r.f64()?;
+        self.comm_bytes = r.u64()?;
+        self.evals_done = r.u64()?;
+        self.last_top5 = r.f64()?;
+        self.counters = Counters::decode(r)?;
+        let num_params = self.models[0].num_params();
+        if r.u64()? != self.spec.num_workers as u64 || r.u64()? != num_params as u64 {
+            return None;
+        }
+        for w in 0..self.spec.num_workers {
+            self.local_iter[w] = r.u64()?;
+            self.next_iter[w] = r.u64()?;
+            self.crashed[w] = r.bool()?;
+            self.restart_fired[w] = r.bool()?;
+            self.rejoin_at[w] = r.opt_u64()?.map(SimTime::from_nanos);
+            self.fates[w] = WorkerFate::decode(r)?;
+            let params = r.tensor()?;
+            let velocity = r.tensor()?;
+            if params.len() != num_params || velocity.len() != num_params {
+                return None;
+            }
+            self.models[w].set_params(&params);
+            self.opts[w].set_velocity(&velocity);
+            self.samplers[w].restore_rng(&recovery::read_rng(r)?);
+            self.workload_rngs[w] = SimRng::from_state(&recovery::read_rng(r)?);
+            self.in_flight[w] = None;
+            self.pending[w] = None;
+            self.computing[w] = false;
+        }
+        self.proto_rng = SimRng::from_state(&recovery::read_rng(r)?);
+        self.codec_rng = SimRng::from_state(&recovery::read_rng(r)?);
+        let points = r.u64()?;
+        if points > r.remaining() as u64 / 32 {
+            return None; // more history claimed than bytes available
+        }
+        self.history = History::new();
+        for _ in 0..points {
+            self.history.record(r.f64()?, r.u64()?, r.f64()?, r.f64()?);
+        }
+        // Early stopping has no snapshot of its own: replaying the recorded
+        // losses reproduces its best/strike state exactly (it is a pure fold
+        // over the evaluation sequence).
+        if let Some(early) = &mut self.early {
+            let patience = self.spec.patience.expect("early implies patience");
+            *early = EarlyStopping::new(patience, 1e-3);
+            for p in self.history.points() {
+                let _ = early.update(p.loss);
+            }
+        }
+        self.stop = None;
+        Some(())
+    }
 }
 
 #[cfg(test)]

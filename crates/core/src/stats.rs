@@ -2,6 +2,7 @@
 
 use rna_simnet::trace::TimeBreakdown;
 use rna_simnet::SimDuration;
+use rna_tensor::wire::{self, Reader};
 use rna_training::History;
 use rna_workload::trace::WorkloadTrace;
 
@@ -54,7 +55,28 @@ pub struct RunResult {
     pub timeline: Timeline,
     /// Post-mortem verdict per worker (all `Healthy` on fault-free runs).
     pub worker_fates: Vec<WorkerFate>,
-    /// Messages the fabric dropped (lossy links, flaps, partitions).
+    /// The run ledger: the tallies every execution world reports.
+    pub counters: Counters,
+}
+
+impl std::ops::Deref for RunResult {
+    type Target = Counters;
+
+    fn deref(&self) -> &Counters {
+        &self.counters
+    }
+}
+
+/// The run ledger: the tallies all three execution worlds report, with one
+/// meaning each. [`RunResult`] and the runtimes' `ThreadedResult` embed it
+/// and deref to it, so `result.bytes_on_wire` reads the same in every world;
+/// the DES engine and the runtime controller increment it in place and
+/// checkpoint it through [`Counters::encode_into`], the only code that knows
+/// its binary layout. A counter a world cannot produce stays 0 there.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct Counters {
+    /// Messages the fabric dropped (lossy links, flaps, partitions, and in
+    /// the process world writes a severed socket ate).
     pub messages_dropped: u64,
     /// Probe rounds re-issued after a timeout (dropped probe or reply).
     pub probe_retries: u64,
@@ -64,26 +86,31 @@ pub struct RunResult {
     /// Controller failovers: times a warm standby bumped the term and took
     /// over after the active controller's lease expired.
     pub controller_failovers: u64,
-    /// Probe rounds abandoned and restarted across all controller
-    /// failovers (the downtime cost of each takeover).
+    /// Rounds lost across all controller failovers. In the DES worker state
+    /// survives, so each takeover costs the one abandoned probe round; in
+    /// the real worlds it is the progress redone since the last checkpoint
+    /// (crash round minus checkpoint round, summed).
     pub failover_rounds_lost: u64,
-    /// PS shard primaries that crashed and degraded to their replica.
+    /// PS shard primaries that crashed and degraded to their replica
+    /// (hierarchical DES protocol only).
     pub ps_failovers: u64,
     /// Crash-consistent checkpoints written during the run.
     pub checkpoints_written: u64,
     /// Fresh tensor-buffer heap allocations performed by the reduce data
-    /// path (cache drain, collective, apply) over the whole run. Always 0
-    /// in release builds — the underlying hook is debug-only (see
-    /// `rna_tensor::alloc`). With the pooled data path this stays flat
-    /// after warm-up; the naive path grows linearly with rounds. Excluded
-    /// from bit-identity comparisons: pooling changes where buffers come
-    /// from, never the numbers in them.
+    /// path (cache drain, codec transform, collective, apply) over the
+    /// whole run. Always 0 in release builds — the underlying hook is
+    /// debug-only (see `rna_tensor::alloc`) — and flat after warm-up in
+    /// debug builds, because the data path recycles pooled buffers.
+    /// Excluded from bit-identity comparisons: pooling changes where
+    /// buffers come from, never the numbers in them.
     pub datapath_allocs: u64,
-    /// Bytes the gradient wire path actually put on the network after
-    /// encoding (frames: codec payload plus per-message headers). Under
-    /// `Compression::Lossless` this equals the legacy (unframed) gradient
-    /// charge, so it is a strict subset of [`RunResult::comm_bytes`]
-    /// (which also counts probes and control traffic).
+    /// Bytes the gradient wire path put on the network after encoding
+    /// (frames: codec payload plus per-message headers) — formula-charged
+    /// in the DES and the threaded world, measured at the socket in the
+    /// process world. Under `Compression::Lossless` the DES charge equals
+    /// the legacy (unframed) gradient charge, so it is a strict subset of
+    /// [`RunResult::comm_bytes`] (which also counts probes and control
+    /// traffic). The parameter broadcast is not counted.
     pub bytes_on_wire: u64,
     /// Bytes the selected codec saved versus shipping the same exchanges
     /// losslessly (`lossless-equivalent − bytes_on_wire`; 0 for
@@ -102,7 +129,7 @@ pub struct RunResult {
     pub workers_retired: u64,
     /// Online regroup events: times the hierarchical topology was
     /// re-split from live speed estimates and swapped at a quiesce point.
-    /// Always 0 for flat (non-hierarchical) protocols.
+    /// Always 0 for flat protocols and in the real worlds.
     pub regroup_events: u64,
     /// Parameter-server keys (slots) rehomed during regroup rebalancing.
     /// Always 0 when no regroup fires.
@@ -110,6 +137,51 @@ pub struct RunResult {
     /// Bytes of model snapshot streamed to joining workers during
     /// admission (parameters only; framing excluded).
     pub snapshot_bytes_streamed: u64,
+}
+
+impl Counters {
+    /// Appends the ledger to a checkpoint payload, in declaration order.
+    pub fn encode_into(&self, out: &mut Vec<u8>) {
+        wire::put_u64(out, self.messages_dropped);
+        wire::put_u64(out, self.probe_retries);
+        wire::put_u64(out, self.partition_rounds);
+        wire::put_u64(out, self.controller_failovers);
+        wire::put_u64(out, self.failover_rounds_lost);
+        wire::put_u64(out, self.ps_failovers);
+        wire::put_u64(out, self.checkpoints_written);
+        wire::put_u64(out, self.datapath_allocs);
+        wire::put_u64(out, self.bytes_on_wire);
+        wire::put_u64(out, self.bytes_saved);
+        wire::put_f64(out, self.codec_error_l2);
+        wire::put_u64(out, self.workers_joined);
+        wire::put_u64(out, self.workers_retired);
+        wire::put_u64(out, self.regroup_events);
+        wire::put_u64(out, self.ps_keys_rebalanced);
+        wire::put_u64(out, self.snapshot_bytes_streamed);
+    }
+
+    /// Reads a ledger written by [`Counters::encode_into`], or `None` if
+    /// the input is truncated.
+    pub fn decode(r: &mut Reader<'_>) -> Option<Self> {
+        Some(Counters {
+            messages_dropped: r.u64()?,
+            probe_retries: r.u64()?,
+            partition_rounds: r.u64()?,
+            controller_failovers: r.u64()?,
+            failover_rounds_lost: r.u64()?,
+            ps_failovers: r.u64()?,
+            checkpoints_written: r.u64()?,
+            datapath_allocs: r.u64()?,
+            bytes_on_wire: r.u64()?,
+            bytes_saved: r.u64()?,
+            codec_error_l2: r.f64()?,
+            workers_joined: r.u64()?,
+            workers_retired: r.u64()?,
+            regroup_events: r.u64()?,
+            ps_keys_rebalanced: r.u64()?,
+            snapshot_bytes_streamed: r.u64()?,
+        })
+    }
 }
 
 impl RunResult {
@@ -170,6 +242,7 @@ impl RunResult {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn sample() -> RunResult {
         let mut history = History::new();
@@ -189,22 +262,7 @@ mod tests {
             workload_trace: WorkloadTrace::new(2),
             timeline: Timeline::default(),
             worker_fates: vec![WorkerFate::Healthy; 2],
-            messages_dropped: 0,
-            probe_retries: 0,
-            partition_rounds: 0,
-            controller_failovers: 0,
-            failover_rounds_lost: 0,
-            ps_failovers: 0,
-            checkpoints_written: 0,
-            datapath_allocs: 0,
-            bytes_on_wire: 0,
-            bytes_saved: 0,
-            codec_error_l2: 0.0,
-            workers_joined: 0,
-            workers_retired: 0,
-            regroup_events: 0,
-            ps_keys_rebalanced: 0,
-            snapshot_bytes_streamed: 0,
+            counters: Counters::default(),
         }
     }
 
@@ -220,6 +278,28 @@ mod tests {
         assert_eq!(r.best_accuracy(), Some(0.6));
         assert_eq!(r.time_to_loss(1.5), Some(2.0));
         assert_eq!(r.time_to_loss(0.5), None);
+    }
+
+    proptest! {
+        /// `decode` then `encode_into` is the identity on bytes for every
+        /// bit pattern of every field — so the two agree on the layout and
+        /// every field value (NaN payloads included) round-trips — and no
+        /// strict prefix decodes.
+        #[test]
+        fn counters_codec_is_a_bijection_on_bytes(
+            words in proptest::collection::vec(any::<u64>(), 16..17),
+        ) {
+            let bytes: Vec<u8> = words.iter().flat_map(|w| w.to_le_bytes()).collect();
+            let mut r = Reader::new(&bytes);
+            let counters = Counters::decode(&mut r).expect("sixteen words decode");
+            prop_assert_eq!(r.remaining(), 0);
+            let mut back = Vec::new();
+            counters.encode_into(&mut back);
+            prop_assert_eq!(&back, &bytes);
+            for cut in 0..bytes.len() {
+                prop_assert!(Counters::decode(&mut Reader::new(&bytes[..cut])).is_none());
+            }
+        }
     }
 
     #[test]

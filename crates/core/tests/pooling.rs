@@ -1,17 +1,14 @@
-//! End-to-end guarantees of the pooled reduce data path.
+//! End-to-end guarantee of the pooled reduce data path, over whole
+//! training runs: **zero steady-state allocations**. Once the pool is warm,
+//! reduce rounds perform no fresh tensor-buffer allocations — a 6× longer
+//! run records exactly the same `datapath_allocs` as a short one. (The
+//! underlying hook is debug-only, so these assertions are exercised by
+//! debug builds and vacuous in release.)
 //!
-//! Two properties, both over whole training runs in the simulator:
-//!
-//! 1. **Bit-identity** — `RnaConfig::pooled` toggles only *where buffers
-//!    come from*, never the numbers in them: a pooled run and a naive run
-//!    with the same seed agree on every reported metric (flat RNA and the
-//!    hierarchical protocol alike).
-//! 2. **Zero steady-state allocations** — once the pool is warm, reduce
-//!    rounds perform no fresh tensor-buffer allocations: a 6× longer run
-//!    records exactly the same `datapath_allocs` as a short one, while the
-//!    naive path's count keeps growing with the round count. (The
-//!    underlying hook is debug-only, so these assertions are exercised by
-//!    debug builds and vacuous in release.)
+//! That pooling changes only *where buffers come from*, never the numbers in
+//! them, is pinned kernel by kernel against the allocating reference
+//! implementations: `cache.rs`, `partial.rs`, `ring.rs`, `kv.rs` unit tests
+//! and `rna-tensor`'s `fused_kernels.rs`.
 
 use rna_core::hier::HierRnaProtocol;
 use rna_core::rna::RnaProtocol;
@@ -25,52 +22,17 @@ fn mixed_spec(n: usize, seed: u64, rounds: u64) -> TrainSpec {
         .with_max_rounds(rounds)
 }
 
-fn run_flat(pooled: bool, rounds: u64) -> RunResult {
+fn run_flat(rounds: u64) -> RunResult {
     let n = 6;
     let spec = mixed_spec(n, 42, rounds);
-    let config = RnaConfig::default().with_pooled(pooled);
-    Engine::new(spec, RnaProtocol::new(n, config, 0)).run()
+    Engine::new(spec, RnaProtocol::new(n, RnaConfig::default(), 0)).run()
 }
 
-fn run_hier(pooled: bool, rounds: u64) -> RunResult {
+fn run_hier(rounds: u64) -> RunResult {
     let n = 6;
     let spec = mixed_spec(n, 11, rounds);
-    let config = RnaConfig::default().with_pooled(pooled);
-    let protocol = HierRnaProtocol::auto(&spec, config);
+    let protocol = HierRnaProtocol::auto(&spec, RnaConfig::default());
     Engine::new(spec, protocol).run()
-}
-
-/// Everything except `datapath_allocs` must match exactly — that counter
-/// is *supposed* to differ between the two paths.
-fn assert_bit_identical(a: &RunResult, b: &RunResult) {
-    assert_eq!(a.wall_time, b.wall_time);
-    assert_eq!(a.global_rounds, b.global_rounds);
-    assert_eq!(a.worker_iterations, b.worker_iterations);
-    assert_eq!(a.comm_bytes, b.comm_bytes);
-    assert_eq!(a.participation_sum, b.participation_sum);
-    assert_eq!(a.final_loss(), b.final_loss());
-    assert_eq!(a.final_accuracy(), b.final_accuracy());
-    let pa = a.history.points();
-    let pb = b.history.points();
-    assert_eq!(pa.len(), pb.len());
-    for (x, y) in pa.iter().zip(pb) {
-        assert_eq!(x.loss, y.loss, "evaluation losses must be bit-identical");
-        assert_eq!(x.accuracy, y.accuracy);
-    }
-}
-
-#[test]
-fn pooled_flat_run_is_bit_identical_to_naive() {
-    let pooled = run_flat(true, 80);
-    let naive = run_flat(false, 80);
-    assert_bit_identical(&pooled, &naive);
-}
-
-#[test]
-fn pooled_hier_run_is_bit_identical_to_naive() {
-    let pooled = run_hier(true, 80);
-    let naive = run_hier(false, 80);
-    assert_bit_identical(&pooled, &naive);
 }
 
 #[test]
@@ -79,19 +41,16 @@ fn steady_state_rounds_are_allocation_free() {
         // The alloc hook is compiled out in release builds.
         return;
     }
-    let short = run_flat(true, 20);
-    let long = run_flat(true, 120);
+    let short = run_flat(20);
+    let long = run_flat(120);
     assert!(long.global_rounds > short.global_rounds);
     assert_eq!(
         short.datapath_allocs, long.datapath_allocs,
         "a warm pool must make every extra round allocation-free"
     );
-    let naive = run_flat(false, 120);
     assert!(
-        naive.datapath_allocs > 10 * long.datapath_allocs.max(1),
-        "the naive path allocates per round ({} vs pooled {})",
-        naive.datapath_allocs,
-        long.datapath_allocs
+        short.datapath_allocs > 0,
+        "warm-up must be visible to the debug alloc hook"
     );
 }
 
@@ -100,8 +59,8 @@ fn hier_steady_state_rounds_are_allocation_free() {
     if !cfg!(debug_assertions) {
         return;
     }
-    let short = run_hier(true, 20);
-    let long = run_hier(true, 120);
+    let short = run_hier(20);
+    let long = run_hier(120);
     assert!(long.global_rounds > short.global_rounds);
     assert_eq!(
         short.datapath_allocs, long.datapath_allocs,

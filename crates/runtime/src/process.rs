@@ -79,6 +79,7 @@ use std::time::{Duration, Instant};
 use rna_core::cache::GradientCache;
 use rna_core::fault::{ConfigError, WorkerFate, WorkerFault};
 use rna_core::recovery::{CheckpointStore, RecoveryError};
+use rna_core::stats::Counters;
 use rna_simnet::SimRng;
 use rna_tensor::{Tensor, TensorPool};
 use rna_training::model::SoftmaxClassifier;
@@ -93,8 +94,8 @@ use crate::proto::{
 };
 use crate::threaded::{finish, validate_config, SyncMode, ThreadedConfig, ThreadedResult};
 use crate::transport::{
-    decode_ctrl_checkpoint, lock, supervise, CtrlCheckpoint, RecoveryCounters, Supervised,
-    Transport, WireCharges, STREAM_COMPUTE, STREAM_JOIN, STREAM_SAMPLER,
+    decode_ctrl_checkpoint, lock, supervise, CtrlCheckpoint, Lineage, Transport, STREAM_COMPUTE,
+    STREAM_JOIN, STREAM_SAMPLER,
 };
 
 /// Salt folded into the seed to derive the 128-bit cluster auth key, so
@@ -440,7 +441,7 @@ struct ProcShared {
     /// Socket-measured codec charges: what the reader threads tallied off
     /// the frames that physically arrived. Drained once per round by
     /// [`Transport::take_wire_charges`].
-    wire: Mutex<WireCharges>,
+    wire: Mutex<Counters>,
     sockets_severed: AtomicU64,
     worker_respawns: AtomicU64,
     auth_rejects: AtomicU64,
@@ -598,7 +599,7 @@ impl Transport for ProcessTransport {
         while self.ready_rx.try_recv().is_ok() {}
     }
 
-    fn take_wire_charges(&mut self) -> Option<WireCharges> {
+    fn take_wire_charges(&mut self) -> Option<Counters> {
         // Always `Some` in this world — workers own the encode leg, so the
         // controller must never run the accounting codec a second time.
         Some(std::mem::take(&mut *lock(&self.shared.wire)))
@@ -853,7 +854,7 @@ fn absorb_grad_batch(body: &[u8], shared: &ProcShared, w: usize, scraps: &mut Ve
             let mut wire = lock(&shared.wire);
             wire.bytes_on_wire += frame_bytes;
             wire.bytes_saved += lossless.saturating_sub(frame_bytes);
-            wire.error_l2 += e.err_l2;
+            wire.codec_error_l2 += e.err_l2;
         }
         if let Some(old) = lock(&slot.cache).write(e.iter, t) {
             scraps.push(old);
@@ -897,20 +898,6 @@ fn reader_loop(
         match decode_body(&body) {
             Ok(Msg::Heartbeat { iter }) => {
                 slot.iterations.fetch_max(iter, Ordering::AcqRel);
-                slot.heartbeat_us.store(shared.now_us(), Ordering::Release);
-                let _ = ready_tx.send(w);
-            }
-            Ok(Msg::Grad { iter, grad }) => {
-                // The legacy uncompressed hop, kept decodable: a wrong-size
-                // gradient would poison the reduce — a protocol violation,
-                // not data. The lossless formula stands in for measurement
-                // (the frame did cross the socket at exactly that size).
-                if grad.len() != shared.param_len {
-                    break;
-                }
-                lock(&shared.wire).bytes_on_wire += Compression::Lossless.frame_bytes(grad.len());
-                lock(&slot.cache).write(iter, grad);
-                slot.iterations.fetch_max(iter + 1, Ordering::AcqRel);
                 slot.heartbeat_us.store(shared.now_us(), Ordering::Release);
                 let _ = ready_tx.send(w);
             }
@@ -1220,7 +1207,7 @@ pub fn run_process(config: &ProcessConfig) -> ProcessResult {
         conn_seq: AtomicU64::new(1),
         param_len: initial_state.master.len(),
         compression: base.compression,
-        wire: Mutex::new(WireCharges::default()),
+        wire: Mutex::new(Counters::default()),
         sockets_severed: AtomicU64::new(0),
         worker_respawns: AtomicU64::new(0),
         auth_rejects: AtomicU64::new(0),
@@ -1318,12 +1305,10 @@ pub fn run_process(config: &ProcessConfig) -> ProcessResult {
         v.dedup();
         v.into()
     };
-    let mut term: u64 = 0;
+    let mut lineage = Lineage::default();
     let mut coordinator_restarts: u64 = 0;
-    let mut totals = RecoveryCounters::default();
     let mut state = initial_state.clone();
-    let (final_state, recovery) = loop {
-        shared.term.store(term, Ordering::Release);
+    let final_state = loop {
         let abort_at = kills.front().copied();
         match supervise(
             &ctrl_base,
@@ -1331,23 +1316,11 @@ pub fn run_process(config: &ProcessConfig) -> ProcessResult {
             &mut rng,
             state,
             store.as_ref(),
-            term,
             abort_at,
+            &mut lineage,
         ) {
-            Supervised::Done(done, rec) => {
-                totals.controller_failovers += rec.controller_failovers;
-                totals.failover_rounds_lost += rec.failover_rounds_lost;
-                // Cumulative: the count rides inside the checkpoint, so it
-                // survives restarts without double counting.
-                totals.checkpoints_written = rec.checkpoints_written;
-                break (done, totals);
-            }
-            Supervised::Killed {
-                recovery: rec,
-                next_term,
-            } => {
-                totals.controller_failovers += rec.controller_failovers;
-                totals.failover_rounds_lost += rec.failover_rounds_lost;
+            Some(done) => break done,
+            None => {
                 let died_at = kills.pop_front().expect("a kill round was scheduled");
                 coordinator_restarts += 1;
                 // The incarnation is gone: close the listener, sever every
@@ -1378,7 +1351,7 @@ pub fn run_process(config: &ProcessConfig) -> ProcessResult {
                     },
                     None => initial_state.clone(),
                 };
-                totals.failover_rounds_lost += died_at.saturating_sub(state.round);
+                lineage.failover_rounds_lost += died_at.saturating_sub(state.round);
                 shared.round.store(state.round, Ordering::Release);
                 shared
                     .published
@@ -1391,9 +1364,8 @@ pub fn run_process(config: &ProcessConfig) -> ProcessResult {
                 // restored checkpoint already carries the byte totals as of
                 // its cut, and the redone rounds re-measure their frames.
                 transport.frame_round = None;
-                *lock(&shared.wire) = WireCharges::default();
-                term = next_term;
-                shared.term.store(term, Ordering::Release);
+                *lock(&shared.wire) = Counters::default();
+                shared.term.store(lineage.term, Ordering::Release);
                 // Rebind the *same* address — the workers' reconnect loops
                 // and the proxy's upstream dial both hold it. SO_REUSEADDR
                 // (std sets it on listeners) admits the rebind as soon as
@@ -1448,32 +1420,22 @@ pub fn run_process(config: &ProcessConfig) -> ProcessResult {
     let _ = accept_handle.join();
     let proxy_faults_injected = proxy.map_or(0, FaultProxy::shutdown);
 
-    let worker_iterations: Vec<u64> = shared
+    let workers = shared
         .slots
         .iter()
-        .map(|s| s.iterations.load(Ordering::Acquire))
+        .map(|s| {
+            let fate = lock(&s.fate).take().unwrap_or(WorkerFate::Healthy);
+            (s.iterations.load(Ordering::Acquire), fate)
+        })
         .collect();
-    let worker_fates: Vec<WorkerFate> = shared
-        .slots
-        .iter()
-        .map(|s| lock(&s.fate).take().unwrap_or(WorkerFate::Healthy))
-        .collect();
-    let participation = final_state.participation_sum / base.rounds as f64;
     let run = finish(
         base,
         dataset,
         template,
-        final_state.master,
         start,
-        worker_iterations,
-        participation,
-        worker_fates,
-        final_state.rounds_degraded,
-        final_state.deadline_overshoot_us,
-        final_state.net,
-        recovery,
-        final_state.data,
-        final_state.churn,
+        workers,
+        final_state,
+        &lineage,
     );
     ProcessResult {
         run,

@@ -340,9 +340,9 @@ pub struct WorkerSetup {
     pub params: Tensor,
 }
 
-/// One protocol message. Worker→coordinator: `Hello`, `Heartbeat`, `Grad`,
-/// `Fate`, `Auth`. Coordinator→worker: `Setup`, `Params`, `Round`, `Stop`,
-/// `Challenge`.
+/// One protocol message. Worker→coordinator: `Hello`, `Heartbeat`, `Fate`,
+/// `Auth` (gradients travel as [`GradBatch`] frames, outside this enum).
+/// Coordinator→worker: `Setup`, `Params`, `Round`, `Stop`, `Challenge`.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Msg {
     /// Connection opener: the worker names itself. Carries no secret —
@@ -376,14 +376,6 @@ pub enum Msg {
         /// Completed local iterations so far.
         iter: u64,
     },
-    /// A finished gradient for local iteration `iter`.
-    Grad {
-        /// The local iteration that produced the gradient.
-        iter: u64,
-        /// The gradient itself (full precision; the coordinator applies
-        /// the wire codec symmetrically with the threaded world).
-        grad: Tensor,
-    },
     /// The worker's post-mortem, sent on graceful shutdown. A SIGKILLed
     /// worker never sends one — that is the point — so the coordinator
     /// composes fates for abrupt deaths itself.
@@ -415,7 +407,6 @@ pub enum Msg {
 
 const TAG_HELLO: u8 = 1;
 const TAG_HEARTBEAT: u8 = 2;
-const TAG_GRAD: u8 = 3;
 const TAG_FATE: u8 = 4;
 const TAG_AUTH: u8 = 5;
 /// Tag of the worker→coordinator batched encoded-gradient frame. Public,
@@ -434,14 +425,6 @@ const FAULT_HANG: u8 = 2;
 const FAULT_SLOW: u8 = 3;
 const FAULT_RESTART: u8 = 4;
 const FAULT_GRAY: u8 = 5;
-
-const FATE_HEALTHY: u8 = 0;
-const FATE_CRASHED: u8 = 1;
-const FATE_HUNG: u8 = 2;
-const FATE_SLOWED: u8 = 3;
-const FATE_RESTARTED: u8 = 4;
-const FATE_RETIRED: u8 = 5;
-const FATE_EVICTED: u8 = 6;
 
 /// Fixed wire size of one fault directive: kind byte plus three `u64`
 /// arguments (unused arguments ship as zero).
@@ -503,76 +486,6 @@ fn read_fault(r: &mut Reader<'_>) -> Result<WorkerFault, ProtoError> {
     }
 }
 
-fn put_fate(out: &mut Vec<u8>, f: &WorkerFate) {
-    match *f {
-        WorkerFate::Healthy => {
-            out.push(FATE_HEALTHY);
-            wire::put_u64(out, 0);
-            out.push(0);
-        }
-        WorkerFate::Crashed { at_iter } => {
-            out.push(FATE_CRASHED);
-            wire::put_u64(out, at_iter);
-            out.push(0);
-        }
-        WorkerFate::Hung { at_iter } => {
-            out.push(FATE_HUNG);
-            wire::put_u64(out, at_iter);
-            out.push(0);
-        }
-        WorkerFate::Slowed { from_iter } => {
-            out.push(FATE_SLOWED);
-            wire::put_u64(out, from_iter);
-            out.push(0);
-        }
-        WorkerFate::Restarted { at_iter, rejoined } => {
-            out.push(FATE_RESTARTED);
-            wire::put_u64(out, at_iter);
-            out.push(u8::from(rejoined));
-        }
-        WorkerFate::Retired { at_round } => {
-            out.push(FATE_RETIRED);
-            wire::put_u64(out, at_round);
-            out.push(0);
-        }
-        WorkerFate::Evicted { at_round } => {
-            out.push(FATE_EVICTED);
-            wire::put_u64(out, at_round);
-            out.push(0);
-        }
-    }
-}
-
-fn read_fate(r: &mut Reader<'_>) -> Result<WorkerFate, ProtoError> {
-    let kind = r
-        .bytes_exact(1)
-        .ok_or(ProtoError::Truncated { what: "fate kind" })?[0];
-    let at = r.u64().ok_or(ProtoError::Truncated { what: "fate iter" })?;
-    let flag = r
-        .bytes_exact(1)
-        .ok_or(ProtoError::Truncated { what: "fate flag" })?[0];
-    if flag > 1 {
-        return Err(ProtoError::Garbage {
-            what: "fate flag is not a boolean",
-        });
-    }
-    match kind {
-        FATE_HEALTHY => Ok(WorkerFate::Healthy),
-        FATE_CRASHED => Ok(WorkerFate::Crashed { at_iter: at }),
-        FATE_HUNG => Ok(WorkerFate::Hung { at_iter: at }),
-        FATE_SLOWED => Ok(WorkerFate::Slowed { from_iter: at }),
-        FATE_RESTARTED => Ok(WorkerFate::Restarted {
-            at_iter: at,
-            rejoined: flag == 1,
-        }),
-        FATE_RETIRED => Ok(WorkerFate::Retired { at_round: at }),
-        FATE_EVICTED => Ok(WorkerFate::Evicted { at_round: at }),
-        _ => Err(ProtoError::Garbage {
-            what: "unknown fate kind",
-        }),
-    }
-}
-
 fn read_tensor(r: &mut Reader<'_>, what: &'static str) -> Result<Tensor, ProtoError> {
     r.tensor().ok_or(ProtoError::Truncated { what })
 }
@@ -603,14 +516,9 @@ pub fn encode_body(msg: &Msg, out: &mut Vec<u8>) {
             out.push(TAG_HEARTBEAT);
             wire::put_u64(out, *iter);
         }
-        Msg::Grad { iter, grad } => {
-            out.push(TAG_GRAD);
-            wire::put_u64(out, *iter);
-            wire::put_tensor(out, grad);
-        }
         Msg::Fate(fate) => {
             out.push(TAG_FATE);
-            put_fate(out, fate);
+            fate.encode_into(out);
         }
         Msg::Setup(s) => {
             out.push(TAG_SETUP);
@@ -682,11 +590,9 @@ pub fn decode_body(body: &[u8]) -> Result<Msg, ProtoError> {
         TAG_HEARTBEAT => Msg::Heartbeat {
             iter: r.u64().ok_or(ProtoError::Truncated { what: "iter" })?,
         },
-        TAG_GRAD => Msg::Grad {
-            iter: r.u64().ok_or(ProtoError::Truncated { what: "iter" })?,
-            grad: read_tensor(&mut r, "gradient tensor")?,
-        },
-        TAG_FATE => Msg::Fate(read_fate(&mut r)?),
+        TAG_FATE => Msg::Fate(WorkerFate::decode(&mut r).ok_or(ProtoError::Garbage {
+            what: "truncated or unknown worker fate",
+        })?),
         TAG_SETUP => {
             let worker = r.u32().ok_or(ProtoError::Truncated { what: "worker" })?;
             let seed = r.u64().ok_or(ProtoError::Truncated { what: "seed" })?;
@@ -1180,32 +1086,17 @@ mod tests {
             mac: 0x0123_4567_89ab_cdef,
         });
         roundtrip(Msg::Heartbeat { iter: 19 });
-        roundtrip(Msg::Grad {
-            iter: 6,
-            grad: Tensor::from_vec(vec![1.0, -0.0, f32::MIN_POSITIVE]),
-        });
-        for fate in [
-            WorkerFate::Healthy,
-            WorkerFate::Crashed { at_iter: 2 },
-            WorkerFate::Hung { at_iter: 3 },
-            WorkerFate::Slowed { from_iter: 4 },
-            WorkerFate::Restarted {
-                at_iter: 5,
-                rejoined: true,
-            },
-            WorkerFate::Restarted {
-                at_iter: 5,
-                rejoined: false,
-            },
-            WorkerFate::Retired { at_round: 40 },
-            WorkerFate::Evicted { at_round: 41 },
-        ] {
-            roundtrip(Msg::Fate(fate));
-        }
+        // Every fate variant is covered where the codec lives
+        // (`rna_core::fault`); here it is the framing around it.
+        roundtrip(Msg::Fate(WorkerFate::Healthy));
+        roundtrip(Msg::Fate(WorkerFate::Restarted {
+            at_iter: 5,
+            rejoined: true,
+        }));
         roundtrip(Msg::Setup(sample_setup()));
         roundtrip(Msg::Params {
             round: 11,
-            params: Tensor::from_vec(vec![9.0; 36]),
+            params: Tensor::from_vec(vec![1.0, -0.0, f32::MIN_POSITIVE]),
         });
         roundtrip(Msg::Round { round: 30 });
         roundtrip(Msg::Stop);
@@ -1221,10 +1112,6 @@ mod tests {
             Msg::Challenge { nonce: 1, term: 1 },
             Msg::Auth { mac: 1 },
             Msg::Heartbeat { iter: 1 },
-            Msg::Grad {
-                iter: 1,
-                grad: Tensor::from_vec(vec![1.0, 2.0]),
-            },
             Msg::Fate(WorkerFate::Restarted {
                 at_iter: 1,
                 rejoined: true,
@@ -1279,13 +1166,13 @@ mod tests {
 
     #[test]
     fn absurd_tensor_length_inside_a_frame_is_rejected() {
-        // A hand-built Grad frame whose tensor claims 2^40 elements but
+        // A hand-built Params frame whose tensor claims 2^40 elements but
         // supplies none. The tensor reader checks the claim against the
         // bytes present before allocating.
         let mut body = Vec::new();
         wire::put_u32(&mut body, MAGIC);
-        body.push(3); // TAG_GRAD
-        wire::put_u64(&mut body, 0); // iter
+        body.push(TAG_PARAMS);
+        wire::put_u64(&mut body, 0); // round
         wire::put_u64(&mut body, 1 << 40); // declared tensor length
         let err = decode_body(&body).unwrap_err();
         assert!(matches!(err, ProtoError::Truncated { .. }), "got {err}");

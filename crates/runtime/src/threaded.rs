@@ -4,10 +4,12 @@ use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Condvar, Mutex, PoisonError, RwLock};
 use std::time::{Duration, Instant};
 
+use rna_collectives::partial_allreduce_pooled;
 use rna_core::cache::GradientCache;
 use rna_core::fault::{FaultPlan, NetFaultPlan, ToleranceConfig, WorkerFate};
 use rna_core::membership::{ChurnEvent, ChurnPlan};
 use rna_core::recovery::{CheckpointStore, RecoveryConfig, RecoveryError};
+use rna_core::stats::Counters;
 use rna_simnet::SimRng;
 use rna_tensor::{Compression, Tensor, TensorPool};
 use rna_training::model::SoftmaxClassifier;
@@ -15,9 +17,8 @@ use rna_training::{BatchSampler, Dataset, Model, Sgd};
 
 use crate::fault::{FaultExecutor, IterDirective};
 use crate::transport::{
-    decode_ctrl_checkpoint, lock, reduce_contributions_into, supervise, ChurnCounters,
-    CtrlCheckpoint, DatapathCounters, NetCounters, RecoveryCounters, Supervised, Transport,
-    STREAM_COMPUTE, STREAM_JOIN, STREAM_SAMPLER,
+    decode_ctrl_checkpoint, lock, supervise, CtrlCheckpoint, Lineage, Transport, STREAM_COMPUTE,
+    STREAM_JOIN, STREAM_SAMPLER,
 };
 
 /// Which synchronization strategy the threaded runtime runs.
@@ -213,56 +214,21 @@ pub struct ThreadedResult {
     /// Each worker's post-mortem, reported by the worker threads
     /// themselves as they execute the fault plan.
     pub worker_fates: Vec<WorkerFate>,
-    /// Logical messages the network shim dropped (lossy links, flaps,
-    /// partitions). Always 0 on a clean fabric.
-    pub messages_dropped: u64,
-    /// Probe rounds re-issued because the fabric ate the previous attempt.
-    pub probe_retries: u64,
-    /// Rounds during which at least one live worker was severed from the
-    /// controller by a down-window or partition.
-    pub partition_rounds: u64,
-    /// Times the controller thread died and the warm standby took over
-    /// from the last checkpoint.
-    pub controller_failovers: u64,
-    /// Rounds of progress redone across all failovers (crash round minus
-    /// checkpoint round, summed) — the real downtime cost, unlike the
-    /// simulator where worker state survives and only the probe round is
-    /// lost.
-    pub failover_rounds_lost: u64,
-    /// Controller checkpoints written (warm-standby slot updates; the same
-    /// count lands on disk when a recovery directory is configured).
-    pub checkpoints_written: u64,
-    /// Fresh tensor-buffer heap allocations the controller's fused reduce
-    /// region (cache drain, codec transform, partial collective, apply)
-    /// performed over the run. Debug-only hook: always 0 in release
-    /// builds. With the pooled data path this stays flat after warm-up.
-    pub datapath_allocs: u64,
-    /// Bytes the drained gradient contributions would occupy on the wire
-    /// after encoding (codec frames, per-message headers included). The
-    /// parameter broadcast stays full precision and is not counted, so
-    /// lossy-vs-lossless ratios measure the gradient path alone.
-    pub bytes_on_wire: u64,
-    /// `lossless-equivalent − bytes_on_wire` over the same contributions
-    /// (0 under `Lossless`).
-    pub bytes_saved: u64,
-    /// Accumulated L2 norm of the error-feedback residuals left behind by
-    /// lossy encodes (exactly 0.0 under `Lossless`).
-    pub codec_error_l2: f64,
-    /// Workers admitted mid-run under the churn plan (each streamed a
-    /// model snapshot and granted fresh RNG streams).
-    pub workers_joined: u64,
-    /// Workers that left mid-run under the churn plan — graceful
-    /// retirements (final contribution drained) plus evictions.
-    pub workers_retired: u64,
-    /// Online regroup events. Always 0 in the flat runtime worlds; the
-    /// field exists for result-shape parity with the simulator.
-    pub regroup_events: u64,
-    /// Parameter-server keys rehomed during regroups. Always 0 in the
-    /// flat runtime worlds.
-    pub ps_keys_rebalanced: u64,
-    /// Bytes of model snapshot streamed to joining workers at admission
-    /// (parameters only; framing excluded).
-    pub snapshot_bytes_streamed: u64,
+    /// The run ledger — the same tallies, with the same meaning, the
+    /// simulator's `RunResult` reports. In this world `failover_rounds_lost`
+    /// is real progress redone (crash round minus checkpoint round, summed),
+    /// `checkpoints_written` counts warm-standby slot updates (the same
+    /// count lands on disk when a recovery directory is configured), and the
+    /// PS/regroup tallies stay 0: the runtime worlds are flat.
+    pub counters: Counters,
+}
+
+impl std::ops::Deref for ThreadedResult {
+    type Target = Counters;
+
+    fn deref(&self) -> &Counters {
+        &self.counters
+    }
 }
 
 impl ThreadedResult {
@@ -663,8 +629,10 @@ fn run_bsp(
             // Fused mean (bit-identical to uniformly weighted averaging)
             // into a pooled buffer; the drained gradients feed the pool
             // afterwards.
-            let mut mean = pool.acquire(master.len());
-            reduce_contributions_into(&mut mean, &grads, n as f32);
+            let refs: Vec<Option<&Tensor>> = grads.iter().map(Option::as_ref).collect();
+            let mean = partial_allreduce_pooled(&refs, &mut pool)
+                .expect("the barrier collected every worker's gradient")
+                .reduced;
             opt.step(&mut master, &mean, 1.0);
             pool.release(mean);
             for g in grads.into_iter().flatten() {
@@ -686,36 +654,29 @@ fn run_bsp(
     for tx in &param_txs {
         let _ = tx.send(None);
     }
-    let mut worker_iterations = Vec::with_capacity(n);
-    let mut worker_fates = Vec::with_capacity(n);
-    for h in handles {
-        match h.join() {
-            Ok((iters, fate)) => {
-                worker_iterations.push(iters);
-                worker_fates.push(fate);
-            }
-            Err(_) => {
-                // The thread panicked: its iteration count died with it.
-                worker_iterations.push(0);
-                worker_fates.push(WorkerFate::Crashed { at_iter: 0 });
-            }
-        }
-    }
+    // A panicked thread's iteration count died with it.
+    let workers = handles
+        .into_iter()
+        .map(|h| h.join().unwrap_or((0, WorkerFate::Crashed { at_iter: 0 })))
+        .collect();
+    // The barrier has no control plane to checkpoint; its final state is
+    // the master plus the degraded-round tallies, every round at full
+    // participation.
+    let final_state = CtrlCheckpoint {
+        round: config.rounds,
+        participation_sum: config.rounds as f64,
+        rounds_degraded,
+        deadline_overshoot_us,
+        ..CtrlCheckpoint::initial(master)
+    };
     finish(
         config,
         dataset,
         template,
-        master,
         start,
-        worker_iterations,
-        1.0,
-        worker_fates,
-        rounds_degraded,
-        deadline_overshoot_us,
-        NetCounters::default(),
-        RecoveryCounters::default(),
-        DatapathCounters::default(),
-        ChurnCounters::default(),
+        workers,
+        final_state,
+        &Lineage::default(),
     )
 }
 
@@ -910,88 +871,70 @@ fn run_rna(
         shared: &shared,
         ready_rx,
     };
-    let (final_state, recovery) = match supervise(
+    let mut lineage = Lineage::default();
+    // Coordinator-level kills exist only in the process world.
+    let final_state = supervise(
         config,
         &mut transport,
         &mut rng,
         state,
         store.as_ref(),
-        0,
         None,
-    ) {
-        Supervised::Done(state, recovery) => (state, recovery),
-        // Coordinator-level kills exist only in the process world.
-        Supervised::Killed { .. } => unreachable!("no abort round was scheduled"),
-    };
+        &mut lineage,
+    )
+    .expect("no abort round was scheduled");
     shared.stop.store(true, Ordering::Release);
     shared.pause_cv.notify_all();
-    let worker_fates: Vec<WorkerFate> = handles
+    let workers = handles
         .into_iter()
         .enumerate()
         .map(|(w, h)| {
-            h.join().unwrap_or_else(|_| {
+            let fate = h.join().unwrap_or_else(|_| {
                 // The worker thread panicked; record the crash instead of
                 // taking the whole run down with it.
                 shared.slots[w].alive.store(false, Ordering::Release);
                 WorkerFate::Crashed {
                     at_iter: shared.slots[w].iterations.load(Ordering::Acquire),
                 }
-            })
+            });
+            (shared.slots[w].iterations.load(Ordering::Acquire), fate)
         })
         .collect();
-    let worker_iterations: Vec<u64> = shared
-        .slots
-        .iter()
-        .map(|s| s.iterations.load(Ordering::Acquire))
-        .collect();
-    // Rounds redone after a failover died with their incarnation's tallies,
-    // so the surviving lineage counts every round exactly once.
-    let participation = final_state.participation_sum / config.rounds as f64;
     finish(
         config,
         dataset,
         template,
-        final_state.master,
         start,
-        worker_iterations,
-        participation,
-        worker_fates,
-        final_state.rounds_degraded,
-        final_state.deadline_overshoot_us,
-        final_state.net,
-        recovery,
-        final_state.data,
-        final_state.churn,
+        workers,
+        final_state,
+        &lineage,
     )
 }
 
-#[allow(clippy::too_many_arguments)]
+/// Composes the result both real worlds report: evaluates the final master,
+/// settles the planned-departure fates, and closes the ledger by merging in
+/// the failover tallies `lineage` kept outside the checkpointed state.
+/// `workers` is each worker's completed iterations and self-reported fate.
 pub(crate) fn finish(
     config: &ThreadedConfig,
     dataset: Arc<Dataset>,
     template: SoftmaxClassifier,
-    master: Tensor,
     start: Instant,
-    worker_iterations: Vec<u64>,
-    mean_participation: f64,
-    worker_fates: Vec<WorkerFate>,
-    rounds_degraded: u64,
-    deadline_overshoot_us: u64,
-    net: NetCounters,
-    recovery: RecoveryCounters,
-    data: DatapathCounters,
-    churn: ChurnCounters,
+    workers: Vec<(u64, WorkerFate)>,
+    final_state: CtrlCheckpoint,
+    lineage: &Lineage,
 ) -> ThreadedResult {
     let wall = start.elapsed();
     let mut model = template;
-    model.set_params(&master);
+    model.set_params(&final_state.master);
     let batch = dataset.full_batch();
+    let (worker_iterations, mut worker_fates): (Vec<u64>, Vec<WorkerFate>) =
+        workers.into_iter().unzip();
     // The controller is authoritative for planned departures: a retiree
     // whose round has passed may still be mid-exit when the stop flag
     // lands (its self-report would say Healthy), so compose the fate from
     // the plan. Only Healthy is upgraded — a worker that died before its
     // scheduled departure keeps the death verdict.
-    let mut worker_fates = worker_fates;
     for &(w, ev) in config.churn_plan.events() {
         if worker_fates[w] != WorkerFate::Healthy {
             continue;
@@ -1008,29 +951,21 @@ pub(crate) fn finish(
     }
     ThreadedResult {
         rounds: config.rounds,
-        rounds_degraded,
-        deadline_overshoot_us,
+        rounds_degraded: final_state.rounds_degraded,
+        deadline_overshoot_us: final_state.deadline_overshoot_us,
         wall,
         final_loss: model.loss(&batch),
         final_accuracy: model.accuracy(&batch),
         worker_iterations,
-        mean_participation,
+        // Rounds redone after a failover died with their incarnation's
+        // tallies, so the surviving lineage counts every round exactly once.
+        mean_participation: final_state.participation_sum / config.rounds as f64,
         worker_fates,
-        messages_dropped: net.messages_dropped,
-        probe_retries: net.probe_retries,
-        partition_rounds: net.partition_rounds,
-        controller_failovers: recovery.controller_failovers,
-        failover_rounds_lost: recovery.failover_rounds_lost,
-        checkpoints_written: recovery.checkpoints_written,
-        datapath_allocs: data.allocs,
-        bytes_on_wire: data.bytes_on_wire,
-        bytes_saved: data.bytes_saved,
-        codec_error_l2: data.codec_error_l2,
-        workers_joined: churn.workers_joined,
-        workers_retired: churn.workers_retired,
-        regroup_events: churn.regroup_events,
-        ps_keys_rebalanced: churn.ps_keys_rebalanced,
-        snapshot_bytes_streamed: churn.snapshot_bytes_streamed,
+        counters: Counters {
+            controller_failovers: lineage.controller_failovers,
+            failover_rounds_lost: lineage.failover_rounds_lost,
+            ..final_state.counters
+        },
     }
 }
 
@@ -1190,7 +1125,6 @@ mod tests {
                         .flatten()
                 })
                 .collect();
-            let m = naive.iter().flatten().count() as f32;
             let null = Tensor::zeros(len);
             let refs: Vec<&Tensor> = naive.iter().map(|c| c.as_ref().unwrap_or(&null)).collect();
             let weights: Vec<f32> = naive
@@ -1198,10 +1132,11 @@ mod tests {
                 .map(|c| if c.is_some() { 1.0 } else { 0.0 })
                 .collect();
             let expected = weighted_average(&refs, &weights).unwrap();
-            let mut reduced = pool.acquire(len);
-            reduce_contributions_into(&mut reduced, &pooled, m);
-            assert_eq!(reduced.as_slice(), expected.as_slice(), "round {k}");
-            pool.release(reduced);
+            let pooled_refs: Vec<Option<&Tensor>> = pooled.iter().map(Option::as_ref).collect();
+            let reduced =
+                partial_allreduce_pooled(&pooled_refs, &mut pool).expect("two contribute");
+            assert_eq!(reduced.reduced.as_slice(), expected.as_slice(), "round {k}");
+            pool.release(reduced.reduced);
             for g in pooled.into_iter().flatten() {
                 pool.release(g);
             }

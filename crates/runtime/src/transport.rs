@@ -19,9 +19,11 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
+use rna_collectives::partial_allreduce_pooled;
 use rna_core::fault::{live_majority, probe_round_stalled};
 use rna_core::membership::ChurnEvent;
 use rna_core::recovery::CheckpointStore;
+use rna_core::stats::Counters;
 use rna_simnet::SimRng;
 use rna_tensor::codec;
 use rna_tensor::wire::{self, Reader};
@@ -119,70 +121,15 @@ pub(crate) trait Transport: Send {
     /// changed", and the controller re-polls anyway).
     fn drain_ready(&mut self);
     /// Drains the codec charges measured at the socket since the last
-    /// call, for worlds whose *workers* own the encode leg (the process
-    /// world: contributions arrive already wire-valued, and the readers
-    /// tally the bytes that physically crossed). `None` means the
-    /// controller must run the accounting codec itself over the drained
-    /// contributions (the threaded world's default).
-    fn take_wire_charges(&mut self) -> Option<WireCharges> {
+    /// call — the byte and error tallies of a [`Counters`], nothing else set
+    /// — for worlds whose *workers* own the encode leg (the process world:
+    /// contributions arrive already wire-valued, and the readers tally the
+    /// bytes that physically crossed). `None` means the controller must run
+    /// the accounting codec itself over the drained contributions (the
+    /// threaded world's default).
+    fn take_wire_charges(&mut self) -> Option<Counters> {
         None
     }
-}
-
-/// Socket-measured codec charges drained from a process-world transport:
-/// what the connection readers tallied off real frames since the last
-/// drain. Mirrors the byte/error fields of [`DatapathCounters`].
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub(crate) struct WireCharges {
-    /// Encoded-frame bytes that physically arrived on sockets.
-    pub bytes_on_wire: u64,
-    /// Lossless-formula bytes minus measured bytes, per frame.
-    pub bytes_saved: u64,
-    /// Worker-reported L2 norms of the per-frame quantization error.
-    pub error_l2: f64,
-}
-
-/// Controller-side tallies of what the network shim did to the run.
-#[derive(Debug, Clone, Copy, Default)]
-pub(crate) struct NetCounters {
-    pub messages_dropped: u64,
-    pub probe_retries: u64,
-    pub partition_rounds: u64,
-}
-
-/// Controller-side tallies of the gradient data path: what the wire codec
-/// did to the drained contributions, and what the fused reduce region
-/// allocated. Checkpointed so a failed-over or resumed controller keeps
-/// the cumulative totals.
-#[derive(Debug, Clone, Copy, Default)]
-pub(crate) struct DatapathCounters {
-    pub allocs: u64,
-    pub bytes_on_wire: u64,
-    pub bytes_saved: u64,
-    pub codec_error_l2: f64,
-}
-
-/// Controller-side tallies of elastic-membership events, checkpointed so a
-/// failed-over or resumed controller keeps the cumulative totals. The
-/// regroup fields exist for result-shape parity with the simulator's
-/// hierarchical protocol and stay 0 in the flat runtime worlds.
-#[derive(Debug, Clone, Copy, Default)]
-pub(crate) struct ChurnCounters {
-    pub workers_joined: u64,
-    pub workers_retired: u64,
-    pub regroup_events: u64,
-    pub ps_keys_rebalanced: u64,
-    pub snapshot_bytes_streamed: u64,
-}
-
-/// Supervisor-side tallies of the control-plane fault machinery. Unlike
-/// [`CtrlCheckpoint`] contents these are per-process observations — a
-/// resumed process starts its own count.
-#[derive(Debug, Clone, Copy, Default)]
-pub(crate) struct RecoveryCounters {
-    pub controller_failovers: u64,
-    pub failover_rounds_lost: u64,
-    pub checkpoints_written: u64,
 }
 
 /// Everything a standby needs to continue the run: the training state the
@@ -203,10 +150,10 @@ pub(crate) struct CtrlCheckpoint {
     /// earlier 1 ms-floored waits could overshoot by 1 ms per late
     /// contributor).
     pub deadline_overshoot_us: u64,
-    pub net: NetCounters,
-    pub data: DatapathCounters,
-    pub checkpoints_written: u64,
-    pub churn: ChurnCounters,
+    /// The run ledger as of this cut. Everything in it rolls back with the
+    /// checkpoint; the two failover tallies are therefore never counted
+    /// here but in [`Lineage`], and stay 0 until `finish` merges them.
+    pub counters: Counters,
 }
 
 impl CtrlCheckpoint {
@@ -220,10 +167,7 @@ impl CtrlCheckpoint {
             participation_sum: 0.0,
             rounds_degraded: 0,
             deadline_overshoot_us: 0,
-            net: NetCounters::default(),
-            data: DatapathCounters::default(),
-            checkpoints_written: 0,
-            churn: ChurnCounters::default(),
+            counters: Counters::default(),
         }
     }
 }
@@ -241,19 +185,7 @@ pub(crate) fn encode_ctrl_checkpoint(ck: &CtrlCheckpoint, out: &mut Vec<u8>) {
     wire::put_f64(out, ck.participation_sum);
     wire::put_u64(out, ck.rounds_degraded);
     wire::put_u64(out, ck.deadline_overshoot_us);
-    wire::put_u64(out, ck.net.messages_dropped);
-    wire::put_u64(out, ck.net.probe_retries);
-    wire::put_u64(out, ck.net.partition_rounds);
-    wire::put_u64(out, ck.data.allocs);
-    wire::put_u64(out, ck.data.bytes_on_wire);
-    wire::put_u64(out, ck.data.bytes_saved);
-    wire::put_f64(out, ck.data.codec_error_l2);
-    wire::put_u64(out, ck.checkpoints_written);
-    wire::put_u64(out, ck.churn.workers_joined);
-    wire::put_u64(out, ck.churn.workers_retired);
-    wire::put_u64(out, ck.churn.regroup_events);
-    wire::put_u64(out, ck.churn.ps_keys_rebalanced);
-    wire::put_u64(out, ck.churn.snapshot_bytes_streamed);
+    ck.counters.encode_into(out);
     wire::put_tensor(out, &ck.master);
     wire::put_tensor(out, &ck.velocity);
 }
@@ -263,55 +195,18 @@ pub(crate) fn encode_ctrl_checkpoint(ck: &CtrlCheckpoint, out: &mut Vec<u8>) {
 /// catches bit rot; this catches format drift).
 pub(crate) fn decode_ctrl_checkpoint(payload: &[u8]) -> Option<CtrlCheckpoint> {
     let mut r = Reader::new(payload);
-    let round = r.u64()?;
-    let participation_sum = r.f64()?;
-    let rounds_degraded = r.u64()?;
-    let deadline_overshoot_us = r.u64()?;
-    let messages_dropped = r.u64()?;
-    let probe_retries = r.u64()?;
-    let partition_rounds = r.u64()?;
-    let allocs = r.u64()?;
-    let bytes_on_wire = r.u64()?;
-    let bytes_saved = r.u64()?;
-    let codec_error_l2 = r.f64()?;
-    let checkpoints_written = r.u64()?;
-    let workers_joined = r.u64()?;
-    let workers_retired = r.u64()?;
-    let regroup_events = r.u64()?;
-    let ps_keys_rebalanced = r.u64()?;
-    let snapshot_bytes_streamed = r.u64()?;
-    let master = r.tensor()?;
-    let velocity = r.tensor()?;
-    if r.remaining() != 0 || master.is_empty() || master.len() != velocity.len() {
-        return None;
-    }
-    Some(CtrlCheckpoint {
-        round,
-        master,
-        velocity,
-        participation_sum,
-        rounds_degraded,
-        deadline_overshoot_us,
-        net: NetCounters {
-            messages_dropped,
-            probe_retries,
-            partition_rounds,
-        },
-        data: DatapathCounters {
-            allocs,
-            bytes_on_wire,
-            bytes_saved,
-            codec_error_l2,
-        },
-        checkpoints_written,
-        churn: ChurnCounters {
-            workers_joined,
-            workers_retired,
-            regroup_events,
-            ps_keys_rebalanced,
-            snapshot_bytes_streamed,
-        },
-    })
+    let ck = CtrlCheckpoint {
+        round: r.u64()?,
+        participation_sum: r.f64()?,
+        rounds_degraded: r.u64()?,
+        deadline_overshoot_us: r.u64()?,
+        counters: Counters::decode(&mut r)?,
+        master: r.tensor()?,
+        velocity: r.tensor()?,
+    };
+    let intact =
+        r.remaining() == 0 && !ck.master.is_empty() && ck.master.len() == ck.velocity.len();
+    intact.then_some(ck)
 }
 
 /// Captures the control plane into `ck`, publishes it to the warm-standby
@@ -329,7 +224,7 @@ fn cut_checkpoint(
     ck.round = round;
     ck.master.copy_from(master);
     ck.velocity.copy_from(opt.velocity());
-    ck.checkpoints_written += 1;
+    ck.counters.checkpoints_written += 1;
     *lock(&plane.slot) = Some(ck.clone());
     if let Some(store) = store {
         let mut payload = Vec::new();
@@ -425,10 +320,8 @@ fn sample_probes<T: Transport + ?Sized>(
         .collect()
 }
 
-/// How one controller incarnation ended.
-enum LoopExit {
-    /// The round budget is spent; the finished state is attached.
-    Done(CtrlCheckpoint),
+/// How a controller incarnation died before the round budget was spent.
+enum Death {
     /// The fault plan crashed this incarnation — the warm standby takes
     /// over after the lease (the in-process failover path).
     Crashed,
@@ -440,9 +333,9 @@ enum LoopExit {
 /// One controller incarnation: executes rounds `ck.round..config.rounds`,
 /// heartbeating its lease at every round top and cutting a checkpoint
 /// (warm-standby slot, plus disk when a store is configured) every
-/// `checkpoint_every` rounds. Exits `Crashed`/`Killed` *before* executing
-/// the fatal round, so progress since the last checkpoint is genuinely
-/// lost, and `Done` with the finished state otherwise.
+/// `checkpoint_every` rounds. Dies ([`Death`]) *before* executing the fatal
+/// round, so progress since the last checkpoint is genuinely lost, and
+/// returns the finished state otherwise.
 #[allow(clippy::too_many_arguments)]
 fn controller_loop<T: Transport + ?Sized>(
     config: &ThreadedConfig,
@@ -454,7 +347,7 @@ fn controller_loop<T: Transport + ?Sized>(
     codec_rng: &mut SimRng,
     crash_at: Option<u64>,
     abort_at: Option<u64>,
-) -> LoopExit {
+) -> Result<CtrlCheckpoint, Death> {
     let n = config.num_workers;
     let mut master = ck.master.clone();
     let mut opt = rna_training::Sgd::new(config.lr, 0.0, 0.0, master.len());
@@ -477,10 +370,10 @@ fn controller_loop<T: Transport + ?Sized>(
         // A coordinator-level kill outranks a planned controller crash at
         // the same round: there is no standby left to observe the crash.
         if abort_at == Some(k) {
-            return LoopExit::Killed;
+            return Err(Death::Killed);
         }
         if crash_at == Some(k) {
-            return LoopExit::Crashed;
+            return Err(Death::Crashed);
         }
         // Round `k`'s membership: dormant joiners and departed workers are
         // outside the electorate, the majority denominator, and the drain
@@ -554,7 +447,7 @@ fn controller_loop<T: Transport + ?Sized>(
                     &mut shim,
                     ctrl,
                 );
-                ck.net.messages_dropped += lost;
+                ck.counters.messages_dropped += lost;
                 let mut last_lost = lost > 0;
                 let mut last_sample = Instant::now();
                 loop {
@@ -575,7 +468,7 @@ fn controller_loop<T: Transport + ?Sized>(
                         || last_sample.elapsed() >= backoff
                     {
                         if last_lost {
-                            ck.net.probe_retries += 1;
+                            ck.counters.probe_retries += 1;
                             backoff = backoff
                                 .saturating_mul(2)
                                 .min(Duration::from_micros(config.tolerance.probe_backoff_cap_us));
@@ -588,7 +481,7 @@ fn controller_loop<T: Transport + ?Sized>(
                             &mut shim,
                             ctrl,
                         );
-                        ck.net.messages_dropped += lost;
+                        ck.counters.messages_dropped += lost;
                         last_lost = lost > 0;
                         probed = fresh;
                         last_sample = Instant::now();
@@ -656,7 +549,7 @@ fn controller_loop<T: Transport + ?Sized>(
                     match transport.drain(w, k, &mut pool) {
                         Some(g) if shim.deliver(w, gather, now_us) => Some(g),
                         Some(g) => {
-                            ck.net.messages_dropped += 1;
+                            ck.counters.messages_dropped += 1;
                             pool.release(g);
                             None
                         }
@@ -667,7 +560,7 @@ fn controller_loop<T: Transport + ?Sized>(
             contributions.push(c);
         }
         if severed {
-            ck.net.partition_rounds += 1;
+            ck.counters.partition_rounds += 1;
         }
         // The wire codec runs where the gradient crosses the network. In
         // the process world that is the *worker*: frames arrive already
@@ -679,15 +572,15 @@ fn controller_loop<T: Transport + ?Sized>(
         // contribution (error feedback). Lossless is the identity and only
         // accounts the frame bytes a lossless wire would move.
         if let Some(wire) = transport.take_wire_charges() {
-            ck.data.bytes_on_wire += wire.bytes_on_wire;
-            ck.data.bytes_saved += wire.bytes_saved;
-            ck.data.codec_error_l2 += wire.error_l2;
+            ck.counters.bytes_on_wire += wire.bytes_on_wire;
+            ck.counters.bytes_saved += wire.bytes_saved;
+            ck.counters.codec_error_l2 += wire.codec_error_l2;
         } else {
             for (w, slot) in contributions.iter_mut().enumerate() {
                 let Some(g) = slot.as_mut() else { continue };
                 let lossless_frame = Compression::Lossless.frame_bytes(g.len());
                 if wire_codec.is_lossless() {
-                    ck.data.bytes_on_wire += lossless_frame;
+                    ck.counters.bytes_on_wire += lossless_frame;
                     continue;
                 }
                 let residual = residuals[w].get_or_insert_with(|| Tensor::zeros(g.len()));
@@ -701,23 +594,27 @@ fn controller_loop<T: Transport + ?Sized>(
                     &mut draw,
                     threads,
                 );
-                ck.data.bytes_on_wire += frame;
-                ck.data.bytes_saved += lossless_frame.saturating_sub(frame);
-                ck.data.codec_error_l2 += err;
+                ck.counters.bytes_on_wire += frame;
+                ck.counters.bytes_saved += lossless_frame.saturating_sub(frame);
+                ck.counters.codec_error_l2 += err;
             }
         }
-        let m: f32 = contributions.iter().flatten().count() as f32;
-        if m > 0.0 && !degraded {
-            // Fused partial collective: nulls are skipped instead of being
-            // materialized as zero tensors, the mean lands in a pooled
-            // buffer, and wide tensors split across cores (bit-identical to
-            // the null-padded `weighted_average` the naive path computed).
-            let mut reduced = pool.acquire(master.len());
-            reduce_contributions_into(&mut reduced, &contributions, m);
+        // Fused partial collective: nulls are skipped instead of being
+        // materialized as zero tensors and the mean lands in a pooled buffer
+        // (bit-identical to the null-padded `weighted_average` the naive
+        // path computed). A degraded round applies nothing.
+        let refs: Vec<Option<&Tensor>> = contributions.iter().map(Option::as_ref).collect();
+        let outcome = if degraded {
+            None
+        } else {
+            partial_allreduce_pooled(&refs, &mut pool)
+        };
+        if let Some(outcome) = outcome {
+            let m = outcome.num_contributors as f32;
             // Linear Scaling Rule: learning rate × contributor count.
-            opt.step(&mut master, &reduced, m);
-            pool.release(reduced);
-            ck.data.allocs += rna_tensor::alloc::count() - allocs_before;
+            opt.step(&mut master, &outcome.reduced, m);
+            pool.release(outcome.reduced);
+            ck.counters.datapath_allocs += rna_tensor::alloc::count() - allocs_before;
             ck.participation_sum += f64::from(m) / active_n as f64;
             let push_us = transport.now_us();
             // One shared snapshot per round; the threaded slots swap Arcs
@@ -731,13 +628,13 @@ fn controller_loop<T: Transport + ?Sized>(
                 // severed or unlucky worker keeps its stale view and
                 // catches up on a later round's push.
                 if !shim.deliver(gather, w, push_us) {
-                    ck.net.messages_dropped += 1;
+                    ck.counters.messages_dropped += 1;
                     continue;
                 }
                 if !transport.push_params(w, k + 1, &snapshot, &mut pool) {
                     // The wire itself ate it (socket severed): same
                     // observable outcome as an injected drop.
-                    ck.net.messages_dropped += 1;
+                    ck.counters.messages_dropped += 1;
                 }
             }
             // In the process world (no retaining slots) the snapshot dies
@@ -750,7 +647,7 @@ fn controller_loop<T: Transport + ?Sized>(
             // gradient fell past the staleness bound): complete the round
             // degraded rather than blocking the run.
             ck.rounds_degraded += 1;
-            ck.data.allocs += rna_tensor::alloc::count() - allocs_before;
+            ck.counters.datapath_allocs += rna_tensor::alloc::count() - allocs_before;
         }
         for g in contributions.into_iter().flatten() {
             pool.release(g);
@@ -774,14 +671,14 @@ fn controller_loop<T: Transport + ?Sized>(
                     if let Some(t) = Arc::into_inner(snapshot) {
                         pool.release(t);
                     }
-                    ck.churn.workers_joined += 1;
-                    ck.churn.snapshot_bytes_streamed += 4 * master.len() as u64;
+                    ck.counters.workers_joined += 1;
+                    ck.counters.snapshot_bytes_streamed += 4 * master.len() as u64;
                 }
                 ChurnEvent::Retire { at_round } if at_round == k => {
-                    ck.churn.workers_retired += 1;
+                    ck.counters.workers_retired += 1;
                 }
                 ChurnEvent::Evict { at_round } if at_round == k + 1 => {
-                    ck.churn.workers_retired += 1;
+                    ck.counters.workers_retired += 1;
                 }
                 _ => {}
             }
@@ -794,24 +691,26 @@ fn controller_loop<T: Transport + ?Sized>(
     // Final cut: the finished state is itself a checkpoint, so resuming a
     // completed run replays nothing.
     cut_checkpoint(&mut ck, config.rounds, &master, &opt, plane, store);
-    LoopExit::Done(ck)
+    Ok(ck)
 }
 
-/// How a [`supervise`] call ended.
-pub(crate) enum Supervised {
-    /// The round budget is spent: the finished state plus this call's
-    /// recovery tallies.
-    Done(CtrlCheckpoint, RecoveryCounters),
-    /// The coordinator was killed at its scheduled abort round. The
-    /// process world restarts it from the *disk* checkpoint under
-    /// `next_term` — continuing the per-term probe/codec stream numbering
-    /// so a rerun with the same kill schedule replays identically.
-    Killed {
-        /// Recovery tallies accumulated before the kill.
-        recovery: RecoveryCounters,
-        /// The term the restarted coordinator must supervise from.
-        next_term: u64,
-    },
+/// What survives every controller death, and therefore lives *outside* the
+/// checkpointed state. A standby (or a coordinator restarted from disk) rolls
+/// [`CtrlCheckpoint`] back to its last cut, tallies included; if the failover
+/// tallies rode in there too, restoring the slot would erase the very
+/// failover being recorded. `finish` merges them into the result.
+#[derive(Debug, Default)]
+pub(crate) struct Lineage {
+    /// The term the next controller incarnation runs under: 0 for a fresh
+    /// run, bumped by every incarnation's exit, so term numbering
+    /// (crash-schedule indexing, probe/codec stream keys) is global across
+    /// standby takeovers and coordinator restarts.
+    pub term: u64,
+    /// Times a standby took over from a crashed controller.
+    pub controller_failovers: u64,
+    /// Rounds redone across every takeover and coordinator restart (death
+    /// round minus restored checkpoint round, summed).
+    pub failover_rounds_lost: u64,
 }
 
 /// Runs controller incarnations under the lease+term protocol until the
@@ -822,75 +721,61 @@ pub(crate) enum Supervised {
 /// term 0's forks are the run's first after worker setup, so fault-free
 /// runs elect the same initiators in every world.
 ///
-/// `term0` is 0 for a fresh run; a coordinator restarted after a kill
-/// passes the `next_term` of the [`Supervised::Killed`] it replaced, so
-/// term numbering (crash-schedule indexing, probe/codec stream keys) is
-/// global across coordinator incarnations. `abort_at` schedules a
-/// coordinator-level death at that round: unlike a planned crash there is
-/// no in-memory standby afterwards — the caller owns the restart.
+/// Returns the finished state, or `None` when the coordinator was killed at
+/// `abort_at`: unlike a planned crash there is no in-memory standby
+/// afterwards — the process world restarts from the *disk* checkpoint and
+/// calls again with the same `lineage`, whose term this call already bumped,
+/// so a rerun with the same kill schedule replays identically.
 pub(crate) fn supervise<T: Transport + ?Sized>(
     config: &ThreadedConfig,
     transport: &mut T,
     rng: &mut SimRng,
     state0: CtrlCheckpoint,
     store: Option<&CheckpointStore>,
-    term0: u64,
     abort_at: Option<u64>,
-) -> Supervised {
+    lineage: &mut Lineage,
+) -> Option<CtrlCheckpoint> {
     let crashes: Vec<u64> = config.fault_plan.controller_crashes().to_vec();
     let plane = CtrlPlane {
         heartbeat_us: AtomicU64::new(0),
         slot: Mutex::new(Some(state0.clone())),
     };
     let mut state = state0;
-    let mut term: u64 = term0;
-    let mut recovery = RecoveryCounters::default();
     loop {
+        let term = lineage.term;
         let crash_at = crashes
             .get(usize::try_from(term).unwrap_or(usize::MAX))
             .copied();
         let mut probe_rng = rng.fork(STREAM_PROBE + term);
         let mut codec_rng = rng.fork(STREAM_CODEC + term);
         let incarnation = state.clone();
-        let outcome = {
-            let t = &mut *transport;
-            let plane = &plane;
-            std::thread::scope(|scope| {
-                scope
-                    .spawn(move || {
-                        controller_loop(
-                            config,
-                            t,
-                            plane,
-                            store,
-                            incarnation,
-                            &mut probe_rng,
-                            &mut codec_rng,
-                            crash_at,
-                            abort_at,
-                        )
-                    })
-                    .join()
-            })
-        };
-        let result = match outcome {
-            Ok(r) => r,
-            // A genuine (unplanned) controller panic is a harness bug, not
-            // an injected fault; surface it.
-            Err(payload) => std::panic::resume_unwind(payload),
-        };
-        match result {
-            LoopExit::Done(done) => {
-                recovery.checkpoints_written = done.checkpoints_written;
-                return Supervised::Done(done, recovery);
-            }
-            LoopExit::Killed => {
-                return Supervised::Killed {
-                    recovery,
-                    next_term: term + 1,
-                };
-            }
-            LoopExit::Crashed => {
+        let t = &mut *transport;
+        let plane_ref = &plane;
+        let exit = std::thread::scope(|scope| {
+            scope
+                .spawn(move || {
+                    controller_loop(
+                        config,
+                        t,
+                        plane_ref,
+                        store,
+                        incarnation,
+                        &mut probe_rng,
+                        &mut codec_rng,
+                        crash_at,
+                        abort_at,
+                    )
+                })
+                .join()
+                // A genuine (unplanned) controller panic is a harness bug,
+                // not an injected fault; surface it.
+                .unwrap_or_else(|payload| std::panic::resume_unwind(payload))
+        });
+        lineage.term += 1;
+        match exit {
+            Ok(done) => return Some(done),
+            Err(Death::Killed) => return None,
+            Err(Death::Crashed) => {
                 // The controller died. The standby must not seize the round
                 // until the lease expires — a live-but-slow incumbent may
                 // still hold it — then it replays from the last checkpoint.
@@ -909,86 +794,15 @@ pub(crate) fn supervise<T: Transport + ?Sized>(
                     }
                     std::thread::sleep(Duration::from_micros(lease - since));
                 }
-                let recovered = lock(&plane.slot)
+                state = lock(&plane.slot)
                     .clone()
                     .expect("standby slot is seeded before the first incarnation");
-                recovery.controller_failovers += 1;
-                recovery.failover_rounds_lost += crash_at
-                    .unwrap_or(recovered.round)
-                    .saturating_sub(recovered.round);
-                transport.advance_round(recovered.round);
-                state = recovered;
-                term += 1;
+                lineage.controller_failovers += 1;
+                lineage.failover_rounds_lost +=
+                    crash_at.unwrap_or(state.round).saturating_sub(state.round);
+                transport.advance_round(state.round);
             }
         }
-    }
-}
-
-/// Fused mean of the contributing gradients: `out[i] = Σ g[i] / m` over the
-/// `Some` entries, in slot order. Bit-identical to zero-padding the `None`s
-/// and computing a uniformly weighted average (per-element accumulation
-/// starts at 0 and adds contributions in the same order; chunking splits
-/// only *across* elements, never within one element's sum), which is what
-/// the naive controller did.
-///
-/// Wide tensors are split across cores with scoped threads; below
-/// [`PAR_MIN_ELEMS_PER_THREAD`] elements per core — or on a single-core
-/// host — the reduction runs sequentially, with the identical result.
-pub(crate) fn reduce_contributions_into(
-    out: &mut Tensor,
-    contributions: &[Option<Tensor>],
-    m: f32,
-) {
-    let threads = parallelism_for(out.len());
-    reduce_contributions_with(out, contributions, m, threads);
-}
-
-/// Minimum elements each reduction thread must own before fan-out pays for
-/// itself; below this the scoped-thread setup dwarfs the arithmetic.
-const PAR_MIN_ELEMS_PER_THREAD: usize = 4096;
-
-fn parallelism_for(len: usize) -> usize {
-    let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-    cores.min(len / PAR_MIN_ELEMS_PER_THREAD).max(1)
-}
-
-/// [`reduce_contributions_into`] with an explicit thread count (tests force
-/// the parallel path on small tensors to prove it matches the sequential
-/// one bit-for-bit).
-pub(crate) fn reduce_contributions_with(
-    out: &mut Tensor,
-    contributions: &[Option<Tensor>],
-    m: f32,
-    threads: usize,
-) {
-    let inv = 1.0 / m;
-    let inputs: Vec<&Tensor> = contributions.iter().flatten().collect();
-    let out = out.as_mut_slice();
-    if threads <= 1 || out.is_empty() {
-        reduce_segment(out, &inputs, 0, inv);
-        return;
-    }
-    let chunk = out.len().div_ceil(threads);
-    std::thread::scope(|scope| {
-        for (idx, piece) in out.chunks_mut(chunk).enumerate() {
-            let inputs = &inputs;
-            scope.spawn(move || reduce_segment(piece, inputs, idx * chunk, inv));
-        }
-    });
-}
-
-/// Sequential fused kernel over one element range: zero, accumulate each
-/// input's matching segment in order, scale once.
-fn reduce_segment(out: &mut [f32], inputs: &[&Tensor], offset: usize, inv: f32) {
-    out.fill(0.0);
-    for t in inputs {
-        let src = &t.as_slice()[offset..offset + out.len()];
-        for (o, s) in out.iter_mut().zip(src) {
-            *o += s;
-        }
-    }
-    for o in out.iter_mut() {
-        *o *= inv;
     }
 }
 
@@ -1005,21 +819,22 @@ mod tests {
             participation_sum: 12.75,
             rounds_degraded: 3,
             deadline_overshoot_us: 417,
-            net: NetCounters {
+            // Every tally distinct, so a field landing in a neighbour's
+            // slot cannot go unnoticed.
+            counters: Counters {
                 messages_dropped: 7,
                 probe_retries: 2,
                 partition_rounds: 1,
-            },
-            data: DatapathCounters {
-                allocs: 11,
+                controller_failovers: 5,
+                failover_rounds_lost: 9,
+                ps_failovers: 6,
+                checkpoints_written: 4,
+                datapath_allocs: 11,
                 bytes_on_wire: 4096,
                 bytes_saved: 2048,
                 codec_error_l2: 0.625,
-            },
-            checkpoints_written: 4,
-            churn: ChurnCounters {
-                workers_joined: 2,
-                workers_retired: 1,
+                workers_joined: 8,
+                workers_retired: 10,
                 regroup_events: 3,
                 ps_keys_rebalanced: 12,
                 snapshot_bytes_streamed: 144,
@@ -1034,17 +849,7 @@ mod tests {
         assert_eq!(back.participation_sum, 12.75);
         assert_eq!(back.rounds_degraded, 3);
         assert_eq!(back.deadline_overshoot_us, 417);
-        assert_eq!(back.net.messages_dropped, 7);
-        assert_eq!(back.data.allocs, 11);
-        assert_eq!(back.data.bytes_on_wire, 4096);
-        assert_eq!(back.data.bytes_saved, 2048);
-        assert_eq!(back.data.codec_error_l2, 0.625);
-        assert_eq!(back.checkpoints_written, 4);
-        assert_eq!(back.churn.workers_joined, 2);
-        assert_eq!(back.churn.workers_retired, 1);
-        assert_eq!(back.churn.regroup_events, 3);
-        assert_eq!(back.churn.ps_keys_rebalanced, 12);
-        assert_eq!(back.churn.snapshot_bytes_streamed, 144);
+        assert_eq!(back.counters, ck.counters);
         // Truncations and trailing garbage are rejected, never panics.
         for cut in 0..payload.len() {
             assert!(
@@ -1055,6 +860,105 @@ mod tests {
         let mut padded = payload.clone();
         padded.push(0);
         assert!(decode_ctrl_checkpoint(&padded).is_none());
+    }
+
+    /// A [`Transport`] whose every worker always has a gradient ready: the
+    /// controller runs its rounds back to back, so every per-round tally is
+    /// an exact function of the rounds that survive in the lineage.
+    struct ScriptedTransport {
+        start: Instant,
+        len: usize,
+        /// Every round counter the controller published, roll-backs included.
+        published: Vec<u64>,
+    }
+
+    impl Transport for ScriptedTransport {
+        fn now_us(&self) -> u64 {
+            u64::try_from(self.start.elapsed().as_micros()).unwrap_or(u64::MAX)
+        }
+        fn is_dead(&self, _w: usize) -> bool {
+            false
+        }
+        fn live_view(&self) -> Vec<bool> {
+            vec![true; 2]
+        }
+        fn heartbeat_us(&self, _w: usize) -> u64 {
+            self.now_us()
+        }
+        fn cache_ready(&self, _w: usize) -> bool {
+            true
+        }
+        fn drain(&mut self, _w: usize, _round: u64, pool: &mut TensorPool) -> Option<Tensor> {
+            Some(pool.acquire(self.len))
+        }
+        fn purge(&mut self, _w: usize, _staleness_bound: usize) {}
+        fn push_params(
+            &mut self,
+            _w: usize,
+            _r: u64,
+            _s: &Arc<Tensor>,
+            _p: &mut TensorPool,
+        ) -> bool {
+            true
+        }
+        fn advance_round(&mut self, k: u64) {
+            self.published.push(k);
+        }
+        fn wait_ready(&mut self, _timeout: Duration) {}
+        fn drain_ready(&mut self) {}
+    }
+
+    #[test]
+    fn failover_tallies_survive_the_rollback_that_checkpointed_tallies_take() {
+        use rna_core::fault::{FaultPlan, ToleranceConfig};
+        let len = 5;
+        let mut config = ThreadedConfig::quick(2, SyncMode::Rna)
+            .with_tolerance(ToleranceConfig::tight())
+            .with_checkpoint_every(4)
+            // Term 0 dies at round 6 (last cut: 4), term 1 at round 11
+            // (last cut: 8); term 2 finishes.
+            .with_fault_plan(FaultPlan::none().crash_controller(6).crash_controller(11));
+        config.rounds = 12;
+        let mut transport = ScriptedTransport {
+            start: Instant::now(),
+            len,
+            published: Vec::new(),
+        };
+        let mut lineage = Lineage::default();
+        let done = supervise(
+            &config,
+            &mut transport,
+            &mut SimRng::seed(3),
+            CtrlCheckpoint::initial(Tensor::zeros(len)),
+            None,
+            None,
+            &mut lineage,
+        )
+        .expect("no abort round was scheduled");
+        // The standby really rolled the round counter back, twice.
+        let rollbacks: Vec<u64> = transport
+            .published
+            .windows(2)
+            .filter(|w| w[1] < w[0])
+            .map(|w| w[1])
+            .collect();
+        assert_eq!(rollbacks, [4, 8]);
+        // Outside the checkpoint: both failovers and every redone round
+        // (6−4, 11−8) are still on the books after two restores...
+        assert_eq!(lineage.term, 3);
+        assert_eq!(lineage.controller_failovers, 2);
+        assert_eq!(lineage.failover_rounds_lost, 2 + 3);
+        // ...and never leaked into the state a restore overwrites.
+        assert_eq!(done.counters.controller_failovers, 0);
+        assert_eq!(done.counters.failover_rounds_lost, 0);
+        // Inside the checkpoint: the tallies of the five redone rounds died
+        // with their incarnations, so the surviving lineage counts each of
+        // the 12 rounds exactly once (17 were executed).
+        assert_eq!(done.round, 12);
+        let frame = Compression::Lossless.frame_bytes(len);
+        assert_eq!(done.counters.bytes_on_wire, 12 * 2 * frame);
+        assert_eq!(done.participation_sum, 12.0);
+        assert_eq!(done.counters.checkpoints_written, 3, "cuts at 4, 8 and 12");
     }
 
     #[test]
@@ -1096,9 +1000,10 @@ mod tests {
     fn fused_reduce_matches_null_padded_weighted_average_bit_exactly() {
         use rna_tensor::reduce::weighted_average;
         // The naive controller materialized a zero tensor per absent
-        // contribution and ran a 1/0-weighted average; the fused kernel
-        // skips the nulls. The two must agree to the last bit, including
-        // on lengths that leave an unrolled-loop remainder.
+        // contribution and ran a 1/0-weighted average; the fused kernel the
+        // controller calls skips the nulls. The two must agree to the last
+        // bit, including on lengths that leave an unrolled-loop remainder.
+        let mut pool = TensorPool::new();
         for len in [1usize, 7, 8, 19, 64] {
             let contributions: Vec<Option<Tensor>> = (0..5)
                 .map(|i| {
@@ -1109,9 +1014,8 @@ mod tests {
                     })
                 })
                 .collect();
-            let m = contributions.iter().flatten().count() as f32;
             let null = Tensor::zeros(len);
-            let refs: Vec<&Tensor> = contributions
+            let padded: Vec<&Tensor> = contributions
                 .iter()
                 .map(|c| c.as_ref().unwrap_or(&null))
                 .collect();
@@ -1119,21 +1023,12 @@ mod tests {
                 .iter()
                 .map(|c| if c.is_some() { 1.0 } else { 0.0 })
                 .collect();
-            let expected = weighted_average(&refs, &weights).unwrap();
-            let mut fused = Tensor::zeros(len);
-            reduce_contributions_into(&mut fused, &contributions, m);
-            assert_eq!(fused.as_slice(), expected.as_slice(), "len={len}");
-            // Forcing the chunk-parallel path on a small tensor must not
-            // change a single bit either: the split is across elements.
-            for threads in [2usize, 3, 5] {
-                let mut parallel = Tensor::zeros(len);
-                reduce_contributions_with(&mut parallel, &contributions, m, threads);
-                assert_eq!(
-                    parallel.as_slice(),
-                    expected.as_slice(),
-                    "len={len} threads={threads}"
-                );
-            }
+            let expected = weighted_average(&padded, &weights).unwrap();
+            let refs: Vec<Option<&Tensor>> = contributions.iter().map(Option::as_ref).collect();
+            let fused = partial_allreduce_pooled(&refs, &mut pool).expect("four contribute");
+            assert_eq!(fused.num_contributors, 4);
+            assert_eq!(fused.reduced.as_slice(), expected.as_slice(), "len={len}");
+            pool.release(fused.reduced);
         }
     }
 }

@@ -476,19 +476,7 @@ pub fn encode_with_feedback(
     scratch: &mut Vec<u8>,
     draw: &mut impl FnMut() -> u32,
 ) -> (u64, f64) {
-    assert_eq!(
-        residual.len(),
-        grad.len(),
-        "error-feedback residual length mismatch"
-    );
-    grad.add_assign(residual); // compensated
-    codec.encode(grad, scratch, draw);
-    residual.copy_from(grad); // residual := compensated (for now)
-    codec
-        .decode(scratch, grad) // grad := wire value
-        .expect("self-produced frame must decode");
-    residual.sub_assign(grad); // residual := compensated − wire
-    (scratch.len() as u64, f64::from(residual.norm_l2()))
+    encode_with_feedback_mt(codec, grad, residual, scratch, draw, 1)
 }
 
 /// Minimum elements each wire-codec thread must own before chunk-parallel
@@ -715,26 +703,16 @@ pub fn encode_with_feedback_mt(
     draw: &mut impl FnMut() -> u32,
     threads: usize,
 ) -> (u64, f64) {
-    assert_eq!(
-        residual.len(),
-        grad.len(),
-        "error-feedback residual length mismatch"
-    );
-    grad.add_assign(residual); // compensated
-    codec.encode_slice_mt(grad.as_slice(), scratch, draw, threads);
-    residual.copy_from(grad); // residual := compensated (for now)
-    codec
-        .decode_slice_mt(scratch, grad.as_mut_slice(), threads) // grad := wire value
-        .expect("self-produced frame must decode");
-    residual.sub_assign(grad); // residual := compensated − wire
-    (scratch.len() as u64, f64::from(residual.norm_l2()))
+    scratch.clear();
+    encode_with_feedback_append(codec, grad, residual, scratch, draw, threads)
 }
 
-/// [`encode_with_feedback_mt`] in append mode: the codec frame is laid down
-/// at `out`'s current end — directly behind whatever transport header the
-/// caller already wrote — instead of into a dedicated scratch buffer. This
-/// is the worker-side wire path: one buffer holds the whole outgoing
-/// message, so framing costs zero intermediate copies.
+/// [`encode_with_feedback_mt`] in append mode — the one body of the
+/// recurrence, which the other two entry points call: the codec frame is
+/// laid down at `out`'s current end — directly behind whatever transport
+/// header the caller already wrote — instead of into a dedicated scratch
+/// buffer. This is the worker-side wire path: one buffer holds the whole
+/// outgoing message, so framing costs zero intermediate copies.
 ///
 /// On return `grad` holds the decoded (wire) gradient, `residual` the
 /// updated carry, and `out` has grown by exactly the returned frame length.

@@ -3,9 +3,10 @@
 //! The vendored `serde` stubs are no-ops in this offline build, so durable
 //! formats are hand-rolled. This module provides the primitive writers and
 //! readers every checkpoint codec shares: fixed-width little-endian integers,
-//! `f32`/`f64` bit patterns, and length-prefixed [`Tensor`] payloads. Readers
-//! never panic on malformed input — they return `None` so callers can surface
-//! a typed corruption error instead.
+//! `f32`/`f64` bit patterns, one-byte booleans and `Option` tags, and
+//! length-prefixed [`Tensor`] payloads. Readers never panic on malformed
+//! input — they return `None` so callers can surface a typed corruption error
+//! instead — which lets a decoder be written as one `?` chain.
 
 use crate::Tensor;
 
@@ -27,6 +28,29 @@ pub fn put_f32(out: &mut Vec<u8>, v: f32) {
 /// Appends an `f64` as its little-endian IEEE-754 bit pattern.
 pub fn put_f64(out: &mut Vec<u8>, v: f64) {
     out.extend_from_slice(&v.to_bits().to_le_bytes());
+}
+
+/// Appends a boolean as one byte, `0` or `1`.
+pub fn put_bool(out: &mut Vec<u8>, v: bool) {
+    out.push(u8::from(v));
+}
+
+/// Appends an optional `u64`: a presence byte ([`put_bool`]), then the value
+/// when present.
+pub fn put_opt_u64(out: &mut Vec<u8>, v: Option<u64>) {
+    put_bool(out, v.is_some());
+    if let Some(v) = v {
+        put_u64(out, v);
+    }
+}
+
+/// Appends an optional tensor: a presence byte ([`put_bool`]), then the
+/// [`put_tensor`] payload when present.
+pub fn put_opt_tensor(out: &mut Vec<u8>, t: Option<&Tensor>) {
+    put_bool(out, t.is_some());
+    if let Some(t) = t {
+        put_tensor(out, t);
+    }
 }
 
 /// Appends a tensor as a `u64` length followed by raw `f32` bit patterns.
@@ -101,6 +125,36 @@ impl<'a> Reader<'a> {
     /// Reads an `f64` bit pattern, or `None` if the input is truncated.
     pub fn f64(&mut self) -> Option<f64> {
         self.u64().map(f64::from_bits)
+    }
+
+    /// Reads a one-byte boolean written by [`put_bool`]; `None` on
+    /// truncation or any byte other than `0`/`1`.
+    pub fn bool(&mut self) -> Option<bool> {
+        match self.take(1)?[0] {
+            0 => Some(false),
+            1 => Some(true),
+            _ => None,
+        }
+    }
+
+    /// Reads an optional `u64` written by [`put_opt_u64`]. The outer
+    /// `Option` is the decode verdict, the inner one the value.
+    pub fn opt_u64(&mut self) -> Option<Option<u64>> {
+        Some(if self.bool()? {
+            Some(self.u64()?)
+        } else {
+            None
+        })
+    }
+
+    /// Reads an optional tensor written by [`put_opt_tensor`]. The outer
+    /// `Option` is the decode verdict, the inner one the value.
+    pub fn opt_tensor(&mut self) -> Option<Option<Tensor>> {
+        Some(if self.bool()? {
+            Some(self.tensor()?)
+        } else {
+            None
+        })
     }
 
     /// Borrows the next `n` bytes verbatim, or `None` if fewer remain.
@@ -180,6 +234,46 @@ mod tests {
         let mut buf = Vec::new();
         put_u64(&mut buf, u64::MAX); // claims ~2^64 elements
         assert!(Reader::new(&buf).tensor().is_none());
+    }
+
+    #[test]
+    fn bool_and_option_fields_roundtrip_and_reject_bad_tags_and_truncation() {
+        let t = Tensor::filled(4, 1.5);
+        let mut buf = Vec::new();
+        put_bool(&mut buf, true);
+        put_bool(&mut buf, false);
+        put_opt_u64(&mut buf, None);
+        put_opt_tensor(&mut buf, None);
+        let values = buf.len();
+        put_opt_u64(&mut buf, Some(u64::MAX));
+        put_opt_tensor(&mut buf, Some(&t));
+        let mut r = Reader::new(&buf);
+        assert_eq!(r.bool(), Some(true));
+        assert_eq!(r.bool(), Some(false));
+        assert_eq!(r.opt_u64(), Some(None));
+        assert_eq!(r.opt_tensor(), Some(None));
+        assert_eq!(r.opt_u64(), Some(Some(u64::MAX)));
+        assert_eq!(r.opt_tensor(), Some(Some(t)));
+        assert_eq!(r.remaining(), 0);
+        // Every strict prefix of the two present values fails one of them.
+        for cut in values..buf.len() {
+            let mut r = Reader::new(&buf[values..cut]);
+            assert!(
+                r.opt_u64().and_then(|_| r.opt_tensor()).is_none(),
+                "cut={cut}"
+            );
+        }
+        // A tag other than 0/1 is corruption for all three readers, even
+        // with a well-formed value behind it; and a present tensor claiming
+        // ~2^64 elements is rejected before any buffer is sized by it.
+        let mut tagged = vec![2u8];
+        put_u64(&mut tagged, 7);
+        assert_eq!(Reader::new(&tagged).bool(), None);
+        assert_eq!(Reader::new(&tagged).opt_u64(), None);
+        assert_eq!(Reader::new(&tagged).opt_tensor(), None);
+        let mut absurd = vec![1u8];
+        put_u64(&mut absurd, u64::MAX);
+        assert_eq!(Reader::new(&absurd).opt_tensor(), None);
     }
 
     #[test]
