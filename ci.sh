@@ -19,6 +19,28 @@ cargo test -q
 echo "==> perf package tests (--release, offline)"
 cargo test --release --offline --manifest-path perf/Cargo.toml
 
+# Benchmark smoke: the pipeline's own entry point on the workload that runs
+# the training kernels and the one that runs none of them. The last stdout
+# line is the result; anything but a correct run with zero failed operations
+# (a broken replay check, a public-API break, a hang) fails here instead of
+# in the benchmark pipeline. The builds refresh perf/Cargo.lock, which is
+# frozen between [benchmark] PRs, so it is restored either way.
+echo "==> benchmark smoke (des-mlp64k, hop-64k; watchdogged)"
+smoke_failed=""
+for workload in des-mlp64k hop-64k; do
+  last="$(timeout 300 bash perf/run.sh --workload "${workload}" --seed 1 \
+    --seconds 2 --trace 0 | tail -n 1)" || last=""
+  if [[ "${last}" != *'"correct": true'* || "${last}" != *'"failed": 0,'* ]]; then
+    echo "    ${workload}: ${last:-no result line}" >&2
+    smoke_failed="${smoke_failed} ${workload}"
+  fi
+done
+git checkout -q -- perf/Cargo.lock 2>/dev/null || true
+if [[ -n "${smoke_failed}" ]]; then
+  echo "benchmark smoke failed:${smoke_failed}" >&2
+  exit 1
+fi
+
 # stress <label> <cargo-test-args...>: one release-mode test selection under
 # each of three seeds (RNA_CHAOS_SEED reseeds the scenario without
 # recompiling). Each pass runs under a watchdog so a protocol deadlock fails

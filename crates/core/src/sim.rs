@@ -923,9 +923,9 @@ fn evaluate<M>(s: &mut SimState<M>) {
     s.eval_scratch.scale(1.0 / s.models.len() as f32);
     s.eval_model.set_params(&s.eval_scratch);
     let batch = s.eval_ds.full_batch();
-    let loss = f64::from(s.eval_model.loss(&batch));
-    let acc = f64::from(s.eval_model.accuracy(&batch));
-    s.last_top5 = f64::from(s.eval_model.top_k_accuracy(&batch, 5));
+    let eval = s.eval_model.evaluate(&batch);
+    let (loss, acc) = (f64::from(eval.loss), f64::from(eval.top1));
+    s.last_top5 = f64::from(eval.top5);
     s.history
         .record(s.clock.as_secs_f64(), s.global_round, loss, acc);
     if let Some(target) = s.spec.target_loss {

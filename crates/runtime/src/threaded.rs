@@ -927,7 +927,7 @@ pub(crate) fn finish(
     let wall = start.elapsed();
     let mut model = template;
     model.set_params(&final_state.master);
-    let batch = dataset.full_batch();
+    let eval = model.evaluate(&dataset.full_batch());
     let (worker_iterations, mut worker_fates): (Vec<u64>, Vec<WorkerFate>) =
         workers.into_iter().unzip();
     // The controller is authoritative for planned departures: a retiree
@@ -954,8 +954,8 @@ pub(crate) fn finish(
         rounds_degraded: final_state.rounds_degraded,
         deadline_overshoot_us: final_state.deadline_overshoot_us,
         wall,
-        final_loss: model.loss(&batch),
-        final_accuracy: model.accuracy(&batch),
+        final_loss: eval.loss,
+        final_accuracy: eval.top1,
         worker_iterations,
         // Rounds redone after a failover died with their incarnation's
         // tallies, so the surviving lineage counts every round exactly once.

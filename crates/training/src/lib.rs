@@ -28,6 +28,7 @@
 #![forbid(unsafe_code)]
 
 pub mod dataset;
+mod dense;
 pub mod loss;
 pub mod metrics;
 pub mod model;
@@ -35,5 +36,5 @@ pub mod optimizer;
 
 pub use dataset::{Batch, BatchSampler, Dataset};
 pub use metrics::{EarlyStopping, History, HistoryPoint};
-pub use model::Model;
+pub use model::{Eval, Model};
 pub use optimizer::{LrSchedule, Sgd};

@@ -1,5 +1,19 @@
 //! Loss primitives shared by the models: numerically stable softmax
-//! cross-entropy and mean-squared error.
+//! cross-entropy, mean-squared error, and the per-sample scoring every
+//! evaluation runs on.
+
+/// Numerically stable softmax of `logits` (log-sum-exp trick), written into
+/// `probs`.
+fn softmax_into(logits: &[f32], probs: &mut Vec<f32>) {
+    assert!(!logits.is_empty(), "softmax of empty logits");
+    let max = logits.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
+    probs.clear();
+    probs.extend(logits.iter().map(|&l| (l - max).exp()));
+    let sum: f32 = probs.iter().sum();
+    for p in probs {
+        *p /= sum;
+    }
+}
 
 /// Numerically stable softmax of `logits` (log-sum-exp trick).
 ///
@@ -14,11 +28,16 @@
 /// assert!((p[0] - 0.5).abs() < 1e-6);
 /// ```
 pub fn softmax(logits: &[f32]) -> Vec<f32> {
-    assert!(!logits.is_empty(), "softmax of empty logits");
-    let max = logits.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
-    let exps: Vec<f32> = logits.iter().map(|&l| (l - max).exp()).collect();
-    let sum: f32 = exps.iter().sum();
-    exps.into_iter().map(|e| e / sum).collect()
+    let mut probs = Vec::with_capacity(logits.len());
+    softmax_into(logits, &mut probs);
+    probs
+}
+
+/// `-ln p` with `p` clamped away from zero for stability. A NaN probability
+/// (a diverged replica) stays NaN instead of being clamped into a finite
+/// loss.
+fn neg_log(p: f32) -> f32 {
+    -(if p < 1e-12 { 1e-12 } else { p }).ln()
 }
 
 /// Cross-entropy loss `-log p[label]` with probabilities clamped away from
@@ -29,7 +48,21 @@ pub fn softmax(logits: &[f32]) -> Vec<f32> {
 /// Panics if `label` is out of range.
 pub fn cross_entropy(probs: &[f32], label: usize) -> f32 {
     assert!(label < probs.len(), "label out of range");
-    -probs[label].max(1e-12).ln()
+    neg_log(probs[label])
+}
+
+/// Softmax cross-entropy and its gradient with respect to the logits,
+/// written into `dlogits` (`p - onehot(label)`, reusing its buffer); returns
+/// the loss.
+///
+/// # Panics
+///
+/// Panics if `logits` is empty or `label` is out of range.
+pub fn softmax_xent_grad_into(logits: &[f32], label: usize, dlogits: &mut Vec<f32>) -> f32 {
+    softmax_into(logits, dlogits);
+    let loss = cross_entropy(dlogits, label);
+    dlogits[label] -= 1.0;
+    loss
 }
 
 /// Softmax cross-entropy and its gradient with respect to the logits:
@@ -39,10 +72,42 @@ pub fn cross_entropy(probs: &[f32], label: usize) -> f32 {
 ///
 /// Panics if `logits` is empty or `label` is out of range.
 pub fn softmax_xent_grad(logits: &[f32], label: usize) -> (f32, Vec<f32>) {
-    let mut probs = softmax(logits);
-    let loss = cross_entropy(&probs, label);
-    probs[label] -= 1.0;
-    (loss, probs)
+    let mut dlogits = Vec::with_capacity(logits.len());
+    let loss = softmax_xent_grad_into(logits, label, &mut dlogits);
+    (loss, dlogits)
+}
+
+/// Running totals of one evaluation pass: summed loss and the samples
+/// counted correct under the top-1 and top-`k` rules.
+#[derive(Debug, Default)]
+pub(crate) struct Tally {
+    pub(crate) loss: f32,
+    pub(crate) top1: usize,
+    pub(crate) top_k: usize,
+}
+
+impl Tally {
+    /// Scores one sample from its logits alone — no probabilities stored, no
+    /// sort, no allocation. The loss is [`softmax_xent_grad`]'s to the bit.
+    ///
+    /// Ranks are counts over the logits. Top-1: the label wins if no class
+    /// scores higher and no *later* class ties it (`max_by` keeps the last
+    /// maximum). Top-`k`: the label's position is the classes scoring higher
+    /// plus the *earlier* classes tying it (a stable descending sort keeps
+    /// index order among ties). A non-finite label score is wrong under
+    /// both; its loss is NaN and nothing panics.
+    pub(crate) fn score(&mut self, logits: &[f32], label: usize, k: usize) {
+        let own = logits[label];
+        let max = logits.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
+        let sum: f32 = logits.iter().map(|&l| (l - max).exp()).sum();
+        self.loss += neg_log((own - max).exp() / sum);
+        if own.is_finite() {
+            let ties = |side: &[f32]| side.iter().filter(|&&l| l == own).count();
+            let above = logits.iter().filter(|&&l| l > own).count();
+            self.top1 += usize::from(above + ties(&logits[label + 1..]) == 0);
+            self.top_k += usize::from(above + ties(&logits[..label]) < k);
+        }
+    }
 }
 
 /// Squared error `0.5 (pred - target)²` and its gradient `pred - target`.

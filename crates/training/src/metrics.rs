@@ -69,12 +69,9 @@ impl History {
         self.points.is_empty()
     }
 
-    /// The minimum loss seen.
+    /// The minimum loss seen (a diverged replica's NaN loss is skipped).
     pub fn best_loss(&self) -> Option<f64> {
-        self.points
-            .iter()
-            .map(|p| p.loss)
-            .min_by(|a, b| a.partial_cmp(b).expect("NaN loss"))
+        self.points.iter().map(|p| p.loss).reduce(f64::min)
     }
 
     /// The last recorded loss.
@@ -89,10 +86,7 @@ impl History {
 
     /// The maximum accuracy seen.
     pub fn best_accuracy(&self) -> Option<f64> {
-        self.points
-            .iter()
-            .map(|p| p.accuracy)
-            .max_by(|a, b| a.partial_cmp(b).expect("NaN accuracy"))
+        self.points.iter().map(|p| p.accuracy).reduce(f64::max)
     }
 
     /// The first virtual time at which loss dropped to `target` or below —
@@ -131,7 +125,7 @@ impl History {
             .iter()
             .filter(|p| p.time_s <= cutoff)
             .map(|p| p.loss)
-            .min_by(|a, b| a.partial_cmp(b).expect("NaN loss"))
+            .reduce(f64::min)
     }
 }
 
@@ -219,6 +213,20 @@ mod tests {
         assert_eq!(h.final_loss(), Some(1.5));
         assert_eq!(h.best_accuracy(), Some(0.7));
         assert_eq!(h.final_accuracy(), Some(0.6));
+    }
+
+    /// A diverged replica records a NaN loss; the summaries skip it instead
+    /// of panicking, and it never counts as reaching a target.
+    #[test]
+    fn nan_loss_is_skipped_by_the_summaries() {
+        let mut h = History::new();
+        h.record(0.0, 0, 2.0, 0.5);
+        h.record(1.0, 5, f64::NAN, 0.0);
+        assert_eq!(h.best_loss(), Some(2.0));
+        assert_eq!(h.loss_milestone(1.0), Some(2.0));
+        assert_eq!(h.best_accuracy(), Some(0.5));
+        assert_eq!(h.time_to_loss(10.0), Some(0.0));
+        assert!(h.final_loss().unwrap().is_nan());
     }
 
     #[test]

@@ -5,12 +5,32 @@
 //! gradients by backpropagation. Gradient correctness is verified against
 //! finite differences in the tests, so convergence results downstream are
 //! genuine optimization dynamics.
+//!
+//! Each classifier has exactly one forward pass ([`Model::forward`], built on
+//! the order-preserving kernel in `dense.rs`). Evaluation and training both
+//! run on it, out of per-thread scratch buffers, so neither allocates per
+//! sample and a loss read by [`Model::evaluate`] is the loss
+//! [`Model::loss_and_grad`] differentiates, to the bit.
+
+use std::cell::RefCell;
 
 use rna_simnet::SimRng;
 use rna_tensor::Tensor;
 
-use crate::dataset::Batch;
-use crate::loss::{mse_grad, softmax_xent_grad};
+use crate::dataset::{Batch, Dataset};
+use crate::dense::{add_bias, axpy, back, dot, matmat, outer_acc, LANES};
+use crate::loss::{mse_grad, softmax_xent_grad_into, Tally};
+
+/// What one pass over an evaluation batch reports.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Eval {
+    /// Mean loss over the batch.
+    pub loss: f32,
+    /// Classification accuracy (0.0 for regression models).
+    pub top1: f32,
+    /// Top-5 accuracy (0.0 for regression models).
+    pub top5: f32,
+}
 
 /// A supervised model trained by mini-batch SGD.
 ///
@@ -37,49 +57,51 @@ pub trait Model: Send {
     /// Mean loss over the batch and its gradient w.r.t. the parameters.
     fn loss_and_grad(&self, batch: &Batch<'_>) -> (f32, Tensor);
 
+    /// Runs one forward pass per sample, in batch order, handing `visit`
+    /// each sample's dataset index and per-class scores (logits). No
+    /// backward pass, no per-sample allocation. Regression models visit
+    /// nothing. `visit` must not call into a model: the scores live in the
+    /// thread's scratch, borrowed for the whole pass.
+    fn forward(&self, batch: &Batch<'_>, visit: &mut dyn FnMut(usize, &[f32]));
+
+    /// Mean loss, accuracy and top-5 accuracy from one forward pass per
+    /// sample. A diverged replica (NaN or infinite scores) reports a NaN
+    /// loss and counts its samples as wrong; it does not panic.
+    fn evaluate(&self, batch: &Batch<'_>) -> Eval {
+        evaluate_top_k(self, batch, 5)
+    }
+
     /// Mean loss over the batch.
     fn loss(&self, batch: &Batch<'_>) -> f32 {
-        self.loss_and_grad(batch).0
+        self.evaluate(batch).loss
     }
 
     /// Classification accuracy over the batch (0.0 for regression models).
-    fn accuracy(&self, batch: &Batch<'_>) -> f32;
+    /// The last of several maximal classes is the prediction.
+    fn accuracy(&self, batch: &Batch<'_>) -> f32 {
+        self.evaluate(batch).top1
+    }
 
     /// Per-class scores (logits) for sample `i` of the batch's dataset, or
     /// `None` for non-classification models.
     fn class_scores(&self, batch: &Batch<'_>, i: usize) -> Option<Vec<f32>> {
-        let _ = (batch, i);
-        None
+        let mut scores = None;
+        let one = batch.dataset().batch(vec![i]);
+        self.forward(&one, &mut |_, logits| scores = Some(logits.to_vec()));
+        scores
     }
 
     /// Top-`k` accuracy over the batch: the fraction of samples whose true
-    /// label is among the `k` highest-scoring classes (0.0 for regression
-    /// models or an empty batch). Table 4 of the paper reports top-1 and
-    /// top-5.
+    /// label is among the `k` highest-scoring classes, the lower index
+    /// winning a tie (0.0 for regression models or an empty batch). Table 4
+    /// of the paper reports top-1 and top-5.
     ///
     /// # Panics
     ///
     /// Panics if `k == 0`.
     fn top_k_accuracy(&self, batch: &Batch<'_>, k: usize) -> f32 {
         assert!(k > 0, "k must be at least one");
-        if batch.is_empty() {
-            return 0.0;
-        }
-        let ds = batch.dataset();
-        let mut correct = 0usize;
-        let mut scored = 0usize;
-        for &i in batch.indices() {
-            let Some(scores) = self.class_scores(batch, i) else {
-                return 0.0;
-            };
-            scored += 1;
-            let mut order: Vec<usize> = (0..scores.len()).collect();
-            order.sort_by(|&a, &b| scores[b].partial_cmp(&scores[a]).expect("NaN score"));
-            if order.iter().take(k).any(|&c| c == ds.label(i)) {
-                correct += 1;
-            }
-        }
-        correct as f32 / scored.max(1) as f32
+        evaluate_top_k(self, batch, k).top5
     }
 
     /// A boxed deep copy (replica for another worker).
@@ -92,8 +114,77 @@ impl Clone for Box<dyn Model> {
     }
 }
 
+/// [`Model::evaluate`] with the top-5 cut at `k` (`top5` holds top-`k`).
+fn evaluate_top_k<M: Model + ?Sized>(model: &M, batch: &Batch<'_>, k: usize) -> Eval {
+    let ds = batch.dataset();
+    let mut tally = Tally::default();
+    model.forward(batch, &mut |i, logits| tally.score(logits, ds.label(i), k));
+    let n = batch.len().max(1) as f32;
+    Eval {
+        loss: tally.loss / n,
+        top1: tally.top1 as f32 / n,
+        top5: tally.top_k as f32 / n,
+    }
+}
+
 fn init_params(n: usize, scale: f32, rng: &mut SimRng) -> Tensor {
     (0..n).map(|_| rng.uniform_init(scale)).collect()
+}
+
+/// Splits a flat parameter (or gradient) vector into consecutive layers of
+/// the given lengths; the last layer takes the rest.
+fn layers<const N: usize>(mut p: &[f32], lens: [usize; N]) -> ([&[f32]; N], &[f32]) {
+    let head = lens.map(|len| {
+        let (layer, rest) = p.split_at(len);
+        p = rest;
+        layer
+    });
+    (head, p)
+}
+
+/// [`layers`] over a mutable vector.
+fn layers_mut<const N: usize>(
+    mut g: &mut [f32],
+    lens: [usize; N],
+) -> ([&mut [f32]; N], &mut [f32]) {
+    let head = lens.map(|len| {
+        let (layer, rest) = std::mem::take(&mut g).split_at_mut(len);
+        g = rest;
+        layer
+    });
+    (head, g)
+}
+
+/// Buffers the forward and backward passes reuse from call to call. Each is
+/// resized where it is filled, so after the first pass of a given shape
+/// nothing here allocates.
+#[derive(Default)]
+struct Scratch {
+    /// `matmat`'s transposed input tile.
+    tile: Vec<f32>,
+    /// Hidden activations, one row per sample of a tile (per time step for
+    /// the RNN).
+    h: Vec<f32>,
+    /// The RNN's input term `Wx x_t` and recurrent term `Wh h_{t−1}`, one row
+    /// per sample of a tile each.
+    pre: Vec<f32>,
+    rec: Vec<f32>,
+    /// Class scores, one row per sample of a tile.
+    logits: Vec<f32>,
+    /// One sample's `dL/dlogits`.
+    dlogits: Vec<f32>,
+    /// One sample's gradient into the hidden layer.
+    dh: Vec<f32>,
+    /// The RNN's gradient into the previous time step.
+    dprev: Vec<f32>,
+}
+
+thread_local! {
+    /// One scratch per thread, not per model: a simulation holds one replica
+    /// per worker (10 000 of them in `des-scale10k`) and runs them one at a
+    /// time, so per-model buffers would be memory that is never used
+    /// concurrently.
+    static SCRATCH: RefCell<Scratch> = RefCell::default();
 }
 
 /// A linear softmax classifier (`logits = W x + b`) — convex, so every
@@ -135,15 +226,12 @@ impl SoftmaxClassifier {
         }
     }
 
-    fn logits(&self, x: &[f32]) -> Vec<f32> {
-        let p = self.params.as_slice();
-        (0..self.classes)
-            .map(|c| {
-                let row = &p[c * self.dim..(c + 1) * self.dim];
-                let b = p[self.classes * self.dim + c];
-                row.iter().zip(x).map(|(w, xi)| w * xi).sum::<f32>() + b
-            })
-            .collect()
+    /// Forward pass over one tile of samples: fills `s.logits`.
+    fn forward_tile(&self, ds: &Dataset, tile: &[usize], s: &mut Scratch) {
+        let ([w], b) = layers(self.params.as_slice(), [self.classes * self.dim]);
+        let inputs = tile.iter().map(|&i| ds.input(i));
+        matmat(w, self.dim, inputs, &mut s.tile, &mut s.logits);
+        add_bias(&mut s.logits, b);
     }
 }
 
@@ -169,48 +257,31 @@ impl Model for SoftmaxClassifier {
         let mut grad = Tensor::zeros(self.num_params());
         let mut total = 0.0f32;
         let ds = batch.dataset();
-        for &i in batch.indices() {
-            let x = ds.input(i);
-            let (loss, dlogits) = softmax_xent_grad(&self.logits(x), ds.label(i));
-            total += loss;
-            let g = grad.as_mut_slice();
-            for c in 0..self.classes {
-                let dc = dlogits[c];
-                for (d, &xi) in x.iter().enumerate() {
-                    g[c * self.dim + d] += dc * xi;
+        let ([g_w], g_b) = layers_mut(grad.as_mut_slice(), [self.classes * self.dim]);
+        SCRATCH.with_borrow_mut(|s| {
+            for tile in batch.indices().chunks(LANES) {
+                self.forward_tile(ds, tile, s);
+                for (&i, logits) in tile.iter().zip(s.logits.chunks_exact(self.classes)) {
+                    total += softmax_xent_grad_into(logits, ds.label(i), &mut s.dlogits);
+                    outer_acc(g_w, &s.dlogits, ds.input(i));
+                    axpy(g_b, 1.0, &s.dlogits);
                 }
-                g[self.classes * self.dim + c] += dc;
             }
-        }
+        });
         let n = batch.len().max(1) as f32;
         grad.scale(1.0 / n);
         (total / n, grad)
     }
 
-    fn accuracy(&self, batch: &Batch<'_>) -> f32 {
-        if batch.is_empty() {
-            return 0.0;
-        }
-        let ds = batch.dataset();
-        let correct = batch
-            .indices()
-            .iter()
-            .filter(|&&i| {
-                let logits = self.logits(ds.input(i));
-                let pred = logits
-                    .iter()
-                    .enumerate()
-                    .max_by(|a, b| a.1.partial_cmp(b.1).unwrap())
-                    .map(|(c, _)| c)
-                    .unwrap();
-                pred == ds.label(i)
-            })
-            .count();
-        correct as f32 / batch.len() as f32
-    }
-
-    fn class_scores(&self, batch: &Batch<'_>, i: usize) -> Option<Vec<f32>> {
-        Some(self.logits(batch.dataset().input(i)))
+    fn forward(&self, batch: &Batch<'_>, visit: &mut dyn FnMut(usize, &[f32])) {
+        SCRATCH.with_borrow_mut(|s| {
+            for tile in batch.indices().chunks(LANES) {
+                self.forward_tile(batch.dataset(), tile, s);
+                for (&i, logits) in tile.iter().zip(s.logits.chunks_exact(self.classes)) {
+                    visit(i, logits);
+                }
+            }
+        });
     }
 
     fn clone_model(&self) -> Box<dyn Model> {
@@ -247,36 +318,25 @@ impl Mlp {
         }
     }
 
-    // Parameter layout offsets.
-    fn off_b1(&self) -> usize {
-        self.hidden * self.dim
-    }
-    fn off_w2(&self) -> usize {
-        self.off_b1() + self.hidden
-    }
-    fn off_b2(&self) -> usize {
-        self.off_w2() + self.classes * self.hidden
+    /// Parameter layout: `W1`, `b1`, `W2`, then `b2` as the rest.
+    fn layout(&self) -> [usize; 3] {
+        [
+            self.hidden * self.dim,
+            self.hidden,
+            self.classes * self.hidden,
+        ]
     }
 
-    /// Forward pass: returns `(hidden_activations, logits)`.
-    fn forward(&self, x: &[f32]) -> (Vec<f32>, Vec<f32>) {
-        let p = self.params.as_slice();
-        let h: Vec<f32> = (0..self.hidden)
-            .map(|j| {
-                let row = &p[j * self.dim..(j + 1) * self.dim];
-                let pre =
-                    row.iter().zip(x).map(|(w, xi)| w * xi).sum::<f32>() + p[self.off_b1() + j];
-                pre.tanh()
-            })
-            .collect();
-        let logits: Vec<f32> = (0..self.classes)
-            .map(|c| {
-                let row =
-                    &p[self.off_w2() + c * self.hidden..self.off_w2() + (c + 1) * self.hidden];
-                row.iter().zip(&h).map(|(w, hj)| w * hj).sum::<f32>() + p[self.off_b2() + c]
-            })
-            .collect();
-        (h, logits)
+    /// Forward pass over one tile of samples: fills `s.h` and `s.logits`.
+    fn forward_tile(&self, ds: &Dataset, tile: &[usize], s: &mut Scratch) {
+        let ([w1, b1, w2], b2) = layers(self.params.as_slice(), self.layout());
+        let inputs = tile.iter().map(|&i| ds.input(i));
+        matmat(w1, self.dim, inputs, &mut s.tile, &mut s.h);
+        add_bias(&mut s.h, b1);
+        s.h.iter_mut().for_each(|pre| *pre = pre.tanh());
+        let activations = s.h.chunks_exact(self.hidden);
+        matmat(w2, self.hidden, activations, &mut s.tile, &mut s.logits);
+        add_bias(&mut s.logits, b2);
     }
 }
 
@@ -302,61 +362,45 @@ impl Model for Mlp {
         let mut grad = Tensor::zeros(self.num_params());
         let mut total = 0.0f32;
         let ds = batch.dataset();
-        let p = self.params.as_slice();
-        for &i in batch.indices() {
-            let x = ds.input(i);
-            let (h, logits) = self.forward(x);
-            let (loss, dlogits) = softmax_xent_grad(&logits, ds.label(i));
-            total += loss;
-            let g = grad.as_mut_slice();
-            // Output layer.
-            let mut dh = vec![0.0f32; self.hidden];
-            for c in 0..self.classes {
-                let dc = dlogits[c];
-                for j in 0..self.hidden {
-                    g[self.off_w2() + c * self.hidden + j] += dc * h[j];
-                    dh[j] += dc * p[self.off_w2() + c * self.hidden + j];
+        let ([_, _, w2], _) = layers(self.params.as_slice(), self.layout());
+        let ([g_w1, g_b1, g_w2], g_b2) = layers_mut(grad.as_mut_slice(), self.layout());
+        SCRATCH.with_borrow_mut(|s| {
+            for tile in batch.indices().chunks(LANES) {
+                self.forward_tile(ds, tile, s);
+                let rows = s.h.chunks_exact(self.hidden);
+                for ((&i, h), logits) in tile
+                    .iter()
+                    .zip(rows)
+                    .zip(s.logits.chunks_exact(self.classes))
+                {
+                    total += softmax_xent_grad_into(logits, ds.label(i), &mut s.dlogits);
+                    // Output layer.
+                    outer_acc(g_w2, &s.dlogits, h);
+                    axpy(g_b2, 1.0, &s.dlogits);
+                    back(&mut s.dh, &s.dlogits, w2);
+                    // Hidden layer (tanh' = 1 - h²).
+                    for (dpre, &hj) in s.dh.iter_mut().zip(h) {
+                        *dpre *= 1.0 - hj * hj;
+                    }
+                    outer_acc(g_w1, &s.dh, ds.input(i));
+                    axpy(g_b1, 1.0, &s.dh);
                 }
-                g[self.off_b2() + c] += dc;
             }
-            // Hidden layer (tanh' = 1 - h²).
-            for j in 0..self.hidden {
-                let dpre = dh[j] * (1.0 - h[j] * h[j]);
-                for (d, &xi) in x.iter().enumerate() {
-                    g[j * self.dim + d] += dpre * xi;
-                }
-                g[self.off_b1() + j] += dpre;
-            }
-        }
+        });
         let n = batch.len().max(1) as f32;
         grad.scale(1.0 / n);
         (total / n, grad)
     }
 
-    fn accuracy(&self, batch: &Batch<'_>) -> f32 {
-        if batch.is_empty() {
-            return 0.0;
-        }
-        let ds = batch.dataset();
-        let correct = batch
-            .indices()
-            .iter()
-            .filter(|&&i| {
-                let (_, logits) = self.forward(ds.input(i));
-                let pred = logits
-                    .iter()
-                    .enumerate()
-                    .max_by(|a, b| a.1.partial_cmp(b.1).unwrap())
-                    .map(|(c, _)| c)
-                    .unwrap();
-                pred == ds.label(i)
-            })
-            .count();
-        correct as f32 / batch.len() as f32
-    }
-
-    fn class_scores(&self, batch: &Batch<'_>, i: usize) -> Option<Vec<f32>> {
-        Some(self.forward(batch.dataset().input(i)).1)
+    fn forward(&self, batch: &Batch<'_>, visit: &mut dyn FnMut(usize, &[f32])) {
+        SCRATCH.with_borrow_mut(|s| {
+            for tile in batch.indices().chunks(LANES) {
+                self.forward_tile(batch.dataset(), tile, s);
+                for (&i, logits) in tile.iter().zip(s.logits.chunks_exact(self.classes)) {
+                    visit(i, logits);
+                }
+            }
+        });
     }
 
     fn clone_model(&self) -> Box<dyn Model> {
@@ -387,13 +431,8 @@ impl LinearRegression {
     }
 
     fn predict(&self, x: &[f32]) -> f32 {
-        let p = self.params.as_slice();
-        p[..self.dim]
-            .iter()
-            .zip(x)
-            .map(|(w, xi)| w * xi)
-            .sum::<f32>()
-            + p[self.dim]
+        let (w, b) = self.params.as_slice().split_at(self.dim);
+        dot(w, x) + b[0]
     }
 }
 
@@ -419,23 +458,32 @@ impl Model for LinearRegression {
         let mut grad = Tensor::zeros(self.num_params());
         let mut total = 0.0f32;
         let ds = batch.dataset();
+        let (g_w, g_b) = grad.as_mut_slice().split_at_mut(self.dim);
         for &i in batch.indices() {
             let x = ds.input(i);
             let (loss, dpred) = mse_grad(self.predict(x), ds.target(i));
             total += loss;
-            let g = grad.as_mut_slice();
-            for (d, &xi) in x.iter().enumerate() {
-                g[d] += dpred * xi;
-            }
-            g[self.dim] += dpred;
+            axpy(g_w, dpred, x);
+            g_b[0] += dpred;
         }
         let n = batch.len().max(1) as f32;
         grad.scale(1.0 / n);
         (total / n, grad)
     }
 
-    fn accuracy(&self, _batch: &Batch<'_>) -> f32 {
-        0.0
+    fn forward(&self, _batch: &Batch<'_>, _visit: &mut dyn FnMut(usize, &[f32])) {}
+
+    fn evaluate(&self, batch: &Batch<'_>) -> Eval {
+        let ds = batch.dataset();
+        let mut total = 0.0f32;
+        for &i in batch.indices() {
+            total += mse_grad(self.predict(ds.input(i)), ds.target(i)).0;
+        }
+        Eval {
+            loss: total / batch.len().max(1) as f32,
+            top1: 0.0,
+            top5: 0.0,
+        }
     }
 
     fn clone_model(&self) -> Box<dyn Model> {
@@ -479,50 +527,48 @@ impl ElmanRnn {
         }
     }
 
-    fn off_wh(&self) -> usize {
-        self.hidden * self.dim
-    }
-    fn off_bh(&self) -> usize {
-        self.off_wh() + self.hidden * self.hidden
-    }
-    fn off_wo(&self) -> usize {
-        self.off_bh() + self.hidden
-    }
-    fn off_bo(&self) -> usize {
-        self.off_wo() + self.classes * self.hidden
+    /// Parameter layout: `Wx`, `Wh`, `bh`, `Wo`, then `bo` as the rest.
+    fn layout(&self) -> [usize; 4] {
+        [
+            self.hidden * self.dim,
+            self.hidden * self.hidden,
+            self.hidden,
+            self.classes * self.hidden,
+        ]
     }
 
-    /// Unrolls the network over a sequence; returns hidden states per step
-    /// (index 0 is the initial zero state) and final logits.
-    fn forward(&self, seq: &[f32], len: usize) -> (Vec<Vec<f32>>, Vec<f32>) {
-        let p = self.params.as_slice();
-        let mut hs: Vec<Vec<f32>> = Vec::with_capacity(len + 1);
-        hs.push(vec![0.0; self.hidden]);
-        for t in 0..len {
-            let x = &seq[t * self.dim..(t + 1) * self.dim];
-            let prev = &hs[t];
-            let h: Vec<f32> = (0..self.hidden)
-                .map(|j| {
-                    let wx = &p[j * self.dim..(j + 1) * self.dim];
-                    let wh =
-                        &p[self.off_wh() + j * self.hidden..self.off_wh() + (j + 1) * self.hidden];
-                    let pre = wx.iter().zip(x).map(|(w, xi)| w * xi).sum::<f32>()
-                        + wh.iter().zip(prev).map(|(w, hi)| w * hi).sum::<f32>()
-                        + p[self.off_bh() + j];
-                    pre.tanh()
-                })
-                .collect();
-            hs.push(h);
+    /// Unrolls the network over one tile of samples, every lane stepped to
+    /// the tile's longest sequence (a sample past its end repeats its last
+    /// input; those states are never read). Fills `s.h` with one
+    /// `LANES × hidden` block of states per step (block 0 is the initial
+    /// zero state) and `s.logits` with each sample's scores after its own
+    /// last step.
+    fn forward_tile(&self, ds: &Dataset, tile: &[usize], s: &mut Scratch) {
+        let ([wx, wh, bh, wo], bo) = layers(self.params.as_slice(), self.layout());
+        let (dim, hidden) = (self.dim, self.hidden);
+        let block = LANES * hidden;
+        let steps = tile.iter().map(|&i| ds.seq_len(i)).max().unwrap_or(0);
+        s.h.clear();
+        s.h.resize((steps + 1) * block, 0.0);
+        for t in 0..steps {
+            let inputs = tile.iter().map(|&i| {
+                let t = t.min(ds.seq_len(i) - 1);
+                &ds.input(i)[t * dim..(t + 1) * dim]
+            });
+            matmat(wx, dim, inputs, &mut s.tile, &mut s.pre);
+            let prev = s.h[t * block..].chunks_exact(hidden).take(tile.len());
+            matmat(wh, hidden, prev, &mut s.tile, &mut s.rec);
+            let sums = s.pre.iter().zip(&s.rec).zip(bh.iter().cycle());
+            for (h, ((&pre, &rec), &b)) in s.h[(t + 1) * block..].iter_mut().zip(sums) {
+                *h = (pre + rec + b).tanh();
+            }
         }
-        let last = &hs[len];
-        let logits: Vec<f32> = (0..self.classes)
-            .map(|c| {
-                let row =
-                    &p[self.off_wo() + c * self.hidden..self.off_wo() + (c + 1) * self.hidden];
-                row.iter().zip(last).map(|(w, hj)| w * hj).sum::<f32>() + p[self.off_bo() + c]
-            })
-            .collect();
-        (hs, logits)
+        let last = tile
+            .iter()
+            .enumerate()
+            .map(|(lane, &i)| &s.h[ds.seq_len(i) * block + lane * hidden..][..hidden]);
+        matmat(wo, hidden, last, &mut s.tile, &mut s.logits);
+        add_bias(&mut s.logits, bo);
     }
 }
 
@@ -552,74 +598,51 @@ impl Model for ElmanRnn {
         let mut grad = Tensor::zeros(self.num_params());
         let mut total = 0.0f32;
         let ds = batch.dataset();
-        let p = self.params.as_slice();
-        for &i in batch.indices() {
-            let len = ds.seq_len(i);
-            let seq = ds.input(i);
-            let (hs, logits) = self.forward(seq, len);
-            let (loss, dlogits) = softmax_xent_grad(&logits, ds.label(i));
-            total += loss;
-            let g = grad.as_mut_slice();
-            // Output layer → gradient into the final hidden state.
-            let mut dh = vec![0.0f32; self.hidden];
-            for c in 0..self.classes {
-                let dc = dlogits[c];
-                for j in 0..self.hidden {
-                    g[self.off_wo() + c * self.hidden + j] += dc * hs[len][j];
-                    dh[j] += dc * p[self.off_wo() + c * self.hidden + j];
-                }
-                g[self.off_bo() + c] += dc;
-            }
-            // BPTT over all time steps.
-            for t in (0..len).rev() {
-                let x = &seq[t * self.dim..(t + 1) * self.dim];
-                let h = &hs[t + 1];
-                let prev = &hs[t];
-                let mut dprev = vec![0.0f32; self.hidden];
-                for j in 0..self.hidden {
-                    let dpre = dh[j] * (1.0 - h[j] * h[j]);
-                    for (d, &xi) in x.iter().enumerate() {
-                        g[j * self.dim + d] += dpre * xi;
+        let ([_, wh, _, wo], _) = layers(self.params.as_slice(), self.layout());
+        let ([g_wx, g_wh, g_bh, g_wo], g_bo) = layers_mut(grad.as_mut_slice(), self.layout());
+        SCRATCH.with_borrow_mut(|s| {
+            let (hidden, block) = (self.hidden, LANES * self.hidden);
+            for tile in batch.indices().chunks(LANES) {
+                self.forward_tile(ds, tile, s);
+                let scores = s.logits.chunks_exact(self.classes);
+                for ((lane, &i), logits) in tile.iter().enumerate().zip(scores) {
+                    total += softmax_xent_grad_into(logits, ds.label(i), &mut s.dlogits);
+                    // This sample's hidden state after step `t` (0: initial).
+                    let state = |t: usize| &s.h[t * block + lane * hidden..][..hidden];
+                    let len = ds.seq_len(i);
+                    // Output layer → gradient into the final hidden state.
+                    outer_acc(g_wo, &s.dlogits, state(len));
+                    axpy(g_bo, 1.0, &s.dlogits);
+                    back(&mut s.dh, &s.dlogits, wo);
+                    // BPTT over all time steps.
+                    let steps = ds.input(i).chunks_exact(self.dim).take(len);
+                    for (t, x) in steps.enumerate().rev() {
+                        for (dpre, &hj) in s.dh.iter_mut().zip(state(t + 1)) {
+                            *dpre *= 1.0 - hj * hj;
+                        }
+                        outer_acc(g_wx, &s.dh, x);
+                        outer_acc(g_wh, &s.dh, state(t));
+                        axpy(g_bh, 1.0, &s.dh);
+                        back(&mut s.dprev, &s.dh, wh);
+                        std::mem::swap(&mut s.dh, &mut s.dprev);
                     }
-                    for k in 0..self.hidden {
-                        g[self.off_wh() + j * self.hidden + k] += dpre * prev[k];
-                        dprev[k] += dpre * p[self.off_wh() + j * self.hidden + k];
-                    }
-                    g[self.off_bh() + j] += dpre;
                 }
-                dh = dprev;
             }
-        }
+        });
         let n = batch.len().max(1) as f32;
         grad.scale(1.0 / n);
         (total / n, grad)
     }
 
-    fn accuracy(&self, batch: &Batch<'_>) -> f32 {
-        if batch.is_empty() {
-            return 0.0;
-        }
-        let ds = batch.dataset();
-        let correct = batch
-            .indices()
-            .iter()
-            .filter(|&&i| {
-                let (_, logits) = self.forward(ds.input(i), ds.seq_len(i));
-                let pred = logits
-                    .iter()
-                    .enumerate()
-                    .max_by(|a, b| a.1.partial_cmp(b.1).unwrap())
-                    .map(|(c, _)| c)
-                    .unwrap();
-                pred == ds.label(i)
-            })
-            .count();
-        correct as f32 / batch.len() as f32
-    }
-
-    fn class_scores(&self, batch: &Batch<'_>, i: usize) -> Option<Vec<f32>> {
-        let ds = batch.dataset();
-        Some(self.forward(ds.input(i), ds.seq_len(i)).1)
+    fn forward(&self, batch: &Batch<'_>, visit: &mut dyn FnMut(usize, &[f32])) {
+        SCRATCH.with_borrow_mut(|s| {
+            for tile in batch.indices().chunks(LANES) {
+                self.forward_tile(batch.dataset(), tile, s);
+                for (&i, logits) in tile.iter().zip(s.logits.chunks_exact(self.classes)) {
+                    visit(i, logits);
+                }
+            }
+        });
     }
 
     fn clone_model(&self) -> Box<dyn Model> {
@@ -833,5 +856,414 @@ mod tests {
         assert_eq!(loss, 0.0);
         assert!(grad.as_slice().iter().all(|&g| g == 0.0));
         assert_eq!(m.accuracy(&batch), 0.0);
+    }
+
+    // --- One forward pass: bit-identity with the loops it replaced --------
+
+    /// The pre-kernel implementations, kept verbatim as the reference: one
+    /// serial `iter().sum()` per row, fresh `Vec`s per sample, `max_by` for
+    /// top-1 and a stable descending sort for top-k.
+    mod reference {
+        use crate::dataset::Batch;
+        use crate::loss::softmax_xent_grad;
+
+        fn dot(row: &[f32], x: &[f32]) -> f32 {
+            row.iter().zip(x).map(|(w, xi)| w * xi).sum::<f32>()
+        }
+
+        fn dense(w: &[f32], b: &[f32], x: &[f32]) -> Vec<f32> {
+            w.chunks_exact(x.len())
+                .zip(b)
+                .map(|(row, b)| dot(row, x) + b)
+                .collect()
+        }
+
+        pub fn softmax_logits(p: &[f32], dim: usize, classes: usize, x: &[f32]) -> Vec<f32> {
+            dense(&p[..classes * dim], &p[classes * dim..], x)
+        }
+
+        pub fn softmax_grad(
+            p: &[f32],
+            dim: usize,
+            classes: usize,
+            batch: &Batch<'_>,
+        ) -> (f32, Vec<f32>) {
+            let mut g = vec![0.0f32; p.len()];
+            let mut total = 0.0f32;
+            let ds = batch.dataset();
+            for &i in batch.indices() {
+                let x = ds.input(i);
+                let (loss, dlogits) =
+                    softmax_xent_grad(&softmax_logits(p, dim, classes, x), ds.label(i));
+                total += loss;
+                for c in 0..classes {
+                    let dc = dlogits[c];
+                    for (d, &xi) in x.iter().enumerate() {
+                        g[c * dim + d] += dc * xi;
+                    }
+                    g[classes * dim + c] += dc;
+                }
+            }
+            finish(total, g, batch)
+        }
+
+        pub fn mlp_forward(
+            p: &[f32],
+            [dim, hidden, classes]: [usize; 3],
+            x: &[f32],
+        ) -> (Vec<f32>, Vec<f32>) {
+            let (b1, w2, b2) = (
+                hidden * dim,
+                hidden * dim + hidden,
+                hidden * dim + hidden + classes * hidden,
+            );
+            let h: Vec<f32> = dense(&p[..b1], &p[b1..w2], x)
+                .iter()
+                .map(|pre| pre.tanh())
+                .collect();
+            let logits = dense(&p[w2..b2], &p[b2..], &h);
+            (h, logits)
+        }
+
+        pub fn mlp_grad(p: &[f32], shape: [usize; 3], batch: &Batch<'_>) -> (f32, Vec<f32>) {
+            let [dim, hidden, classes] = shape;
+            let (off_b1, off_w2) = (hidden * dim, hidden * dim + hidden);
+            let off_b2 = off_w2 + classes * hidden;
+            let mut g = vec![0.0f32; p.len()];
+            let mut total = 0.0f32;
+            let ds = batch.dataset();
+            for &i in batch.indices() {
+                let x = ds.input(i);
+                let (h, logits) = mlp_forward(p, shape, x);
+                let (loss, dlogits) = softmax_xent_grad(&logits, ds.label(i));
+                total += loss;
+                let mut dh = vec![0.0f32; hidden];
+                for c in 0..classes {
+                    let dc = dlogits[c];
+                    for j in 0..hidden {
+                        g[off_w2 + c * hidden + j] += dc * h[j];
+                        dh[j] += dc * p[off_w2 + c * hidden + j];
+                    }
+                    g[off_b2 + c] += dc;
+                }
+                for j in 0..hidden {
+                    let dpre = dh[j] * (1.0 - h[j] * h[j]);
+                    for (d, &xi) in x.iter().enumerate() {
+                        g[j * dim + d] += dpre * xi;
+                    }
+                    g[off_b1 + j] += dpre;
+                }
+            }
+            finish(total, g, batch)
+        }
+
+        pub fn linreg_grad(p: &[f32], dim: usize, batch: &Batch<'_>) -> (f32, Vec<f32>) {
+            let mut g = vec![0.0f32; p.len()];
+            let mut total = 0.0f32;
+            let ds = batch.dataset();
+            for &i in batch.indices() {
+                let x = ds.input(i);
+                let diff = dot(&p[..dim], x) + p[dim] - ds.target(i);
+                total += 0.5 * diff * diff;
+                for (d, &xi) in x.iter().enumerate() {
+                    g[d] += diff * xi;
+                }
+                g[dim] += diff;
+            }
+            finish(total, g, batch)
+        }
+
+        pub fn rnn_forward(
+            p: &[f32],
+            [dim, hidden, classes]: [usize; 3],
+            seq: &[f32],
+            len: usize,
+        ) -> (Vec<Vec<f32>>, Vec<f32>) {
+            let off_wh = hidden * dim;
+            let off_bh = off_wh + hidden * hidden;
+            let off_wo = off_bh + hidden;
+            let off_bo = off_wo + classes * hidden;
+            let mut hs: Vec<Vec<f32>> = vec![vec![0.0; hidden]];
+            for t in 0..len {
+                let x = &seq[t * dim..(t + 1) * dim];
+                let prev = &hs[t];
+                let h: Vec<f32> = (0..hidden)
+                    .map(|j| {
+                        let wx = &p[j * dim..(j + 1) * dim];
+                        let wh = &p[off_wh + j * hidden..off_wh + (j + 1) * hidden];
+                        (dot(wx, x) + dot(wh, prev) + p[off_bh + j]).tanh()
+                    })
+                    .collect();
+                hs.push(h);
+            }
+            let logits = dense(&p[off_wo..off_bo], &p[off_bo..], &hs[len]);
+            (hs, logits)
+        }
+
+        pub fn rnn_grad(p: &[f32], shape: [usize; 3], batch: &Batch<'_>) -> (f32, Vec<f32>) {
+            let [dim, hidden, classes] = shape;
+            let off_wh = hidden * dim;
+            let off_bh = off_wh + hidden * hidden;
+            let off_wo = off_bh + hidden;
+            let off_bo = off_wo + classes * hidden;
+            let mut g = vec![0.0f32; p.len()];
+            let mut total = 0.0f32;
+            let ds = batch.dataset();
+            for &i in batch.indices() {
+                let len = ds.seq_len(i);
+                let seq = ds.input(i);
+                let (hs, logits) = rnn_forward(p, shape, seq, len);
+                let (loss, dlogits) = softmax_xent_grad(&logits, ds.label(i));
+                total += loss;
+                let mut dh = vec![0.0f32; hidden];
+                for c in 0..classes {
+                    let dc = dlogits[c];
+                    for j in 0..hidden {
+                        g[off_wo + c * hidden + j] += dc * hs[len][j];
+                        dh[j] += dc * p[off_wo + c * hidden + j];
+                    }
+                    g[off_bo + c] += dc;
+                }
+                for t in (0..len).rev() {
+                    let x = &seq[t * dim..(t + 1) * dim];
+                    let h = &hs[t + 1];
+                    let prev = &hs[t];
+                    let mut dprev = vec![0.0f32; hidden];
+                    for j in 0..hidden {
+                        let dpre = dh[j] * (1.0 - h[j] * h[j]);
+                        for (d, &xi) in x.iter().enumerate() {
+                            g[j * dim + d] += dpre * xi;
+                        }
+                        for k in 0..hidden {
+                            g[off_wh + j * hidden + k] += dpre * prev[k];
+                            dprev[k] += dpre * p[off_wh + j * hidden + k];
+                        }
+                        g[off_bh + j] += dpre;
+                    }
+                    dh = dprev;
+                }
+            }
+            finish(total, g, batch)
+        }
+
+        fn finish(total: f32, mut g: Vec<f32>, batch: &Batch<'_>) -> (f32, Vec<f32>) {
+            let n = batch.len().max(1) as f32;
+            g.iter_mut().for_each(|v| *v *= 1.0 / n);
+            (total / n, g)
+        }
+
+        /// `(accuracy, top-k)` from per-sample logits, the old way.
+        pub fn accuracies(
+            batch: &Batch<'_>,
+            k: usize,
+            logits: impl Fn(usize) -> Vec<f32>,
+        ) -> (f32, f32) {
+            if batch.is_empty() {
+                return (0.0, 0.0);
+            }
+            let ds = batch.dataset();
+            let (mut top1, mut top_k) = (0usize, 0usize);
+            for &i in batch.indices() {
+                let scores = logits(i);
+                let pred = scores
+                    .iter()
+                    .enumerate()
+                    .max_by(|a, b| a.1.partial_cmp(b.1).unwrap())
+                    .map(|(c, _)| c)
+                    .unwrap();
+                top1 += usize::from(pred == ds.label(i));
+                let mut order: Vec<usize> = (0..scores.len()).collect();
+                order.sort_by(|&a, &b| scores[b].partial_cmp(&scores[a]).expect("NaN score"));
+                top_k += usize::from(order.iter().take(k).any(|&c| c == ds.label(i)));
+            }
+            let n = batch.len() as f32;
+            (top1 as f32 / n, top_k as f32 / n)
+        }
+    }
+
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// Full batch, two sub-batches (one spanning a tile boundary with a
+    /// repeated sample) and the empty batch.
+    fn batches(ds: &Dataset) -> Vec<Batch<'_>> {
+        vec![
+            ds.full_batch(),
+            ds.batch(vec![3, 0, 3, 7, 1, 9, 2, 8, 5, 4, 6]),
+            ds.batch(vec![5]),
+            ds.batch(vec![]),
+        ]
+    }
+
+    /// What every model must satisfy on every batch: the fused evaluation is
+    /// the three public calls to the bit, the forward-only loss is the
+    /// differentiated loss to the bit, and loss and gradient are the
+    /// reference loops' to the bit.
+    fn check_against_reference(model: &dyn Model, batch: &Batch<'_>, reference: (f32, Vec<f32>)) {
+        let eval = model.evaluate(batch);
+        assert_eq!(eval.loss.to_bits(), model.loss(batch).to_bits());
+        assert_eq!(eval.top1.to_bits(), model.accuracy(batch).to_bits());
+        assert_eq!(
+            eval.top5.to_bits(),
+            model.top_k_accuracy(batch, 5).to_bits()
+        );
+        let (loss, grad) = model.loss_and_grad(batch);
+        assert_eq!(eval.loss.to_bits(), loss.to_bits(), "{}", model.name());
+        assert_eq!(loss.to_bits(), reference.0.to_bits(), "{}", model.name());
+        assert_eq!(
+            bits(grad.as_slice()),
+            bits(&reference.1),
+            "{}",
+            model.name()
+        );
+    }
+
+    fn check_accuracies(model: &dyn Model, batch: &Batch<'_>, logits: impl Fn(usize) -> Vec<f32>) {
+        for k in [1, 2, 5] {
+            let (top1, top_k) = reference::accuracies(batch, k, &logits);
+            assert_eq!(model.accuracy(batch).to_bits(), top1.to_bits());
+            assert_eq!(model.top_k_accuracy(batch, k).to_bits(), top_k.to_bits());
+        }
+        if let Some(&i) = batch.indices().first() {
+            assert_eq!(
+                bits(&model.class_scores(batch, i).unwrap()),
+                bits(&logits(i))
+            );
+        }
+    }
+
+    #[test]
+    fn softmax_matches_the_reference_loops_bit_for_bit() {
+        let mut rng = SimRng::seed(30);
+        let ds = Dataset::blobs(21, 9, 7, 0.8, &mut rng);
+        let m = SoftmaxClassifier::new(9, 7, &mut rng);
+        let p = m.params().as_slice();
+        for batch in batches(&ds) {
+            check_against_reference(&m, &batch, reference::softmax_grad(p, 9, 7, &batch));
+            check_accuracies(&m, &batch, |i| {
+                reference::softmax_logits(p, 9, 7, ds.input(i))
+            });
+        }
+    }
+
+    #[test]
+    fn mlp_matches_the_reference_loops_bit_for_bit() {
+        let mut rng = SimRng::seed(31);
+        let ds = Dataset::blobs(21, 13, 6, 0.8, &mut rng);
+        // 11 hidden units: two row blocks of four and a three-row remainder.
+        let shape = [13, 11, 6];
+        let m = Mlp::new(13, 11, 6, &mut rng);
+        let p = m.params().as_slice();
+        for batch in batches(&ds) {
+            check_against_reference(&m, &batch, reference::mlp_grad(p, shape, &batch));
+            check_accuracies(&m, &batch, |i| {
+                reference::mlp_forward(p, shape, ds.input(i)).1
+            });
+        }
+    }
+
+    #[test]
+    fn rnn_matches_the_reference_loops_bit_for_bit() {
+        let mut rng = SimRng::seed(32);
+        let lens: Vec<usize> = (0..21).map(|i| 1 + i % 6).collect();
+        let ds = Dataset::sequences(&lens, 3, 6, 0.3, &mut rng);
+        // 19 hidden units: four row blocks of four and a three-row remainder.
+        let shape = [3, 19, 6];
+        let m = ElmanRnn::new(3, 19, 6, &mut rng);
+        let p = m.params().as_slice();
+        for batch in batches(&ds) {
+            check_against_reference(&m, &batch, reference::rnn_grad(p, shape, &batch));
+            check_accuracies(&m, &batch, |i| {
+                reference::rnn_forward(p, shape, ds.input(i), ds.seq_len(i)).1
+            });
+        }
+    }
+
+    #[test]
+    fn linreg_matches_the_reference_loop_and_scores_no_classes() {
+        let mut rng = SimRng::seed(33);
+        let ds = Dataset::regression(21, 5, 0.1, &mut rng);
+        let mut m = LinearRegression::new(5);
+        m.set_params(&init_params(6, 1.0, &mut rng));
+        for batch in batches(&ds) {
+            let reference = reference::linreg_grad(m.params().as_slice(), 5, &batch);
+            check_against_reference(&m, &batch, reference);
+            let eval = m.evaluate(&batch);
+            assert_eq!((eval.top1, eval.top5), (0.0, 0.0));
+        }
+    }
+
+    /// With all-zero parameters every class ties on every sample, so the
+    /// tie rules alone decide: top-1 keeps `max_by`'s *last* maximum,
+    /// top-k keeps the stable sort's *lowest* indices.
+    #[test]
+    fn ties_break_as_max_by_and_the_stable_sort_did() {
+        let mut rng = SimRng::seed(34);
+        let ds = Dataset::blobs(60, 4, 6, 0.4, &mut rng);
+        let lens = vec![2usize; 60];
+        let seqs = Dataset::sequences(&lens, 4, 6, 0.3, &mut rng);
+        let mut models: Vec<(Box<dyn Model>, &Dataset)> = vec![
+            (Box::new(SoftmaxClassifier::new(4, 6, &mut rng)), &ds),
+            (Box::new(Mlp::new(4, 5, 6, &mut rng)), &ds),
+            (Box::new(ElmanRnn::new(4, 5, 6, &mut rng)), &seqs),
+        ];
+        for (m, ds) in &mut models {
+            m.set_params(&Tensor::zeros(m.num_params()));
+            let batch = ds.full_batch();
+            let share = |f: &dyn Fn(usize) -> bool| {
+                batch.indices().iter().filter(|&&i| f(ds.label(i))).count() as f32 / 60.0
+            };
+            assert_eq!(
+                m.accuracy(&batch),
+                share(&|label| label == 5),
+                "{}",
+                m.name()
+            );
+            assert_eq!(m.top_k_accuracy(&batch, 1), share(&|label| label == 0));
+            assert_eq!(m.top_k_accuracy(&batch, 2), share(&|label| label < 2));
+            assert_eq!(m.evaluate(&batch).top5, share(&|label| label < 5));
+            let (top1, top2) = reference::accuracies(&batch, 2, |_| vec![0.0; 6]);
+            assert_eq!(
+                (m.accuracy(&batch), m.top_k_accuracy(&batch, 2)),
+                (top1, top2)
+            );
+        }
+    }
+
+    /// A diverged replica reports itself instead of panicking the engine: a
+    /// NaN loss (so no loss target fires) and every sample wrong.
+    #[test]
+    fn non_finite_parameters_evaluate_to_nan_loss_without_panicking() {
+        let mut rng = SimRng::seed(35);
+        let ds = Dataset::blobs(20, 4, 6, 0.4, &mut rng);
+        let lens = vec![3usize; 20];
+        let seqs = Dataset::sequences(&lens, 4, 6, 0.3, &mut rng);
+        let mut models: Vec<(Box<dyn Model>, &Dataset)> = vec![
+            (Box::new(SoftmaxClassifier::new(4, 6, &mut rng)), &ds),
+            (Box::new(Mlp::new(4, 5, 6, &mut rng)), &ds),
+            (Box::new(ElmanRnn::new(4, 5, 6, &mut rng)), &seqs),
+        ];
+        for (m, ds) in &mut models {
+            let batch = ds.full_batch();
+            for poison in [f32::NAN, f32::INFINITY] {
+                m.set_params(&Tensor::filled(m.num_params(), poison));
+                let eval = m.evaluate(&batch);
+                assert!(eval.loss.is_nan(), "{} at {poison}: {eval:?}", m.name());
+                assert_eq!((eval.top1, eval.top5), (0.0, 0.0), "{}", m.name());
+                assert!(m.loss(&batch).is_nan() && m.loss_and_grad(&batch).0.is_nan());
+                assert_eq!(m.accuracy(&batch), 0.0);
+                assert_eq!(m.top_k_accuracy(&batch, 6), 0.0);
+            }
+            // One poisoned output row: its own samples are wrong, nothing
+            // panics on the NaN among the other scores.
+            let mut p = init_params(m.num_params(), 0.1, &mut rng);
+            let last = p.len() - 1;
+            p[last] = f32::NAN;
+            m.set_params(&p);
+            let eval = m.evaluate(&batch);
+            assert!(eval.loss.is_nan());
+            assert!(eval.top1 <= eval.top5 && eval.top5 <= 1.0);
+        }
     }
 }

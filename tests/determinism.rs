@@ -106,3 +106,121 @@ fn experiment_runner_is_deterministic() {
         assert_eq!(ra.summary.mean, rb.summary.mean);
     }
 }
+
+// --- Whole-run trajectory pins ---------------------------------------------
+//
+// Captured on the commit before the fused evaluation and the blocked dense
+// kernel landed (PR 17, 359afd8). Every evaluated loss and accuracy, the
+// final top-5, the wire bytes and the virtual clock must stay where they
+// were, to the bit: a kernel that reorders one floating-point sum moves a
+// logit by an ulp, the ulp moves a gradient, and the trajectory diverges.
+
+use rna_core::sim::TaskKind;
+use rna_core::Compression;
+use rna_simnet::SimDuration;
+
+/// `[loss bits, accuracy bits]` per history point, then `final_top5` bits,
+/// `bytes_on_wire` and `wall_time` in nanoseconds.
+fn fingerprint(r: &RunResult) -> Vec<u64> {
+    let mut f: Vec<u64> = r
+        .history
+        .points()
+        .iter()
+        .flat_map(|p| [p.loss.to_bits(), p.accuracy.to_bits()])
+        .collect();
+    f.extend([
+        r.final_top5.to_bits(),
+        r.bytes_on_wire,
+        r.wall_time.as_nanos(),
+    ]);
+    f
+}
+
+/// The `des-mlp64k` benchmark shape: 8 workers, `Mlp` 256-240-16, int8 with
+/// stochastic rounding and error feedback, evaluated every 10 rounds.
+fn mlp64k_run() -> RunResult {
+    let n = 8;
+    let mut spec = TrainSpec::smoke_test(n, 3)
+        .with_hetero(HeterogeneityModel::dynamic_uniform(n, 0, 50))
+        .with_max_rounds(30)
+        .with_max_time(SimDuration::from_secs(86_400));
+    spec.task = TaskKind::Classification {
+        dim: 256,
+        classes: 16,
+        hidden: Some(240),
+        samples: 2048,
+        spread: 4.0,
+    };
+    spec.eval_every = 10;
+    let rna = RnaProtocol::new(
+        n,
+        RnaConfig::default().with_compression(Compression::Int8),
+        0,
+    );
+    Engine::new(spec, rna).run()
+}
+
+const MLP64K_PINS: [u64; 11] = [
+    0x3ff2c64700000000,
+    0x3fe6ec98c0000000,
+    0x3fe3e56a60000000,
+    0x3feb262e60000000,
+    0x3fdeae9060000000,
+    0x3fec2a9000000000,
+    0x3fdeae9060000000,
+    0x3fec2a9000000000,
+    0x3fefafe200000000,
+    0x27fd95540,
+    0x14b33c14,
+];
+
+const SOFTMAX36_PINS: [u64; 37] = [
+    0x3fdebd67e0000000,
+    0x3fe9b9b9c0000000,
+    0x3fd4145f00000000,
+    0x3ff0000000000000,
+    0x3fcf13cb80000000,
+    0x3fef5f5f60000000,
+    0x3fc9c6ea80000000,
+    0x3ff0000000000000,
+    0x3fc64f9c40000000,
+    0x3ff0000000000000,
+    0x3fc43f82e0000000,
+    0x3ff0000000000000,
+    0x3fc2cd6f00000000,
+    0x3ff0000000000000,
+    0x3fc0e438c0000000,
+    0x3fef5f5f60000000,
+    0x3fc00eb100000000,
+    0x3fef5f5f60000000,
+    0x3fbcf4c580000000,
+    0x3ff0000000000000,
+    0x3fbc078200000000,
+    0x3fef5f5f60000000,
+    0x3fb9e828a0000000,
+    0x3ff0000000000000,
+    0x3fb9279460000000,
+    0x3fef5f5f60000000,
+    0x3fb88416e0000000,
+    0x3fef5f5f60000000,
+    0x3fb8f090c0000000,
+    0x3fef5f5f60000000,
+    0x3fb7733da0000000,
+    0x3fef5f5f60000000,
+    0x3fb7733da0000000,
+    0x3fef5f5f60000000,
+    0x3ff0000000000000,
+    0xf3c019c80,
+    0x427dd7c4,
+];
+
+#[test]
+fn mlp64k_trajectory_is_pinned_to_the_bit() {
+    assert_eq!(fingerprint(&mlp64k_run()), MLP64K_PINS);
+}
+
+#[test]
+fn softmax36_trajectory_is_pinned_to_the_bit() {
+    let r = Engine::new(spec(5), RnaProtocol::new(5, RnaConfig::default(), 0)).run();
+    assert_eq!(fingerprint(&r), SOFTMAX36_PINS);
+}
