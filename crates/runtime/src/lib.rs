@@ -5,7 +5,7 @@
 //! simulator):
 //!
 //! * **Threaded** ([`run_threaded`]): every worker is an OS thread in
-//!   this process, sharing gradient caches behind locks.
+//!   this process, writing the controller's mirror directly.
 //! * **Process** ([`run_process`]): every worker is a subprocess
 //!   (`rna-worker`) speaking a length-delimited TCP protocol ([`proto`])
 //!   to a coordinator. Crashes are real `SIGKILL`s/aborts, partitions
@@ -14,23 +14,24 @@
 //!
 //! The paper implements RNA with two threads per process — computation on
 //! the GPU, communication via background MPI (§3.3/§6). This crate
-//! reproduces that split with actual concurrency: each worker alternates
-//! compute (a busy interval plus a real gradient on its replica) and
-//! deposits into a gradient cache; a controller probes workers, forces
-//! partial reductions, and publishes updated parameters. The controller
-//! logic is written once against the `Transport` trait and reused by both
-//! worlds. It all exists to show the protocol is implementable outside
-//! the simulator and that the DES results are not simulation artifacts;
-//! the integration tests cross-check the three worlds.
-//!
-//! Both RNA and a BSP baseline are provided behind [`SyncMode`].
+//! reproduces that split with actual concurrency, and holds one copy of
+//! each role: one worker loop (`worker::Worker::run` — compute, encode,
+//! deposit, honoring the bounded-lead gate) that a thread or a subprocess
+//! executes over its `WorkerLink`; one `Mirror` of the cluster that workers
+//! (or the socket readers standing in for them) write; and one controller
+//! that reads it, waits for the [`SyncMode`]'s round trigger — RNA's probed
+//! worker, eager-SGD's live majority, BSP's barrier — forces the partial
+//! reduction and publishes parameters through the world's `Transport`. It
+//! all exists to show the protocol is implementable outside the simulator
+//! and that the DES results are not simulation artifacts; the integration
+//! tests cross-check the three worlds.
 //!
 //! ## Crash tolerance
 //!
 //! The runtime executes the shared fault model of [`rna_core::fault`] on
-//! real threads ([`fault`]): a [`FaultPlan`] can crash a worker after an
+//! real workers ([`fault`]): a [`FaultPlan`] can crash a worker after an
 //! exact iteration count, freeze it for a duration, or slow it forever.
-//! Workers heartbeat into shared slots; the controller probes and counts
+//! Workers heartbeat into the mirror; the controller probes and counts
 //! majorities over *live* workers only, resamples initiators away from
 //! dead ones, and completes unservable rounds degraded instead of
 //! blocking. [`ThreadedResult`] reports each worker's
@@ -38,14 +39,14 @@
 //!
 //! ## Control-plane tolerance
 //!
-//! The controller itself runs under a lease: each incarnation is a real
-//! thread that heartbeats every round and checkpoints the control plane
-//! (master, optimizer velocity, round counter, tallies) to a warm-standby
-//! slot — and, when [`ThreadedConfig::recovery_dir`] is set, to disk via
-//! `rna_core::recovery::CheckpointStore`. A crashed controller thread is
-//! replaced after the lease expires by a standby that replays from the
-//! last checkpoint; a killed *process* is resumed with
-//! [`resume_threaded`] from the newest disk checkpoint.
+//! The controller itself runs under a lease: each incarnation heartbeats
+//! every round and checkpoints the control plane (master, optimizer
+//! velocity, round counter, tallies) to a warm-standby slot — and, when
+//! [`ThreadedConfig::recovery_dir`] is set, to disk via
+//! `rna_core::recovery::CheckpointStore`. A crashed controller is replaced
+//! after the lease expires by a standby that replays from the last
+//! checkpoint; a killed *process* is resumed with [`resume_threaded`] from
+//! the newest disk checkpoint.
 //!
 //! # Examples
 //!

@@ -2,12 +2,11 @@
 //!
 //! [`run_process`] binds an ephemeral localhost port, spawns one
 //! `rna-worker` subprocess per worker, and supervises them over the
-//! length-delimited protocol of [`crate::proto`]. The controller itself is
-//! the same [`crate::transport`] code the threaded world runs — this
-//! module only implements [`Transport`] over sockets: per-connection
-//! reader threads feed coordinator-side mirrors (gradient cache, heartbeat
-//! timestamp, iteration count), and parameter/round pushes become framed
-//! TCP writes.
+//! length-delimited protocol of [`crate::proto`]. The controller, the
+//! [`Mirror`] it reads and the worker loop are the same code the threaded
+//! world runs — this module only drives them over sockets: per-connection
+//! reader threads write the mirror on their subprocess's behalf, and the
+//! [`Transport`]'s parameter/round pushes become framed TCP writes.
 //!
 //! What is *real* here that the other worlds simulate:
 //!
@@ -28,17 +27,16 @@
 //! worker fast-forwards its sampler so the data stream continues instead
 //! of repeating.
 //!
-//! The gradient wire codec runs at the *worker* in this world — the hop
-//! is genuinely compressed. Each worker owns its error-feedback residual
-//! (part of worker state, surviving reconnects), encodes
-//! `grad + residual` straight into the outgoing frame buffer, and may
-//! coalesce several small gradients into one batched frame
+//! As in the threaded world the wire codec's encode leg belongs to the
+//! worker ([`crate::worker`]); here the hop is a real one. The worker's
+//! socket link encodes `grad + residual` straight into the outgoing frame
+//! buffer and may coalesce several small gradients into one batched frame
 //! ([`crate::proto::GradBatch`]) with the next heartbeat piggybacked on
-//! the same socket write. The coordinator's reader threads decode
-//! chunk-parallel into recycled cache buffers and tally the bytes that
-//! physically crossed the socket: `bytes_on_wire` here is *measured*, not
-//! formula-charged, and the three-world crosscheck pins that every
-//! measured frame matches the DES/threaded formula byte-for-byte.
+//! the same socket write; the coordinator's reader threads decode
+//! chunk-parallel into recycled cache buffers and deposit each gradient
+//! with the frame length that physically crossed the socket, and the
+//! three-world crosscheck pins that every such frame matches the DES
+//! formula byte-for-byte.
 //!
 //! ## Survivability
 //!
@@ -72,18 +70,15 @@ use std::net::{Shutdown, TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{channel, Receiver, Sender};
-use std::sync::{Arc, Mutex, PoisonError, RwLock};
+use std::sync::mpsc::{channel, Sender};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use rna_core::cache::GradientCache;
 use rna_core::fault::{ConfigError, WorkerFate, WorkerFault};
 use rna_core::recovery::{CheckpointStore, RecoveryError};
-use rna_core::stats::Counters;
 use rna_simnet::SimRng;
 use rna_tensor::{Tensor, TensorPool};
-use rna_training::model::SoftmaxClassifier;
-use rna_training::{Dataset, Model};
+use rna_training::Model;
 
 use rna_tensor::codec::{self, Compression};
 
@@ -92,10 +87,12 @@ use crate::proto::{
     body_tag, decode_body, read_frame_body, read_msg, verify_mac, write_msg, AuthError, AuthKey,
     EncodedGradBatch, Msg, WorkerSetup, TAG_ENC_GRAD,
 };
-use crate::threaded::{finish, validate_config, SyncMode, ThreadedConfig, ThreadedResult};
+use crate::threaded::{
+    finish, interruptible_sleep, validate_config, SyncMode, ThreadedConfig, ThreadedResult,
+};
 use crate::transport::{
-    decode_ctrl_checkpoint, lock, supervise, CtrlCheckpoint, Lineage, Transport, STREAM_COMPUTE,
-    STREAM_JOIN, STREAM_SAMPLER,
+    decode_ctrl_checkpoint, lock, past_workers, supervise, task, CtrlCheckpoint, Lineage, Mirror,
+    Transport,
 };
 
 /// Salt folded into the seed to derive the 128-bit cluster auth key, so
@@ -375,19 +372,13 @@ pub struct ProcessResult {
     pub coordinator_restarts: u64,
 }
 
-/// Coordinator-side mirror of one worker process: what the reader thread
-/// learned from its frames, plus the supervision state the spawner needs.
+/// What the coordinator keeps per worker process beside its [`Mirror`]
+/// slot: the socket, and the supervision state the spawner needs. The
+/// mirror's `alive` means *reachable* here: cleared by the reader on
+/// EOF/error and by the child supervisor on process exit, set again when a
+/// (re)spawned incarnation completes its handshake.
+#[derive(Default)]
 struct ProcSlot {
-    cache: Mutex<GradientCache>,
-    /// Completed local iterations, monotone (`fetch_max` from heartbeat
-    /// and gradient frames). This is the rejoin checkpoint.
-    iterations: AtomicU64,
-    heartbeat_us: AtomicU64,
-    /// Reachable: the process is believed running with a socket attached.
-    /// Cleared by the reader on EOF/error and by the child supervisor on
-    /// process exit; set again when a (re)spawned incarnation completes
-    /// its handshake.
-    alive: AtomicBool,
     /// Coordinator→worker write half. `None` while down or severed.
     conn: Mutex<Option<TcpStream>>,
     /// The worker's post-mortem. Reader threads fill it from a graceful
@@ -417,14 +408,12 @@ struct ProcSlot {
 }
 
 struct ProcShared {
+    /// Fed by the per-connection reader threads.
+    mirror: Mirror,
     slots: Vec<ProcSlot>,
-    round: AtomicU64,
     /// Latest master published by the controller; what a late joiner's
     /// `Setup` frame carries.
-    published: RwLock<Tensor>,
-    start: Instant,
-    stop: AtomicBool,
-    liveness_timeout_us: u64,
+    published: Mutex<Tensor>,
     /// The cluster auth key every handshake MAC is verified against.
     key: AuthKey,
     /// Base the per-connection challenge nonces mix from.
@@ -435,13 +424,11 @@ struct ProcShared {
     /// coordinator incarnations, so a recorded handshake cannot replay.
     conn_seq: AtomicU64,
     param_len: usize,
+    /// `codec::wire_threads(param_len)`, asked once (it costs a syscall).
+    decode_threads: usize,
     /// The run's wire codec; the reader threads decode against it and a
     /// frame carrying any other codec is a protocol violation.
     compression: Compression,
-    /// Socket-measured codec charges: what the reader threads tallied off
-    /// the frames that physically arrived. Drained once per round by
-    /// [`Transport::take_wire_charges`].
-    wire: Mutex<Counters>,
     sockets_severed: AtomicU64,
     worker_respawns: AtomicU64,
     auth_rejects: AtomicU64,
@@ -449,16 +436,39 @@ struct ProcShared {
 }
 
 impl ProcShared {
-    fn now_us(&self) -> u64 {
-        u64::try_from(self.start.elapsed().as_micros()).unwrap_or(u64::MAX)
+    /// Drops worker `w`'s write half and counts the sever. The worker
+    /// exits on its dead socket; the child supervisor decides whether it
+    /// comes back.
+    fn sever_conn(&self, w: usize) {
+        if let Some(s) = lock(&self.slots[w].conn).take() {
+            let _ = s.shutdown(Shutdown::Both);
+            self.sockets_severed.fetch_add(1, Ordering::AcqRel);
+        }
+    }
+
+    /// Writes one frame to worker `w`'s socket, severing it on a write
+    /// failure — the only case that returns `false`. No socket means the
+    /// worker is down: the threaded world's push into a dead worker's slot
+    /// also "succeeds" (nobody reads it), so that is not a drop — counting
+    /// it would skew the cross-world message accounting.
+    fn send(&self, w: usize, frame: &[u8]) -> bool {
+        let mut guard = lock(&self.slots[w].conn);
+        let Some(stream) = guard.as_mut() else {
+            return true;
+        };
+        if std::io::Write::write_all(stream, frame).is_ok() {
+            return true;
+        }
+        drop(guard);
+        self.sever_conn(w);
+        false
     }
 }
 
-/// [`Transport`] over TCP: reads come from the mirrors the reader threads
-/// maintain, pushes become frames on the per-worker sockets.
+/// [`Transport`] over TCP: pushes become frames on the per-worker sockets,
+/// and scheduled severs fire on the round edge.
 struct ProcessTransport {
     shared: Arc<ProcShared>,
-    ready_rx: Receiver<usize>,
     /// Scheduled severs not yet executed.
     sever: Vec<(usize, u64)>,
     /// The parameter frame is encoded once per round and the same bytes go
@@ -468,56 +478,7 @@ struct ProcessTransport {
     scratch: Vec<u8>,
 }
 
-impl ProcessTransport {
-    /// Drops worker `w`'s write half and counts the sever. The worker
-    /// exits on its dead socket; the child supervisor decides whether it
-    /// comes back.
-    fn sever_conn(&self, w: usize) {
-        if let Some(s) = lock(&self.shared.slots[w].conn).take() {
-            let _ = s.shutdown(Shutdown::Both);
-            self.shared.sockets_severed.fetch_add(1, Ordering::AcqRel);
-        }
-    }
-}
-
 impl Transport for ProcessTransport {
-    fn now_us(&self) -> u64 {
-        self.shared.now_us()
-    }
-
-    fn is_dead(&self, w: usize) -> bool {
-        !self.shared.slots[w].alive.load(Ordering::Acquire)
-    }
-
-    fn live_view(&self) -> Vec<bool> {
-        let now = self.shared.now_us();
-        self.shared
-            .slots
-            .iter()
-            .map(|s| {
-                s.alive.load(Ordering::Acquire)
-                    && now.saturating_sub(s.heartbeat_us.load(Ordering::Acquire))
-                        < self.shared.liveness_timeout_us
-            })
-            .collect()
-    }
-
-    fn heartbeat_us(&self, w: usize) -> u64 {
-        self.shared.slots[w].heartbeat_us.load(Ordering::Acquire)
-    }
-
-    fn cache_ready(&self, w: usize) -> bool {
-        !lock(&self.shared.slots[w].cache).is_empty()
-    }
-
-    fn drain(&mut self, w: usize, round: u64, pool: &mut TensorPool) -> Option<Tensor> {
-        lock(&self.shared.slots[w].cache).take_contribution_pooled(round, pool)
-    }
-
-    fn purge(&mut self, w: usize, staleness_bound: usize) {
-        *lock(&self.shared.slots[w].cache) = GradientCache::new(staleness_bound, true);
-    }
-
     fn push_params(
         &mut self,
         w: usize,
@@ -528,11 +489,7 @@ impl Transport for ProcessTransport {
         if self.frame_round != Some(round) {
             // One encode per round; every socket gets the same bytes. The
             // published copy is what a worker joining mid-run starts from.
-            self.shared
-                .published
-                .write()
-                .unwrap_or_else(PoisonError::into_inner)
-                .copy_from(snap);
+            lock(&self.shared.published).copy_from(snap);
             self.frame.clear();
             let msg = Msg::Params {
                 round,
@@ -542,67 +499,25 @@ impl Transport for ProcessTransport {
                 .expect("writing to a Vec cannot fail");
             self.frame_round = Some(round);
         }
-        let mut guard = lock(&self.shared.slots[w].conn);
-        match guard.as_mut() {
-            // No socket: the worker is down. The threaded world's push
-            // into a dead worker's slot also "succeeds" (nobody reads it),
-            // so this is not a drop — counting it would skew the
-            // cross-world message accounting.
-            None => true,
-            Some(stream) => {
-                if std::io::Write::write_all(stream, &self.frame).is_ok() {
-                    true
-                } else {
-                    drop(guard);
-                    self.sever_conn(w);
-                    false
-                }
-            }
-        }
+        self.shared.send(w, &self.frame)
     }
 
     fn advance_round(&mut self, k: u64) {
-        self.shared.round.store(k, Ordering::Release);
         // Scheduled severs fire on the round edge: a real partition at a
         // known protocol point, so tests can assert what it cost.
-        let shared = Arc::clone(&self.shared);
+        let shared = &self.shared;
         self.sever.retain(|&(w, at)| {
             if k >= at {
-                if let Some(s) = lock(&shared.slots[w].conn).take() {
-                    let _ = s.shutdown(Shutdown::Both);
-                    shared.sockets_severed.fetch_add(1, Ordering::AcqRel);
-                }
-                false
-            } else {
-                true
+                shared.sever_conn(w);
             }
+            k < at
         });
         let mut frame = Vec::new();
         write_msg(&mut frame, &Msg::Round { round: k }, &mut self.scratch)
             .expect("writing to a Vec cannot fail");
         for w in 0..self.shared.slots.len() {
-            let mut guard = lock(&self.shared.slots[w].conn);
-            if let Some(stream) = guard.as_mut() {
-                if std::io::Write::write_all(stream, &frame).is_err() {
-                    drop(guard);
-                    self.sever_conn(w);
-                }
-            }
+            self.shared.send(w, &frame);
         }
-    }
-
-    fn wait_ready(&mut self, timeout: Duration) {
-        let _ = self.ready_rx.recv_timeout(timeout);
-    }
-
-    fn drain_ready(&mut self) {
-        while self.ready_rx.try_recv().is_ok() {}
-    }
-
-    fn take_wire_charges(&mut self) -> Option<Counters> {
-        // Always `Some` in this world — workers own the encode leg, so the
-        // controller must never run the accounting codec a second time.
-        Some(std::mem::take(&mut *lock(&self.shared.wire)))
     }
 }
 
@@ -637,7 +552,7 @@ fn resolve_worker_exe(explicit: Option<&PathBuf>) -> PathBuf {
 /// `SlowFrom` and `GrayFrom` are permanent conditions, not events — a slow
 /// or gray-degrading worker stays that way across restarts, as it does
 /// under the threaded `FaultExecutor`.
-fn still_pending(f: &WorkerFault, start_iter: u64, incarnation: u64) -> bool {
+pub(crate) fn still_pending(f: &WorkerFault, start_iter: u64, incarnation: u64) -> bool {
     if incarnation == 0 {
         return true;
     }
@@ -710,12 +625,12 @@ fn accept_loop(
     listener: &TcpListener,
     shared: &Arc<ProcShared>,
     config: &ThreadedConfig,
-    ready_tx: &Sender<usize>,
     join_tx: &Sender<usize>,
     accept_stop: &AtomicBool,
 ) {
+    let mirror = &shared.mirror;
     for conn in listener.incoming() {
-        if shared.stop.load(Ordering::Acquire) || accept_stop.load(Ordering::Acquire) {
+        if mirror.stop.load(Ordering::Acquire) || accept_stop.load(Ordering::Acquire) {
             break;
         }
         let Ok(mut stream) = conn else { continue };
@@ -748,7 +663,7 @@ fn accept_loop(
         // keeps re-offering the Hello until the window opens, so an
         // address-book worker can dial in whenever it likes.
         if let Some((at_round, _)) = config.churn_plan.join_of(w) {
-            if shared.round.load(Ordering::Acquire) < at_round {
+            if mirror.round.load(Ordering::Acquire) < at_round {
                 continue;
             }
         }
@@ -756,38 +671,9 @@ fn accept_loop(
         let _ = stream.set_read_timeout(None);
         let slot = &shared.slots[w];
         let start_iter = slot.start_iter.load(Ordering::Acquire);
-        // A joiner's sampler/compute streams come from the disjoint grant
-        // namespace so original members replay their sequences unchanged.
-        let rng_grant = if config.churn_plan.join_of(w).is_some() {
-            STREAM_JOIN + 2 * w as u64
-        } else {
-            0
-        };
-        let setup = WorkerSetup {
-            worker,
-            seed: config.seed,
-            batch_size: config.batch_size as u64,
-            max_lead: config.max_lead,
-            compute_lo_us: config.compute_us[w].0,
-            compute_hi_us: config.compute_us[w].1,
-            liveness_timeout_us: config.tolerance.liveness_timeout_us,
-            start_iter,
-            round: shared.round.load(Ordering::Acquire),
-            rng_grant,
-            retire_round: config.churn_plan.retire_of(w).unwrap_or(u64::MAX),
-            evict_round: config.churn_plan.evict_of(w).unwrap_or(u64::MAX),
-            compression: config.compression,
-            faults: config
-                .fault_plan
-                .for_worker(w)
-                .filter(|f| still_pending(f, start_iter, incarnation))
-                .collect(),
-            params: shared
-                .published
-                .read()
-                .unwrap_or_else(PoisonError::into_inner)
-                .clone(),
-        };
+        let published = lock(&shared.published).clone();
+        let round = mirror.round.load(Ordering::Acquire);
+        let setup = WorkerSetup::for_worker(config, w, (start_iter, incarnation), round, published);
         let mut scratch = Vec::new();
         if write_msg(&mut stream, &Msg::Setup(setup), &mut scratch).is_err() {
             continue;
@@ -804,32 +690,27 @@ fn accept_loop(
         }
         let gen = slot.conn_gen.fetch_add(1, Ordering::AcqRel) + 1;
         *lock(&slot.conn) = Some(stream);
-        slot.heartbeat_us.store(shared.now_us(), Ordering::Release);
-        slot.alive.store(true, Ordering::Release);
+        mirror.beat(w);
+        mirror.slots[w].alive.store(true, Ordering::Release);
         slot.readers_started.fetch_add(1, Ordering::AcqRel);
         {
             let shared = Arc::clone(shared);
-            let ready_tx = ready_tx.clone();
-            std::thread::spawn(move || {
-                reader_loop(read_half, &shared, w, incarnation, gen, &ready_tx);
-            });
+            std::thread::spawn(move || reader_loop(read_half, &shared, w, incarnation, gen));
         }
         let _ = join_tx.send(w);
-        let _ = ready_tx.send(w);
+        mirror.notify();
     }
 }
 
 /// Decodes every entry of a batched encoded-gradient frame into the
-/// worker's cache mirror, recycling buffers the cache's staleness bound
-/// evicts, and tallies the socket-measured codec charges. Returns `false`
-/// on any malformed entry or codec error — the caller severs the socket.
+/// worker's mirror slot, recycling buffers the cache's staleness bound
+/// evicts, with the socket-measured frame length as the codec charge.
+/// Returns `false` on any malformed entry or codec error — the caller
+/// severs the socket.
 fn absorb_grad_batch(body: &[u8], shared: &ProcShared, w: usize, scraps: &mut Vec<Tensor>) -> bool {
     let Ok(batch) = EncodedGradBatch::parse(body) else {
         return false;
     };
-    let slot = &shared.slots[w];
-    let lossless = Compression::Lossless.frame_bytes(shared.param_len);
-    let threads = codec::wire_threads(shared.param_len);
     for entry in batch {
         let Ok(e) = entry else { return false };
         // Chunk-parallel decode straight into a recycled cache buffer
@@ -842,40 +723,24 @@ fn absorb_grad_batch(body: &[u8], shared: &ProcShared, w: usize, scraps: &mut Ve
         // payload is a typed `CodecError`: a protocol violation, not data.
         if shared
             .compression
-            .decode_slice_mt(e.frame, t.as_mut_slice(), threads)
+            .decode_slice_mt(e.frame, t.as_mut_slice(), shared.decode_threads)
             .is_err()
         {
             return false;
         }
-        {
-            // Measured, not formula-charged: these bytes physically
-            // arrived on the socket.
-            let frame_bytes = e.frame.len() as u64;
-            let mut wire = lock(&shared.wire);
-            wire.bytes_on_wire += frame_bytes;
-            wire.bytes_saved += lossless.saturating_sub(frame_bytes);
-            wire.codec_error_l2 += e.err_l2;
-        }
-        if let Some(old) = lock(&slot.cache).write(e.iter, t) {
-            scraps.push(old);
-        }
-        slot.iterations.fetch_max(e.iter + 1, Ordering::AcqRel);
+        // Measured, not formula-charged: these bytes physically arrived
+        // on the socket.
+        let frame = Some((e.frame.len() as u64, e.err_l2));
+        scraps.extend(shared.mirror.deposit(w, e.iter, t, frame));
     }
     true
 }
 
-/// Consumes one incarnation's frames into the coordinator mirrors. Exits
+/// Consumes one incarnation's frames into its mirror slot. Exits
 /// on EOF, socket error, or any protocol violation (which severs the
 /// connection rather than trusting the peer further).
-fn reader_loop(
-    mut stream: TcpStream,
-    shared: &Arc<ProcShared>,
-    w: usize,
-    incarnation: u64,
-    gen: u64,
-    ready_tx: &Sender<usize>,
-) {
-    let slot = &shared.slots[w];
+fn reader_loop(mut stream: TcpStream, shared: &ProcShared, w: usize, incarnation: u64, gen: u64) {
+    let (slot, mirror) = (&shared.slots[w], &shared.mirror);
     // Per-connection reusable read buffer, plus the decode-scratch
     // freelist the cache's evictions feed.
     let mut body: Vec<u8> = Vec::new();
@@ -891,26 +756,22 @@ fn reader_loop(
             if !absorb_grad_batch(&body, shared, w, &mut scraps) {
                 break;
             }
-            slot.heartbeat_us.store(shared.now_us(), Ordering::Release);
-            let _ = ready_tx.send(w);
-            continue;
-        }
-        match decode_body(&body) {
-            Ok(Msg::Heartbeat { iter }) => {
-                slot.iterations.fetch_max(iter, Ordering::AcqRel);
-                slot.heartbeat_us.store(shared.now_us(), Ordering::Release);
-                let _ = ready_tx.send(w);
-            }
-            Ok(Msg::Fate(f)) => {
-                let mut fate = lock(&slot.fate);
-                if fate.is_none() {
-                    *fate = Some(f);
+        } else {
+            match decode_body(&body) {
+                Ok(Msg::Heartbeat { iter }) => {
+                    mirror.slots[w].iterations.fetch_max(iter, Ordering::AcqRel);
                 }
+                Ok(Msg::Fate(f)) => {
+                    lock(&slot.fate).get_or_insert(f);
+                    continue;
+                }
+                // Coordinator-bound tags from a worker, or a broken frame:
+                // stop trusting the socket.
+                Ok(_) | Err(_) => break,
             }
-            // Coordinator-bound tags from a worker, or a broken frame:
-            // stop trusting the socket.
-            Ok(_) | Err(_) => break,
         }
+        mirror.beat(w);
+        mirror.notify();
     }
     let _ = stream.shutdown(Shutdown::Both);
     // Only the latest connection's reader may declare the worker
@@ -920,11 +781,11 @@ fn reader_loop(
     if slot.incarnation.load(Ordering::Acquire) == incarnation
         && slot.conn_gen.load(Ordering::Acquire) == gen
     {
-        slot.alive.store(false, Ordering::Release);
+        mirror.slots[w].alive.store(false, Ordering::Release);
         *lock(&slot.conn) = None;
     }
     slot.readers_exited.fetch_add(1, Ordering::AcqRel);
-    let _ = ready_tx.send(w);
+    mirror.notify();
 }
 
 /// Spawns and re-spawns worker `w`'s process: delivers scheduled SIGKILLs,
@@ -938,9 +799,9 @@ fn supervise_child(
     w: usize,
     exe: &PathBuf,
     addr: &str,
-    ready_tx: &Sender<usize>,
 ) {
-    let slot = &shared.slots[w];
+    let (slot, mirror) = (&shared.slots[w], &shared.mirror);
+    let iterations = &mirror.slots[w].iterations;
     let kill_at: Option<u64> = config
         .kill9
         .iter()
@@ -959,7 +820,7 @@ fn supervise_child(
         // world's workers also start alive); the handshake refreshes the
         // heartbeat, and a process that never connects goes stale and
         // then exits.
-        slot.alive.store(true, Ordering::Release);
+        mirror.slots[w].alive.store(true, Ordering::Release);
         let spawned = Command::new(exe)
             .arg(addr)
             .arg(w.to_string())
@@ -972,11 +833,10 @@ fn supervise_child(
             Ok(c) => c,
             Err(e) => {
                 eprintln!("failed to spawn worker {w}: {e}");
-                slot.alive.store(false, Ordering::Release);
                 *lock(&slot.fate) = Some(WorkerFate::Crashed {
-                    at_iter: slot.iterations.load(Ordering::Acquire),
+                    at_iter: iterations.load(Ordering::Acquire),
                 });
-                let _ = ready_tx.send(w);
+                mirror.set_alive(w, false);
                 return;
             }
         };
@@ -989,7 +849,7 @@ fn supervise_child(
                 Err(_) => break,
                 Ok(None) => {}
             }
-            if shared.stop.load(Ordering::Acquire) {
+            if mirror.stop.load(Ordering::Acquire) {
                 stopping = true;
                 let deadline = Instant::now() + STOP_GRACE;
                 loop {
@@ -1005,7 +865,7 @@ fn supervise_child(
                 }
                 break;
             }
-            if !kill_fired && kill_at.is_some_and(|at| shared.round.load(Ordering::Acquire) >= at) {
+            if !kill_fired && kill_at.is_some_and(|at| mirror.round.load(Ordering::Acquire) >= at) {
                 // The real thing: SIGKILL, unannounced. The only evidence
                 // is the socket going quiet.
                 let _ = child.kill();
@@ -1026,11 +886,10 @@ fn supervise_child(
         {
             std::thread::sleep(Duration::from_millis(2));
         }
-        slot.alive.store(false, Ordering::Release);
         *lock(&slot.conn) = None;
-        let _ = ready_tx.send(w);
-        let iters = slot.iterations.load(Ordering::Acquire);
-        if shared.stop.load(Ordering::Acquire) {
+        mirror.set_alive(w, false);
+        let iters = iterations.load(Ordering::Acquire);
+        if mirror.stop.load(Ordering::Acquire) {
             return;
         }
         // A scheduled departure is final: the worker reported Retired or
@@ -1052,15 +911,8 @@ fn supervise_child(
                     at_iter: at,
                     rejoined: false,
                 });
-                let deadline = Instant::now() + Duration::from_micros(rejoin_after_us);
-                while !shared.stop.load(Ordering::Acquire) {
-                    let left = deadline.saturating_duration_since(Instant::now());
-                    if left.is_zero() {
-                        break;
-                    }
-                    std::thread::sleep(Duration::from_millis(2).min(left));
-                }
-                if shared.stop.load(Ordering::Acquire) {
+                interruptible_sleep(Duration::from_micros(rejoin_after_us), &mirror.stop);
+                if mirror.stop.load(Ordering::Acquire) {
                     return;
                 }
                 *lock(&slot.fate) = Some(WorkerFate::Restarted {
@@ -1097,10 +949,10 @@ fn supervise_child(
 /// Runs a full training session with worker subprocesses over TCP and
 /// returns the result.
 ///
-/// The controller logic, fault plans, tolerance knobs, and codec
-/// accounting are shared with [`crate::run_threaded`] — the only thing
-/// that changes is the transport, so the counters are directly comparable
-/// across worlds.
+/// The controller, the worker loop, fault plans, tolerance knobs, and
+/// codec accounting are shared with [`crate::run_threaded`] — only the
+/// transport and the worker's link change, so the counters are directly
+/// comparable across worlds.
 ///
 /// # Panics
 ///
@@ -1132,17 +984,11 @@ pub fn run_process(config: &ProcessConfig) -> ProcessResult {
     let exe = resolve_worker_exe(config.worker_exe.as_ref());
     let start = Instant::now();
 
-    // The shared RNG sequence: dataset, template, then the per-worker
-    // forks in worker order. The worker processes replay the identical
-    // sequence from the seed, so burning the forks here keeps the
-    // controller's probe/codec streams aligned with the threaded world.
-    let mut rng = SimRng::seed(base.seed);
-    let dataset = Arc::new(Dataset::blobs(256, 8, 4, 0.4, &mut rng));
-    let template = SoftmaxClassifier::new(8, 4, &mut rng);
-    for w in 0..n {
-        let _ = rng.fork(STREAM_SAMPLER + w as u64);
-        let _ = rng.fork(STREAM_COMPUTE + w as u64);
-    }
+    let (rng, dataset, template) = task(base.seed);
+    // The worker processes rebuild the same task and fork their streams at
+    // their own positions; the controller's generator starts behind them
+    // all, aligned with the threaded world's.
+    let mut rng = past_workers(&rng, n as u64);
     let key = {
         let mut krng = SimRng::seed(base.seed ^ KEY_SALT);
         AuthKey {
@@ -1180,42 +1026,29 @@ pub fn run_process(config: &ProcessConfig) -> ProcessResult {
     };
 
     let shared = Arc::new(ProcShared {
+        // Nobody is reachable until its handshake completes.
+        mirror: Mirror::new(base, start, 0, |_| false),
         slots: (0..n)
             .map(|_| ProcSlot {
-                cache: Mutex::new(GradientCache::new(base.staleness_bound, true)),
-                iterations: AtomicU64::new(0),
-                heartbeat_us: AtomicU64::new(0),
-                alive: AtomicBool::new(false),
-                conn: Mutex::new(None),
-                fate: Mutex::new(None),
-                start_iter: AtomicU64::new(0),
-                incarnation: AtomicU64::new(0),
-                readers_started: AtomicU64::new(0),
-                readers_exited: AtomicU64::new(0),
-                conn_gen: AtomicU64::new(0),
                 last_handshake: AtomicU64::new(u64::MAX),
+                ..ProcSlot::default()
             })
             .collect(),
-        round: AtomicU64::new(0),
-        published: RwLock::new(initial_state.master.clone()),
-        start,
-        stop: AtomicBool::new(false),
-        liveness_timeout_us: base.tolerance.liveness_timeout_us,
+        published: Mutex::new(initial_state.master.clone()),
         key,
         nonce_base,
         term: AtomicU64::new(0),
         conn_seq: AtomicU64::new(1),
         param_len: initial_state.master.len(),
+        decode_threads: codec::wire_threads(initial_state.master.len()),
         compression: base.compression,
-        wire: Mutex::new(Counters::default()),
         sockets_severed: AtomicU64::new(0),
         worker_respawns: AtomicU64::new(0),
         auth_rejects: AtomicU64::new(0),
         reconnect_attempts: AtomicU64::new(0),
     });
 
-    let (ready_tx, ready_rx): (Sender<usize>, Receiver<usize>) = channel();
-    let (join_tx, join_rx): (Sender<usize>, Receiver<usize>) = channel();
+    let (join_tx, join_rx) = channel::<usize>();
 
     // One accept thread per coordinator incarnation: a kill closes the
     // listener (so the port can be rebound) and the restart spawns a
@@ -1223,11 +1056,8 @@ pub fn run_process(config: &ProcessConfig) -> ProcessResult {
     let spawn_accept = |listener: TcpListener, accept_stop: Arc<AtomicBool>| {
         let shared = Arc::clone(&shared);
         let cfg = ctrl_base.clone();
-        let ready_tx = ready_tx.clone();
         let join_tx = join_tx.clone();
-        std::thread::spawn(move || {
-            accept_loop(&listener, &shared, &cfg, &ready_tx, &join_tx, &accept_stop);
-        })
+        std::thread::spawn(move || accept_loop(&listener, &shared, &cfg, &join_tx, &accept_stop))
     };
     let mut accept_stop = Arc::new(AtomicBool::new(false));
     let mut accept_handle = spawn_accept(listener, Arc::clone(&accept_stop));
@@ -1242,21 +1072,21 @@ pub fn run_process(config: &ProcessConfig) -> ProcessResult {
             let addr = proxy
                 .as_ref()
                 .map_or_else(|| addr.clone(), |p| p.addr_for(w).to_string());
-            let ready_tx = ready_tx.clone();
             std::thread::spawn(move || {
                 // A scheduled joiner's process does not exist until its
                 // join round: admission is part of the run, not the spawn.
+                let mirror = &shared.mirror;
                 if let Some((at_round, _)) = config.base.churn_plan.join_of(w) {
-                    while !shared.stop.load(Ordering::Acquire)
-                        && shared.round.load(Ordering::Acquire) < at_round
+                    while !mirror.stop.load(Ordering::Acquire)
+                        && mirror.round.load(Ordering::Acquire) < at_round
                     {
                         std::thread::sleep(Duration::from_millis(2));
                     }
-                    if shared.stop.load(Ordering::Acquire) {
+                    if mirror.stop.load(Ordering::Acquire) {
                         return;
                     }
                 }
-                supervise_child(&config, &shared, w, &exe, &addr, &ready_tx);
+                supervise_child(&config, &shared, w, &exe, &addr);
             })
         })
         .collect();
@@ -1287,7 +1117,6 @@ pub fn run_process(config: &ProcessConfig) -> ProcessResult {
         .map(|dir| CheckpointStore::new(dir).expect("recovery directory must be writable"));
     let mut transport = ProcessTransport {
         shared: Arc::clone(&shared),
-        ready_rx,
         sever: config.sever.clone(),
         frame: Vec::new(),
         frame_round: None,
@@ -1296,7 +1125,7 @@ pub fn run_process(config: &ProcessConfig) -> ProcessResult {
 
     // Coordinator incarnations: each runs until the round budget is spent
     // or its scheduled kill round arrives. A kill tears the incarnation
-    // down wholesale — listener, sockets, mirrors — and the next one
+    // down wholesale — listener, sockets, cached gradients — and the next one
     // restarts from the newest disk checkpoint under a bumped term while
     // the workers reconnect through their backoff loops.
     let mut kills: VecDeque<u64> = {
@@ -1312,6 +1141,7 @@ pub fn run_process(config: &ProcessConfig) -> ProcessResult {
         let abort_at = kills.front().copied();
         match supervise(
             &ctrl_base,
+            &shared.mirror,
             &mut transport,
             &mut rng,
             state,
@@ -1325,7 +1155,7 @@ pub fn run_process(config: &ProcessConfig) -> ProcessResult {
                 coordinator_restarts += 1;
                 // The incarnation is gone: close the listener, sever every
                 // socket (the workers' reconnect loops own the rest), and
-                // drop the mirrors a dead coordinator could not have kept.
+                // drop the cached gradients a dead coordinator could not have kept.
                 accept_stop.store(true, Ordering::Release);
                 let _ = TcpStream::connect(&addr);
                 let _ = accept_handle.join();
@@ -1335,8 +1165,8 @@ pub fn run_process(config: &ProcessConfig) -> ProcessResult {
                         let _ = s.shutdown(Shutdown::Both);
                         severed.push(w);
                     }
-                    slot.alive.store(false, Ordering::Release);
-                    *lock(&slot.cache) = GradientCache::new(base.staleness_bound, true);
+                    shared.mirror.slots[w].alive.store(false, Ordering::Release);
+                    shared.mirror.purge(w);
                 }
                 // Restart from disk; a kill before the first cut falls
                 // back to the initial state and honestly redoes round 0.
@@ -1352,19 +1182,15 @@ pub fn run_process(config: &ProcessConfig) -> ProcessResult {
                     None => initial_state.clone(),
                 };
                 lineage.failover_rounds_lost += died_at.saturating_sub(state.round);
-                shared.round.store(state.round, Ordering::Release);
-                shared
-                    .published
-                    .write()
-                    .unwrap_or_else(PoisonError::into_inner)
-                    .copy_from(&state.master);
+                shared.mirror.round.store(state.round, Ordering::Release);
+                lock(&shared.published).copy_from(&state.master);
                 // The cached parameter frame belongs to the dead
                 // incarnation's round numbering; rebuild on next push. The
                 // undrained wire charges die with the incarnation too — the
                 // restored checkpoint already carries the byte totals as of
                 // its cut, and the redone rounds re-measure their frames.
                 transport.frame_round = None;
-                *lock(&shared.wire) = Counters::default();
+                let _ = shared.mirror.take_wire_charges();
                 shared.term.store(lineage.term, Ordering::Release);
                 // Rebind the *same* address — the workers' reconnect loops
                 // and the proxy's upstream dial both hold it. SO_REUSEADDR
@@ -1391,9 +1217,7 @@ pub fn run_process(config: &ProcessConfig) -> ProcessResult {
                 // workers it is redoing them for. Bounded — a worker that
                 // stays away genuinely died and forfeits the wait.
                 let rejoin_deadline = Instant::now() + REJOIN_TIMEOUT;
-                while severed
-                    .iter()
-                    .any(|&w| !shared.slots[w].alive.load(Ordering::Acquire))
+                while severed.iter().any(|&w| shared.mirror.is_dead(w))
                     && Instant::now() < rejoin_deadline
                 {
                     std::thread::sleep(Duration::from_millis(1));
@@ -1405,7 +1229,7 @@ pub fn run_process(config: &ProcessConfig) -> ProcessResult {
     // Teardown: stop, ask every live worker to finish gracefully (its
     // Fate frame arrives through the reader), and let the child
     // supervisors enforce the grace window.
-    shared.stop.store(true, Ordering::Release);
+    shared.mirror.stop.store(true, Ordering::Release);
     let mut scratch = Vec::new();
     for slot in &shared.slots {
         if let Some(stream) = lock(&slot.conn).as_mut() {
@@ -1423,9 +1247,10 @@ pub fn run_process(config: &ProcessConfig) -> ProcessResult {
     let workers = shared
         .slots
         .iter()
-        .map(|s| {
+        .zip(&shared.mirror.slots)
+        .map(|(s, m)| {
             let fate = lock(&s.fate).take().unwrap_or(WorkerFate::Healthy);
-            (s.iterations.load(Ordering::Acquire), fate)
+            (m.iterations.load(Ordering::Acquire), fate)
         })
         .collect();
     let run = finish(

@@ -1,11 +1,8 @@
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{channel, Receiver, Sender};
-use std::sync::{Arc, Condvar, Mutex, PoisonError, RwLock};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use rna_collectives::partial_allreduce_pooled;
-use rna_core::cache::GradientCache;
 use rna_core::fault::{FaultPlan, NetFaultPlan, ToleranceConfig, WorkerFate};
 use rna_core::membership::{ChurnEvent, ChurnPlan};
 use rna_core::recovery::{CheckpointStore, RecoveryConfig, RecoveryError};
@@ -13,13 +10,14 @@ use rna_core::stats::Counters;
 use rna_simnet::SimRng;
 use rna_tensor::{Compression, Tensor, TensorPool};
 use rna_training::model::SoftmaxClassifier;
-use rna_training::{BatchSampler, Dataset, Model, Sgd};
+use rna_training::{Dataset, Model};
 
-use crate::fault::{FaultExecutor, IterDirective};
+use crate::proto::WorkerSetup;
 use crate::transport::{
-    decode_ctrl_checkpoint, lock, supervise, CtrlCheckpoint, Lineage, Transport, STREAM_COMPUTE,
-    STREAM_JOIN, STREAM_SAMPLER,
+    decode_ctrl_checkpoint, lock, past_workers, supervise, task, worker_streams, CtrlCheckpoint,
+    Lineage, Mirror, Transport,
 };
+use crate::worker::{Encoder, Gate, Worker, WorkerLink};
 
 /// Which synchronization strategy the threaded runtime runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -75,11 +73,13 @@ pub struct ThreadedConfig {
     /// can be resumed with [`resume_threaded`].
     pub recovery_dir: Option<PathBuf>,
     /// Gradient wire codec for the partial-collective modes (RNA and
-    /// eager-majority): every drained contribution really crosses the
-    /// controller boundary as `decode(encode(grad + residual))`, with the
-    /// dropped remainder carried in a per-worker error-feedback residual.
-    /// BSP ignores it (its strict barrier predates the compressed wire
-    /// path). The default `Lossless` leaves gradients untouched.
+    /// eager-majority): every worker encodes each gradient before it
+    /// deposits it, so the controller receives
+    /// `decode(encode(grad + residual))` with the dropped remainder carried
+    /// in the worker's own error-feedback residual, and `bytes_on_wire`
+    /// counts the frames actually produced. BSP ignores it (its barrier
+    /// hands raw gradients over and tallies no wire bytes). The default
+    /// `Lossless` leaves gradients untouched.
     pub compression: Compression,
     /// Deterministic mid-run membership changes (joins, retirements,
     /// evictions), replayed at global round edges. `num_workers` is the
@@ -238,103 +238,23 @@ impl ThreadedResult {
     }
 }
 
-pub(crate) struct WorkerSlot {
-    cache: Mutex<GradientCache>,
-    /// The worker's view of the parameters. The controller publishes each
+/// What the threads of one run share: the mirror every world keeps, plus
+/// the two things only shared memory has — per-worker parameter slots and
+/// the condvar the lead gate parks on.
+struct ThreadShared {
+    mirror: Mirror,
+    /// Each worker's view of the parameters. The controller publishes each
     /// round's master as one shared `Arc` snapshot — replacing `n` deep
-    /// tensor clones with `n` refcount bumps — and workers clone the `Arc`
-    /// (not the tensor) out of the lock. Snapshots are immutable once
+    /// tensor clones with `n` refcount bumps. Snapshots are immutable once
     /// published; when the last slot lets go of one, the controller
     /// reclaims its buffer into the pool.
-    params: RwLock<Arc<Tensor>>,
-    iterations: AtomicU64,
-    /// Microseconds since run start at the worker's last sign of life.
-    heartbeat_us: AtomicU64,
-    /// Cleared by the worker itself when its fault plan kills it.
-    alive: AtomicBool,
+    params: Vec<Mutex<Arc<Tensor>>>,
+    gate: Gate,
 }
 
-pub(crate) struct Shared {
-    slots: Vec<WorkerSlot>,
-    round: AtomicU64,
-    stop: AtomicBool,
-    pause_lock: Mutex<()>,
-    pause_cv: Condvar,
-    start: Instant,
-    liveness_timeout_us: u64,
-}
-
-impl Shared {
-    fn now_us(&self) -> u64 {
-        u64::try_from(self.start.elapsed().as_micros()).unwrap_or(u64::MAX)
-    }
-
-    fn heartbeat(&self, w: usize) {
-        self.slots[w]
-            .heartbeat_us
-            .store(self.now_us(), Ordering::Release);
-    }
-
-    /// Permanently-dead view: the worker thread exited via its crash
-    /// directive. Presumed-dead-by-silence workers are *not* in this set —
-    /// they may be hung and can return.
-    fn is_dead(&self, w: usize) -> bool {
-        !self.slots[w].alive.load(Ordering::Acquire)
-    }
-
-    /// Liveness view used for initiator election and majority counting:
-    /// alive and heard from within the liveness timeout. A hung worker
-    /// drops out of this set when its heartbeat goes stale and is
-    /// re-admitted automatically once it beats again.
-    fn live_view(&self) -> Vec<bool> {
-        let now = self.now_us();
-        self.slots
-            .iter()
-            .map(|s| {
-                s.alive.load(Ordering::Acquire)
-                    && now.saturating_sub(s.heartbeat_us.load(Ordering::Acquire))
-                        < self.liveness_timeout_us
-            })
-            .collect()
-    }
-}
-
-/// [`Transport`] over shared memory: the controller reads the worker
-/// slots directly and "pushes" parameters by swapping `Arc` snapshots.
-struct ThreadedTransport<'a> {
-    shared: &'a Shared,
-    ready_rx: Receiver<usize>,
-}
-
-impl Transport for ThreadedTransport<'_> {
-    fn now_us(&self) -> u64 {
-        self.shared.now_us()
-    }
-
-    fn is_dead(&self, w: usize) -> bool {
-        self.shared.is_dead(w)
-    }
-
-    fn live_view(&self) -> Vec<bool> {
-        self.shared.live_view()
-    }
-
-    fn heartbeat_us(&self, w: usize) -> u64 {
-        self.shared.slots[w].heartbeat_us.load(Ordering::Acquire)
-    }
-
-    fn cache_ready(&self, w: usize) -> bool {
-        !lock(&self.shared.slots[w].cache).is_empty()
-    }
-
-    fn drain(&mut self, w: usize, round: u64, pool: &mut TensorPool) -> Option<Tensor> {
-        lock(&self.shared.slots[w].cache).take_contribution_pooled(round, pool)
-    }
-
-    fn purge(&mut self, w: usize, staleness_bound: usize) {
-        *lock(&self.shared.slots[w].cache) = GradientCache::new(staleness_bound, true);
-    }
-
+/// [`Transport`] over shared memory: parameters are "pushed" by swapping
+/// `Arc` snapshots, the round counter by waking the gate.
+impl Transport for &ThreadShared {
     fn push_params(
         &mut self,
         w: usize,
@@ -342,13 +262,7 @@ impl Transport for ThreadedTransport<'_> {
         snap: &Arc<Tensor>,
         pool: &mut TensorPool,
     ) -> bool {
-        let prev = std::mem::replace(
-            &mut *self.shared.slots[w]
-                .params
-                .write()
-                .unwrap_or_else(PoisonError::into_inner),
-            Arc::clone(snap),
-        );
+        let prev = std::mem::replace(&mut *lock(&self.params[w]), Arc::clone(snap));
         // The last reference to the previous round's snapshot recycles its
         // buffer.
         if let Some(t) = Arc::into_inner(prev) {
@@ -357,17 +271,101 @@ impl Transport for ThreadedTransport<'_> {
         true
     }
 
-    fn advance_round(&mut self, k: u64) {
-        self.shared.round.store(k, Ordering::Release);
-        self.shared.pause_cv.notify_all();
+    fn advance_round(&mut self, _k: u64) {
+        self.gate.wake();
+    }
+}
+
+/// [`WorkerLink`] over shared memory: the worker writes its own mirror slot
+/// and reads its parameter slot; nothing is framed, coalesced or flushed.
+struct ThreadLink {
+    shared: Arc<ThreadShared>,
+    w: usize,
+    /// The encode leg, with the scratch its frames land in. `None` under
+    /// BSP: the barrier hands raw gradients over in shared memory and
+    /// tallies no wire bytes.
+    encoder: Option<(Encoder, Vec<u8>)>,
+}
+
+impl ThreadLink {
+    /// A planned joiner is dormant until admission: parked against the
+    /// round counter. The controller streams the model snapshot into this
+    /// worker's parameter slot before advancing the counter, so waking
+    /// implies the snapshot is in place. `false` if the run ended first.
+    fn await_admission(&self, at_round: u64, recheck: Duration) -> bool {
+        let mirror = &self.shared.mirror;
+        let stopped = || mirror.stop.load(Ordering::Acquire);
+        let dormant = || mirror.round.load(Ordering::Acquire) < at_round && !stopped();
+        while dormant() {
+            self.shared.gate.park(recheck, dormant);
+        }
+        if stopped() {
+            return false;
+        }
+        mirror.beat(self.w);
+        mirror.set_alive(self.w, true);
+        true
+    }
+}
+
+impl WorkerLink for ThreadLink {
+    fn round(&self) -> u64 {
+        self.shared.mirror.round.load(Ordering::Acquire)
     }
 
-    fn wait_ready(&mut self, timeout: Duration) {
-        let _ = self.ready_rx.recv_timeout(timeout);
+    fn stop(&self) -> &AtomicBool {
+        &self.shared.mirror.stop
     }
 
-    fn drain_ready(&mut self) {
-        while self.ready_rx.try_recv().is_ok() {}
+    fn park(&mut self, seen: u64, timeout: Duration) {
+        let parked = || self.round() == seen && !self.stop().load(Ordering::Acquire);
+        self.shared.gate.park(timeout, parked);
+    }
+
+    fn beat(&mut self, _iter: u64) {
+        self.shared.mirror.beat(self.w);
+    }
+
+    fn refresh(&mut self, model: &mut SoftmaxClassifier) {
+        // The snapshot is immutable once published, so the lock is held
+        // only for a refcount bump.
+        let params = Arc::clone(&lock(&self.shared.params[self.w]));
+        model.set_params(&params);
+    }
+
+    fn deposit(&mut self, iter: u64, mut grad: Tensor) {
+        let mirror = &self.shared.mirror;
+        mirror.beat(self.w);
+        // Encode in place: the cache receives the wire-valued gradient and
+        // the mirror the measured frame, exactly as a socket reader would
+        // deliver them.
+        let frame = self.encoder.as_mut().map(|(encoder, scratch)| {
+            scratch.clear();
+            encoder.encode(&mut grad, scratch)
+        });
+        mirror.deposit(self.w, iter, grad, frame);
+        mirror.notify();
+    }
+
+    fn flush(&mut self, _next_iter: u64) {}
+
+    fn die(&mut self, down_for: Option<Duration>) -> bool {
+        // Flag it so the controller stops probing / counting this worker
+        // immediately. A crash-restart is indistinguishable from a crash
+        // while down; then the worker comes back, pulls the current model
+        // from its parameter slot (the controller keeps pushing to it), and
+        // re-enters the liveness view via its next heartbeat.
+        let mirror = &self.shared.mirror;
+        mirror.set_alive(self.w, false);
+        let Some(down_for) = down_for else {
+            return false;
+        };
+        interruptible_sleep(down_for, &mirror.stop);
+        if mirror.stop.load(Ordering::Acquire) {
+            return false;
+        }
+        mirror.set_alive(self.w, true);
+        true
     }
 }
 
@@ -375,9 +373,9 @@ impl Transport for ThreadedTransport<'_> {
 ///
 /// The controller never blocks indefinitely: every wait carries a timeout,
 /// probe rounds are resampled away from dead workers, the eager majority
-/// is recomputed over live workers only, and a round that cannot assemble
-/// any gradient by the round deadline completes *degraded* (no update)
-/// instead of stalling.
+/// is recomputed over live workers only, and a round whose trigger has not
+/// fired by the round deadline completes *degraded* (no update) instead of
+/// stalling — under the BSP barrier too.
 ///
 /// # Panics
 ///
@@ -387,13 +385,7 @@ impl Transport for ThreadedTransport<'_> {
 /// cannot survive one).
 pub fn run_threaded(config: &ThreadedConfig) -> ThreadedResult {
     validate_config(config);
-    let mut rng = SimRng::seed(config.seed);
-    let dataset = Arc::new(Dataset::blobs(256, 8, 4, 0.4, &mut rng));
-    let template = SoftmaxClassifier::new(8, 4, &mut rng);
-    match config.mode {
-        SyncMode::Bsp => run_bsp(config, dataset, template, rng),
-        SyncMode::Rna | SyncMode::EagerMajority => run_rna(config, dataset, template, rng, None),
-    }
+    run(config, task(config.seed), None)
 }
 
 /// Resumes a run whose process died, from the newest disk checkpoint under
@@ -435,10 +427,8 @@ pub fn resume_threaded(config: &ThreadedConfig) -> Result<ThreadedResult, Recove
     let ck = decode_ctrl_checkpoint(&loaded.payload).ok_or_else(|| {
         RecoveryError::Corrupt("threaded checkpoint payload failed to decode".into())
     })?;
-    let mut rng = SimRng::seed(config.seed);
-    let dataset = Arc::new(Dataset::blobs(256, 8, 4, 0.4, &mut rng));
-    let template = SoftmaxClassifier::new(8, 4, &mut rng);
-    if ck.master.len() != template.params().len() {
+    let task = task(config.seed);
+    if ck.master.len() != task.2.params().len() {
         return Err(RecoveryError::Corrupt(
             "checkpointed model size does not match the configuration".into(),
         ));
@@ -448,7 +438,7 @@ pub fn resume_threaded(config: &ThreadedConfig) -> Result<ThreadedResult, Recove
             "checkpointed round exceeds the round budget".into(),
         ));
     }
-    Ok(run_rna(config, dataset, template, rng, Some(ck)))
+    Ok(run(config, task, Some(ck)))
 }
 
 pub(crate) fn validate_config(config: &ThreadedConfig) {
@@ -518,386 +508,95 @@ pub(crate) fn interruptible_sleep(total: Duration, stop: &AtomicBool) {
     }
 }
 
-fn run_bsp(
+/// One threaded run in any [`SyncMode`]: a thread per worker executing the
+/// shared worker loop over a [`ThreadLink`], and the shared controller
+/// supervised on this thread.
+fn run(
     config: &ThreadedConfig,
-    dataset: Arc<Dataset>,
-    template: SoftmaxClassifier,
-    mut rng: SimRng,
-) -> ThreadedResult {
-    let n = config.num_workers;
-    let (grad_tx, grad_rx) = channel::<(usize, Tensor)>();
-    let stop = Arc::new(AtomicBool::new(false));
-    let mut param_txs = Vec::new();
-    let mut handles = Vec::new();
-    let start = Instant::now();
-    for w in 0..n {
-        let (ptx, prx) = channel::<Option<Arc<Tensor>>>();
-        param_txs.push(ptx);
-        let grad_tx = grad_tx.clone();
-        let stop = Arc::clone(&stop);
-        let dataset = Arc::clone(&dataset);
-        let mut model = template.clone();
-        let mut sampler = BatchSampler::new(rng.fork(STREAM_SAMPLER + w as u64), config.batch_size);
-        let mut wrng = rng.fork(STREAM_COMPUTE + w as u64);
-        let range = config.compute_us[w];
-        let mut faults = FaultExecutor::new(&config.fault_plan, w);
-        handles.push(std::thread::spawn(move || -> (u64, WorkerFate) {
-            let mut iters: u64 = 0;
-            while let Ok(Some(params)) = prx.recv() {
-                match faults.on_iteration_start(iters) {
-                    IterDirective::Crash | IterDirective::Restart(_) => {
-                        unreachable!("crashes rejected for BSP")
-                    }
-                    IterDirective::HangFor(d) => interruptible_sleep(d, &stop),
-                    IterDirective::Proceed => {}
-                }
-                model.set_params(&params);
-                let batch = sampler.sample(&dataset);
-                let (_, grad) = model.loss_and_grad(&batch);
-                sleep_range(&mut wrng, range);
-                let extra = faults.extra_compute_delay(iters);
-                if !extra.is_zero() {
-                    std::thread::sleep(extra);
-                }
-                iters += 1;
-                if grad_tx.send((w, grad)).is_err() {
-                    break;
-                }
-            }
-            (iters, faults.fate())
-        }));
-    }
-
-    let mut master = template.params().clone();
-    let mut opt = Sgd::new(config.lr, 0.0, 0.0, master.len());
-    let mut pool = TensorPool::new();
-    let snapshot = Arc::new(master.clone());
-    for tx in &param_txs {
-        let _ = tx.send(Some(Arc::clone(&snapshot)));
-    }
-    drop(snapshot);
-    let mut rounds_degraded: u64 = 0;
-    let mut deadline_overshoot_us: u64 = 0;
-    let round_deadline = Duration::from_micros(config.tolerance.round_deadline_us);
-    for round in 0..config.rounds {
-        let round_start = Instant::now();
-        let mut grads: Vec<Option<Tensor>> = vec![None; n];
-        let mut received = 0;
-        let mut degraded = false;
-        while received < n {
-            // A worker thread that panicked (or wedged) must not stall the
-            // barrier forever: the round completes degraded at the
-            // deadline instead, recorded as a fate at join time. The wait
-            // is the *true* remaining budget — the earlier 1 ms floor let
-            // every late contributor push the round up to 1 ms past its
-            // deadline.
-            let elapsed = round_start.elapsed();
-            if elapsed >= round_deadline {
-                degraded = true;
-                break;
-            }
-            match grad_rx.recv_timeout(round_deadline - elapsed) {
-                Ok((w, g)) => {
-                    if grads[w].is_none() {
-                        received += 1;
-                    }
-                    grads[w] = Some(g);
-                }
-                Err(_) => {
-                    degraded = true;
-                    break;
-                }
-            }
-        }
-        if degraded {
-            // Strict barrier semantics: an incomplete round applies no
-            // update (BSP has no notion of a partial collective). Whatever
-            // the scheduler added past the deadline is accounted, not
-            // silently swallowed.
-            rounds_degraded += 1;
-            deadline_overshoot_us += u64::try_from(
-                round_start
-                    .elapsed()
-                    .saturating_sub(round_deadline)
-                    .as_micros(),
-            )
-            .unwrap_or(u64::MAX);
-            for g in grads.into_iter().flatten() {
-                pool.release(g);
-            }
-        } else {
-            // Fused mean (bit-identical to uniformly weighted averaging)
-            // into a pooled buffer; the drained gradients feed the pool
-            // afterwards.
-            let refs: Vec<Option<&Tensor>> = grads.iter().map(Option::as_ref).collect();
-            let mean = partial_allreduce_pooled(&refs, &mut pool)
-                .expect("the barrier collected every worker's gradient")
-                .reduced;
-            opt.step(&mut master, &mean, 1.0);
-            pool.release(mean);
-            for g in grads.into_iter().flatten() {
-                pool.release(g);
-            }
-        }
-        if round + 1 < config.rounds {
-            // One shared snapshot per round instead of one deep clone per
-            // worker.
-            let mut snap = pool.acquire(master.len());
-            snap.copy_from(&master);
-            let snapshot = Arc::new(snap);
-            for tx in &param_txs {
-                let _ = tx.send(Some(Arc::clone(&snapshot)));
-            }
-        }
-    }
-    stop.store(true, Ordering::Release);
-    for tx in &param_txs {
-        let _ = tx.send(None);
-    }
-    // A panicked thread's iteration count died with it.
-    let workers = handles
-        .into_iter()
-        .map(|h| h.join().unwrap_or((0, WorkerFate::Crashed { at_iter: 0 })))
-        .collect();
-    // The barrier has no control plane to checkpoint; its final state is
-    // the master plus the degraded-round tallies, every round at full
-    // participation.
-    let final_state = CtrlCheckpoint {
-        round: config.rounds,
-        participation_sum: config.rounds as f64,
-        rounds_degraded,
-        deadline_overshoot_us,
-        ..CtrlCheckpoint::initial(master)
-    };
-    finish(
-        config,
-        dataset,
-        template,
-        start,
-        workers,
-        final_state,
-        &Lineage::default(),
-    )
-}
-
-fn run_rna(
-    config: &ThreadedConfig,
-    dataset: Arc<Dataset>,
-    template: SoftmaxClassifier,
-    mut rng: SimRng,
+    (rng, dataset, template): (SimRng, Arc<Dataset>, SoftmaxClassifier),
     resume: Option<CtrlCheckpoint>,
 ) -> ThreadedResult {
     let n = config.num_workers;
     let start = Instant::now();
     let state = resume.unwrap_or_else(|| CtrlCheckpoint::initial(template.params().clone()));
     let init_params = Arc::new(state.master.clone());
-    let shared = Arc::new(Shared {
-        slots: (0..n)
-            .map(|w| WorkerSlot {
-                cache: Mutex::new(GradientCache::new(config.staleness_bound, true)),
-                params: RwLock::new(Arc::clone(&init_params)),
-                iterations: AtomicU64::new(0),
-                heartbeat_us: AtomicU64::new(0),
-                // Dormant joiners stay out of every liveness view until
-                // their admission round arrives.
-                alive: AtomicBool::new(config.churn_plan.join_of(w).is_none()),
-            })
+    let shared = Arc::new(ThreadShared {
+        // Dormant joiners stay out of every liveness view until their
+        // admission round arrives.
+        mirror: Mirror::new(config, start, state.round, |w| {
+            config.churn_plan.join_of(w).is_none()
+        }),
+        params: (0..n)
+            .map(|_| Mutex::new(Arc::clone(&init_params)))
             .collect(),
-        round: AtomicU64::new(state.round),
-        stop: AtomicBool::new(false),
-        pause_lock: Mutex::new(()),
-        pause_cv: Condvar::new(),
-        start,
-        liveness_timeout_us: config.tolerance.liveness_timeout_us,
+        gate: Gate::default(),
     });
-    let (ready_tx, ready_rx): (Sender<usize>, Receiver<usize>) = channel();
-    // Parked workers re-check the round counter (and heartbeat) at this
-    // cadence even without a wake-up; it only bounds how stale a missed
-    // notify can go, so a healthy fraction of the liveness window is
-    // enough — no 1 ms polling.
-    let park_recheck = Duration::from_micros((config.tolerance.liveness_timeout_us / 4).max(1_000));
-    let mut handles = Vec::new();
-    for w in 0..n {
-        let shared = Arc::clone(&shared);
-        let ready_tx = ready_tx.clone();
-        let dataset = Arc::clone(&dataset);
-        let mut model = template.clone();
-        // A planned joiner draws its streams from the disjoint grant
-        // namespace; the forks still sit at worker `w`'s position in the
-        // shared sequence, so everyone else replays unchanged.
-        let join_round = config.churn_plan.join_of(w).map(|(r, _)| r);
-        let (sampler_key, compute_key) = if join_round.is_some() {
-            (STREAM_JOIN + 2 * w as u64, STREAM_JOIN + 2 * w as u64 + 1)
-        } else {
-            (STREAM_SAMPLER + w as u64, STREAM_COMPUTE + w as u64)
-        };
-        let mut sampler = BatchSampler::new(rng.fork(sampler_key), config.batch_size);
-        let mut wrng = rng.fork(compute_key);
-        let range = config.compute_us[w];
-        let max_lead = config.max_lead;
-        let retire_round = config.churn_plan.retire_of(w);
-        let evict_round = config.churn_plan.evict_of(w);
-        let mut faults = FaultExecutor::new(&config.fault_plan, w);
-        handles.push(std::thread::spawn(move || -> WorkerFate {
-            if let Some(j) = join_round {
-                // Dormant until admission: park against the round counter.
-                // The controller streams the model snapshot into this
-                // worker's parameter slot before advancing the counter, so
-                // waking implies the snapshot is in place.
-                while !shared.stop.load(Ordering::Acquire)
-                    && shared.round.load(Ordering::Acquire) < j
-                {
-                    let guard = lock(&shared.pause_lock);
-                    let _unused = shared
-                        .pause_cv
-                        .wait_timeout(guard, park_recheck)
-                        .unwrap_or_else(PoisonError::into_inner);
+    let handles: Vec<_> = (0..n)
+        .map(|w| {
+            let setup =
+                WorkerSetup::for_worker(config, w, (0, 0), state.round, state.master.clone());
+            let streams = worker_streams(&rng, w as u64, setup.rng_grant);
+            let mut me = Worker::new(
+                setup,
+                Arc::clone(&dataset),
+                template.clone(),
+                streams.sampler,
+                streams.compute,
+            );
+            let mut link = ThreadLink {
+                shared: Arc::clone(&shared),
+                w,
+                encoder: (config.mode != SyncMode::Bsp).then(|| {
+                    let encoder =
+                        Encoder::new(config.compression, state.master.len(), streams.wire);
+                    (encoder, Vec::new())
+                }),
+            };
+            let join_round = config.churn_plan.join_of(w).map(|(r, _)| r);
+            std::thread::spawn(move || -> WorkerFate {
+                if join_round.is_some_and(|j| !link.await_admission(j, me.park_recheck())) {
+                    return me.faults.fate();
                 }
-                if shared.stop.load(Ordering::Acquire) {
-                    return faults.fate();
+                let departed = me.run(&mut link);
+                if departed.is_some() {
+                    link.shared.mirror.set_alive(w, false);
                 }
-                shared.slots[w].alive.store(true, Ordering::Release);
-                shared.heartbeat(w);
-                let _ = ready_tx.send(w);
-            }
-            let mut departed: Option<WorkerFate> = None;
-            let mut local_iter: u64 = 0;
-            while !shared.stop.load(Ordering::Acquire) {
-                let round_now = shared.round.load(Ordering::Acquire);
-                if let Some(r) = retire_round {
-                    // Graceful: keep contributing through round `r`; the
-                    // controller drains that final contribution before the
-                    // counter moves past it.
-                    if round_now > r {
-                        departed = Some(WorkerFate::Retired { at_round: r });
-                        break;
-                    }
-                }
-                if let Some(r) = evict_round {
-                    // Forced: out as soon as the eviction round starts;
-                    // the controller purges whatever was left behind.
-                    if round_now >= r {
-                        departed = Some(WorkerFate::Evicted { at_round: r });
-                        break;
-                    }
-                }
-                match faults.on_iteration_start(local_iter) {
-                    IterDirective::Crash => {
-                        // Dead forever: flag it so the controller stops
-                        // probing / counting this worker immediately, and
-                        // wake it — a death changes the electorate just
-                        // like a deposit does.
-                        shared.slots[w].alive.store(false, Ordering::Release);
-                        let _ = ready_tx.send(w);
-                        break;
-                    }
-                    IterDirective::Restart(down_for) => {
-                        // Crash-restart: indistinguishable from a crash
-                        // while down, then the process comes back, pulls
-                        // the current model from its parameter slot (the
-                        // controller keeps pushing to it), and re-enters
-                        // the liveness view via its next heartbeat.
-                        shared.slots[w].alive.store(false, Ordering::Release);
-                        let _ = ready_tx.send(w);
-                        interruptible_sleep(down_for, &shared.stop);
-                        if shared.stop.load(Ordering::Acquire) {
-                            break;
-                        }
-                        faults.mark_rejoined();
-                        shared.slots[w].alive.store(true, Ordering::Release);
-                        let _ = ready_tx.send(w);
-                    }
-                    IterDirective::HangFor(d) => {
-                        // Frozen: no heartbeats until the hang lifts.
-                        interruptible_sleep(d, &shared.stop);
-                    }
-                    IterDirective::Proceed => {}
-                }
-                shared.heartbeat(w);
-                // Bounded lead: park until the round counter catches up,
-                // heartbeating so a parked worker is not presumed dead.
-                // The controller's `advance_round` notifies the condvar;
-                // the timeout is only a missed-wakeup backstop.
-                while !shared.stop.load(Ordering::Acquire)
-                    && local_iter.saturating_sub(shared.round.load(Ordering::Acquire)) >= max_lead
-                {
-                    let guard = lock(&shared.pause_lock);
-                    let _unused = shared
-                        .pause_cv
-                        .wait_timeout(guard, park_recheck)
-                        .unwrap_or_else(PoisonError::into_inner);
-                    shared.heartbeat(w);
-                }
-                if shared.stop.load(Ordering::Acquire) {
-                    break;
-                }
-                // Clone the Arc, not the tensor: the snapshot is immutable
-                // once published, so the read lock is held only for a
-                // refcount bump.
-                let params = Arc::clone(
-                    &shared.slots[w]
-                        .params
-                        .read()
-                        .unwrap_or_else(PoisonError::into_inner),
-                );
-                model.set_params(&params);
-                let batch = sampler.sample(&dataset);
-                let (_, grad) = model.loss_and_grad(&batch);
-                sleep_range(&mut wrng, range);
-                let extra = faults.extra_compute_delay(local_iter);
-                if !extra.is_zero() {
-                    std::thread::sleep(extra);
-                }
-                shared.heartbeat(w);
-                lock(&shared.slots[w].cache).write(local_iter, grad);
-                shared.slots[w].iterations.fetch_add(1, Ordering::AcqRel);
-                local_iter += 1;
-                let _ = ready_tx.send(w);
-            }
-            if let Some(fate) = departed {
-                shared.slots[w].alive.store(false, Ordering::Release);
-                let _ = ready_tx.send(w);
-                return fate;
-            }
-            faults.fate()
-        }));
-    }
+                departed.unwrap_or_else(|| me.faults.fate())
+            })
+        })
+        .collect();
 
     let store = config
         .recovery_dir
         .as_ref()
         .map(|dir| CheckpointStore::new(dir).expect("recovery directory must be writable"));
-    let mut transport = ThreadedTransport {
-        shared: &shared,
-        ready_rx,
-    };
+    let mirror = &shared.mirror;
     let mut lineage = Lineage::default();
     // Coordinator-level kills exist only in the process world.
     let final_state = supervise(
         config,
-        &mut transport,
-        &mut rng,
+        mirror,
+        &mut &*shared,
+        &mut past_workers(&rng, n as u64),
         state,
         store.as_ref(),
         None,
         &mut lineage,
     )
     .expect("no abort round was scheduled");
-    shared.stop.store(true, Ordering::Release);
-    shared.pause_cv.notify_all();
+    mirror.stop.store(true, Ordering::Release);
+    shared.gate.wake();
     let workers = handles
         .into_iter()
         .enumerate()
         .map(|(w, h)| {
-            let fate = h.join().unwrap_or_else(|_| {
-                // The worker thread panicked; record the crash instead of
-                // taking the whole run down with it.
-                shared.slots[w].alive.store(false, Ordering::Release);
-                WorkerFate::Crashed {
-                    at_iter: shared.slots[w].iterations.load(Ordering::Acquire),
-                }
-            });
-            (shared.slots[w].iterations.load(Ordering::Acquire), fate)
+            let iters = || mirror.slots[w].iterations.load(Ordering::Acquire);
+            // A panicked worker thread is recorded as a crash instead of
+            // taking the whole run down with it.
+            let fate = h
+                .join()
+                .unwrap_or_else(|_| WorkerFate::Crashed { at_iter: iters() });
+            (iters(), fate)
         })
         .collect();
     finish(
@@ -1088,6 +787,7 @@ mod tests {
 
     #[test]
     fn controller_round_is_bit_identical_to_the_naive_data_path() {
+        use rna_collectives::partial_allreduce_pooled;
         use rna_core::cache::GradientCache;
         use rna_tensor::reduce::weighted_average;
         // Replays one controller round on fixed inputs through both the
@@ -1291,6 +991,39 @@ mod tests {
                 "{codec:?} diverged: {} vs {}",
                 r.final_loss,
                 lossless.final_loss
+            );
+        }
+    }
+
+    #[test]
+    fn wire_bytes_are_measured_frames_for_every_codec() {
+        // The thread link tallies the length of the frame it really encoded,
+        // so the frame-count identity holds by measurement: wire bytes over
+        // the codec's frame size and lossless-equivalent bytes over the
+        // lossless frame size are the same number of deposits.
+        let lossless = Compression::Lossless.frame_bytes(36);
+        for codec in [
+            Compression::Lossless,
+            Compression::Fp16,
+            Compression::Int8,
+            Compression::TopK { permille: 250 },
+        ] {
+            let r = run_threaded(&ThreadedConfig::quick(3, SyncMode::Rna).with_compression(codec));
+            let deposits: u64 = r.worker_iterations.iter().sum();
+            assert!(r.bytes_on_wire > 0, "{codec:?}");
+            assert_eq!(
+                r.bytes_on_wire * lossless,
+                (r.bytes_on_wire + r.bytes_saved) * codec.frame_bytes(36),
+                "{codec:?}: byte accounting is not frame-exact"
+            );
+            // Every deposit is charged, drained or superseded alike — minus
+            // the few still in flight when the last round closed (a worker
+            // finishes the iteration it is in, at most one more if it raced
+            // the stop flag).
+            let charged = r.bytes_on_wire / codec.frame_bytes(36);
+            assert!(
+                charged <= deposits && deposits - charged <= 2 * 3,
+                "{codec:?}: {charged} frames charged for {deposits} deposits"
             );
         }
     }

@@ -1,33 +1,37 @@
-//! The world-agnostic controller: probe elections, partial collectives,
-//! codec accounting, degraded rounds, and lease-based failover, written
-//! once against the [`Transport`] trait.
+//! The world-agnostic half of the real runtimes: the [`Mirror`] every world
+//! keeps of its workers, and the controller that reads it — probe
+//! elections, the three round triggers, partial collectives, degraded
+//! rounds, and lease-based failover, written once.
 //!
-//! The threaded world implements [`Transport`] over shared memory
-//! (`Mutex<GradientCache>` slots, atomics, a condvar); the process world
-//! implements it over sockets (coordinator-side mirrors fed by per-
-//! connection reader threads, parameter pushes as framed TCP writes). The
+//! Workers (threads, or the socket readers standing in for subprocesses)
+//! write the mirror; the controller reads it directly and reaches back out
+//! through the two actions that really differ per world, the [`Transport`]
+//! trait: the threaded world swaps `Arc` snapshots and notifies a condvar,
+//! the process world frames the same snapshot onto each socket. The
 //! controller logic itself — what the paper calls the stateless scheduler —
 //! cannot drift between the worlds because it is this one function.
 //!
-//! Every wait in the controller is event-driven: the election loops block
-//! on the transport's readiness channel with a timeout equal to the next
+//! Every wait in the controller is event-driven: the election loop blocks
+//! on the mirror's readiness channel with a timeout equal to the next
 //! *scheduled* event (round deadline, probe re-sample, or the earliest
-//! moment a live worker's heartbeat could go stale) instead of the 1 ms
-//! polling the earlier threaded controller used.
+//! moment a live worker's heartbeat could go stale).
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 use rna_collectives::partial_allreduce_pooled;
+use rna_core::cache::GradientCache;
 use rna_core::fault::{live_majority, probe_round_stalled};
 use rna_core::membership::ChurnEvent;
 use rna_core::recovery::CheckpointStore;
 use rna_core::stats::Counters;
 use rna_simnet::SimRng;
-use rna_tensor::codec;
 use rna_tensor::wire::{self, Reader};
 use rna_tensor::{Compression, Tensor, TensorPool};
+use rna_training::model::SoftmaxClassifier;
+use rna_training::Dataset;
 
 use crate::fault::NetShim;
 use crate::threaded::{SyncMode, ThreadedConfig};
@@ -39,11 +43,9 @@ use crate::threaded::{SyncMode, ThreadedConfig};
 /// worker count.
 pub(crate) const STREAM_SAMPLER: u64 = 1 << 32;
 pub(crate) const STREAM_COMPUTE: u64 = 2 << 32;
+/// Probe stream, forked per controller incarnation (`STREAM_PROBE + term`)
+/// so a failed-over controller replays deterministic draws.
 pub(crate) const STREAM_PROBE: u64 = 3 << 32;
-/// Codec stream (stochastic-rounding draws), forked per controller
-/// incarnation like [`STREAM_PROBE`] so a failed-over controller replays
-/// deterministic draws without sharing the probe stream.
-pub(crate) const STREAM_CODEC: u64 = 4 << 32;
 /// Stream grants for mid-run joiners: joiner `w` forks its sampler from
 /// `STREAM_JOIN + 2w` and its compute stream from `STREAM_JOIN + 2w + 1`.
 /// Disjoint from every other namespace, and — because a fork advances the
@@ -56,11 +58,61 @@ pub(crate) const STREAM_JOIN: u64 = 5 << 32;
 /// same backoff schedule run over run.
 pub(crate) const STREAM_RECONNECT: u64 = 6 << 32;
 /// Per-worker wire-codec streams: worker `w` forks `STREAM_WIRE + w` for
-/// the stochastic-rounding draws of its worker-side encode leg (process
-/// world). Forked from the worker subprocess's own replayed RNG copy
-/// right after [`STREAM_RECONNECT`], so it never perturbs the shared
-/// prefix the threaded world's workers replay.
+/// the stochastic-rounding draws of its encode leg, from its own copy of
+/// the generator right after [`STREAM_RECONNECT`] — never from the shared
+/// sequence, whose next fork is term 0's probe stream in every world.
 pub(crate) const STREAM_WIRE: u64 = 7 << 32;
+
+/// The training task of a run, rebuilt from the master seed by every role
+/// that needs it (both controllers, every worker subprocess): the dataset,
+/// the model template, and the generator as the template draw left it — the
+/// shared prefix every per-role stream is forked behind. Shipping the seed
+/// instead of the dataset is what keeps the worlds' data streams identical.
+pub(crate) fn task(seed: u64) -> (SimRng, Arc<Dataset>, SoftmaxClassifier) {
+    let mut rng = SimRng::seed(seed);
+    let dataset = Arc::new(Dataset::blobs(256, 8, 4, 0.4, &mut rng));
+    let template = SoftmaxClassifier::new(8, 4, &mut rng);
+    (rng, dataset, template)
+}
+
+/// A copy of the post-template generator advanced past the sampler/compute
+/// fork pairs of workers `0..count`. With `count` = the cluster size this
+/// is the controller's generator, whose first fork is term 0's probe stream.
+pub(crate) fn past_workers(rng: &SimRng, count: u64) -> SimRng {
+    let mut rng = rng.clone();
+    for v in 0..count {
+        let _ = rng.fork(STREAM_SAMPLER + v);
+        let _ = rng.fork(STREAM_COMPUTE + v);
+    }
+    rng
+}
+
+/// The four private streams of worker `w`.
+pub(crate) struct WorkerStreams {
+    pub sampler: SimRng,
+    pub compute: SimRng,
+    pub reconnect: SimRng,
+    pub wire: SimRng,
+}
+
+/// Derives worker `w`'s streams from the post-template generator: sampler
+/// and compute at `w`'s position in the shared fork sequence — under the
+/// standard keys, or under `grant`/`grant + 1` for a mid-run joiner
+/// (`grant != 0`) — then reconnect jitter and wire codec from the same copy.
+pub(crate) fn worker_streams(rng: &SimRng, w: u64, grant: u64) -> WorkerStreams {
+    let mut rng = past_workers(rng, w);
+    let (sampler_key, compute_key) = if grant == 0 {
+        (STREAM_SAMPLER + w, STREAM_COMPUTE + w)
+    } else {
+        (grant, grant + 1)
+    };
+    WorkerStreams {
+        sampler: rng.fork(sampler_key),
+        compute: rng.fork(compute_key),
+        reconnect: rng.fork(STREAM_RECONNECT + w),
+        wire: rng.fork(STREAM_WIRE + w),
+    }
+}
 
 /// Floor for controller waits: below this the timeout machinery costs more
 /// than the wait is worth.
@@ -76,29 +128,160 @@ pub(crate) fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// How a controller incarnation observes and reaches its cluster.
-///
-/// `&mut self` receivers exist for the socket world (writes, channel
-/// receives); the threaded implementation is all shared-memory loads.
-pub(crate) trait Transport: Send {
-    /// Microseconds since run start on the controller's clock.
-    fn now_us(&self) -> u64;
-    /// Permanently-dead view (the worker executed a crash, or its process
-    /// exited and will not be respawned).
-    fn is_dead(&self, w: usize) -> bool;
+/// What the controller knows about one worker.
+pub(crate) struct MirrorSlot {
+    pub cache: Mutex<GradientCache>,
+    /// Completed local iterations, monotone. In the process world this is
+    /// the rejoin checkpoint.
+    pub iterations: AtomicU64,
+    /// Microseconds since run start at the worker's last sign of life.
+    pub heartbeat_us: AtomicU64,
+    /// Cleared when the worker is permanently gone or unreachable: by a
+    /// worker thread executing its crash directive, by a socket reader on
+    /// EOF. Presumed-dead-by-silence workers keep it — they may be hung and
+    /// can return.
+    pub alive: AtomicBool,
+}
+
+/// The controller-side picture of the cluster, one per run in both real
+/// worlds: worker threads write their slot directly, socket readers write it
+/// on behalf of their subprocess, and the controller reads it.
+pub(crate) struct Mirror {
+    pub slots: Vec<MirrorSlot>,
+    /// The published round counter (the bounded-lead gate).
+    pub round: AtomicU64,
+    pub stop: AtomicBool,
+    pub start: Instant,
+    liveness_timeout_us: u64,
+    staleness_bound: usize,
+    /// Codec charges of the frames deposited since the controller last took
+    /// them: measured frame lengths, never formula-charged.
+    wire: Mutex<Counters>,
+    /// "Something changed": one pending wake-up is all the controller
+    /// needs, since it re-polls the slots anyway — so the channel holds one.
+    ready_tx: SyncSender<()>,
+    ready_rx: Mutex<Receiver<()>>,
+}
+
+impl Mirror {
+    pub fn new(
+        config: &ThreadedConfig,
+        start: Instant,
+        round: u64,
+        alive: impl Fn(usize) -> bool,
+    ) -> Self {
+        let (ready_tx, ready_rx) = sync_channel(1);
+        Mirror {
+            slots: (0..config.num_workers)
+                .map(|w| MirrorSlot {
+                    cache: Mutex::new(GradientCache::new(config.staleness_bound, true)),
+                    iterations: AtomicU64::new(0),
+                    heartbeat_us: AtomicU64::new(0),
+                    alive: AtomicBool::new(alive(w)),
+                })
+                .collect(),
+            round: AtomicU64::new(round),
+            stop: AtomicBool::new(false),
+            start,
+            liveness_timeout_us: config.tolerance.liveness_timeout_us,
+            staleness_bound: config.staleness_bound,
+            wire: Mutex::new(Counters::default()),
+            ready_tx,
+            ready_rx: Mutex::new(ready_rx),
+        }
+    }
+
+    pub fn now_us(&self) -> u64 {
+        u64::try_from(self.start.elapsed().as_micros()).unwrap_or(u64::MAX)
+    }
+
+    pub fn beat(&self, w: usize) {
+        self.slots[w]
+            .heartbeat_us
+            .store(self.now_us(), Ordering::Release);
+    }
+
+    /// Wakes the controller: some worker's state may have changed (gradient
+    /// deposited, died, rejoined).
+    pub fn notify(&self) {
+        let _ = self.ready_tx.try_send(());
+    }
+
+    /// A death or a return changes the electorate just like a deposit does.
+    pub fn set_alive(&self, w: usize, alive: bool) {
+        self.slots[w].alive.store(alive, Ordering::Release);
+        self.notify();
+    }
+
+    pub fn is_dead(&self, w: usize) -> bool {
+        !self.slots[w].alive.load(Ordering::Acquire)
+    }
+
     /// Liveness view for elections and majorities: alive and heard from
-    /// within the liveness timeout.
-    fn live_view(&self) -> Vec<bool>;
-    /// Microseconds-since-start of worker `w`'s last sign of life.
-    fn heartbeat_us(&self, w: usize) -> u64;
-    /// Whether worker `w`'s gradient cache has at least one entry.
-    fn cache_ready(&self, w: usize) -> bool;
-    /// Takes worker `w`'s freshest in-bound contribution for round `round`
-    /// (see `GradientCache::take_contribution_pooled`).
-    fn drain(&mut self, w: usize, round: u64, pool: &mut TensorPool) -> Option<Tensor>;
-    /// Discards a dead worker's cache so its final gradient is never
+    /// within the liveness timeout. A hung worker drops out when its
+    /// heartbeat goes stale and is re-admitted once it beats again.
+    pub fn live_view(&self) -> Vec<bool> {
+        let now = self.now_us();
+        self.slots
+            .iter()
+            .map(|s| {
+                s.alive.load(Ordering::Acquire)
+                    && now.saturating_sub(s.heartbeat_us.load(Ordering::Acquire))
+                        < self.liveness_timeout_us
+            })
+            .collect()
+    }
+
+    fn cache_ready(&self, w: usize) -> bool {
+        !lock(&self.slots[w].cache).is_empty()
+    }
+
+    /// Worker `w`'s iteration-`iter` gradient arrives, already wire-valued;
+    /// `frame` is the encoded frame's length and reported error norm (`None`
+    /// where nothing was encoded). Hands back the buffer the staleness bound
+    /// evicted, if any, for the depositor to recycle.
+    pub fn deposit(
+        &self,
+        w: usize,
+        iter: u64,
+        grad: Tensor,
+        frame: Option<(u64, f64)>,
+    ) -> Option<Tensor> {
+        if let Some((bytes, err_l2)) = frame {
+            let lossless = Compression::Lossless.frame_bytes(grad.len());
+            let mut wire = lock(&self.wire);
+            wire.bytes_on_wire += bytes;
+            wire.bytes_saved += lossless.saturating_sub(bytes);
+            wire.codec_error_l2 += err_l2;
+        }
+        let evicted = lock(&self.slots[w].cache).write(iter, grad);
+        self.slots[w]
+            .iterations
+            .fetch_max(iter + 1, Ordering::AcqRel);
+        evicted
+    }
+
+    /// Discards worker `w`'s cache so a gradient it left behind is never
     /// reduced (matching the simulator's crash semantics).
-    fn purge(&mut self, w: usize, staleness_bound: usize);
+    pub fn purge(&self, w: usize) {
+        *lock(&self.slots[w].cache) = GradientCache::new(self.staleness_bound, true);
+    }
+
+    /// Drains the codec charges tallied since the last call.
+    pub fn take_wire_charges(&self) -> Counters {
+        std::mem::take(&mut *lock(&self.wire))
+    }
+
+    /// Blocks until some worker's state may have changed or the timeout
+    /// elapses.
+    fn wait_ready(&self, timeout: Duration) {
+        let _ = lock(&self.ready_rx).recv_timeout(timeout);
+    }
+}
+
+/// How a controller incarnation reaches back out to its workers — the two
+/// actions that are genuinely different over shared memory and over sockets.
+pub(crate) trait Transport {
     /// Delivers the round-`round` parameter snapshot to worker `w`.
     /// Returns `false` when the wire genuinely ate it (socket severed);
     /// injected-fault drops are rolled by the controller's shim *before*
@@ -111,25 +294,9 @@ pub(crate) trait Transport: Send {
         snap: &Arc<Tensor>,
         pool: &mut TensorPool,
     ) -> bool;
-    /// Publishes the new round counter to every worker (the bounded-lead
-    /// gate). Also used to roll the counter *back* after a failover.
+    /// Tells every worker the mirror's round counter is now `k` (the
+    /// bounded-lead gate) — also when it was rolled *back* by a failover.
     fn advance_round(&mut self, k: u64);
-    /// Blocks until some worker's state may have changed (gradient
-    /// deposited, worker died or rejoined) or the timeout elapses.
-    fn wait_ready(&mut self, timeout: Duration);
-    /// Discards queued readiness notifications (they only say "something
-    /// changed", and the controller re-polls anyway).
-    fn drain_ready(&mut self);
-    /// Drains the codec charges measured at the socket since the last
-    /// call — the byte and error tallies of a [`Counters`], nothing else set
-    /// — for worlds whose *workers* own the encode leg (the process world:
-    /// contributions arrive already wire-valued, and the readers tally the
-    /// bytes that physically crossed). `None` means the controller must run
-    /// the accounting codec itself over the drained contributions (the
-    /// threaded world's default).
-    fn take_wire_charges(&mut self) -> Option<Counters> {
-        None
-    }
 }
 
 /// Everything a standby needs to continue the run: the training state the
@@ -176,8 +343,8 @@ impl CtrlCheckpoint {
 /// incumbent refreshes at every round top, and the checkpoint slot the
 /// standby replays from once the heartbeat goes stale.
 pub(crate) struct CtrlPlane {
-    pub heartbeat_us: AtomicU64,
-    pub slot: Mutex<Option<CtrlCheckpoint>>,
+    pub heartbeat_us: u64,
+    pub slot: CtrlCheckpoint,
 }
 
 pub(crate) fn encode_ctrl_checkpoint(ck: &CtrlCheckpoint, out: &mut Vec<u8>) {
@@ -218,14 +385,14 @@ fn cut_checkpoint(
     round: u64,
     master: &Tensor,
     opt: &rna_training::Sgd,
-    plane: &CtrlPlane,
+    plane: &mut CtrlPlane,
     store: Option<&CheckpointStore>,
 ) {
     ck.round = round;
     ck.master.copy_from(master);
     ck.velocity.copy_from(opt.velocity());
     ck.counters.checkpoints_written += 1;
-    *lock(&plane.slot) = Some(ck.clone());
+    plane.slot = ck.clone();
     if let Some(store) = store {
         let mut payload = Vec::new();
         encode_ctrl_checkpoint(ck, &mut payload);
@@ -242,14 +409,15 @@ fn cut_checkpoint(
 /// timeout — the only liveness transition no readiness event announces.
 /// Falls back to 1 ms when no worker is fresh (all hung or silent), the
 /// one state where the controller must genuinely poll for recovery.
-fn liveness_edge<T: Transport + ?Sized>(t: &T, active: &[bool], liveness_us: u64) -> Duration {
-    let now = t.now_us();
+fn liveness_edge(m: &Mirror, active: &[bool]) -> Duration {
+    let now = m.now_us();
     let mut edge = u64::MAX;
     for (w, &live) in active.iter().enumerate() {
-        if !live || t.is_dead(w) {
+        if !live || m.is_dead(w) {
             continue;
         }
-        let stale_at = t.heartbeat_us(w).saturating_add(liveness_us);
+        let beat = m.slots[w].heartbeat_us.load(Ordering::Acquire);
+        let stale_at = beat.saturating_add(m.liveness_timeout_us);
         if stale_at > now {
             edge = edge.min(stale_at - now);
         }
@@ -261,63 +429,70 @@ fn liveness_edge<T: Transport + ?Sized>(t: &T, active: &[bool], liveness_us: u64
     }
 }
 
-/// One probe election attempt over the faulty fabric: samples candidates,
+/// One probe election attempt over the faulty fabric. Draws up to `probes`
+/// distinct candidates from the live view restricted to the round's active
+/// membership (dormant joiners and departed workers never probe) — falling
+/// back to the active not-yet-crashed set when no active worker is live
+/// (all silent, e.g. mid-hang) so a recovering worker can still be elected —
 /// then rolls the controller→worker probe and the worker→controller reply
 /// on the shim. Returns the candidates whose RPC round-trip survived and
-/// how many messages the fabric ate (0 on a clean fabric, where this is
-/// exactly [`sample_probes`]).
-fn probe_rpc<T: Transport + ?Sized>(
+/// whether the fabric ate any (never on a clean fabric); eaten messages are
+/// tallied into `counters`.
+fn probe_rpc(
     rng: &mut SimRng,
-    t: &T,
+    m: &Mirror,
     active: &[bool],
     probes: usize,
     shim: &mut NetShim,
-    ctrl: usize,
-) -> (Vec<usize>, u64) {
-    let sampled = sample_probes(rng, t, active, probes);
-    if !shim.enabled() {
-        return (sampled, 0);
-    }
-    let now_us = t.now_us();
-    let mut lost = 0;
-    let survived = sampled
-        .into_iter()
-        .filter(|&w| {
-            let ok = shim.deliver(ctrl, w, now_us) && shim.deliver(w, ctrl, now_us);
-            if !ok {
-                lost += 1;
-            }
-            ok
-        })
-        .collect();
-    (survived, lost)
-}
-
-/// Draws up to `probes` distinct candidates from the live view restricted
-/// to the round's active membership (dormant joiners and departed workers
-/// never probe); when no active worker is live (all silent, e.g. mid-hang)
-/// falls back to the active not-yet-crashed set so a recovering worker can
-/// still be elected.
-fn sample_probes<T: Transport + ?Sized>(
-    rng: &mut SimRng,
-    t: &T,
-    active: &[bool],
-    probes: usize,
-) -> Vec<usize> {
+    counters: &mut Counters,
+) -> (Vec<usize>, bool) {
     let n = active.len();
-    let live = t.live_view();
+    let live = m.live_view();
     let mut pool: Vec<usize> = (0..n).filter(|&w| active[w] && live[w]).collect();
     if pool.is_empty() {
-        pool = (0..n).filter(|&w| active[w] && !t.is_dead(w)).collect();
+        pool = (0..n).filter(|&w| active[w] && !m.is_dead(w)).collect();
     }
     if pool.is_empty() {
-        return Vec::new();
+        return (Vec::new(), false);
     }
     let d = probes.clamp(1, pool.len());
-    rng.choose_distinct(pool.len(), d)
+    let (now_us, ctrl) = (m.now_us(), shim.controller_id());
+    let survived: Vec<usize> = rng
+        .choose_distinct(pool.len(), d)
         .into_iter()
         .map(|i| pool[i])
-        .collect()
+        .filter(|&w| shim.deliver(ctrl, w, now_us) && shim.deliver(w, ctrl, now_us))
+        .collect();
+    let lost = d - survived.len();
+    counters.messages_dropped += lost as u64;
+    (survived, lost > 0)
+}
+
+impl SyncMode {
+    /// The round trigger: the worker whose readiness fires the round, once
+    /// the policy's condition holds over the mirror. Ready means not dead
+    /// with a non-empty cache; `probed` is RNA's current candidate set.
+    fn fires(self, m: &Mirror, active: &[bool], probed: &[usize]) -> Option<usize> {
+        let ready = |w: &usize| !m.is_dead(*w) && m.cache_ready(*w);
+        let electorate = || (0..active.len()).filter(|&w| active[w]);
+        let need = match self {
+            // RNA: any probed worker is ready.
+            SyncMode::Rna => return probed.iter().copied().find(ready),
+            // eager-SGD: a majority of the *live, active* electorate.
+            SyncMode::EagerMajority => {
+                let live = m.live_view();
+                live_majority(electorate().filter(|&w| live[w]).count())
+            }
+            // BSP: every active worker that is not dead.
+            SyncMode::Bsp => electorate().filter(|&w| !m.is_dead(w)).count(),
+        };
+        let ready: Vec<usize> = electorate().filter(ready).collect();
+        if ready.len() >= need {
+            ready.first().copied()
+        } else {
+            None
+        }
+    }
 }
 
 /// How a controller incarnation died before the round budget was spent.
@@ -339,12 +514,12 @@ enum Death {
 #[allow(clippy::too_many_arguments)]
 fn controller_loop<T: Transport + ?Sized>(
     config: &ThreadedConfig,
+    mirror: &Mirror,
     transport: &mut T,
-    plane: &CtrlPlane,
+    plane: &mut CtrlPlane,
     store: Option<&CheckpointStore>,
     mut ck: CtrlCheckpoint,
     probe_rng: &mut SimRng,
-    codec_rng: &mut SimRng,
     crash_at: Option<u64>,
     abort_at: Option<u64>,
 ) -> Result<CtrlCheckpoint, Death> {
@@ -353,19 +528,11 @@ fn controller_loop<T: Transport + ?Sized>(
     let mut opt = rna_training::Sgd::new(config.lr, 0.0, 0.0, master.len());
     opt.set_velocity(&ck.velocity);
     let mut pool = TensorPool::new();
-    let mut purged = vec![false; n];
-    let wire_codec = config.compression;
-    // Per-worker error-feedback residuals. Like the pool, they live with
-    // the incarnation: a failed-over controller starts with clean
-    // residuals, which only costs the (bounded) error the dead incarnation
-    // still owed — the telescoping restarts from zero.
-    let mut residuals: Vec<Option<Tensor>> = vec![None; n];
-    let mut codec_buf: Vec<u8> = Vec::new();
     let mut shim = NetShim::new(&config.net_fault_plan, n);
     let ctrl = shim.controller_id();
-    let liveness_us = config.tolerance.liveness_timeout_us;
     let round_deadline = Duration::from_micros(config.tolerance.round_deadline_us);
     let probe_backoff = Duration::from_micros(config.tolerance.probe_backoff_us);
+    let rna = config.mode == SyncMode::Rna;
     for k in ck.round..config.rounds {
         // A coordinator-level kill outranks a planned controller crash at
         // the same round: there is no standby left to observe the crash.
@@ -380,125 +547,69 @@ fn controller_loop<T: Transport + ?Sized>(
         // set. `n` is the slot *capacity*, never the cluster size.
         let active: Vec<bool> = (0..n).map(|w| config.churn_plan.active_at(w, k)).collect();
         let active_n = active.iter().filter(|&&a| a).count().max(1);
-        plane
-            .heartbeat_us
-            .store(transport.now_us(), Ordering::Release);
-        // Drain stale readiness notifications so the channel cannot grow
-        // without bound: the notifications only say "some cache changed",
-        // and the caches are re-polled below anyway.
-        transport.drain_ready();
+        plane.heartbeat_us = mirror.now_us();
 
+        // The election: wait until the mode's trigger fires. RNA probes —
+        // power-of-d over live workers, resampling away from workers that
+        // died or went silent (backoff-paced so a merely slow probed set
+        // still gets a chance to answer). Each probe is a
+        // controller→worker→controller RPC pair: the shim may eat either
+        // leg, and an election that loses every probe to the fabric is
+        // retried with exponential backoff — an idempotent re-issue, never
+        // a wedge. The other triggers watch the whole electorate and never
+        // sample. Every wait is event-driven: a deposit or death wakes the
+        // channel, a heartbeat going stale is bounded by the liveness edge,
+        // and the round deadline caps everything.
         let round_start = Instant::now();
-        let mut degraded = false;
-        // The worker whose readiness fired the round. Partition semantics
-        // follow the simulator's `launch_reduce`: gradients and parameter
-        // broadcasts ride initiator↔member links, so a member severed from
-        // the initiator sits the round out (the controller itself is a
-        // partition bridge — the paper's stateless, replicable scheduler).
-        let mut initiator: Option<usize> = None;
-        match config.mode {
-            SyncMode::EagerMajority => {
-                // eager-SGD: wait for a majority of the *live, active*
-                // electorate.
-                loop {
-                    if (0..n).filter(|&w| active[w]).all(|w| transport.is_dead(w)) {
-                        degraded = true;
-                        break;
-                    }
-                    let live = transport.live_view();
-                    let ready: Vec<usize> = (0..n)
-                        .filter(|&w| active[w] && !transport.is_dead(w))
-                        .filter(|&w| transport.cache_ready(w))
-                        .collect();
-                    let need = live_majority((0..n).filter(|&w| active[w] && live[w]).count());
-                    if ready.len() >= need {
-                        initiator = ready.first().copied();
-                        break;
-                    }
-                    let elapsed = round_start.elapsed();
-                    if elapsed >= round_deadline {
-                        degraded = true;
-                        break;
-                    }
-                    // Event-driven wait: a deposit/death wakes the channel,
-                    // a heartbeat going stale is bounded by the liveness
-                    // edge, and the round deadline caps everything.
-                    let wait = (round_deadline - elapsed)
-                        .min(liveness_edge(transport, &active, liveness_us))
-                        .max(MIN_WAIT);
-                    transport.wait_ready(wait);
-                }
+        let mut backoff = if rna { probe_backoff } else { Duration::MAX };
+        let (mut probed, mut last_lost) = (Vec::new(), false);
+        let mut last_sample = round_start;
+        // The worker whose readiness fired the round (`None`: degraded).
+        // Partition semantics follow the simulator's `launch_reduce`:
+        // gradients and parameter broadcasts ride initiator↔member links,
+        // so a member severed from the initiator sits the round out (the
+        // controller itself is a partition bridge — the paper's stateless,
+        // replicable scheduler).
+        let initiator = loop {
+            if (0..n).filter(|&w| active[w]).all(|w| mirror.is_dead(w)) {
+                break None;
             }
-            _ => {
-                // RNA: power-of-d probing over live workers — wait until a
-                // probed worker is ready, resampling away from workers that
-                // died or went silent (backoff-paced so a merely slow
-                // probed set still gets a chance to answer). Each probe is
-                // a controller→worker→controller RPC pair: the shim may
-                // eat either leg, and an election that loses every probe
-                // to the fabric is retried with exponential backoff — an
-                // idempotent re-issue, never a wedge.
-                let mut backoff = probe_backoff;
-                let (mut probed, lost) = probe_rpc(
+            if rna
+                && (probed.is_empty()
+                    || probe_round_stalled(&probed, &mirror.live_view())
+                    || last_sample.elapsed() >= backoff)
+            {
+                if last_lost {
+                    ck.counters.probe_retries += 1;
+                    backoff = backoff
+                        .saturating_mul(2)
+                        .min(Duration::from_micros(config.tolerance.probe_backoff_cap_us));
+                }
+                let counters = &mut ck.counters;
+                (probed, last_lost) = probe_rpc(
                     probe_rng,
-                    transport,
+                    mirror,
                     &active,
                     config.probes,
                     &mut shim,
-                    ctrl,
+                    counters,
                 );
-                ck.counters.messages_dropped += lost;
-                let mut last_lost = lost > 0;
-                let mut last_sample = Instant::now();
-                loop {
-                    if (0..n).filter(|&w| active[w]).all(|w| transport.is_dead(w)) {
-                        degraded = true;
-                        break;
-                    }
-                    if let Some(&w) = probed
-                        .iter()
-                        .find(|&&w| !transport.is_dead(w) && transport.cache_ready(w))
-                    {
-                        initiator = Some(w);
-                        break;
-                    }
-                    let live = transport.live_view();
-                    if probed.is_empty()
-                        || probe_round_stalled(&probed, &live)
-                        || last_sample.elapsed() >= backoff
-                    {
-                        if last_lost {
-                            ck.counters.probe_retries += 1;
-                            backoff = backoff
-                                .saturating_mul(2)
-                                .min(Duration::from_micros(config.tolerance.probe_backoff_cap_us));
-                        }
-                        let (fresh, lost) = probe_rpc(
-                            probe_rng,
-                            transport,
-                            &active,
-                            config.probes,
-                            &mut shim,
-                            ctrl,
-                        );
-                        ck.counters.messages_dropped += lost;
-                        last_lost = lost > 0;
-                        probed = fresh;
-                        last_sample = Instant::now();
-                    }
-                    let elapsed = round_start.elapsed();
-                    if elapsed >= round_deadline {
-                        degraded = true;
-                        break;
-                    }
-                    let wait = (round_deadline - elapsed)
-                        .min(backoff.saturating_sub(last_sample.elapsed()))
-                        .min(liveness_edge(transport, &active, liveness_us))
-                        .max(MIN_WAIT);
-                    transport.wait_ready(wait);
-                }
+                last_sample = Instant::now();
             }
-        }
+            if let Some(w) = config.mode.fires(mirror, &active, &probed) {
+                break Some(w);
+            }
+            let elapsed = round_start.elapsed();
+            if elapsed >= round_deadline {
+                break None;
+            }
+            let wait = (round_deadline - elapsed)
+                .min(backoff.saturating_sub(last_sample.elapsed()))
+                .min(liveness_edge(mirror, &active))
+                .max(MIN_WAIT);
+            mirror.wait_ready(wait);
+        };
+        let degraded = initiator.is_none();
         if degraded {
             // Clamped waits make the overshoot scheduling noise; account
             // it so the degraded-round stats stay honest either way.
@@ -512,14 +623,14 @@ fn controller_loop<T: Transport + ?Sized>(
         }
 
         // Force the partial collective: drain every live cache. A dead
-        // worker's cache is purged once — its final gradient is discarded,
+        // worker's cache is purged — its final gradient is discarded,
         // matching the simulator's crash semantics (a restarted worker
         // refills it after rejoining). A worker severed from the
         // controller keeps its cache untouched — its island keeps
         // accumulating and reconciles on heal — while a gradient lost to
         // a lossy link becomes a null in the partial collective.
         let mut severed = false;
-        let now_us = transport.now_us();
+        let now_us = mirror.now_us();
         let gather = initiator.unwrap_or(ctrl);
         // Everything from the cache drain through the applied update is the
         // fused reduce region; the alloc delta (debug builds) proves its
@@ -529,32 +640,27 @@ fn controller_loop<T: Transport + ?Sized>(
         // hits are timing-dependent by design.
         let allocs_before = rna_tensor::alloc::count();
         let mut contributions: Vec<Option<Tensor>> = Vec::with_capacity(n);
-        for (w, was_purged) in purged.iter_mut().enumerate() {
+        for (w, &member) in active.iter().enumerate() {
             // A worker outside this round's membership (dormant joiner,
             // retiree past its last round, evictee) is drained like a dead
-            // one: its cache is purged once so nothing it left behind ever
-            // joins a reduce it is not a member of.
-            let c = if transport.is_dead(w) || !active[w] {
-                if !*was_purged {
-                    *was_purged = true;
-                    transport.purge(w, config.staleness_bound);
-                }
+            // one: its cache is purged so nothing it left behind ever joins
+            // a reduce it is not a member of.
+            let c = if mirror.is_dead(w) || !member {
+                mirror.purge(w);
+                None
+            } else if !shim.link_up(w, gather, now_us) {
+                severed = true;
                 None
             } else {
-                *was_purged = false;
-                if !shim.link_up(w, gather, now_us) {
-                    severed = true;
-                    None
-                } else {
-                    match transport.drain(w, k, &mut pool) {
-                        Some(g) if shim.deliver(w, gather, now_us) => Some(g),
-                        Some(g) => {
-                            ck.counters.messages_dropped += 1;
-                            pool.release(g);
-                            None
-                        }
-                        None => None,
+                let cache = &mirror.slots[w].cache;
+                match lock(cache).take_contribution_pooled(k, &mut pool) {
+                    Some(g) if shim.deliver(w, gather, now_us) => Some(g),
+                    Some(g) => {
+                        ck.counters.messages_dropped += 1;
+                        pool.release(g);
+                        None
                     }
+                    None => None,
                 }
             };
             contributions.push(c);
@@ -562,43 +668,16 @@ fn controller_loop<T: Transport + ?Sized>(
         if severed {
             ck.counters.partition_rounds += 1;
         }
-        // The wire codec runs where the gradient crosses the network. In
-        // the process world that is the *worker*: frames arrive already
-        // encoded, the readers decode them and tally the bytes that
-        // physically crossed, and the controller only folds those measured
-        // charges in. Everywhere else each delivered contribution becomes
-        // decode(encode(grad + residual)) right here, with the dropped
-        // remainder waiting in the worker's residual for its next
-        // contribution (error feedback). Lossless is the identity and only
-        // accounts the frame bytes a lossless wire would move.
-        if let Some(wire) = transport.take_wire_charges() {
-            ck.counters.bytes_on_wire += wire.bytes_on_wire;
-            ck.counters.bytes_saved += wire.bytes_saved;
-            ck.counters.codec_error_l2 += wire.codec_error_l2;
-        } else {
-            for (w, slot) in contributions.iter_mut().enumerate() {
-                let Some(g) = slot.as_mut() else { continue };
-                let lossless_frame = Compression::Lossless.frame_bytes(g.len());
-                if wire_codec.is_lossless() {
-                    ck.counters.bytes_on_wire += lossless_frame;
-                    continue;
-                }
-                let residual = residuals[w].get_or_insert_with(|| Tensor::zeros(g.len()));
-                let mut draw = || codec_rng.uniform_u64(0..1 << 32) as u32;
-                let threads = codec::wire_threads(g.len());
-                let (frame, err) = codec::encode_with_feedback_mt(
-                    wire_codec,
-                    g,
-                    residual,
-                    &mut codec_buf,
-                    &mut draw,
-                    threads,
-                );
-                ck.counters.bytes_on_wire += frame;
-                ck.counters.bytes_saved += lossless_frame.saturating_sub(frame);
-                ck.counters.codec_error_l2 += err;
-            }
-        }
+        // The wire codec runs where the gradient crosses the network — at
+        // the *worker*, in every world: contributions arrive in the caches
+        // already wire-valued (`decode(encode(grad + residual))`, the
+        // dropped remainder waiting in the worker's residual for its next
+        // contribution), and whoever deposited them tallied the encoded
+        // frames. The controller only folds those measured charges in.
+        let wire = mirror.take_wire_charges();
+        ck.counters.bytes_on_wire += wire.bytes_on_wire;
+        ck.counters.bytes_saved += wire.bytes_saved;
+        ck.counters.codec_error_l2 += wire.codec_error_l2;
         // Fused partial collective: nulls are skipped instead of being
         // materialized as zero tensors and the mean lands in a pooled buffer
         // (bit-identical to the null-padded `weighted_average` the naive
@@ -611,12 +690,15 @@ fn controller_loop<T: Transport + ?Sized>(
         };
         if let Some(outcome) = outcome {
             let m = outcome.num_contributors as f32;
-            // Linear Scaling Rule: learning rate × contributor count.
-            opt.step(&mut master, &outcome.reduced, m);
+            // Linear Scaling Rule for the partial collectives (the mean of
+            // `m` gradients stands for `m` mini-batches); the barrier's
+            // update rule is the plain mean.
+            let scale = if config.mode == SyncMode::Bsp { 1.0 } else { m };
+            opt.step(&mut master, &outcome.reduced, scale);
             pool.release(outcome.reduced);
             ck.counters.datapath_allocs += rna_tensor::alloc::count() - allocs_before;
             ck.participation_sum += f64::from(m) / active_n as f64;
-            let push_us = transport.now_us();
+            let push_us = mirror.now_us();
             // One shared snapshot per round; the threaded slots swap Arcs
             // (the last reference recycles its buffer), the process world
             // frames the same snapshot onto each socket.
@@ -643,9 +725,9 @@ fn controller_loop<T: Transport + ?Sized>(
                 pool.release(t);
             }
         } else {
-            // Nothing usable this round (cluster dead, or every cached
-            // gradient fell past the staleness bound): complete the round
-            // degraded rather than blocking the run.
+            // Nothing usable this round (cluster dead, the trigger missed
+            // the deadline, or every contribution was lost): complete the
+            // round degraded rather than blocking the run.
             ck.rounds_degraded += 1;
             ck.counters.datapath_allocs += rna_tensor::alloc::count() - allocs_before;
         }
@@ -683,6 +765,13 @@ fn controller_loop<T: Transport + ?Sized>(
                 _ => {}
             }
         }
+        if k + 1 == config.rounds {
+            // The budget is spent: raise stop before the last counter goes
+            // out, so a worker gated on it (lead bound 1) does not start an
+            // iteration no round will consume.
+            mirror.stop.store(true, Ordering::Release);
+        }
+        mirror.round.store(k + 1, Ordering::Release);
         transport.advance_round(k + 1);
         if (k + 1) % config.checkpoint_every == 0 && k + 1 < config.rounds {
             cut_checkpoint(&mut ck, k + 1, &master, &opt, plane, store);
@@ -703,7 +792,7 @@ fn controller_loop<T: Transport + ?Sized>(
 pub(crate) struct Lineage {
     /// The term the next controller incarnation runs under: 0 for a fresh
     /// run, bumped by every incarnation's exit, so term numbering
-    /// (crash-schedule indexing, probe/codec stream keys) is global across
+    /// (crash-schedule indexing, probe stream keys) is global across
     /// standby takeovers and coordinator restarts.
     pub term: u64,
     /// Times a standby took over from a crashed controller.
@@ -714,20 +803,21 @@ pub(crate) struct Lineage {
 }
 
 /// Runs controller incarnations under the lease+term protocol until the
-/// round budget is spent: each incarnation is a real (scoped) thread — a
-/// planned crash makes it exit mid-run, exactly like a controller process
-/// dying — and the warm standby waits out the lease before replaying from
-/// the last checkpoint. Every term forks its own probe/codec streams;
-/// term 0's forks are the run's first after worker setup, so fault-free
-/// runs elect the same initiators in every world.
+/// round budget is spent: a planned crash makes an incarnation exit mid-run,
+/// exactly like a controller process dying, and the warm standby waits out
+/// the lease before replaying from the last checkpoint. Every term forks its own probe stream from `rng`
+/// (the generator [`past_workers`] of the whole cluster); term 0's fork is
+/// its first, so fault-free runs elect the same initiators in every world.
 ///
 /// Returns the finished state, or `None` when the coordinator was killed at
 /// `abort_at`: unlike a planned crash there is no in-memory standby
 /// afterwards — the process world restarts from the *disk* checkpoint and
 /// calls again with the same `lineage`, whose term this call already bumped,
 /// so a rerun with the same kill schedule replays identically.
+#[allow(clippy::too_many_arguments)]
 pub(crate) fn supervise<T: Transport + ?Sized>(
     config: &ThreadedConfig,
+    mirror: &Mirror,
     transport: &mut T,
     rng: &mut SimRng,
     state0: CtrlCheckpoint,
@@ -735,10 +825,10 @@ pub(crate) fn supervise<T: Transport + ?Sized>(
     abort_at: Option<u64>,
     lineage: &mut Lineage,
 ) -> Option<CtrlCheckpoint> {
-    let crashes: Vec<u64> = config.fault_plan.controller_crashes().to_vec();
-    let plane = CtrlPlane {
-        heartbeat_us: AtomicU64::new(0),
-        slot: Mutex::new(Some(state0.clone())),
+    let crashes = config.fault_plan.controller_crashes();
+    let mut plane = CtrlPlane {
+        heartbeat_us: 0,
+        slot: state0.clone(),
     };
     let mut state = state0;
     loop {
@@ -747,30 +837,17 @@ pub(crate) fn supervise<T: Transport + ?Sized>(
             .get(usize::try_from(term).unwrap_or(usize::MAX))
             .copied();
         let mut probe_rng = rng.fork(STREAM_PROBE + term);
-        let mut codec_rng = rng.fork(STREAM_CODEC + term);
-        let incarnation = state.clone();
-        let t = &mut *transport;
-        let plane_ref = &plane;
-        let exit = std::thread::scope(|scope| {
-            scope
-                .spawn(move || {
-                    controller_loop(
-                        config,
-                        t,
-                        plane_ref,
-                        store,
-                        incarnation,
-                        &mut probe_rng,
-                        &mut codec_rng,
-                        crash_at,
-                        abort_at,
-                    )
-                })
-                .join()
-                // A genuine (unplanned) controller panic is a harness bug,
-                // not an injected fault; surface it.
-                .unwrap_or_else(|payload| std::panic::resume_unwind(payload))
-        });
+        let exit = controller_loop(
+            config,
+            mirror,
+            transport,
+            &mut plane,
+            store,
+            state.clone(),
+            &mut probe_rng,
+            crash_at,
+            abort_at,
+        );
         lineage.term += 1;
         match exit {
             Ok(done) => return Some(done),
@@ -780,26 +857,18 @@ pub(crate) fn supervise<T: Transport + ?Sized>(
                 // until the lease expires — a live-but-slow incumbent may
                 // still hold it — then it replays from the last checkpoint.
                 // Workers are oblivious: the lead gate parks them against
-                // the rolled-back round counter and their caches keep
-                // serving the reborn controller. The dead incumbent's
-                // heartbeat cannot refresh, so one exact-remaining sleep
-                // (not a 1 ms poll) covers the wait.
+                // the rolled-back round counter and their caches (and
+                // error-feedback residuals) keep serving the reborn
+                // controller. The dead incumbent's heartbeat cannot refresh,
+                // so one exact-remaining sleep covers the wait.
+                let since = mirror.now_us().saturating_sub(plane.heartbeat_us);
                 let lease = config.tolerance.liveness_timeout_us;
-                loop {
-                    let since = transport
-                        .now_us()
-                        .saturating_sub(plane.heartbeat_us.load(Ordering::Acquire));
-                    if since >= lease {
-                        break;
-                    }
-                    std::thread::sleep(Duration::from_micros(lease - since));
-                }
-                state = lock(&plane.slot)
-                    .clone()
-                    .expect("standby slot is seeded before the first incarnation");
+                std::thread::sleep(Duration::from_micros(lease.saturating_sub(since)));
+                state = plane.slot.clone();
                 lineage.controller_failovers += 1;
                 lineage.failover_rounds_lost +=
                     crash_at.unwrap_or(state.round).saturating_sub(state.round);
+                mirror.round.store(state.round, Ordering::Release);
                 transport.advance_round(state.round);
             }
         }
@@ -862,36 +931,23 @@ mod tests {
         assert!(decode_ctrl_checkpoint(&padded).is_none());
     }
 
-    /// A [`Transport`] whose every worker always has a gradient ready: the
-    /// controller runs its rounds back to back, so every per-round tally is
-    /// an exact function of the rounds that survive in the lineage.
-    struct ScriptedTransport {
-        start: Instant,
-        len: usize,
-        /// Every round counter the controller published, roll-backs included.
+    /// A [`Transport`] over a mirror nobody else writes: every published
+    /// round counter — roll-backs included — is answered at once with that
+    /// iteration's scripted deposits, so the controller runs its rounds back
+    /// to back and every per-round tally is an exact function of the rounds
+    /// that survive in the lineage.
+    struct ScriptedTransport<'a, F> {
+        mirror: &'a Mirror,
+        /// Worker `w`'s gradient for iteration `k`, with the frame charge
+        /// it is deposited under; `None` leaves the worker silent.
+        script: F,
+        /// Every round counter the controller published.
         published: Vec<u64>,
     }
 
-    impl Transport for ScriptedTransport {
-        fn now_us(&self) -> u64 {
-            u64::try_from(self.start.elapsed().as_micros()).unwrap_or(u64::MAX)
-        }
-        fn is_dead(&self, _w: usize) -> bool {
-            false
-        }
-        fn live_view(&self) -> Vec<bool> {
-            vec![true; 2]
-        }
-        fn heartbeat_us(&self, _w: usize) -> u64 {
-            self.now_us()
-        }
-        fn cache_ready(&self, _w: usize) -> bool {
-            true
-        }
-        fn drain(&mut self, _w: usize, _round: u64, pool: &mut TensorPool) -> Option<Tensor> {
-            Some(pool.acquire(self.len))
-        }
-        fn purge(&mut self, _w: usize, _staleness_bound: usize) {}
+    type Deposit = (Tensor, Option<(u64, f64)>);
+
+    impl<F: Fn(usize, u64) -> Option<Deposit> + Send> Transport for ScriptedTransport<'_, F> {
         fn push_params(
             &mut self,
             _w: usize,
@@ -903,15 +959,60 @@ mod tests {
         }
         fn advance_round(&mut self, k: u64) {
             self.published.push(k);
+            // What a dead incarnation left undrained dies with it: each
+            // round is charged exactly its own frames.
+            let _ = self.mirror.take_wire_charges();
+            for w in 0..self.mirror.slots.len() {
+                self.mirror.beat(w);
+                if let Some((grad, frame)) = (self.script)(w, k) {
+                    self.mirror.deposit(w, k, grad, frame);
+                }
+            }
         }
-        fn wait_ready(&mut self, _timeout: Duration) {}
-        fn drain_ready(&mut self) {}
+    }
+
+    /// Runs `config` to completion over a scripted mirror from `master0`.
+    fn run_scripted(
+        config: &ThreadedConfig,
+        master0: Tensor,
+        script: impl Fn(usize, u64) -> Option<Deposit> + Send,
+    ) -> (CtrlCheckpoint, Lineage, Vec<u64>) {
+        let mirror = Mirror::new(config, Instant::now(), 0, |_| true);
+        let mut transport = ScriptedTransport {
+            mirror: &mirror,
+            script,
+            published: Vec::new(),
+        };
+        transport.advance_round(0);
+        transport.published.clear();
+        let mut lineage = Lineage::default();
+        let done = supervise(
+            config,
+            &mirror,
+            &mut transport,
+            &mut SimRng::seed(3),
+            CtrlCheckpoint::initial(master0),
+            None,
+            None,
+            &mut lineage,
+        )
+        .expect("no abort round was scheduled");
+        (done, lineage, transport.published)
+    }
+
+    const LEN: usize = 5;
+
+    /// A deterministic, worker- and round-dependent gradient.
+    fn grad_of(w: usize, k: u64) -> Tensor {
+        (0..LEN)
+            .map(|j| ((k * 91 + w as u64 * 17 + j as u64) as f32 * 0.37).cos())
+            .collect()
     }
 
     #[test]
     fn failover_tallies_survive_the_rollback_that_checkpointed_tallies_take() {
         use rna_core::fault::{FaultPlan, ToleranceConfig};
-        let len = 5;
+        let frame = Compression::Lossless.frame_bytes(LEN);
         let mut config = ThreadedConfig::quick(2, SyncMode::Rna)
             .with_tolerance(ToleranceConfig::tight())
             .with_checkpoint_every(4)
@@ -919,25 +1020,11 @@ mod tests {
             // (last cut: 8); term 2 finishes.
             .with_fault_plan(FaultPlan::none().crash_controller(6).crash_controller(11));
         config.rounds = 12;
-        let mut transport = ScriptedTransport {
-            start: Instant::now(),
-            len,
-            published: Vec::new(),
-        };
-        let mut lineage = Lineage::default();
-        let done = supervise(
-            &config,
-            &mut transport,
-            &mut SimRng::seed(3),
-            CtrlCheckpoint::initial(Tensor::zeros(len)),
-            None,
-            None,
-            &mut lineage,
-        )
-        .expect("no abort round was scheduled");
+        let (done, lineage, published) = run_scripted(&config, Tensor::zeros(LEN), |_, _| {
+            Some((Tensor::zeros(LEN), Some((frame, 0.0))))
+        });
         // The standby really rolled the round counter back, twice.
-        let rollbacks: Vec<u64> = transport
-            .published
+        let rollbacks: Vec<u64> = published
             .windows(2)
             .filter(|w| w[1] < w[0])
             .map(|w| w[1])
@@ -955,10 +1042,152 @@ mod tests {
         // with their incarnations, so the surviving lineage counts each of
         // the 12 rounds exactly once (17 were executed).
         assert_eq!(done.round, 12);
-        let frame = Compression::Lossless.frame_bytes(len);
         assert_eq!(done.counters.bytes_on_wire, 12 * 2 * frame);
         assert_eq!(done.participation_sum, 12.0);
         assert_eq!(done.counters.checkpoints_written, 3, "cuts at 4, 8 and 12");
+    }
+
+    #[test]
+    fn all_ready_trigger_is_the_barrier_update_rule_bit_for_bit() {
+        // `run_bsp`'s update rule, captured before it was deleted: the mean
+        // of every worker's gradient applied at scale 1.0 (not the Linear
+        // Scaling Rule's contributor count), full participation, no wire
+        // bytes tallied for raw shared-memory gradients.
+        let mut config = ThreadedConfig::quick(3, SyncMode::Bsp);
+        config.rounds = 6;
+        let master0: Tensor = (0..LEN).map(|j| j as f32 * 0.25 - 0.5).collect();
+        let (done, _, published) =
+            run_scripted(&config, master0.clone(), |w, k| Some((grad_of(w, k), None)));
+        let mut expected = master0;
+        let mut opt = rna_training::Sgd::new(config.lr, 0.0, 0.0, LEN);
+        let mut pool = TensorPool::new();
+        for k in 0..config.rounds {
+            let grads: Vec<Tensor> = (0..3).map(|w| grad_of(w, k)).collect();
+            let refs: Vec<Option<&Tensor>> = grads.iter().map(Some).collect();
+            let mean = partial_allreduce_pooled(&refs, &mut pool).expect("three contribute");
+            opt.step(&mut expected, &mean.reduced, 1.0);
+        }
+        let bits = |t: &Tensor| t.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&done.master), bits(&expected));
+        assert_eq!(done.participation_sum, 6.0);
+        assert_eq!(done.rounds_degraded, 0);
+        assert_eq!(done.counters.bytes_on_wire, 0);
+        assert_eq!(published, [1, 2, 3, 4, 5, 6]);
+    }
+
+    #[test]
+    fn all_ready_trigger_degrades_at_the_deadline_when_a_worker_stays_silent() {
+        use rna_core::fault::ToleranceConfig;
+        let mut config = ThreadedConfig::quick(2, SyncMode::Bsp).with_tolerance(ToleranceConfig {
+            round_deadline_us: 3_000,
+            ..ToleranceConfig::default()
+        });
+        config.rounds = 2;
+        let master0 = grad_of(9, 9);
+        let began = Instant::now();
+        // Worker 1 never deposits: the barrier cannot fire.
+        let (done, _, _) = run_scripted(&config, master0.clone(), |w, k| {
+            (w == 0).then(|| (grad_of(w, k), None))
+        });
+        let elapsed = began.elapsed();
+        assert_eq!(done.rounds_degraded, 2);
+        assert_eq!(done.participation_sum, 0.0);
+        // Strict barrier semantics: an incomplete round applies nothing.
+        assert_eq!(done.master.as_slice(), master0.as_slice());
+        // Both rounds waited out their deadline, and whatever the scheduler
+        // added on top is on the books, not swallowed.
+        assert!(elapsed >= Duration::from_micros(2 * 3_000), "{elapsed:?}");
+        let overshoot = Duration::from_micros(done.deadline_overshoot_us);
+        assert!(overshoot <= elapsed - Duration::from_micros(2 * 3_000));
+    }
+
+    #[test]
+    fn each_trigger_fires_on_its_own_condition_and_not_before() {
+        let config = ThreadedConfig::quick(4, SyncMode::Rna);
+        let mirror = Mirror::new(&config, Instant::now(), 0, |_| true);
+        let active = [true; 4];
+        let ready = |w: usize| {
+            mirror.beat(w);
+            mirror.deposit(w, 0, Tensor::zeros(LEN), None);
+        };
+        (0..4).for_each(|w| mirror.beat(w));
+        ready(1);
+        ready(2);
+        // Two of four live workers: short of `live_majority(4) == 3`, short
+        // of the barrier, and invisible to RNA unless one of them was probed.
+        assert_eq!(SyncMode::EagerMajority.fires(&mirror, &active, &[]), None);
+        assert_eq!(SyncMode::Bsp.fires(&mirror, &active, &[]), None);
+        assert_eq!(SyncMode::Rna.fires(&mirror, &active, &[0, 3]), None);
+        assert_eq!(SyncMode::Rna.fires(&mirror, &active, &[3, 2]), Some(2));
+        ready(3);
+        // The third deposit is the majority; the barrier still waits for 0.
+        assert_eq!(
+            SyncMode::EagerMajority.fires(&mirror, &active, &[]),
+            Some(1)
+        );
+        assert_eq!(SyncMode::Bsp.fires(&mirror, &active, &[]), None);
+        // A dead or inactive worker is outside the barrier's electorate.
+        mirror.set_alive(0, false);
+        assert_eq!(SyncMode::Bsp.fires(&mirror, &active, &[]), Some(1));
+        mirror.set_alive(0, true);
+        let without_0 = [false, true, true, true];
+        assert_eq!(SyncMode::Bsp.fires(&mirror, &without_0, &[]), Some(1));
+        ready(0);
+        assert_eq!(SyncMode::Bsp.fires(&mirror, &active, &[]), Some(0));
+    }
+
+    #[test]
+    fn rna_resamples_a_probed_but_unready_set_after_the_backoff() {
+        // One probe per election over four live workers, of which exactly one
+        // ever has a gradient — and it is not the one the first election
+        // draws. The round can only fire through a backoff-paced resample.
+        let first_probe = SimRng::seed(3).fork(STREAM_PROBE).choose_distinct(4, 1)[0];
+        let ready = (first_probe + 1) % 4;
+        let mut config = ThreadedConfig::quick(4, SyncMode::Rna);
+        config.rounds = 1;
+        config.probes = 1;
+        let backoff = Duration::from_micros(config.tolerance.probe_backoff_us);
+        let began = Instant::now();
+        let (done, _, _) = run_scripted(&config, Tensor::zeros(LEN), |w, k| {
+            (w == ready).then(|| (grad_of(w, k), None))
+        });
+        assert!(began.elapsed() >= backoff, "fired without a resample");
+        assert_eq!(done.rounds_degraded, 0);
+        assert_eq!(done.participation_sum, 0.25);
+    }
+
+    #[test]
+    fn worker_and_probe_streams_match_the_sequential_fork_order() {
+        // The shared fork sequence as the threaded world used to walk it —
+        // one generator, every worker's sampler and compute fork in worker
+        // order, then term 0's probe fork — and as a subprocess used to
+        // replay it for itself. `worker_streams` (what both worlds call now)
+        // must land every stream on the same bits, for members and joiners.
+        let draws = |mut r: SimRng| [r.uniform_u64(0..u64::MAX), r.uniform_u64(0..u64::MAX)];
+        let n = 5u64;
+        let grant_of = |w: u64| if w == 3 { STREAM_JOIN + 2 * w } else { 0 };
+        let (post_template, ..) = task(11);
+        let mut shared = post_template.clone();
+        for w in 0..n {
+            let (sampler_key, compute_key) = match grant_of(w) {
+                0 => (STREAM_SAMPLER + w, STREAM_COMPUTE + w),
+                g => (g, g + 1),
+            };
+            let sampler = shared.fork(sampler_key);
+            let compute = shared.fork(compute_key);
+            // The subprocess's private continuation, off its own copy.
+            let mut own = shared.clone();
+            let reconnect = own.fork(STREAM_RECONNECT + w);
+            let wire = own.fork(STREAM_WIRE + w);
+            let got = worker_streams(&post_template, w, grant_of(w));
+            assert_eq!(draws(got.sampler), draws(sampler), "sampler {w}");
+            assert_eq!(draws(got.compute), draws(compute), "compute {w}");
+            assert_eq!(draws(got.reconnect), draws(reconnect), "reconnect {w}");
+            assert_eq!(draws(got.wire), draws(wire), "wire {w}");
+        }
+        // Term 0's probe stream is the first fork behind the workers.
+        let probe = past_workers(&post_template, n).fork(STREAM_PROBE);
+        assert_eq!(draws(probe), draws(shared.fork(STREAM_PROBE)));
     }
 
     #[test]
@@ -972,24 +1201,17 @@ mod tests {
                 assert_ne!(STREAM_SAMPLER + w, STREAM_COMPUTE + v);
                 assert_ne!(STREAM_SAMPLER + w, STREAM_PROBE);
                 assert_ne!(STREAM_COMPUTE + v, STREAM_PROBE);
-                // Codec draws must never share a stream with any other
-                // role (terms index the codec/probe namespaces the same
-                // way worker ids index the others).
-                assert_ne!(STREAM_SAMPLER + w, STREAM_CODEC + v);
-                assert_ne!(STREAM_COMPUTE + w, STREAM_CODEC + v);
-                assert_ne!(STREAM_PROBE + w, STREAM_CODEC + v);
                 // Joiner grants (two keys per worker) are their own
                 // namespace too.
                 assert_ne!(STREAM_SAMPLER + w, STREAM_JOIN + 2 * v);
                 assert_ne!(STREAM_COMPUTE + w, STREAM_JOIN + 2 * v + 1);
                 assert_ne!(STREAM_PROBE + w, STREAM_JOIN + 2 * v);
-                assert_ne!(STREAM_CODEC + w, STREAM_JOIN + 2 * v + 1);
                 // Reconnect jitter and worker-side wire-codec draws are
                 // per-worker namespaces of their own.
                 assert_ne!(STREAM_RECONNECT + w, STREAM_WIRE + v);
                 assert_ne!(STREAM_RECONNECT + w, STREAM_JOIN + 2 * v);
                 assert_ne!(STREAM_WIRE + w, STREAM_JOIN + 2 * v + 1);
-                assert_ne!(STREAM_WIRE + w, STREAM_CODEC + v);
+                assert_ne!(STREAM_WIRE + w, STREAM_PROBE + v);
                 assert_ne!(STREAM_WIRE + w, STREAM_SAMPLER + v);
                 assert_ne!(STREAM_WIRE + w, STREAM_COMPUTE + v);
             }

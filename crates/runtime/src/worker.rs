@@ -1,46 +1,49 @@
-//! The worker subprocess's side of the process-world protocol.
+//! The worker role, written once: [`Worker::run`] is the loop every worker
+//! executes — a thread of the threaded world or an `rna-worker` subprocess —
+//! against a [`WorkerLink`] that hides the I/O that differs.
 //!
 //! [`run_worker`] is what the `rna-worker` binary calls after parsing its
 //! command line: connect, prove key possession through the
-//! `Hello`/`Challenge`/`Auth` exchange, receive the `Setup` frame, replay
-//! the run's shared RNG sequence so its sampler/compute streams are
-//! identical to the threaded world's worker threads, then loop compute →
-//! gradient frame, heartbeating and honoring the bounded-lead gate
-//! against the round counter the coordinator streams back. A dead socket
-//! does not end the incarnation: the worker re-handshakes under capped
-//! exponential backoff and resumes where its local state left off.
+//! `Hello`/`Challenge`/`Auth` exchange, receive and validate the `Setup`
+//! frame, rebuild the run's task and this worker's RNG streams from the
+//! seed (identical to the threaded world's), then run the loop over the
+//! socket link. A dead socket does not end the incarnation: the worker
+//! re-handshakes under capped exponential backoff and resumes where its
+//! local state left off.
 //!
 //! Fault directives come down in the `Setup` frame and are executed by the
-//! same [`FaultExecutor`] the threaded workers use, with one difference
-//! that is the whole point of this world: a crash or crash-restart
+//! same [`FaultExecutor`] in both worlds, with one difference that is the
+//! whole point of the process world: there a crash or crash-restart
 //! directive calls [`std::process::abort`] — the process genuinely
 //! vanishes mid-protocol, and rejoining is the *coordinator's* problem
 //! (it respawns the binary with the next incarnation number and a `Setup`
 //! that resumes from the checkpointed iteration).
 
-use std::io::Write;
+use std::io::{self, Write};
 use std::net::{Shutdown, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use rna_core::fault::{FaultPlan, WorkerFate, WorkerFault};
 use rna_simnet::SimRng;
+use rna_tensor::codec::{self, Compression};
 use rna_tensor::Tensor;
 use rna_training::model::SoftmaxClassifier;
 use rna_training::{BatchSampler, Dataset, Model};
 
-use rna_tensor::codec::{self, Compression};
-
 use crate::fault::{FaultExecutor, IterDirective};
+use crate::process::still_pending;
 use crate::proto::{
     compute_mac, read_msg, write_msg, AuthKey, GradBatch, Msg, ProtoError, WorkerSetup,
 };
-use crate::threaded::{interruptible_sleep, sleep_range};
-use crate::transport::{lock, STREAM_COMPUTE, STREAM_RECONNECT, STREAM_SAMPLER, STREAM_WIRE};
+use crate::threaded::{interruptible_sleep, sleep_range, SyncMode, ThreadedConfig};
+use crate::transport::{lock, task, worker_streams, STREAM_JOIN};
 
-/// How long the worker keeps retrying its initial connect: the coordinator
-/// spawns the whole cluster before some listeners' backlogs drain.
+/// How long the worker keeps re-offering its first handshake: the
+/// coordinator spawns the whole cluster before some listeners' backlogs
+/// drain, and an address-book joiner may dial in before its join round.
 const CONNECT_TIMEOUT: Duration = Duration::from_secs(10);
 
 /// Per-read timeout during the handshake, so a half-open connection (or a
@@ -66,99 +69,182 @@ const DEFER_MAX_WIRE_BYTES: usize = 4096;
 /// Most gradients one coalesced batch frame may carry.
 const DEFER_MAX_ENTRIES: u32 = 4;
 
-/// The worker's side of the compressed hop: the run codec, the
-/// error-feedback residual, the stochastic-rounding stream, and the
-/// reusable outgoing frame batch.
-///
-/// All of it is *worker* state, owned at [`run_worker`] scope outside the
-/// connection loop: the residual survives a reconnect (error feedback
-/// continues across socket deaths) and is rebuilt from zero only by a
-/// genuine respawn — exactly like the model and sampler position — so
-/// same-seed replays stay bit-identical.
-struct WireEncoder {
+/// How a worker observes the run and reaches the controller — exactly the
+/// I/O the loop must not know, failures included (a link whose I/O breaks
+/// raises its own stop flag). The thread link reads and writes the shared
+/// mirror; the socket link frames, coalesces and piggybacks over TCP.
+pub(crate) trait WorkerLink {
+    /// The round counter as this worker last saw it.
+    fn round(&self) -> u64;
+    /// Raised when the run — or this connection — is over.
+    fn stop(&self) -> &AtomicBool;
+    /// Blocks until the round counter moves off `seen`, the link stops, or
+    /// `timeout` passes (a missed-wakeup backstop, and the heartbeat
+    /// cadence of a parked worker).
+    fn park(&mut self, seen: u64, timeout: Duration);
+    /// A sign of life, `iter` iterations completed.
+    fn beat(&mut self, iter: u64);
+    /// Installs the newest published parameters, if any are new.
+    fn refresh(&mut self, model: &mut SoftmaxClassifier);
+    /// Encodes iteration `iter`'s gradient and hands it to the controller
+    /// (a coalescing link may hold it until the next [`WorkerLink::flush`]).
+    fn deposit(&mut self, iter: u64, grad: Tensor);
+    /// Sends whatever [`WorkerLink::deposit`] held back; `next_iter` is the
+    /// iteration the worker is about to start.
+    fn flush(&mut self, next_iter: u64);
+    /// Executes a death: a crash, or with `down_for` a crash-restart. `true`
+    /// once the same worker is back (a thread that slept out its down
+    /// window), `false` if it stays dead; a subprocess aborts instead of
+    /// returning — coming back is its coordinator's business.
+    fn die(&mut self, down_for: Option<Duration>) -> bool;
+}
+
+/// The lead gate a parked worker waits at and whoever moves the round
+/// counter wakes.
+#[derive(Default)]
+pub(crate) struct Gate {
+    lock: Mutex<()>,
+    cv: Condvar,
+}
+
+impl Gate {
+    /// Wakes every parker. Passing through the lock first closes the window
+    /// between a parker's last look at the counter and its wait; notifying
+    /// after releasing it spares each woken thread a second sleep on the
+    /// mutex.
+    pub fn wake(&self) {
+        drop(lock(&self.lock));
+        self.cv.notify_all();
+    }
+
+    /// Waits for a wake-up or `timeout` — unless `parked`, evaluated under
+    /// the lock, says the condition already changed.
+    pub fn park(&self, timeout: Duration, parked: impl FnOnce() -> bool) {
+        let held = lock(&self.lock);
+        if parked() {
+            let _unused = self
+                .cv
+                .wait_timeout(held, timeout)
+                .unwrap_or_else(PoisonError::into_inner);
+        }
+    }
+}
+
+/// The worker's encode leg of the compressed hop, shared by both links:
+/// the run codec, the error-feedback residual, and the stochastic-rounding
+/// stream. All of it is *worker* state: it survives a reconnect and a
+/// controller failover, and is rebuilt from zero only by a genuine respawn
+/// — like the model and sampler position — so same-seed replays stay
+/// bit-identical.
+pub(crate) struct Encoder {
     codec: Compression,
     residual: Tensor,
     rng: SimRng,
-    batch: GradBatch,
-    /// Iteration value of the last piggybacked heartbeat, so the compute
-    /// loop can skip the redundant standalone heartbeat that follows a
-    /// flush. Cleared on reconnect (a fresh socket owes fresh liveness).
-    last_hb: Option<u64>,
+    /// `codec::wire_threads` of the gradient length, asked once: the answer
+    /// costs a syscall and a cgroup read, far more than a small encode.
+    threads: usize,
 }
 
-impl WireEncoder {
-    /// Encodes one gradient (error feedback included) directly into the
-    /// outgoing batch frame. `grad` is left holding the wire values.
-    fn push(&mut self, iter: u64, grad: &mut Tensor) {
+impl Encoder {
+    pub fn new(codec: Compression, len: usize, rng: SimRng) -> Self {
+        Encoder {
+            codec,
+            residual: Tensor::zeros(len),
+            rng,
+            threads: codec::wire_threads(len),
+        }
+    }
+
+    /// Encodes one gradient (error feedback included) behind `out`'s
+    /// current end, leaving `grad` holding the wire values. Returns the
+    /// frame length and the post-encode residual norm.
+    pub fn encode(&mut self, grad: &mut Tensor, out: &mut Vec<u8>) -> (u64, f64) {
         // The encode leg must stay off the tensor allocator in steady
         // state: the residual is preallocated and the codec appends
-        // straight into the frame buffer.
+        // straight into the caller's buffer.
         let allocs = rna_tensor::alloc::count();
-        let threads = codec::wire_threads(grad.len());
-        let out = self.batch.begin_entry(iter);
         let rng = &mut self.rng;
         let mut draw = || rng.uniform_u64(0..1 << 32) as u32;
-        let (_, err) = codec::encode_with_feedback_append(
+        let charge = codec::encode_with_feedback_append(
             self.codec,
             grad,
             &mut self.residual,
             out,
             &mut draw,
-            threads,
+            self.threads,
         );
-        self.batch.finish_entry(err);
         debug_assert_eq!(
             rna_tensor::alloc::count(),
             allocs,
             "worker encode path allocated a tensor buffer in steady state"
         );
+        charge
+    }
+}
+
+impl WorkerSetup {
+    /// What worker `w` of `config` is told when it starts — as a thread, or
+    /// as incarnation `incarnation` of a subprocess resuming at `start_iter`.
+    pub(crate) fn for_worker(
+        config: &ThreadedConfig,
+        w: usize,
+        (start_iter, incarnation): (u64, u64),
+        round: u64,
+        params: Tensor,
+    ) -> WorkerSetup {
+        let join = config.churn_plan.join_of(w);
+        WorkerSetup {
+            worker: w as u32,
+            seed: config.seed,
+            batch_size: config.batch_size as u64,
+            // The barrier is the lead gate at its tightest: one iteration
+            // per published round.
+            max_lead: match config.mode {
+                SyncMode::Bsp => 1,
+                SyncMode::Rna | SyncMode::EagerMajority => config.max_lead,
+            },
+            compute_lo_us: config.compute_us[w].0,
+            compute_hi_us: config.compute_us[w].1,
+            liveness_timeout_us: config.tolerance.liveness_timeout_us,
+            start_iter,
+            round,
+            // A joiner's sampler/compute streams come from the disjoint grant
+            // namespace so original members replay their sequences unchanged.
+            rng_grant: join.map_or(0, |_| STREAM_JOIN + 2 * w as u64),
+            retire_round: config.churn_plan.retire_of(w).unwrap_or(u64::MAX),
+            evict_round: config.churn_plan.evict_of(w).unwrap_or(u64::MAX),
+            compression: config.compression,
+            faults: config
+                .fault_plan
+                .for_worker(w)
+                .filter(|f| still_pending(f, start_iter, incarnation))
+                .collect(),
+            params,
+        }
     }
 
-    /// Writes the pending batch (if any) and the next heartbeat in one
-    /// socket write. A no-op on an empty batch.
-    fn flush(&mut self, stream: &mut TcpStream, next_iter: u64) -> std::io::Result<()> {
-        if self.batch.is_empty() {
+    /// Checks the coordinator's numbers against this worker's own model and
+    /// dataset before anything is built or sized from them.
+    fn validate(&self, model: &SoftmaxClassifier, dataset: &Dataset) -> Result<(), ProtoError> {
+        let (model_len, samples) = (model.params().len(), dataset.len() as u64);
+        // A worker can never have led the round counter by more.
+        let furthest = self.round.saturating_add(self.max_lead);
+        let what = if self.params.len() != model_len {
+            "setup: wrong parameter count"
+        } else if !(1..=samples).contains(&self.batch_size) {
+            "setup: batch size out of range"
+        } else if self.max_lead == 0 {
+            "setup: zero lead bound"
+        } else if self.compute_lo_us > self.compute_hi_us {
+            "setup: inverted compute range"
+        } else if self.liveness_timeout_us == 0 {
+            "setup: zero liveness timeout"
+        } else if self.start_iter > furthest {
+            "setup: resumes beyond the lead bound"
+        } else {
             return Ok(());
-        }
-        let _ = self.batch.frame();
-        self.batch.piggyback(&Msg::Heartbeat { iter: next_iter });
-        let sent = stream.write_all(self.batch.wire_bytes());
-        self.batch.reset();
-        self.last_hb = Some(next_iter);
-        sent
-    }
-}
-
-/// What the socket reader thread shares with the compute loop.
-struct Link {
-    /// The coordinator's round counter (drives the bounded-lead gate).
-    round: AtomicU64,
-    /// Freshest parameter snapshot not yet applied.
-    fresh_params: Mutex<Option<Tensor>>,
-    /// Set on `Stop`, socket death, or any protocol violation.
-    stop: AtomicBool,
-    /// Set *only* on a `Stop` frame: the run ended on purpose. A halt
-    /// without this flag is a dead socket, which the reconnect loop owns.
-    graceful: AtomicBool,
-    gate: Mutex<()>,
-    cv: Condvar,
-}
-
-impl Link {
-    fn new(round: u64) -> Self {
-        Link {
-            round: AtomicU64::new(round),
-            fresh_params: Mutex::new(None),
-            stop: AtomicBool::new(false),
-            graceful: AtomicBool::new(false),
-            gate: Mutex::new(()),
-            cv: Condvar::new(),
-        }
-    }
-
-    fn halt(&self) {
-        self.stop.store(true, Ordering::Release);
-        self.cv.notify_all();
+        };
+        Err(ProtoError::Garbage { what })
     }
 }
 
@@ -189,43 +275,302 @@ fn plan_from(faults: &[WorkerFault]) -> FaultPlan {
     plan
 }
 
-fn connect_retry(addr: &str) -> Result<TcpStream, ProtoError> {
-    let deadline = Instant::now() + CONNECT_TIMEOUT;
-    loop {
-        match TcpStream::connect(addr) {
-            Ok(s) => return Ok(s),
-            Err(e) if Instant::now() >= deadline => return Err(ProtoError::Io(e)),
-            Err(_) => std::thread::sleep(Duration::from_millis(20)),
+/// One worker's local state: everything that survives a reconnect and dies
+/// with a respawn.
+pub(crate) struct Worker {
+    setup: WorkerSetup,
+    dataset: Arc<Dataset>,
+    model: SoftmaxClassifier,
+    sampler: BatchSampler,
+    compute_rng: SimRng,
+    pub faults: FaultExecutor,
+    /// Completed local iterations.
+    pub local_iter: u64,
+}
+
+impl Worker {
+    pub fn new(
+        setup: WorkerSetup,
+        dataset: Arc<Dataset>,
+        mut model: SoftmaxClassifier,
+        sampler_rng: SimRng,
+        compute_rng: SimRng,
+    ) -> Self {
+        let batch_size = usize::try_from(setup.batch_size).unwrap_or(usize::MAX);
+        let mut sampler = BatchSampler::new(sampler_rng, batch_size);
+        // Fast-forward the sampler so a rejoined incarnation continues the
+        // data stream instead of repeating its predecessor's batches.
+        for _ in 0..setup.start_iter {
+            let _ = sampler.sample(&dataset);
         }
+        model.set_params(&setup.params);
+        Worker {
+            faults: FaultExecutor::new(&plan_from(&setup.faults), 0),
+            local_iter: setup.start_iter,
+            setup,
+            dataset,
+            model,
+            sampler,
+            compute_rng,
+        }
+    }
+
+    /// Parked workers re-check the round counter (and heartbeat) at this
+    /// cadence even without a wake-up; it only bounds how stale a missed
+    /// notify can go, so a quarter of the liveness window is enough.
+    pub fn park_recheck(&self) -> Duration {
+        Duration::from_micros((self.setup.liveness_timeout_us / 4).max(1_000))
+    }
+
+    /// The worker loop: departure check → fault directive → heartbeat →
+    /// lead gate → parameters → sample → gradient → injected compute →
+    /// deposit, until the link stops. Returns the scheduled departure that
+    /// ended it, if one did.
+    pub fn run(&mut self, link: &mut impl WorkerLink) -> Option<WorkerFate> {
+        while !link.stop().load(Ordering::Acquire) {
+            // Scheduled departures, observed on the round counter: an evictee
+            // leaves before contributing to its eviction round (the
+            // controller purges whatever was left behind), a retiree works
+            // *through* its retirement round (the controller drains that
+            // last contribution) and leaves once the counter passes it.
+            let round_now = link.round();
+            if round_now >= self.setup.evict_round {
+                let at_round = self.setup.evict_round;
+                return Some(WorkerFate::Evicted { at_round });
+            }
+            if round_now > self.setup.retire_round {
+                let at_round = self.setup.retire_round;
+                return Some(WorkerFate::Retired { at_round });
+            }
+            match self.faults.on_iteration_start(self.local_iter) {
+                // Coalesced gradients drain before a death: the directive
+                // models a compute death, not a lost send.
+                IterDirective::Crash => {
+                    link.flush(self.local_iter);
+                    link.die(None);
+                    return None;
+                }
+                IterDirective::Restart(down_for) => {
+                    link.flush(self.local_iter);
+                    if !link.die(Some(down_for)) {
+                        return None;
+                    }
+                    self.faults.mark_rejoined();
+                }
+                IterDirective::HangFor(d) => {
+                    // Frozen: no heartbeats until the hang lifts.
+                    link.flush(self.local_iter);
+                    interruptible_sleep(d, link.stop());
+                }
+                IterDirective::Proceed => {}
+            }
+            link.beat(self.local_iter);
+            // Bounded lead: park until the round counter catches up,
+            // heartbeating so a parked worker is not presumed dead.
+            loop {
+                let seen = link.round();
+                if link.stop().load(Ordering::Acquire)
+                    || self.local_iter.saturating_sub(seen) < self.setup.max_lead
+                {
+                    break;
+                }
+                // A parking worker must not sit on coalesced gradients — the
+                // controller may need exactly those contributions to advance
+                // the round this park waits for.
+                link.flush(self.local_iter);
+                link.park(seen, self.park_recheck());
+                link.beat(self.local_iter);
+            }
+            if link.stop().load(Ordering::Acquire) {
+                break;
+            }
+            link.refresh(&mut self.model);
+            let batch = self.sampler.sample(&self.dataset);
+            let (_, grad) = self.model.loss_and_grad(&batch);
+            let compute_us = (self.setup.compute_lo_us, self.setup.compute_hi_us);
+            sleep_range(&mut self.compute_rng, compute_us);
+            let extra = self.faults.extra_compute_delay(self.local_iter);
+            if !extra.is_zero() {
+                std::thread::sleep(extra);
+            }
+            link.deposit(self.local_iter, grad);
+            self.local_iter += 1;
+        }
+        None
+    }
+}
+
+/// What the socket reader thread shares with the compute loop.
+#[derive(Default)]
+struct Conn {
+    /// The coordinator's round counter (drives the bounded-lead gate).
+    round: AtomicU64,
+    /// Freshest parameter snapshot not yet applied.
+    fresh_params: Mutex<Option<Tensor>>,
+    /// Set on `Stop`, socket death, or any protocol violation.
+    stop: AtomicBool,
+    /// Set *only* on a `Stop` frame: the run ended on purpose. A halt
+    /// without this flag is a dead socket, which the reconnect loop owns.
+    graceful: AtomicBool,
+    gate: Gate,
+    /// Length every `Params` frame must have (the model's).
+    param_len: usize,
+}
+
+impl Conn {
+    fn new(round: u64, param_len: usize) -> Self {
+        Conn {
+            round: AtomicU64::new(round),
+            param_len,
+            ..Conn::default()
+        }
+    }
+
+    fn halt(&self) {
+        self.stop.store(true, Ordering::Release);
+        self.gate.wake();
     }
 }
 
 /// Consumes coordinator frames: parameter snapshots and round advances
-/// update the link (waking the lead gate); `Stop`, a dead socket, or a
-/// protocol violation halts the worker.
-fn reader_loop(mut stream: TcpStream, link: &Link) {
+/// update the connection state (waking the lead gate); `Stop`, a dead
+/// socket, or a protocol violation — a `Params` frame of the wrong length
+/// included — halts it.
+fn reader_loop(mut stream: TcpStream, conn: &Conn) {
     loop {
         match read_msg(&mut stream) {
-            Ok(Msg::Params { round: _, params }) => {
-                *lock(&link.fresh_params) = Some(params);
-                link.cv.notify_all();
+            Ok(Msg::Params { round: _, params }) if params.len() == conn.param_len => {
+                *lock(&conn.fresh_params) = Some(params);
+                conn.gate.wake();
             }
             Ok(Msg::Round { round }) => {
                 // A plain store, not a max: a controller failover rolls
                 // the counter back, and the lead gate must honor that.
-                link.round.store(round, Ordering::Release);
-                link.cv.notify_all();
+                conn.round.store(round, Ordering::Release);
+                conn.gate.wake();
             }
             Ok(Msg::Stop) => {
-                link.graceful.store(true, Ordering::Release);
-                link.halt();
+                conn.graceful.store(true, Ordering::Release);
+                conn.halt();
                 return;
             }
             Ok(_) | Err(_) => {
-                link.halt();
+                conn.halt();
                 return;
             }
         }
+    }
+}
+
+/// [`WorkerLink`] over TCP. Owns what the loop must not know about the
+/// wire: the outgoing batch frame gradients are encoded straight into, the
+/// coalescing decision, the heartbeat piggybacked on every flush, and the
+/// current connection with its reader thread.
+struct SocketLink {
+    stream: TcpStream,
+    conn: Arc<Conn>,
+    encoder: Encoder,
+    batch: GradBatch,
+    /// Iteration value of the last piggybacked heartbeat, so the standalone
+    /// beat that follows a flush is skipped. Cleared by a park (time has
+    /// passed) and a reconnect (a fresh socket owes fresh liveness).
+    last_hb: Option<u64>,
+    max_lead: u64,
+    scratch: Vec<u8>,
+}
+
+impl SocketLink {
+    fn spawn_reader(&self) -> io::Result<JoinHandle<()>> {
+        let (read_half, conn) = (self.stream.try_clone()?, Arc::clone(&self.conn));
+        Ok(std::thread::spawn(move || reader_loop(read_half, &conn)))
+    }
+
+    /// A failed write is a dead socket: halt, and let the reconnect loop
+    /// take it from there.
+    fn sent(&self, result: io::Result<()>) {
+        if result.is_err() {
+            self.conn.halt();
+        }
+    }
+
+    /// Adopts a freshly re-handshaken socket. Only the unsent batch is
+    /// dropped (frames the old socket ate are lost like any other in-flight
+    /// write); the encoder's residual carries over.
+    fn reattach(&mut self, stream: TcpStream, round: u64) {
+        self.stream = stream;
+        self.conn = Arc::new(Conn::new(round, self.conn.param_len));
+        self.batch.reset();
+        self.last_hb = None;
+    }
+}
+
+impl WorkerLink for SocketLink {
+    fn round(&self) -> u64 {
+        self.conn.round.load(Ordering::Acquire)
+    }
+
+    fn stop(&self) -> &AtomicBool {
+        &self.conn.stop
+    }
+
+    fn park(&mut self, seen: u64, timeout: Duration) {
+        let conn = &self.conn;
+        conn.gate.park(timeout, || {
+            conn.round.load(Ordering::Acquire) == seen && !conn.stop.load(Ordering::Acquire)
+        });
+        self.last_hb = None;
+    }
+
+    fn beat(&mut self, iter: u64) {
+        if self.last_hb != Some(iter) {
+            let beat = Msg::Heartbeat { iter };
+            let sent = write_msg(&mut self.stream, &beat, &mut self.scratch);
+            self.sent(sent);
+        }
+    }
+
+    fn refresh(&mut self, model: &mut SoftmaxClassifier) {
+        if let Some(p) = lock(&self.conn.fresh_params).take() {
+            model.set_params(&p);
+        }
+    }
+
+    fn deposit(&mut self, iter: u64, mut grad: Tensor) {
+        // Error-feedback encode straight into the outgoing frame, then
+        // either flush (one write carries the batch and the next heartbeat)
+        // or coalesce: a small frame with lead headroom may wait for
+        // company, amortizing header and syscall cost.
+        let (_, err) = self.encoder.encode(&mut grad, self.batch.begin_entry(iter));
+        self.batch.finish_entry(err);
+        let lead = (iter + 1).saturating_sub(self.round());
+        let defer = self.batch.wire_len() < DEFER_MAX_WIRE_BYTES
+            && self.batch.entries() < DEFER_MAX_ENTRIES
+            && lead + 2 <= self.max_lead;
+        if !defer {
+            self.flush(iter + 1);
+        }
+    }
+
+    /// Writes the pending batch (if any) and the next heartbeat in one
+    /// socket write.
+    fn flush(&mut self, next_iter: u64) {
+        if self.batch.is_empty() {
+            return;
+        }
+        let _ = self.batch.frame();
+        self.batch.piggyback(&Msg::Heartbeat { iter: next_iter });
+        let sent = self.stream.write_all(self.batch.wire_bytes());
+        self.batch.reset();
+        self.last_hb = Some(next_iter);
+        self.sent(sent);
+    }
+
+    fn die(&mut self, _down_for: Option<Duration>) -> bool {
+        // A real death, not a simulated one: the process vanishes
+        // mid-protocol exactly like `kill -9`. For a restart the
+        // coordinator owns the rejoin (down window, respawn, checkpointed
+        // Setup).
+        std::process::abort()
     }
 }
 
@@ -240,13 +585,8 @@ fn try_handshake(
     worker: u32,
     key: &AuthKey,
     incarnation: u32,
-    retry_connect: bool,
 ) -> Result<(TcpStream, WorkerSetup), ProtoError> {
-    let mut stream = if retry_connect {
-        connect_retry(addr)?
-    } else {
-        TcpStream::connect(addr)?
-    };
+    let mut stream = TcpStream::connect(addr)?;
     let _ = stream.set_nodelay(true);
     let _ = stream.set_read_timeout(Some(HANDSHAKE_READ_TIMEOUT));
     let mut scratch = Vec::new();
@@ -276,7 +616,7 @@ fn try_handshake(
             })
         }
     };
-    if setup.worker != worker || setup.params.is_empty() {
+    if setup.worker != worker {
         return Err(ProtoError::Garbage {
             what: "setup frame does not match this worker",
         });
@@ -290,7 +630,7 @@ fn try_handshake(
 /// Returns when the coordinator sends `Stop` (after reporting the
 /// worker's fate) or when the setup's churn schedule retires or evicts
 /// this worker; a crash/restart directive never returns — it aborts the
-/// process. A *dead socket* no longer ends the incarnation: the worker
+/// process. A *dead socket* does not end the incarnation: the worker
 /// re-handshakes under capped exponential backoff (jitter drawn from its
 /// own deterministic RNG stream), keeping its model, sampler position,
 /// and fired fault triggers — reconnection is a socket event, not a
@@ -299,203 +639,57 @@ fn try_handshake(
 /// # Errors
 ///
 /// [`ProtoError`] when the coordinator cannot be reached, rejects the
-/// handshake past the retry window, or stays unreachable past the
-/// reconnect budget.
+/// handshake past the retry window, stays unreachable past the reconnect
+/// budget, or sends a `Setup` whose numbers do not fit this worker's own
+/// model and dataset ([`ProtoError::Garbage`], on the first handshake and
+/// on every re-handshake alike).
 pub fn run_worker(
     addr: &str,
     worker: u32,
     key: &AuthKey,
     incarnation: u32,
 ) -> Result<(), ProtoError> {
-    // An address-book joiner dials in whenever it likes — possibly before
-    // its join round, in which case the coordinator drops the Hello. Keep
-    // re-offering the handshake until the admission window opens or the
-    // retry budget runs out.
+    // The coordinator may not be accepting yet, or — for an address-book
+    // joiner dialing in before its join round — drops the Hello. Keep
+    // re-offering the handshake until it is admitted or the budget runs out.
     let deadline = Instant::now() + CONNECT_TIMEOUT;
-    let (mut stream, mut setup) = loop {
-        match try_handshake(addr, worker, key, incarnation, true) {
+    let (stream, setup) = loop {
+        match try_handshake(addr, worker, key, incarnation) {
             Ok(pair) => break pair,
             Err(e) if Instant::now() >= deadline => return Err(e),
-            Err(_) => std::thread::sleep(Duration::from_millis(50)),
+            Err(_) => std::thread::sleep(Duration::from_millis(20)),
         }
     };
-    let mut scratch = Vec::new();
-
-    // Replay the shared RNG sequence from the master seed: dataset,
-    // template, then every worker's fork pair in worker order. This is
-    // what makes the process world's data streams identical to the
-    // threaded world's without shipping the dataset over the socket.
-    let mut rng = SimRng::seed(setup.seed);
-    let dataset = Dataset::blobs(256, 8, 4, 0.4, &mut rng);
-    let mut model = SoftmaxClassifier::new(8, 4, &mut rng);
-    for v in 0..u64::from(worker) {
-        let _ = rng.fork(STREAM_SAMPLER + v);
-        let _ = rng.fork(STREAM_COMPUTE + v);
-    }
-    // A mid-run joiner draws its streams from the disjoint grant namespace
-    // instead of the standard keys. Either way the fork advances the
-    // parent identically, so original members replay the same sequence
-    // without knowing who joined later.
-    let (sampler_key, compute_key) = if setup.rng_grant == 0 {
-        (
-            STREAM_SAMPLER + u64::from(worker),
-            STREAM_COMPUTE + u64::from(worker),
-        )
-    } else {
-        (setup.rng_grant, setup.rng_grant + 1)
-    };
-    let mut sampler = BatchSampler::new(
-        rng.fork(sampler_key),
-        usize::try_from(setup.batch_size).unwrap_or(usize::MAX),
-    );
-    let mut wrng = rng.fork(compute_key);
+    let (rng, dataset, model) = task(setup.seed);
+    setup.validate(&model, &dataset)?;
+    let streams = worker_streams(&rng, u64::from(worker), setup.rng_grant);
     // Reconnect-backoff jitter comes from this worker's own stream, so a
     // soak with a fixed kill schedule replays the same backoff intervals.
-    let mut rrng = rng.fork(STREAM_RECONNECT + u64::from(worker));
-    // The worker owns the encode leg of the wire codec: residual and
-    // stochastic-rounding stream live here, beside the model and sampler,
-    // and survive reconnects the same way they do.
-    let mut wire = WireEncoder {
-        codec: setup.compression,
-        residual: Tensor::zeros(setup.params.len()),
-        rng: rng.fork(STREAM_WIRE + u64::from(worker)),
+    let mut reconnect_rng = streams.reconnect;
+    let param_len = setup.params.len();
+    let mut link = SocketLink {
+        stream,
+        conn: Arc::new(Conn::new(setup.round, param_len)),
+        encoder: Encoder::new(setup.compression, param_len, streams.wire),
         batch: GradBatch::new(),
         last_hb: None,
+        max_lead: setup.max_lead,
+        scratch: Vec::new(),
     };
-    // Fast-forward the sampler so a rejoined incarnation continues the
-    // data stream instead of repeating its predecessor's batches.
-    for _ in 0..setup.start_iter {
-        let _ = sampler.sample(&dataset);
-    }
-    model.set_params(&setup.params);
-    let mut faults = FaultExecutor::new(&plan_from(&setup.faults), 0);
-
-    let range = (setup.compute_lo_us, setup.compute_hi_us);
-    // Beat at least every quarter liveness window, even while parked, so
-    // the coordinator never presumes a waiting worker dead.
-    let park_recheck = Duration::from_micros((setup.liveness_timeout_us / 4).max(1_000));
-    let mut local_iter = setup.start_iter;
-    let mut departed: Option<WorkerFate> = None;
+    let mut me = Worker::new(setup, dataset, model, streams.sampler, streams.compute);
     loop {
-        let link = Arc::new(Link::new(setup.round));
-        let reader = {
-            let stream = stream.try_clone()?;
-            let link = Arc::clone(&link);
-            std::thread::spawn(move || reader_loop(stream, &link))
-        };
-        'run: while !link.stop.load(Ordering::Acquire) {
-            // Scheduled departures, observed on the streamed round counter:
-            // an evictee leaves before contributing to its eviction round, a
-            // retiree works *through* its retirement round (the coordinator
-            // drains that last contribution) and leaves once the counter
-            // passes it.
-            let round_now = link.round.load(Ordering::Acquire);
-            if round_now >= setup.evict_round {
-                departed = Some(WorkerFate::Evicted {
-                    at_round: setup.evict_round,
-                });
-                break 'run;
-            }
-            if round_now > setup.retire_round {
-                departed = Some(WorkerFate::Retired {
-                    at_round: setup.retire_round,
-                });
-                break 'run;
-            }
-            match faults.on_iteration_start(local_iter) {
-                IterDirective::Crash | IterDirective::Restart(_) => {
-                    // A real death, not a simulated one: the process vanishes
-                    // mid-protocol exactly like `kill -9`. For a restart the
-                    // coordinator owns the rejoin (down window, respawn,
-                    // checkpointed Setup). Coalesced gradients drain first:
-                    // the abort models a compute death, not a lost send.
-                    let _ = wire.flush(&mut stream, local_iter);
-                    std::process::abort();
-                }
-                IterDirective::HangFor(d) => {
-                    if wire.flush(&mut stream, local_iter).is_err() {
-                        break 'run;
-                    }
-                    interruptible_sleep(d, &link.stop);
-                }
-                IterDirective::Proceed => {}
-            }
-            if wire.last_hb != Some(local_iter)
-                && write_msg(
-                    &mut stream,
-                    &Msg::Heartbeat { iter: local_iter },
-                    &mut scratch,
-                )
-                .is_err()
-            {
-                break 'run;
-            }
-            // A parking worker must not sit on coalesced gradients — the
-            // coordinator may need exactly those contributions to advance
-            // the round this park waits for.
-            if local_iter.saturating_sub(link.round.load(Ordering::Acquire)) >= setup.max_lead
-                && wire.flush(&mut stream, local_iter).is_err()
-            {
-                break 'run;
-            }
-            // Bounded lead: park until the round counter catches up, still
-            // heartbeating. The reader's Round frames notify the condvar; the
-            // timeout only bounds a missed wakeup.
-            while !link.stop.load(Ordering::Acquire)
-                && local_iter.saturating_sub(link.round.load(Ordering::Acquire)) >= setup.max_lead
-            {
-                let guard = lock(&link.gate);
-                let _unused = link
-                    .cv
-                    .wait_timeout(guard, park_recheck)
-                    .unwrap_or_else(PoisonError::into_inner);
-                if write_msg(
-                    &mut stream,
-                    &Msg::Heartbeat { iter: local_iter },
-                    &mut scratch,
-                )
-                .is_err()
-                {
-                    break 'run;
-                }
-            }
-            if link.stop.load(Ordering::Acquire) {
-                break;
-            }
-            if let Some(p) = lock(&link.fresh_params).take() {
-                model.set_params(&p);
-            }
-            let batch = sampler.sample(&dataset);
-            let (_, mut grad) = model.loss_and_grad(&batch);
-            sleep_range(&mut wrng, range);
-            let extra = faults.extra_compute_delay(local_iter);
-            if !extra.is_zero() {
-                std::thread::sleep(extra);
-            }
-            // Error-feedback encode straight into the outgoing frame, then
-            // either flush (one write carries the batch and the next
-            // heartbeat) or coalesce: a small frame with lead headroom may
-            // wait for company, amortizing header and syscall cost.
-            wire.push(local_iter, &mut grad);
-            local_iter += 1;
-            let lead = local_iter.saturating_sub(link.round.load(Ordering::Acquire));
-            let defer = wire.batch.wire_len() < DEFER_MAX_WIRE_BYTES
-                && wire.batch.entries() < DEFER_MAX_ENTRIES
-                && lead + 2 <= setup.max_lead;
-            if !defer && wire.flush(&mut stream, local_iter).is_err() {
-                break 'run;
-            }
-        }
-        if departed.is_some() || link.graceful.load(Ordering::Acquire) {
+        let reader = link.spawn_reader()?;
+        let departed = me.run(&mut link);
+        if departed.is_some() || link.conn.graceful.load(Ordering::Acquire) {
             // Graceful exit: report the post-mortem. The socket may already
             // be gone (severed), in which case the coordinator composes the
             // fate itself — exactly the information a real network would
             // have. Coalesced gradients drain first: a retiree's final
             // contribution must reach the coordinator before its fate.
-            let _ = wire.flush(&mut stream, local_iter);
-            let fate = departed.unwrap_or_else(|| faults.fate());
-            let _ = write_msg(&mut stream, &Msg::Fate(fate), &mut scratch);
-            let _ = stream.shutdown(Shutdown::Both);
+            link.flush(me.local_iter);
+            let fate = departed.unwrap_or_else(|| me.faults.fate());
+            let _ = write_msg(&mut link.stream, &Msg::Fate(fate), &mut link.scratch);
+            let _ = link.stream.shutdown(Shutdown::Both);
             let _ = reader.join();
             return Ok(());
         }
@@ -504,14 +698,14 @@ pub fn run_worker(
         // incarnation number is offered: nothing about this process changed,
         // and the coordinator counts the accepted re-handshake as a
         // reconnect, not a respawn.
-        let _ = stream.shutdown(Shutdown::Both);
+        let _ = link.stream.shutdown(Shutdown::Both);
         let _ = reader.join();
         let reconnect_deadline = Instant::now() + RECONNECT_TIMEOUT;
         let mut backoff_us = RECONNECT_BASE_US;
-        let pair = loop {
-            let jitter_us = rrng.uniform_u64(0..backoff_us / 2 + 1);
+        let (stream, setup) = loop {
+            let jitter_us = reconnect_rng.uniform_u64(0..backoff_us / 2 + 1);
             std::thread::sleep(Duration::from_micros(backoff_us + jitter_us));
-            match try_handshake(addr, worker, key, incarnation, false) {
+            match try_handshake(addr, worker, key, incarnation) {
                 Ok(pair) => break pair,
                 Err(e) => {
                     if Instant::now() >= reconnect_deadline {
@@ -521,18 +715,14 @@ pub fn run_worker(
                 }
             }
         };
-        stream = pair.0;
-        setup = pair.1;
         // Adopt the coordinator's current view — the published master and the
         // (possibly rolled-back) round counter — but keep the local iteration
         // count, sampler position, fired fault triggers, and the codec
         // residual: the Setup's start_iter and fault list describe a fresh
-        // incarnation, and this is not one. Error feedback continues across
-        // the socket death; only the unsent batch is gone (frames the old
-        // socket ate are lost like any other in-flight write).
-        model.set_params(&setup.params);
-        wire.batch.reset();
-        wire.last_hb = None;
+        // incarnation, and this is not one.
+        setup.validate(&me.model, &me.dataset)?;
+        me.model.set_params(&setup.params);
+        link.reattach(stream, setup.round);
     }
 }
 
@@ -568,5 +758,388 @@ mod tests {
         // All directives land on worker 0 — the subprocess only knows
         // itself.
         assert_eq!(plan.max_worker(), Some(0));
+    }
+
+    /// What a [`ScriptedLink`] saw, in order. Deposits carry the round
+    /// counter at the moment they were made; a death carries how many
+    /// coalesced gradients were still unsent.
+    #[derive(Debug, Clone, PartialEq)]
+    enum Ev {
+        Beat(u64),
+        Park(u64),
+        Flush(u64),
+        Deposit(u64, u64),
+        Die(Option<Duration>, usize),
+    }
+
+    /// A coalescing [`WorkerLink`] with no threads, sockets or clocks: every
+    /// call is logged, deposits are held until the next flush, and `script`
+    /// — run after each event — plays the controller by moving the round
+    /// counter, and ends the run by returning `true`.
+    struct ScriptedLink<F> {
+        round: u64,
+        stop: AtomicBool,
+        log: Vec<Ev>,
+        unsent: usize,
+        script: F,
+    }
+
+    impl<F: FnMut(&Ev, &mut u64) -> bool> ScriptedLink<F> {
+        fn new(script: F) -> Self {
+            ScriptedLink {
+                round: 0,
+                stop: AtomicBool::new(false),
+                log: Vec::new(),
+                unsent: 0,
+                script,
+            }
+        }
+
+        fn see(&mut self, ev: Ev) {
+            if (self.script)(&ev, &mut self.round) {
+                self.stop.store(true, Ordering::Release);
+            }
+            self.log.push(ev);
+        }
+
+        fn deposits(&self) -> Vec<(u64, u64)> {
+            let deposit = |ev: &Ev| match *ev {
+                Ev::Deposit(iter, round) => Some((iter, round)),
+                _ => None,
+            };
+            self.log.iter().filter_map(deposit).collect()
+        }
+    }
+
+    impl<F: FnMut(&Ev, &mut u64) -> bool> WorkerLink for ScriptedLink<F> {
+        fn round(&self) -> u64 {
+            self.round
+        }
+        fn stop(&self) -> &AtomicBool {
+            &self.stop
+        }
+        fn park(&mut self, seen: u64, _timeout: Duration) {
+            self.see(Ev::Park(seen));
+        }
+        fn beat(&mut self, iter: u64) {
+            self.see(Ev::Beat(iter));
+        }
+        fn refresh(&mut self, _model: &mut SoftmaxClassifier) {}
+        fn deposit(&mut self, iter: u64, _grad: Tensor) {
+            self.unsent += 1;
+            self.see(Ev::Deposit(iter, self.round));
+        }
+        fn flush(&mut self, next_iter: u64) {
+            self.unsent = 0;
+            self.see(Ev::Flush(next_iter));
+        }
+        fn die(&mut self, down_for: Option<Duration>) -> bool {
+            self.see(Ev::Die(down_for, self.unsent));
+            // A crash-restart comes back at once; a crash does not.
+            down_for.is_some()
+        }
+    }
+
+    /// A healthy setup for worker 0 with no injected compute time.
+    fn setup_for(seed: u64) -> WorkerSetup {
+        WorkerSetup {
+            worker: 0,
+            seed,
+            batch_size: 4,
+            max_lead: 8,
+            compute_lo_us: 0,
+            compute_hi_us: 0,
+            liveness_timeout_us: 4_000,
+            start_iter: 0,
+            round: 0,
+            rng_grant: 0,
+            retire_round: u64::MAX,
+            evict_round: u64::MAX,
+            faults: Vec::new(),
+            compression: Compression::Lossless,
+            params: task(seed).2.params().clone(),
+        }
+    }
+
+    fn worker_of(setup: WorkerSetup) -> Worker {
+        let (rng, dataset, model) = task(setup.seed);
+        let streams = worker_streams(&rng, 0, 0);
+        Worker::new(setup, dataset, model, streams.sampler, streams.compute)
+    }
+
+    #[test]
+    fn a_retiree_works_through_its_round_and_an_evictee_leaves_before_its_own() {
+        // The controller closes one round per deposit.
+        let per_deposit = |ev: &Ev, round: &mut u64| {
+            *round += u64::from(matches!(ev, Ev::Deposit(..)));
+            false
+        };
+        let mut retiree = worker_of(WorkerSetup {
+            retire_round: 2,
+            ..setup_for(7)
+        });
+        let mut link = ScriptedLink::new(per_deposit);
+        let fate = retiree.run(&mut link);
+        assert_eq!(fate, Some(WorkerFate::Retired { at_round: 2 }));
+        // Its last contribution was made *in* round 2; it left once the
+        // counter passed it.
+        assert_eq!(link.deposits(), [(0, 0), (1, 1), (2, 2)]);
+
+        let mut evictee = worker_of(WorkerSetup {
+            evict_round: 2,
+            ..setup_for(7)
+        });
+        let mut link = ScriptedLink::new(per_deposit);
+        let fate = evictee.run(&mut link);
+        assert_eq!(fate, Some(WorkerFate::Evicted { at_round: 2 }));
+        // Nothing was deposited once round 2 had begun.
+        assert_eq!(link.deposits(), [(0, 0), (1, 1)]);
+    }
+
+    #[test]
+    fn the_lead_gate_parks_at_exactly_max_lead_flushed_and_beating() {
+        // The counter never moves; the third park ends the run.
+        let mut parks = 0;
+        let mut link = ScriptedLink::new(|ev: &Ev, _: &mut u64| {
+            parks += u32::from(matches!(ev, Ev::Park(_)));
+            parks == 3
+        });
+        let mut me = worker_of(WorkerSetup {
+            max_lead: 3,
+            ..setup_for(7)
+        });
+        assert_eq!(me.run(&mut link), None);
+        // Three iterations fit under the bound; the fourth never starts.
+        assert_eq!(link.deposits(), [(0, 0), (1, 0), (2, 0)]);
+        assert_eq!(me.local_iter, 3);
+        let tail = &link.log[link.log.len() - 10..];
+        let (flush, park, beat) = (Ev::Flush(3), Ev::Park(0), Ev::Beat(3));
+        // Every park is preceded by a flush of the coalesced gradients and
+        // followed by a heartbeat.
+        let cycle = [flush, park, beat];
+        assert_eq!(tail[0], cycle[2], "the top-of-iteration beat");
+        assert_eq!(tail[1..], [&cycle[..], &cycle[..], &cycle[..]].concat());
+    }
+
+    #[test]
+    fn lead_bound_one_is_one_deposit_per_published_round() {
+        // The barrier's worker: the counter advances on every park, five
+        // rounds are published in all.
+        let mut link = ScriptedLink::new(|ev: &Ev, round: &mut u64| {
+            *round += u64::from(matches!(ev, Ev::Park(_)));
+            *round == 5
+        });
+        let mut me = worker_of(WorkerSetup {
+            max_lead: 1,
+            ..setup_for(7)
+        });
+        assert_eq!(me.run(&mut link), None);
+        assert_eq!(link.deposits(), [(0, 0), (1, 1), (2, 2), (3, 3), (4, 4)]);
+    }
+
+    #[test]
+    fn hangs_and_deaths_find_the_coalesced_gradients_already_flushed() {
+        let down = Duration::from_micros(11);
+        let mut me = worker_of(WorkerSetup {
+            faults: vec![
+                WorkerFault::HangAt {
+                    at_iter: 1,
+                    for_us: 10,
+                },
+                WorkerFault::RestartAt {
+                    at_iter: 2,
+                    rejoin_after_us: 11,
+                },
+                WorkerFault::CrashAt { at_iter: 4 },
+            ],
+            ..setup_for(7)
+        });
+        let mut link = ScriptedLink::new(|_: &Ev, _: &mut u64| false);
+        assert_eq!(me.run(&mut link), None);
+        assert_eq!(
+            link.log,
+            [
+                Ev::Beat(0),
+                Ev::Deposit(0, 0),
+                // The hang: flushed before the worker goes silent.
+                Ev::Flush(1),
+                Ev::Beat(1),
+                Ev::Deposit(1, 0),
+                // The crash-restart: flushed, died with nothing unsent,
+                // came back and carried on.
+                Ev::Flush(2),
+                Ev::Die(Some(down), 0),
+                Ev::Beat(2),
+                Ev::Deposit(2, 0),
+                Ev::Beat(3),
+                Ev::Deposit(3, 0),
+                // The crash: the same, and final.
+                Ev::Flush(4),
+                Ev::Die(None, 0),
+            ]
+        );
+        assert_eq!(me.faults.fate(), WorkerFate::Crashed { at_iter: 4 });
+    }
+
+    /// The coordinator's half of one handshake, answered with `setup`. The
+    /// worker's MAC is not checked — these tests are about what the *worker*
+    /// believes.
+    fn admit(listener: &std::net::TcpListener, setup: &WorkerSetup) -> TcpStream {
+        let (mut s, _) = listener.accept().expect("the worker dials in");
+        let mut scratch = Vec::new();
+        assert!(matches!(read_msg(&mut s), Ok(Msg::Hello { worker: 0, .. })));
+        let challenge = Msg::Challenge { nonce: 9, term: 0 };
+        write_msg(&mut s, &challenge, &mut scratch).expect("challenge");
+        assert!(matches!(read_msg(&mut s), Ok(Msg::Auth { .. })));
+        write_msg(&mut s, &Msg::Setup(setup.clone()), &mut scratch).expect("setup");
+        s
+    }
+
+    /// Runs a worker against `coordinator` (handed the bound listener) and
+    /// returns how `run_worker` ended.
+    fn run_against(
+        coordinator: impl FnOnce(std::net::TcpListener) + Send + 'static,
+    ) -> Result<(), ProtoError> {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
+        let addr = listener.local_addr().expect("bound").to_string();
+        let script = std::thread::spawn(move || coordinator(listener));
+        let outcome = run_worker(&addr, 0, &AuthKey { k0: 1, k1: 2 }, 0);
+        script.join().expect("the scripted coordinator panicked");
+        outcome
+    }
+
+    /// Every way a `Setup` can contradict the worker's own model and dataset.
+    fn hostile_setups() -> Vec<(&'static str, WorkerSetup)> {
+        let good = || WorkerSetup {
+            compute_lo_us: 500,
+            compute_hi_us: 600,
+            ..setup_for(7)
+        };
+        vec![
+            (
+                "short params",
+                WorkerSetup {
+                    params: Tensor::zeros(35),
+                    ..good()
+                },
+            ),
+            (
+                "long params",
+                WorkerSetup {
+                    params: Tensor::zeros(37),
+                    ..good()
+                },
+            ),
+            (
+                "empty params",
+                WorkerSetup {
+                    params: Tensor::zeros(0),
+                    ..good()
+                },
+            ),
+            (
+                "zero batch",
+                WorkerSetup {
+                    batch_size: 0,
+                    ..good()
+                },
+            ),
+            (
+                "batch beyond the dataset",
+                WorkerSetup {
+                    batch_size: 257,
+                    ..good()
+                },
+            ),
+            (
+                "batch sized to exhaust memory",
+                WorkerSetup {
+                    batch_size: u64::MAX,
+                    ..good()
+                },
+            ),
+            (
+                "zero lead bound",
+                WorkerSetup {
+                    max_lead: 0,
+                    ..good()
+                },
+            ),
+            (
+                "inverted compute range",
+                WorkerSetup {
+                    compute_lo_us: 601,
+                    ..good()
+                },
+            ),
+            (
+                "zero liveness timeout",
+                WorkerSetup {
+                    liveness_timeout_us: 0,
+                    ..good()
+                },
+            ),
+            (
+                "unbounded fast-forward",
+                WorkerSetup {
+                    start_iter: u64::MAX,
+                    ..good()
+                },
+            ),
+            (
+                "resume just past the lead bound",
+                WorkerSetup {
+                    round: 4,
+                    start_iter: 4 + 8 + 1,
+                    ..good()
+                },
+            ),
+        ]
+    }
+
+    #[test]
+    fn a_hostile_setup_is_garbage_never_a_panic_or_an_allocation() {
+        for (case, setup) in hostile_setups() {
+            let outcome = run_against(move |listener| drop(admit(&listener, &setup)));
+            assert!(
+                matches!(outcome, Err(ProtoError::Garbage { .. })),
+                "{case}: {outcome:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_hostile_setup_on_the_re_handshake_is_refused_the_same_way() {
+        for (case, hostile) in hostile_setups() {
+            let outcome = run_against(move |listener| {
+                // A clean admission, then the socket dies under the worker;
+                // its reconnect is answered with the hostile frame.
+                drop(admit(&listener, &setup_for(7)));
+                drop(admit(&listener, &hostile));
+            });
+            assert!(
+                matches!(outcome, Err(ProtoError::Garbage { .. })),
+                "{case}: {outcome:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_wrong_length_params_frame_halts_the_link_like_any_violation() {
+        let outcome = run_against(|listener| {
+            let mut scratch = Vec::new();
+            let mut first = admit(&listener, &setup_for(7));
+            let bad = Msg::Params {
+                round: 1,
+                params: Tensor::zeros(5),
+            };
+            write_msg(&mut first, &bad, &mut scratch).expect("params");
+            // The worker neither applies it nor dies: it drops the link and
+            // re-handshakes, and a clean stop ends the run.
+            let mut second = admit(&listener, &setup_for(7));
+            write_msg(&mut second, &Msg::Stop, &mut scratch).expect("stop");
+            while !matches!(read_msg(&mut second), Ok(Msg::Fate(_)) | Err(_)) {}
+        });
+        assert!(outcome.is_ok(), "{outcome:?}");
     }
 }

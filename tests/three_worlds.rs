@@ -90,11 +90,11 @@ fn threaded_and_process_worlds_converge_alike() {
 fn byte_accounting_is_frame_exact_in_both_real_worlds() {
     // Fp16 on the 36-parameter quick model: every gradient frame is 88
     // bytes where lossless would be 160. The saved-bytes counter must be
-    // exact in both real worlds — but the two measure differently: the
-    // threaded controller charges the formula when it runs the accounting
-    // codec, while the process world's workers encode before the socket
-    // write and the coordinator tallies the bytes that physically arrived.
-    // The identity holds only if every measured frame matches the formula
+    // exact in both real worlds, and both measure it the same way: the
+    // worker encodes before it deposits (a thread into its scratch, a
+    // subprocess into the frame it writes to the socket) and the mirror
+    // tallies the length of the frame that was actually produced. The
+    // identity holds only if every measured frame matches the DES's formula
     // byte-for-byte.
     let codec = Compression::Fp16;
     let t = run_threaded(&ThreadedConfig::quick(3, SyncMode::Rna).with_compression(codec));
@@ -110,7 +110,7 @@ fn byte_accounting_is_frame_exact_in_both_real_worlds() {
 fn socket_measured_bytes_match_the_formula_for_every_codec() {
     // The same frame-exactness, across the whole codec family, against
     // real sockets. Every frame a worker encodes must arrive at exactly
-    // the size the DES and threaded worlds *charge* — and fp16 must meet
+    // the size the DES *charges* — and fp16 must meet
     // the 0.55x floor: 88 of every 160 lossless-equivalent bytes, exactly.
     for codec in [
         Compression::Fp16,
