@@ -4,6 +4,18 @@
 set -euo pipefail
 cd "$(dirname "$0")"
 
+# CI leaves the tree as it found it. It is run before committing, so a step
+# that rewrites a tracked file would land whatever it wrote; the tree is
+# fingerprinted here and compared at the end (skipped outside a checkout).
+tree_fingerprint() {
+  git status --porcelain
+  git diff | git hash-object --stdin
+}
+tree_before=""
+if git rev-parse --is-inside-work-tree >/dev/null 2>&1; then
+  tree_before="$(tree_fingerprint)"
+fi
+
 echo "==> cargo fmt --check"
 cargo fmt --all -- --check
 
@@ -71,60 +83,12 @@ stress "recovery stress" -p rna-experiments --test recovery
 # evictions and the online ζ-split regroup in all three worlds.
 stress "churn stress" -p rna-experiments --test churn
 
-echo "==> faults bench smoke (watchdogged)"
-timeout 900 cargo bench -q --bench faults
-
-# Recovery floor: checkpoint roundtrips must be bit-exact and both worlds
-# must survive their injected controller deaths, measured fresh in this
-# run. The report lands at the repo root as the tracked baseline.
-echo "==> recovery bench (--check, writes BENCH_PR4.json)"
-timeout 600 cargo run -q --release -p rna-bench --bin recovery -- \
-  --check --out BENCH_PR4.json
-
-# Data-path perf floor: the fused reduce kernels must beat the seed's
-# naive clone-scale-add path by >=2x, measured fresh in this run. The
-# report lands at the repo root as the tracked baseline.
-echo "==> data-path bench (--check, writes BENCH_PR3.json)"
-timeout 600 cargo run -q --release -p rna-bench --bin datapath -- \
-  --check --out BENCH_PR3.json
-
-# Wire-compression floor: fp16 must shrink the gradient wire >=1.9x and
-# top-k (k=10%) >=3.5x versus lossless, lossy runs must finish no later on
-# the virtual clock, measured fresh in this run. The report lands at the
-# repo root as the tracked baseline.
-echo "==> codec bench (--check, writes BENCH_PR5.json)"
-timeout 600 cargo run -q --release -p rna-bench --bin codec -- \
-  --check --out BENCH_PR5.json
-
-# Elasticity floor: the admission snapshot must roundtrip bit-exactly,
-# the gray-straggler run must commit a topology swap that rehomes PS keys
-# without eating its round budget, and the threaded churn run must account
-# every membership event, measured fresh in this run. The report lands at
-# the repo root as the tracked baseline.
-echo "==> churn bench (--check, writes BENCH_PR7.json)"
-timeout 600 cargo run -q --release -p rna-bench --bin churn -- \
-  --check --out BENCH_PR7.json
-
-# Scale + SIMD floor: the 100k-worker DES round must complete, the AVX2
-# codec kernels must hold their GB/s floors where the host has them, and
-# same-seed replays must be bit-identical across scalar, SIMD, and
-# chunk-parallel dispatch. The report lands at the repo root as the
-# tracked baseline.
-echo "==> scale bench (--check, writes BENCH_scale.json)"
-timeout 600 cargo run -q --release -p rna-bench --bin scale -- \
-  --check --out BENCH_scale.json
-
-# Compressed-hop floor: full process-world runs per codec with the byte
-# totals measured at the coordinator's sockets, not charged by formula.
-# The check fails unless fp16 wire bytes stay <= 0.55x the lossless
-# equivalent, the fp16 round rate stays within 10% of raw-f32 (the codec
-# runs in the worker, off the coordinator's critical path), and the
-# encode-into-frame path never loses to encode-then-memcpy. The report
-# lands at the repo root as the tracked baseline.
-echo "==> compressed-hop bench (--check, writes BENCH_PR10.json)"
-timeout 600 cargo build -q --release -p rna-runtime --bin rna-worker
-timeout 600 cargo run -q --release -p rna-bench --bin hop -- \
-  --check --out BENCH_PR10.json
+# DES scale: the 1k / 10k / 100k-worker runs must complete every requested
+# round. Too slow for debug, so the case is #[ignore]d and run here; the
+# watchdog is the order-of-magnitude speed floor (the runs take seconds).
+echo "==> DES scale to 100k workers (--release --ignored, watchdogged)"
+timeout 300 cargo test -q --release -p rna-experiments --test straggler_tolerance \
+  -- --ignored des_completes_its_rounds
 
 # Process-world smoke: real subprocesses over TCP on ephemeral localhost
 # ports, including a genuine SIGKILL + rejoin and a severed socket. A
@@ -176,5 +140,11 @@ timeout 600 cargo test -q -p rna-core --test pooling
 echo "==> worker encode zero-alloc assert (debug, int8 wire)"
 RNA_HOP_CODEC=int8 timeout 600 cargo test -q -p rna-runtime \
   --test process_world compressed_hop_smoke
+
+if [[ -n "${tree_before}" && "$(tree_fingerprint)" != "${tree_before}" ]]; then
+  echo "CI changed the working tree:" >&2
+  diff <(echo "${tree_before}") <(tree_fingerprint) >&2 || true
+  exit 1
+fi
 
 echo "==> CI green"

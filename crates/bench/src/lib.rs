@@ -1,44 +1,21 @@
 //! # rna-bench
 //!
-//! Criterion benchmarks for the RNA reproduction.
-//!
-//! Three suites:
-//!
-//! * `figures` — one benchmark per table/figure of the paper, each driving
-//!   a miniature version of the corresponding experiment end-to-end (the
-//!   full-size regeneration lives in the `repro` binary of
-//!   `rna-experiments`).
-//! * `ablations` — the design choices DESIGN.md calls out: probe count,
-//!   staleness bound, weighted accumulation, dynamic LR scaling, and the
-//!   hierarchical PS cadence.
-//! * `collectives` — the data-path primitives: ring AllReduce, partial
-//!   AllReduce, gradient-cache operations, and probe sampling.
-//!
-//! Shared miniature configurations live here so the suites stay in sync.
+//! The stamp every measurement report opens with: schema name, git commit,
+//! detected CPU vector features and host thread count. The harness itself
+//! is the standalone `perf/` package (`perf/run.sh`, `perf --compare`),
+//! which imports [`json_header`] from here; this crate holds nothing else.
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
 
 use std::path::{Path, PathBuf};
 
-use rna_core::sim::TrainSpec;
-use rna_workload::HeterogeneityModel;
-
-/// A miniature straggler-afflicted spec: `n` workers, 5 ms compute, 0–20 ms
-/// dynamic delay, `rounds` synchronization rounds.
-pub fn mini_spec(n: usize, rounds: u64, seed: u64) -> TrainSpec {
-    TrainSpec::smoke_test(n, seed)
-        .with_hetero(HeterogeneityModel::dynamic_uniform(n, 0, 20))
-        .with_max_rounds(rounds)
-}
-
-/// Shared opening lines for the hand-formatted JSON reports the bench bins
-/// emit (no serde_json in the offline build): the schema name, the git
-/// commit the numbers were measured at, the detected CPU vector features,
-/// and the host thread count — so a checked-in `BENCH_*.json` can always be
-/// traced back to the exact code state *and* hardware class it describes
-/// (a floor measured with AVX2 on 16 cores is meaningless on a scalar
-/// single-core box).
+/// Opening lines of a hand-formatted JSON report (no serde_json in the
+/// offline build): the schema name, the git commit the numbers were
+/// measured at, the detected CPU vector features, and the host thread
+/// count — so a stored report can always be traced back to the exact code
+/// state *and* hardware class it describes (a number measured with AVX2 on
+/// 16 cores is meaningless on a scalar single-core box).
 ///
 /// The returned string is indented key lines ending in a comma; callers
 /// splice it immediately after the opening `{` of their report.
@@ -57,8 +34,8 @@ pub fn json_header(schema: &str) -> String {
 }
 
 /// Best-effort short commit hash read straight from `.git` — the offline
-/// build spawns no processes. Walks up from the current directory so the
-/// bins work from the workspace root or any crate directory; `"unknown"`
+/// build spawns no processes. Walks up from the current directory so it
+/// works from the workspace root or any directory below it; `"unknown"`
 /// outside a checkout (an exported tree).
 fn git_commit() -> String {
     let mut dir = std::env::current_dir().ok();
@@ -180,7 +157,7 @@ mod tests {
             "short hash or \"unknown\", got {commit:?}"
         );
         // Hardware stamp: a features array (possibly empty) and a positive
-        // thread count, so floors are comparable across machines.
+        // thread count, so numbers are comparable across machines.
         assert!(h.contains("\"cpu_features\": ["), "header: {h}");
         let threads_line = h.lines().last().unwrap();
         let n: usize = threads_line

@@ -55,9 +55,9 @@ impl CollectiveCost {
         self.link.transfer_time(chunk) * (2 * (n as u64 - 1))
     }
 
-    /// Naive (non-ring) AllReduce for the ablation bench: gather all `n`
-    /// buffers at a root then broadcast the result; the root link
-    /// serializes `2(n−1)` full-size transfers.
+    /// Naive (non-ring) AllReduce, the baseline the ring is read against:
+    /// gather all `n` buffers at a root then broadcast the result; the root
+    /// link serializes `2(n−1)` full-size transfers.
     ///
     /// # Panics
     ///

@@ -4,7 +4,7 @@
 //! (unbiased gradients, bounded variance σ², L-Lipschitz gradients) plus
 //! bounded delay `max τ_ij ≤ η`. This module implements the quantities of
 //! Theorems 5.1 and 5.2 so experiments can check their configurations
-//! against the theory and the ablation benches can sweep them:
+//! against the theory:
 //!
 //! * [`constant_step_length`] — the constant γ of Eq. (4),
 //! * [`step_condition_holds`] — the step-length condition of Eq. (1),

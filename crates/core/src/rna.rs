@@ -1313,28 +1313,29 @@ mod tests {
     #[test]
     fn lossy_codecs_shrink_the_wire_and_the_clock() {
         use rna_tensor::Compression;
+        let lossy = |codec| run(4, 9, RnaConfig::default().with_compression(codec), 60);
         let lossless = run(4, 9, RnaConfig::default(), 60);
-        let fp16 = run(
-            4,
-            9,
-            RnaConfig::default().with_compression(Compression::Fp16),
-            60,
-        );
-        let topk = run(
-            4,
-            9,
-            RnaConfig::default().with_compression(Compression::top_k_10pct()),
-            60,
-        );
+        let fp16 = lossy(Compression::Fp16);
+        let int8 = lossy(Compression::Int8);
+        let topk = lossy(Compression::top_k_10pct());
         let ratio = |r: &crate::RunResult| lossless.bytes_on_wire as f64 / r.bytes_on_wire as f64;
         assert!(ratio(&fp16) >= 1.9, "fp16 wire ratio {}", ratio(&fp16));
         assert!(ratio(&topk) >= 3.5, "topk wire ratio {}", ratio(&topk));
-        assert!(fp16.bytes_saved > 0 && topk.bytes_saved > 0);
-        assert!(
-            fp16.wall_time <= lossless.wall_time,
-            "smaller frames cannot slow the virtual clock"
-        );
-        assert!(fp16.codec_error_l2 > 0.0 && fp16.codec_error_l2.is_finite());
+        for (name, r) in [("fp16", &fp16), ("int8", &int8), ("topk", &topk)] {
+            assert!(r.bytes_saved > 0, "{name}");
+            assert!(
+                r.wall_time <= lossless.wall_time,
+                "{name}: smaller frames cannot slow the virtual clock"
+            );
+            assert!(
+                r.codec_error_l2 > 0.0 && r.codec_error_l2.is_finite(),
+                "{name}"
+            );
+            assert!(
+                r.final_loss().is_some_and(f64::is_finite),
+                "{name} diverged"
+            );
+        }
     }
 
     #[test]

@@ -77,8 +77,8 @@ impl Approach {
 /// How large to run the experiments.
 ///
 /// `Paper` uses the full round budgets the reproduction was tuned on;
-/// `Quick` shrinks budgets ~8× so the Criterion benches and CI runs finish
-/// fast while preserving every comparison's shape.
+/// `Quick` shrinks budgets ~8× so tests and CI runs finish fast while
+/// preserving every comparison's shape.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ExperimentScale {
     /// Full budgets (the `repro` binary default).

@@ -6,8 +6,7 @@
 //! the simulator.
 //!
 //! Every runner is exposed both as a library function (used by the
-//! integration tests and the Criterion benches in `rna-bench`) and through
-//! the `repro` binary:
+//! integration tests) and through the `repro` binary:
 //!
 //! ```text
 //! repro fig1    # training-time breakdown under injected slowdowns

@@ -26,5 +26,5 @@ pub mod replica;
 mod server;
 
 pub use kv::ShardedStore;
-pub use replica::{ReplicatedGroupServer, ReplicatedStore};
+pub use replica::ReplicatedGroupServer;
 pub use server::{staleness_discount, GroupServer};

@@ -20,7 +20,6 @@
 
 use rna_tensor::Tensor;
 
-use crate::kv::ShardedStore;
 use crate::GroupServer;
 
 /// A [`GroupServer`] whose per-group slots are each mirrored to a warm
@@ -210,131 +209,6 @@ impl ReplicatedGroupServer {
     }
 }
 
-/// A [`ShardedStore`] with a warm mirror per key: the ps-lite-style
-/// key-value layer's answer to a shard-server crash.
-///
-/// Same contract as [`ReplicatedGroupServer`], per key instead of per
-/// group: pushes hit the primary, pulls read-repair the mirror, and
-/// [`ReplicatedStore::kill_primary`] degrades one key to its replica.
-///
-/// # Examples
-///
-/// ```
-/// use rna_ps::ReplicatedStore;
-/// use rna_tensor::Tensor;
-///
-/// let mut store = ReplicatedStore::new(Tensor::zeros(8), 2);
-/// store.push_key(0, &Tensor::from_vec(vec![1.0; 4]));
-/// assert_eq!(store.pull_key(0).as_slice(), &[1.0; 4]);
-/// store.kill_primary(0);
-/// store.push_key(0, &Tensor::from_vec(vec![2.0; 4]));
-/// assert_eq!(store.pull_key(0).as_slice(), &[2.0; 4]); // replica serves
-/// ```
-#[derive(Debug, Clone)]
-pub struct ReplicatedStore {
-    primary: ShardedStore,
-    mirror: Vec<Tensor>,
-    /// Primary version each mirror copy reflects.
-    mirror_version: Vec<u64>,
-    primary_alive: Vec<bool>,
-    read_repairs: u64,
-    failovers: u64,
-}
-
-impl ReplicatedStore {
-    /// Creates a replicated store over `init` split into `num_keys`
-    /// shards; both copies of every shard start from `init`.
-    ///
-    /// # Panics
-    ///
-    /// Panics under the [`ShardedStore::new`] conditions.
-    pub fn new(init: Tensor, num_keys: usize) -> Self {
-        let primary = ShardedStore::new(init, num_keys);
-        let mirror = (0..num_keys).map(|k| primary.pull_key(k)).collect();
-        ReplicatedStore {
-            primary,
-            mirror,
-            mirror_version: vec![0; num_keys],
-            primary_alive: vec![true; num_keys],
-            read_repairs: 0,
-            failovers: 0,
-        }
-    }
-
-    /// Number of keys.
-    pub fn num_keys(&self) -> usize {
-        self.primary.num_keys()
-    }
-
-    /// Whether the key's primary copy is still alive.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `key` is out of range.
-    pub fn primary_alive(&self, key: usize) -> bool {
-        self.primary_alive[key]
-    }
-
-    /// Mirror copies refreshed by read-repair so far.
-    pub fn read_repairs(&self) -> u64 {
-        self.read_repairs
-    }
-
-    /// Primary copies that crashed and degraded to their replica.
-    pub fn failovers(&self) -> u64 {
-        self.failovers
-    }
-
-    /// Overwrites one shard. Routes to the primary while it is alive, to
-    /// the replica after a crash.
-    ///
-    /// # Panics
-    ///
-    /// Panics under the [`ShardedStore::push_key`] conditions.
-    pub fn push_key(&mut self, key: usize, value: &Tensor) {
-        self.primary.push_key(key, value);
-        if !self.primary_alive[key] {
-            self.mirror[key].copy_from(value);
-            self.mirror_version[key] = self.primary.key_version(key);
-        }
-    }
-
-    /// Reads one shard's authoritative value, read-repairing the mirror
-    /// when the primary is alive.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `key` is out of range.
-    pub fn pull_key(&mut self, key: usize) -> Tensor {
-        if self.primary_alive[key] {
-            let version = self.primary.key_version(key);
-            if self.mirror_version[key] != version {
-                self.mirror[key] = self.primary.pull_key(key);
-                self.mirror_version[key] = version;
-                self.read_repairs += 1;
-            }
-            self.primary.pull_key(key)
-        } else {
-            self.mirror[key].clone()
-        }
-    }
-
-    /// Kills the key's primary copy: later pulls serve the mirror (frozen
-    /// at the last read-repair) and later pushes land on the replica.
-    /// Idempotent.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `key` is out of range.
-    pub fn kill_primary(&mut self, key: usize) {
-        assert!(key < self.num_keys(), "key out of range");
-        if self.primary_alive[key] {
-            self.primary_alive[key] = false;
-            self.failovers += 1;
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -400,24 +274,6 @@ mod tests {
         ps.push(1, &t(&[1.0]));
         assert_eq!(ps.staleness(0), 1);
         assert_eq!(ps.staleness(1), 0);
-    }
-
-    #[test]
-    fn replicated_store_roundtrip_and_failover() {
-        let mut store = ReplicatedStore::new(Tensor::zeros(6), 3);
-        let v = t(&[1.0, 2.0]);
-        store.push_key(1, &v);
-        assert_eq!(store.pull_key(1), v);
-        assert_eq!(store.read_repairs(), 1);
-        store.push_key(1, &t(&[8.0, 8.0])); // unrepaired write
-        store.kill_primary(1);
-        assert_eq!(store.pull_key(1), v, "mirror frozen at last repair");
-        store.push_key(1, &t(&[4.0, 4.0]));
-        assert_eq!(store.pull_key(1).as_slice(), &[4.0, 4.0]);
-        assert_eq!(store.failovers(), 1);
-        // Other keys are unaffected.
-        assert!(store.primary_alive(0) && store.primary_alive(2));
-        assert_eq!(store.pull_key(0).as_slice(), &[0.0, 0.0]);
     }
 
     #[test]

@@ -4,9 +4,8 @@
 //! and which links drop, flap, or partition — are defined once in
 //! [`rna_core::fault`] so the simulator and this runtime share semantics.
 //! This module adds the runtime-side machinery: a [`FaultExecutor`] each
-//! worker thread consults at the top of every iteration, a [`NetShim`] the
-//! controller consults on every logical message, and a seeded random-plan
-//! generator for stress tests and benchmarks.
+//! worker thread consults at the top of every iteration and a [`NetShim`]
+//! the controller consults on every logical message.
 
 use std::time::Duration;
 
@@ -14,7 +13,7 @@ pub use rna_core::fault::{
     live_majority, probe_round_stalled, ConfigError, FaultPlan, NetFaultPlan, ToleranceConfig,
     WorkerFate, WorkerFault, LIVENESS_TIMEOUT_US, PROBE_BACKOFF_US, ROUND_DEADLINE_US,
 };
-use rna_simnet::{NetFaults, SimDuration, SimRng, SimTime};
+use rna_simnet::{NetFaults, SimDuration, SimTime};
 
 /// What a worker thread must do before starting an iteration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -195,26 +194,6 @@ fn at(now_us: u64) -> SimTime {
     SimTime::ZERO + SimDuration::from_micros(now_us)
 }
 
-/// Samples a random but fully deterministic plan from `rng`: each worker
-/// independently draws one of crash / hang / slow / healthy (¼ each), with
-/// trigger iterations uniform over the round horizon. Used by the faulted
-/// benchmark and stress tests; two runs with equal seeds inject equal
-/// faults.
-pub fn random_plan(rng: &mut SimRng, num_workers: usize, horizon: u64) -> FaultPlan {
-    let mut plan = FaultPlan::none();
-    let horizon = horizon.max(1);
-    for w in 0..num_workers {
-        let at = rng.uniform_u64(0..horizon);
-        match rng.uniform_u64(0..4) {
-            0 => plan = plan.crash(w, at),
-            1 => plan = plan.hang(w, at, 50_000),
-            2 => plan = plan.slow(w, at, 5_000),
-            _ => {}
-        }
-    }
-    plan
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -332,15 +311,5 @@ mod tests {
         assert!(!shim.link_up(0, 2, 2_000), "cross-partition link severed");
         assert!(shim.link_up(4, 2, 2_000), "controller is a bridge");
         assert!(shim.link_up(0, 2, 6_000), "heals after the window");
-    }
-
-    #[test]
-    fn random_plans_are_seed_deterministic() {
-        let a = random_plan(&mut SimRng::seed(9), 16, 30);
-        let b = random_plan(&mut SimRng::seed(9), 16, 30);
-        let c = random_plan(&mut SimRng::seed(10), 16, 30);
-        assert_eq!(a, b);
-        assert_ne!(a, c, "different seeds should differ (16 workers)");
-        assert!(a.max_worker().is_none_or(|m| m < 16));
     }
 }

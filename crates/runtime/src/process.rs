@@ -424,8 +424,6 @@ struct ProcShared {
     /// coordinator incarnations, so a recorded handshake cannot replay.
     conn_seq: AtomicU64,
     param_len: usize,
-    /// `codec::wire_threads(param_len)`, asked once (it costs a syscall).
-    decode_threads: usize,
     /// The run's wire codec; the reader threads decode against it and a
     /// frame carrying any other codec is a protocol violation.
     compression: Compression,
@@ -723,7 +721,11 @@ fn absorb_grad_batch(body: &[u8], shared: &ProcShared, w: usize, scraps: &mut Ve
         // payload is a typed `CodecError`: a protocol violation, not data.
         if shared
             .compression
-            .decode_slice_mt(e.frame, t.as_mut_slice(), shared.decode_threads)
+            .decode_slice_mt(
+                e.frame,
+                t.as_mut_slice(),
+                codec::wire_threads(shared.param_len),
+            )
             .is_err()
         {
             return false;
@@ -1040,7 +1042,6 @@ pub fn run_process(config: &ProcessConfig) -> ProcessResult {
         term: AtomicU64::new(0),
         conn_seq: AtomicU64::new(1),
         param_len: initial_state.master.len(),
-        decode_threads: codec::wire_threads(initial_state.master.len()),
         compression: base.compression,
         sockets_severed: AtomicU64::new(0),
         worker_respawns: AtomicU64::new(0),

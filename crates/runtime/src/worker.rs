@@ -140,9 +140,6 @@ pub(crate) struct Encoder {
     codec: Compression,
     residual: Tensor,
     rng: SimRng,
-    /// `codec::wire_threads` of the gradient length, asked once: the answer
-    /// costs a syscall and a cgroup read, far more than a small encode.
-    threads: usize,
 }
 
 impl Encoder {
@@ -151,7 +148,6 @@ impl Encoder {
             codec,
             residual: Tensor::zeros(len),
             rng,
-            threads: codec::wire_threads(len),
         }
     }
 
@@ -165,13 +161,14 @@ impl Encoder {
         let allocs = rna_tensor::alloc::count();
         let rng = &mut self.rng;
         let mut draw = || rng.uniform_u64(0..1 << 32) as u32;
+        let threads = codec::wire_threads(grad.len());
         let charge = codec::encode_with_feedback_append(
             self.codec,
             grad,
             &mut self.residual,
             out,
             &mut draw,
-            self.threads,
+            threads,
         );
         debug_assert_eq!(
             rna_tensor::alloc::count(),

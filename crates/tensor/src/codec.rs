@@ -28,6 +28,7 @@
 use crate::simd;
 use crate::wire::{self, Reader};
 use crate::Tensor;
+use std::sync::OnceLock;
 
 /// Why a codec frame could not be decoded. Carries enough to log a
 /// useful diagnostic without echoing attacker-controlled bytes.
@@ -488,8 +489,15 @@ pub const PAR_MIN_ELEMS: usize = 1 << 15;
 /// elements on this host: one per available core, capped so every thread
 /// owns at least [`PAR_MIN_ELEMS`] elements. Always at least 1 (and exactly
 /// 1 on single-core hosts, where fan-out can only lose).
+///
+/// The core count is asked of the OS once per process: the answer costs a
+/// syscall and a cgroup read (~10 µs, more than a small encode), and the
+/// worlds call this once per frame.
 pub fn wire_threads(elems: usize) -> usize {
-    let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
+    static CORES: OnceLock<usize> = OnceLock::new();
+    let cores = *CORES.get_or_init(|| {
+        std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
+    });
     cores.min(elems / PAR_MIN_ELEMS).max(1)
 }
 

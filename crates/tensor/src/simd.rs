@@ -6,7 +6,7 @@
 //! AVX2 (`is_x86_feature_detected!`) *and* `RNA_FORCE_SCALAR` is unset —
 //! exporting `RNA_FORCE_SCALAR=1` pins the scalar reference, which CI uses
 //! to keep the fallback covered. [`set_forced_scalar`] is the programmatic
-//! override benches use to measure both paths in one process.
+//! override tests use to run both paths in one process.
 //!
 //! The contract is **bit-identity**: for the same inputs (and the same
 //! stochastic-rounding draw stream) the vector and scalar paths produce
@@ -48,8 +48,8 @@ pub fn forced_scalar() -> bool {
 }
 
 /// Programmatically forces (or un-forces) the scalar path, overriding the
-/// environment. Benches use this to time scalar vs SIMD in one process and
-/// tests use it to pin bit-identity across both paths.
+/// environment. Tests use it to pin bit-identity across both paths in one
+/// process.
 pub fn set_forced_scalar(on: bool) {
     MODE.store(if on { 2 } else { 1 }, Ordering::Relaxed);
 }
@@ -73,8 +73,8 @@ pub fn active() -> bool {
     avx2_available() && !forced_scalar()
 }
 
-/// Detected CPU features relevant to the codec kernels, for bench-report
-/// headers (floors are only comparable across machines with the same
+/// Detected CPU features relevant to the codec kernels, for report
+/// headers (numbers are only comparable across machines with the same
 /// vector width).
 pub fn detected_features() -> Vec<(&'static str, bool)> {
     #[cfg(target_arch = "x86_64")]

@@ -158,6 +158,7 @@ fn hier_gray_run() -> RunResult {
 #[test]
 fn online_regroup_fires_under_gray_degradation() {
     let r = hier_gray_run();
+    assert_eq!(r.global_rounds, 200, "a regroup must not eat the budget");
     assert!(
         r.regroup_events >= 1,
         "persistent straggler must trigger a topology swap: {:?}",

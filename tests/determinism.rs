@@ -214,9 +214,21 @@ const SOFTMAX36_PINS: [u64; 37] = [
     0x427dd7c4,
 ];
 
+/// Under both codec dispatches: int8 stochastic rounding consumes a draw per
+/// element, so a vector kernel that routes one draw differently from the
+/// scalar reference lands on another trajectory. (Forcing the scalar path is
+/// process-wide; the other tests here are indifferent to it by the same
+/// contract.)
 #[test]
 fn mlp64k_trajectory_is_pinned_to_the_bit() {
-    assert_eq!(fingerprint(&mlp64k_run()), MLP64K_PINS);
+    for forced_scalar in [true, false] {
+        rna_tensor::simd::set_forced_scalar(forced_scalar);
+        assert_eq!(
+            fingerprint(&mlp64k_run()),
+            MLP64K_PINS,
+            "forced_scalar = {forced_scalar}"
+        );
+    }
 }
 
 #[test]
