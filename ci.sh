@@ -99,10 +99,11 @@ timeout 600 cargo test -q --release -p rna-runtime --test process_world
 timeout 600 cargo test -q --release -p rna-experiments --test three_worlds
 
 # Compressed-hop smoke: the worker-side wire codec over real sockets,
-# reseeded three ways and across two lossy codecs without recompiling.
-# Every combination must complete its rounds with frame-exact
-# socket-measured byte totals.
-for codec in fp16 int8; do
+# reseeded three ways and across every lossy codec without recompiling,
+# so each fused error-feedback body crosses a real socket (lossless does
+# in the default-codec suites above). Every combination must complete its
+# rounds with frame-exact socket-measured byte totals.
+for codec in fp16 int8 topk; do
   RNA_HOP_CODEC="${codec}" stress "compressed-hop smoke (${codec})" \
     -p rna-runtime --test process_world compressed_hop_smoke
 done

@@ -168,7 +168,7 @@ mod tests {
             .parse()
             .unwrap();
         assert!(n >= 1);
-        if rna_tensor::simd::avx2_available() {
+        if rna_tensor::simd::vector_available() {
             assert!(h.contains("\"avx2\""));
         }
     }

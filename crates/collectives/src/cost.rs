@@ -55,21 +55,6 @@ impl CollectiveCost {
         self.link.transfer_time(chunk) * (2 * (n as u64 - 1))
     }
 
-    /// Naive (non-ring) AllReduce, the baseline the ring is read against:
-    /// gather all `n` buffers at a root then broadcast the result; the root
-    /// link serializes `2(n−1)` full-size transfers.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n == 0`.
-    pub fn naive_allreduce(&self, n: usize, bytes: u64) -> SimDuration {
-        assert!(n > 0, "collective over zero workers");
-        if n == 1 {
-            return SimDuration::ZERO;
-        }
-        self.link.transfer_time(bytes) * (2 * (n as u64 - 1))
-    }
-
     /// Ring (pipelined) broadcast of `bytes` from one source to `n−1`
     /// receivers: the pipeline fills in `n−1` chunk-hops.
     ///
@@ -191,7 +176,6 @@ mod tests {
     fn single_worker_collectives_are_free() {
         let c = cost();
         assert_eq!(c.ring_allreduce(1, 1 << 20), SimDuration::ZERO);
-        assert_eq!(c.naive_allreduce(1, 1 << 20), SimDuration::ZERO);
         assert_eq!(c.ring_broadcast(1, 1 << 20), SimDuration::ZERO);
         assert_eq!(c.ring_bytes_per_worker(1, 1 << 20), 0);
     }
@@ -201,29 +185,6 @@ mod tests {
         let c = cost();
         // n=4, 4000 bytes → chunk 1000 bytes = 1us + 10us latency, 6 steps.
         assert_eq!(c.ring_allreduce(4, 4000).as_micros(), 6 * 11);
-    }
-
-    #[test]
-    fn ring_beats_naive_for_large_payloads() {
-        let c = cost();
-        let bytes = 100_000_000; // 100 MB
-        for n in [2usize, 4, 8, 32] {
-            assert!(
-                c.ring_allreduce(n, bytes) < c.naive_allreduce(n, bytes),
-                "n = {n}"
-            );
-        }
-    }
-
-    #[test]
-    fn naive_beats_ring_for_tiny_latency_bound_payloads() {
-        // With a big α and tiny payload, the ring pays 2(n−1) latencies on
-        // 1/n-chunks while naive pays the same count on full payload —
-        // equal latency terms, so ring still wins or ties; check tie-ish.
-        let c = CollectiveCost::new(LinkModel::new(SimDuration::from_millis(1), 1e9));
-        let ring = c.ring_allreduce(8, 8);
-        let naive = c.naive_allreduce(8, 8);
-        assert!(ring <= naive);
     }
 
     #[test]

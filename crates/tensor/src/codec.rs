@@ -297,29 +297,22 @@ impl Compression {
         draw: &mut impl FnMut() -> u32,
     ) {
         let frame_start = out.len();
-        wire::put_u32(out, self.tag());
-        wire::put_u32(out, self.param());
-        wire::put_u64(out, xs.len() as u64);
+        self.put_header(out, xs.len());
         match self {
             Compression::Lossless => {
                 simd::f32s_to_le_bytes(xs, out);
             }
             Compression::Fp16 => {
-                let start = out.len();
-                out.resize(start + 2 * xs.len(), 0);
-                simd::fp16_encode(xs, &mut out[start..]);
+                simd::fp16_encode(xs, grow(out, 2 * xs.len()));
             }
             Compression::Int8 => {
-                let max_abs = simd::abs_max(xs);
-                let scale = if max_abs > 0.0 { max_abs / 127.0 } else { 0.0 };
+                let scale = int8_scale(simd::abs_max(xs));
                 wire::put_f32(out, scale);
-                let start = out.len();
-                out.resize(start + xs.len(), 0);
-                simd::int8_quantize(xs, scale, &mut out[start..], draw);
+                simd::int8_quantize(xs, scale, grow(out, xs.len()), draw);
             }
             Compression::TopK { .. } => {
                 let k = self.keep_count(xs.len());
-                let idx = top_k_indices(xs, k);
+                let idx = top_k_of_keys(&simd::magnitude_keys(xs), k);
                 wire::put_u32(out, k as u32);
                 for &i in &idx {
                     wire::put_u32(out, i);
@@ -328,6 +321,13 @@ impl Compression {
             }
         }
         debug_assert_eq!((out.len() - frame_start) as u64, self.frame_bytes(xs.len()));
+    }
+
+    /// Appends the frame header: codec tag, codec parameter, element count.
+    fn put_header(&self, out: &mut Vec<u8>, elems: usize) {
+        wire::put_u32(out, self.tag());
+        wire::put_u32(out, self.param());
+        wire::put_u64(out, elems as u64);
     }
 
     /// Decodes a frame produced by [`Compression::encode_slice`] into
@@ -467,9 +467,7 @@ impl Compression {
 ///
 /// # Panics
 ///
-/// Panics if `residual.len() != grad.len()` (callers own residual setup) or
-/// if a frame this function just encoded fails to decode (impossible absent
-/// memory corruption).
+/// Panics if `residual.len() != grad.len()` (callers own residual setup).
 pub fn encode_with_feedback(
     codec: Compression,
     grad: &mut Tensor,
@@ -502,137 +500,11 @@ pub fn wire_threads(elems: usize) -> usize {
 }
 
 impl Compression {
-    /// Chunk-parallel [`Compression::encode_slice`]: the payload is split
-    /// on element boundaries across `threads` scoped threads (the idiom the
-    /// threaded controller uses for its reduce region).
-    ///
-    /// Bit-identical to the serial path for every thread count: lossless
-    /// and fp16 lanes are independent, and int8 runs two-phase — the
-    /// divide/floor arithmetic fans out (every operation is IEEE-exact, so
-    /// chunking cannot change a value) while the stochastic-rounding draws
-    /// are consumed serially in element order, exactly as
-    /// [`quantize_i8_sr`] consumes them. Top-k is dominated by threshold
-    /// selection and stays serial. Callers pick `threads` with
-    /// [`wire_threads`]; passing `threads <= 1` is the serial path.
-    pub fn encode_slice_mt(
-        &self,
-        xs: &[f32],
-        out: &mut Vec<u8>,
-        draw: &mut impl FnMut() -> u32,
-        threads: usize,
-    ) {
-        out.clear();
-        self.encode_slice_append_mt(xs, out, draw, threads);
-    }
-
-    /// [`Compression::encode_slice_mt`] without the clear: the frame is
-    /// appended at `out`'s current end, bit-identical to the serial append
-    /// path for every thread count. See [`Compression::encode_slice_append`]
-    /// for the zero-copy framing contract.
-    pub fn encode_slice_append_mt(
-        &self,
-        xs: &[f32],
-        out: &mut Vec<u8>,
-        draw: &mut impl FnMut() -> u32,
-        threads: usize,
-    ) {
-        if threads <= 1 || xs.is_empty() || matches!(self, Compression::TopK { .. }) {
-            return self.encode_slice_append(xs, out, draw);
-        }
-        let frame_start = out.len();
-        wire::put_u32(out, self.tag());
-        wire::put_u32(out, self.param());
-        wire::put_u64(out, xs.len() as u64);
-        let chunk = xs.len().div_ceil(threads);
-        match self {
-            Compression::Lossless => {
-                let start = out.len();
-                out.resize(start + 4 * xs.len(), 0);
-                let payload = &mut out[start..];
-                std::thread::scope(|s| {
-                    for (xc, oc) in xs.chunks(chunk).zip(payload.chunks_mut(4 * chunk)) {
-                        s.spawn(move || simd::f32s_to_le_bytes_into(xc, oc));
-                    }
-                });
-            }
-            Compression::Fp16 => {
-                let start = out.len();
-                out.resize(start + 2 * xs.len(), 0);
-                let payload = &mut out[start..];
-                std::thread::scope(|s| {
-                    for (xc, oc) in xs.chunks(chunk).zip(payload.chunks_mut(2 * chunk)) {
-                        s.spawn(move || simd::fp16_encode(xc, oc));
-                    }
-                });
-            }
-            Compression::Int8 => {
-                // Chunked max folds to the serial answer: f32 max is
-                // associative and commutative on finite inputs.
-                let maxes: Vec<f32> = std::thread::scope(|s| {
-                    let handles: Vec<_> = xs
-                        .chunks(chunk)
-                        .map(|xc| s.spawn(move || simd::abs_max(xc)))
-                        .collect();
-                    handles
-                        .into_iter()
-                        .map(|h| h.join().expect("abs_max worker panicked"))
-                        .collect()
-                });
-                let max_abs = maxes.into_iter().fold(0.0f32, f32::max);
-                let scale = if max_abs > 0.0 { max_abs / 127.0 } else { 0.0 };
-                wire::put_f32(out, scale);
-                let start = out.len();
-                out.resize(start + xs.len(), 0);
-                if scale != 0.0 {
-                    // Phase 1 (parallel): per-element divide/floor. IEEE
-                    // division, floor, and subtraction are exact functions
-                    // of their operands, so the (lo, frac) pairs cannot
-                    // depend on the chunking.
-                    let mut lo = vec![0i32; xs.len()];
-                    let mut frac = vec![0.0f32; xs.len()];
-                    std::thread::scope(|s| {
-                        for ((xc, lc), fc) in xs
-                            .chunks(chunk)
-                            .zip(lo.chunks_mut(chunk))
-                            .zip(frac.chunks_mut(chunk))
-                        {
-                            s.spawn(move || {
-                                for ((&x, l), f) in xc.iter().zip(lc.iter_mut()).zip(fc.iter_mut())
-                                {
-                                    let v = x / scale;
-                                    let fl = v.floor();
-                                    *l = fl as i32;
-                                    *f = v - fl;
-                                }
-                            });
-                        }
-                    });
-                    // Phase 2 (serial): the draw stream advances in element
-                    // order — the invariant that keeps same-seed replays
-                    // bit-identical across serial, SIMD, and parallel paths.
-                    let payload = &mut out[start..];
-                    for ((&l, &f), o) in lo.iter().zip(&frac).zip(payload.iter_mut()) {
-                        let mut q = l;
-                        if f > 0.0 {
-                            let u = (draw() >> 8) as f32 / (1u32 << 24) as f32;
-                            if u < f {
-                                q += 1;
-                            }
-                        }
-                        *o = q.clamp(-127, 127) as u8;
-                    }
-                }
-                // scale == 0.0: all-zero payload, and the scalar reference
-                // draws nothing either.
-            }
-            Compression::TopK { .. } => unreachable!("top-k handled serially above"),
-        }
-        debug_assert_eq!((out.len() - frame_start) as u64, self.frame_bytes(xs.len()));
-    }
-
-    /// Chunk-parallel [`Compression::decode_slice`], bit-identical to the
-    /// serial path for every thread count (decode has no cross-element
-    /// state at all). Top-k and `threads <= 1` fall through to serial.
+    /// Chunk-parallel [`Compression::decode_slice`]: the payload is split on
+    /// element boundaries across `threads` scoped threads, bit-identical to
+    /// the serial path for every thread count (decode has no cross-element
+    /// state at all). Callers pick `threads` with [`wire_threads`]; top-k
+    /// and `threads <= 1` fall through to serial.
     ///
     /// # Errors
     ///
@@ -694,11 +566,10 @@ impl Compression {
     }
 }
 
-/// [`encode_with_feedback`] with the encode and decode legs running
-/// chunk-parallel across `threads` scoped threads. Bit-identical to the
-/// serial recurrence for every thread count (see
-/// [`Compression::encode_slice_mt`] for why); callers pick `threads` with
-/// [`wire_threads`].
+/// [`encode_with_feedback`] with its lane-independent sweeps running
+/// chunk-parallel across `threads` scoped threads; callers pick `threads`
+/// with [`wire_threads`]. Bit-identical to the serial recurrence for every
+/// thread count — see [`encode_with_feedback_append`] for why.
 ///
 /// # Panics
 ///
@@ -724,9 +595,21 @@ pub fn encode_with_feedback_mt(
 ///
 /// On return `grad` holds the decoded (wire) gradient, `residual` the
 /// updated carry, and `out` has grown by exactly the returned frame length.
-/// With a warm `residual` and a warm `out` capacity the call performs zero
-/// allocations in steady state. Bit-identical to [`encode_with_feedback`]
-/// for every thread count.
+/// With a warm `residual` and a warm `out` capacity the lossless, fp16 and
+/// int8 calls perform zero allocations in steady state (top-k allocates its
+/// selection keys).
+///
+/// Each codec runs one fused body from [`crate::simd`], doing per element
+/// what `decode(encode(grad + residual))` did in six sweeps — compensate,
+/// encode the wire lane, leave the dequantised value in `grad`, store
+/// `compensated − dequantised` in `residual`, fold its square into the norm
+/// in element order: lossless and fp16 in one sweep; int8 in two (compensate
+/// plus abs-max, which fixes the scale, then quantise with its draws in
+/// element order); top-k in a compensate/keys sweep, the select pass, and
+/// one write-back sweep. With `threads > 1` the lane-independent sweeps
+/// (lossless, fp16, int8's first) run chunk-parallel and the norm is folded
+/// serially afterwards, so frames, buffers, draw counts and the norm are
+/// bit-identical for every thread count.
 ///
 /// # Panics
 ///
@@ -745,17 +628,94 @@ pub fn encode_with_feedback_append(
         "error-feedback residual length mismatch"
     );
     let frame_start = out.len();
-    grad.add_assign(residual); // compensated
-    codec.encode_slice_append_mt(grad.as_slice(), out, draw, threads);
-    residual.copy_from(grad); // residual := compensated (for now)
-    codec
-        .decode_slice_mt(&out[frame_start..], grad.as_mut_slice(), threads) // grad := wire
-        .expect("self-produced frame must decode");
-    residual.sub_assign(grad); // residual := compensated − wire
-    (
-        (out.len() - frame_start) as u64,
-        f64::from(residual.norm_l2()),
-    )
+    let (g, r) = (grad.as_mut_slice(), residual.as_mut_slice());
+    let n = g.len();
+    let threads = if n == 0 { 1 } else { threads };
+    codec.put_header(out, n);
+    let sum_sq = match codec {
+        Compression::Lossless => {
+            lanes_parallel(g, r, grow(out, 4 * n), threads, simd::feedback_lossless)
+        }
+        Compression::Fp16 => lanes_parallel(g, r, grow(out, 2 * n), threads, simd::feedback_fp16),
+        Compression::Int8 => {
+            let max_abs = if threads <= 1 {
+                simd::compensate_abs_max(g, r)
+            } else {
+                // Chunked max folds to the serial answer: f32 max is
+                // associative and commutative on finite inputs.
+                let chunk = n.div_ceil(threads);
+                std::thread::scope(|s| {
+                    let handles: Vec<_> = g
+                        .chunks_mut(chunk)
+                        .zip(r.chunks(chunk))
+                        .map(|(gc, rc)| s.spawn(move || simd::compensate_abs_max(gc, rc)))
+                        .collect();
+                    handles.into_iter().fold(0.0f32, |m, h| {
+                        m.max(h.join().expect("compensate worker panicked"))
+                    })
+                })
+            };
+            let scale = int8_scale(max_abs);
+            wire::put_f32(out, scale);
+            simd::feedback_int8(g, r, scale, grow(out, n), draw)
+        }
+        Compression::TopK { .. } => {
+            let keys = simd::compensate_keys(g, r);
+            let kept = top_k_of_keys(&keys, codec.keep_count(n));
+            wire::put_u32(out, kept.len() as u32);
+            simd::feedback_topk(g, r, &kept, grow(out, 8 * kept.len()))
+        }
+    };
+    debug_assert_eq!((out.len() - frame_start) as u64, codec.frame_bytes(n));
+    ((out.len() - frame_start) as u64, f64::from(sum_sq.sqrt()))
+}
+
+/// Runs a lane-independent fused body over `grad`, `residual` and its wire
+/// payload: in one serial sweep that folds the norm as it goes, or split on
+/// element boundaries across `threads` scoped threads with the norm folded
+/// serially over the finished residual (same order, same bits). Returns
+/// the sum of squared residuals.
+fn lanes_parallel(
+    grad: &mut [f32],
+    residual: &mut [f32],
+    payload: &mut [u8],
+    threads: usize,
+    body: impl Fn(&mut [f32], &mut [f32], &mut [u8], bool) -> f32 + Sync,
+) -> f32 {
+    if threads <= 1 {
+        return body(grad, residual, payload, true);
+    }
+    let chunk = grad.len().div_ceil(threads);
+    let lane_bytes = payload.len() / grad.len();
+    let body = &body;
+    std::thread::scope(|s| {
+        for ((gc, rc), pc) in grad
+            .chunks_mut(chunk)
+            .zip(residual.chunks_mut(chunk))
+            .zip(payload.chunks_mut(lane_bytes * chunk))
+        {
+            s.spawn(move || body(gc, rc, pc, false));
+        }
+    });
+    residual.iter().map(|v| v * v).sum()
+}
+
+/// Grows `out` by `len` zero bytes and returns them, for a payload written
+/// in place.
+fn grow(out: &mut Vec<u8>, len: usize) -> &mut [u8] {
+    let start = out.len();
+    out.resize(start + len, 0);
+    &mut out[start..]
+}
+
+/// The int8 frame scale for a largest magnitude of `max_abs`: one quantum
+/// per 127th of it, or 0 for an all-zero tensor.
+fn int8_scale(max_abs: f32) -> f32 {
+    if max_abs > 0.0 {
+        max_abs / 127.0
+    } else {
+        0.0
+    }
 }
 
 /// Converts an `f32` to IEEE-754 binary16 bits with round-to-nearest-even.
@@ -855,28 +815,28 @@ pub(crate) fn quantize_i8_sr(x: f32, scale: f32, draw: &mut impl FnMut() -> u32)
     q.clamp(-127, 127) as i8
 }
 
-/// Indices of the `k` largest-magnitude elements, in ascending index order.
+/// Indices of the `k` largest elements by [`simd::magnitude_keys`] `keys`,
+/// in ascending index order.
 ///
 /// Selection uses a total order (magnitude descending, index ascending) so
 /// the kept set — and therefore the frame — is deterministic even with tied
 /// magnitudes.
-fn top_k_indices(xs: &[f32], k: usize) -> Vec<u32> {
-    debug_assert!(k <= xs.len());
+fn top_k_of_keys(keys: &[u32], k: usize) -> Vec<u32> {
+    debug_assert!(k <= keys.len());
     if k == 0 {
         return Vec::new();
     }
-    if k >= xs.len() {
-        return (0..xs.len() as u32).collect();
+    if k >= keys.len() {
+        return (0..keys.len() as u32).collect();
     }
     // Magnitude total order on bit keys: for sign-cleared floats, unsigned
     // integer order on the bits *is* `total_cmp` on the magnitudes, so the
     // k-th largest key is a plain integer selection and membership becomes
     // a threshold scan the SIMD path can vectorize.
-    let keys = simd::magnitude_keys(xs);
-    let t = kth_largest_key(&keys, k);
+    let t = kth_largest_key(keys, k);
     let mut gt = Vec::with_capacity(k);
     let mut ties = Vec::new();
-    simd::topk_scan(&keys, t, k, &mut gt, &mut ties);
+    simd::topk_scan(keys, t, k, &mut gt, &mut ties);
     // Everything strictly above the threshold is kept; ties at the
     // threshold fill the remaining slots lowest-index-first — exactly the
     // (magnitude desc, index asc) selection order. Both lists arrive in
@@ -1255,10 +1215,6 @@ mod tests {
             codec.encode_slice_append(&xs, &mut framed, &mut lcg_draws(4));
             assert_eq!(&framed[..7], &[0xAB; 7], "{}", codec.name());
             assert_eq!(&framed[7..], &plain[..], "{}", codec.name());
-            // The MT append path is bit-identical too.
-            let mut framed_mt = vec![0xAB_u8; 7];
-            codec.encode_slice_append_mt(&xs, &mut framed_mt, &mut lcg_draws(4), 4);
-            assert_eq!(framed_mt, framed, "{} mt", codec.name());
         }
     }
 

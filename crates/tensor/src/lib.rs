@@ -24,9 +24,10 @@
 //! * [`codec`] — pluggable gradient wire codecs ([`codec::Compression`]:
 //!   lossless, fp16, int8 with stochastic rounding, top-k) plus the
 //!   error-feedback recurrence that keeps the lossy ones convergent.
-//! * [`simd`] — runtime-dispatched `std::arch` kernels (AVX2 with a scalar
-//!   reference fallback) behind the codec hot loops; `RNA_FORCE_SCALAR=1`
-//!   pins the portable path.
+//! * [`simd`] — runtime-dispatched `std::arch` kernels (AVX2 + F16C with a
+//!   scalar reference fallback) behind the codec hot loops, including the
+//!   fused error-feedback bodies; `RNA_FORCE_SCALAR=1` pins the portable
+//!   path.
 //!
 //! # Examples
 //!

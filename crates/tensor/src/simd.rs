@@ -1,12 +1,14 @@
 //! Runtime-dispatched SIMD kernels for the wire-codec hot loops.
 //!
-//! Every kernel here has two implementations: an explicit `std::arch` AVX2
-//! pipeline and a portable scalar reference. Dispatch is decided once per
-//! process by [`active`]: the vector path runs only when the CPU reports
-//! AVX2 (`is_x86_feature_detected!`) *and* `RNA_FORCE_SCALAR` is unset —
-//! exporting `RNA_FORCE_SCALAR=1` pins the scalar reference, which CI uses
-//! to keep the fallback covered. [`set_forced_scalar`] is the programmatic
-//! override tests use to run both paths in one process.
+//! Every dispatched kernel here has two implementations: an explicit
+//! `std::arch` pipeline and a portable scalar reference (`*_scalar`).
+//! Dispatch is decided once per process by [`active`]: the vector path runs
+//! only when the CPU reports AVX2 *and* F16C (`is_x86_feature_detected!`;
+//! the fp16 conversions are the F16C `vcvtps2ph` / `vcvtph2ps`
+//! instructions) *and* `RNA_FORCE_SCALAR` is unset — exporting
+//! `RNA_FORCE_SCALAR=1` pins the scalar reference, which CI uses to keep the
+//! fallback covered. [`set_forced_scalar`] is the programmatic override
+//! tests use to run both paths in one process.
 //!
 //! The contract is **bit-identity**: for the same inputs (and the same
 //! stochastic-rounding draw stream) the vector and scalar paths produce
@@ -14,6 +16,11 @@
 //! CPU. The paper's CUDA kernels become these runtime-detected host
 //! kernels; the property tests in `tensor/tests/simd_codecs.rs` pin the
 //! identity across lane-remainder lengths.
+//!
+//! The error-feedback recurrence has one fused body per codec
+//! (`feedback_*`): each element is compensated, encoded, dequantised and
+//! its residual squared into the norm in a single pass, instead of six
+//! sweeps over three buffers.
 //!
 //! Inputs are expected to be finite (gradients with NaN/∞ have already
 //! diverged); the fp16 kernels are nevertheless total and bit-exact for
@@ -54,12 +61,12 @@ pub fn set_forced_scalar(on: bool) {
     MODE.store(if on { 2 } else { 1 }, Ordering::Relaxed);
 }
 
-/// Whether the AVX2 kernels are compiled in and the CPU supports them
-/// (regardless of the force-scalar override).
-pub fn avx2_available() -> bool {
+/// Whether the vector kernels are compiled in and the CPU supports them —
+/// AVX2 and F16C — regardless of the force-scalar override.
+pub fn vector_available() -> bool {
     #[cfg(target_arch = "x86_64")]
     {
-        std::arch::is_x86_feature_detected!("avx2")
+        std::arch::is_x86_feature_detected!("avx2") && std::arch::is_x86_feature_detected!("f16c")
     }
     #[cfg(not(target_arch = "x86_64"))]
     {
@@ -67,10 +74,10 @@ pub fn avx2_available() -> bool {
     }
 }
 
-/// Whether the vector path will actually run: AVX2 detected and the scalar
-/// override not engaged.
+/// Whether the vector path will actually run: AVX2 and F16C detected and
+/// the scalar override not engaged.
 pub fn active() -> bool {
-    avx2_available() && !forced_scalar()
+    vector_available() && !forced_scalar()
 }
 
 /// Detected CPU features relevant to the codec kernels, for report
@@ -81,12 +88,13 @@ pub fn detected_features() -> Vec<(&'static str, bool)> {
     {
         vec![
             ("avx2", std::arch::is_x86_feature_detected!("avx2")),
+            ("f16c", std::arch::is_x86_feature_detected!("f16c")),
             ("sse4.1", std::arch::is_x86_feature_detected!("sse4.1")),
         ]
     }
     #[cfg(not(target_arch = "x86_64"))]
     {
-        vec![("avx2", false), ("sse4.1", false)]
+        vec![("avx2", false), ("f16c", false), ("sse4.1", false)]
     }
 }
 
@@ -96,7 +104,8 @@ pub fn detected_features() -> Vec<(&'static str, bool)> {
 
 /// Encodes `xs` as little-endian IEEE binary16 into `out`
 /// (`out.len() == 2 * xs.len()`), round-to-nearest-even, bit-identical to
-/// [`f32_to_f16_bits`] per element.
+/// [`f32_to_f16_bits`] per element (NaN included: the vector path
+/// canonicalises it to `sign | 0x7E00` as the reference does).
 ///
 /// # Panics
 ///
@@ -105,7 +114,7 @@ pub fn fp16_encode(xs: &[f32], out: &mut [u8]) {
     assert_eq!(out.len(), xs.len() * 2, "fp16 output length mismatch");
     #[cfg(target_arch = "x86_64")]
     if active() {
-        // SAFETY: `active()` verified AVX2 support at runtime.
+        // SAFETY: `active()` verified AVX2 and F16C support at runtime.
         unsafe { avx2::fp16_encode(xs, out) };
         return;
     }
@@ -121,7 +130,8 @@ pub fn fp16_encode_scalar(xs: &[f32], out: &mut [u8]) {
 
 /// Decodes little-endian IEEE binary16 `bytes` (`bytes.len() == 2 *
 /// out.len()`) into `out`, bit-identical to [`f16_bits_to_f32`] per
-/// element.
+/// element (NaN payloads included: the vector path keeps a signalling
+/// half's quiet bit clear, as the reference does).
 ///
 /// # Panics
 ///
@@ -130,7 +140,7 @@ pub fn fp16_decode(bytes: &[u8], out: &mut [f32]) {
     assert_eq!(bytes.len(), out.len() * 2, "fp16 payload length mismatch");
     #[cfg(target_arch = "x86_64")]
     if active() {
-        // SAFETY: `active()` verified AVX2 support at runtime.
+        // SAFETY: `active()` verified AVX2 and F16C support at runtime.
         unsafe { avx2::fp16_decode(bytes, out) };
         return;
     }
@@ -296,26 +306,6 @@ pub fn f32s_to_le_bytes(xs: &[f32], out: &mut Vec<u8>) {
     }
 }
 
-/// Writes the little-endian byte image of `xs` into `out`
-/// (`out.len() == 4 * xs.len()`), for chunk-parallel lossless encode.
-///
-/// # Panics
-///
-/// Panics if `out.len() != 4 * xs.len()`.
-pub fn f32s_to_le_bytes_into(xs: &[f32], out: &mut [u8]) {
-    assert_eq!(out.len(), xs.len() * 4, "lossless output length mismatch");
-    #[cfg(target_endian = "little")]
-    {
-        out.copy_from_slice(raw::f32s_as_bytes(xs));
-    }
-    #[cfg(not(target_endian = "little"))]
-    {
-        for (o, &x) in out.chunks_exact_mut(4).zip(xs) {
-            o.copy_from_slice(&x.to_le_bytes());
-        }
-    }
-}
-
 /// Reads little-endian `f32` bit patterns from `bytes`
 /// (`bytes.len() == 4 * out.len()`) into `out` at memcpy speed.
 ///
@@ -368,131 +358,509 @@ mod raw {
 }
 
 // ---------------------------------------------------------------------------
-// AVX2 kernels
+// fused error-feedback bodies
+// ---------------------------------------------------------------------------
+//
+// One body per codec for `codec::encode_with_feedback_append`. On entry
+// `grad` holds the fresh gradient and `residual` the carried error; each
+// element is compensated (`c = grad + residual`), encoded into the wire
+// payload, decoded again into `grad`, and its new residual `c − grad` is
+// stored and — in element order — squared into the returned sum. The
+// per-element arithmetic is exactly the six-sweep recurrence's, so frames,
+// buffers, draw counts and the norm keep their bits.
+//
+// Lossless and fp16 bodies are lane-independent and take `norm: bool`: the
+// chunk-parallel wire path runs them with `false` on disjoint chunks and
+// folds the finished residual serially afterwards (same order, same bits).
+
+/// The neutral element of `Sum for f32`. Every fused body folds its squared
+/// residuals onto it, so an empty tensor's norm is −0.0 exactly as
+/// [`crate::Tensor::norm_l2`] reports it.
+const NORM_ZERO: f32 = -0.0;
+
+/// Fused lossless feedback: the payload is the compensated values' byte
+/// image, `grad` keeps them, and the residual is `c − c` (zero for finite
+/// `c`). Portable only — the in-order norm chain, not the vector width,
+/// bounds this loop. Returns the in-order sum of squared residuals, or
+/// −0.0 when `norm` is false.
+///
+/// # Panics
+///
+/// Panics if the lengths disagree (`out.len() == 4 * grad.len()`).
+pub fn feedback_lossless(
+    grad: &mut [f32],
+    residual: &mut [f32],
+    out: &mut [u8],
+    norm: bool,
+) -> f32 {
+    assert_eq!(residual.len(), grad.len(), "residual length mismatch");
+    assert_eq!(out.len(), grad.len() * 4, "lossless output length mismatch");
+    let mut acc = NORM_ZERO;
+    for ((g, r), o) in grad.iter_mut().zip(residual).zip(out.chunks_exact_mut(4)) {
+        let c = *g + *r;
+        o.copy_from_slice(&c.to_le_bytes());
+        *g = c;
+        *r = c - *g;
+        if norm {
+            acc += *r * *r;
+        }
+    }
+    acc
+}
+
+/// Fused fp16 feedback, one sweep: compensate, round to binary16, write
+/// the wire lane, leave the half's value in `grad` and the rounding error
+/// in `residual`. Returns the in-order sum of squared residuals, or −0.0
+/// when `norm` is false.
+///
+/// # Panics
+///
+/// Panics if the lengths disagree (`out.len() == 2 * grad.len()`).
+pub fn feedback_fp16(grad: &mut [f32], residual: &mut [f32], out: &mut [u8], norm: bool) -> f32 {
+    assert_eq!(residual.len(), grad.len(), "residual length mismatch");
+    assert_eq!(out.len(), grad.len() * 2, "fp16 output length mismatch");
+    #[cfg(target_arch = "x86_64")]
+    if active() {
+        // SAFETY: `active()` verified AVX2 and F16C support at runtime.
+        return unsafe { avx2::feedback_fp16(grad, residual, out, norm) };
+    }
+    feedback_fp16_scalar(grad, residual, out, norm)
+}
+
+/// The portable reference for [`feedback_fp16`].
+///
+/// # Panics
+///
+/// Panics if the lengths disagree.
+pub fn feedback_fp16_scalar(
+    grad: &mut [f32],
+    residual: &mut [f32],
+    out: &mut [u8],
+    norm: bool,
+) -> f32 {
+    assert_eq!(residual.len(), grad.len(), "residual length mismatch");
+    assert_eq!(out.len(), grad.len() * 2, "fp16 output length mismatch");
+    let mut acc = NORM_ZERO;
+    for ((g, r), o) in grad.iter_mut().zip(residual).zip(out.chunks_exact_mut(2)) {
+        let e = fp16_lane(g, r, o);
+        if norm {
+            acc += e * e;
+        }
+    }
+    acc
+}
+
+/// One fp16 feedback element; returns the new residual.
+#[inline(always)]
+fn fp16_lane(g: &mut f32, r: &mut f32, o: &mut [u8]) -> f32 {
+    let c = *g + *r;
+    let h = f32_to_f16_bits(c);
+    o.copy_from_slice(&h.to_le_bytes());
+    *g = f16_bits_to_f32(h);
+    *r = c - *g;
+    *r
+}
+
+/// Int8 feedback, first sweep: `grad += residual` in place (leaving the
+/// compensated values for [`feedback_int8`]) and the largest compensated
+/// magnitude, which fixes the frame's scale. Matches [`abs_max`] over the
+/// compensated values bit-for-bit on finite inputs.
+///
+/// # Panics
+///
+/// Panics if the lengths differ.
+pub fn compensate_abs_max(grad: &mut [f32], residual: &[f32]) -> f32 {
+    assert_eq!(residual.len(), grad.len(), "residual length mismatch");
+    #[cfg(target_arch = "x86_64")]
+    if active() {
+        // SAFETY: `active()` verified AVX2 support at runtime.
+        return unsafe { avx2::compensate_abs_max(grad, residual) };
+    }
+    compensate_abs_max_scalar(grad, residual)
+}
+
+/// The portable reference for [`compensate_abs_max`].
+///
+/// # Panics
+///
+/// Panics if the lengths differ.
+pub fn compensate_abs_max_scalar(grad: &mut [f32], residual: &[f32]) -> f32 {
+    assert_eq!(residual.len(), grad.len(), "residual length mismatch");
+    grad.iter_mut().zip(residual).fold(0.0f32, |m, (g, &r)| {
+        *g += r;
+        m.max(g.abs())
+    })
+}
+
+/// Int8 feedback, second sweep: quantises the compensated values in `grad`
+/// under `scale` with stochastic rounding into `out`, leaves the
+/// dequantised values in `grad` and `compensated − dequantised` in
+/// `residual`. Draws are consumed exactly as [`int8_quantize`] consumes
+/// them (one per element with a positive fractional part, in element
+/// order), so this sweep is serial at every thread count; it folds the
+/// norm as it goes and returns the in-order sum of squared residuals.
+///
+/// # Panics
+///
+/// Panics if the lengths disagree (`out.len() == grad.len()`).
+pub fn feedback_int8(
+    grad: &mut [f32],
+    residual: &mut [f32],
+    scale: f32,
+    out: &mut [u8],
+    draw: &mut impl FnMut() -> u32,
+) -> f32 {
+    assert_eq!(residual.len(), grad.len(), "residual length mismatch");
+    assert_eq!(out.len(), grad.len(), "int8 output length mismatch");
+    #[cfg(target_arch = "x86_64")]
+    if active() && scale != 0.0 {
+        // SAFETY: `active()` verified AVX2 support at runtime.
+        return unsafe { avx2::feedback_int8(grad, residual, scale, out, draw) };
+    }
+    feedback_int8_scalar(grad, residual, scale, out, draw)
+}
+
+/// The portable reference for [`feedback_int8`] (also the `scale == 0`
+/// path: an all-zero payload, no draws).
+///
+/// # Panics
+///
+/// Panics if the lengths disagree.
+pub fn feedback_int8_scalar(
+    grad: &mut [f32],
+    residual: &mut [f32],
+    scale: f32,
+    out: &mut [u8],
+    draw: &mut impl FnMut() -> u32,
+) -> f32 {
+    assert_eq!(residual.len(), grad.len(), "residual length mismatch");
+    assert_eq!(out.len(), grad.len(), "int8 output length mismatch");
+    let mut acc = NORM_ZERO;
+    for ((g, r), o) in grad.iter_mut().zip(residual).zip(out.iter_mut()) {
+        let e = int8_lane(g, r, scale, o, draw);
+        acc += e * e;
+    }
+    acc
+}
+
+/// One int8 feedback element (`g` holds the compensated value); returns
+/// the new residual.
+#[inline(always)]
+fn int8_lane(
+    g: &mut f32,
+    r: &mut f32,
+    scale: f32,
+    o: &mut u8,
+    draw: &mut impl FnMut() -> u32,
+) -> f32 {
+    let c = *g;
+    let q = quantize_i8_sr(c, scale, draw);
+    *o = q as u8;
+    *g = f32::from(q) * scale;
+    *r = c - *g;
+    *r
+}
+
+/// Top-k feedback, first sweep: `grad += residual` in place and the
+/// compensated values' [`magnitude_keys`], which the select pass ranks.
+///
+/// # Panics
+///
+/// Panics if the lengths differ.
+pub fn compensate_keys(grad: &mut [f32], residual: &[f32]) -> Vec<u32> {
+    assert_eq!(residual.len(), grad.len(), "residual length mismatch");
+    grad.iter_mut()
+        .zip(residual)
+        .map(|(g, &r)| {
+            *g += r;
+            g.to_bits() & 0x7FFF_FFFF
+        })
+        .collect()
+}
+
+/// Top-k feedback, write-back sweep over the compensated values in `grad`:
+/// every index in `kept` (ascending) is written to `out` as an
+/// `(index, value)` pair and keeps its value, every other element becomes
+/// zero, and `residual` gets `compensated − kept value`. Portable only —
+/// the select pass, not this sweep, is top-k's cost. Returns the in-order
+/// sum of squared residuals.
+///
+/// # Panics
+///
+/// Panics if the lengths disagree (`out.len() == 8 * kept.len()`) or
+/// `kept` is not ascending within `grad`.
+pub fn feedback_topk(grad: &mut [f32], residual: &mut [f32], kept: &[u32], out: &mut [u8]) -> f32 {
+    assert_eq!(residual.len(), grad.len(), "residual length mismatch");
+    assert_eq!(out.len(), kept.len() * 8, "top-k output length mismatch");
+    let mut pairs = out.chunks_exact_mut(8);
+    let mut next = kept.iter().peekable();
+    let mut acc = NORM_ZERO;
+    for (i, (g, r)) in grad.iter_mut().zip(residual).enumerate() {
+        let c = *g;
+        if next.next_if(|&&k| k as usize == i).is_some() {
+            let pair = pairs.next().expect("one pair per kept index");
+            pair[..4].copy_from_slice(&(i as u32).to_le_bytes());
+            pair[4..].copy_from_slice(&c.to_le_bytes());
+        } else {
+            *g = 0.0;
+        }
+        *r = c - *g;
+        acc += *r * *r;
+    }
+    assert!(
+        next.next().is_none(),
+        "kept indices must ascend within grad"
+    );
+    acc
+}
+
+// ---------------------------------------------------------------------------
+// AVX2 + F16C kernels
 // ---------------------------------------------------------------------------
 
-/// Explicit AVX2 pipelines. Every function is `unsafe fn` gated on the
-/// caller having verified `avx2` at runtime; all are bit-identical to the
+/// Explicit AVX2 pipelines, F16C for the fp16 conversions. Every function
+/// is `unsafe fn` gated on the caller having verified the features it
+/// enables at runtime ([`active`] checks both); all are bit-identical to the
 /// scalar references above (pinned by the crate's property tests).
 #[cfg(target_arch = "x86_64")]
 mod avx2 {
     use std::arch::x86_64::*;
 
-    /// 8-lane fp16 encode: the scalar bit-twiddling of
-    /// [`crate::codec::f32_to_f16_bits`] as a shift/blend pipeline.
+    /// Eight f32 lanes to binary16 with round-to-nearest-even
+    /// (`vcvtps2ph`). The instruction keeps a NaN's top payload bits; the
+    /// scalar reference canonicalises every NaN to `sign | 0x7E00`, so NaN
+    /// lanes are rewritten to that.
     ///
     /// # Safety
     ///
-    /// Caller must have verified AVX2 support.
-    #[target_feature(enable = "avx2")]
+    /// Caller must have verified AVX2 and F16C support.
+    #[inline]
+    #[target_feature(enable = "avx2,f16c")]
+    unsafe fn f32x8_to_f16(x: __m256) -> __m128i {
+        let h = _mm256_cvtps_ph::<_MM_FROUND_TO_NEAREST_INT>(x);
+        let nan = _mm_cmpgt_epi16(
+            _mm_and_si128(h, _mm_set1_epi16(0x7FFF)),
+            _mm_set1_epi16(0x7C00),
+        );
+        let canonical = _mm_or_si128(
+            _mm_and_si128(h, _mm_set1_epi16(i16::MIN)),
+            _mm_set1_epi16(0x7E00),
+        );
+        _mm_blendv_epi8(h, canonical, nan)
+    }
+
+    /// 8-lane fp16 encode on `vcvtps2ph`.
+    ///
+    /// # Safety
+    ///
+    /// Caller must have verified AVX2 and F16C support.
+    #[target_feature(enable = "avx2,f16c")]
     pub unsafe fn fp16_encode(xs: &[f32], out: &mut [u8]) {
         let n = xs.len();
         let mut i = 0;
         while i + 8 <= n {
-            let bits = _mm256_castps_si256(_mm256_loadu_ps(xs.as_ptr().add(i)));
-            let sign = _mm256_and_si256(_mm256_srli_epi32(bits, 16), _mm256_set1_epi32(0x8000));
-            let abs = _mm256_and_si256(bits, _mm256_set1_epi32(0x7FFF_FFFF));
-            let exp = _mm256_srli_epi32(abs, 23);
-            let mant = _mm256_and_si256(abs, _mm256_set1_epi32(0x007F_FFFF));
-            let half_exp = _mm256_sub_epi32(exp, _mm256_set1_epi32(112));
-
-            // Normal path: drop 13 mantissa bits with RNE (carry may bump
-            // the exponent, possibly into infinity — same as scalar).
-            let kept_n = _mm256_srli_epi32(mant, 13);
-            let rem_n = _mm256_and_si256(mant, _mm256_set1_epi32(0x1FFF));
-            let h_n = _mm256_or_si256(_mm256_slli_epi32(half_exp, 10), kept_n);
-            let rem_gt = _mm256_cmpgt_epi32(rem_n, _mm256_set1_epi32(0x1000));
-            let rem_eq = _mm256_cmpeq_epi32(rem_n, _mm256_set1_epi32(0x1000));
-            let odd_n = _mm256_cmpeq_epi32(
-                _mm256_and_si256(h_n, _mm256_set1_epi32(1)),
-                _mm256_set1_epi32(1),
-            );
-            let round_n = _mm256_or_si256(rem_gt, _mm256_and_si256(rem_eq, odd_n));
-            // A compare mask is -1 per rounding lane; subtracting adds 1.
-            let h_n = _mm256_sub_epi32(h_n, round_n);
-
-            // Subnormal path: implicit leading 1, variable right shift
-            // (14..=24), RNE on the shifted-out remainder.
-            let m_s = _mm256_or_si256(mant, _mm256_set1_epi32(0x0080_0000));
-            let shift = _mm256_sub_epi32(_mm256_set1_epi32(14), half_exp);
-            let kept_s = _mm256_srlv_epi32(m_s, shift);
-            let pow = _mm256_sllv_epi32(_mm256_set1_epi32(1), shift);
-            let rem_s = _mm256_and_si256(m_s, _mm256_sub_epi32(pow, _mm256_set1_epi32(1)));
-            let halfway = _mm256_srli_epi32(pow, 1);
-            let srem_gt = _mm256_cmpgt_epi32(rem_s, halfway);
-            let srem_eq = _mm256_cmpeq_epi32(rem_s, halfway);
-            let odd_s = _mm256_cmpeq_epi32(
-                _mm256_and_si256(kept_s, _mm256_set1_epi32(1)),
-                _mm256_set1_epi32(1),
-            );
-            let round_s = _mm256_or_si256(srem_gt, _mm256_and_si256(srem_eq, odd_s));
-            let h_s = _mm256_sub_epi32(kept_s, round_s);
-
-            // Select: normal, then subnormal (half_exp <= 0), then flush to
-            // zero (half_exp < -10), then overflow to infinity
-            // (half_exp >= 0x1F), then NaN/∞ passthrough (which must win
-            // over the overflow blend — their half_exp is also >= 0x1F).
-            let is_sub = _mm256_cmpgt_epi32(_mm256_set1_epi32(1), half_exp);
-            let mut h = _mm256_blendv_epi8(h_n, h_s, is_sub);
-            let is_tiny = _mm256_cmpgt_epi32(_mm256_set1_epi32(-10), half_exp);
-            h = _mm256_andnot_si256(is_tiny, h);
-            let is_ovf = _mm256_cmpgt_epi32(half_exp, _mm256_set1_epi32(0x1E));
-            h = _mm256_blendv_epi8(h, _mm256_set1_epi32(0x7C00), is_ovf);
-            let is_naninf = _mm256_cmpgt_epi32(abs, _mm256_set1_epi32(0x7F7F_FFFF));
-            let is_nan = _mm256_cmpgt_epi32(abs, _mm256_set1_epi32(0x7F80_0000));
-            let naninf_h =
-                _mm256_blendv_epi8(_mm256_set1_epi32(0x7C00), _mm256_set1_epi32(0x7E00), is_nan);
-            h = _mm256_blendv_epi8(h, naninf_h, is_naninf);
-            h = _mm256_or_si256(h, sign);
-
-            // Pack 8 dwords (each <= 0xFFFF) to 8 words, fixing the 128-bit
-            // lane interleave of packus.
-            let packed = _mm256_packus_epi32(h, h);
-            let ordered = _mm256_permute4x64_epi64(packed, 0b11_01_10_00);
-            let low = _mm256_castsi256_si128(ordered);
-            _mm_storeu_si128(out.as_mut_ptr().add(2 * i).cast::<__m128i>(), low);
+            let h = f32x8_to_f16(_mm256_loadu_ps(xs.as_ptr().add(i)));
+            _mm_storeu_si128(out.as_mut_ptr().add(2 * i).cast::<__m128i>(), h);
             i += 8;
         }
         super::fp16_encode_scalar(&xs[i..], &mut out[2 * i..]);
     }
 
-    /// 8-lane fp16 decode. Subnormal halves decode as `mantissa × 2⁻²⁴`
-    /// (exact in f32, identical to the scalar renormalization loop).
+    /// 8-lane fp16 decode on `vcvtph2ps` (exact for every half, subnormals
+    /// included). The instruction sets the quiet bit of a signalling NaN
+    /// half; the scalar reference keeps the payload as it is, so blocks
+    /// holding a NaN rebuild those lanes as `sign | 0x7F80_0000 | m << 13`.
     ///
     /// # Safety
     ///
-    /// Caller must have verified AVX2 support.
-    #[target_feature(enable = "avx2")]
+    /// Caller must have verified AVX2 and F16C support.
+    #[target_feature(enable = "avx2,f16c")]
     pub unsafe fn fp16_decode(bytes: &[u8], out: &mut [f32]) {
         let n = out.len();
         let mut i = 0;
         while i + 8 <= n {
-            let h16 = _mm_loadu_si128(bytes.as_ptr().add(2 * i).cast::<__m128i>());
-            let h = _mm256_cvtepu16_epi32(h16);
-            let sign = _mm256_slli_epi32(_mm256_and_si256(h, _mm256_set1_epi32(0x8000)), 16);
-            let e = _mm256_and_si256(_mm256_srli_epi32(h, 10), _mm256_set1_epi32(0x1F));
-            let m = _mm256_and_si256(h, _mm256_set1_epi32(0x03FF));
-            let m13 = _mm256_slli_epi32(m, 13);
-            let norm = _mm256_or_si256(
-                _mm256_slli_epi32(_mm256_add_epi32(e, _mm256_set1_epi32(112)), 23),
-                m13,
+            let h = _mm_loadu_si128(bytes.as_ptr().add(2 * i).cast::<__m128i>());
+            let mut f = _mm256_castps_si256(_mm256_cvtph_ps(h));
+            let nan = _mm_cmpgt_epi16(
+                _mm_and_si128(h, _mm_set1_epi16(0x7FFF)),
+                _mm_set1_epi16(0x7C00),
             );
-            let inf_nan = _mm256_or_si256(_mm256_set1_epi32(0x7F80_0000), m13);
-            // Subnormal: m × 2⁻²⁴, both steps exact.
-            let fsub = _mm256_mul_ps(
-                _mm256_cvtepi32_ps(m),
-                _mm256_set1_ps(f32::from_bits(0x3380_0000)),
-            );
-            let sub_bits = _mm256_castps_si256(fsub);
-            let is_e0 = _mm256_cmpeq_epi32(e, _mm256_setzero_si256());
-            let is_e31 = _mm256_cmpeq_epi32(e, _mm256_set1_epi32(0x1F));
-            let mut bits = _mm256_blendv_epi8(norm, sub_bits, is_e0);
-            bits = _mm256_blendv_epi8(bits, inf_nan, is_e31);
-            bits = _mm256_or_si256(bits, sign);
-            _mm256_storeu_ps(out.as_mut_ptr().add(i), _mm256_castsi256_ps(bits));
+            if _mm_movemask_epi8(nan) != 0 {
+                let payload = _mm256_slli_epi32(
+                    _mm256_and_si256(_mm256_cvtepu16_epi32(h), _mm256_set1_epi32(0x03FF)),
+                    13,
+                );
+                let exact = _mm256_or_si256(
+                    _mm256_and_si256(f, _mm256_set1_epi32(0xFF80_0000u32 as i32)),
+                    payload,
+                );
+                f = _mm256_blendv_epi8(f, exact, _mm256_cvtepi16_epi32(nan));
+            }
+            _mm256_storeu_si256(out.as_mut_ptr().add(i).cast::<__m256i>(), f);
             i += 8;
         }
         super::fp16_decode_scalar(&bytes[2 * i..], &mut out[i..]);
+    }
+
+    /// Horizontal sum of `r²` onto `acc`, lane 0 first — the element order
+    /// of the scalar fold.
+    ///
+    /// # Safety
+    ///
+    /// Caller must have verified AVX2 support.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn fold_squares(acc: f32, r: __m256) -> f32 {
+        let mut sq = [0.0f32; 8];
+        _mm256_storeu_ps(sq.as_mut_ptr(), _mm256_mul_ps(r, r));
+        sq.iter().fold(acc, |a, &s| a + s)
+    }
+
+    /// Fused fp16 feedback, eight lanes per step: the decoded value is
+    /// `vcvtph2ps` of the canonical half just written, so it matches
+    /// [`crate::codec::f16_bits_to_f32`] without the decode fix-up.
+    ///
+    /// # Safety
+    ///
+    /// Caller must have verified AVX2 and F16C support, and the lengths
+    /// (`residual.len() == grad.len()`, `out.len() == 2 * grad.len()`).
+    #[target_feature(enable = "avx2,f16c")]
+    pub unsafe fn feedback_fp16(
+        grad: &mut [f32],
+        residual: &mut [f32],
+        out: &mut [u8],
+        norm: bool,
+    ) -> f32 {
+        let n = grad.len();
+        let mut acc = super::NORM_ZERO;
+        let mut i = 0;
+        while i + 8 <= n {
+            let c = _mm256_add_ps(
+                _mm256_loadu_ps(grad.as_ptr().add(i)),
+                _mm256_loadu_ps(residual.as_ptr().add(i)),
+            );
+            let h = f32x8_to_f16(c);
+            _mm_storeu_si128(out.as_mut_ptr().add(2 * i).cast::<__m128i>(), h);
+            let d = _mm256_cvtph_ps(h);
+            let r = _mm256_sub_ps(c, d);
+            _mm256_storeu_ps(grad.as_mut_ptr().add(i), d);
+            _mm256_storeu_ps(residual.as_mut_ptr().add(i), r);
+            if norm {
+                acc = fold_squares(acc, r);
+            }
+            i += 8;
+        }
+        for ((g, r), o) in grad[i..]
+            .iter_mut()
+            .zip(&mut residual[i..])
+            .zip(out[2 * i..].chunks_exact_mut(2))
+        {
+            let e = super::fp16_lane(g, r, o);
+            if norm {
+                acc += e * e;
+            }
+        }
+        acc
+    }
+
+    /// Int8 feedback's first sweep: vector add, store, and absolute
+    /// maximum (finite inputs).
+    ///
+    /// # Safety
+    ///
+    /// Caller must have verified AVX2 support and equal lengths.
+    #[target_feature(enable = "avx2")]
+    pub unsafe fn compensate_abs_max(grad: &mut [f32], residual: &[f32]) -> f32 {
+        let n = grad.len();
+        let mask = _mm256_castsi256_ps(_mm256_set1_epi32(0x7FFF_FFFF));
+        let mut acc = _mm256_setzero_ps();
+        let mut i = 0;
+        while i + 8 <= n {
+            let c = _mm256_add_ps(
+                _mm256_loadu_ps(grad.as_ptr().add(i)),
+                _mm256_loadu_ps(residual.as_ptr().add(i)),
+            );
+            _mm256_storeu_ps(grad.as_mut_ptr().add(i), c);
+            acc = _mm256_max_ps(acc, _mm256_and_ps(c, mask));
+            i += 8;
+        }
+        let mut lanes = [0.0f32; 8];
+        _mm256_storeu_ps(lanes.as_mut_ptr(), acc);
+        let m = lanes.iter().fold(0.0f32, |m, &v| m.max(v));
+        m.max(super::compensate_abs_max_scalar(
+            &mut grad[i..],
+            &residual[i..],
+        ))
+    }
+
+    /// Int8 feedback's second sweep: [`int8_quantize`]'s eight-lane
+    /// stochastic rounding (same draws, same order), then the dequantise,
+    /// residual and in-order norm of the same lanes before moving on.
+    ///
+    /// # Safety
+    ///
+    /// Caller must have verified AVX2 support, the lengths
+    /// (`residual.len() == out.len() == grad.len()`) and `scale != 0`.
+    #[target_feature(enable = "avx2")]
+    pub unsafe fn feedback_int8(
+        grad: &mut [f32],
+        residual: &mut [f32],
+        scale: f32,
+        out: &mut [u8],
+        draw: &mut impl FnMut() -> u32,
+    ) -> f32 {
+        let n = grad.len();
+        let vscale = _mm256_set1_ps(scale);
+        let inv24 = _mm256_set1_ps(f32::from_bits(0x3380_0000));
+        let mut us = [0.0f32; 8];
+        let mut acc = super::NORM_ZERO;
+        let mut i = 0;
+        while i + 8 <= n {
+            let c = _mm256_loadu_ps(grad.as_ptr().add(i));
+            let v = _mm256_div_ps(c, vscale);
+            let lo = _mm256_floor_ps(v);
+            let frac = _mm256_sub_ps(v, lo);
+            let mut q = _mm256_cvttps_epi32(lo);
+            let need = _mm256_cmp_ps::<_CMP_GT_OQ>(frac, _mm256_setzero_ps());
+            let mask = _mm256_movemask_ps(need) as u32 & 0xFF;
+            if mask != 0 {
+                for (lane, u) in us.iter_mut().enumerate() {
+                    *u = if mask & (1 << lane) != 0 {
+                        (draw() >> 8) as f32
+                    } else {
+                        f32::INFINITY
+                    };
+                }
+                let uv = _mm256_mul_ps(_mm256_loadu_ps(us.as_ptr()), inv24);
+                let up = _mm256_cmp_ps::<_CMP_LT_OQ>(uv, frac);
+                q = _mm256_sub_epi32(q, _mm256_castps_si256(up));
+            }
+            q = _mm256_min_epi32(q, _mm256_set1_epi32(127));
+            q = _mm256_max_epi32(q, _mm256_set1_epi32(-127));
+            // Narrow the eight in-range dwords to bytes: each 128-bit half
+            // of the double pack starts with four of them, in order.
+            let words = _mm256_packs_epi32(q, q);
+            let bytes = _mm256_packs_epi16(words, words);
+            let low = _mm_cvtsi128_si32(_mm256_castsi256_si128(bytes)) as u32;
+            let high = _mm_cvtsi128_si32(_mm256_extracti128_si256::<1>(bytes)) as u32;
+            let packed = u64::from(low) | u64::from(high) << 32;
+            out[i..i + 8].copy_from_slice(&packed.to_le_bytes());
+            let d = _mm256_mul_ps(_mm256_cvtepi32_ps(q), vscale);
+            let r = _mm256_sub_ps(c, d);
+            _mm256_storeu_ps(grad.as_mut_ptr().add(i), d);
+            _mm256_storeu_ps(residual.as_mut_ptr().add(i), r);
+            acc = fold_squares(acc, r);
+            i += 8;
+        }
+        for ((g, r), o) in grad[i..]
+            .iter_mut()
+            .zip(&mut residual[i..])
+            .zip(&mut out[i..])
+        {
+            let e = super::int8_lane(g, r, scale, o, draw);
+            acc += e * e;
+        }
+        acc
     }
 
     /// Vector absolute maximum (finite inputs).
@@ -684,7 +1052,7 @@ mod tests {
     #[test]
     fn detected_features_names_are_stable() {
         let names: Vec<&str> = detected_features().iter().map(|(n, _)| *n).collect();
-        assert_eq!(names, vec!["avx2", "sse4.1"]);
+        assert_eq!(names, vec!["avx2", "f16c", "sse4.1"]);
     }
 
     #[test]
@@ -693,9 +1061,6 @@ mod tests {
         let mut buf = Vec::new();
         f32s_to_le_bytes(&xs, &mut buf);
         assert_eq!(buf.len(), xs.len() * 4);
-        let mut sliced = vec![0u8; xs.len() * 4];
-        f32s_to_le_bytes_into(&xs, &mut sliced);
-        assert_eq!(buf, sliced);
         let mut back = vec![0.0f32; xs.len()];
         le_bytes_to_f32s(&buf, &mut back);
         let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();

@@ -5,14 +5,19 @@
 //! the exact code the optimized kernels replaced. Sum-style accumulations
 //! must match **bit-exactly** (the fused kernels perform the same
 //! per-element operations in the same order); everything else must agree
-//! within 1e-6.
+//! within 1e-6. The fused error-feedback bodies are pinned to the six-sweep
+//! recurrence they replaced, bit for bit.
 
 use proptest::prelude::*;
+use rna_tensor::codec::{self, Compression};
 use rna_tensor::reduce::{
     staleness_weighted_average, staleness_weighted_average_into, weighted_average,
     weighted_average_into,
 };
-use rna_tensor::{ReduceOp, Tensor, TensorPool};
+use rna_tensor::{simd, ReduceOp, Tensor, TensorPool};
+use std::cell::Cell;
+use std::rc::Rc;
+use std::sync::Mutex;
 
 fn scalar_axpy(x: &mut [f32], alpha: f32, y: &[f32]) {
     for (a, b) in x.iter_mut().zip(y) {
@@ -214,6 +219,174 @@ proptest! {
         for i in 0..len {
             let expect = (1.0 - t) * x[i] + t * y[i];
             prop_assert!((fused.as_slice()[i] - expect).abs() <= 1e-6 * expect.abs().max(1.0));
+        }
+    }
+}
+
+/// The error-feedback recurrence as six sweeps over whole buffers — the
+/// body the fused per-codec kernels replaced — composed from public pieces
+/// and run on the scalar references: compensate, encode, copy, decode,
+/// subtract, norm. Returns the frame and the norm.
+fn six_sweep_feedback(
+    codec: Compression,
+    grad: &mut Tensor,
+    residual: &mut Tensor,
+    draw: &mut impl FnMut() -> u32,
+) -> (Vec<u8>, f64) {
+    with_dispatch(true, || {
+        let mut frame = Vec::new();
+        grad.add_assign(residual);
+        codec.encode_slice(grad.as_slice(), &mut frame, draw);
+        residual.copy_from(grad);
+        codec
+            .decode_slice(&frame, grad.as_mut_slice())
+            .expect("self-produced frame decodes");
+        residual.sub_assign(grad);
+        (frame, f64::from(residual.norm_l2()))
+    })
+}
+
+/// The forced-scalar override is process-global: cases that pin it hold
+/// this lock.
+static DISPATCH: Mutex<()> = Mutex::new(());
+
+fn with_dispatch<T>(forced_scalar: bool, f: impl FnOnce() -> T) -> T {
+    let _guard = DISPATCH.lock().unwrap_or_else(|e| e.into_inner());
+    simd::set_forced_scalar(forced_scalar);
+    let out = f();
+    simd::set_forced_scalar(false);
+    out
+}
+
+/// A counting LCG draw stream.
+fn draws(seed: u64) -> (impl FnMut() -> u32, Rc<Cell<u64>>) {
+    let count = Rc::new(Cell::new(0));
+    let seen = count.clone();
+    let mut s = seed | 1;
+    let draw = move || {
+        seen.set(seen.get() + 1);
+        s = s
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        (s >> 32) as u32
+    };
+    (draw, count)
+}
+
+/// Bit equality, except that two NaNs match whatever their payloads (Rust
+/// leaves the payload of an arithmetic NaN unspecified).
+fn same_bits(a: f32, b: f32) -> bool {
+    a.to_bits() == b.to_bits() || (a.is_nan() && b.is_nan())
+}
+
+/// Three rounds sharing one residual through the fused body and through
+/// the six-sweep oracle; asserts frames, grad, residual, draw count and
+/// norm agree bit for bit (NaN-ness only where a NaN arises).
+fn pin_to_oracle(codec: Compression, inputs: &[Vec<f32>], threads: usize, forced_scalar: bool) {
+    let len = inputs[0].len();
+    let what = format!(
+        "{} len={len} threads={threads} scalar={forced_scalar}",
+        codec.name()
+    );
+    let (mut draw_fused, fused_draws) = draws(17);
+    let (mut draw_oracle, oracle_draws) = draws(17);
+    let mut res_fused = Tensor::zeros(len);
+    let mut res_oracle = Tensor::zeros(len);
+    let mut out = Vec::new();
+    for (round, input) in inputs.iter().enumerate() {
+        let mut fused = Tensor::from_vec(input.clone());
+        let (bytes, norm) = with_dispatch(forced_scalar, || {
+            codec::encode_with_feedback_mt(
+                codec,
+                &mut fused,
+                &mut res_fused,
+                &mut out,
+                &mut draw_fused,
+                threads,
+            )
+        });
+        let mut oracle = Tensor::from_vec(input.clone());
+        let (frame, want_norm) =
+            six_sweep_feedback(codec, &mut oracle, &mut res_oracle, &mut draw_oracle);
+        assert_eq!(bytes, frame.len() as u64, "{what} round {round}: bytes");
+        assert!(out == frame, "{what} round {round}: frame");
+        for (i, (a, b)) in fused.iter().zip(oracle.iter()).enumerate() {
+            assert!(
+                same_bits(*a, *b),
+                "{what} round {round}: grad[{i}] {a} vs {b}"
+            );
+        }
+        for (i, (a, b)) in res_fused.iter().zip(res_oracle.iter()).enumerate() {
+            assert!(
+                same_bits(*a, *b),
+                "{what} round {round}: residual[{i}] {a} vs {b}"
+            );
+        }
+        assert_eq!(
+            fused_draws.get(),
+            oracle_draws.get(),
+            "{what} round {round}: draws"
+        );
+        assert!(
+            norm.to_bits() == want_norm.to_bits() || (norm.is_nan() && want_norm.is_nan()),
+            "{what} round {round}: norm {norm} vs {want_norm}"
+        );
+    }
+}
+
+#[test]
+fn fused_feedback_matches_the_six_sweep_recurrence() {
+    for codec in [
+        Compression::Lossless,
+        Compression::Fp16,
+        Compression::Int8,
+        Compression::TopK { permille: 100 },
+    ] {
+        for len in [0usize, 1, 7, 8, 9, 133, 65_536] {
+            let inputs: Vec<Vec<f32>> = (0..3)
+                .map(|round| pseudo(len, 31 * len as u64 + round))
+                .collect();
+            for threads in [1, 3] {
+                for forced_scalar in [true, false] {
+                    pin_to_oracle(codec, &inputs, threads, forced_scalar);
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn fused_fp16_feedback_matches_the_oracle_on_special_values() {
+    // NaN, ±∞, overflow past the largest half, half subnormals and f32
+    // subnormals: frames stay byte-exact (NaN is canonicalised on the
+    // wire) while NaN residuals and norms only need to stay NaN.
+    let specials = [
+        0.0f32,
+        -0.0,
+        65504.0,
+        65520.0,
+        -70000.0,
+        6.0e-8,
+        2.9e-8,
+        1e-40,
+        f32::INFINITY,
+        f32::NEG_INFINITY,
+        f32::NAN,
+        f32::from_bits(0xFF80_0001),
+        f32::from_bits(0x7FA0_1000), // signalling, payload in the kept bits
+        f32::from_bits(0xFFFF_FFFF),
+        0.333_333_34,
+    ];
+    let input: Vec<f32> = specials.iter().copied().cycle().take(43).collect();
+    let finite: Vec<f32> = input
+        .iter()
+        .map(|x| if x.is_finite() { *x } else { 1.5 })
+        .collect();
+    for inputs in [vec![finite.clone(); 3], vec![finite, input.clone(), input]] {
+        for threads in [1, 3] {
+            for forced_scalar in [true, false] {
+                pin_to_oracle(Compression::Fp16, &inputs, threads, forced_scalar);
+            }
         }
     }
 }

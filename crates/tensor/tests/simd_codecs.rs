@@ -121,7 +121,7 @@ fn run_roundtrip(
 
 #[test]
 fn simd_matches_scalar_for_all_codecs_and_lane_remainders() {
-    if !simd::avx2_available() {
+    if !simd::vector_available() {
         // Dispatch degenerates to the scalar path; nothing to compare.
         return;
     }
@@ -156,7 +156,7 @@ fn simd_matches_scalar_for_all_codecs_and_lane_remainders() {
 
 #[test]
 fn fp16_simd_matches_scalar_on_special_values() {
-    if !simd::avx2_available() {
+    if !simd::vector_available() {
         return;
     }
     let xs = fp16_specials();
@@ -166,48 +166,117 @@ fn fp16_simd_matches_scalar_on_special_values() {
     assert_eq!(d_scalar, d_simd, "fp16 specials: decoded bits diverged");
 }
 
+fn bits(xs: &[f32]) -> Vec<u32> {
+    xs.iter().map(|x| x.to_bits()).collect()
+}
+
 #[test]
 fn chunk_parallel_matches_serial_for_every_thread_count() {
     for codec in all_codecs() {
         for len in [0usize, 1, 7, 31, 33, 1000] {
             let xs = pseudo(len, 99);
-            let (mut draw_s, count_s) = counted_lcg(5);
-            let mut serial = Vec::new();
-            codec.encode_slice(&xs, &mut serial, &mut draw_s);
+            let carried = pseudo(len, 98);
+            // One feedback round from the same grad and residual: serial
+            // with the scratch-buffer entry point, chunk-parallel with `_mt`.
+            let feedback = |threads: usize| {
+                let (mut draw, count) = counted_lcg(5);
+                let mut grad = Tensor::from_vec(xs.clone());
+                let mut residual = Tensor::from_vec(carried.clone());
+                let mut frame = Vec::new();
+                let (_, norm) = if threads == 1 {
+                    codec::encode_with_feedback(
+                        codec,
+                        &mut grad,
+                        &mut residual,
+                        &mut frame,
+                        &mut draw,
+                    )
+                } else {
+                    codec::encode_with_feedback_mt(
+                        codec,
+                        &mut grad,
+                        &mut residual,
+                        &mut frame,
+                        &mut draw,
+                        threads,
+                    )
+                };
+                let wire = (bits(grad.as_slice()), bits(residual.as_slice()));
+                (frame, wire, norm.to_bits(), count.get())
+            };
+            let serial = feedback(1);
             let mut serial_out = vec![f32::NAN; len];
             codec
-                .decode_slice(&serial, &mut serial_out)
+                .decode_slice(&serial.0, &mut serial_out)
                 .expect("decode");
+            assert_eq!(
+                bits(&serial_out),
+                serial.1 .0,
+                "{} len={len}: the frame decodes to the grad left behind",
+                codec.name()
+            );
             for threads in [2usize, 3, 5] {
-                let (mut draw_p, count_p) = counted_lcg(5);
-                let mut parallel = Vec::new();
-                codec.encode_slice_mt(&xs, &mut parallel, &mut draw_p, threads);
+                let parallel = feedback(threads);
                 assert_eq!(
                     serial,
                     parallel,
-                    "{} len={len} threads={threads}: frame bytes diverged",
-                    codec.name()
-                );
-                assert_eq!(
-                    count_s.get(),
-                    count_p.get(),
-                    "{} len={len} threads={threads}: draw streams diverged",
+                    "{} len={len} threads={threads}: frame, buffers, norm or draws diverged",
                     codec.name()
                 );
                 let mut parallel_out = vec![f32::NAN; len];
                 codec
-                    .decode_slice_mt(&parallel, &mut parallel_out, threads)
+                    .decode_slice_mt(&parallel.0, &mut parallel_out, threads)
                     .expect("decode_mt");
-                let a: Vec<u32> = serial_out.iter().map(|x| x.to_bits()).collect();
-                let b: Vec<u32> = parallel_out.iter().map(|x| x.to_bits()).collect();
                 assert_eq!(
-                    a,
-                    b,
+                    bits(&serial_out),
+                    bits(&parallel_out),
                     "{} len={len} threads={threads}: decoded bits diverged",
                     codec.name()
                 );
             }
         }
+    }
+}
+
+#[test]
+fn fp16_decode_matches_scalar_on_every_half() {
+    if !simd::vector_available() {
+        return;
+    }
+    // All 2^16 halves (NaN payloads, signalling ones included), plus five
+    // to leave a lane remainder.
+    let bytes: Vec<u8> = (0..=u16::MAX)
+        .chain(0..5)
+        .flat_map(u16::to_le_bytes)
+        .collect();
+    let mut scalar = vec![0.0f32; bytes.len() / 2];
+    simd::fp16_decode_scalar(&bytes, &mut scalar);
+    let mut vector = vec![0.0f32; bytes.len() / 2];
+    with_forced_scalar(false, || simd::fp16_decode(&bytes, &mut vector));
+    for (h, (s, v)) in scalar.iter().zip(&vector).enumerate() {
+        assert_eq!(s.to_bits(), v.to_bits(), "half {:#06x}", h & 0xFFFF);
+    }
+}
+
+#[test]
+fn fp16_encode_matches_scalar_on_random_bit_patterns() {
+    if !simd::vector_available() {
+        return;
+    }
+    // 2^20 + 3 uniformly random f32 bit patterns (every class: NaN, ±∞,
+    // subnormals, overflow), then every f32 in the overflow band from the
+    // largest half (65504) to the first value rounding to ∞ (65520) and a
+    // little past it.
+    let (mut draw, _) = counted_lcg(2024);
+    let mut xs: Vec<f32> = (0..(1 << 20) + 3).map(|_| f32::from_bits(draw())).collect();
+    let (lo, hi) = (65504.0f32.to_bits(), 65520.0f32.to_bits() + 64);
+    xs.extend((lo..=hi).flat_map(|b| [f32::from_bits(b), -f32::from_bits(b)]));
+    let mut scalar = vec![0u8; 2 * xs.len()];
+    simd::fp16_encode_scalar(&xs, &mut scalar);
+    let mut vector = vec![0u8; 2 * xs.len()];
+    with_forced_scalar(false, || simd::fp16_encode(&xs, &mut vector));
+    for (i, (s, v)) in scalar.chunks(2).zip(vector.chunks(2)).enumerate() {
+        assert_eq!(s, v, "f32 bits {:#010x}", xs[i].to_bits());
     }
 }
 
