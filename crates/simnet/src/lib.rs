@@ -14,8 +14,8 @@
 //! * [`SimRng`] — a seeded, forkable ChaCha-based RNG with the distributions
 //!   the workloads need (uniform, normal, log-normal), so every experiment is
 //!   reproducible from a single `u64` seed.
-//! * [`net`] — link latency/bandwidth cost models and communication
-//!   topologies (ring, star, fully connected).
+//! * [`net`] — link latency/bandwidth cost models and per-link network
+//!   faults.
 //! * [`trace`] — per-worker span accounting (compute / wait / communicate)
 //!   for the Figure-1-style breakdowns.
 //!
@@ -40,7 +40,7 @@ mod rng;
 mod time;
 pub mod trace;
 
-pub use net::{LinkModel, NetFaults, NetworkModel, Topology};
+pub use net::{LinkModel, NetFaults, NetworkModel};
 pub use queue::EventQueue;
 pub use rng::{SimRng, SimRngState};
 pub use time::{SimDuration, SimTime};

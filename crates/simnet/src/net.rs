@@ -1,4 +1,4 @@
-//! Network cost models and communication topologies.
+//! Network cost models and per-link faults.
 //!
 //! The simulator charges each message `latency + bytes / bandwidth` on the
 //! link it crosses, the standard α–β cost model for collective
@@ -369,68 +369,6 @@ impl NetworkModel {
     }
 }
 
-/// A logical communication topology over `n` workers.
-///
-/// # Examples
-///
-/// ```
-/// use rna_simnet::Topology;
-///
-/// let ring = Topology::Ring;
-/// assert_eq!(ring.ring_left(0, 4), 3);
-/// assert_eq!(ring.ring_right(3, 4), 0);
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
-pub enum Topology {
-    /// Logical ring: worker `i` talks to `i±1 (mod n)` (Ring AllReduce).
-    #[default]
-    Ring,
-    /// Star: every worker talks to a central node (Parameter Server).
-    Star,
-    /// Fully connected: any pair may communicate (AD-PSGD gossip).
-    Full,
-}
-
-impl Topology {
-    /// The left (receiving-from) neighbor of `i` on a ring of `n`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n == 0` or `i >= n`.
-    pub fn ring_left(&self, i: usize, n: usize) -> usize {
-        assert!(n > 0 && i < n, "worker index out of range");
-        (i + n - 1) % n
-    }
-
-    /// The right (sending-to) neighbor of `i` on a ring of `n`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n == 0` or `i >= n`.
-    pub fn ring_right(&self, i: usize, n: usize) -> usize {
-        assert!(n > 0 && i < n, "worker index out of range");
-        (i + 1) % n
-    }
-
-    /// Out-neighbors of worker `i` under this topology (`center` is the hub
-    /// index for [`Topology::Star`], conventionally `n`, a virtual node).
-    pub fn neighbors(&self, i: usize, n: usize, center: usize) -> Vec<usize> {
-        match self {
-            Topology::Ring => {
-                if n <= 1 {
-                    vec![]
-                } else if n == 2 {
-                    vec![(i + 1) % 2]
-                } else {
-                    vec![self.ring_left(i, n), self.ring_right(i, n)]
-                }
-            }
-            Topology::Star => vec![center],
-            Topology::Full => (0..n).filter(|&j| j != i).collect(),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -489,28 +427,6 @@ mod tests {
         let now = SimTime::from_nanos(42);
         assert_eq!(net.delivery(3, 3, 1 << 20, now), now);
         assert!(net.delivery(0, 1, 1 << 20, now) > now);
-    }
-
-    #[test]
-    fn ring_neighbors_wrap() {
-        let t = Topology::Ring;
-        assert_eq!(t.ring_left(0, 5), 4);
-        assert_eq!(t.ring_right(4, 5), 0);
-        assert_eq!(t.neighbors(0, 3, 99), vec![2, 1]);
-        assert_eq!(t.neighbors(0, 2, 99), vec![1]);
-        assert!(t.neighbors(0, 1, 99).is_empty());
-    }
-
-    #[test]
-    fn star_and_full_neighbors() {
-        assert_eq!(Topology::Star.neighbors(2, 4, 4), vec![4]);
-        assert_eq!(Topology::Full.neighbors(1, 4, 99), vec![0, 2, 3]);
-    }
-
-    #[test]
-    #[should_panic(expected = "out of range")]
-    fn ring_rejects_bad_index() {
-        Topology::Ring.ring_left(5, 5);
     }
 
     fn us(t: u64) -> SimTime {
@@ -641,14 +557,6 @@ mod tests {
                 prop_assert!(f.link_up(0, 1, us(from - 1)));
             }
             prop_assert!(!f.link_up(0, 1, us(from)));
-        }
-
-        #[test]
-        fn ring_left_right_inverse(n in 1usize..100, i_frac in 0.0f64..1.0) {
-            let i = ((n as f64) * i_frac) as usize % n;
-            let t = Topology::Ring;
-            prop_assert_eq!(t.ring_right(t.ring_left(i, n), n), i);
-            prop_assert_eq!(t.ring_left(t.ring_right(i, n), n), i);
         }
 
         #[test]

@@ -641,8 +641,9 @@ pub fn encode_with_feedback_append(
             let max_abs = if threads <= 1 {
                 simd::compensate_abs_max(g, r)
             } else {
-                // Chunked max folds to the serial answer: f32 max is
-                // associative and commutative on finite inputs.
+                // Chunked max folds to the serial answer: each chunk's
+                // maximum skips NaN and is never NaN itself, and f32 max is
+                // associative and commutative on the rest.
                 let chunk = n.div_ceil(threads);
                 std::thread::scope(|s| {
                     let handles: Vec<_> = g
@@ -788,31 +789,6 @@ pub fn f16_bits_to_f32(h: u16) -> f32 {
         (e, m) => sign | ((e + 112) << 23) | (m << 13),
     };
     f32::from_bits(bits)
-}
-
-/// Quantizes `x` to a signed byte under `scale` with stochastic rounding:
-/// `E[result·scale] = x` for in-range finite inputs.
-///
-/// This is the portable per-element reference; [`crate::simd`] batches the
-/// surrounding arithmetic but routes every draw through the identical
-/// `frac > 0` condition in element order, so both paths consume the same
-/// stream.
-pub(crate) fn quantize_i8_sr(x: f32, scale: f32, draw: &mut impl FnMut() -> u32) -> i8 {
-    if scale == 0.0 {
-        return 0;
-    }
-    let v = x / scale; // in [-127, 127] up to rounding of the division
-    let lo = v.floor();
-    let frac = v - lo;
-    let mut q = lo as i32;
-    if frac > 0.0 {
-        // 24-bit uniform in [0, 1): exactly representable in f32.
-        let u = (draw() >> 8) as f32 / (1u32 << 24) as f32;
-        if u < frac {
-            q += 1;
-        }
-    }
-    q.clamp(-127, 127) as i8
 }
 
 /// Indices of the `k` largest elements by [`simd::magnitude_keys`] `keys`,

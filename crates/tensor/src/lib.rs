@@ -24,10 +24,11 @@
 //! * [`codec`] — pluggable gradient wire codecs ([`codec::Compression`]:
 //!   lossless, fp16, int8 with stochastic rounding, top-k) plus the
 //!   error-feedback recurrence that keeps the lossy ones convergent.
-//! * [`simd`] — runtime-dispatched `std::arch` kernels (AVX2 + F16C with a
-//!   scalar reference fallback) behind the codec hot loops, including the
-//!   fused error-feedback bodies; `RNA_FORCE_SCALAR=1` pins the portable
-//!   path.
+//! * [`simd`] — the codec hot loops, including the fused error-feedback
+//!   bodies: plain safe Rust the compiler vectorises for int8 and top-k
+//!   (the int8 ones also built for AVX2), F16C intrinsics beside a scalar
+//!   reference for fp16, picked at runtime; `RNA_FORCE_SCALAR=1` pins the
+//!   portable builds.
 //!
 //! # Examples
 //!

@@ -1,37 +1,51 @@
-//! Runtime-dispatched SIMD kernels for the wire-codec hot loops.
+//! The wire-codec hot loops, each with one source for its bits.
 //!
-//! Every dispatched kernel here has two implementations: an explicit
-//! `std::arch` pipeline and a portable scalar reference (`*_scalar`).
-//! Dispatch is decided once per process by [`active`]: the vector path runs
-//! only when the CPU reports AVX2 *and* F16C (`is_x86_feature_detected!`;
-//! the fp16 conversions are the F16C `vcvtps2ph` / `vcvtph2ps`
-//! instructions) *and* `RNA_FORCE_SCALAR` is unset — exporting
-//! `RNA_FORCE_SCALAR=1` pins the scalar reference, which CI uses to keep the
-//! fallback covered. [`set_forced_scalar`] is the programmatic override
-//! tests use to run both paths in one process.
+//! **Plain lanes.** [`abs_max`], [`compensate_abs_max`], [`topk_scan`], the
+//! int8 quantize step behind [`int8_quantize`] and [`feedback_int8`], and
+//! [`int8_dequantize`] are safe Rust the compiler vectorises, one body per
+//! kernel. Rust never contracts `a * b + c` into an FMA, and `floor`,
+//! compares and the conversions used are exact, so one source gives the
+//! same bits on every instruction set. The int8 bodies are compiled twice,
+//! for the baseline target and for AVX2 behind [`active`], because SSE2 has
+//! neither a vector `floor` nor a byte sign-extend.
 //!
-//! The contract is **bit-identity**: for the same inputs (and the same
-//! stochastic-rounding draw stream) the vector and scalar paths produce
-//! byte-identical frames, so same-seed replays do not depend on the host
-//! CPU. The paper's CUDA kernels become these runtime-detected host
-//! kernels; the property tests in `tensor/tests/simd_codecs.rs` pin the
-//! identity across lane-remainder lengths.
+//! **F16C.** Stable Rust has no `f16`, so [`fp16_encode`], [`fp16_decode`]
+//! and [`feedback_fp16`] keep `std::arch` pipelines on `vcvtps2ph` /
+//! `vcvtph2ps` beside portable references (`*_scalar`), with NaN fix-ups
+//! that keep the references' bits.
+//!
+//! [`active`] is decided once per process: the AVX2 + F16C builds run when
+//! the CPU reports both and `RNA_FORCE_SCALAR` is unset (CI sets it to keep
+//! the portable builds covered); [`set_forced_scalar`] overrides it so tests
+//! run both dispatches in one process.
+//!
+//! The contract is **bit-identity**: the same inputs and draw stream give
+//! byte-identical frames, buffers and draw counts under either dispatch, so
+//! same-seed replays do not depend on the host CPU. Non-finite input
+//! included: the abs-max scans skip NaN as `f32::max` does, and an int8
+//! element whose quotient is NaN or ±∞ takes no draw and quantizes as
+//! Rust's saturating cast would (NaN → 0, ±∞ → ±127).
+//! `tensor/tests/simd_codecs.rs` pins it.
 //!
 //! The error-feedback recurrence has one fused body per codec
 //! (`feedback_*`): each element is compensated, encoded, dequantised and
-//! its residual squared into the norm in a single pass, instead of six
-//! sweeps over three buffers.
-//!
-//! Inputs are expected to be finite (gradients with NaN/∞ have already
-//! diverged); the fp16 kernels are nevertheless total and bit-exact for
-//! every input including NaN payloads.
+//! its residual squared into the norm in a single pass.
 
-// The one module allowed to use `unsafe`: `std::arch` intrinsics behind
-// runtime feature detection, and byte-view casts over `f32` slices.
+// The one module allowed `unsafe`: F16C intrinsics and `target_feature`
+// builds behind runtime detection, and byte-view casts over `f32` slices.
 #![allow(unsafe_code)]
+#![warn(clippy::undocumented_unsafe_blocks)]
 
-use crate::codec::{f16_bits_to_f32, f32_to_f16_bits, quantize_i8_sr};
+use crate::codec::{f16_bits_to_f32, f32_to_f16_bits};
 use std::sync::atomic::{AtomicU8, Ordering};
+
+/// Elements per block of the plain-lane kernels: one AVX2 register of `f32`.
+const LANES: usize = 8;
+
+/// Elements per int8 quantize step: whole-tile passes get full-width code
+/// from the loop vectoriser, where an eight-lane block got two-lane pieces
+/// (1.5× slower). Larger tiles stop overlapping arithmetic with draws.
+const TILE: usize = 64;
 
 /// Dispatch mode: 0 = undecided, 1 = auto (use SIMD when detected),
 /// 2 = forced scalar.
@@ -158,64 +172,124 @@ pub fn fp16_decode_scalar(bytes: &[u8], out: &mut [f32]) {
 // int8 stochastic rounding
 // ---------------------------------------------------------------------------
 
-/// Largest finite magnitude in `xs` (`0.0` for an empty slice), matching
-/// the scalar fold `m.max(x.abs())` bit-for-bit on finite inputs.
-pub fn abs_max(xs: &[f32]) -> f32 {
-    #[cfg(target_arch = "x86_64")]
-    if active() {
-        // SAFETY: `active()` verified AVX2 support at runtime.
-        return unsafe { avx2::abs_max(xs) };
+/// The larger of a running maximum `m` and a magnitude `a`, keeping `m`
+/// when `a` is NaN — `f32::max`'s answer, as one compare-and-select the
+/// compiler vectorises (`f32::max` itself measured 1.7–2× slower here).
+#[inline(always)]
+fn max_of(m: f32, a: f32) -> f32 {
+    if a > m {
+        a
+    } else {
+        m
     }
-    abs_max_scalar(xs)
 }
 
-/// The portable reference for [`abs_max`].
-pub fn abs_max_scalar(xs: &[f32]) -> f32 {
-    xs.iter().fold(0.0f32, |m, &x| m.max(x.abs()))
+/// Largest magnitude in `xs` (`0.0` for an empty slice), skipping NaN: the
+/// fold `m.max(x.abs())`, bit for bit.
+pub fn abs_max(xs: &[f32]) -> f32 {
+    let (blocks, rest) = xs.as_chunks::<LANES>();
+    let mut acc = [0.0f32; LANES];
+    for block in blocks {
+        for (a, &x) in acc.iter_mut().zip(block) {
+            *a = max_of(*a, x.abs());
+        }
+    }
+    let m = acc.into_iter().fold(0.0, max_of);
+    rest.iter().fold(m, |m, &x| max_of(m, x.abs()))
 }
 
 /// Quantizes `xs` under `scale` with stochastic rounding into `out`
 /// (`out.len() == xs.len()`, one `i8` stored as `u8` per element).
 ///
-/// `draw` is consumed **exactly** as the scalar reference consumes it: one
-/// uniform `u32` per element whose fractional part is strictly positive,
-/// in element order — so the ChaCha codec stream advances identically on
-/// both paths and same-seed replays stay bit-identical. The vector path
-/// batches the surrounding arithmetic (divide, floor, compare, clamp)
-/// eight lanes at a time and harvests the draws per block.
+/// `draw` is consumed **exactly** once per element whose fractional part
+/// is strictly positive, in element order, so the ChaCha codec stream
+/// advances identically under either dispatch. Each element becomes
+/// `⌊x / scale⌋` plus a stochastic round-up, clamped to ±127.
 ///
 /// # Panics
 ///
 /// Panics if `out.len() != xs.len()`.
 pub fn int8_quantize(xs: &[f32], scale: f32, out: &mut [u8], draw: &mut impl FnMut() -> u32) {
     assert_eq!(out.len(), xs.len(), "int8 output length mismatch");
-    if scale == 0.0 {
-        out.fill(0);
-        return;
-    }
     #[cfg(target_arch = "x86_64")]
     if active() {
-        // SAFETY: `active()` verified AVX2 support at runtime.
+        // SAFETY: `active()` verified AVX2 and F16C support at runtime.
         unsafe { avx2::int8_quantize(xs, scale, out, draw) };
         return;
     }
-    int8_quantize_scalar(xs, scale, out, draw);
+    quantize_lanes(xs, scale, out, draw);
 }
 
-/// The portable reference for [`int8_quantize`].
-pub fn int8_quantize_scalar(
-    xs: &[f32],
-    scale: f32,
-    out: &mut [u8],
-    draw: &mut impl FnMut() -> u32,
-) {
-    for (o, &x) in out.iter_mut().zip(xs) {
-        *o = quantize_i8_sr(x, scale, draw) as u8;
+/// The body of [`int8_quantize`], one tile at a time.
+#[inline(always)]
+fn quantize_lanes(xs: &[f32], scale: f32, out: &mut [u8], draw: &mut impl FnMut() -> u32) {
+    let mut q = [0.0; TILE];
+    for (x, o) in xs.chunks(TILE).zip(out.chunks_mut(TILE)) {
+        let q = &mut q[..x.len()];
+        quantize_tile(x, scale, q, draw);
+        for (o, &q) in o.iter_mut().zip(q.iter()) {
+            *o = int8_byte(q);
+        }
     }
 }
 
-/// Dequantizes signed bytes back to `f32` (`out[i] = bytes[i] as i8 as f32
-/// * scale`), bit-identical to the scalar loop.
+/// Int8 stochastic rounding of one tile (`xs.len() == q.len() <= TILE`),
+/// `E[q · scale] = x` for in-range finite `x`: `q = ⌊x / scale⌋`, plus one
+/// when a 24-bit uniform in `[0, 1)` falls below the fraction, clamped to
+/// ±127, as integer-valued floats. One draw per element with a positive
+/// fraction, in element order; none for a zero `scale` (all zeros). A NaN
+/// or ±∞ quotient draws nothing and becomes what Rust's saturating cast
+/// makes of it: NaN → 0, ±∞ → ±127.
+#[inline(always)]
+fn quantize_tile(xs: &[f32], scale: f32, q: &mut [f32], draw: &mut impl FnMut() -> u32) {
+    if scale == 0.0 {
+        q.fill(0.0);
+        return;
+    }
+    let mut frac = [0.0f32; TILE];
+    let frac = &mut frac[..xs.len()];
+    for ((q, f), &x) in q.iter_mut().zip(frac.iter_mut()).zip(xs) {
+        let v = x / scale;
+        *q = v.floor();
+        *f = v - *q;
+    }
+    // An element left without a draw keeps 0, which rounds nothing up.
+    let mut bits = [0u32; TILE];
+    draw_tile(frac, &mut bits, draw);
+    for ((q, &f), &b) in q.iter_mut().zip(frac.iter()).zip(&bits) {
+        let u = (b >> 8) as f32 / (1u32 << 24) as f32;
+        // Always adding (even 0.0) turns a −0.0 floor into +0.0.
+        let v = *q + if u < f { 1.0 } else { 0.0 };
+        let v = if v > 127.0 { 127.0 } else { v };
+        let v = if v < -127.0 { -127.0 } else { v };
+        *q = if v.is_nan() { 0.0 } else { v };
+    }
+}
+
+/// One draw into `bits` per positive `frac`, in element order. Not
+/// inlined: a draw call clobbers every vector register, and inlined, each
+/// one reloaded the tile's constants (5 % of the int8 feedback encode with
+/// `SimRng` draws).
+#[inline(never)]
+fn draw_tile(frac: &[f32], bits: &mut [u32], draw: &mut impl FnMut() -> u32) {
+    for (b, &f) in bits.iter_mut().zip(frac) {
+        if f > 0.0 {
+            *b = draw();
+        }
+    }
+}
+
+/// The wire byte of a quantized value `q`, an integer in ±127: adding
+/// 1.5 · 2²³ leaves `q` in two's complement in the low mantissa bits. It is
+/// `q as i8 as u8`, but vectorises: LLVM scalarises every saturating
+/// float-to-int cast on x86.
+#[inline(always)]
+fn int8_byte(q: f32) -> u8 {
+    (q + 12_582_912.0).to_bits() as u8
+}
+
+/// Dequantizes signed bytes back to `f32`: `out[i] = bytes[i] as i8 as f32
+/// * scale`, for every byte a peer may send (−128 included).
 ///
 /// # Panics
 ///
@@ -224,15 +298,16 @@ pub fn int8_dequantize(bytes: &[u8], scale: f32, out: &mut [f32]) {
     assert_eq!(bytes.len(), out.len(), "int8 payload length mismatch");
     #[cfg(target_arch = "x86_64")]
     if active() {
-        // SAFETY: `active()` verified AVX2 support at runtime.
+        // SAFETY: `active()` verified AVX2 and F16C support at runtime.
         unsafe { avx2::int8_dequantize(bytes, scale, out) };
         return;
     }
-    int8_dequantize_scalar(bytes, scale, out);
+    dequantize_lanes(bytes, scale, out);
 }
 
-/// The portable reference for [`int8_dequantize`].
-pub fn int8_dequantize_scalar(bytes: &[u8], scale: f32, out: &mut [f32]) {
+/// The body of [`int8_dequantize`].
+#[inline(always)]
+fn dequantize_lanes(bytes: &[u8], scale: f32, out: &mut [f32]) {
     for (o, &b) in out.iter_mut().zip(bytes) {
         *o = f32::from(b as i8) * scale;
     }
@@ -256,34 +331,27 @@ pub fn magnitude_keys(xs: &[f32]) -> Vec<u32> {
 /// key is strictly above `t` and to `ties` the first (lowest-index)
 /// `tie_cap` indices whose key equals `t`, both in ascending index order.
 ///
-/// The vector path compares eight keys per step and falls into per-lane
-/// classification only when a block contains a candidate — for small keep
-/// fractions almost every block is skipped with one compare.
+/// One branch-free `>= t` test per block of eight keys; only a block
+/// holding a candidate is classified key by key, so for small keep
+/// fractions almost every block is skipped.
 pub fn topk_scan(keys: &[u32], t: u32, tie_cap: usize, gt: &mut Vec<u32>, ties: &mut Vec<u32>) {
-    #[cfg(target_arch = "x86_64")]
-    if active() {
-        // SAFETY: `active()` verified AVX2 support at runtime.
-        unsafe { avx2::topk_scan(keys, t, tie_cap, gt, ties) };
-        return;
-    }
-    topk_scan_scalar(keys, t, tie_cap, gt, ties);
-}
-
-/// The portable reference for [`topk_scan`].
-pub fn topk_scan_scalar(
-    keys: &[u32],
-    t: u32,
-    tie_cap: usize,
-    gt: &mut Vec<u32>,
-    ties: &mut Vec<u32>,
-) {
-    for (i, &k) in keys.iter().enumerate() {
-        if k > t {
-            gt.push(i as u32);
-        } else if k == t && ties.len() < tie_cap {
-            ties.push(i as u32);
+    let mut classify = |keys: &[u32], base: usize| {
+        for (i, &k) in keys.iter().enumerate() {
+            let i = (base + i) as u32;
+            if k > t {
+                gt.push(i);
+            } else if k == t && ties.len() < tie_cap {
+                ties.push(i);
+            }
+        }
+    };
+    let (blocks, rest) = keys.as_chunks::<LANES>();
+    for (b, block) in blocks.iter().enumerate() {
+        if block.iter().fold(false, |any, &k| any | (k >= t)) {
+            classify(block, b * LANES);
         }
     }
+    classify(rest, blocks.len() * LANES);
 }
 
 // ---------------------------------------------------------------------------
@@ -463,42 +531,35 @@ fn fp16_lane(g: &mut f32, r: &mut f32, o: &mut [u8]) -> f32 {
 
 /// Int8 feedback, first sweep: `grad += residual` in place (leaving the
 /// compensated values for [`feedback_int8`]) and the largest compensated
-/// magnitude, which fixes the frame's scale. Matches [`abs_max`] over the
-/// compensated values bit-for-bit on finite inputs.
+/// magnitude, which fixes the frame's scale — [`abs_max`] over the
+/// compensated values, bit for bit.
 ///
 /// # Panics
 ///
 /// Panics if the lengths differ.
 pub fn compensate_abs_max(grad: &mut [f32], residual: &[f32]) -> f32 {
     assert_eq!(residual.len(), grad.len(), "residual length mismatch");
-    #[cfg(target_arch = "x86_64")]
-    if active() {
-        // SAFETY: `active()` verified AVX2 support at runtime.
-        return unsafe { avx2::compensate_abs_max(grad, residual) };
+    let (g_blocks, g_rest) = grad.as_chunks_mut::<LANES>();
+    let (r_blocks, r_rest) = residual.as_chunks::<LANES>();
+    let mut acc = [0.0f32; LANES];
+    for (g, r) in g_blocks.iter_mut().zip(r_blocks) {
+        for ((a, g), &r) in acc.iter_mut().zip(g).zip(r) {
+            *g += r;
+            *a = max_of(*a, g.abs());
+        }
     }
-    compensate_abs_max_scalar(grad, residual)
-}
-
-/// The portable reference for [`compensate_abs_max`].
-///
-/// # Panics
-///
-/// Panics if the lengths differ.
-pub fn compensate_abs_max_scalar(grad: &mut [f32], residual: &[f32]) -> f32 {
-    assert_eq!(residual.len(), grad.len(), "residual length mismatch");
-    grad.iter_mut().zip(residual).fold(0.0f32, |m, (g, &r)| {
+    let m = acc.into_iter().fold(0.0, max_of);
+    g_rest.iter_mut().zip(r_rest).fold(m, |m, (g, &r)| {
         *g += r;
-        m.max(g.abs())
+        max_of(m, g.abs())
     })
 }
 
 /// Int8 feedback, second sweep: quantises the compensated values in `grad`
-/// under `scale` with stochastic rounding into `out`, leaves the
-/// dequantised values in `grad` and `compensated − dequantised` in
-/// `residual`. Draws are consumed exactly as [`int8_quantize`] consumes
-/// them (one per element with a positive fractional part, in element
-/// order), so this sweep is serial at every thread count; it folds the
-/// norm as it goes and returns the in-order sum of squared residuals.
+/// under `scale` into `out`, leaves the dequantised values in `grad` and
+/// `compensated − dequantised` in `residual`. Draws are consumed exactly as
+/// [`int8_quantize`] consumes them, so this sweep is serial at every thread
+/// count. Returns the in-order sum of squared residuals.
 ///
 /// # Panics
 ///
@@ -513,52 +574,40 @@ pub fn feedback_int8(
     assert_eq!(residual.len(), grad.len(), "residual length mismatch");
     assert_eq!(out.len(), grad.len(), "int8 output length mismatch");
     #[cfg(target_arch = "x86_64")]
-    if active() && scale != 0.0 {
-        // SAFETY: `active()` verified AVX2 support at runtime.
+    if active() {
+        // SAFETY: `active()` verified AVX2 and F16C support at runtime.
         return unsafe { avx2::feedback_int8(grad, residual, scale, out, draw) };
     }
-    feedback_int8_scalar(grad, residual, scale, out, draw)
+    feedback_int8_lanes(grad, residual, scale, out, draw)
 }
 
-/// The portable reference for [`feedback_int8`] (also the `scale == 0`
-/// path: an all-zero payload, no draws).
-///
-/// # Panics
-///
-/// Panics if the lengths disagree.
-pub fn feedback_int8_scalar(
+/// The body of [`feedback_int8`], one tile at a time.
+#[inline(always)]
+fn feedback_int8_lanes(
     grad: &mut [f32],
     residual: &mut [f32],
     scale: f32,
     out: &mut [u8],
     draw: &mut impl FnMut() -> u32,
 ) -> f32 {
-    assert_eq!(residual.len(), grad.len(), "residual length mismatch");
-    assert_eq!(out.len(), grad.len(), "int8 output length mismatch");
+    let mut q = [0.0; TILE];
     let mut acc = NORM_ZERO;
-    for ((g, r), o) in grad.iter_mut().zip(residual).zip(out.iter_mut()) {
-        let e = int8_lane(g, r, scale, o, draw);
-        acc += e * e;
+    for ((g, r), o) in grad
+        .chunks_mut(TILE)
+        .zip(residual.chunks_mut(TILE))
+        .zip(out.chunks_mut(TILE))
+    {
+        let q = &mut q[..g.len()];
+        quantize_tile(g, scale, q, draw);
+        for (((g, r), o), &q) in g.iter_mut().zip(r.iter_mut()).zip(o).zip(q.iter()) {
+            let c = *g;
+            *o = int8_byte(q);
+            *g = q * scale;
+            *r = c - *g;
+        }
+        acc = r.iter().fold(acc, |acc, &r| acc + r * r);
     }
     acc
-}
-
-/// One int8 feedback element (`g` holds the compensated value); returns
-/// the new residual.
-#[inline(always)]
-fn int8_lane(
-    g: &mut f32,
-    r: &mut f32,
-    scale: f32,
-    o: &mut u8,
-    draw: &mut impl FnMut() -> u32,
-) -> f32 {
-    let c = *g;
-    let q = quantize_i8_sr(c, scale, draw);
-    *o = q as u8;
-    *g = f32::from(q) * scale;
-    *r = c - *g;
-    *r
 }
 
 /// Top-k feedback, first sweep: `grad += residual` in place and the
@@ -615,16 +664,39 @@ pub fn feedback_topk(grad: &mut [f32], residual: &mut [f32], kept: &[u32], out: 
 }
 
 // ---------------------------------------------------------------------------
-// AVX2 + F16C kernels
+// AVX2 + F16C builds
 // ---------------------------------------------------------------------------
 
-/// Explicit AVX2 pipelines, F16C for the fp16 conversions. Every function
-/// is `unsafe fn` gated on the caller having verified the features it
-/// enables at runtime ([`active`] checks both); all are bit-identical to the
-/// scalar references above (pinned by the crate's property tests).
+/// The F16C pipelines and the AVX2 builds of the plain int8 bodies. Each
+/// may run only once [`active`] has verified AVX2 and F16C; all are
+/// bit-identical to the portable builds above.
 #[cfg(target_arch = "x86_64")]
 mod avx2 {
     use std::arch::x86_64::*;
+
+    /// [`super::int8_quantize`]'s body, built for AVX2.
+    #[target_feature(enable = "avx2,f16c")]
+    pub fn int8_quantize(xs: &[f32], scale: f32, out: &mut [u8], draw: &mut impl FnMut() -> u32) {
+        super::quantize_lanes(xs, scale, out, draw);
+    }
+
+    /// [`super::int8_dequantize`]'s body, built for AVX2.
+    #[target_feature(enable = "avx2,f16c")]
+    pub fn int8_dequantize(bytes: &[u8], scale: f32, out: &mut [f32]) {
+        super::dequantize_lanes(bytes, scale, out);
+    }
+
+    /// [`super::feedback_int8`]'s body, built for AVX2.
+    #[target_feature(enable = "avx2,f16c")]
+    pub fn feedback_int8(
+        grad: &mut [f32],
+        residual: &mut [f32],
+        scale: f32,
+        out: &mut [u8],
+        draw: &mut impl FnMut() -> u32,
+    ) -> f32 {
+        super::feedback_int8_lanes(grad, residual, scale, out, draw)
+    }
 
     /// Eight f32 lanes to binary16 with round-to-nearest-even
     /// (`vcvtps2ph`). The instruction keeps a NaN's top payload bits; the
@@ -761,259 +833,6 @@ mod avx2 {
             }
         }
         acc
-    }
-
-    /// Int8 feedback's first sweep: vector add, store, and absolute
-    /// maximum (finite inputs).
-    ///
-    /// # Safety
-    ///
-    /// Caller must have verified AVX2 support and equal lengths.
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn compensate_abs_max(grad: &mut [f32], residual: &[f32]) -> f32 {
-        let n = grad.len();
-        let mask = _mm256_castsi256_ps(_mm256_set1_epi32(0x7FFF_FFFF));
-        let mut acc = _mm256_setzero_ps();
-        let mut i = 0;
-        while i + 8 <= n {
-            let c = _mm256_add_ps(
-                _mm256_loadu_ps(grad.as_ptr().add(i)),
-                _mm256_loadu_ps(residual.as_ptr().add(i)),
-            );
-            _mm256_storeu_ps(grad.as_mut_ptr().add(i), c);
-            acc = _mm256_max_ps(acc, _mm256_and_ps(c, mask));
-            i += 8;
-        }
-        let mut lanes = [0.0f32; 8];
-        _mm256_storeu_ps(lanes.as_mut_ptr(), acc);
-        let m = lanes.iter().fold(0.0f32, |m, &v| m.max(v));
-        m.max(super::compensate_abs_max_scalar(
-            &mut grad[i..],
-            &residual[i..],
-        ))
-    }
-
-    /// Int8 feedback's second sweep: [`int8_quantize`]'s eight-lane
-    /// stochastic rounding (same draws, same order), then the dequantise,
-    /// residual and in-order norm of the same lanes before moving on.
-    ///
-    /// # Safety
-    ///
-    /// Caller must have verified AVX2 support, the lengths
-    /// (`residual.len() == out.len() == grad.len()`) and `scale != 0`.
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn feedback_int8(
-        grad: &mut [f32],
-        residual: &mut [f32],
-        scale: f32,
-        out: &mut [u8],
-        draw: &mut impl FnMut() -> u32,
-    ) -> f32 {
-        let n = grad.len();
-        let vscale = _mm256_set1_ps(scale);
-        let inv24 = _mm256_set1_ps(f32::from_bits(0x3380_0000));
-        let mut us = [0.0f32; 8];
-        let mut acc = super::NORM_ZERO;
-        let mut i = 0;
-        while i + 8 <= n {
-            let c = _mm256_loadu_ps(grad.as_ptr().add(i));
-            let v = _mm256_div_ps(c, vscale);
-            let lo = _mm256_floor_ps(v);
-            let frac = _mm256_sub_ps(v, lo);
-            let mut q = _mm256_cvttps_epi32(lo);
-            let need = _mm256_cmp_ps::<_CMP_GT_OQ>(frac, _mm256_setzero_ps());
-            let mask = _mm256_movemask_ps(need) as u32 & 0xFF;
-            if mask != 0 {
-                for (lane, u) in us.iter_mut().enumerate() {
-                    *u = if mask & (1 << lane) != 0 {
-                        (draw() >> 8) as f32
-                    } else {
-                        f32::INFINITY
-                    };
-                }
-                let uv = _mm256_mul_ps(_mm256_loadu_ps(us.as_ptr()), inv24);
-                let up = _mm256_cmp_ps::<_CMP_LT_OQ>(uv, frac);
-                q = _mm256_sub_epi32(q, _mm256_castps_si256(up));
-            }
-            q = _mm256_min_epi32(q, _mm256_set1_epi32(127));
-            q = _mm256_max_epi32(q, _mm256_set1_epi32(-127));
-            // Narrow the eight in-range dwords to bytes: each 128-bit half
-            // of the double pack starts with four of them, in order.
-            let words = _mm256_packs_epi32(q, q);
-            let bytes = _mm256_packs_epi16(words, words);
-            let low = _mm_cvtsi128_si32(_mm256_castsi256_si128(bytes)) as u32;
-            let high = _mm_cvtsi128_si32(_mm256_extracti128_si256::<1>(bytes)) as u32;
-            let packed = u64::from(low) | u64::from(high) << 32;
-            out[i..i + 8].copy_from_slice(&packed.to_le_bytes());
-            let d = _mm256_mul_ps(_mm256_cvtepi32_ps(q), vscale);
-            let r = _mm256_sub_ps(c, d);
-            _mm256_storeu_ps(grad.as_mut_ptr().add(i), d);
-            _mm256_storeu_ps(residual.as_mut_ptr().add(i), r);
-            acc = fold_squares(acc, r);
-            i += 8;
-        }
-        for ((g, r), o) in grad[i..]
-            .iter_mut()
-            .zip(&mut residual[i..])
-            .zip(&mut out[i..])
-        {
-            let e = super::int8_lane(g, r, scale, o, draw);
-            acc += e * e;
-        }
-        acc
-    }
-
-    /// Vector absolute maximum (finite inputs).
-    ///
-    /// # Safety
-    ///
-    /// Caller must have verified AVX2 support.
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn abs_max(xs: &[f32]) -> f32 {
-        let n = xs.len();
-        let mask = _mm256_castsi256_ps(_mm256_set1_epi32(0x7FFF_FFFF));
-        let mut acc = _mm256_setzero_ps();
-        let mut i = 0;
-        while i + 8 <= n {
-            let x = _mm256_loadu_ps(xs.as_ptr().add(i));
-            acc = _mm256_max_ps(acc, _mm256_and_ps(x, mask));
-            i += 8;
-        }
-        let mut lanes = [0.0f32; 8];
-        _mm256_storeu_ps(lanes.as_mut_ptr(), acc);
-        let mut m = lanes.iter().fold(0.0f32, |m, &v| m.max(v));
-        for &x in &xs[i..] {
-            m = m.max(x.abs());
-        }
-        m
-    }
-
-    /// 8-lane stochastic-rounding quantizer. The divide/floor/compare/clamp
-    /// arithmetic is vectorized; draws are harvested per block for exactly
-    /// the lanes whose fractional part is positive, in lane order, so the
-    /// draw stream matches the scalar reference element for element.
-    ///
-    /// # Safety
-    ///
-    /// Caller must have verified AVX2 support.
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn int8_quantize(
-        xs: &[f32],
-        scale: f32,
-        out: &mut [u8],
-        draw: &mut impl FnMut() -> u32,
-    ) {
-        let n = xs.len();
-        let vscale = _mm256_set1_ps(scale);
-        // 2⁻²⁴ as a multiply: exact for 24-bit draws, same result as the
-        // scalar division by 2²⁴.
-        let inv24 = _mm256_set1_ps(f32::from_bits(0x3380_0000));
-        let mut us = [0.0f32; 8];
-        let mut lanes = [0i32; 8];
-        let mut i = 0;
-        while i + 8 <= n {
-            let x = _mm256_loadu_ps(xs.as_ptr().add(i));
-            let v = _mm256_div_ps(x, vscale);
-            let lo = _mm256_floor_ps(v);
-            let frac = _mm256_sub_ps(v, lo);
-            let mut q = _mm256_cvttps_epi32(lo);
-            let need = _mm256_cmp_ps::<_CMP_GT_OQ>(frac, _mm256_setzero_ps());
-            let mask = _mm256_movemask_ps(need) as u32 & 0xFF;
-            if mask != 0 {
-                if mask == 0xFF {
-                    for u in &mut us {
-                        *u = (draw() >> 8) as f32;
-                    }
-                } else {
-                    for (lane, u) in us.iter_mut().enumerate() {
-                        *u = if mask & (1 << lane) != 0 {
-                            (draw() >> 8) as f32
-                        } else {
-                            f32::INFINITY
-                        };
-                    }
-                }
-                let uv = _mm256_mul_ps(_mm256_loadu_ps(us.as_ptr()), inv24);
-                let up = _mm256_cmp_ps::<_CMP_LT_OQ>(uv, frac);
-                q = _mm256_sub_epi32(q, _mm256_castps_si256(up));
-            }
-            q = _mm256_min_epi32(q, _mm256_set1_epi32(127));
-            q = _mm256_max_epi32(q, _mm256_set1_epi32(-127));
-            _mm256_storeu_si256(lanes.as_mut_ptr().cast::<__m256i>(), q);
-            for (lane, &v) in lanes.iter().enumerate() {
-                *out.get_unchecked_mut(i + lane) = v as u8;
-            }
-            i += 8;
-        }
-        super::int8_quantize_scalar(&xs[i..], scale, &mut out[i..], draw);
-    }
-
-    /// 8-lane dequantizer: `out[i] = bytes[i] as i8 as f32 * scale`.
-    ///
-    /// # Safety
-    ///
-    /// Caller must have verified AVX2 support.
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn int8_dequantize(bytes: &[u8], scale: f32, out: &mut [f32]) {
-        let n = out.len();
-        let vscale = _mm256_set1_ps(scale);
-        let mut i = 0;
-        while i + 8 <= n {
-            let b = _mm_loadl_epi64(bytes.as_ptr().add(i).cast::<__m128i>());
-            let q = _mm256_cvtepi8_epi32(b);
-            let f = _mm256_mul_ps(_mm256_cvtepi32_ps(q), vscale);
-            _mm256_storeu_ps(out.as_mut_ptr().add(i), f);
-            i += 8;
-        }
-        super::int8_dequantize_scalar(&bytes[i..], scale, &mut out[i..]);
-    }
-
-    /// Vectorized threshold scan: one compare rejects eight keys at a time;
-    /// only blocks containing a candidate fall into per-lane classification.
-    ///
-    /// # Safety
-    ///
-    /// Caller must have verified AVX2 support.
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn topk_scan(
-        keys: &[u32],
-        t: u32,
-        tie_cap: usize,
-        gt: &mut Vec<u32>,
-        ties: &mut Vec<u32>,
-    ) {
-        let n = keys.len();
-        // Keys are sign-cleared (≤ 0x7FFF_FFFF), so signed compares agree
-        // with unsigned order; `t - 1` makes `> t-1` mean `>= t`, and for
-        // t = 0 the wrap to -1 correctly flags every lane.
-        let ge_bound = _mm256_set1_epi32((t as i32).wrapping_sub(1));
-        let mut i = 0;
-        while i + 8 <= n {
-            let k = _mm256_loadu_si256(keys.as_ptr().add(i).cast::<__m256i>());
-            let ge = _mm256_cmpgt_epi32(k, ge_bound);
-            let mask = _mm256_movemask_ps(_mm256_castsi256_ps(ge)) as u32 & 0xFF;
-            if mask != 0 {
-                for lane in 0..8 {
-                    if mask & (1 << lane) == 0 {
-                        continue;
-                    }
-                    let key = *keys.get_unchecked(i + lane);
-                    if key > t {
-                        gt.push((i + lane) as u32);
-                    } else if ties.len() < tie_cap {
-                        ties.push((i + lane) as u32);
-                    }
-                }
-            }
-            i += 8;
-        }
-        for (off, &key) in keys[i..].iter().enumerate() {
-            if key > t {
-                gt.push((i + off) as u32);
-            } else if key == t && ties.len() < tie_cap {
-                ties.push((i + off) as u32);
-            }
-        }
     }
 }
 

@@ -223,10 +223,47 @@ proptest! {
     }
 }
 
+/// Quantizes `x` to a signed byte under `scale` with stochastic rounding,
+/// one element at a time: the per-element reference for the library's
+/// tiled int8 step. Draws once exactly when the fraction is positive.
+fn quantize_i8_sr(x: f32, scale: f32, draw: &mut impl FnMut() -> u32) -> i8 {
+    if scale == 0.0 {
+        return 0;
+    }
+    let v = x / scale;
+    let lo = v.floor();
+    let frac = v - lo;
+    let mut q = lo as i32;
+    if frac > 0.0 {
+        let u = (draw() >> 8) as f32 / (1u32 << 24) as f32;
+        if u < frac {
+            q += 1;
+        }
+    }
+    q.clamp(-127, 127) as i8
+}
+
+/// An int8 frame built with [`quantize_i8_sr`]: header, the scale
+/// `max |x| / 127` (NaN skipped), then one byte per element.
+fn reference_int8_frame(xs: &[f32], draw: &mut impl FnMut() -> u32) -> Vec<u8> {
+    let (tag, param) = Compression::Int8.wire_id();
+    let max_abs = xs.iter().fold(0.0f32, |m, x| m.max(x.abs()));
+    let scale = if max_abs > 0.0 { max_abs / 127.0 } else { 0.0 };
+    let mut frame = Vec::new();
+    frame.extend(tag.to_le_bytes());
+    frame.extend(param.to_le_bytes());
+    frame.extend((xs.len() as u64).to_le_bytes());
+    frame.extend(scale.to_le_bytes());
+    frame.extend(xs.iter().map(|&x| quantize_i8_sr(x, scale, draw) as u8));
+    frame
+}
+
 /// The error-feedback recurrence as six sweeps over whole buffers — the
 /// body the fused per-codec kernels replaced — composed from public pieces
 /// and run on the scalar references: compensate, encode, copy, decode,
-/// subtract, norm. Returns the frame and the norm.
+/// subtract, norm. Int8 encodes through [`reference_int8_frame`], so its
+/// frames and draw counts are checked against code the fused body does not
+/// share. Returns the frame and the norm.
 fn six_sweep_feedback(
     codec: Compression,
     grad: &mut Tensor,
@@ -236,7 +273,11 @@ fn six_sweep_feedback(
     with_dispatch(true, || {
         let mut frame = Vec::new();
         grad.add_assign(residual);
-        codec.encode_slice(grad.as_slice(), &mut frame, draw);
+        if matches!(codec, Compression::Int8) {
+            frame = reference_int8_frame(grad.as_slice(), draw);
+        } else {
+            codec.encode_slice(grad.as_slice(), &mut frame, draw);
+        }
         residual.copy_from(grad);
         codec
             .decode_slice(&frame, grad.as_mut_slice())
@@ -386,6 +427,36 @@ fn fused_fp16_feedback_matches_the_oracle_on_special_values() {
         for threads in [1, 3] {
             for forced_scalar in [true, false] {
                 pin_to_oracle(Compression::Fp16, &inputs, threads, forced_scalar);
+            }
+        }
+    }
+}
+
+#[test]
+fn int8_encode_matches_the_per_element_reference() {
+    // Short last blocks (7, 9, 133), whole tiles and tile remainders; blocks
+    // where every element draws, blocks with zeros that do not, and
+    // non-finite elements.
+    for len in [1usize, 7, 8, 9, 63, 64, 65, 133] {
+        let dense = pseudo(len, 5 + len as u64);
+        let mut sparse = dense.clone();
+        sparse.iter_mut().step_by(3).for_each(|x| *x = 0.0);
+        let mut special = dense.clone();
+        special[len / 2] = f32::NAN;
+        special[len - 1] = f32::INFINITY;
+        special[0] = f32::NEG_INFINITY;
+        for xs in [dense, sparse, special] {
+            let (mut draw, want_draws) = draws(23);
+            let want = reference_int8_frame(&xs, &mut draw);
+            for forced_scalar in [true, false] {
+                let (mut draw, got_draws) = draws(23);
+                let mut frame = Vec::new();
+                with_dispatch(forced_scalar, || {
+                    Compression::Int8.encode_slice(&xs, &mut frame, &mut draw)
+                });
+                let what = format!("len={len} scalar={forced_scalar} xs[0]={}", xs[0]);
+                assert_eq!(frame, want, "{what}: frame");
+                assert_eq!(got_draws.get(), want_draws.get(), "{what}: draws");
             }
         }
     }

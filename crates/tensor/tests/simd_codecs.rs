@@ -91,6 +91,22 @@ fn fp16_specials() -> Vec<f32> {
     core.iter().copied().cycle().take(3 * core.len()).collect()
 }
 
+/// Pseudo-random data of `len` elements with NaN, +∞ or −∞ (one input
+/// each) planted at index 5, inside the first full lane block, and at the
+/// last index, inside the lane remainder when `len` is not a multiple of
+/// eight.
+fn non_finite(len: usize, seed: u64) -> Vec<Vec<f32>> {
+    [f32::NAN, f32::INFINITY, f32::NEG_INFINITY]
+        .into_iter()
+        .map(|special| {
+            let mut xs = pseudo(len, seed);
+            xs[5] = special;
+            xs[len - 1] = special;
+            xs
+        })
+        .collect()
+}
+
 fn all_codecs() -> Vec<Compression> {
     vec![
         Compression::Lossless,
@@ -128,27 +144,32 @@ fn simd_matches_scalar_for_all_codecs_and_lane_remainders() {
     for codec in all_codecs() {
         for len in 0..=33 {
             for seed in [1u64, 7, 1234] {
-                let xs = pseudo(len, seed ^ (len as u64) << 8);
-                let (f_scalar, d_scalar, n_scalar) = run_roundtrip(codec, &xs, true, seed);
-                let (f_simd, d_simd, n_simd) = run_roundtrip(codec, &xs, false, seed);
-                assert_eq!(
-                    f_scalar,
-                    f_simd,
-                    "{} len={len} seed={seed}: frame bytes diverged",
-                    codec.name()
-                );
-                assert_eq!(
-                    d_scalar,
-                    d_simd,
-                    "{} len={len} seed={seed}: decoded bits diverged",
-                    codec.name()
-                );
-                assert_eq!(
-                    n_scalar,
-                    n_simd,
-                    "{} len={len} seed={seed}: draw streams advanced differently",
-                    codec.name()
-                );
+                let mut inputs = vec![pseudo(len, seed ^ (len as u64) << 8)];
+                if len > 8 {
+                    inputs.extend(non_finite(len, seed));
+                }
+                for xs in &inputs {
+                    let (f_scalar, d_scalar, n_scalar) = run_roundtrip(codec, xs, true, seed);
+                    let (f_simd, d_simd, n_simd) = run_roundtrip(codec, xs, false, seed);
+                    assert_eq!(
+                        f_scalar,
+                        f_simd,
+                        "{} len={len} seed={seed}: frame bytes diverged",
+                        codec.name()
+                    );
+                    assert_eq!(
+                        d_scalar,
+                        d_simd,
+                        "{} len={len} seed={seed}: decoded bits diverged",
+                        codec.name()
+                    );
+                    assert_eq!(
+                        n_scalar,
+                        n_simd,
+                        "{} len={len} seed={seed}: draw streams advanced differently",
+                        codec.name()
+                    );
+                }
             }
         }
     }
@@ -259,6 +280,26 @@ fn fp16_decode_matches_scalar_on_every_half() {
 }
 
 #[test]
+fn int8_decode_matches_scalar_on_every_byte() {
+    // All 256 bytes, −128 included: the encoder clamps to ±127 but a frame
+    // read from a socket may carry any byte. Five more leave a lane
+    // remainder.
+    let bytes: Vec<u8> = (0..=u8::MAX).chain(0x7E..0x83).collect();
+    let scale = 0.123_456_79f32;
+    for forced in [true, false] {
+        let mut out = vec![f32::NAN; bytes.len()];
+        with_forced_scalar(forced, || simd::int8_dequantize(&bytes, scale, &mut out));
+        for (&b, x) in bytes.iter().zip(&out) {
+            assert_eq!(
+                x.to_bits(),
+                (f32::from(b as i8) * scale).to_bits(),
+                "byte {b:#04x} forced_scalar={forced}"
+            );
+        }
+    }
+}
+
+#[test]
 fn fp16_encode_matches_scalar_on_random_bit_patterns() {
     if !simd::vector_available() {
         return;
@@ -282,75 +323,75 @@ fn fp16_encode_matches_scalar_on_random_bit_patterns() {
 
 #[test]
 fn error_feedback_is_identical_across_scalar_simd_and_parallel() {
-    for codec in [
-        Compression::Fp16,
-        Compression::Int8,
-        Compression::TopK { permille: 100 },
-    ] {
-        let len = 133; // odd length: exercises lane remainders through two rounds
-        let grad0 = pseudo(len, 3);
-        let grad1 = pseudo(len, 4);
-
-        // One run = two feedback rounds sharing a residual, like a protocol
-        // round sequence. Returns (frames, grad bits, residual bits, draws).
-        let run = |mode: &str| {
-            let exec = |forced: bool, threads: usize| {
-                with_forced_scalar(forced, || {
-                    let (mut draw, count) = counted_lcg(11);
-                    let mut residual = Tensor::zeros(len);
-                    let mut scratch = Vec::new();
-                    let mut frames = Vec::new();
-                    let mut grads = Vec::new();
-                    for g0 in [&grad0, &grad1] {
-                        let mut g = Tensor::from_vec(g0.clone());
-                        if threads <= 1 {
-                            codec::encode_with_feedback(
-                                codec,
-                                &mut g,
-                                &mut residual,
-                                &mut scratch,
-                                &mut draw,
-                            );
-                        } else {
-                            codec::encode_with_feedback_mt(
-                                codec,
-                                &mut g,
-                                &mut residual,
-                                &mut scratch,
-                                &mut draw,
-                                threads,
-                            );
+    let len = 133; // odd length: exercises lane remainders through two rounds
+    let mut rounds = vec![(pseudo(len, 3), pseudo(len, 4))];
+    // A non-finite element in the first round, carried by the residual.
+    rounds.extend(non_finite(len, 3).into_iter().map(|g| (g, pseudo(len, 4))));
+    for codec in all_codecs() {
+        for (grad0, grad1) in &rounds {
+            // One run = two feedback rounds sharing a residual, like a protocol
+            // round sequence. Returns (frames, grad bits, residual bits, draws).
+            let run = |mode: &str| {
+                let exec = |forced: bool, threads: usize| {
+                    with_forced_scalar(forced, || {
+                        let (mut draw, count) = counted_lcg(11);
+                        let mut residual = Tensor::zeros(len);
+                        let mut scratch = Vec::new();
+                        let mut frames = Vec::new();
+                        let mut grads = Vec::new();
+                        for g0 in [grad0, grad1] {
+                            let mut g = Tensor::from_vec(g0.clone());
+                            if threads <= 1 {
+                                codec::encode_with_feedback(
+                                    codec,
+                                    &mut g,
+                                    &mut residual,
+                                    &mut scratch,
+                                    &mut draw,
+                                );
+                            } else {
+                                codec::encode_with_feedback_mt(
+                                    codec,
+                                    &mut g,
+                                    &mut residual,
+                                    &mut scratch,
+                                    &mut draw,
+                                    threads,
+                                );
+                            }
+                            frames.push(scratch.clone());
+                            grads
+                                .push(g.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>());
                         }
-                        frames.push(scratch.clone());
-                        grads.push(g.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>());
-                    }
-                    let res: Vec<u32> = residual.as_slice().iter().map(|x| x.to_bits()).collect();
-                    (frames, grads, res, count.get())
-                })
+                        let res: Vec<u32> =
+                            residual.as_slice().iter().map(|x| x.to_bits()).collect();
+                        (frames, grads, res, count.get())
+                    })
+                };
+                match mode {
+                    "scalar" => exec(true, 1),
+                    "simd" => exec(false, 1),
+                    "parallel" => exec(false, 3),
+                    _ => unreachable!(),
+                }
             };
-            match mode {
-                "scalar" => exec(true, 1),
-                "simd" => exec(false, 1),
-                "parallel" => exec(false, 3),
-                _ => unreachable!(),
-            }
-        };
 
-        let scalar = run("scalar");
-        let simd_run = run("simd");
-        let parallel = run("parallel");
-        assert_eq!(
-            scalar,
-            simd_run,
-            "{}: scalar vs simd feedback diverged",
-            codec.name()
-        );
-        assert_eq!(
-            scalar,
-            parallel,
-            "{}: scalar vs parallel feedback diverged",
-            codec.name()
-        );
+            let scalar = run("scalar");
+            let simd_run = run("simd");
+            let parallel = run("parallel");
+            assert_eq!(
+                scalar,
+                simd_run,
+                "{}: scalar vs simd feedback diverged",
+                codec.name()
+            );
+            assert_eq!(
+                scalar,
+                parallel,
+                "{}: scalar vs parallel feedback diverged",
+                codec.name()
+            );
+        }
     }
 }
 
