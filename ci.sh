@@ -121,11 +121,12 @@ echo "==> codec + proto property tests (debug)"
 timeout 600 cargo test -q -p rna-tensor codec
 timeout 600 cargo test -q -p rna-runtime proto
 
-# Scalar-reference parity: the whole tensor suite again with SIMD dispatch
-# forced off, so the portable fallback path (what non-AVX2 hosts run) gets
-# the same debug_assert! coverage as the vector path.
-echo "==> tensor tests with forced-scalar dispatch (debug)"
-RNA_FORCE_SCALAR=1 timeout 600 cargo test -q -p rna-tensor
+# Scalar-reference parity: the tensor and simnet suites again with SIMD
+# dispatch forced off, so the portable fallbacks (what non-AVX2 hosts run),
+# the ChaCha8 keystream's included, get the same debug_assert! coverage as
+# the vector path.
+echo "==> tensor + simnet tests with forced-scalar dispatch (debug)"
+RNA_FORCE_SCALAR=1 timeout 600 cargo test -q -p rna-tensor -p rna-simnet
 
 # Zero-alloc guarantee: the debug-only allocation counter must show that
 # warm pooled rounds allocate nothing (vacuous in release, so run debug).

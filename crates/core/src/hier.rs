@@ -273,15 +273,13 @@ impl HierRnaProtocol {
             // the dropped remainder stays in the group's residual and rides
             // the next push (error feedback).
             let residual = self.ps_residuals[gid].get_or_insert_with(|| Tensor::zeros(grad.len()));
-            let rng = ctx.codec_rng();
-            let mut draw = || rng.uniform_u64(0..1 << 32) as u32;
             let threads = rna_tensor::codec::wire_threads(grad.len());
             let (_, err) = rna_tensor::codec::encode_with_feedback_mt(
                 codec,
                 &mut grad,
                 residual,
                 &mut self.codec_buf,
-                &mut draw,
+                ctx.codec_rng(),
                 threads,
             );
             ctx.counters_mut().codec_error_l2 += err;

@@ -391,7 +391,9 @@ pub fn put_rng(out: &mut Vec<u8>, state: &SimRngState) {
     wire::put_opt_u64(out, state.gauss_spare.map(f64::to_bits));
 }
 
-/// Deserializes an RNG stream position written by [`put_rng`].
+/// Deserializes an RNG stream position written by [`put_rng`]; `None` for
+/// a truncated one or a word position no generator reaches (above 16, or
+/// odd), which [`rna_simnet::SimRng::from_state`] would refuse.
 pub fn read_rng(r: &mut Reader<'_>) -> Option<SimRngState> {
     let mut key = [0u32; 8];
     for word in &mut key {
@@ -399,7 +401,8 @@ pub fn read_rng(r: &mut Reader<'_>) -> Option<SimRngState> {
     }
     let counter = r.u64()?;
     let next_word = r.u32()?;
-    if next_word > 16 {
+    // Words are taken in pairs, so a real position is even.
+    if next_word > 16 || !next_word.is_multiple_of(2) {
         return None;
     }
     let gauss_spare = r.opt_u64()?.map(f64::from_bits);
@@ -560,6 +563,18 @@ mod tests {
                 rng.uniform_u64(0..u64::MAX),
                 restored.uniform_u64(0..u64::MAX)
             );
+        }
+    }
+
+    #[test]
+    fn rng_state_decode_rejects_unreachable_word_positions() {
+        let mut state = SimRng::seed(3).state();
+        for (next_word, ok) in [(0, true), (7, false), (15, false), (16, true), (17, false)] {
+            state.next_word = next_word;
+            let mut buf = Vec::new();
+            put_rng(&mut buf, &state);
+            let decoded = read_rng(&mut Reader::new(&buf));
+            assert_eq!(decoded.is_some(), ok, "next_word = {next_word}");
         }
     }
 }

@@ -472,15 +472,13 @@ impl GroupState {
                 let Some(grad) = slot.as_mut() else { continue };
                 let residual =
                     self.residuals[local].get_or_insert_with(|| Tensor::zeros(grad.len()));
-                let rng = ctx.codec_rng();
-                let mut draw = || rng.uniform_u64(0..1 << 32) as u32;
                 let threads = codec::wire_threads(grad.len());
                 let (_, err) = codec::encode_with_feedback_mt(
                     codec,
                     grad,
                     residual,
                     &mut self.codec_buf,
-                    &mut draw,
+                    ctx.codec_rng(),
                     threads,
                 );
                 ctx.counters_mut().codec_error_l2 += err;

@@ -159,15 +159,13 @@ impl Encoder {
         // state: the residual is preallocated and the codec appends
         // straight into the caller's buffer.
         let allocs = rna_tensor::alloc::count();
-        let rng = &mut self.rng;
-        let mut draw = || rng.uniform_u64(0..1 << 32) as u32;
         let threads = codec::wire_threads(grad.len());
         let charge = codec::encode_with_feedback_append(
             self.codec,
             grad,
             &mut self.residual,
             out,
-            &mut draw,
+            &mut self.rng,
             threads,
         );
         debug_assert_eq!(

@@ -1,3 +1,5 @@
+use rna_tensor::simd::{self, Draws};
+
 /// A seeded, forkable random number generator.
 ///
 /// Every stochastic element of the reproduction (batch sampling, delay
@@ -8,7 +10,13 @@
 /// The generator is ChaCha8, implemented locally (this build environment
 /// cannot fetch `rand_chacha`): the cipher has a documented, portable
 /// stream, so seeds produce the same values on every platform and
-/// toolchain release.
+/// toolchain release. Its block function lives in `rna_tensor::simd`,
+/// beside the eight-block kernel that [`Draws::fill`] uses for
+/// stochastic-rounding draws.
+///
+/// Every method takes keystream words in pairs, so a stream position (and
+/// a [`SimRngState`]) is always pair-aligned: a draw never straddles two
+/// blocks, which is what lets a fill take word `2j + 1` of each block.
 ///
 /// # Examples
 ///
@@ -58,24 +66,11 @@ pub struct SimRngState {
     /// partially-consumed block, if any, is `counter - 1`).
     pub counter: u64,
     /// Words of the current block already consumed; `16` means the block is
-    /// exhausted (or none was generated yet).
+    /// exhausted (or none was generated yet). Always even: every method
+    /// takes words in pairs.
     pub next_word: u8,
     /// The cached second Box-Muller variate, if one is pending.
     pub gauss_spare: Option<f64>,
-}
-
-const CHACHA_CONSTANTS: [u32; 4] = [0x6170_7865, 0x3320_646e, 0x7962_2d32, 0x6b20_6574];
-
-#[inline]
-fn quarter_round(state: &mut [u32; 16], a: usize, b: usize, c: usize, d: usize) {
-    state[a] = state[a].wrapping_add(state[b]);
-    state[d] = (state[d] ^ state[a]).rotate_left(16);
-    state[c] = state[c].wrapping_add(state[d]);
-    state[b] = (state[b] ^ state[c]).rotate_left(12);
-    state[a] = state[a].wrapping_add(state[b]);
-    state[d] = (state[d] ^ state[a]).rotate_left(8);
-    state[c] = state[c].wrapping_add(state[d]);
-    state[b] = (state[b] ^ state[c]).rotate_left(7);
 }
 
 impl ChaCha8 {
@@ -102,28 +97,7 @@ impl ChaCha8 {
     }
 
     fn refill(&mut self) {
-        let mut state = [0u32; 16];
-        state[..4].copy_from_slice(&CHACHA_CONSTANTS);
-        state[4..12].copy_from_slice(&self.key);
-        state[12] = self.counter as u32;
-        state[13] = (self.counter >> 32) as u32;
-        state[14] = 0;
-        state[15] = 0;
-        let mut working = state;
-        for _ in 0..4 {
-            // One double round: column round + diagonal round.
-            quarter_round(&mut working, 0, 4, 8, 12);
-            quarter_round(&mut working, 1, 5, 9, 13);
-            quarter_round(&mut working, 2, 6, 10, 14);
-            quarter_round(&mut working, 3, 7, 11, 15);
-            quarter_round(&mut working, 0, 5, 10, 15);
-            quarter_round(&mut working, 1, 6, 11, 12);
-            quarter_round(&mut working, 2, 7, 8, 13);
-            quarter_round(&mut working, 3, 4, 9, 14);
-        }
-        for i in 0..16 {
-            self.buf[i] = working[i].wrapping_add(state[i]);
-        }
+        simd::chacha8_block(&self.key, self.counter, &mut self.buf);
         self.counter = self.counter.wrapping_add(1);
         self.next_word = 0;
     }
@@ -141,6 +115,37 @@ impl ChaCha8 {
         let lo = u64::from(self.next_u32());
         let hi = u64::from(self.next_u32());
         lo | (hi << 32)
+    }
+
+    /// The high words of the next `out.len()` [`ChaCha8::next_u64`] calls,
+    /// leaving the generator where those calls would: first the current
+    /// block's buffered pairs, then eight blocks per pass, word `2j + 1` of
+    /// each. The last block a pass uses becomes the current block, so a
+    /// pass used part-way is drained by the next call and never rebuilt.
+    /// Needs a pair-aligned position (`next_word` even).
+    fn fill_high_words(&mut self, out: &mut [u32]) {
+        let buffered = out.len().min((16 - self.next_word) / 2);
+        let (head, rest) = out.split_at_mut(buffered);
+        for (o, pair) in head
+            .iter_mut()
+            .zip(self.buf[self.next_word..].chunks_exact(2))
+        {
+            *o = pair[1];
+        }
+        self.next_word += 2 * buffered;
+        let mut blocks = [[0u32; 16]; 8];
+        for pass in rest.chunks_mut(8 * 8) {
+            simd::chacha8_blocks(&self.key, self.counter, &mut blocks);
+            for (o, block) in pass.chunks_mut(8).zip(&blocks) {
+                for (o, pair) in o.iter_mut().zip(block.chunks_exact(2)) {
+                    *o = pair[1];
+                }
+            }
+            let used = pass.len().div_ceil(8);
+            self.buf = blocks[used - 1];
+            self.counter = self.counter.wrapping_add(used as u64);
+            self.next_word = 2 * (pass.len() - 8 * (used - 1));
+        }
     }
 }
 
@@ -179,10 +184,13 @@ impl SimRng {
     ///
     /// # Panics
     ///
-    /// Panics if `state.next_word > 16` (not a position a real generator can
-    /// produce — a corrupted snapshot).
+    /// Panics if `state.next_word` is above 16 or odd (not a position a
+    /// real generator can produce — a corrupted snapshot).
     pub fn from_state(state: &SimRngState) -> SimRng {
-        assert!(state.next_word <= 16, "corrupt rng snapshot");
+        assert!(
+            state.next_word <= 16 && state.next_word.is_multiple_of(2),
+            "corrupt rng snapshot"
+        );
         let mut inner = ChaCha8 {
             key: state.key,
             counter: state.counter,
@@ -351,6 +359,16 @@ impl SimRng {
     }
 }
 
+/// Stochastic-rounding draws, `uniform_u64(0..1 << 32)` each: the high
+/// word of the next pair. [`Draws::fill`] takes a run of them eight ChaCha8
+/// blocks per pass ([`simd::chacha8_blocks`]) and leaves the generator, and
+/// its [`SimRng::state`], exactly where `out.len()` single draws would.
+impl Draws for SimRng {
+    fn fill(&mut self, out: &mut [u32]) {
+        self.inner.fill_high_words(out);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -510,6 +528,14 @@ mod tests {
     fn corrupt_state_is_rejected() {
         let mut state = SimRng::seed(1).state();
         state.next_word = 17;
+        SimRng::from_state(&state);
+    }
+
+    #[test]
+    #[should_panic(expected = "corrupt rng snapshot")]
+    fn odd_word_position_is_rejected() {
+        let mut state = SimRng::seed(1).state();
+        state.next_word = 7;
         SimRng::from_state(&state);
     }
 

@@ -25,7 +25,7 @@
 //! now that frames can arrive over a socket from another process, not
 //! just from locally-produced bytes.
 
-use crate::simd;
+use crate::simd::{self, Draws};
 use crate::wire::{self, Reader};
 use crate::Tensor;
 use std::sync::OnceLock;
@@ -278,11 +278,11 @@ impl Compression {
 
     /// Encodes `xs` into `out` (cleared first): header then payload.
     ///
-    /// `draw` supplies uniform `u32` draws for stochastic rounding; codecs
-    /// that do not round stochastically never call it.
-    pub fn encode_slice(&self, xs: &[f32], out: &mut Vec<u8>, draw: &mut impl FnMut() -> u32) {
+    /// `draws` supplies uniform `u32` draws for stochastic rounding; codecs
+    /// that do not round stochastically never draw from it.
+    pub fn encode_slice(&self, xs: &[f32], out: &mut Vec<u8>, draws: &mut impl Draws) {
         out.clear();
-        self.encode_slice_append(xs, out, draw);
+        self.encode_slice_append(xs, out, draws);
     }
 
     /// [`Compression::encode_slice`] without the clear: the codec frame is
@@ -290,12 +290,7 @@ impl Compression {
     /// point — a caller that has already written a transport header into
     /// `out` gets the codec payload laid down directly behind it, with no
     /// intermediate frame buffer or copy.
-    pub fn encode_slice_append(
-        &self,
-        xs: &[f32],
-        out: &mut Vec<u8>,
-        draw: &mut impl FnMut() -> u32,
-    ) {
+    pub fn encode_slice_append(&self, xs: &[f32], out: &mut Vec<u8>, draws: &mut impl Draws) {
         let frame_start = out.len();
         self.put_header(out, xs.len());
         match self {
@@ -308,7 +303,7 @@ impl Compression {
             Compression::Int8 => {
                 let scale = int8_scale(simd::abs_max(xs));
                 wire::put_f32(out, scale);
-                simd::int8_quantize(xs, scale, grow(out, xs.len()), draw);
+                simd::int8_quantize(xs, scale, grow(out, xs.len()), draws);
             }
             Compression::TopK { .. } => {
                 let k = self.keep_count(xs.len());
@@ -434,8 +429,8 @@ impl Compression {
     }
 
     /// [`Compression::encode_slice`] over a whole tensor.
-    pub fn encode(&self, t: &Tensor, out: &mut Vec<u8>, draw: &mut impl FnMut() -> u32) {
-        self.encode_slice(t.as_slice(), out, draw);
+    pub fn encode(&self, t: &Tensor, out: &mut Vec<u8>, draws: &mut impl Draws) {
+        self.encode_slice(t.as_slice(), out, draws);
     }
 
     /// [`Compression::decode_slice`] into a whole tensor.
@@ -473,9 +468,9 @@ pub fn encode_with_feedback(
     grad: &mut Tensor,
     residual: &mut Tensor,
     scratch: &mut Vec<u8>,
-    draw: &mut impl FnMut() -> u32,
+    draws: &mut impl Draws,
 ) -> (u64, f64) {
-    encode_with_feedback_mt(codec, grad, residual, scratch, draw, 1)
+    encode_with_feedback_mt(codec, grad, residual, scratch, draws, 1)
 }
 
 /// Minimum elements each wire-codec thread must own before chunk-parallel
@@ -579,11 +574,11 @@ pub fn encode_with_feedback_mt(
     grad: &mut Tensor,
     residual: &mut Tensor,
     scratch: &mut Vec<u8>,
-    draw: &mut impl FnMut() -> u32,
+    draws: &mut impl Draws,
     threads: usize,
 ) -> (u64, f64) {
     scratch.clear();
-    encode_with_feedback_append(codec, grad, residual, scratch, draw, threads)
+    encode_with_feedback_append(codec, grad, residual, scratch, draws, threads)
 }
 
 /// [`encode_with_feedback_mt`] in append mode — the one body of the
@@ -619,7 +614,7 @@ pub fn encode_with_feedback_append(
     grad: &mut Tensor,
     residual: &mut Tensor,
     out: &mut Vec<u8>,
-    draw: &mut impl FnMut() -> u32,
+    draws: &mut impl Draws,
     threads: usize,
 ) -> (u64, f64) {
     assert_eq!(
@@ -658,7 +653,7 @@ pub fn encode_with_feedback_append(
             };
             let scale = int8_scale(max_abs);
             wire::put_f32(out, scale);
-            simd::feedback_int8(g, r, scale, grow(out, n), draw)
+            simd::feedback_int8(g, r, scale, grow(out, n), draws)
         }
         Compression::TopK { .. } => {
             let keys = simd::compensate_keys(g, r);

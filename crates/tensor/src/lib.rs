@@ -27,8 +27,9 @@
 //! * [`simd`] — the codec hot loops, including the fused error-feedback
 //!   bodies: plain safe Rust the compiler vectorises for int8 and top-k
 //!   (the int8 ones also built for AVX2), F16C intrinsics beside a scalar
-//!   reference for fp16, picked at runtime; `RNA_FORCE_SCALAR=1` pins the
-//!   portable builds.
+//!   reference for fp16, and the ChaCha8 keystream that fills int8's
+//!   stochastic-rounding draws ([`simd::Draws`]) eight blocks at a time,
+//!   picked at runtime; `RNA_FORCE_SCALAR=1` pins the portable builds.
 //!
 //! # Examples
 //!

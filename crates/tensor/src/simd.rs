@@ -14,6 +14,18 @@
 //! `vcvtph2ps` beside portable references (`*_scalar`), with NaN fix-ups
 //! that keep the references' bits.
 //!
+//! **Keystream.** Int8 stochastic rounding takes its draws through
+//! [`Draws::fill`], a run at a time, and a fill must leave its source
+//! exactly where that many single draws would. Any `FnMut() -> u32` is a
+//! source (one call per draw). `rna_simnet::SimRng` fills from
+//! [`chacha8_blocks`], eight ChaCha8 blocks per pass: its draw is the high
+//! word of a word pair, and every `SimRng` method takes words in pairs, so
+//! a stream position is always pair-aligned and a draw never straddles two
+//! blocks. ChaCha is counter mode, so the eight blocks are the words
+//! [`chacha8_block`] computes one at a time. The AVX2 body keeps one block
+//! per lane in `std::arch` code, because a plain-lane body was fast only
+//! when built as one codegen unit.
+//!
 //! [`active`] is decided once per process: the AVX2 + F16C builds run when
 //! the CPU reports both and `RNA_FORCE_SCALAR` is unset (CI sets it to keep
 //! the portable builds covered); [`set_forced_scalar`] overrides it so tests
@@ -25,14 +37,16 @@
 //! included: the abs-max scans skip NaN as `f32::max` does, and an int8
 //! element whose quotient is NaN or ±∞ takes no draw and quantizes as
 //! Rust's saturating cast would (NaN → 0, ±∞ → ±127).
-//! `tensor/tests/simd_codecs.rs` pins it.
+//! `tensor/tests/simd_codecs.rs` pins it; the keystream's bits are pinned
+//! in `simnet/tests/keystream.rs`, where `SimRng` can be named.
 //!
 //! The error-feedback recurrence has one fused body per codec
 //! (`feedback_*`): each element is compensated, encoded, dequantised and
 //! its residual squared into the norm in a single pass.
 
-// The one module allowed `unsafe`: F16C intrinsics and `target_feature`
-// builds behind runtime detection, and byte-view casts over `f32` slices.
+// The one module allowed `unsafe`: F16C and ChaCha intrinsics and
+// `target_feature` builds behind runtime detection, and byte-view casts
+// over `f32` slices.
 #![allow(unsafe_code)]
 #![warn(clippy::undocumented_unsafe_blocks)]
 
@@ -169,6 +183,86 @@ pub fn fp16_decode_scalar(bytes: &[u8], out: &mut [f32]) {
 }
 
 // ---------------------------------------------------------------------------
+// keystream
+// ---------------------------------------------------------------------------
+
+/// A stream of uniform `u32` draws for stochastic rounding.
+pub trait Draws {
+    /// Writes the next `out.len()` draws into `out`, in stream order, and
+    /// leaves the stream exactly where that many single draws would.
+    fn fill(&mut self, out: &mut [u32]);
+}
+
+/// A closure is a stream of single draws.
+impl<F: FnMut() -> u32> Draws for F {
+    fn fill(&mut self, out: &mut [u32]) {
+        for o in out {
+            *o = self();
+        }
+    }
+}
+
+/// "expand 32-byte k", ChaCha's first four state words.
+const CHACHA_CONSTANTS: [u32; 4] = [0x6170_7865, 0x3320_646e, 0x7962_2d32, 0x6b20_6574];
+
+#[inline]
+fn quarter_round(state: &mut [u32; 16], a: usize, b: usize, c: usize, d: usize) {
+    state[a] = state[a].wrapping_add(state[b]);
+    state[d] = (state[d] ^ state[a]).rotate_left(16);
+    state[c] = state[c].wrapping_add(state[d]);
+    state[b] = (state[b] ^ state[c]).rotate_left(12);
+    state[a] = state[a].wrapping_add(state[b]);
+    state[d] = (state[d] ^ state[a]).rotate_left(8);
+    state[c] = state[c].wrapping_add(state[d]);
+    state[b] = (state[b] ^ state[c]).rotate_left(7);
+}
+
+/// Writes block `counter` of the ChaCha8 keystream under `key` into `out`:
+/// the RFC 7539 state (constants, 256-bit key, 64-bit block counter in
+/// words 12–13, zero nonce) after four double rounds, plus the state
+/// itself. Inlined across crates and written in place: it is `SimRng`'s
+/// refill, once every eight single draws, and returning the block by value
+/// cost single draws 5 %.
+#[inline]
+pub fn chacha8_block(key: &[u32; 8], counter: u64, out: &mut [u32; 16]) {
+    let mut state = [0u32; 16];
+    state[..4].copy_from_slice(&CHACHA_CONSTANTS);
+    state[4..12].copy_from_slice(key);
+    state[12] = counter as u32;
+    state[13] = (counter >> 32) as u32;
+    let mut working = state;
+    for _ in 0..4 {
+        // One double round: column round + diagonal round.
+        quarter_round(&mut working, 0, 4, 8, 12);
+        quarter_round(&mut working, 1, 5, 9, 13);
+        quarter_round(&mut working, 2, 6, 10, 14);
+        quarter_round(&mut working, 3, 7, 11, 15);
+        quarter_round(&mut working, 0, 5, 10, 15);
+        quarter_round(&mut working, 1, 6, 11, 12);
+        quarter_round(&mut working, 2, 7, 8, 13);
+        quarter_round(&mut working, 3, 4, 9, 14);
+    }
+    for ((o, w), s) in out.iter_mut().zip(working).zip(state) {
+        *o = w.wrapping_add(s);
+    }
+}
+
+/// Eight consecutive ChaCha8 blocks: `out[b]` is what [`chacha8_block`]
+/// writes for `counter + b`, the counter wrapping as a `u64`.
+/// The AVX2 build computes one block per lane.
+pub fn chacha8_blocks(key: &[u32; 8], counter: u64, out: &mut [[u32; 16]; 8]) {
+    #[cfg(target_arch = "x86_64")]
+    if active() {
+        // SAFETY: `active()` verified AVX2 support at runtime.
+        unsafe { avx2::chacha8_blocks(key, counter, out) };
+        return;
+    }
+    for (b, block) in (0u64..).zip(out.iter_mut()) {
+        chacha8_block(key, counter.wrapping_add(b), block);
+    }
+}
+
+// ---------------------------------------------------------------------------
 // int8 stochastic rounding
 // ---------------------------------------------------------------------------
 
@@ -201,7 +295,7 @@ pub fn abs_max(xs: &[f32]) -> f32 {
 /// Quantizes `xs` under `scale` with stochastic rounding into `out`
 /// (`out.len() == xs.len()`, one `i8` stored as `u8` per element).
 ///
-/// `draw` is consumed **exactly** once per element whose fractional part
+/// `draws` gives **exactly** one draw per element whose fractional part
 /// is strictly positive, in element order, so the ChaCha codec stream
 /// advances identically under either dispatch. Each element becomes
 /// `⌊x / scale⌋` plus a stochastic round-up, clamped to ±127.
@@ -209,24 +303,24 @@ pub fn abs_max(xs: &[f32]) -> f32 {
 /// # Panics
 ///
 /// Panics if `out.len() != xs.len()`.
-pub fn int8_quantize(xs: &[f32], scale: f32, out: &mut [u8], draw: &mut impl FnMut() -> u32) {
+pub fn int8_quantize(xs: &[f32], scale: f32, out: &mut [u8], draws: &mut impl Draws) {
     assert_eq!(out.len(), xs.len(), "int8 output length mismatch");
     #[cfg(target_arch = "x86_64")]
     if active() {
         // SAFETY: `active()` verified AVX2 and F16C support at runtime.
-        unsafe { avx2::int8_quantize(xs, scale, out, draw) };
+        unsafe { avx2::int8_quantize(xs, scale, out, draws) };
         return;
     }
-    quantize_lanes(xs, scale, out, draw);
+    quantize_lanes(xs, scale, out, draws);
 }
 
 /// The body of [`int8_quantize`], one tile at a time.
 #[inline(always)]
-fn quantize_lanes(xs: &[f32], scale: f32, out: &mut [u8], draw: &mut impl FnMut() -> u32) {
+fn quantize_lanes(xs: &[f32], scale: f32, out: &mut [u8], draws: &mut impl Draws) {
     let mut q = [0.0; TILE];
     for (x, o) in xs.chunks(TILE).zip(out.chunks_mut(TILE)) {
         let q = &mut q[..x.len()];
-        quantize_tile(x, scale, q, draw);
+        quantize_tile(x, scale, q, draws);
         for (o, &q) in o.iter_mut().zip(q.iter()) {
             *o = int8_byte(q);
         }
@@ -241,7 +335,7 @@ fn quantize_lanes(xs: &[f32], scale: f32, out: &mut [u8], draw: &mut impl FnMut(
 /// or ±∞ quotient draws nothing and becomes what Rust's saturating cast
 /// makes of it: NaN → 0, ±∞ → ±127.
 #[inline(always)]
-fn quantize_tile(xs: &[f32], scale: f32, q: &mut [f32], draw: &mut impl FnMut() -> u32) {
+fn quantize_tile(xs: &[f32], scale: f32, q: &mut [f32], draws: &mut impl Draws) {
     if scale == 0.0 {
         q.fill(0.0);
         return;
@@ -253,9 +347,22 @@ fn quantize_tile(xs: &[f32], scale: f32, q: &mut [f32], draw: &mut impl FnMut() 
         *q = v.floor();
         *f = v - *q;
     }
-    // An element left without a draw keeps 0, which rounds nothing up.
+    // The tile's draws arrive as one run; the j-th goes to the j-th element
+    // with a positive fraction. That element's index is at least j, so the
+    // spread runs back to front and moves every draw before its slot is
+    // overwritten. An element without a draw has a zero or NaN fraction,
+    // which no `u` falls below, whatever its slot holds.
     let mut bits = [0u32; TILE];
-    draw_tile(frac, &mut bits, draw);
+    let mut k = frac.iter().filter(|&&f| f > 0.0).count();
+    draws.fill(&mut bits[..k]);
+    if k < frac.len() {
+        for (i, &f) in frac.iter().enumerate().rev() {
+            if f > 0.0 {
+                k -= 1;
+                bits[i] = bits[k];
+            }
+        }
+    }
     for ((q, &f), &b) in q.iter_mut().zip(frac.iter()).zip(&bits) {
         let u = (b >> 8) as f32 / (1u32 << 24) as f32;
         // Always adding (even 0.0) turns a −0.0 floor into +0.0.
@@ -263,19 +370,6 @@ fn quantize_tile(xs: &[f32], scale: f32, q: &mut [f32], draw: &mut impl FnMut() 
         let v = if v > 127.0 { 127.0 } else { v };
         let v = if v < -127.0 { -127.0 } else { v };
         *q = if v.is_nan() { 0.0 } else { v };
-    }
-}
-
-/// One draw into `bits` per positive `frac`, in element order. Not
-/// inlined: a draw call clobbers every vector register, and inlined, each
-/// one reloaded the tile's constants (5 % of the int8 feedback encode with
-/// `SimRng` draws).
-#[inline(never)]
-fn draw_tile(frac: &[f32], bits: &mut [u32], draw: &mut impl FnMut() -> u32) {
-    for (b, &f) in bits.iter_mut().zip(frac) {
-        if f > 0.0 {
-            *b = draw();
-        }
     }
 }
 
@@ -569,16 +663,16 @@ pub fn feedback_int8(
     residual: &mut [f32],
     scale: f32,
     out: &mut [u8],
-    draw: &mut impl FnMut() -> u32,
+    draws: &mut impl Draws,
 ) -> f32 {
     assert_eq!(residual.len(), grad.len(), "residual length mismatch");
     assert_eq!(out.len(), grad.len(), "int8 output length mismatch");
     #[cfg(target_arch = "x86_64")]
     if active() {
         // SAFETY: `active()` verified AVX2 and F16C support at runtime.
-        return unsafe { avx2::feedback_int8(grad, residual, scale, out, draw) };
+        return unsafe { avx2::feedback_int8(grad, residual, scale, out, draws) };
     }
-    feedback_int8_lanes(grad, residual, scale, out, draw)
+    feedback_int8_lanes(grad, residual, scale, out, draws)
 }
 
 /// The body of [`feedback_int8`], one tile at a time.
@@ -588,7 +682,7 @@ fn feedback_int8_lanes(
     residual: &mut [f32],
     scale: f32,
     out: &mut [u8],
-    draw: &mut impl FnMut() -> u32,
+    draws: &mut impl Draws,
 ) -> f32 {
     let mut q = [0.0; TILE];
     let mut acc = NORM_ZERO;
@@ -598,7 +692,7 @@ fn feedback_int8_lanes(
         .zip(out.chunks_mut(TILE))
     {
         let q = &mut q[..g.len()];
-        quantize_tile(g, scale, q, draw);
+        quantize_tile(g, scale, q, draws);
         for (((g, r), o), &q) in g.iter_mut().zip(r.iter_mut()).zip(o).zip(q.iter()) {
             let c = *g;
             *o = int8_byte(q);
@@ -667,17 +761,18 @@ pub fn feedback_topk(grad: &mut [f32], residual: &mut [f32], kept: &[u32], out: 
 // AVX2 + F16C builds
 // ---------------------------------------------------------------------------
 
-/// The F16C pipelines and the AVX2 builds of the plain int8 bodies. Each
-/// may run only once [`active`] has verified AVX2 and F16C; all are
-/// bit-identical to the portable builds above.
+/// The F16C pipelines, the AVX2 builds of the plain int8 bodies and the
+/// eight-lane ChaCha8 keystream. Each may run only once [`active`] has
+/// verified AVX2 and F16C; all are bit-identical to the portable builds
+/// above.
 #[cfg(target_arch = "x86_64")]
 mod avx2 {
     use std::arch::x86_64::*;
 
     /// [`super::int8_quantize`]'s body, built for AVX2.
     #[target_feature(enable = "avx2,f16c")]
-    pub fn int8_quantize(xs: &[f32], scale: f32, out: &mut [u8], draw: &mut impl FnMut() -> u32) {
-        super::quantize_lanes(xs, scale, out, draw);
+    pub fn int8_quantize(xs: &[f32], scale: f32, out: &mut [u8], draws: &mut impl super::Draws) {
+        super::quantize_lanes(xs, scale, out, draws);
     }
 
     /// [`super::int8_dequantize`]'s body, built for AVX2.
@@ -693,9 +788,98 @@ mod avx2 {
         residual: &mut [f32],
         scale: f32,
         out: &mut [u8],
-        draw: &mut impl FnMut() -> u32,
+        draws: &mut impl super::Draws,
     ) -> f32 {
-        super::feedback_int8_lanes(grad, residual, scale, out, draw)
+        super::feedback_int8_lanes(grad, residual, scale, out, draws)
+    }
+
+    /// [`super::chacha8_blocks`] with block `b` in lane `b` of sixteen
+    /// state vectors: `vpshufb` rotates by 16 and 8, shift-or by 12 and 7,
+    /// and an 8×8 transpose per half turns the lanes back into blocks.
+    #[target_feature(enable = "avx2")]
+    pub fn chacha8_blocks(key: &[u32; 8], counter: u64, out: &mut [[u32; 16]; 8]) {
+        let mut input = [_mm256_setzero_si256(); 16];
+        for (v, &w) in input
+            .iter_mut()
+            .zip(super::CHACHA_CONSTANTS.iter().chain(key))
+        {
+            *v = _mm256_set1_epi32(w as i32);
+        }
+        // Lane b's counter is `counter + b`, its carry included.
+        let lo = |b| counter.wrapping_add(b) as i32;
+        let hi = |b| (counter.wrapping_add(b) >> 32) as i32;
+        input[12] = _mm256_setr_epi32(lo(0), lo(1), lo(2), lo(3), lo(4), lo(5), lo(6), lo(7));
+        input[13] = _mm256_setr_epi32(hi(0), hi(1), hi(2), hi(3), hi(4), hi(5), hi(6), hi(7));
+        #[rustfmt::skip]
+        let rot16 = _mm256_setr_epi8(
+            2, 3, 0, 1, 6, 7, 4, 5, 10, 11, 8, 9, 14, 15, 12, 13,
+            2, 3, 0, 1, 6, 7, 4, 5, 10, 11, 8, 9, 14, 15, 12, 13,
+        );
+        #[rustfmt::skip]
+        let rot8 = _mm256_setr_epi8(
+            3, 0, 1, 2, 7, 4, 5, 6, 11, 8, 9, 10, 15, 12, 13, 14,
+            3, 0, 1, 2, 7, 4, 5, 6, 11, 8, 9, 10, 15, 12, 13, 14,
+        );
+        let mut x = input;
+        macro_rules! quarter_round {
+            ($a:literal, $b:literal, $c:literal, $d:literal) => {
+                x[$a] = _mm256_add_epi32(x[$a], x[$b]);
+                x[$d] = _mm256_shuffle_epi8(_mm256_xor_si256(x[$d], x[$a]), rot16);
+                x[$c] = _mm256_add_epi32(x[$c], x[$d]);
+                let t = _mm256_xor_si256(x[$b], x[$c]);
+                x[$b] = _mm256_or_si256(_mm256_slli_epi32::<12>(t), _mm256_srli_epi32::<20>(t));
+                x[$a] = _mm256_add_epi32(x[$a], x[$b]);
+                x[$d] = _mm256_shuffle_epi8(_mm256_xor_si256(x[$d], x[$a]), rot8);
+                x[$c] = _mm256_add_epi32(x[$c], x[$d]);
+                let t = _mm256_xor_si256(x[$b], x[$c]);
+                x[$b] = _mm256_or_si256(_mm256_slli_epi32::<7>(t), _mm256_srli_epi32::<25>(t));
+            };
+        }
+        for _ in 0..4 {
+            quarter_round!(0, 4, 8, 12);
+            quarter_round!(1, 5, 9, 13);
+            quarter_round!(2, 6, 10, 14);
+            quarter_round!(3, 7, 11, 15);
+            quarter_round!(0, 5, 10, 15);
+            quarter_round!(1, 6, 11, 12);
+            quarter_round!(2, 7, 8, 13);
+            quarter_round!(3, 4, 9, 14);
+        }
+        for (x, i) in x.iter_mut().zip(input) {
+            *x = _mm256_add_epi32(*x, i);
+        }
+        // Half `h` holds words 8h..8h+8: interleave 32-bit then 64-bit
+        // pairs, then take 128-bit halves (blocks b and b + 4).
+        let mut rows = [[_mm256_setzero_si256(); 2]; 8];
+        for (h, a) in x.chunks_exact(8).enumerate() {
+            let t0 = _mm256_unpacklo_epi32(a[0], a[1]);
+            let t1 = _mm256_unpackhi_epi32(a[0], a[1]);
+            let t2 = _mm256_unpacklo_epi32(a[2], a[3]);
+            let t3 = _mm256_unpackhi_epi32(a[2], a[3]);
+            let t4 = _mm256_unpacklo_epi32(a[4], a[5]);
+            let t5 = _mm256_unpackhi_epi32(a[4], a[5]);
+            let t6 = _mm256_unpacklo_epi32(a[6], a[7]);
+            let t7 = _mm256_unpackhi_epi32(a[6], a[7]);
+            let pairs = [
+                (_mm256_unpacklo_epi64(t0, t2), _mm256_unpacklo_epi64(t4, t6)),
+                (_mm256_unpackhi_epi64(t0, t2), _mm256_unpackhi_epi64(t4, t6)),
+                (_mm256_unpacklo_epi64(t1, t3), _mm256_unpacklo_epi64(t5, t7)),
+                (_mm256_unpackhi_epi64(t1, t3), _mm256_unpackhi_epi64(t5, t7)),
+            ];
+            for (b, (lo, hi)) in pairs.into_iter().enumerate() {
+                rows[b][h] = _mm256_permute2x128_si256::<0x20>(lo, hi);
+                rows[b + 4][h] = _mm256_permute2x128_si256::<0x31>(lo, hi);
+            }
+        }
+        // SAFETY: each store writes eight words inside one half of a
+        // `[u32; 16]` block; unaligned stores need no alignment.
+        unsafe {
+            for (block, row) in out.iter_mut().zip(rows) {
+                let (lo, hi) = block.split_at_mut(8);
+                _mm256_storeu_si256(lo.as_mut_ptr().cast(), row[0]);
+                _mm256_storeu_si256(hi.as_mut_ptr().cast(), row[1]);
+            }
+        }
     }
 
     /// Eight f32 lanes to binary16 with round-to-nearest-even

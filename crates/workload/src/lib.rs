@@ -11,8 +11,7 @@
 //! 2. **Inherent load imbalance** — dynamic networks (LSTM over UCF101
 //!    videos, Transformer over WMT17 sentences) whose per-batch compute time
 //!    follows the input length distribution (Figure 2). Modeled by
-//!    [`video::VideoLengthModel`], [`tokens::TokenBatchModel`], and
-//!    [`ComputeTimeModel`].
+//!    [`video::VideoLengthModel`] and [`ComputeTimeModel`].
 //!
 //! [`profiles::ModelProfile`] ties these together per neural network:
 //! real parameter counts from the paper (which drive communication cost and
@@ -26,7 +25,6 @@ pub mod cluster;
 mod compute;
 mod hetero;
 pub mod profiles;
-pub mod tokens;
 pub mod trace;
 pub mod transfer;
 pub mod video;
