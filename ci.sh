@@ -121,12 +121,20 @@ echo "==> codec + proto property tests (debug)"
 timeout 600 cargo test -q -p rna-tensor codec
 timeout 600 cargo test -q -p rna-runtime proto
 
-# Scalar-reference parity: the tensor and simnet suites again with SIMD
-# dispatch forced off, so the portable fallbacks (what non-AVX2 hosts run),
-# the ChaCha8 keystream's included, get the same debug_assert! coverage as
-# the vector path.
-echo "==> tensor + simnet tests with forced-scalar dispatch (debug)"
-RNA_FORCE_SCALAR=1 timeout 600 cargo test -q -p rna-tensor -p rna-simnet
+# Scalar-reference parity: the tensor, simnet and training suites again with
+# SIMD dispatch forced off, so the portable fallbacks (what non-AVX2 hosts
+# run), the ChaCha8 keystream's and the training kernels' included, get the
+# same debug_assert! coverage as the vector path, and the models' gradient
+# checks run on the baseline builds.
+echo "==> tensor + simnet + training tests with forced-scalar dispatch (debug)"
+RNA_FORCE_SCALAR=1 timeout 600 cargo test -q -p rna-tensor -p rna-simnet -p rna-training
+
+# The tanh port against the host libm on all 2^32 inputs, under both
+# dispatches. The oracle is f32::tanh, so this gate is for glibc 2.36
+# x86-64 hosts (the tier-1 suite checks a captured table instead).
+echo "==> exhaustive tanh sweep (--release --ignored, watchdogged)"
+timeout 600 cargo test -q --release -p rna-tensor --lib -- --ignored \
+  dense::tests::tanh_matches_the_host_libm_on_every_f32
 
 # Zero-alloc guarantee: the debug-only allocation counter must show that
 # warm pooled rounds allocate nothing (vacuous in release, so run debug).

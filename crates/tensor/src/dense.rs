@@ -1,0 +1,596 @@
+//! The training kernels every model runs on: the dense layer's forward
+//! product, its two backward loops and the tanh activation.
+//!
+//! **Order.** Each dot product is summed **in index order** from [`Sum`]'s
+//! identity, exactly like the serial [`dot`] it replaces, so every logit,
+//! loss and gradient — and therefore every same-seed replay — is
+//! bit-identical to the one-row-at-a-time loop. What changes is how many of
+//! those serial chains are in flight: a lone `iter().sum()` waits on one
+//! add's latency per element, while [`matmat`] carries `ROWS × LANES`
+//! independent sums, the samples of a tile side by side in SIMD lanes.
+//!
+//! **Builds.** [`matmat`], [`outer_acc`], [`back`] and [`tanh_in_place`]
+//! are one plain `#[inline(always)]` body each, compiled twice: for the
+//! baseline target and for AVX2 behind [`simd::active`] (the wrappers live
+//! in `simd.rs`, the crate's one `unsafe` module). Nothing here fuses
+//! `a * b + c`: Rust does not contract it, so the same per-lane multiply
+//! and add give the same bits at any vector width, and `RNA_FORCE_SCALAR`
+//! switches these kernels along with the codecs.
+//!
+//! **tanh.** [`tanh_in_place`] is a lane port of glibc 2.36's `tanhf` and
+//! the `expm1f` it calls (fdlibm's flt-32 `s_tanhf.c` and `s_expm1f.c` as
+//! built for x86-64, without FMA), operation for operation, with the
+//! branches turned into lane selects. It gives `f32::tanh`'s bits on such a
+//! host for every input, and the same bits on any other host, so no
+//! model's trajectory depends on the host's libm.
+//!
+//! [`Sum`]: std::iter::Sum
+
+use crate::simd;
+
+/// Samples per [`matmat`] call: one transposed tile, one SIMD lane each.
+pub const LANES: usize = 8;
+
+/// Rows per [`matmat`] block (`ROWS × LANES` accumulators stay in registers).
+const ROWS: usize = 4;
+
+/// `Σ_d row[d] · x[d]`, the way `iter().sum()` adds it up: the reference
+/// [`matmat`] must match to the bit.
+pub fn dot(row: &[f32], x: &[f32]) -> f32 {
+    row.iter().zip(x).map(|(w, xi)| w * xi).sum()
+}
+
+/// Up to [`LANES`] input vectors at once: `out` becomes one row per sample,
+/// `out[s·rows + j] = Σ_d w[j·dim + d] · xs[s][d]`.
+///
+/// The inputs are transposed into `tile` (`dim × LANES`, lane `s` holding
+/// sample `s`, unused lanes zero) so the inner loop is one broadcast weight
+/// times one contiguous lane vector: plain Rust the compiler vectorises,
+/// each lane still its own in-order sum.
+///
+/// # Panics
+///
+/// Panics if `xs` holds more than [`LANES`] samples, if `w.len()` is not a
+/// multiple of `dim`, or if a sample is shorter than `dim`.
+pub fn matmat<'a>(
+    w: &[f32],
+    dim: usize,
+    xs: impl ExactSizeIterator<Item = &'a [f32]>,
+    tile: &mut Vec<f32>,
+    out: &mut Vec<f32>,
+) {
+    simd::matmat(w, dim, xs, tile, out);
+}
+
+/// The body of [`matmat`].
+#[inline(always)]
+pub(crate) fn matmat_lanes<'a>(
+    w: &[f32],
+    dim: usize,
+    xs: impl ExactSizeIterator<Item = &'a [f32]>,
+    tile: &mut Vec<f32>,
+    out: &mut Vec<f32>,
+) {
+    let n = xs.len();
+    assert!(n <= LANES, "matmat takes one tile of samples");
+    let rows = w.len() / dim;
+    assert_eq!(w.len(), rows * dim, "weight matrix shape");
+    tile.clear();
+    tile.resize(dim * LANES, 0.0);
+    let (tile, _) = tile.as_chunks_mut::<LANES>();
+    for (s, x) in xs.enumerate() {
+        for (t, &xd) in tile.iter_mut().zip(&x[..dim]) {
+            t[s] = xd;
+        }
+    }
+    out.resize(n * rows, 0.0);
+    let mut w_blocks = w.chunks_exact(ROWS * dim);
+    let mut j = 0;
+    for wb in w_blocks.by_ref() {
+        let (r0, rest) = wb.split_at(dim);
+        let (r1, rest) = rest.split_at(dim);
+        let (r2, r3) = rest.split_at(dim);
+        let [mut a0, mut a1, mut a2, mut a3] = [[-0.0f32; LANES]; ROWS];
+        for ((((xt, &w0), &w1), &w2), &w3) in tile.iter().zip(r0).zip(r1).zip(r2).zip(r3) {
+            lanes_axpy(&mut a0, w0, xt);
+            lanes_axpy(&mut a1, w1, xt);
+            lanes_axpy(&mut a2, w2, xt);
+            lanes_axpy(&mut a3, w3, xt);
+        }
+        for (r, a) in [a0, a1, a2, a3].iter().enumerate() {
+            scatter(&mut out[j + r..], rows, a);
+        }
+        j += ROWS;
+    }
+    for row in w_blocks.remainder().chunks_exact(dim) {
+        let mut acc = [-0.0f32; LANES];
+        for (xt, &wv) in tile.iter().zip(row) {
+            lanes_axpy(&mut acc, wv, xt);
+        }
+        scatter(&mut out[j..], rows, &acc);
+        j += 1;
+    }
+}
+
+/// `acc[l] += w · x[l]` across the lanes of one tile row.
+#[inline(always)]
+fn lanes_axpy(acc: &mut [f32; LANES], w: f32, x: &[f32; LANES]) {
+    for (a, &xl) in acc.iter_mut().zip(x) {
+        *a += w * xl;
+    }
+}
+
+/// Writes lane `s` of `acc` to `out[s · stride]` for as many samples as `out`
+/// holds.
+#[inline(always)]
+fn scatter(out: &mut [f32], stride: usize, acc: &[f32; LANES]) {
+    for (o, &a) in out.iter_mut().step_by(stride).zip(acc) {
+        *o = a;
+    }
+}
+
+/// `row += b` for every `b.len()`-long row of `out`.
+pub fn add_bias(out: &mut [f32], b: &[f32]) {
+    for row in out.chunks_exact_mut(b.len()) {
+        for (o, &bj) in row.iter_mut().zip(b) {
+            *o += bj;
+        }
+    }
+}
+
+/// `y[i] += a · x[i]`: the backward pass's one inner loop, over slices so it
+/// vectorises without bounds checks.
+#[inline(always)]
+pub fn axpy(y: &mut [f32], a: f32, x: &[f32]) {
+    for (yi, &xi) in y.iter_mut().zip(x) {
+        *yi += a * xi;
+    }
+}
+
+/// Weight gradient of a dense layer: `g[j·dim + d] += coef[j] · x[d]`, with
+/// `dim = x.len()`.
+pub fn outer_acc(g: &mut [f32], coef: &[f32], x: &[f32]) {
+    simd::outer_acc(g, coef, x);
+}
+
+/// The body of [`outer_acc`].
+#[inline(always)]
+pub(crate) fn outer_acc_lanes(g: &mut [f32], coef: &[f32], x: &[f32]) {
+    for (row, &c) in g.chunks_exact_mut(x.len()).zip(coef) {
+        axpy(row, c, x);
+    }
+}
+
+/// Gradient into a dense layer's input: `dx[d] = Σ_j coef[j] · w[j·dim + d]`,
+/// with `dim = w.len() / coef.len()`, summed over `j` in order from `0.0`.
+pub fn back(dx: &mut Vec<f32>, coef: &[f32], w: &[f32]) {
+    simd::back(dx, coef, w);
+}
+
+/// The body of [`back`].
+#[inline(always)]
+pub(crate) fn back_lanes(dx: &mut Vec<f32>, coef: &[f32], w: &[f32]) {
+    dx.clear();
+    dx.resize(w.len() / coef.len(), 0.0);
+    for (row, &c) in w.chunks_exact(dx.len()).zip(coef) {
+        axpy(dx, c, row);
+    }
+}
+
+/// `x = tanh(x)` for every element, bit for bit what glibc 2.36's `tanhf`
+/// returns on x86-64 — NaN payloads, signed zeros and subnormals included.
+pub fn tanh_in_place(xs: &mut [f32]) {
+    simd::tanh(xs);
+}
+
+/// The body of [`tanh_in_place`], one lane per element.
+#[inline(always)]
+pub(crate) fn tanh_lanes(xs: &mut [f32]) {
+    xs.iter_mut().for_each(|x| *x = tanhf(*x));
+}
+
+/// glibc's `tanhf`, every branch computed and selected.
+#[inline(always)]
+fn tanhf(x: f32) -> f32 {
+    let jx = x.to_bits() as i32;
+    let ix = jx & 0x7fff_ffff;
+    let ax = x.abs();
+    // |x| ≥ 1: 1 − 2/(t + 2) with t = expm1(2|x|); below, −t/(t + 2) with
+    // t = expm1(−2|x|). The argument's sign is set as a bit: selecting
+    // between ±2|x| let LLVM specialise expm1 for each sign and run both.
+    let below_one = ((ix - 0x3f80_0000) as u32) & 0x8000_0000;
+    let big = below_one == 0;
+    let t = expm1f(f32::from_bits((2.0 * ax).to_bits() | below_one));
+    let num = if big { 2.0 } else { -t };
+    let q = num / (t + 2.0);
+    let z = if big { 1.0 - q } else { q };
+    // |x| ≥ 22: `one − tiny`, which rounds to 1.
+    let z = if ix < 0x41b0_0000 { z } else { 1.0 };
+    let z = if jx >= 0 { z } else { -z };
+    // |x| < 2⁻⁵⁵, ±0 included: x·(1 + x), which is x.
+    let z = if ix < 0x2400_0000 { x * (1.0 + x) } else { z };
+    // ±∞ and NaN: 1/x ± 1, which is ±1 for ±∞ and quiets a NaN, keeping
+    // its sign and payload.
+    let inv = 1.0 / x;
+    if ix < 0x7f80_0000 {
+        z
+    } else if jx >= 0 {
+        inv + 1.0
+    } else {
+        inv - 1.0
+    }
+}
+
+// `s_expm1f.c`'s constants.
+const LN2_HI: f32 = f32::from_bits(0x3f31_7180);
+const LN2_LO: f32 = f32::from_bits(0x3717_f7d1);
+const INV_LN2: f32 = f32::from_bits(0x3fb8_aa3b);
+const Q1: f32 = f32::from_bits(0xbd08_8889);
+const Q2: f32 = f32::from_bits(0x3ad0_0d01);
+const Q3: f32 = f32::from_bits(0xb8a6_70cd);
+const Q4: f32 = f32::from_bits(0x3686_7e54);
+const Q5: f32 = f32::from_bits(0xb457_edbb);
+
+/// 1.5 · 2²³: adding it rounds a float below 2²² in magnitude to an integer
+/// and leaves that integer in two's complement in the low mantissa bits.
+/// LLVM scalarises every saturating float-to-int cast on x86, so `k` is
+/// truncated and converted through it instead of `as i32`.
+const MAGIC: f32 = 12_582_912.0;
+
+/// glibc's `expm1f` on the arguments [`tanhf`] passes it: finite,
+/// nonzero, −2 < x < 44 for the lanes it keeps. Those never reach the
+/// overflow and −27·ln 2 saturation branches, nor `k = 1` (x ≥ 2 gives
+/// k ≥ 3), so those are left out.
+#[inline(always)]
+fn expm1f(x: f32) -> f32 {
+    let neg = (x.to_bits() as i32) < 0;
+    let hx = (x.to_bits() & 0x7fff_ffff) as i32;
+    // Argument reduction, x = k·ln 2 + (hi − lo): k = ±1 for
+    // 0.5·ln 2 < |x| < 1.5·ln 2, else C's truncation of x/ln 2 ± 0.5, which
+    // for a positive `a = |x|/ln 2 + 0.5` (negation is exact) is ⌊a⌋.
+    let a = INV_LN2 * x.abs() + 0.5;
+    let nearest = (a + MAGIC) - MAGIC;
+    let kf = if nearest > a { nearest - 1.0 } else { nearest };
+    let kf = if hx < 0x3f85_1592 { 1.0 } else { kf };
+    let kf = if hx > 0x3eb1_7218 { kf } else { 0.0 };
+    let kf = if neg { -kf } else { kf };
+    let k = ((kf + MAGIC).to_bits() as i32).wrapping_sub(MAGIC.to_bits() as i32);
+    // k = 0 leaves x as it is: x − 0·ln2_hi − 0·ln2_lo, c = 0.
+    let hi = x - kf * LN2_HI;
+    let lo = kf * LN2_LO;
+    let r = hi - lo;
+    let c = (hi - r) - lo;
+    // r is now in the primary range.
+    let hfx = 0.5 * r;
+    let hxs = r * hfx;
+    let r1 = 1.0 + hxs * (Q1 + hxs * (Q2 + hxs * (Q3 + hxs * (Q4 + hxs * Q5))));
+    let t = 3.0 - r1 * hfx;
+    let e = hxs * ((r1 - t) / (6.0 - r * t));
+    let k_zero = r - (r * e - hxs);
+    let e = (r * (e - c) - c) - hxs;
+    let k_minus_one = 0.5 * (r - e) - 0.5;
+    // |k| ≥ 2: scale 1 + r − e by 2^k through the exponent field, with
+    // 2⁻ᵏ built from its exponent alone (1 − 2⁻ᵏ is exact for k < 23).
+    let far = k <= -2 || k > 56;
+    let two_to_minus_k = f32::from_bits((0x7f_i32.wrapping_sub(k) << 23) as u32);
+    let y = if far {
+        1.0 - (e - r)
+    } else if k < 23 {
+        (1.0 - two_to_minus_k) - (e - r)
+    } else {
+        (r - (e + two_to_minus_k)) + 1.0
+    };
+    let y = f32::from_bits((y.to_bits() as i32).wrapping_add(k << 23) as u32);
+    let y = if far { y - 1.0 } else { y };
+    let y = if k == -1 { k_minus_one } else { y };
+    let y = if k == 0 { k_zero } else { y };
+    // |x| < 2⁻²⁵: x itself.
+    if hx < 0x3300_0000 {
+        x
+    } else {
+        y
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn lcg(seed: u64) -> impl FnMut() -> f32 {
+        let mut s = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+        move || {
+            s = s
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            ((s >> 40) as f32 / (1u32 << 24) as f32) * 2.0 - 1.0
+        }
+    }
+
+    fn random(n: usize, next: &mut impl FnMut() -> f32) -> Vec<f32> {
+        (0..n).map(|_| next()).collect()
+    }
+
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// Runs `check` under the forced-scalar dispatch, then the detected one.
+    fn under_both_dispatches(mut check: impl FnMut(bool)) {
+        simd::with_dispatch_lock(|| {
+            for forced in [true, false] {
+                simd::set_forced_scalar(forced);
+                check(forced);
+            }
+        });
+    }
+
+    /// Every row, dim and batch remainder path of the kernel, against the
+    /// serial dot product, to the bit. Row 1 of every matrix is all `-0.0`
+    /// so an accumulator that starts from `+0.0` instead of `Sum`'s
+    /// identity shows up as a sign flip.
+    #[test]
+    fn matmat_matches_the_serial_dot_bit_for_bit() {
+        let mut next = lcg(77);
+        for rows in [4usize, 8, 16, 240, 241] {
+            for dim in [1usize, 8, 255, 256] {
+                let mut w = random(rows * dim, &mut next);
+                w[dim..2 * dim].fill(-0.0);
+                let xs: Vec<Vec<f32>> = (0..409)
+                    .map(|_| random(dim, &mut next).iter().map(|x| x.abs()).collect())
+                    .collect();
+                let reference: Vec<Vec<f32>> = xs
+                    .iter()
+                    .map(|x| w.chunks_exact(dim).map(|row| dot(row, x)).collect())
+                    .collect();
+                assert_eq!(reference[0][1].to_bits(), (-0.0f32).to_bits());
+
+                under_both_dispatches(|forced| {
+                    let mut tile = Vec::new();
+                    for batch in [1usize, 7, 16, 409] {
+                        let mut out = Vec::new();
+                        for (chunk, want) in xs[..batch]
+                            .chunks(LANES)
+                            .zip(reference[..batch].chunks(LANES))
+                        {
+                            let inputs = chunk.iter().map(Vec::as_slice);
+                            matmat(&w, dim, inputs, &mut tile, &mut out);
+                            let want: Vec<f32> = want.iter().flatten().copied().collect();
+                            assert_eq!(
+                                bits(&out),
+                                bits(&want),
+                                "matmat {rows}x{dim}, batch {batch}, forced_scalar {forced}"
+                            );
+                        }
+                    }
+                });
+            }
+        }
+    }
+
+    /// Three samples accumulated into one gradient, against a per-element
+    /// loop. Row 1 of `g` starts at `-0.0` with a `+0.0` coefficient and
+    /// non-negative inputs, so a kernel that skips zero coefficients keeps a
+    /// `-0.0` the reference turns into `+0.0`.
+    #[test]
+    fn outer_acc_matches_the_per_element_loop_bit_for_bit() {
+        let mut next = lcg(78);
+        for rows in [4usize, 16, 240, 241] {
+            for dim in [1usize, 8, 255, 256] {
+                let start = {
+                    let mut g = random(rows * dim, &mut next);
+                    g[dim..2 * dim].fill(-0.0);
+                    g
+                };
+                let samples: Vec<(Vec<f32>, Vec<f32>)> = (0..3)
+                    .map(|_| {
+                        let mut coef = random(rows, &mut next);
+                        coef[1] = 0.0;
+                        let x = random(dim, &mut next).iter().map(|x| x.abs()).collect();
+                        (coef, x)
+                    })
+                    .collect();
+                let mut want = start.clone();
+                for (coef, x) in &samples {
+                    for j in 0..rows {
+                        for d in 0..dim {
+                            want[j * dim + d] += coef[j] * x[d];
+                        }
+                    }
+                }
+                assert_eq!(want[dim].to_bits(), 0.0f32.to_bits());
+
+                under_both_dispatches(|forced| {
+                    let mut g = start.clone();
+                    for (coef, x) in &samples {
+                        outer_acc(&mut g, coef, x);
+                    }
+                    assert_eq!(
+                        bits(&g),
+                        bits(&want),
+                        "outer_acc {rows}x{dim}, forced_scalar {forced}"
+                    );
+                });
+            }
+        }
+    }
+
+    /// Against a per-element sum over `j` from `0.0`. Column 0 of `w` is all
+    /// `-0.0` under non-negative coefficients, so its sum is `+0.0` only if
+    /// the kernel starts from `+0.0`.
+    #[test]
+    fn back_matches_the_per_element_sum_bit_for_bit() {
+        let mut next = lcg(79);
+        for rows in [4usize, 16, 240, 241] {
+            for dim in [1usize, 8, 255, 256] {
+                let mut w = random(rows * dim, &mut next);
+                w.iter_mut().step_by(dim).for_each(|v| *v = -0.0);
+                let coef: Vec<f32> = random(rows, &mut next).iter().map(|c| c.abs()).collect();
+                let want: Vec<f32> = (0..dim)
+                    .map(|d| (0..rows).fold(0.0f32, |acc, j| acc + coef[j] * w[j * dim + d]))
+                    .collect();
+                assert_eq!(want[0].to_bits(), 0.0f32.to_bits());
+
+                under_both_dispatches(|forced| {
+                    // A stale, longer buffer: `back` must size and clear it.
+                    let mut dx = vec![f32::NAN; dim + 3];
+                    back(&mut dx, &coef, &w);
+                    assert_eq!(
+                        bits(&dx),
+                        bits(&want),
+                        "back {rows}x{dim}, forced_scalar {forced}"
+                    );
+                });
+            }
+        }
+    }
+
+    /// `(x, tanhf(x))` bit patterns from glibc 2.36 on x86-64: each branch
+    /// threshold of `tanhf` and `expm1f` (the latter at half its argument)
+    /// ±1 ulp, with both signs, and the values no threshold reaches.
+    #[rustfmt::skip]
+    const TANH_ORACLE: [(u32, u32); 82] = [
+        // ±0, subnormals, the normal and finite extremes, plain values
+        (0x0000_0000, 0x0000_0000), (0x8000_0000, 0x8000_0000),
+        (0x0000_0001, 0x0000_0001), (0x8000_0001, 0x8000_0001),
+        (0x0040_0000, 0x0040_0000), (0x8040_0000, 0x8040_0000),
+        (0x007f_ffff, 0x007f_ffff), (0x807f_ffff, 0x807f_ffff),
+        (0x0080_0000, 0x0080_0000), (0x8080_0000, 0x8080_0000),
+        (0x7f7f_ffff, 0x3f80_0000), (0xff7f_ffff, 0xbf80_0000),
+        (0x3f00_0000, 0x3eec_9a9f), (0xbf00_0000, 0xbeec_9a9f),
+        (0x4000_0000, 0x3f76_ca83), (0xc000_0000, 0xbf76_ca83),
+        (0x3dcc_cccd, 0x3dcc_1ebc), (0xbdcc_cccd, 0xbdcc_1ebc),
+        // 2⁻⁵⁵: x·(1 + x) below
+        (0x23ff_ffff, 0x23ff_ffff), (0xa3ff_ffff, 0xa3ff_ffff), (0x2400_0000, 0x2400_0000),
+        (0xa400_0000, 0xa400_0000), (0x2400_0001, 0x2400_0001), (0xa400_0001, 0xa400_0001),
+        // 1: expm1(2|x|) from here
+        (0x3f7f_ffff, 0x3f42_f7d5), (0xbf7f_ffff, 0xbf42_f7d5), (0x3f80_0000, 0x3f42_f7d6),
+        (0xbf80_0000, 0xbf42_f7d6), (0x3f80_0001, 0x3f42_f7d6), (0xbf80_0001, 0xbf42_f7d6),
+        // 22: ±1 from here
+        (0x41af_ffff, 0x3f80_0000), (0xc1af_ffff, 0xbf80_0000), (0x41b0_0000, 0x3f80_0000),
+        (0xc1b0_0000, 0xbf80_0000), (0x41b0_0001, 0x3f80_0000), (0xc1b0_0001, 0xbf80_0000),
+        // expm1 at 2⁻²⁵: x itself below
+        (0x327f_ffff, 0x327f_ffff), (0xb27f_ffff, 0xb27f_ffff), (0x3280_0000, 0x3280_0000),
+        (0xb280_0000, 0xb280_0000), (0x3280_0001, 0x3280_0001), (0xb280_0001, 0xb280_0001),
+        // expm1 at 0.5·ln 2: k = −1 above
+        (0x3e31_7217, 0x3e2f_b0cc), (0xbe31_7217, 0xbe2f_b0cc), (0x3e31_7218, 0x3e2f_b0cd),
+        (0xbe31_7218, 0xbe2f_b0cd), (0x3e31_7219, 0x3e2f_b0cd), (0xbe31_7219, 0xbe2f_b0cd),
+        // expm1 at 1.5·ln 2: k = −2 from here
+        (0x3f05_1591, 0x3ef4_86f8), (0xbf05_1591, 0xbef4_86f8), (0x3f05_1592, 0x3ef4_86f8),
+        (0xbf05_1592, 0xbef4_86f8), (0x3f05_1593, 0x3ef4_86fb), (0xbf05_1593, 0xbef4_86fb),
+        // k = −3 from here
+        (0x3f5d_ce9d, 0x3f33_1638), (0xbf5d_ce9d, 0xbf33_1638), (0x3f5d_ce9e, 0x3f33_1638),
+        (0xbf5d_ce9e, 0xbf33_1638), (0x3f5d_ce9f, 0x3f33_1639), (0xbf5d_ce9f, 0xbf33_1639),
+        // k = 23 from here
+        (0x40f9_8871, 0x3f7f_fffa), (0xc0f9_8871, 0xbf7f_fffa), (0x40f9_8872, 0x3f7f_fffa),
+        (0xc0f9_8872, 0xbf7f_fffa), (0x40f9_8873, 0x3f7f_fffa), (0xc0f9_8873, 0xbf7f_fffa),
+        // k = 57 from here
+        (0x419c_a6b8, 0x3f80_0000), (0xc19c_a6b8, 0xbf80_0000), (0x419c_a6b9, 0x3f80_0000),
+        (0xc19c_a6b9, 0xbf80_0000), (0x419c_a6ba, 0x3f80_0000), (0xc19c_a6ba, 0xbf80_0000),
+        // ±∞, quiet and signalling NaNs of both signs and several payloads
+        (0x7f80_0000, 0x3f80_0000), (0xff80_0000, 0xbf80_0000), (0x7fc0_0000, 0x7fc0_0000),
+        (0xffc0_0000, 0xffc0_0000), (0x7f80_0001, 0x7fc0_0001), (0xff80_0001, 0xffc0_0001),
+        (0x7fa5_a5a5, 0x7fe5_a5a5), (0xffd2_d2d2, 0xffd2_d2d2), (0x7fff_ffff, 0x7fff_ffff),
+        (0xffff_ffff, 0xffff_ffff),
+    ];
+
+    /// The oracle table under both dispatches: all of it in one call, one
+    /// entry per call (the loop's scalar tail), and each entry planted
+    /// among finite values (a full vector block).
+    #[test]
+    fn tanh_matches_the_glibc_oracle_bit_for_bit() {
+        let (xs, want): (Vec<u32>, Vec<u32>) = TANH_ORACLE.iter().copied().unzip();
+        let xs: Vec<f32> = xs.into_iter().map(f32::from_bits).collect();
+        let filler = f32::from_bits(TANH_ORACLE[12].0);
+        under_both_dispatches(|forced| {
+            let mut all = xs.clone();
+            tanh_in_place(&mut all);
+            assert_eq!(bits(&all), want, "forced_scalar {forced}");
+            for (&x, &y) in xs.iter().zip(&want) {
+                let mut one = [x];
+                tanh_in_place(&mut one);
+                assert_eq!(one[0].to_bits(), y, "tanh({:#010x}) alone", x.to_bits());
+                let mut block = [filler; 64];
+                block[35] = x;
+                tanh_in_place(&mut block);
+                assert_eq!(block[35].to_bits(), y, "tanh({:#010x})", x.to_bits());
+                assert_eq!(block[0].to_bits(), TANH_ORACLE[12].1);
+            }
+        });
+    }
+
+    /// FNV-1a over the output bits of `tanh` on every 4 093rd `f32` bit
+    /// pattern (1 049 344 inputs: both signs, every exponent, scattered
+    /// mantissas), as glibc 2.36's `tanhf` gives them on x86-64.
+    const TANH_SWEEP_DIGEST: u64 = 0x6806_0549_584e_b5fa;
+
+    fn sweep_digest(tanh: impl Fn(&mut [f32])) -> u64 {
+        let mut xs: Vec<f32> = (0..=u32::MAX / 4093)
+            .map(|i| f32::from_bits(i * 4093))
+            .collect();
+        tanh(&mut xs);
+        xs.iter().fold(0xcbf2_9ce4_8422_2325, |h, y| {
+            (h ^ u64::from(y.to_bits())).wrapping_mul(0x100_0000_01b3)
+        })
+    }
+
+    /// The strided sweep under both dispatches, against the captured
+    /// digest: the table pins the branch edges, this the arithmetic between
+    /// them.
+    #[test]
+    fn tanh_matches_the_glibc_digest_on_a_strided_sweep() {
+        under_both_dispatches(|forced| {
+            assert_eq!(
+                sweep_digest(tanh_in_place),
+                TANH_SWEEP_DIGEST,
+                "forced_scalar {forced}"
+            );
+        });
+    }
+
+    /// Every `f32` against the host's `f32::tanh`, under both dispatches:
+    /// meaningful on a glibc 2.36 x86-64 host, minutes long, so ignored
+    /// (`cargo test --release -p rna-tensor --lib -- --ignored tanh`).
+    #[test]
+    #[ignore]
+    fn tanh_matches_the_host_libm_on_every_f32() {
+        const BLOCK: usize = 1 << 12;
+        let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
+        under_both_dispatches(|forced| {
+            let mismatches: u64 = std::thread::scope(|scope| {
+                let workers: Vec<_> = (0..threads as u64)
+                    .map(|worker| {
+                        scope.spawn(move || {
+                            let mut buf = vec![0.0f32; BLOCK];
+                            let mut mismatches = 0u64;
+                            let blocks = (1u64 << 32) / BLOCK as u64;
+                            for block in (worker..blocks).step_by(threads) {
+                                let first = block * BLOCK as u64;
+                                for (i, x) in buf.iter_mut().enumerate() {
+                                    *x = f32::from_bits((first + i as u64) as u32);
+                                }
+                                tanh_in_place(&mut buf);
+                                for (i, y) in buf.iter().enumerate() {
+                                    let x = f32::from_bits((first + i as u64) as u32);
+                                    if y.to_bits() != x.tanh().to_bits() {
+                                        if mismatches < 8 {
+                                            eprintln!(
+                                                "tanh({:#010x}) = {:#010x}, host {:#010x}",
+                                                x.to_bits(),
+                                                y.to_bits(),
+                                                x.tanh().to_bits()
+                                            );
+                                        }
+                                        mismatches += 1;
+                                    }
+                                }
+                            }
+                            mismatches
+                        })
+                    })
+                    .collect();
+                workers.into_iter().map(|w| w.join().unwrap()).sum()
+            });
+            assert_eq!(mismatches, 0, "forced_scalar {forced}");
+        });
+    }
+}

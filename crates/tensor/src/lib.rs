@@ -30,6 +30,10 @@
 //!   reference for fp16, and the ChaCha8 keystream that fills int8's
 //!   stochastic-rounding draws ([`simd::Draws`]) eight blocks at a time,
 //!   picked at runtime; `RNA_FORCE_SCALAR=1` pins the portable builds.
+//! * [`dense`] — the models' training kernels: the order-preserving dense
+//!   layer forward and backward loops and a lane port of glibc's `tanhf`,
+//!   plain safe Rust built for the baseline and for AVX2 behind the same
+//!   dispatch.
 //!
 //! # Examples
 //!
@@ -50,6 +54,7 @@
 pub mod alloc;
 pub mod chunks;
 pub mod codec;
+pub mod dense;
 pub mod pool;
 pub mod reduce;
 pub mod simd;

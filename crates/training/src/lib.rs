@@ -28,7 +28,6 @@
 #![forbid(unsafe_code)]
 
 pub mod dataset;
-mod dense;
 pub mod loss;
 pub mod metrics;
 pub mod model;

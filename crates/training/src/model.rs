@@ -7,18 +7,18 @@
 //! genuine optimization dynamics.
 //!
 //! Each classifier has exactly one forward pass ([`Model::forward`], built on
-//! the order-preserving kernel in `dense.rs`). Evaluation and training both
-//! run on it, out of per-thread scratch buffers, so neither allocates per
-//! sample and a loss read by [`Model::evaluate`] is the loss
+//! the order-preserving kernels of [`rna_tensor::dense`]). Evaluation and
+//! training both run on it, out of per-thread scratch buffers, so neither
+//! allocates per sample and a loss read by [`Model::evaluate`] is the loss
 //! [`Model::loss_and_grad`] differentiates, to the bit.
 
 use std::cell::RefCell;
 
 use rna_simnet::SimRng;
+use rna_tensor::dense::{add_bias, axpy, back, dot, matmat, outer_acc, tanh_in_place, LANES};
 use rna_tensor::Tensor;
 
 use crate::dataset::{Batch, Dataset};
-use crate::dense::{add_bias, axpy, back, dot, matmat, outer_acc, LANES};
 use crate::loss::{mse_grad, softmax_xent_grad_into, Tally};
 
 /// What one pass over an evaluation batch reports.
@@ -333,7 +333,7 @@ impl Mlp {
         let inputs = tile.iter().map(|&i| ds.input(i));
         matmat(w1, self.dim, inputs, &mut s.tile, &mut s.h);
         add_bias(&mut s.h, b1);
-        s.h.iter_mut().for_each(|pre| *pre = pre.tanh());
+        tanh_in_place(&mut s.h);
         let activations = s.h.chunks_exact(self.hidden);
         matmat(w2, self.hidden, activations, &mut s.tile, &mut s.logits);
         add_bias(&mut s.logits, b2);
@@ -558,10 +558,12 @@ impl ElmanRnn {
             matmat(wx, dim, inputs, &mut s.tile, &mut s.pre);
             let prev = s.h[t * block..].chunks_exact(hidden).take(tile.len());
             matmat(wh, hidden, prev, &mut s.tile, &mut s.rec);
+            let h = &mut s.h[(t + 1) * block..][..s.pre.len()];
             let sums = s.pre.iter().zip(&s.rec).zip(bh.iter().cycle());
-            for (h, ((&pre, &rec), &b)) in s.h[(t + 1) * block..].iter_mut().zip(sums) {
-                *h = (pre + rec + b).tanh();
+            for (h, ((&pre, &rec), &b)) in h.iter_mut().zip(sums) {
+                *h = pre + rec + b;
             }
+            tanh_in_place(h);
         }
         let last = tile
             .iter()

@@ -231,6 +231,59 @@ fn mlp64k_trajectory_is_pinned_to_the_bit() {
     }
 }
 
+/// The Elman RNN on variable-length sequences (lengths 3–12, 10 hidden
+/// units: two row blocks and a remainder), 5 workers, lossless, evaluated
+/// every 10 rounds.
+fn rnn_run() -> RunResult {
+    let n = 5;
+    let mut spec = TrainSpec::smoke_test(n, 9)
+        .with_hetero(HeterogeneityModel::dynamic_uniform(n, 0, 30))
+        .with_max_rounds(40);
+    spec.task = TaskKind::Sequence {
+        input_dim: 4,
+        classes: 4,
+        hidden: 10,
+        samples: 360,
+        noise: 0.5,
+        min_len: 3,
+        max_len: 12,
+    };
+    spec.eval_every = 10;
+    Engine::new(spec, RnaProtocol::new(n, RnaConfig::default(), 0)).run()
+}
+
+/// Captured before the RNN's tanh moved off the host libm onto
+/// `rna_tensor::dense::tanh_in_place`.
+const RNN_PINS: [u64; 13] = [
+    0x3fe2b175a0000000,
+    0x3fec71c720000000,
+    0x3fd2923be0000000,
+    0x3fedc71c80000000,
+    0x3fc191d7a0000000,
+    0x3ff0000000000000,
+    0x3fa9fdd080000000,
+    0x3ff0000000000000,
+    0x3fa9fdd080000000,
+    0x3ff0000000000000,
+    0x3ff0000000000000,
+    0x79e00ce40,
+    0x233843fe,
+];
+
+/// Under both dispatches: the RNN's forward runs the dispatching `matmat`
+/// and `tanh_in_place`, its backward `outer_acc` and `back`.
+#[test]
+fn rnn_trajectory_is_pinned_to_the_bit() {
+    for forced_scalar in [true, false] {
+        rna_tensor::simd::set_forced_scalar(forced_scalar);
+        assert_eq!(
+            fingerprint(&rnn_run()),
+            RNN_PINS,
+            "forced_scalar = {forced_scalar}"
+        );
+    }
+}
+
 #[test]
 fn softmax36_trajectory_is_pinned_to_the_bit() {
     let r = Engine::new(spec(5), RnaProtocol::new(5, RnaConfig::default(), 0)).run();
