@@ -32,18 +32,19 @@ echo "==> perf package tests (--release, offline)"
 cargo test --release --offline --manifest-path perf/Cargo.toml
 
 # Benchmark smoke: the pipeline's own entry point on the workload that runs
-# the training kernels, the one that runs none of them, and the three that
-# run the real worlds' controller and worker loop (RNA and the BSP barrier
-# on threads, RNA over sockets). The last stdout line is the result;
+# the training kernels, the one that runs none of them, the 10 000-worker
+# DES run that drives the simulator's RNA routing at scale, and the three
+# that run the real worlds' controller and worker loop (RNA and the BSP
+# barrier on threads, RNA over sockets). The last stdout line is the result;
 # anything but a correct run with zero failed operations (a broken replay
 # check, a frozen-benchmark check such as BSP's `bytes_on_wire == 0`, a
 # public-API break, a hang) fails here instead of in the benchmark
 # pipeline. The builds refresh perf/Cargo.lock, which is frozen between
 # [benchmark] PRs, so it is restored either way.
-echo "==> benchmark smoke (des-mlp64k, hop-64k, the three straggler workloads; watchdogged)"
+echo "==> benchmark smoke (des-mlp64k, hop-64k, des-scale10k, the three straggler workloads; watchdogged)"
 smoke_failed=""
-for workload in des-mlp64k hop-64k threaded-straggler threaded-straggler-bsp \
-    process-straggler; do
+for workload in des-mlp64k hop-64k des-scale10k threaded-straggler \
+    threaded-straggler-bsp process-straggler; do
   last="$(timeout 300 bash perf/run.sh --workload "${workload}" --seed 1 \
     --seconds 2 --trace 0 | tail -n 1)" || last=""
   if [[ "${last}" != *'"correct": true'* || "${last}" != *'"failed": 0,'* ]]; then

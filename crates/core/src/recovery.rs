@@ -41,8 +41,9 @@ pub const CHECKPOINT_MAGIC: &[u8; 8] = b"RNACKPT1";
 
 /// Current checkpoint format version, covering the framing and the payload
 /// layouts the callers write under it. 2: payloads moved to the shared field
-/// codec (one-byte booleans and `Option` tags, one `Counters` block).
-pub const CHECKPOINT_VERSION: u32 = 2;
+/// codec (one-byte booleans and `Option` tags, one `Counters` block). 3: the
+/// simulator's group blob no longer carries per-member initiator counts.
+pub const CHECKPOINT_VERSION: u32 = 3;
 
 /// Why a checkpoint could not be loaded.
 #[derive(Debug)]

@@ -1,4 +1,4 @@
-//! The RNA protocol engine (§3).
+//! The RNA protocol engine (§3) and the simulator's one RNA `Protocol`.
 //!
 //! One [`GroupState`] drives randomized non-blocking AllReduce over a set of
 //! member workers:
@@ -18,22 +18,31 @@
 //! iterations (Figure 4), bounded by `max_lead` so stragglers cannot be
 //! left arbitrarily far behind.
 //!
-//! [`RnaProtocol`] wraps a single group spanning the whole cluster;
-//! `rna-core::hier` reuses [`GroupState`] for per-group RNA.
+//! [`RnaProtocol`] owns one `GroupState` per group and writes the round
+//! edge once. Flat RNA ([`RnaProtocol::new`]) is one group spanning the
+//! cluster, with controller failover and checkpoint/resume. The §4
+//! hierarchy ([`RnaProtocol::grouped`], [`RnaProtocol::auto`]) is several
+//! groups plus the asynchronous parameter-server stage of `crate::hier`.
 
 use rna_collectives::partial_allreduce_pooled;
 use rna_simnet::trace::SpanKind;
+use rna_simnet::SimDuration;
 use rna_tensor::codec;
 use rna_tensor::wire::{self, Reader};
 use rna_tensor::Tensor;
 
 use crate::cache::GradientCache;
 use crate::fault::{ToleranceConfig, WorkerFate};
-use crate::membership::ChurnEvent;
+use crate::grouping::{group_of, partition_groups};
+use crate::hier::PsStage;
+use crate::membership::{ChurnEvent, RegroupPolicy, SpeedEstimator};
 use crate::probe::ProbeRound;
 use crate::recovery::RoundJournal;
-use crate::sim::{Ctx, Protocol};
+use crate::sim::{Ctx, Protocol, TrainSpec};
 use crate::RnaConfig;
+
+/// Probe RPC payload in bytes (probes are "lightweight RPCs").
+const PROBE_BYTES: u64 = 64;
 
 /// Messages exchanged by RNA (both flat and hierarchical variants).
 #[derive(Debug, Clone)]
@@ -80,6 +89,8 @@ pub enum RnaMsg {
         group: usize,
         /// Blended parameters pulled from the server.
         blended: Tensor,
+        /// Contributor count of the round the exchange completes.
+        contributors: usize,
     },
     /// Warm-standby self-timer: the active controller's lease expired, so
     /// the standby takes over under the next term. Scheduled when a
@@ -92,11 +103,10 @@ pub enum RnaMsg {
     },
 }
 
-/// Per-group RNA state machine. `pub` so the hierarchical protocol can
-/// drive several groups; typical users go through [`RnaProtocol`].
+/// Per-group RNA state machine, driven by [`RnaProtocol`] (one per group).
 #[derive(Debug)]
 pub struct GroupState {
-    /// Group id (index into the hierarchical group list; 0 for flat RNA).
+    /// Group id (index into `RnaProtocol`'s group list; 0 for flat RNA).
     pub id: usize,
     /// Global worker ids belonging to this group.
     pub members: Vec<usize>,
@@ -107,9 +117,11 @@ pub struct GroupState {
     reducing: bool,
     paused: Vec<bool>,
     live: Vec<bool>,
-    in_flight: Option<ReduceOutcome>,
-    deferred: Option<usize>,
-    initiator_counts: Vec<u64>,
+    /// A finished collective waiting to be applied: the reduced gradient,
+    /// the contributor count, and the members the initiator could reach
+    /// (partitioned members are excluded from the apply — they catch up
+    /// through their staleness-weighted caches on heal).
+    in_flight: Option<(Tensor, usize, Vec<usize>)>,
     last_initiator: Option<usize>,
     probe_epoch: u64,
     retry_backoff_us: u64,
@@ -133,15 +145,9 @@ pub struct GroupState {
     member_slots: Vec<(u32, u32)>,
 }
 
-/// A finished collective waiting to be applied: the reduced gradient, how
-/// many members contributed, and which members were reachable from the
-/// initiator (partitioned members are excluded from the apply — they catch
-/// up through their staleness-weighted caches on heal).
-#[derive(Debug)]
-struct ReduceOutcome {
-    reduced: Tensor,
-    contributors: usize,
-    applied: Vec<usize>,
+/// An empty gradient cache under `config`'s staleness bound and weighting.
+pub(crate) fn empty_cache(config: &RnaConfig) -> GradientCache {
+    GradientCache::new(config.staleness_bound, config.weighted_accumulation)
 }
 
 impl GroupState {
@@ -166,9 +172,7 @@ impl GroupState {
         GroupState {
             id,
             members,
-            caches: (0..n)
-                .map(|_| GradientCache::new(config.staleness_bound, config.weighted_accumulation))
-                .collect(),
+            caches: (0..n).map(|_| empty_cache(config)).collect(),
             pending_reply: vec![None; n],
             probe: None,
             round: 0,
@@ -176,8 +180,6 @@ impl GroupState {
             paused: vec![false; n],
             live: vec![true; n],
             in_flight: None,
-            deferred: None,
-            initiator_counts: vec![0; n],
             last_initiator: None,
             probe_epoch: 0,
             retry_backoff_us: 0,
@@ -193,16 +195,6 @@ impl GroupState {
         self.round
     }
 
-    /// How many times each member has been elected initiator.
-    pub fn initiator_counts(&self) -> &[u64] {
-        &self.initiator_counts
-    }
-
-    /// The member elected initiator in the most recent round, if any.
-    pub fn last_initiator(&self) -> Option<usize> {
-        self.last_initiator
-    }
-
     fn member_index(&self, worker: usize) -> Option<usize> {
         let w = u32::try_from(worker).ok()?;
         let i = self
@@ -215,9 +207,15 @@ impl GroupState {
     }
 
     /// Issues this round's probes (power-of-`d`-choices over the group's
-    /// *live* members — crashed workers are never probed).
-    pub fn start_probe_round(&mut self, ctx: &mut Ctx<'_, RnaMsg>, config: &RnaConfig) {
-        self.retry_backoff_us = config.probe_retry_us;
+    /// *live* members — crashed workers are never probed). A retry starts
+    /// at `tolerance.probe_backoff_us`.
+    pub fn start_probe_round(
+        &mut self,
+        ctx: &mut Ctx<'_, RnaMsg>,
+        config: &RnaConfig,
+        tolerance: &ToleranceConfig,
+    ) {
+        self.retry_backoff_us = tolerance.probe_backoff_us;
         self.issue_probes(ctx, config);
     }
 
@@ -240,7 +238,7 @@ impl GroupState {
             ctx.send(
                 ctrl,
                 self.members[local],
-                config.probe_bytes,
+                PROBE_BYTES,
                 RnaMsg::Probe {
                     group: self.id,
                     round: self.round,
@@ -257,7 +255,7 @@ impl GroupState {
             // existing runs), so it is gated on faults being present.
             ctx.send_after(
                 ctx.controller_id(),
-                rna_simnet::SimDuration::from_micros(self.retry_backoff_us),
+                SimDuration::from_micros(self.retry_backoff_us),
                 RnaMsg::ProbeRetry {
                     group: self.id,
                     round: self.round,
@@ -269,87 +267,68 @@ impl GroupState {
 
     /// A probe-retry timer fired: if the election round it was armed for
     /// is still the current one, still winnerless, and no other path has
-    /// re-probed since (same epoch), resample with doubled backoff.
+    /// re-probed since (same epoch), resample with the backoff doubled up
+    /// to `tolerance.probe_backoff_cap_us`.
     pub fn handle_probe_retry(
         &mut self,
         ctx: &mut Ctx<'_, RnaMsg>,
         config: &RnaConfig,
+        tolerance: &ToleranceConfig,
         round: u64,
         attempt: u64,
     ) {
-        if round != self.round || self.reducing || ctx.stopped() {
-            return;
-        }
-        if attempt != self.probe_epoch {
-            return;
-        }
-        let Some(probe) = &self.probe else {
-            return;
-        };
-        if probe.winner().is_some() {
+        let stale = round != self.round || attempt != self.probe_epoch;
+        let decided = self.probe.as_ref().is_none_or(|p| p.winner().is_some());
+        if stale || decided || self.reducing || ctx.stopped() {
             return;
         }
         ctx.counters_mut().probe_retries += 1;
         self.retry_backoff_us = self
             .retry_backoff_us
             .saturating_mul(2)
-            .min(crate::fault::PROBE_BACKOFF_CAP_US);
+            .min(tolerance.probe_backoff_cap_us);
         self.issue_probes(ctx, config);
     }
 
     /// A member crashed: remove it from election and — if every probed
     /// member of the in-flight probe round is now dead — resample
     /// immediately so the round cannot stall.
-    pub fn handle_crash(&mut self, ctx: &mut Ctx<'_, RnaMsg>, config: &RnaConfig, worker: usize) {
-        let Some(local) = self.member_index(worker) else {
-            return;
-        };
-        self.live[local] = false;
-        self.pending_reply[local] = None;
-        self.caches[local] =
-            GradientCache::new(config.staleness_bound, config.weighted_accumulation);
-        if self.reducing {
-            return;
-        }
-        let stalled = self.probe.as_ref().is_some_and(|p| {
-            p.winner().is_none() && crate::fault::probe_round_stalled(p.probed(), &self.live)
-        });
+    pub fn handle_crash(
+        &mut self,
+        ctx: &mut Ctx<'_, RnaMsg>,
+        config: &RnaConfig,
+        tolerance: &ToleranceConfig,
+        worker: usize,
+    ) {
+        self.depart(config, worker);
+        let stalled = !self.reducing
+            && self.probe.as_ref().is_some_and(|p| {
+                p.winner().is_none() && crate::fault::probe_round_stalled(p.probed(), &self.live)
+            });
         if stalled {
-            self.start_probe_round(ctx, config);
+            self.start_probe_round(ctx, config, tolerance);
         }
     }
 
     /// A probe arrived at `worker`: reply immediately if gradients are
     /// ready, otherwise remember the probe.
-    pub fn handle_probe(
-        &mut self,
-        ctx: &mut Ctx<'_, RnaMsg>,
-        config: &RnaConfig,
-        worker: usize,
-        round: u64,
-    ) {
+    pub fn handle_probe(&mut self, ctx: &mut Ctx<'_, RnaMsg>, worker: usize, round: u64) {
         let Some(local) = self.member_index(worker) else {
             return;
         };
         if !self.caches[local].is_empty() {
-            self.send_reply(ctx, config, worker, round);
+            self.send_reply(ctx, worker, round);
         } else {
             self.pending_reply[local] = Some(round);
         }
     }
 
-    fn send_reply(
-        &mut self,
-        ctx: &mut Ctx<'_, RnaMsg>,
-        config: &RnaConfig,
-        worker: usize,
-        round: u64,
-    ) {
+    fn send_reply(&mut self, ctx: &mut Ctx<'_, RnaMsg>, worker: usize, round: u64) {
         let ctrl = ctx.controller_id();
         ctx.send(
             worker,
             ctrl,
-            config.probe_bytes,
+            PROBE_BYTES,
             RnaMsg::ProbeReply {
                 group: self.id,
                 round,
@@ -374,7 +353,7 @@ impl GroupState {
             self.caches[local].write(iter, grad);
         }
         if let Some(round) = self.pending_reply[local].take() {
-            self.send_reply(ctx, config, worker, round);
+            self.send_reply(ctx, worker, round);
         }
         self.maybe_continue(ctx, config, local);
     }
@@ -396,31 +375,28 @@ impl GroupState {
         }
     }
 
-    /// A probe reply reached the controller. Returns `true` when the reply
-    /// elected an initiator and the collective was launched.
+    /// A probe reply reached the controller: the first accepted reply
+    /// elects the initiator and launches the collective.
     pub fn handle_reply(
         &mut self,
         ctx: &mut Ctx<'_, RnaMsg>,
         config: &RnaConfig,
         worker: usize,
         round: u64,
-    ) -> bool {
+    ) {
         let Some(local) = self.member_index(worker) else {
-            return false;
+            return;
         };
         if self.reducing {
-            return false;
+            return;
         }
         let Some(probe) = &mut self.probe else {
-            return false;
+            return;
         };
-        if !probe.offer_reply(local, round) {
-            return false;
+        if probe.offer_reply(local, round) {
+            self.last_initiator = Some(worker);
+            self.launch_reduce(ctx, config);
         }
-        self.initiator_counts[local] += 1;
-        self.last_initiator = Some(worker);
-        self.launch_reduce(ctx, config);
-        true
     }
 
     /// Forces the partial AllReduce: snapshot contributions, compute the
@@ -498,11 +474,7 @@ impl GroupState {
             .filter(|(_, &r)| r)
             .map(|(&m, _)| m)
             .collect();
-        self.in_flight = Some(ReduceOutcome {
-            reduced: outcome.reduced,
-            contributors: outcome.num_contributors,
-            applied,
-        });
+        self.in_flight = Some((outcome.reduced, outcome.num_contributors, applied));
         let n = self.members.len();
         let cost = ctx.cost();
         let bytes = ctx.grad_bytes();
@@ -541,74 +513,26 @@ impl GroupState {
         );
     }
 
-    /// Claims the finished collective's result without applying it —
-    /// the hierarchical protocol routes it through the parameter server
-    /// instead. Returns `(reduced, contributors, applied_members)`, or
-    /// `None` if the completion was stale. `applied_members` are the
-    /// global ids the result should be applied to (members the initiator
-    /// could not reach at launch time are excluded).
+    /// Claims the finished collective's result without applying it, so the
+    /// protocol can route it through the parameter-server stage first.
+    /// Returns `(reduced, contributors, applied_members)`, or `None` if the
+    /// completion was stale. `applied_members` are the global ids the
+    /// result should be applied to (members the initiator could not reach
+    /// at launch time are excluded).
     pub fn take_reduce_result(&mut self, round: u64) -> Option<(Tensor, usize, Vec<usize>)> {
         if round != self.round || !self.reducing {
             return None;
         }
-        self.in_flight
-            .take()
-            .map(|o| (o.reduced, o.contributors, o.applied))
-    }
-
-    /// Applies a reduced gradient to `targets` with the configured
-    /// learning-rate scaling.
-    pub fn apply_reduce(
-        &mut self,
-        ctx: &mut Ctx<'_, RnaMsg>,
-        config: &RnaConfig,
-        reduced: &Tensor,
-        contributors: usize,
-        targets: &[usize],
-    ) {
-        let lr_scale = if config.dynamic_lr_scaling {
-            contributors as f32
-        } else {
-            1.0
-        };
-        ctx.apply_reduced(targets, reduced, lr_scale);
-    }
-
-    /// The collective finished: apply the update to every reachable
-    /// member. Returns the contributor count, or `None` if the completion
-    /// was stale.
-    ///
-    /// The caller is responsible for round bookkeeping
-    /// ([`GroupState::advance_round`]) — the hierarchical protocol inserts
-    /// a PS exchange in between.
-    pub fn handle_reduce_done(
-        &mut self,
-        ctx: &mut Ctx<'_, RnaMsg>,
-        config: &RnaConfig,
-        round: u64,
-    ) -> Option<usize> {
-        let (reduced, contributors, applied) = self.take_reduce_result(round)?;
-        let allocs_before = rna_tensor::alloc::count();
-        self.apply_reduce(ctx, config, &reduced, contributors, &applied);
-        ctx.pool_release(reduced);
-        ctx.counters_mut().datapath_allocs += rna_tensor::alloc::count() - allocs_before;
-        Some(contributors)
+        self.in_flight.take()
     }
 
     /// A live member of the group, preferring the most recent initiator —
     /// the node the hierarchical protocol treats as the group's
     /// representative toward the parameter server.
     pub fn representative(&self) -> Option<usize> {
-        if let Some(w) = self.last_initiator {
-            if let Some(l) = self.member_index(w) {
-                if self.live[l] {
-                    return Some(w);
-                }
-            }
-        }
-        (0..self.members.len())
-            .find(|&l| self.live[l])
-            .map(|l| self.members[l])
+        let first_live = || (0..self.members.len()).find(|&l| self.live[l]);
+        let last = self.last_initiator.filter(|&w| self.is_live(w));
+        last.or_else(|| first_live().map(|l| self.members[l]))
     }
 
     /// A crashed member rejoined: re-admit it to the liveness view with a
@@ -616,15 +540,20 @@ impl GroupState {
     /// "pull the current model" half of a restart), and restart its
     /// compute pipeline. If the whole group had died, this also revives
     /// the election loop.
-    pub fn handle_rejoin(&mut self, ctx: &mut Ctx<'_, RnaMsg>, config: &RnaConfig, worker: usize) {
+    pub fn handle_rejoin(
+        &mut self,
+        ctx: &mut Ctx<'_, RnaMsg>,
+        config: &RnaConfig,
+        tolerance: &ToleranceConfig,
+        worker: usize,
+    ) {
         let Some(local) = self.member_index(worker) else {
             return;
         };
         self.live[local] = true;
         self.paused[local] = false;
         self.pending_reply[local] = None;
-        self.caches[local] =
-            GradientCache::new(config.staleness_bound, config.weighted_accumulation);
+        self.caches[local] = empty_cache(config);
         if let Some(donor) = (0..self.members.len())
             .find(|&l| l != local && self.live[l])
             .map(|l| self.members[l])
@@ -634,46 +563,15 @@ impl GroupState {
         }
         let election_dead = self.probe.is_none() && !self.reducing;
         if election_dead && !ctx.stopped() {
-            self.start_probe_round(ctx, config);
+            self.start_probe_round(ctx, config, tolerance);
         }
         self.maybe_continue(ctx, config, local);
     }
 
-    /// Defers round completion: the hierarchical protocol calls this when a
-    /// PS exchange must land before the round can advance. While deferred,
-    /// `reducing` stays set, so no new collective can trigger.
-    pub fn advance_round_deferred(&mut self, contributors: usize) {
-        self.deferred = Some(contributors);
-    }
-
-    /// Completes a previously deferred round (after the PS broadcast).
-    pub fn complete_deferred_round(&mut self, ctx: &mut Ctx<'_, RnaMsg>, config: &RnaConfig) {
-        if let Some(contributors) = self.deferred.take() {
-            self.advance_round(ctx, config, contributors);
-        }
-    }
-
-    /// Completes the round: bump counters, resume paused members, and (if
-    /// the run continues) start the next probe round.
-    pub fn advance_round(
-        &mut self,
-        ctx: &mut Ctx<'_, RnaMsg>,
-        config: &RnaConfig,
-        contributors: usize,
-    ) {
-        self.complete_round(ctx, contributors);
-        self.resume_paused(ctx, config);
-        if !ctx.stopped() {
-            self.start_probe_round(ctx, config);
-        }
-    }
-
-    /// The bookkeeping half of [`GroupState::advance_round`]: clears the
-    /// reduce latch, bumps the round, and records participation. Callers
-    /// that need to intervene before the next probe round (a checkpoint
-    /// quiesce, a controller-crash fault) follow up with
-    /// [`GroupState::resume_paused`] and [`GroupState::start_probe_round`]
-    /// themselves.
+    /// Completes the round: clears the reduce latch, bumps the round, and
+    /// records participation. `RnaProtocol`'s round edge follows with churn,
+    /// the regroup or checkpoint check, [`GroupState::resume_paused`] and
+    /// the next probe round.
     pub fn complete_round(&mut self, ctx: &mut Ctx<'_, RnaMsg>, contributors: usize) {
         self.reducing = false;
         self.round += 1;
@@ -693,7 +591,7 @@ impl GroupState {
 
     /// Starts draining the group for a crash-consistent checkpoint:
     /// members finishing their in-flight iteration are paused instead of
-    /// continuing. Cut the checkpoint once [`GroupState::all_idle`].
+    /// continuing. Cut the checkpoint once [`GroupState::drained`].
     pub fn begin_quiesce(&mut self) {
         self.quiescing = true;
         // Members already lead-bound-paused stay paused through the cut.
@@ -704,23 +602,19 @@ impl GroupState {
         }
     }
 
-    /// Whether a checkpoint quiesce is draining this group.
-    pub fn quiescing(&self) -> bool {
-        self.quiescing
-    }
-
     /// Ends the quiesce (after the checkpoint was written).
     pub fn end_quiesce(&mut self) {
         self.quiescing = false;
     }
 
-    /// Whether every live member is idle (no iteration in flight) — the
-    /// condition for cutting a crash-consistent checkpoint.
-    pub fn all_idle(&self, ctx: &Ctx<'_, RnaMsg>) -> bool {
-        self.members
-            .iter()
-            .enumerate()
-            .all(|(local, &w)| !self.live[local] || !ctx.is_computing(w))
+    /// Whether the group is drained: no collective or PS exchange in
+    /// flight (the reduce latch holds until the round edge) and every live
+    /// member idle — the condition for cutting a crash-consistent
+    /// checkpoint or committing an atomic topology swap.
+    pub fn drained(&self, ctx: &Ctx<'_, RnaMsg>) -> bool {
+        !self.reducing
+            && (self.members.iter().enumerate())
+                .all(|(local, &w)| !self.live[local] || !ctx.is_computing(w))
     }
 
     /// Marks a planned joiner dormant before the run starts: not live, not
@@ -736,19 +630,14 @@ impl GroupState {
         }
     }
 
-    /// Removes a member from the active roster at a round edge (planned
-    /// retirement or eviction). The round that just completed already
-    /// merged the member's final contribution, so this is graceful: the
-    /// member simply stops being probed, elected, or applied to. Its cache
-    /// is reset — anything computed toward the *next* round is discarded,
-    /// which is the definition of the departure edge.
+    /// Removes a member from the active roster (a crash, or a planned
+    /// retirement or eviction at a round edge): it stops being probed,
+    /// elected, or applied to, and anything it computed toward the next
+    /// round is discarded with its cache.
     pub fn depart(&mut self, config: &RnaConfig, worker: usize) {
+        self.set_dormant(worker);
         if let Some(local) = self.member_index(worker) {
-            self.live[local] = false;
-            self.paused[local] = false;
-            self.pending_reply[local] = None;
-            self.caches[local] =
-                GradientCache::new(config.staleness_bound, config.weighted_accumulation);
+            self.caches[local] = empty_cache(config);
         }
     }
 
@@ -768,34 +657,12 @@ impl GroupState {
             .collect()
     }
 
-    /// Steals the member's gradient cache for a topology swap, leaving a
-    /// fresh one behind. The swap transplants caches into the new group
-    /// layout so accumulated-but-unreduced work survives regrouping.
-    pub fn take_cache(&mut self, config: &RnaConfig, worker: usize) -> Option<GradientCache> {
-        self.member_index(worker).map(|local| {
-            std::mem::replace(
-                &mut self.caches[local],
-                GradientCache::new(config.staleness_bound, config.weighted_accumulation),
-            )
-        })
-    }
-
-    /// Installs a transplanted gradient cache for the member (the other
-    /// half of [`GroupState::take_cache`]).
-    pub fn adopt_cache(&mut self, worker: usize, cache: GradientCache) {
-        if let Some(local) = self.member_index(worker) {
-            self.caches[local] = cache;
-        }
-    }
-
-    /// Whether the group is drained enough for an atomic topology swap:
-    /// no collective in flight, no deferred round, and every live member
-    /// idle. Same discipline as the checkpoint quiesce, extended to the
-    /// reduce latch (the checkpoint path only reaches its cut from a round
-    /// edge, where `reducing` is clear by construction; regrouping polls
-    /// from arbitrary points).
-    pub fn idle_for_swap(&self, ctx: &Ctx<'_, RnaMsg>) -> bool {
-        !self.reducing && self.in_flight.is_none() && self.deferred.is_none() && self.all_idle(ctx)
+    /// Swaps the member's gradient cache for `cache`, returning the old
+    /// one. A topology swap transplants caches into the new group layout
+    /// this way, so accumulated-but-unreduced work survives regrouping.
+    pub fn swap_cache(&mut self, worker: usize, cache: GradientCache) -> Option<GradientCache> {
+        let local = self.member_index(worker)?;
+        Some(std::mem::replace(&mut self.caches[local], cache))
     }
 
     /// Kicks every idle live member's compute pipeline — the post-swap
@@ -809,14 +676,6 @@ impl GroupState {
         }
     }
 
-    /// Claims a deferred round completion without advancing the round —
-    /// callers that must interleave work at the round edge (churn
-    /// processing, a regroup check) take the contributor count and drive
-    /// [`GroupState::complete_round`] themselves.
-    pub fn take_deferred(&mut self) -> Option<usize> {
-        self.deferred.take()
-    }
-
     /// Resets the controller-side election state after a standby takeover:
     /// the new controller trusts only the journal-recovered `round`, holds
     /// no probe round or in-flight collective, and bumps the probe epoch
@@ -826,20 +685,19 @@ impl GroupState {
         self.probe = None;
         self.reducing = false;
         self.in_flight = None;
-        self.deferred = None;
         self.probe_epoch += 1;
     }
 
     /// Serializes the group's quiesced state into a checkpoint blob:
-    /// liveness and pause flags, pending probe replies, initiator
-    /// bookkeeping, and every member's gradient cache (bound, weighting,
+    /// liveness and pause flags, pending probe replies, the last
+    /// initiator, and every member's gradient cache (bound, weighting,
     /// eviction counter, and exact pending entries).
     ///
     /// # Panics
     ///
     /// Debug-asserts the group is quiesced (no collective in flight).
     pub fn encode_into(&self, out: &mut Vec<u8>) {
-        debug_assert!(!self.reducing && self.in_flight.is_none() && self.deferred.is_none());
+        debug_assert!(!self.reducing && self.in_flight.is_none());
         wire::put_u64(out, self.round);
         wire::put_u64(out, self.probe_epoch);
         wire::put_u64(out, self.retry_backoff_us);
@@ -848,7 +706,6 @@ impl GroupState {
         for local in 0..self.members.len() {
             wire::put_bool(out, self.live[local]);
             wire::put_bool(out, self.paused[local]);
-            wire::put_u64(out, self.initiator_counts[local]);
             wire::put_opt_u64(out, self.pending_reply[local]);
             let cache = &self.caches[local];
             wire::put_u64(out, cache.bound() as u64);
@@ -881,7 +738,6 @@ impl GroupState {
         for local in 0..self.members.len() {
             self.live[local] = r.bool()?;
             self.paused[local] = r.bool()?;
-            self.initiator_counts[local] = r.u64()?;
             self.pending_reply[local] = r.opt_u64()?;
             let bound = r.u64()?;
             let weighted = r.bool()?;
@@ -901,13 +757,13 @@ impl GroupState {
         self.probe = None;
         self.reducing = false;
         self.in_flight = None;
-        self.deferred = None;
         self.quiescing = false;
         Some(())
     }
 }
 
-/// Flat RNA: one group spanning the entire cluster.
+/// The simulator's RNA protocol: one [`GroupState`] per group, plus the §4
+/// parameter-server stage when the run is hierarchical.
 ///
 /// # Examples
 ///
@@ -926,8 +782,22 @@ impl GroupState {
 #[derive(Debug)]
 pub struct RnaProtocol {
     config: RnaConfig,
-    group: GroupState,
     tolerance: ToleranceConfig,
+    groups: Vec<GroupState>,
+    /// Each worker's index into `groups`.
+    worker_group: Vec<usize>,
+    /// Workers that left via the churn plan (retired or evicted). Their
+    /// engine may still deliver an in-flight `ComputeDone` after the
+    /// departure edge; the gradient is discarded at the protocol level.
+    departed: Vec<bool>,
+    /// Planned joiners already admitted (each join fires exactly once,
+    /// even when a topology swap jumps a group's round clock past the
+    /// join round).
+    joined: Vec<bool>,
+    /// The asynchronous parameter-server exchange between groups; `None`
+    /// for flat RNA, which alone has the controller failover and
+    /// checkpoint state below.
+    ps: Option<PsStage>,
     /// Controller term: bumped by every standby takeover. Round ids are
     /// implicitly epoch-guarded — the takeover bumps the probe epoch, so
     /// probe replies addressed to the dead incarnation expire harmlessly.
@@ -941,71 +811,169 @@ pub struct RnaProtocol {
     /// Index into [`crate::fault::FaultPlan::controller_crashes`] of the
     /// next controller crash not yet executed.
     crash_idx: usize,
-    /// Workers that left via the churn plan (retired or evicted). Their
-    /// engine may still deliver an in-flight `ComputeDone` after the
-    /// departure edge; the gradient is discarded at the protocol level.
-    departed: Vec<bool>,
 }
 
 impl RnaProtocol {
-    /// Creates flat RNA over `n` workers. `_seed` is kept for API
-    /// compatibility with experiment configs; randomness flows from the
-    /// engine's protocol RNG stream.
+    /// Creates flat RNA: one group over `n` workers, no PS stage. `_seed`
+    /// is kept for API compatibility with experiment configs; randomness
+    /// flows from the engine's protocol RNG stream.
     ///
     /// # Panics
     ///
     /// Panics if `n == 0`.
     pub fn new(n: usize, config: RnaConfig, _seed: u64) -> Self {
-        let group = GroupState::new(0, (0..n).collect(), &config);
+        RnaProtocol {
+            ps: None,
+            ..RnaProtocol::grouped(vec![(0..n).collect()], config)
+        }
+    }
+
+    /// Creates hierarchical RNA over an explicit grouping: RNA inside each
+    /// group, groups coupled through the parameter-server stage. The stage
+    /// is present even for a single group (which then exchanges with
+    /// itself).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `groups` is empty, any group is empty, or worker ids are
+    /// not a partition of `0..n` for some `n`.
+    pub fn grouped(groups: Vec<Vec<usize>>, config: RnaConfig) -> Self {
+        assert!(!groups.is_empty(), "need at least one group");
+        let n = groups.iter().map(Vec::len).sum();
+        let worker_group = group_of(&groups, n);
+        let ps = Some(PsStage::new(groups.len(), n));
+        let groups = groups
+            .into_iter()
+            .enumerate()
+            .map(|(id, members)| GroupState::new(id, members, &config))
+            .collect();
         RnaProtocol {
             config,
-            group,
             tolerance: ToleranceConfig::default(),
+            groups,
+            worker_group,
+            departed: vec![false; n],
+            joined: vec![false; n],
+            ps,
             term: 0,
             ctrl_down: false,
             journal: RoundJournal::new(),
             crash_idx: 0,
-            departed: vec![false; n],
         }
     }
 
-    /// Overrides the control-plane tolerance knobs (lease window, probe
-    /// backoff). The config was validated at its own construction.
+    /// Hierarchical RNA with the grouping derived from the spec's
+    /// heterogeneity model by the ζ > v recursion over expected
+    /// per-iteration times.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use rna_core::rna::RnaProtocol;
+    /// use rna_core::sim::{Engine, TrainSpec};
+    /// use rna_core::RnaConfig;
+    /// use rna_workload::HeterogeneityModel;
+    ///
+    /// let n = 6;
+    /// let spec = TrainSpec::smoke_test(n, 4)
+    ///     .with_hetero(HeterogeneityModel::mixed_groups(n, 0, 10, 40, 50))
+    ///     .with_max_rounds(30);
+    /// let protocol = RnaProtocol::auto(&spec, RnaConfig::default());
+    /// assert!(protocol.num_groups() >= 2);
+    /// let result = Engine::new(spec, protocol).run();
+    /// assert!(result.global_rounds > 0);
+    /// ```
+    pub fn auto(spec: &TrainSpec, config: RnaConfig) -> Self {
+        let nominal = spec.profile.compute.mean(8.0);
+        let times: Vec<SimDuration> = (0..spec.num_workers)
+            .map(|w| spec.hetero.expected(w, nominal))
+            .collect();
+        RnaProtocol::grouped(partition_groups(&times), config)
+    }
+
+    /// Overrides the control-plane tolerance knobs: the controller lease
+    /// and the probe-retry backoff (base and cap). The config was
+    /// validated at its own construction.
     pub fn with_tolerance(mut self, tolerance: ToleranceConfig) -> Self {
         self.tolerance = tolerance;
         self
     }
 
-    /// The underlying group state (for tests and diagnostics).
-    pub fn group(&self) -> &GroupState {
-        &self.group
+    /// Sets how many group rounds pass between PS exchanges (default 1 —
+    /// the §6 exchange frequency knob).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `every == 0` or the protocol is flat (no PS stage).
+    pub fn with_ps_every(mut self, every: u64) -> Self {
+        assert!(every > 0, "PS cadence must be positive");
+        self.ps_stage().every = every;
+        self
     }
 
-    /// The current controller term (0 until the first failover).
-    pub fn term(&self) -> u64 {
-        self.term
+    /// Arms online regrouping: per-worker EWMA speed estimates feed the
+    /// §4 ζ-split whenever the policy's cadence comes due and the measured
+    /// heterogeneity has drifted; a differing split is committed as an
+    /// atomic topology swap at a cluster-wide quiesce point.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the policy is invalid ([`RegroupPolicy::validate`]) or
+    /// the protocol is flat (no PS stage).
+    pub fn with_regroup_policy(mut self, policy: RegroupPolicy) -> Self {
+        policy.validate().expect("invalid regroup policy");
+        let n = self.worker_group.len();
+        let ps = self.ps_stage();
+        ps.speed = SpeedEstimator::new(n, policy.alpha);
+        ps.policy = Some(policy);
+        self
     }
 
-    /// Starts the next probe round — unless the fault plan kills the
-    /// controller at this round, in which case the controller goes dark
-    /// and the warm standby's lease timer is armed instead.
-    fn start_next_round(&mut self, ctx: &mut Ctx<'_, RnaMsg>) {
+    fn ps_stage(&mut self) -> &mut PsStage {
+        self.ps
+            .as_mut()
+            .expect("flat RNA has no PS stage; build with RnaProtocol::grouped or ::auto")
+    }
+
+    /// Number of groups (1 for flat RNA).
+    pub fn num_groups(&self) -> usize {
+        self.groups.len()
+    }
+
+    /// The members of each group.
+    pub fn group_members(&self) -> Vec<Vec<usize>> {
+        self.groups.iter().map(|g| g.members.clone()).collect()
+    }
+
+    /// PS shard primaries that crashed and degraded to their replica.
+    pub fn ps_failovers(&self) -> u64 {
+        let server = self.ps.as_ref().and_then(|ps| ps.server.as_ref());
+        server.map_or(0, |s| s.failovers())
+    }
+
+    /// Starts group `gid`'s next probe round — unless the fault plan kills
+    /// the (flat) controller at this round, in which case the controller
+    /// goes dark and the warm standby's lease timer is armed instead.
+    fn start_next_round(&mut self, ctx: &mut Ctx<'_, RnaMsg>, gid: usize) {
         if ctx.stopped() {
             return;
         }
-        if ctx.fault_plan().controller_crashes().get(self.crash_idx) == Some(&self.group.round()) {
+        let round = self.groups[gid].round();
+        if self.ps.is_none()
+            && ctx.fault_plan().controller_crashes().get(self.crash_idx) == Some(&round)
+        {
             self.crash_idx += 1;
             self.ctrl_down = true;
             ctx.send_after(
                 ctx.controller_id(),
-                rna_simnet::SimDuration::from_micros(self.tolerance.liveness_timeout_us),
+                SimDuration::from_micros(self.tolerance.liveness_timeout_us),
                 RnaMsg::StandbyTakeover {
                     term: self.term + 1,
                 },
             );
             return;
         }
-        self.group.start_probe_round(ctx, &self.config);
+        self.groups[gid].start_probe_round(ctx, &self.config, &self.tolerance);
     }
 
     /// The warm standby's lease timer fired: bump the term, recover the
@@ -1021,62 +989,183 @@ impl RnaProtocol {
         let round = self.journal.next_round();
         debug_assert_eq!(
             round,
-            self.group.round(),
+            self.groups[0].round(),
             "journal replay must agree with the group round"
         );
-        self.group.recover_for_takeover(round);
+        self.groups[0].recover_for_takeover(round);
         // One probe round was abandoned: the downtime cost of the takeover.
         ctx.counters_mut().controller_failovers += 1;
         ctx.counters_mut().failover_rounds_lost += 1;
-        self.start_next_round(ctx);
+        self.start_next_round(ctx, 0);
     }
 
-    /// Applies the churn plan's events that fall on this round edge. Called
-    /// right after `complete_round` bumped the group round, so
-    /// `group.round()` is the round about to start:
-    ///
-    /// * a **retirement** with `at_round == round - 1` just contributed its
-    ///   final round and leaves now (zero contributed rounds lost);
-    /// * an **eviction** with `at_round == round` leaves before the round
-    ///   it is excluded from, discarding any compute toward it;
-    /// * a **join** with `at_round == round` is admitted: parameters are
-    ///   streamed from a live peer (billed to the virtual wire) and the
-    ///   member enters the election from this round on.
-    ///
-    /// Round edges advance by exactly one per completed collective, so the
-    /// equality tests fire each event exactly once; the plan was validated
-    /// at spec construction (no joins or evictions at round 0).
-    fn process_churn(&mut self, ctx: &mut Ctx<'_, RnaMsg>) {
+    /// A group's collective finished: route the result through the PS
+    /// stage (if any), apply it group-locally unless an exchange launched,
+    /// and run the round edge — or leave it to the exchange's `PsDone`.
+    fn on_reduce_done(&mut self, ctx: &mut Ctx<'_, RnaMsg>, gid: usize, round: u64) {
+        let Some((reduced, contributors, applied)) = self
+            .groups
+            .get_mut(gid)
+            .and_then(|g| g.take_reduce_result(round))
+        else {
+            return;
+        };
+        // Linear Scaling Rule: the learning rate scales with the
+        // contributor count.
+        let scale = if self.config.dynamic_lr_scaling {
+            contributors as f32
+        } else {
+            1.0
+        };
+        if let Some(ps) = &mut self.ps {
+            ps.maybe_crash_shard(ctx, gid, self.groups[gid].round());
+        }
+        // Delta-sample the alloc hook around the data-path work (PS push,
+        // apply) but not the round edge, whose compute launches allocate
+        // on the out-of-scope compute path.
+        let allocs_before = rna_tensor::alloc::count();
+        let exchanging = match &mut self.ps {
+            Some(ps) => {
+                let group = &self.groups[gid];
+                ps.push(ctx, &self.config, group, &reduced, scale, contributors)
+            }
+            None => false,
+        };
+        if !exchanging {
+            // Between exchanges this is a group-local preview; the
+            // accumulated gradient reaches the master at the next one.
+            ctx.apply_reduced(&applied, &reduced, scale);
+        }
+        ctx.pool_release(reduced);
+        ctx.counters_mut().datapath_allocs += rna_tensor::alloc::count() - allocs_before;
+        if !exchanging {
+            self.round_edge(ctx, gid, contributors);
+        }
+    }
+
+    /// A group's PS exchange returned: broadcast the blended master inside
+    /// the group, then run the round edge it held back.
+    fn on_ps_done(
+        &mut self,
+        ctx: &mut Ctx<'_, RnaMsg>,
+        gid: usize,
+        blended: Tensor,
+        contributors: usize,
+    ) {
+        // A group with an exchange in flight always survives the swap
+        // untouched (`drained` refuses to commit while one is
+        // outstanding), so a valid id here is never stale.
+        let Some(group) = self.groups.get_mut(gid) else {
+            ctx.pool_release(blended);
+            return;
+        };
+        let allocs_before = rna_tensor::alloc::count();
+        for &w in &group.members {
+            ctx.set_params(w, &blended);
+        }
+        ctx.pool_release(blended);
+        ctx.counters_mut().datapath_allocs += rna_tensor::alloc::count() - allocs_before;
+        self.round_edge(ctx, gid, contributors);
+    }
+
+    /// The round edge, run once per completed group round: journal the
+    /// round (flat), apply the churn events now due, run the regroup check
+    /// (PS stage; an armed swap holds the group until every group has
+    /// drained), then quiesce for a due checkpoint (flat) or resume the
+    /// paused members and start the next probe round.
+    fn round_edge(&mut self, ctx: &mut Ctx<'_, RnaMsg>, gid: usize, contributors: usize) {
+        let group = &mut self.groups[gid];
+        let (round, initiator) = (group.round(), group.last_initiator.unwrap_or(0));
+        group.complete_round(ctx, contributors);
+        if self.ps.is_none() {
+            self.journal.record(round, initiator, contributors as u32);
+        }
+        self.process_churn(ctx, gid);
+        match &mut self.ps {
+            Some(ps) => {
+                if ps.regroup_armed(ctx, &mut self.groups) {
+                    // The commit itself restarts every group.
+                    self.try_finish_drain(ctx);
+                    return;
+                }
+            }
+            None => {
+                if ctx.checkpoint_due() && !ctx.stopped() {
+                    self.groups[0].begin_quiesce();
+                    self.try_finish_drain(ctx);
+                    return;
+                }
+            }
+        }
+        self.groups[gid].resume_paused(ctx, &self.config);
+        self.start_next_round(ctx, gid);
+    }
+
+    /// Applies the churn plan's events for members of group `gid` once its
+    /// round was bumped to `next`: a **retirement** before `next` has
+    /// contributed its final round and leaves (zero contributed rounds
+    /// lost); an **eviction** at or before `next` leaves before the round it
+    /// is excluded from; a **join** at or before `next` is admitted with the
+    /// parameters of a live peer (or the PS master when the group has none)
+    /// streamed over the virtual wire. The tests are `>=` with once-flags
+    /// because a committed topology swap jumps the round clock: events in
+    /// the jumped-over range must still fire.
+    fn process_churn(&mut self, ctx: &mut Ctx<'_, RnaMsg>, gid: usize) {
         let events: Vec<(usize, ChurnEvent)> = ctx.churn_plan().events().to_vec();
         if events.is_empty() {
             return;
         }
-        let next = self.group.round();
+        let group = &mut self.groups[gid];
+        let next = group.round();
         for (w, ev) in events {
-            match ev {
-                ChurnEvent::Retire { at_round } => {
-                    if at_round + 1 == next && !self.departed[w] {
-                        self.group.depart(&self.config, w);
-                        self.departed[w] = true;
-                        ctx.note_worker_departed(w, WorkerFate::Retired { at_round });
-                    }
-                }
-                ChurnEvent::Evict { at_round } => {
-                    if at_round == next && !self.departed[w] {
-                        self.group.depart(&self.config, w);
-                        self.departed[w] = true;
-                        ctx.note_worker_departed(w, WorkerFate::Evicted { at_round });
-                    }
-                }
-                ChurnEvent::Join { at_round, .. } => {
-                    if at_round == next {
-                        let snapshot_bytes = 4 * ctx.params(w).len() as u64;
-                        self.group.handle_rejoin(ctx, &self.config, w);
-                        ctx.charge_bytes(snapshot_bytes);
-                        ctx.note_worker_joined(snapshot_bytes);
-                    }
-                }
+            if self.worker_group[w] != gid {
+                continue;
             }
+            let fate = match ev {
+                ChurnEvent::Retire { at_round } if next > at_round => {
+                    WorkerFate::Retired { at_round }
+                }
+                ChurnEvent::Evict { at_round } if next >= at_round => {
+                    WorkerFate::Evicted { at_round }
+                }
+                ChurnEvent::Join { at_round, .. } if next >= at_round && !self.joined[w] => {
+                    self.joined[w] = true;
+                    let snapshot_bytes = 4 * ctx.params(w).len() as u64;
+                    if let Some(master) = self.ps.as_ref().and_then(|ps| ps.master.as_ref()) {
+                        if group.live_members().is_empty() {
+                            ctx.set_params(w, master);
+                        }
+                    }
+                    group.handle_rejoin(ctx, &self.config, &self.tolerance, w);
+                    ctx.charge_bytes(snapshot_bytes);
+                    ctx.note_worker_joined(snapshot_bytes);
+                    continue;
+                }
+                _ => continue,
+            };
+            if !self.departed[w] {
+                group.depart(&self.config, w);
+                self.departed[w] = true;
+                if let Some(ps) = &mut self.ps {
+                    ps.speed.forget(w);
+                }
+                ctx.note_worker_departed(w, fate);
+            }
+        }
+    }
+
+    /// Finishes a drain once nothing gates it: the checkpoint quiesce
+    /// without the PS stage, a pending regroup swap with it.
+    fn try_finish_drain(&mut self, ctx: &mut Ctx<'_, RnaMsg>) {
+        match &mut self.ps {
+            Some(ps) => ps.try_commit_regroup(
+                ctx,
+                &mut self.groups,
+                &mut self.worker_group,
+                &self.config,
+                &self.tolerance,
+            ),
+            None => self.try_cut_checkpoint(ctx),
         }
     }
 
@@ -1085,18 +1174,19 @@ impl RnaProtocol {
     /// path would have — the same sequence [`Protocol::on_resume`] replays
     /// after a restart, which is what makes disk resume bit-identical.
     fn try_cut_checkpoint(&mut self, ctx: &mut Ctx<'_, RnaMsg>) {
-        if !self.group.quiescing() || !self.group.all_idle(ctx) {
+        let group = &mut self.groups[0];
+        if !group.quiescing || !group.drained(ctx) {
             return;
         }
         let mut blob = Vec::new();
         wire::put_u64(&mut blob, self.term);
         wire::put_u64(&mut blob, self.crash_idx as u64);
         self.journal.encode_into(&mut blob);
-        self.group.encode_into(&mut blob);
+        group.encode_into(&mut blob);
         ctx.write_checkpoint(&blob);
-        self.group.end_quiesce();
-        self.group.resume_paused(ctx, &self.config);
-        self.start_next_round(ctx);
+        group.end_quiesce();
+        group.resume_paused(ctx, &self.config);
+        self.start_next_round(ctx, 0);
     }
 
     /// Decodes the blob [`RnaProtocol::try_cut_checkpoint`] wrote; `None`
@@ -1106,7 +1196,7 @@ impl RnaProtocol {
         self.term = r.u64()?;
         self.crash_idx = usize::try_from(r.u64()?).ok()?;
         self.journal = RoundJournal::decode(&mut r)?;
-        self.group.restore_from(&mut r)?;
+        self.groups[0].restore_from(&mut r)?;
         // Checkpoints are only cut at quiesce points, where the controller
         // is alive by construction.
         self.ctrl_down = false;
@@ -1118,21 +1208,35 @@ impl Protocol for RnaProtocol {
     type Msg = RnaMsg;
 
     fn name(&self) -> &'static str {
-        "rna"
+        if self.ps.is_some() {
+            "rna-hier"
+        } else {
+            "rna"
+        }
     }
 
     fn on_start(&mut self, ctx: &mut Ctx<'_, RnaMsg>) {
+        assert_eq!(
+            self.worker_group.len(),
+            ctx.num_workers(),
+            "grouping must cover exactly the spec's workers"
+        );
+        if let Some(ps) = &mut self.ps {
+            ps.start(ctx, self.groups.len());
+        }
         for w in 0..ctx.num_workers() {
             if ctx.churn_plan().join_of(w).is_some() {
                 // Planned joiner: dormant until its admission round.
-                self.group.set_dormant(w);
+                self.groups[self.worker_group[w]].set_dormant(w);
             } else {
                 ctx.begin_compute(w);
             }
         }
         // Routed through the crash check so a controller crash at round 0
         // is honored (workers still compute and fill caches meanwhile).
-        self.start_next_round(ctx);
+        for gid in 0..self.groups.len() {
+            self.start_next_round(ctx, gid);
+        }
     }
 
     fn on_compute_done(&mut self, ctx: &mut Ctx<'_, RnaMsg>, worker: usize, iter: u64) {
@@ -1142,90 +1246,103 @@ impl Protocol for RnaProtocol {
             let _ = ctx.take_gradient(worker);
             return;
         }
-        self.group
-            .handle_compute_done(ctx, &self.config, worker, iter);
-        if self.group.quiescing() {
-            self.try_cut_checkpoint(ctx);
+        if let Some(ps) = self.ps.as_mut().filter(|ps| ps.policy.is_some()) {
+            if let Some(took) = ctx.last_compute_time(worker) {
+                ps.speed.observe(worker, took);
+            }
         }
+        let gid = self.worker_group[worker];
+        self.groups[gid].handle_compute_done(ctx, &self.config, worker, iter);
+        self.try_finish_drain(ctx);
     }
 
     fn on_message(&mut self, ctx: &mut Ctx<'_, RnaMsg>, _from: usize, to: usize, msg: RnaMsg) {
-        if self.ctrl_down {
+        if self.ctrl_down
+            && matches!(
+                msg,
+                RnaMsg::ProbeReply { .. } | RnaMsg::ProbeRetry { .. } | RnaMsg::ReduceDone { .. }
+            )
+        {
             // The active controller is dead: everything addressed to it is
             // lost. (Probes are controller→worker, so none are in flight;
             // StandbyTakeover is addressed to the *standby*.)
-            match &msg {
-                RnaMsg::ProbeReply { .. }
-                | RnaMsg::ProbeRetry { .. }
-                | RnaMsg::ReduceDone { .. } => return,
-                _ => {}
-            }
+            return;
         }
+        // A committed topology swap may shrink the group count; messages
+        // addressed to a no-longer-existing group id are stale by
+        // definition and expire here.
+        let (config, tolerance) = (&self.config, &self.tolerance);
         match msg {
-            RnaMsg::Probe { round, .. } => {
-                self.group.handle_probe(ctx, &self.config, to, round);
-            }
-            RnaMsg::ProbeReply { round, worker, .. } => {
-                self.group.handle_reply(ctx, &self.config, worker, round);
-            }
-            RnaMsg::ProbeRetry { round, attempt, .. } => {
-                self.group
-                    .handle_probe_retry(ctx, &self.config, round, attempt);
-            }
-            RnaMsg::ReduceDone { round, .. } => {
-                if let Some(contributors) = self.group.handle_reduce_done(ctx, &self.config, round)
-                {
-                    let initiator = self.group.last_initiator().unwrap_or(0);
-                    self.group.complete_round(ctx, contributors);
-                    self.journal.record(round, initiator, contributors as u32);
-                    self.process_churn(ctx);
-                    if ctx.checkpoint_due() && !ctx.stopped() {
-                        self.group.begin_quiesce();
-                        self.try_cut_checkpoint(ctx);
-                    } else {
-                        self.group.resume_paused(ctx, &self.config);
-                        self.start_next_round(ctx);
-                    }
+            RnaMsg::Probe { group, round } => {
+                if let Some(g) = self.groups.get_mut(group) {
+                    g.handle_probe(ctx, to, round);
                 }
             }
-            RnaMsg::PsDone { .. } => {
-                // Flat RNA never schedules PS exchanges.
+            RnaMsg::ProbeReply {
+                group,
+                round,
+                worker,
+            } => {
+                if let Some(g) = self.groups.get_mut(group) {
+                    g.handle_reply(ctx, config, worker, round);
+                }
             }
-            RnaMsg::StandbyTakeover { term } => {
-                self.handle_takeover(ctx, term);
+            RnaMsg::ProbeRetry {
+                group,
+                round,
+                attempt,
+            } => {
+                if let Some(g) = self.groups.get_mut(group) {
+                    g.handle_probe_retry(ctx, config, tolerance, round, attempt);
+                }
             }
+            RnaMsg::ReduceDone { group, round } => self.on_reduce_done(ctx, group, round),
+            RnaMsg::PsDone {
+                group,
+                blended,
+                contributors,
+            } => self.on_ps_done(ctx, group, blended, contributors),
+            RnaMsg::StandbyTakeover { term } => self.handle_takeover(ctx, term),
         }
     }
 
     fn on_crash(&mut self, ctx: &mut Ctx<'_, RnaMsg>, worker: usize) {
-        self.group.handle_crash(ctx, &self.config, worker);
-        if self.group.quiescing() {
-            // The crashed member no longer gates the quiesce.
-            self.try_cut_checkpoint(ctx);
+        if let Some(ps) = &mut self.ps {
+            // The crashed worker's estimate is history; it re-earns trust
+            // after a restart.
+            ps.speed.forget(worker);
         }
+        let gid = self.worker_group[worker];
+        self.groups[gid].handle_crash(ctx, &self.config, &self.tolerance, worker);
+        // The crashed member no longer gates a drain.
+        self.try_finish_drain(ctx);
     }
 
     fn on_rejoin(&mut self, ctx: &mut Ctx<'_, RnaMsg>, worker: usize) {
-        self.group.handle_rejoin(ctx, &self.config, worker);
+        let gid = self.worker_group[worker];
+        self.groups[gid].handle_rejoin(ctx, &self.config, &self.tolerance, worker);
     }
 
     fn restore(&mut self, blob: &[u8]) -> bool {
-        self.try_restore(blob).is_some()
+        // Grouped runs cut no checkpoints: theirs would need the PS stage.
+        self.ps.is_none() && self.try_restore(blob).is_some()
     }
 
     fn on_resume(&mut self, ctx: &mut Ctx<'_, RnaMsg>) {
-        // The departed set is pure plan-vs-round state, so it is recomputed
-        // instead of checkpointed (the group's live flags did persist).
-        let round = self.group.round();
+        // The departed and joined sets are pure plan-vs-round state, so
+        // they are recomputed instead of checkpointed (the group's live
+        // flags did persist).
+        let round = self.groups[0].round();
+        let plan = ctx.churn_plan();
         for w in 0..self.departed.len() {
-            let plan = ctx.churn_plan();
             self.departed[w] = plan.retire_of(w).is_some_and(|r| round > r)
                 || plan.evict_of(w).is_some_and(|r| round >= r);
+            self.joined[w] = plan.join_of(w).is_some_and(|(r, _)| round >= r);
         }
         // Exactly the continuation `try_cut_checkpoint` runs after writing
         // the checkpoint — resuming from disk replays the same events.
-        self.group.resume_paused(ctx, &self.config);
-        self.start_next_round(ctx);
+        self.groups[0].resume_paused(ctx, &self.config);
+        self.start_next_round(ctx, 0);
     }
 }
 
@@ -1373,9 +1490,8 @@ mod tests {
         let n = 4;
         let spec = TrainSpec::smoke_test(n, 13).with_max_rounds(120);
         let engine = Engine::new(spec, RnaProtocol::new(n, RnaConfig::default(), 0));
-        // Run through the engine; initiator counts accumulate inside the
-        // protocol, which the engine consumes — so re-run with a probe into
-        // the protocol by keeping it outside.
+        // The engine consumes the protocol, so no per-member election
+        // tally can be read back after the run.
         let result = engine.run();
         assert_eq!(result.global_rounds, 120);
         // Statistical check via a fresh protocol instance driven manually is
@@ -1484,6 +1600,39 @@ mod tests {
         assert_eq!(r.global_rounds, 30);
         assert_eq!(r.controller_failovers, 2);
         assert_eq!(r.failover_rounds_lost, 2);
+    }
+
+    #[test]
+    fn probe_retries_follow_the_tolerance_backoff() {
+        // The election re-probes a winnerless round on the tolerance's
+        // backoff schedule: a tighter base and cap retry more often under
+        // the same dropped controller links.
+        use crate::fault::{NetFaultPlan, LIVENESS_TIMEOUT_US, ROUND_DEADLINE_US};
+        let n = 4;
+        let run = |tolerance: ToleranceConfig| {
+            let spec = TrainSpec::smoke_test(n, 19)
+                .with_max_rounds(60)
+                .with_net_fault_plan(
+                    NetFaultPlan::none()
+                        .with_seed(7)
+                        .drop_link(n, 0, 0.5)
+                        .drop_link(n, 1, 0.5),
+                );
+            let protocol = RnaProtocol::new(n, RnaConfig::default(), 0).with_tolerance(tolerance);
+            Engine::new(spec, protocol).run()
+        };
+        let default = run(ToleranceConfig::default());
+        let tight = ToleranceConfig::new(LIVENESS_TIMEOUT_US, 250, 1_000, ROUND_DEADLINE_US)
+            .expect("valid tolerance");
+        let fast = run(tight);
+        assert_eq!(default.global_rounds, 60);
+        assert_eq!(fast.global_rounds, 60);
+        assert!(
+            fast.probe_retries > default.probe_retries,
+            "retries {} under the tight backoff vs {} under the default",
+            fast.probe_retries,
+            default.probe_retries
+        );
     }
 
     #[test]

@@ -10,7 +10,6 @@
 //! implementations: `cache.rs`, `partial.rs`, `ring.rs`, `kv.rs` unit tests
 //! and `rna-tensor`'s `fused_kernels.rs`.
 
-use rna_core::hier::HierRnaProtocol;
 use rna_core::rna::RnaProtocol;
 use rna_core::sim::{Engine, TrainSpec};
 use rna_core::{RnaConfig, RunResult};
@@ -31,7 +30,7 @@ fn run_flat(rounds: u64) -> RunResult {
 fn run_hier(rounds: u64) -> RunResult {
     let n = 6;
     let spec = mixed_spec(n, 11, rounds);
-    let protocol = HierRnaProtocol::auto(&spec, RnaConfig::default());
+    let protocol = RnaProtocol::auto(&spec, RnaConfig::default());
     Engine::new(spec, protocol).run()
 }
 

@@ -5,7 +5,6 @@ use rna_baselines::{
     AdPsgdProtocol, AsyncPsProtocol, BackupWorkersProtocol, EagerSgdProtocol, HorovodProtocol,
     SgpProtocol,
 };
-use rna_core::hier::HierRnaProtocol;
 use rna_core::rna::RnaProtocol;
 use rna_core::sim::{Engine, TaskKind, TrainSpec};
 use rna_core::{RnaConfig, RunResult};
@@ -118,7 +117,7 @@ pub fn run_approach(approach: Approach, spec: &TrainSpec, config: &RnaConfig) ->
             let groups = vec![(0..half).collect(), (half..n).collect()];
             // Amortize the inter-group PS exchange over a few rounds —
             // the frequency knob §6 leaves open.
-            let protocol = HierRnaProtocol::new(groups, config.clone()).with_ps_every(4);
+            let protocol = RnaProtocol::grouped(groups, config.clone()).with_ps_every(4);
             Engine::new(spec.clone(), protocol).run()
         }
         Approach::Sgp => Engine::new(spec.clone(), SgpProtocol::new(n)).run(),

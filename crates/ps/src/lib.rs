@@ -12,8 +12,6 @@
 //! * [`GroupServer`] — one parameter slot per group, model averaging across
 //!   the latest push of each group, per-group version/staleness tracking,
 //!   and the paper's atomic `PSPushPull` operation.
-//! * [`kv`] — the key-value sharding layer: parameters are split into keyed
-//!   shards (ps-lite's interface) so pushes and pulls can be per-key.
 //! * [`replica`] — primary/replica mirroring with read-repair: a shard
 //!   primary crash degrades that slot to its warm mirror instead of
 //!   wedging the exchange.
@@ -21,10 +19,8 @@
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod kv;
 pub mod replica;
 mod server;
 
-pub use kv::ShardedStore;
 pub use replica::ReplicatedGroupServer;
 pub use server::{staleness_discount, GroupServer};

@@ -10,7 +10,6 @@
 //! ```
 
 use rna_core::grouping::partition_groups;
-use rna_core::hier::HierRnaProtocol;
 use rna_core::rna::RnaProtocol;
 use rna_core::sim::{Engine, TrainSpec};
 use rna_core::RnaConfig;
@@ -55,7 +54,7 @@ fn main() {
     println!("\nflat RNA...");
     let flat = Engine::new(spec.clone(), RnaProtocol::new(n, RnaConfig::default(), 0)).run();
     println!("hierarchical RNA...");
-    let hier = Engine::new(spec, HierRnaProtocol::new(groups, RnaConfig::default())).run();
+    let hier = Engine::new(spec, RnaProtocol::grouped(groups, RnaConfig::default())).run();
 
     println!();
     println!("                 flat RNA      hierarchical RNA");

@@ -16,7 +16,7 @@ use std::time::Duration;
 
 use rna_baselines::HorovodProtocol;
 use rna_core::fault::{FaultPlan, NetFaultPlan, WorkerFate};
-use rna_core::hier::HierRnaProtocol;
+use rna_core::rna::RnaProtocol;
 use rna_core::sim::{Engine, TrainSpec};
 use rna_core::{RnaConfig, StopReason};
 use rna_runtime::{run_threaded, SyncMode, ThreadedConfig, ToleranceConfig};
@@ -50,7 +50,7 @@ fn sim_chaos_spec(seed: u64) -> TrainSpec {
 
 fn sim_chaos_run(seed: u64) -> rna_core::RunResult {
     let spec = sim_chaos_spec(seed);
-    let p = HierRnaProtocol::new(
+    let p = RnaProtocol::grouped(
         vec![(0..4).collect(), (4..8).collect()],
         RnaConfig::default(),
     );

@@ -12,7 +12,6 @@
 
 use rna_core::fault::{FaultPlan, WorkerFate};
 use rna_core::grouping::partition_groups;
-use rna_core::hier::HierRnaProtocol;
 use rna_core::membership::{
     canonical_groups, hetero_ratio, regroup_decision, ChurnPlan, RegroupPolicy, SpeedEstimator,
 };
@@ -150,7 +149,7 @@ fn hier_gray_run() -> RunResult {
     let spec = TrainSpec::smoke_test(8, churn_seed() ^ 0xE1A5)
         .with_max_rounds(200)
         .with_fault_plan(FaultPlan::none().gray(3, 5, 2_000, 20_000));
-    let p = HierRnaProtocol::new(vec![(0..8).collect()], RnaConfig::default())
+    let p = RnaProtocol::grouped(vec![(0..8).collect()], RnaConfig::default())
         .with_regroup_policy(RegroupPolicy::default());
     Engine::new(spec, p).run()
 }

@@ -4,7 +4,6 @@
 //! meaningful if re-running a configuration yields the same trace.
 
 use rna_baselines::{AdPsgdProtocol, EagerSgdProtocol, HorovodProtocol, SgpProtocol};
-use rna_core::hier::HierRnaProtocol;
 use rna_core::rna::RnaProtocol;
 use rna_core::sim::{Engine, TrainSpec};
 use rna_core::{RnaConfig, RunResult};
@@ -63,7 +62,7 @@ fn all_protocols_are_seed_deterministic() {
             "hier",
             Box::new(move || {
                 let groups = vec![vec![0, 1, 2], vec![3, 4]];
-                Engine::new(spec(6), HierRnaProtocol::new(groups, RnaConfig::default())).run()
+                Engine::new(spec(6), RnaProtocol::grouped(groups, RnaConfig::default())).run()
             }),
         ),
     ];

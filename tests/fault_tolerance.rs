@@ -9,7 +9,6 @@
 
 use rna_baselines::{EagerSgdProtocol, HorovodProtocol};
 use rna_core::fault::FaultPlan;
-use rna_core::hier::HierRnaProtocol;
 use rna_core::rna::RnaProtocol;
 use rna_core::sim::{Engine, TrainSpec};
 use rna_core::{RnaConfig, StopReason};
@@ -90,7 +89,7 @@ fn hierarchical_rna_survives_a_group_member_crash() {
         .with_max_time(SimDuration::from_secs(8))
         .with_crash(4, SimDuration::from_millis(500));
     let groups = vec![vec![0, 1, 2], vec![3, 4, 5]];
-    let r = Engine::new(spec, HierRnaProtocol::new(groups, RnaConfig::default())).run();
+    let r = Engine::new(spec, RnaProtocol::grouped(groups, RnaConfig::default())).run();
     assert!(
         r.wall_time > SimDuration::from_secs(7),
         "stalled at {}",
@@ -243,7 +242,7 @@ fn partitioned_hier_group_trains_locally_and_reconciles() {
             100_000,
             800_000,
         ));
-    let p = HierRnaProtocol::new(
+    let p = RnaProtocol::grouped(
         vec![(0..4).collect(), (4..8).collect()],
         RnaConfig::default(),
     );

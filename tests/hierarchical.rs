@@ -1,7 +1,6 @@
 //! Hierarchical synchronization end-to-end (§4).
 
 use rna_core::grouping::{group_of, needs_split, partition_groups};
-use rna_core::hier::HierRnaProtocol;
 use rna_core::rna::RnaProtocol;
 use rna_core::sim::{Engine, TrainSpec};
 use rna_core::RnaConfig;
@@ -27,7 +26,7 @@ fn hier_outperforms_flat_rna_under_deterministic_tiers() {
     let flat = Engine::new(spec(5), RnaProtocol::new(n, RnaConfig::default(), 0)).run();
     // Auto-grouping splits the 10x tier gap; amortize the PS exchange over
     // 8 group rounds (the paper leaves the frequency as a tunable).
-    let hier_protocol = HierRnaProtocol::auto(&spec(5), RnaConfig::default()).with_ps_every(8);
+    let hier_protocol = RnaProtocol::auto(&spec(5), RnaConfig::default()).with_ps_every(8);
     assert_eq!(hier_protocol.num_groups(), 2);
     let hier = Engine::new(spec(5), hier_protocol).run();
     // The fast group keeps its own cadence under hierarchy: at least as
@@ -85,7 +84,7 @@ fn hier_on_full_paper_testbed_trains() {
         .with_hetero(HeterogeneityModel::homogeneous(n).with_speed_factors(cluster.speed_factors()))
         .with_max_rounds(100_000)
         .with_max_time(SimDuration::from_secs(8));
-    let protocol = HierRnaProtocol::auto(&spec, RnaConfig::default());
+    let protocol = RnaProtocol::auto(&spec, RnaConfig::default());
     assert!(protocol.num_groups() >= 2);
     let r = Engine::new(spec, protocol).run();
     assert!(r.global_rounds > 20);
@@ -102,7 +101,7 @@ fn hier_matches_flat_when_cluster_is_homogeneous() {
     let flat = Engine::new(spec(3), RnaProtocol::new(n, RnaConfig::default(), 0)).run();
     let hier = Engine::new(
         spec(3),
-        HierRnaProtocol::new(vec![(0..n).collect()], RnaConfig::default()),
+        RnaProtocol::grouped(vec![(0..n).collect()], RnaConfig::default()),
     )
     .run();
     let f = flat.final_loss().unwrap();
@@ -122,7 +121,7 @@ fn ps_exchange_couples_groups_statistically() {
         .with_hetero(tiered_hetero(n))
         .with_max_rounds(300);
     let groups = vec![(0..4).collect(), (4..8).collect()];
-    let r = Engine::new(spec, HierRnaProtocol::new(groups, RnaConfig::default())).run();
+    let r = Engine::new(spec, RnaProtocol::grouped(groups, RnaConfig::default())).run();
     let pts = r.history.points();
     assert!(pts.last().unwrap().loss < pts[0].loss);
     // Mean participation counts per-group contributors over group size.

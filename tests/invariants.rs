@@ -8,7 +8,6 @@ use rna_baselines::{
     AdPsgdProtocol, AsyncPsProtocol, BackupWorkersProtocol, EagerSgdProtocol, HorovodProtocol,
     SgpProtocol,
 };
-use rna_core::hier::HierRnaProtocol;
 use rna_core::rna::RnaProtocol;
 use rna_core::sim::{Engine, TrainSpec};
 use rna_core::{RnaConfig, RunResult};
@@ -32,7 +31,7 @@ fn run_all(n: usize, seed: u64) -> Vec<RunResult> {
         Engine::new(spec(n, seed), RnaProtocol::new(n, RnaConfig::default(), 0)).run(),
         Engine::new(
             spec(n, seed),
-            HierRnaProtocol::new(
+            RnaProtocol::grouped(
                 vec![(0..n / 2).collect(), (n / 2..n).collect()],
                 RnaConfig::default(),
             ),

@@ -13,6 +13,7 @@
 //! without recompiling.
 
 use rna_core::fault::FaultPlan;
+use rna_core::membership::ChurnPlan;
 use rna_core::recovery::{CheckpointStore, RecoveryConfig, RecoveryError};
 use rna_core::rna::RnaProtocol;
 use rna_core::sim::{Engine, TrainSpec};
@@ -193,6 +194,67 @@ fn des_corrupt_latest_falls_back_to_previous_generation() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// Kill and resume under a churn plan. The checkpoint cadence straddles a
+/// join (round 8), an eviction (15) and a retirement (24), and the run is
+/// killed after the join: the resumed run must rebuild which planned events
+/// already fired from the checkpointed round, so the joiner is not admitted
+/// twice and the departed stay gone, and replay the uninterrupted run bit for
+/// bit, membership ledger included.
+#[test]
+fn des_churn_kill_resume_is_bit_identical() {
+    let seed = chaos_seed() ^ 0xC4A2;
+    let every = RecoveryConfig::new(10).unwrap();
+    let n = N + 1;
+    let plan = ChurnPlan::none()
+        .join(N, 8, 500_000)
+        .evict(2, 15)
+        .retire(1, 24);
+    let spec = |rounds| {
+        TrainSpec::smoke_test(n, seed)
+            .with_hetero(HeterogeneityModel::dynamic_uniform(n, 0, 30))
+            .with_max_rounds(rounds)
+            .with_churn_plan(plan.clone())
+    };
+
+    let full_dir = scratch_dir("churn-full");
+    let uninterrupted = Engine::new(spec(40), RnaProtocol::new(n, RnaConfig::default(), 0))
+        .with_recovery(CheckpointStore::new(&full_dir).unwrap(), every)
+        .run();
+    assert_eq!(uninterrupted.workers_joined, 1);
+    assert_eq!(
+        uninterrupted.workers_retired, 2,
+        "one retirement + one eviction"
+    );
+
+    // The killed process gets 25 rounds; its newest checkpoint is round 20,
+    // after the join and the eviction and before the retirement.
+    let dir = scratch_dir("churn-killed");
+    let partial = Engine::new(spec(25), RnaProtocol::new(n, RnaConfig::default(), 0))
+        .with_recovery(CheckpointStore::new(&dir).unwrap(), every)
+        .run();
+    assert!(partial.checkpoints_written >= 2);
+
+    let resumed = Engine::resume(
+        spec(40),
+        RnaProtocol::new(n, RnaConfig::default(), 0),
+        CheckpointStore::new(&dir).unwrap(),
+        every,
+    )
+    .expect("resume from the killed run's checkpoints")
+    .run();
+
+    assert_identical(&uninterrupted, &resumed);
+    assert_eq!(uninterrupted.workers_joined, resumed.workers_joined);
+    assert_eq!(uninterrupted.workers_retired, resumed.workers_retired);
+    assert_eq!(
+        uninterrupted.snapshot_bytes_streamed,
+        resumed.snapshot_bytes_streamed
+    );
+    assert_eq!(uninterrupted.worker_fates, resumed.worker_fates);
+    let _ = std::fs::remove_dir_all(&full_dir);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// Controller failover in the simulator is deterministic: same seed, same
 /// crash plan, same result — and costs exactly the probe round in flight.
 #[test]
@@ -263,7 +325,6 @@ fn threaded_checkpoint_roundtrip_across_processes() {
 /// replica — the run completes every round and keeps learning.
 #[test]
 fn hier_ps_shard_crash_degrades_not_wedges() {
-    use rna_core::hier::HierRnaProtocol;
     let seed = chaos_seed() ^ 0x95;
     let n = 8;
     let spec = TrainSpec::smoke_test(n, seed)
@@ -277,7 +338,7 @@ fn hier_ps_shard_crash_degrades_not_wedges() {
                 .crash_ps_shard(1, 6),
         );
     let groups: Vec<Vec<usize>> = vec![(0..4).collect(), (4..8).collect()];
-    let r = Engine::new(spec, HierRnaProtocol::new(groups, RnaConfig::default())).run();
+    let r = Engine::new(spec, RnaProtocol::grouped(groups, RnaConfig::default())).run();
     assert_eq!(r.ps_failovers, 2);
     assert_eq!(r.global_rounds, 60);
     let first = r.history.points().first().map(|p| p.loss).unwrap();
