@@ -1,16 +1,19 @@
-//! The fault model shared by the two execution worlds.
+//! The fault model shared by the three execution worlds.
 //!
 //! The paper's claim is that partial collectives earn their keep in the
 //! failure regime, not just under benign jitter — so the discrete-event
-//! simulator ([`crate::sim`]) and the threaded runtime (`rna-runtime`)
-//! must agree on *what* a fault is and *how* the protocol reacts. This
-//! module is the single source of those semantics:
+//! simulator ([`crate::sim`]) and the real worlds (`rna-runtime`'s threads
+//! and subprocesses) must agree on *what* a fault is and *how* the
+//! protocol reacts. This module is the single source of those semantics:
 //!
 //! * [`FaultPlan`] / [`WorkerFault`] — a seedable, deterministic injection
 //!   script (crash at iteration `k`, hang for a duration, run slow
-//!   forever) consumed by both worlds. The simulator takes crashes
-//!   natively (`TrainSpec::with_fault_plan`); the threaded runtime
-//!   executes all three kinds on real OS threads.
+//!   forever, crash and come back) consumed by every world.
+//! * [`FaultScript`] — the one reading of a plan: one worker's interpreter,
+//!   asked at the top of every iteration what the plan does to it. The
+//!   simulator's `Ctx::begin_compute`, the shared real-world worker loop
+//!   and the process coordinator's death classifier all call it, so a plan
+//!   means the same thing in all three worlds.
 //! * [`WorkerFate`] — the post-mortem verdict both worlds report.
 //! * [`live_majority`] / [`probe_round_stalled`] — the two predicates that
 //!   decide when an eager-majority round may fire and when an RNA probe
@@ -105,9 +108,17 @@ impl WorkerFault {
         }
     }
 
+    /// Whether this fault takes the worker down: a crash or a crash-restart.
+    /// Barrier protocols (BSP) reject plans holding one.
+    pub fn kills(&self) -> bool {
+        matches!(
+            self,
+            WorkerFault::CrashAt { .. } | WorkerFault::RestartAt { .. }
+        )
+    }
+
     /// The extra compute delay this fault (if it is a slowdown) adds to
-    /// iteration `iter`, in microseconds. Both worlds call this so the
-    /// constant-straggler and gray-ramp arithmetic cannot drift.
+    /// iteration `iter`, in microseconds.
     pub fn slowdown_at(&self, iter: u64) -> u64 {
         match *self {
             WorkerFault::SlowFrom {
@@ -133,14 +144,12 @@ impl WorkerFault {
 /// # Examples
 ///
 /// ```
-/// use rna_core::fault::{FaultPlan, WorkerFault};
+/// use rna_core::fault::{FaultPlan, IterDirective, WorkerFault};
 ///
 /// let plan = FaultPlan::none().crash(3, 5).slow(1, 0, 30_000);
 /// assert_eq!(plan.faults().len(), 2);
-/// assert_eq!(
-///     plan.crash_iter(3),
-///     Some(5),
-/// );
+/// assert_eq!(plan.script(3).on_iteration_start(5), IterDirective::Crash);
+/// assert_eq!(plan.script(1).slowdown_us(7), 30_000);
 /// assert!(matches!(
 ///     plan.for_worker(1).next(),
 ///     Some(WorkerFault::SlowFrom { .. })
@@ -248,20 +257,23 @@ impl FaultPlan {
         &self.controller_crashes
     }
 
+    /// The round at which controller incarnation `term` dies, if the plan
+    /// kills it: the `term`-th planned controller crash. Incarnations count
+    /// from 0 and each takeover starts the next, so this is the one reading
+    /// of the crash schedule in both the simulator and the real worlds.
+    pub fn controller_crash(&self, term: u64) -> Option<u64> {
+        let term = usize::try_from(term).ok()?;
+        self.controller_crashes.get(term).copied()
+    }
+
     /// The `(shard, round)` PS-shard crashes in insertion order.
     pub fn ps_shard_crashes(&self) -> &[(usize, u64)] {
         &self.ps_crashes
     }
 
-    /// Whether the plan injects any control-plane fault (controller or PS
-    /// shard crash).
-    pub fn has_control_faults(&self) -> bool {
-        !self.controller_crashes.is_empty() || !self.ps_crashes.is_empty()
-    }
-
     /// Whether the plan injects nothing.
     pub fn is_empty(&self) -> bool {
-        self.faults.is_empty() && !self.has_control_faults()
+        self.faults.is_empty() && self.controller_crashes.is_empty() && self.ps_crashes.is_empty()
     }
 
     /// All `(worker, fault)` entries in insertion order.
@@ -269,7 +281,7 @@ impl FaultPlan {
         &self.faults
     }
 
-    /// The faults aimed at one worker.
+    /// The faults aimed at one worker, in plan order.
     pub fn for_worker(&self, worker: usize) -> impl Iterator<Item = WorkerFault> + '_ {
         self.faults
             .iter()
@@ -277,40 +289,150 @@ impl FaultPlan {
             .map(|(_, f)| *f)
     }
 
-    /// The iteration at which `worker` crashes *permanently*, if the plan
-    /// kills it for good. Crash-restarts are not reported here — see
-    /// [`FaultPlan::restart_of`].
-    pub fn crash_iter(&self, worker: usize) -> Option<u64> {
-        self.for_worker(worker).find_map(|f| match f {
-            WorkerFault::CrashAt { at_iter } => Some(at_iter),
-            _ => None,
-        })
-    }
-
-    /// The `(crash_iter, rejoin_after_us)` of `worker`'s crash-restart, if
-    /// the plan schedules one.
-    pub fn restart_of(&self, worker: usize) -> Option<(u64, u64)> {
-        self.for_worker(worker).find_map(|f| match f {
-            WorkerFault::RestartAt {
-                at_iter,
-                rejoin_after_us,
-            } => Some((at_iter, rejoin_after_us)),
-            _ => None,
-        })
-    }
-
-    /// The iteration at which `worker` stops computing for a while —
-    /// either a permanent crash or the crash half of a restart. Barrier
-    /// protocols (BSP) use this to reject plans they cannot survive.
-    pub fn kills(&self, worker: usize) -> Option<u64> {
-        self.crash_iter(worker)
-            .or_else(|| self.restart_of(worker).map(|(at, _)| at))
+    /// `worker`'s interpreter of this plan (see [`FaultScript`]).
+    pub fn script(&self, worker: usize) -> FaultScript {
+        FaultScript::new(self.for_worker(worker).collect())
     }
 
     /// The largest worker index the plan touches, if any (used to validate
     /// a plan against a cluster size).
     pub fn max_worker(&self) -> Option<usize> {
         self.faults.iter().map(|(w, _)| *w).max()
+    }
+}
+
+/// What a worker must do before it starts an iteration: the verdict of
+/// [`FaultScript::on_iteration_start`]. Durations are microseconds —
+/// virtual time in the simulator, real time elsewhere.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum IterDirective {
+    /// Run the iteration normally.
+    Proceed,
+    /// Freeze for this many microseconds (no heartbeats), then run the
+    /// iteration.
+    HangFor(u64),
+    /// Die for good without computing.
+    Crash,
+    /// Die now and come back this many microseconds later, pulling the
+    /// current model.
+    Restart(u64),
+}
+
+/// One worker's reading of a [`FaultPlan`] — the only one. Every world asks
+/// it what the plan does as the worker is about to start each iteration,
+/// and what the plan adds to that iteration's compute time, so a plan
+/// injects the same faults everywhere. It also keeps the worker's
+/// [`WorkerFate`] as faults fire: a crash or restart outranks a hang, which
+/// outranks a slowdown.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct FaultScript {
+    faults: Vec<WorkerFault>,
+    fate: WorkerFate,
+    restart_fired: bool,
+}
+
+impl FaultScript {
+    /// A script over one worker's faults, in plan order.
+    pub fn new(faults: Vec<WorkerFault>) -> Self {
+        FaultScript {
+            faults,
+            fate: WorkerFate::Healthy,
+            restart_fired: false,
+        }
+    }
+
+    /// Called when the worker is about to start iteration `iter` (it has
+    /// completed exactly `iter`). A crash due at `iter` kills it. Otherwise
+    /// a restart due at `iter` takes it down — one restart per worker, so
+    /// the rejoined worker re-entering `iter` runs it. Otherwise the hangs
+    /// due at `iter` freeze it for their summed durations.
+    pub fn on_iteration_start(&mut self, iter: u64) -> IterDirective {
+        let (mut restart, mut hang) = (None, None);
+        for f in &self.faults {
+            match *f {
+                WorkerFault::CrashAt { at_iter } if at_iter == iter => {
+                    self.fate = WorkerFate::Crashed { at_iter };
+                    return IterDirective::Crash;
+                }
+                WorkerFault::RestartAt {
+                    at_iter,
+                    rejoin_after_us,
+                } if at_iter == iter && !self.restart_fired => {
+                    restart = restart.or(Some(rejoin_after_us));
+                }
+                WorkerFault::HangAt { at_iter, for_us } if at_iter == iter => {
+                    hang = Some(hang.unwrap_or(0) + for_us);
+                }
+                _ => {}
+            }
+        }
+        if let Some(down_us) = restart {
+            self.restart_fired = true;
+            self.fate = WorkerFate::Restarted {
+                at_iter: iter,
+                rejoined: false,
+            };
+            return IterDirective::Restart(down_us);
+        }
+        let downed = matches!(
+            self.fate,
+            WorkerFate::Crashed { .. } | WorkerFate::Restarted { .. }
+        );
+        if let Some(us) = hang {
+            if !downed {
+                self.fate = WorkerFate::Hung { at_iter: iter };
+            }
+            return IterDirective::HangFor(us);
+        }
+        if self.fate == WorkerFate::Healthy {
+            let slowed = self.faults.iter().find_map(|f| match *f {
+                WorkerFault::SlowFrom { from_iter, .. }
+                | WorkerFault::GrayFrom { from_iter, .. }
+                    if from_iter <= iter =>
+                {
+                    Some(from_iter)
+                }
+                _ => None,
+            });
+            if let Some(from_iter) = slowed {
+                self.fate = WorkerFate::Slowed { from_iter };
+            }
+        }
+        IterDirective::Proceed
+    }
+
+    /// The extra compute time, in microseconds, the plan's slowdowns
+    /// (constant stragglers and gray ramps, summed) add to iteration `iter`.
+    pub fn slowdown_us(&self, iter: u64) -> u64 {
+        self.faults.iter().map(|f| f.slowdown_at(iter)).sum()
+    }
+
+    /// Marks a restarted worker as back in the cluster. A restart whose
+    /// down window outlives the run stays `rejoined: false` and counts as
+    /// dead.
+    pub fn mark_rejoined(&mut self) {
+        if let WorkerFate::Restarted { at_iter, .. } = self.fate {
+            self.fate = WorkerFate::Restarted {
+                at_iter,
+                rejoined: true,
+            };
+        }
+    }
+
+    /// The fate observed so far.
+    pub fn fate(&self) -> WorkerFate {
+        self.fate
+    }
+
+    /// Whether the worker's restart has fired.
+    pub fn restart_fired(&self) -> bool {
+        self.restart_fired
+    }
+
+    /// Reinstates the state a checkpoint recorded.
+    pub fn restore(&mut self, restart_fired: bool, fate: WorkerFate) {
+        self.restart_fired = restart_fired;
+        self.fate = fate;
     }
 }
 
@@ -1022,8 +1144,11 @@ mod tests {
     fn plan_builders_accumulate() {
         let plan = FaultPlan::none().crash(0, 3).hang(1, 4, 500).slow(2, 0, 9);
         assert_eq!(plan.faults().len(), 3);
-        assert_eq!(plan.crash_iter(0), Some(3));
-        assert_eq!(plan.crash_iter(1), None);
+        assert_eq!(
+            plan.for_worker(0).collect::<Vec<_>>(),
+            [WorkerFault::CrashAt { at_iter: 3 }]
+        );
+        assert_eq!(plan.for_worker(3).count(), 0);
         assert_eq!(plan.max_worker(), Some(2));
         assert!(!plan.is_empty());
         assert!(FaultPlan::none().is_empty());
@@ -1138,22 +1263,137 @@ mod tests {
     #[test]
     fn restart_is_a_kill_but_not_a_crash() {
         let plan = FaultPlan::none().restart(2, 5, 40_000);
-        assert_eq!(plan.crash_iter(2), None, "restarts are not permanent");
-        assert_eq!(plan.restart_of(2), Some((5, 40_000)));
-        assert_eq!(plan.kills(2), Some(5));
-        assert_eq!(plan.restart_of(0), None);
-        assert_eq!(
-            WorkerFault::RestartAt {
-                at_iter: 5,
-                rejoin_after_us: 1
-            }
-            .trigger_iter(),
-            5
+        let mut script = plan.script(2);
+        assert_eq!(script.on_iteration_start(5), IterDirective::Restart(40_000));
+        assert!(
+            !matches!(script.fate(), WorkerFate::Crashed { .. }),
+            "restarts are not permanent"
         );
+        let restart = WorkerFault::RestartAt {
+            at_iter: 5,
+            rejoin_after_us: 1,
+        };
+        assert!(restart.kills());
+        assert_eq!(restart.trigger_iter(), 5);
+        assert!(WorkerFault::CrashAt { at_iter: 3 }.kills());
+        assert!(!WorkerFault::SlowFrom {
+            from_iter: 0,
+            extra_us: 1
+        }
+        .kills());
+    }
 
-        let crash = FaultPlan::none().crash(1, 3);
-        assert_eq!(crash.kills(1), Some(3));
-        assert_eq!(crash.restart_of(1), None);
+    // The one interpreter, as every world executes it.
+
+    #[test]
+    fn executor_crashes_at_exact_iteration() {
+        let plan = FaultPlan::none().crash(2, 4);
+        let mut ex = plan.script(2);
+        for i in 0..4 {
+            assert_eq!(ex.on_iteration_start(i), IterDirective::Proceed);
+        }
+        assert_eq!(ex.on_iteration_start(4), IterDirective::Crash);
+        assert_eq!(ex.fate(), WorkerFate::Crashed { at_iter: 4 });
+    }
+
+    #[test]
+    fn executor_ignores_other_workers() {
+        let plan = FaultPlan::none().crash(2, 0);
+        let mut ex = plan.script(1);
+        assert_eq!(ex.on_iteration_start(0), IterDirective::Proceed);
+        assert_eq!(ex.fate(), WorkerFate::Healthy);
+    }
+
+    #[test]
+    fn executor_hangs_then_proceeds() {
+        let plan = FaultPlan::none().hang(0, 3, 250);
+        let mut ex = plan.script(0);
+        assert_eq!(ex.on_iteration_start(2), IterDirective::Proceed);
+        assert_eq!(ex.on_iteration_start(3), IterDirective::HangFor(250));
+        assert_eq!(ex.on_iteration_start(4), IterDirective::Proceed);
+        assert_eq!(ex.fate(), WorkerFate::Hung { at_iter: 3 });
+    }
+
+    #[test]
+    fn executor_accumulates_slowdowns() {
+        let plan = FaultPlan::none().slow(0, 2, 100).slow(0, 5, 50);
+        let mut ex = plan.script(0);
+        assert_eq!(ex.slowdown_us(1), 0);
+        assert_eq!(ex.slowdown_us(2), 100);
+        assert_eq!(ex.slowdown_us(7), 150);
+        ex.on_iteration_start(3);
+        assert_eq!(ex.fate(), WorkerFate::Slowed { from_iter: 2 });
+    }
+
+    #[test]
+    fn executor_ramps_gray_degradation() {
+        let plan = FaultPlan::none().gray(0, 3, 200, 700);
+        let mut ex = plan.script(0);
+        assert_eq!(ex.slowdown_us(2), 0);
+        assert_eq!(ex.slowdown_us(3), 200);
+        assert_eq!(ex.slowdown_us(4), 400);
+        assert_eq!(ex.slowdown_us(6), 700);
+        assert_eq!(ex.slowdown_us(1_000), 700, "capped");
+        assert_eq!(ex.on_iteration_start(3), IterDirective::Proceed);
+        assert_eq!(ex.fate(), WorkerFate::Slowed { from_iter: 3 });
+    }
+
+    #[test]
+    fn crash_outranks_hang_at_same_iteration() {
+        let plan = FaultPlan::none().hang(0, 1, 10).crash(0, 1);
+        let mut ex = plan.script(0);
+        assert_eq!(ex.on_iteration_start(1), IterDirective::Crash);
+        assert!(ex.fate().is_dead());
+    }
+
+    #[test]
+    fn executor_restart_fires_once_and_rejoins() {
+        let plan = FaultPlan::none().restart(0, 2, 1_000);
+        let mut ex = plan.script(0);
+        assert_eq!(ex.on_iteration_start(1), IterDirective::Proceed);
+        assert_eq!(ex.on_iteration_start(2), IterDirective::Restart(1_000));
+        assert!(ex.fate().is_dead(), "down until the rejoin completes");
+        ex.mark_rejoined();
+        assert_eq!(
+            ex.fate(),
+            WorkerFate::Restarted {
+                at_iter: 2,
+                rejoined: true
+            }
+        );
+        assert!(!ex.fate().is_dead());
+        // Fired once: resuming at the same iteration proceeds normally.
+        assert_eq!(ex.on_iteration_start(2), IterDirective::Proceed);
+    }
+
+    #[test]
+    fn the_earliest_kill_fires_and_a_hang_outranks_a_slowdown() {
+        // Two crashes: the first one reached kills, whatever the plan order.
+        let mut two = FaultPlan::none().crash(0, 9).crash(0, 4).script(0);
+        assert_eq!(two.on_iteration_start(4), IterDirective::Crash);
+        // A crash and a restart due together: the crash is final.
+        let mut both = FaultPlan::none().restart(0, 3, 50).crash(0, 3).script(0);
+        assert_eq!(both.on_iteration_start(3), IterDirective::Crash);
+        assert_eq!(both.fate(), WorkerFate::Crashed { at_iter: 3 });
+        // A restart and a later crash: the worker comes back, then dies for
+        // good, and the crash is its fate.
+        let mut again = FaultPlan::none().restart(0, 2, 50).crash(0, 5).script(0);
+        assert_eq!(again.on_iteration_start(2), IterDirective::Restart(50));
+        again.mark_rejoined();
+        assert_eq!(again.on_iteration_start(2), IterDirective::Proceed);
+        assert_eq!(again.on_iteration_start(5), IterDirective::Crash);
+        assert_eq!(again.fate(), WorkerFate::Crashed { at_iter: 5 });
+        // Hangs due together freeze for their sum, and a hang is reported
+        // over a slowdown that began earlier.
+        let mut ex = FaultPlan::none()
+            .slow(0, 1, 10)
+            .hang(0, 5, 100)
+            .hang(0, 5, 20)
+            .script(0);
+        assert_eq!(ex.on_iteration_start(2), IterDirective::Proceed);
+        assert_eq!(ex.fate(), WorkerFate::Slowed { from_iter: 1 });
+        assert_eq!(ex.on_iteration_start(5), IterDirective::HangFor(120));
+        assert_eq!(ex.fate(), WorkerFate::Hung { at_iter: 5 });
     }
 
     #[test]
@@ -1219,13 +1459,15 @@ mod tests {
             .crash_ps_shard(1, 4)
             .crash_controller(3);
         assert_eq!(plan.controller_crashes(), &[3, 9]);
+        assert_eq!(plan.controller_crash(0), Some(3));
+        assert_eq!(plan.controller_crash(1), Some(9));
+        assert_eq!(plan.controller_crash(2), None);
         assert_eq!(plan.ps_shard_crashes(), &[(1, 4)]);
-        assert!(plan.has_control_faults());
         assert!(!plan.is_empty());
         // Control-plane targets are not workers: cluster-size validation
         // keys off worker faults only.
         assert_eq!(plan.max_worker(), None);
-        assert!(!FaultPlan::none().has_control_faults());
+        assert!(FaultPlan::none().crash_ps_shard(0, 1).faults().is_empty());
     }
 
     #[test]
@@ -1313,10 +1555,17 @@ mod tests {
                         count,
                         ops.iter().filter(|&&(ow, ..)| ow == w).count()
                     );
-                    if let Some(k) = plan.kills(w) {
-                        prop_assert!(plan
-                            .for_worker(w)
-                            .any(|f| f.trigger_iter() == k));
+                    // The script never kills a worker the plan does not.
+                    let mut script = plan.script(w);
+                    for iter in 0..50 {
+                        if matches!(
+                            script.on_iteration_start(iter),
+                            IterDirective::Crash | IterDirective::Restart(_)
+                        ) {
+                            prop_assert!(plan
+                                .for_worker(w)
+                                .any(|f| f.kills() && f.trigger_iter() == iter));
+                        }
                     }
                 }
             }

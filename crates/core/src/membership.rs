@@ -7,11 +7,13 @@
 //! three pieces all execution worlds share:
 //!
 //! * [`ChurnPlan`] — a seedable-free, deterministic membership script
-//!   (join / retire / evict at global rounds) mirroring
-//!   [`crate::fault::FaultPlan`]'s compile-and-replay design, so the same
-//!   plan fed to the simulator, the threaded runtime, and the process
-//!   runtime admits and removes the same identities at the same rounds,
-//!   and same-seed DES replays stay bit-identical.
+//!   (join / retire / evict at global rounds), so the same plan fed to
+//!   the simulator, the threaded runtime, and the process runtime admits
+//!   and removes the same identities at the same rounds, and same-seed DES
+//!   replays stay bit-identical. Every world reads it through one
+//!   function, [`ChurnEvent::edge`] — the round an event takes effect and
+//!   what it does — by way of [`ChurnPlan::edges`] and
+//!   [`ChurnPlan::tenure`].
 //! * [`SpeedEstimator`] — per-worker EWMA of observed per-iteration times,
 //!   fed from virtual-time deltas in the DES and heartbeat/iteration
 //!   timings in the real runtimes.
@@ -42,9 +44,11 @@
 //!   rounds `< r`; whatever it computed toward round `r` is dropped, the
 //!   same way a crash drops a cached gradient.
 
+use std::ops::RangeBounds;
+
 use rna_simnet::SimDuration;
 
-use crate::fault::{ConfigError, ToleranceConfig};
+use crate::fault::{ConfigError, ToleranceConfig, WorkerFate};
 use crate::grouping::partition_groups;
 
 /// One membership event against one worker identity.
@@ -79,13 +83,59 @@ pub enum ChurnEvent {
 }
 
 impl ChurnEvent {
-    /// The global round at which this event fires.
+    /// The global round the event names.
     pub fn at_round(&self) -> u64 {
         match *self {
             ChurnEvent::Join { at_round, .. } => at_round,
             ChurnEvent::Retire { at_round } => at_round,
             ChurnEvent::Evict { at_round } => at_round,
         }
+    }
+
+    /// The one reading of a churn event: the first global round whose
+    /// membership it changes, and how. A join at `r` admits the worker for
+    /// round `r`; a retirement at `r` drains it through `r`, so it is gone
+    /// from round `r + 1`; an eviction at `r` removes it from round `r`.
+    pub fn edge(&self) -> (u64, Edge) {
+        match *self {
+            ChurnEvent::Join { at_round, .. } => (at_round, Edge::Join),
+            ChurnEvent::Retire { at_round } => (
+                at_round.saturating_add(1),
+                Edge::Leave(WorkerFate::Retired { at_round }),
+            ),
+            ChurnEvent::Evict { at_round } => {
+                (at_round, Edge::Leave(WorkerFate::Evicted { at_round }))
+            }
+        }
+    }
+}
+
+/// What a churn event does to its worker's membership.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Edge {
+    /// The worker becomes a member, streamed the current model.
+    Join,
+    /// The worker stops being a member and leaves with this fate.
+    Leave(WorkerFate),
+}
+
+/// One worker's membership window under a [`ChurnPlan`]: a member from
+/// round `join` (0 when it is there at launch) until its `leave` event
+/// takes effect.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Tenure {
+    /// The round it is admitted for, if it joins mid-run.
+    pub join: Option<u64>,
+    /// The retirement or eviction that ends its membership, if any; its
+    /// [`ChurnEvent::edge`] is the first round it is no longer a member of
+    /// and the fate it leaves with.
+    pub leave: Option<ChurnEvent>,
+}
+
+impl Tenure {
+    /// Whether the worker is a member for global round `round`.
+    pub fn active_at(&self, round: u64) -> bool {
+        self.join.is_none_or(|r| round >= r) && self.leave.is_none_or(|e| round < e.edge().0)
     }
 }
 
@@ -156,97 +206,48 @@ impl ChurnPlan {
         self.events.is_empty()
     }
 
-    /// All `(worker, event)` entries in insertion order.
-    pub fn events(&self) -> &[(usize, ChurnEvent)] {
-        &self.events
-    }
-
-    /// The events aimed at one worker.
-    pub fn for_worker(&self, worker: usize) -> impl Iterator<Item = ChurnEvent> + '_ {
-        self.events
-            .iter()
-            .filter(move |(w, _)| *w == worker)
-            .map(|(_, e)| *e)
-    }
-
-    /// The `(at_round, admission_deadline_us)` of `worker`'s join, if the
-    /// plan schedules one.
-    pub fn join_of(&self, worker: usize) -> Option<(u64, u64)> {
-        self.for_worker(worker).find_map(|e| match e {
-            ChurnEvent::Join {
-                at_round,
-                admission_deadline_us,
-            } => Some((at_round, admission_deadline_us)),
-            _ => None,
+    /// The membership edges ([`ChurnEvent::edge`]) whose round falls in
+    /// `rounds`, in plan order. Every world reads the plan through this:
+    /// the real controller takes the edges one round boundary crosses
+    /// (`k + 1..=k + 1`), the simulator everything due by its group's next
+    /// round (`..=next`, once each), and a run's end the departures due by
+    /// its last round.
+    pub fn edges<'a>(
+        &'a self,
+        rounds: impl RangeBounds<u64> + 'a,
+    ) -> impl Iterator<Item = (usize, Edge)> + 'a {
+        self.events.iter().filter_map(move |&(w, e)| {
+            let (round, edge) = e.edge();
+            rounds.contains(&round).then_some((w, edge))
         })
     }
 
-    /// The round through which `worker` contributes before retiring, if
-    /// the plan schedules a graceful retirement.
-    pub fn retire_of(&self, worker: usize) -> Option<u64> {
-        self.for_worker(worker).find_map(|e| match e {
-            ChurnEvent::Retire { at_round } => Some(at_round),
-            _ => None,
-        })
+    /// `worker`'s membership window: its first join edge and first leave
+    /// edge (a validated plan has at most one of each).
+    pub fn tenure(&self, worker: usize) -> Tenure {
+        let mut tenure = Tenure {
+            join: None,
+            leave: None,
+        };
+        for &(_, e) in self.events.iter().filter(|&&(w, _)| w == worker) {
+            match e.edge() {
+                (round, Edge::Join) => tenure.join = tenure.join.or(Some(round)),
+                (_, Edge::Leave(_)) => tenure.leave = tenure.leave.or(Some(e)),
+            }
+        }
+        tenure
     }
 
-    /// The round at which `worker` is evicted, if the plan schedules one.
-    pub fn evict_of(&self, worker: usize) -> Option<u64> {
-        self.for_worker(worker).find_map(|e| match e {
-            ChurnEvent::Evict { at_round } => Some(at_round),
-            _ => None,
-        })
-    }
-
-    /// Sorted worker ids with a scheduled join (the identities that start
-    /// dormant). The runtimes use this to replay RNG fork order: joiners
-    /// draw their streams from a disjoint namespace.
-    pub fn joiners(&self) -> Vec<usize> {
-        let mut js: Vec<usize> = self
-            .events
-            .iter()
-            .filter(|(_, e)| matches!(e, ChurnEvent::Join { .. }))
-            .map(|(w, _)| *w)
-            .collect();
-        js.sort_unstable();
-        js.dedup();
-        js
+    /// Whether `worker` is an active member for global round `round`: a
+    /// retiree is active *through* its retire round, an evictee only
+    /// strictly before its evict round.
+    pub fn active_at(&self, worker: usize, round: u64) -> bool {
+        self.tenure(worker).active_at(round)
     }
 
     /// The largest worker index the plan touches, if any.
     pub fn max_worker(&self) -> Option<usize> {
         self.events.iter().map(|(w, _)| *w).max()
-    }
-
-    /// Whether `worker` is an active member for global round `round`
-    /// under this plan: joined (or launch member), not yet retired, not
-    /// yet evicted. A retiree is active *through* its retire round; an
-    /// evictee is active only strictly before its evict round.
-    pub fn active_at(&self, worker: usize, round: u64) -> bool {
-        if let Some((join_round, _)) = self.join_of(worker) {
-            if round < join_round {
-                return false;
-            }
-        }
-        if let Some(retire_round) = self.retire_of(worker) {
-            if round > retire_round {
-                return false;
-            }
-        }
-        if let Some(evict_round) = self.evict_of(worker) {
-            if round >= evict_round {
-                return false;
-            }
-        }
-        true
-    }
-
-    /// The sorted active member set for global round `round`, out of a
-    /// cluster of `capacity` identities.
-    pub fn active_set(&self, capacity: usize, round: u64) -> Vec<usize> {
-        (0..capacity)
-            .filter(|&w| self.active_at(w, round))
-            .collect()
     }
 
     /// Checks the plan against a cluster of `capacity` identities and the
@@ -286,8 +287,22 @@ impl ChurnPlan {
             if dup > 1 {
                 return malformed(w, "duplicate events of the same kind for one worker");
             }
-            if self.retire_of(w).is_some() && self.evict_of(w).is_some() {
+            let leaves = self
+                .events
+                .iter()
+                .filter(|&&(ow, oe)| ow == w && matches!(oe.edge(), (_, Edge::Leave(_))))
+                .count();
+            if leaves > 1 {
                 return malformed(w, "both a retirement and an eviction for one worker");
+            }
+            if let Tenure {
+                join: Some(join),
+                leave: Some(leave),
+            } = self.tenure(w)
+            {
+                if leave.edge().0 <= join {
+                    return malformed(w, "leaves at or before its join round");
+                }
             }
             match e {
                 ChurnEvent::Join {
@@ -305,23 +320,10 @@ impl ChurnPlan {
                         });
                     }
                 }
-                ChurnEvent::Retire { at_round } => {
-                    if let Some((join_round, _)) = self.join_of(w) {
-                        if at_round < join_round {
-                            return malformed(w, "retires before it joins");
-                        }
-                    }
+                ChurnEvent::Evict { at_round: 0 } => {
+                    return malformed(w, "evicted at round 0; the identity never participates");
                 }
-                ChurnEvent::Evict { at_round } => {
-                    if at_round == 0 {
-                        return malformed(w, "evicted at round 0; the identity never participates");
-                    }
-                    if let Some((join_round, _)) = self.join_of(w) {
-                        if at_round <= join_round {
-                            return malformed(w, "evicted at or before its join round");
-                        }
-                    }
-                }
+                ChurnEvent::Retire { .. } | ChurnEvent::Evict { .. } => {}
             }
         }
         // The cluster must never drain completely: check every round at
@@ -329,7 +331,7 @@ impl ChurnPlan {
         for &(_, e) in &self.events {
             let r = e.at_round();
             for round in [r, r.saturating_add(1)] {
-                if self.active_set(capacity, round).is_empty() {
+                if (0..capacity).all(|w| !self.active_at(w, round)) {
                     return malformed(
                         usize::MAX,
                         "plan leaves no active worker at some event round",
@@ -561,13 +563,40 @@ mod tests {
             .join(6, 10, 500_000)
             .retire(1, 20)
             .evict(2, 5);
-        assert_eq!(plan.events().len(), 3);
-        assert_eq!(plan.join_of(6), Some((10, 500_000)));
-        assert_eq!(plan.retire_of(1), Some(20));
-        assert_eq!(plan.evict_of(2), Some(5));
-        assert_eq!(plan.join_of(1), None);
+        assert_eq!(
+            plan.tenure(6),
+            Tenure {
+                join: Some(10),
+                leave: None
+            }
+        );
+        // A retiree leaves the round after its last; an evictee leaves its
+        // own.
+        let retired = WorkerFate::Retired { at_round: 20 };
+        let leave = |w| plan.tenure(w).leave.map(|e| e.edge());
+        assert_eq!(leave(1), Some((21, Edge::Leave(retired))));
+        let evicted = WorkerFate::Evicted { at_round: 5 };
+        assert_eq!(leave(2), Some((5, Edge::Leave(evicted))));
+        assert_eq!(plan.tenure(1).join, None);
         assert_eq!(plan.max_worker(), Some(6));
-        assert_eq!(plan.joiners(), vec![6]);
+        // Edges come out in plan order, filtered by round.
+        assert_eq!(
+            plan.edges(..).collect::<Vec<_>>(),
+            [
+                (6, Edge::Join),
+                (1, Edge::Leave(retired)),
+                (2, Edge::Leave(evicted))
+            ]
+        );
+        assert_eq!(
+            plan.edges(5..=10).collect::<Vec<_>>(),
+            [(6, Edge::Join), (2, Edge::Leave(evicted))]
+        );
+        assert_eq!(
+            plan.edges(21..=21).collect::<Vec<_>>(),
+            [(1, Edge::Leave(retired))]
+        );
+        assert_eq!(plan.edges(..5).count(), 0);
         assert!(!plan.is_empty());
         assert!(ChurnPlan::none().is_empty());
     }
@@ -592,9 +621,14 @@ mod tests {
         // Evictee: excluded from its round on.
         assert!(plan.active_at(2, 4));
         assert!(!plan.active_at(2, 5));
-        assert_eq!(plan.active_set(4, 0), vec![0, 1, 2]);
-        assert_eq!(plan.active_set(4, 10), vec![0, 1, 3]);
-        assert_eq!(plan.active_set(4, 30), vec![0, 3]);
+        let active_set = |round| {
+            (0..4)
+                .filter(|&w| plan.active_at(w, round))
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(active_set(0), vec![0, 1, 2]);
+        assert_eq!(active_set(10), vec![0, 1, 3]);
+        assert_eq!(active_set(30), vec![0, 3]);
     }
 
     #[test]
@@ -626,7 +660,7 @@ mod tests {
             (ChurnPlan::none().join(1, 0, 500_000), "join at round 0"),
             (
                 ChurnPlan::none().join(1, 8, 500_000).retire(1, 3),
-                "retires before it joins",
+                "leaves at or before its join round",
             ),
             (ChurnPlan::none().evict(1, 0), "evicted at round 0"),
             (

@@ -32,10 +32,10 @@ use rna_tensor::wire::{self, Reader};
 use rna_tensor::Tensor;
 
 use crate::cache::GradientCache;
-use crate::fault::{ToleranceConfig, WorkerFate};
+use crate::fault::ToleranceConfig;
 use crate::grouping::{group_of, partition_groups};
 use crate::hier::PsStage;
-use crate::membership::{ChurnEvent, RegroupPolicy, SpeedEstimator};
+use crate::membership::{Edge, RegroupPolicy, SpeedEstimator};
 use crate::probe::ProbeRound;
 use crate::recovery::RoundJournal;
 use crate::sim::{Ctx, Protocol, TrainSpec};
@@ -808,8 +808,8 @@ pub struct RnaProtocol {
     /// Completed probe rounds, replayed by the standby to recover the
     /// round counter (and serialized into every checkpoint).
     journal: RoundJournal,
-    /// Index into [`crate::fault::FaultPlan::controller_crashes`] of the
-    /// next controller crash not yet executed.
+    /// Controller crashes executed so far: the incarnation whose planned
+    /// crash ([`crate::fault::FaultPlan::controller_crash`]) comes next.
     crash_idx: usize,
 }
 
@@ -960,7 +960,7 @@ impl RnaProtocol {
         }
         let round = self.groups[gid].round();
         if self.ps.is_none()
-            && ctx.fault_plan().controller_crashes().get(self.crash_idx) == Some(&round)
+            && ctx.fault_plan().controller_crash(self.crash_idx as u64) == Some(round)
         {
             self.crash_idx += 1;
             self.ctrl_down = true;
@@ -1101,34 +1101,23 @@ impl RnaProtocol {
         self.start_next_round(ctx, gid);
     }
 
-    /// Applies the churn plan's events for members of group `gid` once its
-    /// round was bumped to `next`: a **retirement** before `next` has
-    /// contributed its final round and leaves (zero contributed rounds
-    /// lost); an **eviction** at or before `next` leaves before the round it
-    /// is excluded from; a **join** at or before `next` is admitted with the
+    /// Applies the churn plan's edges due by group `gid`'s next round to
+    /// its members: a **leave** (a retiree past its final round, an evictee
+    /// at its own) takes the member out; a **join** admits it with the
     /// parameters of a live peer (or the PS master when the group has none)
-    /// streamed over the virtual wire. The tests are `>=` with once-flags
-    /// because a committed topology swap jumps the round clock: events in
-    /// the jumped-over range must still fire.
+    /// streamed over the virtual wire. Every edge up to `next` is read, once
+    /// each, because a committed topology swap jumps the round clock: edges
+    /// in the jumped-over range must still fire.
     fn process_churn(&mut self, ctx: &mut Ctx<'_, RnaMsg>, gid: usize) {
-        let events: Vec<(usize, ChurnEvent)> = ctx.churn_plan().events().to_vec();
-        if events.is_empty() {
-            return;
-        }
         let group = &mut self.groups[gid];
         let next = group.round();
-        for (w, ev) in events {
+        let due: Vec<(usize, Edge)> = ctx.churn_plan().edges(..=next).collect();
+        for (w, edge) in due {
             if self.worker_group[w] != gid {
                 continue;
             }
-            let fate = match ev {
-                ChurnEvent::Retire { at_round } if next > at_round => {
-                    WorkerFate::Retired { at_round }
-                }
-                ChurnEvent::Evict { at_round } if next >= at_round => {
-                    WorkerFate::Evicted { at_round }
-                }
-                ChurnEvent::Join { at_round, .. } if next >= at_round && !self.joined[w] => {
+            match edge {
+                Edge::Join if !self.joined[w] => {
                     self.joined[w] = true;
                     let snapshot_bytes = 4 * ctx.params(w).len() as u64;
                     if let Some(master) = self.ps.as_ref().and_then(|ps| ps.master.as_ref()) {
@@ -1139,17 +1128,16 @@ impl RnaProtocol {
                     group.handle_rejoin(ctx, &self.config, &self.tolerance, w);
                     ctx.charge_bytes(snapshot_bytes);
                     ctx.note_worker_joined(snapshot_bytes);
-                    continue;
                 }
-                _ => continue,
-            };
-            if !self.departed[w] {
-                group.depart(&self.config, w);
-                self.departed[w] = true;
-                if let Some(ps) = &mut self.ps {
-                    ps.speed.forget(w);
+                Edge::Leave(fate) if !self.departed[w] => {
+                    group.depart(&self.config, w);
+                    self.departed[w] = true;
+                    if let Some(ps) = &mut self.ps {
+                        ps.speed.forget(w);
+                    }
+                    ctx.note_worker_departed(w, fate);
                 }
-                ctx.note_worker_departed(w, fate);
+                _ => {}
             }
         }
     }
@@ -1225,7 +1213,7 @@ impl Protocol for RnaProtocol {
             ps.start(ctx, self.groups.len());
         }
         for w in 0..ctx.num_workers() {
-            if ctx.churn_plan().join_of(w).is_some() {
+            if ctx.churn_plan().tenure(w).join.is_some() {
                 // Planned joiner: dormant until its admission round.
                 self.groups[self.worker_group[w]].set_dormant(w);
             } else {
@@ -1333,11 +1321,13 @@ impl Protocol for RnaProtocol {
         // they are recomputed instead of checkpointed (the group's live
         // flags did persist).
         let round = self.groups[0].round();
-        let plan = ctx.churn_plan();
-        for w in 0..self.departed.len() {
-            self.departed[w] = plan.retire_of(w).is_some_and(|r| round > r)
-                || plan.evict_of(w).is_some_and(|r| round >= r);
-            self.joined[w] = plan.join_of(w).is_some_and(|(r, _)| round >= r);
+        self.departed.fill(false);
+        self.joined.fill(false);
+        for (w, edge) in ctx.churn_plan().edges(..=round) {
+            match edge {
+                Edge::Join => self.joined[w] = true,
+                Edge::Leave(_) => self.departed[w] = true,
+            }
         }
         // Exactly the continuation `try_cut_checkpoint` runs after writing
         // the checkpoint — resuming from disk replays the same events.

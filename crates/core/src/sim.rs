@@ -30,7 +30,9 @@ use rna_training::{BatchSampler, Dataset, EarlyStopping, History, LrSchedule, Mo
 use rna_workload::trace::WorkloadTrace;
 use rna_workload::{HeterogeneityModel, ModelProfile};
 
-use crate::fault::{FaultPlan, NetFaultPlan, ToleranceConfig, WorkerFate, WorkerFault};
+use crate::fault::{
+    FaultPlan, FaultScript, IterDirective, NetFaultPlan, ToleranceConfig, WorkerFate,
+};
 use crate::membership::ChurnPlan;
 use crate::recovery::{self, CheckpointStore, RecoveryConfig, RecoveryError};
 use crate::stats::{Counters, RunResult, StopReason};
@@ -173,13 +175,16 @@ pub struct TrainSpec {
     /// round to protocols that ask for [`Ctx::transfer_overhead`].
     pub charge_transfer_overhead: bool,
     /// Fault injection: `(worker, at)` pairs — the worker crashes at the
-    /// given instant and never computes or communicates again.
+    /// given instant, wherever it is in its iteration (mid-compute, with a
+    /// gradient in flight, mid-probe), and never computes or communicates
+    /// again. The simulator's own kill: the real worlds' counterpart is the
+    /// process world's SIGKILL.
     pub crashes: Vec<(usize, SimDuration)>,
-    /// Iteration-indexed fault injection shared with the threaded runtime
-    /// (see [`crate::fault`]): crashes fire after a worker completes
-    /// exactly `at_iter` iterations; hangs and slowdowns stretch the
-    /// affected iterations' compute time in virtual time; restarts crash
-    /// the worker then rejoin it after a virtual-time dwell.
+    /// Iteration-indexed fault injection shared with the real worlds (see
+    /// [`crate::fault`]): crashes fire after a worker completes exactly
+    /// `at_iter` iterations; hangs and slowdowns stretch the affected
+    /// iterations' compute time in virtual time; restarts crash the worker
+    /// then rejoin it after a virtual-time dwell.
     pub fault_plan: FaultPlan,
     /// Network fault injection shared with the threaded runtime: per-link
     /// drop probabilities, flaps, and partitions, applied by the fabric at
@@ -245,9 +250,8 @@ impl TrainSpec {
     }
 
     /// Injects an iteration-indexed crash: `worker` dies after completing
-    /// exactly `at_iter` local iterations, its final gradient discarded.
-    /// This is the crash semantics the threaded runtime mirrors, which
-    /// makes cross-world fault tests meaningful.
+    /// exactly `at_iter` local iterations, its final gradient discarded —
+    /// the crash every world executes.
     ///
     /// # Panics
     ///
@@ -449,7 +453,11 @@ pub struct SimState<M> {
     last_top5: f64,
     workload_trace: WorkloadTrace,
     fates: Vec<WorkerFate>,
-    restart_fired: Vec<bool>,
+    /// Each worker's reading of `spec.fault_plan`; empty when the plan
+    /// injects no worker fault. Building one per worker anyway cost
+    /// des-scale10k (10 000 workers, 2-vCPU Xeon) 0.5 MB of peak RSS and a
+    /// median 18 % of its set-up time over 10 alternating runs.
+    scripts: Vec<FaultScript>,
     counters: Counters,
     rejoin_at: Vec<Option<SimTime>>,
     recovery: Option<EngineRecovery>,
@@ -594,25 +602,32 @@ impl<M: Clone + std::fmt::Debug> Ctx<'_, M> {
             return;
         }
         let iter = s.next_iter[worker];
-        if s.spec.fault_plan.crash_iter(worker) == Some(iter) {
-            // The plan kills this worker after exactly `iter` completed
-            // iterations: it dies instead of starting the next one.
-            s.queue.schedule(s.clock, Event::Crash { worker });
-            return;
-        }
-        if let Some((at_iter, rejoin_after_us)) = s.spec.fault_plan.restart_of(worker) {
-            if at_iter == iter && !s.restart_fired[worker] {
-                // Crash now, rejoin after the dwell. `restart_fired` keeps
-                // the fault from re-triggering when the rejoined worker
-                // starts this same iteration again. The rejoin instant is
-                // remembered so a checkpoint cut during the dwell can
-                // re-schedule it on resume.
-                s.restart_fired[worker] = true;
-                let rejoin = s.clock + SimDuration::from_micros(rejoin_after_us);
-                s.rejoin_at[worker] = Some(rejoin);
-                s.queue.schedule(s.clock, Event::Crash { worker });
-                s.queue.schedule(rejoin, Event::Rejoin { worker });
-                return;
+        // What the fault plan adds to this iteration: a hang stretches the
+        // iteration it interrupts, slowdowns every iteration they cover.
+        let mut extra_us = 0;
+        if let Some(script) = s.scripts.get_mut(worker) {
+            match script.on_iteration_start(iter) {
+                IterDirective::Proceed => {}
+                IterDirective::HangFor(us) => extra_us = us,
+                IterDirective::Crash => {
+                    // The worker dies instead of starting its next iteration.
+                    s.queue.schedule(s.clock, Event::Crash { worker });
+                    return;
+                }
+                IterDirective::Restart(down_us) => {
+                    // Crash now, rejoin after the dwell. The rejoin instant
+                    // is remembered so a checkpoint cut during the dwell can
+                    // re-schedule it on resume.
+                    let rejoin = s.clock + SimDuration::from_micros(down_us);
+                    s.rejoin_at[worker] = Some(rejoin);
+                    s.queue.schedule(s.clock, Event::Crash { worker });
+                    s.queue.schedule(rejoin, Event::Rejoin { worker });
+                    return;
+                }
+            }
+            extra_us += script.slowdown_us(iter);
+            if !s.fates[worker].is_departed() {
+                s.fates[worker] = script.fate();
             }
         }
         let batch = s.samplers[worker].sample(&s.train_ds);
@@ -630,35 +645,11 @@ impl<M: Clone + std::fmt::Debug> Ctx<'_, M> {
             .profile
             .compute
             .sample(&mut s.workload_rngs[worker], units);
-        let mut dur = s
+        let dur = s
             .spec
             .hetero
-            .apply(worker, nominal, &mut s.workload_rngs[worker]);
-        for fault in s.spec.fault_plan.for_worker(worker) {
-            match fault {
-                WorkerFault::HangAt { at_iter, for_us } if at_iter == iter => {
-                    dur += SimDuration::from_micros(for_us);
-                    if !matches!(
-                        s.fates[worker],
-                        WorkerFate::Crashed { .. } | WorkerFate::Restarted { .. }
-                    ) {
-                        s.fates[worker] = WorkerFate::Hung { at_iter };
-                    }
-                }
-                WorkerFault::SlowFrom { from_iter, .. }
-                | WorkerFault::GrayFrom { from_iter, .. }
-                    if from_iter <= iter =>
-                {
-                    // Constant straggler and gray ramp share the shared
-                    // slowdown arithmetic so the worlds cannot drift.
-                    dur += SimDuration::from_micros(fault.slowdown_at(iter));
-                    if s.fates[worker] == WorkerFate::Healthy {
-                        s.fates[worker] = WorkerFate::Slowed { from_iter };
-                    }
-                }
-                _ => {}
-            }
-        }
+            .apply(worker, nominal, &mut s.workload_rngs[worker])
+            + SimDuration::from_micros(extra_us);
         s.workload_trace.record(worker, dur);
         s.spans.begin(worker, SpanKind::Compute, s.clock);
         s.queue
@@ -986,10 +977,10 @@ impl<P: Protocol> Engine<P> {
         // every original member's stream — and the protocol/codec streams
         // forked after this block — bit-identical to a churn-free run of
         // the same seed.
-        let joins = spec.churn_plan.clone();
+        let joins = |w| spec.churn_plan.tenure(w).join.is_some();
         let samplers = (0..n)
             .map(|w| {
-                let key = if joins.join_of(w).is_some() {
+                let key = if joins(w) {
                     (5 << 32) + 2 * w as u64
                 } else {
                     100 + w as u64
@@ -999,7 +990,7 @@ impl<P: Protocol> Engine<P> {
             .collect();
         let workload_rngs = (0..n)
             .map(|w| {
-                let key = if joins.join_of(w).is_some() {
+                let key = if joins(w) {
                     (5 << 32) + 2 * w as u64 + 1
                 } else {
                     200 + w as u64
@@ -1046,7 +1037,11 @@ impl<P: Protocol> Engine<P> {
             last_top5: 0.0,
             workload_trace: WorkloadTrace::new(n),
             fates: vec![WorkerFate::Healthy; n],
-            restart_fired: vec![false; n],
+            scripts: if spec.fault_plan.faults().is_empty() {
+                Vec::new()
+            } else {
+                (0..n).map(|w| spec.fault_plan.script(w)).collect()
+            },
             counters: Counters::default(),
             rejoin_at: vec![None; n],
             recovery: None,
@@ -1141,7 +1136,8 @@ impl<P: Protocol> Engine<P> {
         if self.state.resumed {
             // Re-arm only the fault events still in the future: time-based
             // crashes past the restored clock and the rejoin timers that
-            // were pending when the checkpoint was cut.
+            // were pending when the checkpoint was cut. Every other fault
+            // is re-read from the plan as the workers start iterations.
             let clock = self.state.clock;
             for (worker, at) in self.state.spec.crashes.clone() {
                 if SimTime::ZERO + at > clock {
@@ -1224,15 +1220,19 @@ impl<P: Protocol> Engine<P> {
                         s.computing[worker] = false;
                         s.in_flight[worker] = None;
                         s.pending[worker] = None;
-                        s.fates[worker] = if s.restart_fired[worker] {
-                            WorkerFate::Restarted {
+                        // A kill the script directed carries its fate; a
+                        // time-indexed crash is a permanent crash at the
+                        // iterations completed so far.
+                        s.fates[worker] = match s.scripts.get(worker).map(FaultScript::fate) {
+                            Some(
+                                fate @ (WorkerFate::Crashed { .. }
+                                | WorkerFate::Restarted {
+                                    rejoined: false, ..
+                                }),
+                            ) => fate,
+                            _ => WorkerFate::Crashed {
                                 at_iter: s.local_iter[worker],
-                                rejoined: false,
-                            }
-                        } else {
-                            WorkerFate::Crashed {
-                                at_iter: s.local_iter[worker],
-                            }
+                            },
                         };
                         s.spans.end(worker, s.clock);
                         self.protocol.on_crash(&mut Ctx(&mut self.state), worker);
@@ -1245,11 +1245,12 @@ impl<P: Protocol> Engine<P> {
                         }
                         s.crashed[worker] = false;
                         s.computing[worker] = false;
-                        if let WorkerFate::Restarted { at_iter, .. } = s.fates[worker] {
-                            s.fates[worker] = WorkerFate::Restarted {
-                                at_iter,
-                                rejoined: true,
-                            };
+                        // Only a script's restart schedules a rejoin.
+                        if let Some(script) = s.scripts.get_mut(worker) {
+                            script.mark_rejoined();
+                            if let WorkerFate::Restarted { .. } = s.fates[worker] {
+                                s.fates[worker] = script.fate();
+                            }
                         }
                         s.spans.begin(worker, SpanKind::Wait, s.clock);
                         self.protocol.on_rejoin(&mut Ctx(&mut self.state), worker);
@@ -1322,7 +1323,10 @@ impl<M> SimState<M> {
             wire::put_u64(out, self.local_iter[w]);
             wire::put_u64(out, self.next_iter[w]);
             wire::put_bool(out, self.crashed[w]);
-            wire::put_bool(out, self.restart_fired[w]);
+            wire::put_bool(
+                out,
+                self.scripts.get(w).is_some_and(FaultScript::restart_fired),
+            );
             wire::put_opt_u64(out, self.rejoin_at[w].map(|t| t.as_nanos()));
             self.fates[w].encode_into(out);
             wire::put_tensor(out, self.models[w].params());
@@ -1362,9 +1366,12 @@ impl<M> SimState<M> {
             self.local_iter[w] = r.u64()?;
             self.next_iter[w] = r.u64()?;
             self.crashed[w] = r.bool()?;
-            self.restart_fired[w] = r.bool()?;
+            let restart_fired = r.bool()?;
             self.rejoin_at[w] = r.opt_u64()?.map(SimTime::from_nanos);
             self.fates[w] = WorkerFate::decode(r)?;
+            if let Some(script) = self.scripts.get_mut(w) {
+                script.restore(restart_fired, self.fates[w]);
+            }
             let params = r.tensor()?;
             let velocity = r.tensor()?;
             if params.len() != num_params || velocity.len() != num_params {
@@ -1665,6 +1672,40 @@ mod tests {
             }
         );
         assert!(result.worker_fates[1].is_dead());
+    }
+
+    #[test]
+    fn a_timed_crash_mid_iteration_discards_the_gradient_in_flight() {
+        // Iterations take 5 ms: 2.5 ms in, worker 1 is computing its first
+        // gradient, which never lands.
+        let spec = TrainSpec::smoke_test(3, 7)
+            .with_max_rounds(60)
+            .with_crash(1, SimDuration::from_micros(2_500));
+        let result = Engine::new(spec, FreeRun).run();
+        assert_eq!(result.worker_iterations[1], 0);
+        assert_eq!(result.worker_fates[1], WorkerFate::Crashed { at_iter: 0 });
+        assert!(result.worker_iterations[0] > 10);
+    }
+
+    #[test]
+    fn a_restarted_worker_that_dies_again_is_crashed() {
+        // Worker 1's plan restarts it at 4 and crashes it at 8; worker 2
+        // restarts at 4 and is killed by the clock after it rejoined. Both
+        // end as permanent crashes, not as restarts that never rejoined.
+        let plan = FaultPlan::none()
+            .restart(1, 4, 30_000)
+            .crash(1, 8)
+            .restart(2, 4, 30_000);
+        let spec = TrainSpec::smoke_test(3, 7)
+            .with_max_rounds(60)
+            .with_fault_plan(plan)
+            .with_crash(2, SimDuration::from_micros(102_500));
+        let result = Engine::new(spec, FreeRun).run();
+        assert_eq!(result.worker_iterations[1], 8);
+        assert_eq!(result.worker_fates[1], WorkerFate::Crashed { at_iter: 8 });
+        let at_iter = result.worker_iterations[2];
+        assert!(at_iter > 4, "worker 2 rejoined: {at_iter}");
+        assert_eq!(result.worker_fates[2], WorkerFate::Crashed { at_iter });
     }
 
     #[test]

@@ -1,131 +1,17 @@
-//! Executing a [`FaultPlan`] and a [`NetFaultPlan`] on real OS threads.
+//! Executing a [`NetFaultPlan`] on real OS threads.
 //!
 //! The plans themselves — which worker crashes, hangs, slows, or restarts,
 //! and which links drop, flap, or partition — are defined once in
-//! [`rna_core::fault`] so the simulator and this runtime share semantics.
-//! This module adds the runtime-side machinery: a [`FaultExecutor`] each
-//! worker thread consults at the top of every iteration and a [`NetShim`]
-//! the controller consults on every logical message.
-
-use std::time::Duration;
+//! [`rna_core::fault`], and a worker's plan is read by the same
+//! [`rna_core::fault::FaultScript`] in every world. This module adds the
+//! runtime-side network machinery: a [`NetShim`] the controller consults
+//! on every logical message.
 
 pub use rna_core::fault::{
     live_majority, probe_round_stalled, ConfigError, FaultPlan, NetFaultPlan, ToleranceConfig,
     WorkerFate, WorkerFault, LIVENESS_TIMEOUT_US, PROBE_BACKOFF_US, ROUND_DEADLINE_US,
 };
 use rna_simnet::{NetFaults, SimDuration, SimTime};
-
-/// What a worker thread must do before starting an iteration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum IterDirective {
-    /// Run the iteration normally.
-    Proceed,
-    /// Freeze (no heartbeats) for the duration, then run the iteration.
-    HangFor(Duration),
-    /// Die: exit the worker loop without computing.
-    Crash,
-    /// Die now, then come back after the duration: the worker drops out of
-    /// the liveness view, sleeps, and rejoins by pulling the current model.
-    Restart(Duration),
-}
-
-/// Per-worker interpreter of a [`FaultPlan`], consulted once per
-/// iteration by the worker thread. Tracks the worker's [`WorkerFate`] as
-/// faults fire (crash outranks hang outranks slowdown in the report).
-#[derive(Debug, Clone)]
-pub struct FaultExecutor {
-    faults: Vec<WorkerFault>,
-    fate: WorkerFate,
-    restart_fired: bool,
-}
-
-impl FaultExecutor {
-    /// Extracts `worker`'s slice of the plan.
-    pub fn new(plan: &FaultPlan, worker: usize) -> Self {
-        FaultExecutor {
-            faults: plan.for_worker(worker).collect(),
-            fate: WorkerFate::Healthy,
-            restart_fired: false,
-        }
-    }
-
-    /// Called when the worker is about to start iteration `iter` (i.e. it
-    /// has completed exactly `iter` iterations). Returns the directive and
-    /// records the fate.
-    pub fn on_iteration_start(&mut self, iter: u64) -> IterDirective {
-        for f in &self.faults {
-            if let WorkerFault::CrashAt { at_iter } = *f {
-                if at_iter == iter {
-                    self.fate = WorkerFate::Crashed { at_iter };
-                    return IterDirective::Crash;
-                }
-            }
-        }
-        for f in &self.faults {
-            if let WorkerFault::RestartAt {
-                at_iter,
-                rejoin_after_us,
-            } = *f
-            {
-                if at_iter == iter && !self.restart_fired {
-                    self.restart_fired = true;
-                    self.fate = WorkerFate::Restarted {
-                        at_iter,
-                        rejoined: false,
-                    };
-                    return IterDirective::Restart(Duration::from_micros(rejoin_after_us));
-                }
-            }
-        }
-        for f in &self.faults {
-            if let WorkerFault::HangAt { at_iter, for_us } = *f {
-                if at_iter == iter {
-                    if !self.fate.is_dead() && self.fate == WorkerFate::Healthy {
-                        self.fate = WorkerFate::Hung { at_iter };
-                    }
-                    return IterDirective::HangFor(Duration::from_micros(for_us));
-                }
-            }
-        }
-        for f in &self.faults {
-            if let WorkerFault::SlowFrom { from_iter, .. }
-            | WorkerFault::GrayFrom { from_iter, .. } = *f
-            {
-                if from_iter <= iter && self.fate == WorkerFate::Healthy {
-                    self.fate = WorkerFate::Slowed { from_iter };
-                }
-            }
-        }
-        IterDirective::Proceed
-    }
-
-    /// Extra compute delay injected into iteration `iter` by slow-forever
-    /// faults — constant stragglers plus gray-degradation ramps, through
-    /// the shared [`WorkerFault::slowdown_at`] arithmetic so this world
-    /// cannot drift from the simulator.
-    pub fn extra_compute_delay(&self, iter: u64) -> Duration {
-        let us: u64 = self.faults.iter().map(|f| f.slowdown_at(iter)).sum();
-        Duration::from_micros(us)
-    }
-
-    /// Marks a restarted worker as back in the cluster. Called by the
-    /// worker thread once its rejoin sleep elapses and it re-enters the
-    /// loop; a restart whose sleep outlives the run stays `rejoined:
-    /// false` and counts as dead.
-    pub fn mark_rejoined(&mut self) {
-        if let WorkerFate::Restarted { at_iter, .. } = self.fate {
-            self.fate = WorkerFate::Restarted {
-                at_iter,
-                rejoined: true,
-            };
-        }
-    }
-
-    /// The fate observed so far (final once the worker exits its loop).
-    pub fn fate(&self) -> WorkerFate {
-        self.fate
-    }
-}
 
 /// The controller-side network-fault interpreter: the same compiled
 /// [`NetFaults`] machinery the discrete-event fabric uses, driven by the
@@ -197,97 +83,6 @@ fn at(now_us: u64) -> SimTime {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn executor_crashes_at_exact_iteration() {
-        let plan = FaultPlan::none().crash(2, 4);
-        let mut ex = FaultExecutor::new(&plan, 2);
-        for i in 0..4 {
-            assert_eq!(ex.on_iteration_start(i), IterDirective::Proceed);
-        }
-        assert_eq!(ex.on_iteration_start(4), IterDirective::Crash);
-        assert_eq!(ex.fate(), WorkerFate::Crashed { at_iter: 4 });
-    }
-
-    #[test]
-    fn executor_ignores_other_workers() {
-        let plan = FaultPlan::none().crash(2, 0);
-        let mut ex = FaultExecutor::new(&plan, 1);
-        assert_eq!(ex.on_iteration_start(0), IterDirective::Proceed);
-        assert_eq!(ex.fate(), WorkerFate::Healthy);
-    }
-
-    #[test]
-    fn executor_hangs_then_proceeds() {
-        let plan = FaultPlan::none().hang(0, 3, 250);
-        let mut ex = FaultExecutor::new(&plan, 0);
-        assert_eq!(ex.on_iteration_start(2), IterDirective::Proceed);
-        assert_eq!(
-            ex.on_iteration_start(3),
-            IterDirective::HangFor(Duration::from_micros(250))
-        );
-        assert_eq!(ex.on_iteration_start(4), IterDirective::Proceed);
-        assert_eq!(ex.fate(), WorkerFate::Hung { at_iter: 3 });
-    }
-
-    #[test]
-    fn executor_accumulates_slowdowns() {
-        let plan = FaultPlan::none().slow(0, 2, 100).slow(0, 5, 50);
-        let mut ex = FaultExecutor::new(&plan, 0);
-        assert_eq!(ex.extra_compute_delay(1), Duration::ZERO);
-        assert_eq!(ex.extra_compute_delay(2), Duration::from_micros(100));
-        assert_eq!(ex.extra_compute_delay(7), Duration::from_micros(150));
-        ex.on_iteration_start(3);
-        assert_eq!(ex.fate(), WorkerFate::Slowed { from_iter: 2 });
-    }
-
-    #[test]
-    fn executor_ramps_gray_degradation() {
-        let plan = FaultPlan::none().gray(0, 3, 200, 700);
-        let mut ex = FaultExecutor::new(&plan, 0);
-        assert_eq!(ex.extra_compute_delay(2), Duration::ZERO);
-        assert_eq!(ex.extra_compute_delay(3), Duration::from_micros(200));
-        assert_eq!(ex.extra_compute_delay(4), Duration::from_micros(400));
-        assert_eq!(ex.extra_compute_delay(6), Duration::from_micros(700));
-        assert_eq!(
-            ex.extra_compute_delay(1_000),
-            Duration::from_micros(700),
-            "capped"
-        );
-        assert_eq!(ex.on_iteration_start(3), IterDirective::Proceed);
-        assert_eq!(ex.fate(), WorkerFate::Slowed { from_iter: 3 });
-    }
-
-    #[test]
-    fn crash_outranks_hang_at_same_iteration() {
-        let plan = FaultPlan::none().hang(0, 1, 10).crash(0, 1);
-        let mut ex = FaultExecutor::new(&plan, 0);
-        assert_eq!(ex.on_iteration_start(1), IterDirective::Crash);
-        assert!(ex.fate().is_dead());
-    }
-
-    #[test]
-    fn executor_restart_fires_once_and_rejoins() {
-        let plan = FaultPlan::none().restart(0, 2, 1_000);
-        let mut ex = FaultExecutor::new(&plan, 0);
-        assert_eq!(ex.on_iteration_start(1), IterDirective::Proceed);
-        assert_eq!(
-            ex.on_iteration_start(2),
-            IterDirective::Restart(Duration::from_micros(1_000))
-        );
-        assert!(ex.fate().is_dead(), "down until the rejoin completes");
-        ex.mark_rejoined();
-        assert_eq!(
-            ex.fate(),
-            WorkerFate::Restarted {
-                at_iter: 2,
-                rejoined: true
-            }
-        );
-        assert!(!ex.fate().is_dead());
-        // Fired once: resuming at the same iteration proceeds normally.
-        assert_eq!(ex.on_iteration_start(2), IterDirective::Proceed);
-    }
 
     #[test]
     fn shim_is_transparent_without_faults() {

@@ -74,7 +74,7 @@ use std::sync::mpsc::{channel, Sender};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use rna_core::fault::{ConfigError, WorkerFate, WorkerFault};
+use rna_core::fault::{ConfigError, IterDirective, WorkerFate, WorkerFault};
 use rna_core::recovery::{CheckpointStore, RecoveryError};
 use rna_simnet::SimRng;
 use rna_tensor::{Tensor, TensorPool};
@@ -549,7 +549,7 @@ fn resolve_worker_exe(explicit: Option<&PathBuf>) -> PathBuf {
 /// Whether a fault directive is still ahead of a rejoining incarnation.
 /// `SlowFrom` and `GrayFrom` are permanent conditions, not events — a slow
 /// or gray-degrading worker stays that way across restarts, as it does
-/// under the threaded `FaultExecutor`.
+/// for a restarted thread's `FaultScript`.
 pub(crate) fn still_pending(f: &WorkerFault, start_iter: u64, incarnation: u64) -> bool {
     if incarnation == 0 {
         return true;
@@ -660,10 +660,9 @@ fn accept_loop(
         // round is dropped without a Setup. The worker's handshake loop
         // keeps re-offering the Hello until the window opens, so an
         // address-book worker can dial in whenever it likes.
-        if let Some((at_round, _)) = config.churn_plan.join_of(w) {
-            if mirror.round.load(Ordering::Acquire) < at_round {
-                continue;
-            }
+        let join = config.churn_plan.tenure(w).join;
+        if join.is_some_and(|j| mirror.round.load(Ordering::Acquire) < j) {
+            continue;
         }
         let _ = stream.set_nodelay(true);
         let _ = stream.set_read_timeout(None);
@@ -810,8 +809,9 @@ fn supervise_child(
         .filter(|&&(kw, _)| kw == w)
         .map(|&(_, at)| at)
         .min();
-    let planned_crash = config.base.fault_plan.crash_iter(w);
-    let mut planned_restart = config.base.fault_plan.restart_of(w);
+    // The coordinator's own reading of the worker's plan: a death is
+    // planned exactly when the script says so at the iteration it died at.
+    let mut script = config.base.fault_plan.script(w);
     let mut incarnation: u64 = 0;
     let mut start_iter: u64 = 0;
     let mut kill_fired = false;
@@ -903,34 +903,29 @@ fn supervise_child(
         ) {
             return;
         }
-        if let Some((at, rejoin_after_us)) = planned_restart {
-            if iters == at {
+        match script.on_iteration_start(iters) {
+            IterDirective::Restart(down_us) => {
                 // Planned crash-restart: the worker aborted on schedule.
                 // Sit out the down window, then rejoin from the
                 // coordinator-side checkpoint.
-                planned_restart = None;
-                *lock(&slot.fate) = Some(WorkerFate::Restarted {
-                    at_iter: at,
-                    rejoined: false,
-                });
-                interruptible_sleep(Duration::from_micros(rejoin_after_us), &mirror.stop);
+                *lock(&slot.fate) = Some(script.fate());
+                interruptible_sleep(Duration::from_micros(down_us), &mirror.stop);
                 if mirror.stop.load(Ordering::Acquire) {
                     return;
                 }
-                *lock(&slot.fate) = Some(WorkerFate::Restarted {
-                    at_iter: at,
-                    rejoined: true,
-                });
-                start_iter = at;
+                script.mark_rejoined();
+                *lock(&slot.fate) = Some(script.fate());
+                start_iter = iters;
                 incarnation += 1;
                 continue;
             }
-        }
-        if planned_crash == Some(iters) {
-            // Planned permanent crash: record it and leave the worker
-            // down, like every other world.
-            *lock(&slot.fate) = Some(WorkerFate::Crashed { at_iter: iters });
-            return;
+            IterDirective::Crash => {
+                // Planned permanent crash: record it and leave the worker
+                // down, like every other world.
+                *lock(&slot.fate) = Some(script.fate());
+                return;
+            }
+            IterDirective::HangFor(_) | IterDirective::Proceed => {}
         }
         // Unplanned death: SIGKILL, severed socket, or a real bug.
         if config.respawn_unplanned {
@@ -1077,7 +1072,7 @@ pub fn run_process(config: &ProcessConfig) -> ProcessResult {
                 // A scheduled joiner's process does not exist until its
                 // join round: admission is part of the run, not the spawn.
                 let mirror = &shared.mirror;
-                if let Some((at_round, _)) = config.base.churn_plan.join_of(w) {
+                if let Some(at_round) = config.base.churn_plan.tenure(w).join {
                     while !mirror.stop.load(Ordering::Acquire)
                         && mirror.round.load(Ordering::Acquire) < at_round
                     {
@@ -1097,7 +1092,7 @@ pub fn run_process(config: &ProcessConfig) -> ProcessResult {
     // Scheduled joiners arrive mid-run and external workers are outside
     // our spawn control, so neither is waited for here.
     let initial = (0..n)
-        .filter(|&w| base.churn_plan.join_of(w).is_none() && !config.external.contains(&w))
+        .filter(|&w| base.churn_plan.tenure(w).join.is_none() && !config.external.contains(&w))
         .count();
     let join_deadline = Instant::now() + JOIN_TIMEOUT;
     let mut joined = 0usize;

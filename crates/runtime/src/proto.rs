@@ -19,6 +19,7 @@
 use std::io::{Read, Write};
 
 use rna_core::fault::{WorkerFate, WorkerFault};
+use rna_core::membership::{ChurnEvent, Edge};
 use rna_tensor::codec::Compression;
 use rna_tensor::wire::{self, Reader};
 use rna_tensor::Tensor;
@@ -320,14 +321,12 @@ pub struct WorkerSetup {
     /// parent generator identically regardless of the key, original
     /// members replay the shared sequence without knowing who joined.
     pub rng_grant: u64,
-    /// Last round this worker contributes to before retiring gracefully
-    /// (`u64::MAX` when the churn plan never retires it). The worker
-    /// finishes its contribution for this round, reports a `Retired` fate,
-    /// and exits; the coordinator must not respawn it.
-    pub retire_round: u64,
-    /// Round at which this worker is evicted (`u64::MAX` when never). The
-    /// worker exits *before* contributing to this round.
-    pub evict_round: u64,
+    /// The churn plan's retirement or eviction of this worker, if it has
+    /// one (`Tenure::leave`). The worker exits once the round counter
+    /// reaches the event's [`ChurnEvent::edge`], reporting the fate it
+    /// names; the coordinator must not respawn it. On the wire it travels
+    /// as that fate, so a frame cannot name any other departure.
+    pub leave: Option<ChurnEvent>,
     /// The remaining fault directives this incarnation must execute
     /// (already-fired triggers are filtered out by the coordinator on
     /// rejoin).
@@ -532,8 +531,13 @@ pub fn encode_body(msg: &Msg, out: &mut Vec<u8>) {
             wire::put_u64(out, s.start_iter);
             wire::put_u64(out, s.round);
             wire::put_u64(out, s.rng_grant);
-            wire::put_u64(out, s.retire_round);
-            wire::put_u64(out, s.evict_round);
+            wire::put_bool(out, s.leave.is_some());
+            if let Some(event) = s.leave {
+                let (_, Edge::Leave(fate)) = event.edge() else {
+                    unreachable!("a join is not a departure");
+                };
+                fate.encode_into(out);
+            }
             let (ctag, cparam) = s.compression.wire_id();
             wire::put_u32(out, ctag);
             wire::put_u32(out, cparam);
@@ -606,8 +610,19 @@ pub fn decode_body(body: &[u8]) -> Result<Msg, ProtoError> {
                 .ok_or(ProtoError::Truncated { what: "start_iter" })?;
             let round = r.u64().ok_or(ProtoError::Truncated { what: "round" })?;
             let rng_grant = r.u64().ok_or(ProtoError::Truncated { what: "rng_grant" })?;
-            let retire_round = r.u64().ok_or(ProtoError::Truncated { what: "retire" })?;
-            let evict_round = r.u64().ok_or(ProtoError::Truncated { what: "evict" })?;
+            let leave = if r.bool().ok_or(ProtoError::Truncated { what: "leave" })? {
+                Some(match WorkerFate::decode(&mut r) {
+                    Some(WorkerFate::Retired { at_round }) => ChurnEvent::Retire { at_round },
+                    Some(WorkerFate::Evicted { at_round }) => ChurnEvent::Evict { at_round },
+                    _ => {
+                        return Err(ProtoError::Garbage {
+                            what: "departure is neither a retirement nor an eviction",
+                        })
+                    }
+                })
+            } else {
+                None
+            };
             let ctag = r.u32().ok_or(ProtoError::Truncated { what: "codec tag" })?;
             let cparam = r.u32().ok_or(ProtoError::Truncated {
                 what: "codec parameter",
@@ -639,8 +654,7 @@ pub fn decode_body(body: &[u8]) -> Result<Msg, ProtoError> {
                 start_iter,
                 round,
                 rng_grant,
-                retire_round,
-                evict_round,
+                leave,
                 faults,
                 compression,
                 params: read_tensor(&mut r, "setup params")?,
@@ -1045,8 +1059,7 @@ mod tests {
             start_iter: 5,
             round: 9,
             rng_grant: (5 << 32) + 6,
-            retire_round: 120,
-            evict_round: u64::MAX,
+            leave: Some(ChurnEvent::Retire { at_round: 120 }),
             faults: vec![
                 WorkerFault::CrashAt { at_iter: 12 },
                 WorkerFault::HangAt {
@@ -1184,9 +1197,10 @@ mod tests {
         wire::put_u32(&mut body, MAGIC);
         body.push(16); // TAG_SETUP
         wire::put_u32(&mut body, 1); // worker
-        for _ in 0..11 {
-            wire::put_u64(&mut body, 0); // seed..evict_round scalar fields
+        for _ in 0..9 {
+            wire::put_u64(&mut body, 0); // seed..rng_grant scalar fields
         }
+        wire::put_bool(&mut body, false); // no departure
         wire::put_u32(&mut body, 0); // codec tag (lossless)
         wire::put_u32(&mut body, 0); // codec parameter
         wire::put_u32(&mut body, u32::MAX); // fault count with no faults behind it
@@ -1200,15 +1214,36 @@ mod tests {
         wire::put_u32(&mut body, MAGIC);
         body.push(16); // TAG_SETUP
         wire::put_u32(&mut body, 1); // worker
-        for _ in 0..11 {
+        for _ in 0..9 {
             wire::put_u64(&mut body, 0);
         }
+        wire::put_bool(&mut body, false);
         wire::put_u32(&mut body, 9); // no such codec tag
         wire::put_u32(&mut body, 0);
         wire::put_u32(&mut body, 0); // fault count
         wire::put_u64(&mut body, 0); // empty params tensor
         let err = decode_body(&body).unwrap_err();
         assert!(matches!(err, ProtoError::Garbage { .. }), "got {err}");
+    }
+
+    #[test]
+    fn a_setup_departure_must_be_a_retirement_or_an_eviction() {
+        for fate in [WorkerFate::Healthy, WorkerFate::Crashed { at_iter: 3 }] {
+            let mut body = Vec::new();
+            wire::put_u32(&mut body, MAGIC);
+            body.push(16); // TAG_SETUP
+            wire::put_u32(&mut body, 1); // worker
+            for _ in 0..9 {
+                wire::put_u64(&mut body, 0);
+            }
+            wire::put_bool(&mut body, true);
+            fate.encode_into(&mut body);
+            let err = decode_body(&body).unwrap_err();
+            assert!(
+                matches!(err, ProtoError::Garbage { .. }),
+                "{fate:?}: got {err}"
+            );
+        }
     }
 
     /// Builds a batch of `grads` via the zero-copy writer, exactly as the

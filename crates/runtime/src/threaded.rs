@@ -4,7 +4,7 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use rna_core::fault::{FaultPlan, NetFaultPlan, ToleranceConfig, WorkerFate};
-use rna_core::membership::{ChurnEvent, ChurnPlan};
+use rna_core::membership::{ChurnPlan, Edge};
 use rna_core::recovery::{CheckpointStore, RecoveryConfig, RecoveryError};
 use rna_core::stats::Counters;
 use rna_simnet::SimRng;
@@ -471,7 +471,7 @@ pub(crate) fn validate_config(config: &ThreadedConfig) {
     }
     if config.mode == SyncMode::Bsp {
         assert!(
-            (0..config.num_workers).all(|w| config.fault_plan.kills(w).is_none()),
+            config.fault_plan.faults().iter().all(|(_, f)| !f.kills()),
             "BSP cannot survive a crash: its barrier waits for every worker"
         );
         assert!(
@@ -524,7 +524,7 @@ fn run(
         // Dormant joiners stay out of every liveness view until their
         // admission round arrives.
         mirror: Mirror::new(config, start, state.round, |w| {
-            config.churn_plan.join_of(w).is_none()
+            config.churn_plan.tenure(w).join.is_none()
         }),
         params: (0..n)
             .map(|_| Mutex::new(Arc::clone(&init_params)))
@@ -552,7 +552,7 @@ fn run(
                     (encoder, Vec::new())
                 }),
             };
-            let join_round = config.churn_plan.join_of(w).map(|(r, _)| r);
+            let join_round = config.churn_plan.tenure(w).join;
             std::thread::spawn(move || -> WorkerFate {
                 if join_round.is_some_and(|j| !link.await_admission(j, me.park_recheck())) {
                     return me.faults.fate();
@@ -634,18 +634,11 @@ pub(crate) fn finish(
     // lands (its self-report would say Healthy), so compose the fate from
     // the plan. Only Healthy is upgraded — a worker that died before its
     // scheduled departure keeps the death verdict.
-    for &(w, ev) in config.churn_plan.events() {
-        if worker_fates[w] != WorkerFate::Healthy {
-            continue;
-        }
-        match ev {
-            ChurnEvent::Retire { at_round } if at_round < config.rounds => {
-                worker_fates[w] = WorkerFate::Retired { at_round };
+    for (w, edge) in config.churn_plan.edges(..=config.rounds) {
+        if let Edge::Leave(fate) = edge {
+            if worker_fates[w] == WorkerFate::Healthy {
+                worker_fates[w] = fate;
             }
-            ChurnEvent::Evict { at_round } if at_round <= config.rounds => {
-                worker_fates[w] = WorkerFate::Evicted { at_round };
-            }
-            _ => {}
         }
     }
     ThreadedResult {

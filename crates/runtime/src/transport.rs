@@ -24,7 +24,7 @@ use std::time::{Duration, Instant};
 use rna_collectives::partial_allreduce_pooled;
 use rna_core::cache::GradientCache;
 use rna_core::fault::{live_majority, probe_round_stalled};
-use rna_core::membership::ChurnEvent;
+use rna_core::membership::{Edge, Tenure};
 use rna_core::recovery::CheckpointStore;
 use rna_core::stats::Counters;
 use rna_simnet::SimRng;
@@ -533,6 +533,7 @@ fn controller_loop<T: Transport + ?Sized>(
     let round_deadline = Duration::from_micros(config.tolerance.round_deadline_us);
     let probe_backoff = Duration::from_micros(config.tolerance.probe_backoff_us);
     let rna = config.mode == SyncMode::Rna;
+    let tenures: Vec<Tenure> = (0..n).map(|w| config.churn_plan.tenure(w)).collect();
     for k in ck.round..config.rounds {
         // A coordinator-level kill outranks a planned controller crash at
         // the same round: there is no standby left to observe the crash.
@@ -545,7 +546,7 @@ fn controller_loop<T: Transport + ?Sized>(
         // Round `k`'s membership: dormant joiners and departed workers are
         // outside the electorate, the majority denominator, and the drain
         // set. `n` is the slot *capacity*, never the cluster size.
-        let active: Vec<bool> = (0..n).map(|w| config.churn_plan.active_at(w, k)).collect();
+        let active: Vec<bool> = tenures.iter().map(|t| t.active_at(k)).collect();
         let active_n = active.iter().filter(|&&a| a).count().max(1);
         plane.heartbeat_us = mirror.now_us();
 
@@ -740,9 +741,9 @@ fn controller_loop<T: Transport + ?Sized>(
         // admission bytes) already in place; a retirement at `k` is
         // counted only now, after the retiree's final contribution was
         // drained above — zero contributed rounds are lost.
-        for &(w, ref ev) in config.churn_plan.events() {
-            match *ev {
-                ChurnEvent::Join { at_round, .. } if at_round == k + 1 => {
+        for (w, edge) in config.churn_plan.edges(k + 1..=k + 1) {
+            match edge {
+                Edge::Join => {
                     let mut snap = pool.acquire(master.len());
                     snap.copy_from(&master);
                     let snapshot = Arc::new(snap);
@@ -756,13 +757,7 @@ fn controller_loop<T: Transport + ?Sized>(
                     ck.counters.workers_joined += 1;
                     ck.counters.snapshot_bytes_streamed += 4 * master.len() as u64;
                 }
-                ChurnEvent::Retire { at_round } if at_round == k => {
-                    ck.counters.workers_retired += 1;
-                }
-                ChurnEvent::Evict { at_round } if at_round == k + 1 => {
-                    ck.counters.workers_retired += 1;
-                }
-                _ => {}
+                Edge::Leave(_) => ck.counters.workers_retired += 1,
             }
         }
         if k + 1 == config.rounds {
@@ -825,7 +820,6 @@ pub(crate) fn supervise<T: Transport + ?Sized>(
     abort_at: Option<u64>,
     lineage: &mut Lineage,
 ) -> Option<CtrlCheckpoint> {
-    let crashes = config.fault_plan.controller_crashes();
     let mut plane = CtrlPlane {
         heartbeat_us: 0,
         slot: state0.clone(),
@@ -833,9 +827,7 @@ pub(crate) fn supervise<T: Transport + ?Sized>(
     let mut state = state0;
     loop {
         let term = lineage.term;
-        let crash_at = crashes
-            .get(usize::try_from(term).unwrap_or(usize::MAX))
-            .copied();
+        let crash_at = config.fault_plan.controller_crash(term);
         let mut probe_rng = rng.fork(STREAM_PROBE + term);
         let exit = controller_loop(
             config,

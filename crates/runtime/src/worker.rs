@@ -11,8 +11,8 @@
 //! re-handshakes under capped exponential backoff and resumes where its
 //! local state left off.
 //!
-//! Fault directives come down in the `Setup` frame and are executed by the
-//! same [`FaultExecutor`] in both worlds, with one difference that is the
+//! Fault directives come down in the `Setup` frame and are read by the
+//! same [`FaultScript`] as in the simulator, with one difference that is the
 //! whole point of the process world: there a crash or crash-restart
 //! directive calls [`std::process::abort`] — the process genuinely
 //! vanishes mid-protocol, and rejoining is the *coordinator's* problem
@@ -26,14 +26,14 @@ use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use rna_core::fault::{FaultPlan, WorkerFate, WorkerFault};
+use rna_core::fault::{FaultScript, IterDirective, WorkerFate};
+use rna_core::membership::Edge;
 use rna_simnet::SimRng;
 use rna_tensor::codec::{self, Compression};
 use rna_tensor::Tensor;
 use rna_training::model::SoftmaxClassifier;
 use rna_training::{BatchSampler, Dataset, Model};
 
-use crate::fault::{FaultExecutor, IterDirective};
 use crate::process::still_pending;
 use crate::proto::{
     compute_mac, read_msg, write_msg, AuthKey, GradBatch, Msg, ProtoError, WorkerSetup,
@@ -187,7 +187,7 @@ impl WorkerSetup {
         round: u64,
         params: Tensor,
     ) -> WorkerSetup {
-        let join = config.churn_plan.join_of(w);
+        let tenure = config.churn_plan.tenure(w);
         WorkerSetup {
             worker: w as u32,
             seed: config.seed,
@@ -205,9 +205,8 @@ impl WorkerSetup {
             round,
             // A joiner's sampler/compute streams come from the disjoint grant
             // namespace so original members replay their sequences unchanged.
-            rng_grant: join.map_or(0, |_| STREAM_JOIN + 2 * w as u64),
-            retire_round: config.churn_plan.retire_of(w).unwrap_or(u64::MAX),
-            evict_round: config.churn_plan.evict_of(w).unwrap_or(u64::MAX),
+            rng_grant: tenure.join.map_or(0, |_| STREAM_JOIN + 2 * w as u64),
+            leave: tenure.leave,
             compression: config.compression,
             faults: config
                 .fault_plan
@@ -243,33 +242,6 @@ impl WorkerSetup {
     }
 }
 
-/// Rebuilds a single-worker [`FaultPlan`] from the directives the `Setup`
-/// frame shipped (the coordinator already filtered out triggers this
-/// incarnation must not re-fire).
-fn plan_from(faults: &[WorkerFault]) -> FaultPlan {
-    let mut plan = FaultPlan::none();
-    for f in faults {
-        plan = match *f {
-            WorkerFault::CrashAt { at_iter } => plan.crash(0, at_iter),
-            WorkerFault::HangAt { at_iter, for_us } => plan.hang(0, at_iter, for_us),
-            WorkerFault::SlowFrom {
-                from_iter,
-                extra_us,
-            } => plan.slow(0, from_iter, extra_us),
-            WorkerFault::GrayFrom {
-                from_iter,
-                step_us,
-                cap_us,
-            } => plan.gray(0, from_iter, step_us, cap_us),
-            WorkerFault::RestartAt {
-                at_iter,
-                rejoin_after_us,
-            } => plan.restart(0, at_iter, rejoin_after_us),
-        };
-    }
-    plan
-}
-
 /// One worker's local state: everything that survives a reconnect and dies
 /// with a respawn.
 pub(crate) struct Worker {
@@ -278,7 +250,7 @@ pub(crate) struct Worker {
     model: SoftmaxClassifier,
     sampler: BatchSampler,
     compute_rng: SimRng,
-    pub faults: FaultExecutor,
+    pub faults: FaultScript,
     /// Completed local iterations.
     pub local_iter: u64,
 }
@@ -300,7 +272,7 @@ impl Worker {
         }
         model.set_params(&setup.params);
         Worker {
-            faults: FaultExecutor::new(&plan_from(&setup.faults), 0),
+            faults: FaultScript::new(setup.faults.clone()),
             local_iter: setup.start_iter,
             setup,
             dataset,
@@ -323,19 +295,16 @@ impl Worker {
     /// ended it, if one did.
     pub fn run(&mut self, link: &mut impl WorkerLink) -> Option<WorkerFate> {
         while !link.stop().load(Ordering::Acquire) {
-            // Scheduled departures, observed on the round counter: an evictee
-            // leaves before contributing to its eviction round (the
-            // controller purges whatever was left behind), a retiree works
-            // *through* its retirement round (the controller drains that
-            // last contribution) and leaves once the counter passes it.
-            let round_now = link.round();
-            if round_now >= self.setup.evict_round {
-                let at_round = self.setup.evict_round;
-                return Some(WorkerFate::Evicted { at_round });
-            }
-            if round_now > self.setup.retire_round {
-                let at_round = self.setup.retire_round;
-                return Some(WorkerFate::Retired { at_round });
+            // A scheduled departure, observed on the round counter: the
+            // worker leaves once the counter reaches the first round it is
+            // no longer a member of — an evictee before contributing to its
+            // eviction round (the controller purges whatever was left
+            // behind), a retiree after working *through* its retirement
+            // round (the controller drains that last contribution).
+            if let Some((round, Edge::Leave(fate))) = self.setup.leave.map(|e| e.edge()) {
+                if link.round() >= round {
+                    return Some(fate);
+                }
             }
             match self.faults.on_iteration_start(self.local_iter) {
                 // Coalesced gradients drain before a death: the directive
@@ -345,17 +314,17 @@ impl Worker {
                     link.die(None);
                     return None;
                 }
-                IterDirective::Restart(down_for) => {
+                IterDirective::Restart(down_us) => {
                     link.flush(self.local_iter);
-                    if !link.die(Some(down_for)) {
+                    if !link.die(Some(Duration::from_micros(down_us))) {
                         return None;
                     }
                     self.faults.mark_rejoined();
                 }
-                IterDirective::HangFor(d) => {
+                IterDirective::HangFor(us) => {
                     // Frozen: no heartbeats until the hang lifts.
                     link.flush(self.local_iter);
-                    interruptible_sleep(d, link.stop());
+                    interruptible_sleep(Duration::from_micros(us), link.stop());
                 }
                 IterDirective::Proceed => {}
             }
@@ -384,9 +353,9 @@ impl Worker {
             let (_, grad) = self.model.loss_and_grad(&batch);
             let compute_us = (self.setup.compute_lo_us, self.setup.compute_hi_us);
             sleep_range(&mut self.compute_rng, compute_us);
-            let extra = self.faults.extra_compute_delay(self.local_iter);
-            if !extra.is_zero() {
-                std::thread::sleep(extra);
+            let extra_us = self.faults.slowdown_us(self.local_iter);
+            if extra_us > 0 {
+                std::thread::sleep(Duration::from_micros(extra_us));
             }
             link.deposit(self.local_iter, grad);
             self.local_iter += 1;
@@ -724,36 +693,8 @@ pub fn run_worker(
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn plan_from_rebuilds_every_fault_kind() {
-        let faults = vec![
-            WorkerFault::CrashAt { at_iter: 3 },
-            WorkerFault::HangAt {
-                at_iter: 1,
-                for_us: 50,
-            },
-            WorkerFault::SlowFrom {
-                from_iter: 0,
-                extra_us: 9,
-            },
-            WorkerFault::GrayFrom {
-                from_iter: 2,
-                step_us: 40,
-                cap_us: 400,
-            },
-            WorkerFault::RestartAt {
-                at_iter: 7,
-                rejoin_after_us: 11,
-            },
-        ];
-        let plan = plan_from(&faults);
-        let rebuilt: Vec<WorkerFault> = plan.for_worker(0).collect();
-        assert_eq!(rebuilt, faults);
-        // All directives land on worker 0 — the subprocess only knows
-        // itself.
-        assert_eq!(plan.max_worker(), Some(0));
-    }
+    use rna_core::fault::WorkerFault;
+    use rna_core::membership::ChurnEvent;
 
     /// What a [`ScriptedLink`] saw, in order. Deposits carry the round
     /// counter at the moment they were made; a death carries how many
@@ -848,8 +789,7 @@ mod tests {
             start_iter: 0,
             round: 0,
             rng_grant: 0,
-            retire_round: u64::MAX,
-            evict_round: u64::MAX,
+            leave: None,
             faults: Vec::new(),
             compression: Compression::Lossless,
             params: task(seed).2.params().clone(),
@@ -870,7 +810,7 @@ mod tests {
             false
         };
         let mut retiree = worker_of(WorkerSetup {
-            retire_round: 2,
+            leave: Some(ChurnEvent::Retire { at_round: 2 }),
             ..setup_for(7)
         });
         let mut link = ScriptedLink::new(per_deposit);
@@ -881,7 +821,7 @@ mod tests {
         assert_eq!(link.deposits(), [(0, 0), (1, 1), (2, 2)]);
 
         let mut evictee = worker_of(WorkerSetup {
-            evict_round: 2,
+            leave: Some(ChurnEvent::Evict { at_round: 2 }),
             ..setup_for(7)
         });
         let mut link = ScriptedLink::new(per_deposit);

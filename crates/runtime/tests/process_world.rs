@@ -56,6 +56,29 @@ fn planned_crash_is_a_real_process_death() {
 }
 
 #[test]
+fn a_crash_due_with_a_restart_is_a_crash_to_the_coordinator_too() {
+    // Worker 2's plan holds a restart and a crash at the same iteration.
+    // The worker's script crashes (a crash is final); the coordinator reads
+    // the same plan through the same script, so it classifies the abort as
+    // that crash instead of respawning the worker as the restart.
+    let mut config = quick(3, SyncMode::Rna);
+    config.base = config
+        .base
+        .with_fault_plan(FaultPlan::none().restart(2, 5, 10_000).crash(2, 5))
+        .with_tolerance(ToleranceConfig::tight());
+    let r = run_process(&config);
+    assert_eq!(r.run.rounds, 30);
+    assert_eq!(
+        r.run.worker_fates[2],
+        WorkerFate::Crashed { at_iter: 5 },
+        "fates: {:?}",
+        r.run.worker_fates
+    );
+    assert_eq!(r.run.worker_iterations[2], 5);
+    assert_eq!(r.worker_respawns, 0);
+}
+
+#[test]
 fn sigkilled_worker_rejoins_from_checkpoint() {
     // A real SIGKILL at round 8 — the fault plan never announced it, the
     // worker had no chance to say goodbye. The coordinator must notice

@@ -185,3 +185,36 @@ fn both_worlds_agree_on_chaos_crash_restart_and_lossy_links() {
         "simulated fabric saw the lossy links"
     );
 }
+
+#[test]
+fn both_worlds_read_a_plan_with_two_crashes_and_a_slowed_hang_alike() {
+    // Worker 1's plan lists a crash at 9 before one at 4, and worker 2 slows
+    // from iteration 1 and then hangs at 3. Both worlds read the plan through
+    // the same script: the earliest crash kills, and the hang is what the
+    // fate reports.
+    use rna_core::fault::WorkerFate;
+    use rna_runtime::ToleranceConfig;
+    let n = 3;
+    let plan = FaultPlan::none()
+        .crash(1, 9)
+        .crash(1, 4)
+        .slow(2, 1, 200)
+        .hang(2, 3, 2_000);
+    let t = run_threaded(
+        &ThreadedConfig::quick(n, SyncMode::Rna)
+            .with_fault_plan(plan.clone())
+            .with_tolerance(ToleranceConfig::tight()),
+    );
+    let spec = TrainSpec::smoke_test(n, 5)
+        .with_max_rounds(60)
+        .with_fault_plan(plan);
+    let s = Engine::new(spec, RnaProtocol::new(n, RnaConfig::default(), 0)).run();
+    for (world, iters, fates) in [
+        ("threaded", &t.worker_iterations, &t.worker_fates),
+        ("simulated", &s.worker_iterations, &s.worker_fates),
+    ] {
+        assert_eq!(iters[1], 4, "{world}: the earliest crash kills");
+        assert_eq!(fates[1], WorkerFate::Crashed { at_iter: 4 }, "{world}");
+        assert_eq!(fates[2], WorkerFate::Hung { at_iter: 3 }, "{world}");
+    }
+}
