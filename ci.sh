@@ -22,6 +22,11 @@ cargo fmt --all -- --check
 echo "==> cargo clippy --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
+# Rustdoc warnings fail CI, so a deletion that leaves an intra-doc link
+# dangling (or a public doc linking a private item) cannot land.
+echo "==> cargo doc (-D warnings)"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline -q
+
 echo "==> cargo test -q"
 cargo test -q
 

@@ -128,11 +128,8 @@ impl Protocol for HorovodProtocol {
                 }
                 let reduced = self.reduced.take().expect("reduce in flight");
                 let all: Vec<usize> = (0..ctx.num_workers()).collect();
-                // Linear Scaling Rule (Goyal et al., the standard Horovod
-                // recipe): the learning rate scales with the number of
-                // contributing workers, so every protocol in the workspace
-                // takes the same per-gradient step and comparisons isolate
-                // *synchronization*, not step size.
+                // Linear Scaling Rule over all n workers, unlike the real
+                // worlds' barrier (DESIGN.md, "One trigger").
                 ctx.apply_reduced(&all, &reduced, ctx.num_workers() as f32);
                 ctx.finish_round(1.0);
                 self.round += 1;

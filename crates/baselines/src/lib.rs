@@ -12,14 +12,14 @@
 //!   model with one random neighbor. No global barrier, but atomic
 //!   averaging serializes conflicting sessions — the overhead the paper
 //!   calls out.
-//! * [`EagerSgdProtocol`] — partial collectives triggered by a *majority*
-//!   of ready workers (Li et al.): like RNA's non-blocking reduce but
-//!   without probing, so a deterministic slowdown of half the cluster
-//!   stalls it.
 //! * [`SgpProtocol`] — stochastic gradient push (Assran et al.): pairwise
 //!   gossip on a time-varying exponential graph, one neighbor exchange per
 //!   iteration with a per-iteration barrier; local updates propagate in
 //!   O(log P) rounds.
+//!
+//! eager-SGD (Li et al.), the third §7.3 baseline, differs from RNA only in
+//! what fires the partial collective, so it is RNA's own driver:
+//! `rna_core::rna::RnaProtocol` under `Election::Majority`.
 //!
 //! Two further §9 reference points round out the design space:
 //!
@@ -36,13 +36,11 @@
 mod adpsgd;
 mod async_ps;
 mod backup;
-mod eager;
 mod horovod;
 mod sgp;
 
 pub use adpsgd::AdPsgdProtocol;
 pub use async_ps::AsyncPsProtocol;
 pub use backup::BackupWorkersProtocol;
-pub use eager::EagerSgdProtocol;
 pub use horovod::HorovodProtocol;
 pub use sgp::SgpProtocol;

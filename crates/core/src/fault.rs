@@ -15,10 +15,10 @@
 //!   and the process coordinator's death classifier all call it, so a plan
 //!   means the same thing in all three worlds.
 //! * [`WorkerFate`] — the post-mortem verdict both worlds report.
-//! * [`live_majority`] / [`probe_round_stalled`] — the two predicates that
-//!   decide when an eager-majority round may fire and when an RNA probe
-//!   round must be resampled. Both the simulator's `GroupState` and the
-//!   threaded controller call these, so the worlds cannot drift.
+//! * [`majority_initiator`] / [`probe_round_stalled`] — the two rules
+//!   that decide when (and by whom) an eager-majority round fires and when
+//!   an RNA probe round must be resampled. The simulator's `GroupState`
+//!   and the real worlds' controller both call these.
 //! * [`NetFaultPlan`] — the network-level counterpart: per-link message
 //!   drop probabilities, link flaps (timed down-windows), and timed
 //!   partitions. It compiles to the `rna_simnet::NetFaults` mechanism that
@@ -554,12 +554,18 @@ impl WorkerFate {
 /// fire, given the number of *live* members. Crashed workers shrink the
 /// electorate: a majority of survivors, never less than one.
 ///
-/// Both the simulated eager-SGD baseline and the threaded
-/// `SyncMode::EagerMajority` controller call this — the threaded majority
-/// loop previously hard-coded `n / 2 + 1` over all workers and therefore
-/// spun forever once half the cluster died.
+/// [`majority_initiator`] counts against it, so an electorate that loses
+/// half its members still fires instead of spinning forever.
 pub fn live_majority(live_members: usize) -> usize {
     (live_members / 2 + 1).max(1)
+}
+
+/// The eager-majority trigger: the first of the `ready` members (in member
+/// order) once they number at least [`live_majority`] of the `live` ones.
+/// `GroupState` and `SyncMode::EagerMajority` both fire through it.
+pub fn majority_initiator(mut ready: impl Iterator<Item = usize>, live: usize) -> Option<usize> {
+    let first = ready.next()?;
+    (1 + ready.count() >= live_majority(live)).then_some(first)
 }
 
 /// Whether an in-flight probe round can no longer elect an initiator
@@ -1218,6 +1224,8 @@ mod tests {
 
     #[test]
     fn majority_shrinks_with_deaths() {
+        assert_eq!(live_majority(8), 5);
+        assert_eq!(live_majority(7), 4);
         assert_eq!(live_majority(4), 3);
         assert_eq!(live_majority(3), 2);
         assert_eq!(live_majority(2), 2);
@@ -1225,6 +1233,11 @@ mod tests {
         // Even an empty electorate demands one contributor, so a fully
         // dead cluster can never fire a round by accident.
         assert_eq!(live_majority(0), 1);
+        // The trigger: the first ready member, once enough are ready.
+        assert_eq!(majority_initiator([2, 3].into_iter(), 4), None);
+        assert_eq!(majority_initiator([1, 2, 3].into_iter(), 4), Some(1));
+        assert_eq!(majority_initiator([3, 5].into_iter(), 2), Some(3));
+        assert_eq!(majority_initiator(std::iter::empty(), 0), None);
     }
 
     #[test]

@@ -381,10 +381,11 @@ impl PsStage {
         //    backwards, with caches transplanted and non-live members
         //    dormant.
         let round = groups.iter().map(GroupState::round).max().unwrap_or(0);
+        let election = groups[0].election;
         *groups = layout
             .iter()
             .enumerate()
-            .map(|(id, members)| GroupState::new(id, members.clone(), config))
+            .map(|(id, members)| GroupState::new(id, members.clone(), config, election))
             .collect();
         *worker_group = group_of(&layout, n);
         let k = groups.len();
@@ -414,7 +415,7 @@ impl PsStage {
         // 6. Atomic swap done: restart every group's compute and election.
         for g in groups.iter_mut() {
             g.resume_all(ctx, config);
-            g.start_probe_round(ctx, config, tolerance);
+            g.open_election(ctx, config, tolerance);
         }
     }
 }

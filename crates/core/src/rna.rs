@@ -18,6 +18,9 @@
 //! iterations (Figure 4), bounded by `max_lead` so stragglers cannot be
 //! left arbitrarily far behind.
 //!
+//! Under [`Election::Majority`] (eager-SGD, Li et al.) steps 1–2 give way
+//! to a count: the collective fires once a live majority holds a gradient.
+//!
 //! [`RnaProtocol`] owns one `GroupState` per group and writes the round
 //! edge once. Flat RNA ([`RnaProtocol::new`]) is one group spanning the
 //! cluster, with controller failover and checkpoint/resume. The §4
@@ -32,7 +35,7 @@ use rna_tensor::wire::{self, Reader};
 use rna_tensor::Tensor;
 
 use crate::cache::GradientCache;
-use crate::fault::ToleranceConfig;
+use crate::fault::{majority_initiator, ToleranceConfig};
 use crate::grouping::{group_of, partition_groups};
 use crate::hier::PsStage;
 use crate::membership::{Edge, RegroupPolicy, SpeedEstimator};
@@ -103,6 +106,17 @@ pub enum RnaMsg {
     },
 }
 
+/// What fires a group's partial collective.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Election {
+    /// RNA (§3.2): the controller probes `d` live members and the first
+    /// ready reply elects the initiator.
+    Probe,
+    /// eager-SGD: no probes; the collective fires once a live majority of
+    /// members holds a gradient ([`majority_initiator`]).
+    Majority,
+}
+
 /// Per-group RNA state machine, driven by [`RnaProtocol`] (one per group).
 #[derive(Debug)]
 pub struct GroupState {
@@ -110,6 +124,10 @@ pub struct GroupState {
     pub id: usize,
     /// Global worker ids belonging to this group.
     pub members: Vec<usize>,
+    pub(crate) election: Election,
+    /// Majority arm: this round's election is open and has not fired
+    /// (closed while the controller is down or a drain is pending).
+    armed: bool,
     caches: Vec<GradientCache>,
     pending_reply: Vec<Option<u64>>,
     probe: Option<ProbeRound>,
@@ -151,7 +169,7 @@ pub(crate) fn empty_cache(config: &RnaConfig) -> GradientCache {
 }
 
 impl GroupState {
-    /// Creates the state machine for `members` under `config`.
+    /// Creates the state machine for `members` under `config` and `election`.
     ///
     /// A `config.probes` larger than the group is not an error: probe
     /// counts are clamped to the group size, so small groups simply probe
@@ -160,7 +178,7 @@ impl GroupState {
     /// # Panics
     ///
     /// Panics if `members` is empty.
-    pub fn new(id: usize, members: Vec<usize>, config: &RnaConfig) -> Self {
+    pub fn new(id: usize, members: Vec<usize>, config: &RnaConfig, election: Election) -> Self {
         assert!(!members.is_empty(), "group needs at least one member");
         let n = members.len();
         let mut member_slots: Vec<(u32, u32)> = members
@@ -172,6 +190,8 @@ impl GroupState {
         GroupState {
             id,
             members,
+            election,
+            armed: false,
             caches: (0..n).map(|_| empty_cache(config)).collect(),
             pending_reply: vec![None; n],
             probe: None,
@@ -206,17 +226,37 @@ impl GroupState {
         Some(local)
     }
 
-    /// Issues this round's probes (power-of-`d`-choices over the group's
-    /// *live* members — crashed workers are never probed). A retry starts
-    /// at `tolerance.probe_backoff_us`.
-    pub fn start_probe_round(
+    /// Opens this round's election: the probe arm probes `d` *live* members
+    /// (a retry starts at `tolerance.probe_backoff_us`); the majority arm
+    /// arms its trigger and fires at once if a majority is already ready.
+    pub fn open_election(
         &mut self,
         ctx: &mut Ctx<'_, RnaMsg>,
         config: &RnaConfig,
         tolerance: &ToleranceConfig,
     ) {
-        self.retry_backoff_us = tolerance.probe_backoff_us;
-        self.issue_probes(ctx, config);
+        if self.election == Election::Majority {
+            self.armed = true;
+            self.maybe_fire_majority(ctx, config);
+        } else {
+            self.retry_backoff_us = tolerance.probe_backoff_us;
+            self.issue_probes(ctx, config);
+        }
+    }
+
+    /// The majority arm's trigger, checked wherever the ready or live count
+    /// changes: the first ready member initiates ([`majority_initiator`]).
+    fn maybe_fire_majority(&mut self, ctx: &mut Ctx<'_, RnaMsg>, config: &RnaConfig) {
+        if !self.armed || self.reducing || ctx.stopped() {
+            return;
+        }
+        let ready = (0..self.members.len()).filter(|&l| self.live[l] && !self.caches[l].is_empty());
+        let live = self.live.iter().filter(|&&l| l).count();
+        if let Some(local) = majority_initiator(ready, live) {
+            self.armed = false;
+            self.last_initiator = Some(self.members[local]);
+            self.launch_reduce(ctx, config);
+        }
     }
 
     /// Samples and sends one batch of probes, bumping the probe epoch (so
@@ -290,9 +330,9 @@ impl GroupState {
         self.issue_probes(ctx, config);
     }
 
-    /// A member crashed: remove it from election and — if every probed
-    /// member of the in-flight probe round is now dead — resample
-    /// immediately so the round cannot stall.
+    /// A member crashed: remove it from election, re-check the majority
+    /// trigger over the shrunk electorate, and — if every probed member of
+    /// the in-flight probe round is now dead — resample at once.
     pub fn handle_crash(
         &mut self,
         ctx: &mut Ctx<'_, RnaMsg>,
@@ -301,12 +341,13 @@ impl GroupState {
         worker: usize,
     ) {
         self.depart(config, worker);
+        self.maybe_fire_majority(ctx, config);
         let stalled = !self.reducing
             && self.probe.as_ref().is_some_and(|p| {
                 p.winner().is_none() && crate::fault::probe_round_stalled(p.probed(), &self.live)
             });
         if stalled {
-            self.start_probe_round(ctx, config, tolerance);
+            self.open_election(ctx, config, tolerance);
         }
     }
 
@@ -338,7 +379,8 @@ impl GroupState {
     }
 
     /// A member finished a local iteration: cache its gradient, answer any
-    /// pending probe, and keep computing unless the lead bound is hit.
+    /// pending probe or fire the majority, and keep computing unless the
+    /// lead bound is hit.
     pub fn handle_compute_done(
         &mut self,
         ctx: &mut Ctx<'_, RnaMsg>,
@@ -355,6 +397,7 @@ impl GroupState {
         if let Some(round) = self.pending_reply[local].take() {
             self.send_reply(ctx, worker, round);
         }
+        self.maybe_fire_majority(ctx, config);
         self.maybe_continue(ctx, config, local);
     }
 
@@ -413,7 +456,7 @@ impl GroupState {
         let k = self.round;
         let initiator = self
             .last_initiator
-            .expect("launch_reduce is only reached from an accepted reply");
+            .expect("launch_reduce is only reached with an elected initiator");
         let reachable: Vec<bool> = self
             .members
             .iter()
@@ -539,7 +582,7 @@ impl GroupState {
     /// fresh cache, seed it with a live peer's current parameters (the
     /// "pull the current model" half of a restart), and restart its
     /// compute pipeline. If the whole group had died, this also revives
-    /// the election loop.
+    /// the probe loop (an armed majority trigger simply stays armed).
     pub fn handle_rejoin(
         &mut self,
         ctx: &mut Ctx<'_, RnaMsg>,
@@ -561,9 +604,9 @@ impl GroupState {
             let params = ctx.params(donor);
             ctx.set_params(worker, &params);
         }
-        let election_dead = self.probe.is_none() && !self.reducing;
-        if election_dead && !ctx.stopped() {
-            self.start_probe_round(ctx, config, tolerance);
+        let probes_dead = self.election == Election::Probe && self.probe.is_none();
+        if probes_dead && !self.reducing && !ctx.stopped() {
+            self.open_election(ctx, config, tolerance);
         }
         self.maybe_continue(ctx, config, local);
     }
@@ -571,7 +614,7 @@ impl GroupState {
     /// Completes the round: clears the reduce latch, bumps the round, and
     /// records participation. `RnaProtocol`'s round edge follows with churn,
     /// the regroup or checkpoint check, [`GroupState::resume_paused`] and
-    /// the next probe round.
+    /// the next election.
     pub fn complete_round(&mut self, ctx: &mut Ctx<'_, RnaMsg>, contributors: usize) {
         self.reducing = false;
         self.round += 1;
@@ -678,11 +721,12 @@ impl GroupState {
 
     /// Resets the controller-side election state after a standby takeover:
     /// the new controller trusts only the journal-recovered `round`, holds
-    /// no probe round or in-flight collective, and bumps the probe epoch
+    /// no open election or in-flight collective, and bumps the probe epoch
     /// so any timer armed by the dead controller expires.
     pub fn recover_for_takeover(&mut self, round: u64) {
         self.round = round;
         self.probe = None;
+        self.armed = false;
         self.reducing = false;
         self.in_flight = None;
         self.probe_epoch += 1;
@@ -755,6 +799,7 @@ impl GroupState {
             self.residuals[local] = r.opt_tensor()?;
         }
         self.probe = None;
+        self.armed = false;
         self.reducing = false;
         self.in_flight = None;
         self.quiescing = false;
@@ -845,7 +890,7 @@ impl RnaProtocol {
         let groups = groups
             .into_iter()
             .enumerate()
-            .map(|(id, members)| GroupState::new(id, members, &config))
+            .map(|(id, members)| GroupState::new(id, members, &config, Election::Probe))
             .collect();
         RnaProtocol {
             config,
@@ -889,6 +934,29 @@ impl RnaProtocol {
             .map(|w| spec.hetero.expected(w, nominal))
             .collect();
         RnaProtocol::grouped(partition_groups(&times), config)
+    }
+
+    /// Sets what fires each group's collective (default [`Election::Probe`]).
+    /// [`Election::Majority`] is eager-SGD (`"eager-sgd"`): the same driver
+    /// with only the trigger changed.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use rna_core::rna::{Election, RnaProtocol};
+    /// use rna_core::sim::{Engine, TrainSpec};
+    /// use rna_core::RnaConfig;
+    ///
+    /// let eager = RnaProtocol::new(4, RnaConfig::default(), 1).with_election(Election::Majority);
+    /// let result = Engine::new(TrainSpec::smoke_test(4, 1), eager).run();
+    /// assert_eq!(result.protocol, "eager-sgd");
+    /// assert!(result.mean_participation() >= 0.5);
+    /// ```
+    pub fn with_election(mut self, election: Election) -> Self {
+        for g in &mut self.groups {
+            g.election = election;
+        }
+        self
     }
 
     /// Overrides the control-plane tolerance knobs: the controller lease
@@ -951,7 +1019,7 @@ impl RnaProtocol {
         server.map_or(0, |s| s.failovers())
     }
 
-    /// Starts group `gid`'s next probe round — unless the fault plan kills
+    /// Opens group `gid`'s next election — unless the fault plan kills
     /// the (flat) controller at this round, in which case the controller
     /// goes dark and the warm standby's lease timer is armed instead.
     fn start_next_round(&mut self, ctx: &mut Ctx<'_, RnaMsg>, gid: usize) {
@@ -973,13 +1041,13 @@ impl RnaProtocol {
             );
             return;
         }
-        self.groups[gid].start_probe_round(ctx, &self.config, &self.tolerance);
+        self.groups[gid].open_election(ctx, &self.config, &self.tolerance);
     }
 
     /// The warm standby's lease timer fired: bump the term, recover the
     /// round counter from the journal, reset the election state (probe
-    /// epoch bump expires the dead incarnation's timers), and restart the
-    /// abandoned probe round.
+    /// epoch bump expires the dead incarnation's timers), and reopen the
+    /// abandoned election.
     fn handle_takeover(&mut self, ctx: &mut Ctx<'_, RnaMsg>, term: u64) {
         if !self.ctrl_down || term != self.term + 1 {
             return; // stale timer from an older incarnation
@@ -993,7 +1061,7 @@ impl RnaProtocol {
             "journal replay must agree with the group round"
         );
         self.groups[0].recover_for_takeover(round);
-        // One probe round was abandoned: the downtime cost of the takeover.
+        // One election was abandoned: the downtime cost of the takeover.
         ctx.counters_mut().controller_failovers += 1;
         ctx.counters_mut().failover_rounds_lost += 1;
         self.start_next_round(ctx, 0);
@@ -1072,7 +1140,7 @@ impl RnaProtocol {
     /// round (flat), apply the churn events now due, run the regroup check
     /// (PS stage; an armed swap holds the group until every group has
     /// drained), then quiesce for a due checkpoint (flat) or resume the
-    /// paused members and start the next probe round.
+    /// paused members and open the next election.
     fn round_edge(&mut self, ctx: &mut Ctx<'_, RnaMsg>, gid: usize, contributors: usize) {
         let group = &mut self.groups[gid];
         let (round, initiator) = (group.round(), group.last_initiator.unwrap_or(0));
@@ -1196,10 +1264,10 @@ impl Protocol for RnaProtocol {
     type Msg = RnaMsg;
 
     fn name(&self) -> &'static str {
-        if self.ps.is_some() {
-            "rna-hier"
-        } else {
-            "rna"
+        match (self.groups[0].election, &self.ps) {
+            (Election::Majority, _) => "eager-sgd",
+            (Election::Probe, Some(_)) => "rna-hier",
+            (Election::Probe, None) => "rna",
         }
     }
 
@@ -1547,26 +1615,29 @@ mod tests {
     #[test]
     fn controller_failover_is_survived_and_deterministic() {
         use crate::fault::FaultPlan;
-        let run = |plan: FaultPlan| {
-            let spec = TrainSpec::smoke_test(4, 23)
-                .with_max_rounds(40)
-                .with_fault_plan(plan);
-            Engine::new(spec, RnaProtocol::new(4, RnaConfig::default(), 0)).run()
-        };
-        let a = run(FaultPlan::none().crash_controller(10));
-        let b = run(FaultPlan::none().crash_controller(10));
-        let clean = run(FaultPlan::none());
-        assert_eq!(a.global_rounds, 40);
-        assert_eq!(a.controller_failovers, 1);
-        assert_eq!(a.failover_rounds_lost, 1);
-        // Same-seed replays of the failover are bit-identical.
-        assert_eq!(a.wall_time, b.wall_time);
-        assert_eq!(a.final_loss(), b.final_loss());
-        assert_eq!(a.comm_bytes, b.comm_bytes);
-        assert_eq!(a.worker_iterations, b.worker_iterations);
-        // The lease window is real downtime.
-        assert!(a.wall_time > clean.wall_time);
-        assert_eq!(clean.controller_failovers, 0);
+        for election in [Election::Probe, Election::Majority] {
+            let run = |plan: FaultPlan| {
+                let spec = TrainSpec::smoke_test(4, 23)
+                    .with_max_rounds(40)
+                    .with_fault_plan(plan);
+                let protocol = RnaProtocol::new(4, RnaConfig::default(), 0).with_election(election);
+                Engine::new(spec, protocol).run()
+            };
+            let a = run(FaultPlan::none().crash_controller(10));
+            let b = run(FaultPlan::none().crash_controller(10));
+            let clean = run(FaultPlan::none());
+            assert_eq!(a.global_rounds, 40, "{election:?}");
+            assert_eq!(a.controller_failovers, 1, "{election:?}");
+            assert_eq!(a.failover_rounds_lost, 1, "{election:?}");
+            // Same-seed replays of the failover are bit-identical.
+            assert_eq!(a.wall_time, b.wall_time);
+            assert_eq!(a.final_loss(), b.final_loss());
+            assert_eq!(a.comm_bytes, b.comm_bytes);
+            assert_eq!(a.worker_iterations, b.worker_iterations);
+            // The lease window is real downtime.
+            assert!(a.wall_time > clean.wall_time, "{election:?}");
+            assert_eq!(clean.controller_failovers, 0);
+        }
     }
 
     #[test]
@@ -1622,6 +1693,50 @@ mod tests {
             "retries {} under the tight backoff vs {} under the default",
             fast.probe_retries,
             default.probe_retries
+        );
+    }
+
+    fn eager(n: usize) -> RnaProtocol {
+        RnaProtocol::new(n, RnaConfig::default(), 0).with_election(Election::Majority)
+    }
+
+    #[test]
+    fn eager_trains() {
+        let spec = TrainSpec::smoke_test(4, 1).with_max_rounds(150);
+        let r = Engine::new(spec, eager(4)).run();
+        let pts = r.history.points();
+        assert!(pts.last().unwrap().loss < pts[0].loss);
+        assert_eq!(r.global_rounds, 150);
+    }
+
+    #[test]
+    fn participation_is_at_least_majority() {
+        let n = 8;
+        let spec = TrainSpec::smoke_test(n, 2)
+            .with_hetero(HeterogeneityModel::dynamic_uniform(n, 0, 50))
+            .with_max_rounds(80);
+        let r = Engine::new(spec, eager(n)).run();
+        assert!(
+            r.mean_participation() >= 0.5,
+            "participation {}",
+            r.mean_participation()
+        );
+    }
+
+    #[test]
+    fn deterministic_slow_half_stalls_majority() {
+        // With exactly half the cluster slowed 45 ms, the majority trigger
+        // must wait for at least one slow worker every round — rounds are
+        // bounded below by the slow tier.
+        let n = 4;
+        let spec = TrainSpec::smoke_test(n, 4)
+            .with_hetero(HeterogeneityModel::deterministic(&[0, 0, 45, 45]))
+            .with_max_rounds(40);
+        let r = Engine::new(spec, eager(n)).run();
+        assert!(
+            r.mean_round_time() >= SimDuration::from_millis(24),
+            "round time {}",
+            r.mean_round_time()
         );
     }
 

@@ -2,10 +2,9 @@
 //! mapping from the paper's four workloads onto [`TrainSpec`]s.
 
 use rna_baselines::{
-    AdPsgdProtocol, AsyncPsProtocol, BackupWorkersProtocol, EagerSgdProtocol, HorovodProtocol,
-    SgpProtocol,
+    AdPsgdProtocol, AsyncPsProtocol, BackupWorkersProtocol, HorovodProtocol, SgpProtocol,
 };
-use rna_core::rna::RnaProtocol;
+use rna_core::rna::{Election, RnaProtocol};
 use rna_core::sim::{Engine, TaskKind, TrainSpec};
 use rna_core::{RnaConfig, RunResult};
 use rna_simnet::{LinkModel, SimDuration};
@@ -107,7 +106,11 @@ pub fn run_approach(approach: Approach, spec: &TrainSpec, config: &RnaConfig) ->
     let n = spec.num_workers;
     match approach {
         Approach::Horovod => Engine::new(spec.clone(), HorovodProtocol::new(n)).run(),
-        Approach::EagerSgd => Engine::new(spec.clone(), EagerSgdProtocol::new(n)).run(),
+        Approach::EagerSgd => Engine::new(
+            spec.clone(),
+            RnaProtocol::new(n, RnaConfig::default(), spec.seed).with_election(Election::Majority),
+        )
+        .run(),
         Approach::AdPsgd => Engine::new(spec.clone(), AdPsgdProtocol::new(n)).run(),
         Approach::Rna => {
             Engine::new(spec.clone(), RnaProtocol::new(n, config.clone(), spec.seed)).run()

@@ -3,10 +3,10 @@
 //! [`run_process`] binds an ephemeral localhost port, spawns one
 //! `rna-worker` subprocess per worker, and supervises them over the
 //! length-delimited protocol of [`crate::proto`]. The controller, the
-//! [`Mirror`] it reads and the worker loop are the same code the threaded
+//! `Mirror` it reads and the worker loop are the same code the threaded
 //! world runs — this module only drives them over sockets: per-connection
 //! reader threads write the mirror on their subprocess's behalf, and the
-//! [`Transport`]'s parameter/round pushes become framed TCP writes.
+//! `Transport`'s parameter/round pushes become framed TCP writes.
 //!
 //! What is *real* here that the other worlds simulate:
 //!
@@ -54,7 +54,7 @@
 //! scheduled round, every socket dies, and a fresh incarnation restarts
 //! from the newest *disk* checkpoint under a bumped term. Workers treat
 //! the dead socket as a socket event, not a death: they re-handshake
-//! under capped exponential backoff ([`crate::run_worker`]) and the
+//! under capped exponential backoff ([`crate::worker::run_worker`]) and the
 //! redone rounds are honestly counted in `failover_rounds_lost`.
 //!
 //! With [`ProcessConfig::with_fault_proxy`], the physical half of the
@@ -236,7 +236,7 @@ pub struct ProcessConfig {
     /// Worker slots the coordinator does *not* spawn a subprocess for:
     /// these workers arrive from outside via the address book (a
     /// pre-spawned `rna-worker`, or a test calling
-    /// [`crate::run_worker`] directly). They are excluded from the
+    /// [`crate::worker::run_worker`] directly). They are excluded from the
     /// initial join barrier and are never respawned.
     pub external: Vec<usize>,
     /// When set, the coordinator writes its address book — the listener

@@ -48,9 +48,9 @@ pub struct ThreadedConfig {
     pub mode: SyncMode,
     /// Learning rate.
     pub lr: f32,
-    /// Gradient-cache staleness bound (RNA only).
+    /// Gradient-cache staleness bound (RNA and eager-SGD).
     pub staleness_bound: usize,
-    /// Maximum iterations a worker may lead the round counter (RNA only).
+    /// Maximum iterations a worker may lead the round counter (RNA and eager-SGD).
     pub max_lead: u64,
     /// Per-worker mini-batch size.
     pub batch_size: usize,

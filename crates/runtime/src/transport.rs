@@ -23,7 +23,7 @@ use std::time::{Duration, Instant};
 
 use rna_collectives::partial_allreduce_pooled;
 use rna_core::cache::GradientCache;
-use rna_core::fault::{live_majority, probe_round_stalled};
+use rna_core::fault::{majority_initiator, probe_round_stalled};
 use rna_core::membership::{Edge, Tenure};
 use rna_core::recovery::CheckpointStore;
 use rna_core::stats::Counters;
@@ -475,22 +475,20 @@ impl SyncMode {
     fn fires(self, m: &Mirror, active: &[bool], probed: &[usize]) -> Option<usize> {
         let ready = |w: &usize| !m.is_dead(*w) && m.cache_ready(*w);
         let electorate = || (0..active.len()).filter(|&w| active[w]);
-        let need = match self {
+        match self {
             // RNA: any probed worker is ready.
-            SyncMode::Rna => return probed.iter().copied().find(ready),
+            SyncMode::Rna => probed.iter().copied().find(ready),
             // eager-SGD: a majority of the *live, active* electorate.
             SyncMode::EagerMajority => {
                 let live = m.live_view();
-                live_majority(electorate().filter(|&w| live[w]).count())
+                let electors = electorate().filter(|&w| live[w]).count();
+                majority_initiator(electorate().filter(ready), electors)
             }
             // BSP: every active worker that is not dead.
-            SyncMode::Bsp => electorate().filter(|&w| !m.is_dead(w)).count(),
-        };
-        let ready: Vec<usize> = electorate().filter(ready).collect();
-        if ready.len() >= need {
-            ready.first().copied()
-        } else {
-            None
+            SyncMode::Bsp => {
+                let barrier = electorate().all(|w| m.is_dead(w) || m.cache_ready(w));
+                barrier.then(|| electorate().find(ready)).flatten()
+            }
         }
     }
 }
@@ -691,9 +689,8 @@ fn controller_loop<T: Transport + ?Sized>(
         };
         if let Some(outcome) = outcome {
             let m = outcome.num_contributors as f32;
-            // Linear Scaling Rule for the partial collectives (the mean of
-            // `m` gradients stands for `m` mini-batches); the barrier's
-            // update rule is the plain mean.
+            // Linear Scaling Rule for the partial collectives; the barrier
+            // applies the plain mean (DESIGN.md, "One trigger").
             let scale = if config.mode == SyncMode::Bsp { 1.0 } else { m };
             opt.step(&mut master, &outcome.reduced, scale);
             pool.release(outcome.reduced);

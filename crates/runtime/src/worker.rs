@@ -1,6 +1,6 @@
-//! The worker role, written once: [`Worker::run`] is the loop every worker
+//! The worker role, written once: `Worker::run` is the loop every worker
 //! executes — a thread of the threaded world or an `rna-worker` subprocess —
-//! against a [`WorkerLink`] that hides the I/O that differs.
+//! against a `WorkerLink` that hides the I/O that differs.
 //!
 //! [`run_worker`] is what the `rna-worker` binary calls after parsing its
 //! command line: connect, prove key possession through the

@@ -403,8 +403,9 @@ fn int8_byte(q: f32) -> u8 {
     (q + 12_582_912.0).to_bits() as u8
 }
 
-/// Dequantizes signed bytes back to `f32`: `out[i] = bytes[i] as i8 as f32
-/// * scale`, for every byte a peer may send (−128 included).
+/// Dequantizes signed bytes back to `f32`,
+/// `out[i] = bytes[i] as i8 as f32 * scale`, for every byte a peer may send
+/// (−128 included).
 ///
 /// # Panics
 ///

@@ -15,7 +15,7 @@ use rna_core::grouping::partition_groups;
 use rna_core::membership::{
     canonical_groups, hetero_ratio, regroup_decision, ChurnPlan, RegroupPolicy, SpeedEstimator,
 };
-use rna_core::rna::RnaProtocol;
+use rna_core::rna::{Election, RnaProtocol};
 use rna_core::sim::{Engine, TrainSpec};
 use rna_core::{RnaConfig, RunResult};
 use rna_runtime::{run_process, run_threaded, ProcessConfig, SyncMode, ThreadedConfig};
@@ -222,7 +222,17 @@ fn regroup_decision_pins_to_the_offline_zeta_split() {
 #[test]
 fn all_three_worlds_agree_on_the_same_churn_plan() {
     // Worker 4 joins at round 8, worker 1 retires after round 20 — in the
-    // simulator, in OS threads, and in real subprocesses over TCP.
+    // simulator, in OS threads, and in real subprocesses over TCP, under
+    // RNA's probe election and under eager-SGD's majority trigger.
+    for (election, mode) in [
+        (Election::Probe, SyncMode::Rna),
+        (Election::Majority, SyncMode::EagerMajority),
+    ] {
+        three_worlds_agree_on_a_churn_plan(election, mode);
+    }
+}
+
+fn three_worlds_agree_on_a_churn_plan(election: Election, mode: SyncMode) {
     let n = 5;
     let plan = ChurnPlan::none().join(4, 8, ADMIT_US).retire(1, 20);
 
@@ -231,7 +241,8 @@ fn all_three_worlds_agree_on_the_same_churn_plan() {
     let spec = TrainSpec::smoke_test(n, 7)
         .with_max_rounds(30)
         .with_churn_plan(plan.clone());
-    let s = Engine::new(spec, RnaProtocol::new(n, RnaConfig::default(), 0)).run();
+    let protocol = RnaProtocol::new(n, RnaConfig::default(), 0).with_election(election);
+    let s = Engine::new(spec, protocol).run();
     assert_eq!(s.global_rounds, 30);
     assert_eq!(s.workers_joined, 1);
     assert_eq!(s.workers_retired, 1);
@@ -240,7 +251,7 @@ fn all_three_worlds_agree_on_the_same_churn_plan() {
     assert!(s.worker_iterations[4] > 0, "simulated joiner contributed");
 
     // World two: OS threads in one process.
-    let t = run_threaded(&ThreadedConfig::quick(n, SyncMode::Rna).with_churn_plan(plan.clone()));
+    let t = run_threaded(&ThreadedConfig::quick(n, mode).with_churn_plan(plan.clone()));
     assert_eq!(t.rounds, 30, "retirement drains; no round is lost");
     assert_eq!(t.workers_joined, 1);
     assert_eq!(t.workers_retired, 1);
@@ -252,7 +263,7 @@ fn all_three_worlds_agree_on_the_same_churn_plan() {
 
     // World three: subprocesses over TCP — admission is a real handshake
     // against the coordinator's accept loop.
-    let mut config = ProcessConfig::quick(n, SyncMode::Rna);
+    let mut config = ProcessConfig::quick(n, mode);
     config.base = config.base.with_churn_plan(plan);
     let p = run_process(&config);
     assert_eq!(p.run.rounds, 30, "retirement drains; no round is lost");

@@ -3,8 +3,8 @@
 //! The whole evaluation depends on this — the paper's comparisons are only
 //! meaningful if re-running a configuration yields the same trace.
 
-use rna_baselines::{AdPsgdProtocol, EagerSgdProtocol, HorovodProtocol, SgpProtocol};
-use rna_core::rna::RnaProtocol;
+use rna_baselines::{AdPsgdProtocol, HorovodProtocol, SgpProtocol};
+use rna_core::rna::{Election, RnaProtocol};
 use rna_core::sim::{Engine, TrainSpec};
 use rna_core::{RnaConfig, RunResult};
 use rna_workload::HeterogeneityModel;
@@ -42,7 +42,13 @@ fn all_protocols_are_seed_deterministic() {
         ),
         (
             "eager",
-            Box::new(move || Engine::new(spec(2), EagerSgdProtocol::new(n)).run()),
+            Box::new(move || {
+                Engine::new(
+                    spec(2),
+                    RnaProtocol::new(n, RnaConfig::default(), 0).with_election(Election::Majority),
+                )
+                .run()
+            }),
         ),
         (
             "adpsgd",

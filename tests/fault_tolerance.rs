@@ -7,9 +7,9 @@
 //! resampled, and the partial collective simply counts one more null
 //! contribution.
 
-use rna_baselines::{EagerSgdProtocol, HorovodProtocol};
+use rna_baselines::HorovodProtocol;
 use rna_core::fault::FaultPlan;
-use rna_core::rna::RnaProtocol;
+use rna_core::rna::{Election, RnaProtocol};
 use rna_core::sim::{Engine, TrainSpec};
 use rna_core::{RnaConfig, StopReason};
 use rna_simnet::SimDuration;
@@ -143,7 +143,11 @@ fn eager_majority_survives_majority_death_in_the_simulator() {
     let spec = TrainSpec::smoke_test(n, 13)
         .with_max_rounds(150)
         .with_fault_plan(FaultPlan::none().crash(0, 3).crash(1, 4).crash(2, 4));
-    let r = Engine::new(spec, EagerSgdProtocol::new(n)).run();
+    let r = Engine::new(
+        spec,
+        RnaProtocol::new(n, RnaConfig::default(), 0).with_election(Election::Majority),
+    )
+    .run();
     assert_eq!(r.global_rounds, 150, "majority must re-form over survivors");
     assert!(
         r.worker_iterations[3] > 10,

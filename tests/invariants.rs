@@ -5,10 +5,9 @@
 //! ran.
 
 use rna_baselines::{
-    AdPsgdProtocol, AsyncPsProtocol, BackupWorkersProtocol, EagerSgdProtocol, HorovodProtocol,
-    SgpProtocol,
+    AdPsgdProtocol, AsyncPsProtocol, BackupWorkersProtocol, HorovodProtocol, SgpProtocol,
 };
-use rna_core::rna::RnaProtocol;
+use rna_core::rna::{Election, RnaProtocol};
 use rna_core::sim::{Engine, TrainSpec};
 use rna_core::{RnaConfig, RunResult};
 use rna_simnet::SimDuration;
@@ -23,7 +22,11 @@ fn spec(n: usize, seed: u64) -> TrainSpec {
 fn run_all(n: usize, seed: u64) -> Vec<RunResult> {
     vec![
         Engine::new(spec(n, seed), HorovodProtocol::new(n)).run(),
-        Engine::new(spec(n, seed), EagerSgdProtocol::new(n)).run(),
+        Engine::new(
+            spec(n, seed),
+            RnaProtocol::new(n, RnaConfig::default(), 0).with_election(Election::Majority),
+        )
+        .run(),
         Engine::new(spec(n, seed), AdPsgdProtocol::new(n)).run(),
         Engine::new(spec(n, seed), SgpProtocol::new(n)).run(),
         Engine::new(spec(n, seed), BackupWorkersProtocol::new(n, 1)).run(),

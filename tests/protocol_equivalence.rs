@@ -5,8 +5,8 @@
 //! everyone contributing applies the same kind of update BSP does, and all
 //! protocols must drive the same task to a comparable loss.
 
-use rna_baselines::{AdPsgdProtocol, EagerSgdProtocol, HorovodProtocol, SgpProtocol};
-use rna_core::rna::RnaProtocol;
+use rna_baselines::{AdPsgdProtocol, HorovodProtocol, SgpProtocol};
+use rna_core::rna::{Election, RnaProtocol};
 use rna_core::sim::{Engine, TrainSpec};
 use rna_core::{RnaConfig, RunResult};
 use rna_workload::HeterogeneityModel;
@@ -21,7 +21,11 @@ fn run_all(n: usize, seed: u64, rounds: u64) -> Vec<RunResult> {
     let spec = homogeneous_spec(n, seed, rounds);
     vec![
         Engine::new(spec.clone(), HorovodProtocol::new(n)).run(),
-        Engine::new(spec.clone(), EagerSgdProtocol::new(n)).run(),
+        Engine::new(
+            spec.clone(),
+            RnaProtocol::new(n, RnaConfig::default(), 0).with_election(Election::Majority),
+        )
+        .run(),
         Engine::new(spec.clone(), AdPsgdProtocol::new(n)).run(),
         Engine::new(spec.clone(), SgpProtocol::new(n)).run(),
         Engine::new(spec, RnaProtocol::new(n, RnaConfig::default(), seed)).run(),

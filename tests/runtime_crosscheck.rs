@@ -5,9 +5,9 @@
 //! pins its qualitative claims to real OS-thread executions so they cannot
 //! be artifacts of the event model.
 
-use rna_baselines::{EagerSgdProtocol, HorovodProtocol};
+use rna_baselines::HorovodProtocol;
 use rna_core::fault::FaultPlan;
-use rna_core::rna::RnaProtocol;
+use rna_core::rna::{Election, RnaProtocol};
 use rna_core::sim::{Engine, TrainSpec};
 use rna_core::RnaConfig;
 use rna_runtime::{run_threaded, SyncMode, ThreadedConfig};
@@ -114,26 +114,48 @@ fn both_worlds_agree_rna_survives_the_same_crash_plan() {
 
 #[test]
 fn both_worlds_agree_eager_majority_shrinks_to_survivors() {
-    // Same plan in both worlds: half the cluster dies early. The eager
-    // majority must re-form over the survivors everywhere.
+    // Same plans in both worlds. Half the cluster dies early: the eager
+    // majority must re-form over the survivors everywhere. A crash-restart
+    // victim must come back into the electorate everywhere.
     let n = 4;
-    let plan = FaultPlan::none().crash(2, 2).crash(3, 2);
+    eager_majority_survives(n, FaultPlan::none().crash(2, 2).crash(3, 2), false);
+    eager_majority_survives(n, FaultPlan::none().restart(3, 2, 30_000), true);
+}
+
+fn eager_majority_survives(n: usize, plan: FaultPlan, restart: bool) {
+    use rna_core::fault::WorkerFate;
+    let rejoined = |fate: &WorkerFate| matches!(fate, WorkerFate::Restarted { rejoined: true, .. });
 
     let t = run_threaded(
         &ThreadedConfig::quick(n, SyncMode::EagerMajority).with_fault_plan(plan.clone()),
     );
     assert_eq!(t.rounds, 30);
-    assert_eq!(t.live_workers(), 2);
     assert!(t.final_loss.is_finite());
+    if restart {
+        assert!(rejoined(&t.worker_fates[3]), "{:?}", t.worker_fates);
+        assert!(t.worker_iterations[3] > 2, "threaded victim iterates on");
+        assert_eq!(t.live_workers(), n);
+    } else {
+        assert_eq!(t.live_workers(), 2);
+    }
 
     let spec = TrainSpec::smoke_test(n, 3)
         .with_max_rounds(120)
         .with_fault_plan(plan);
-    let s = Engine::new(spec, EagerSgdProtocol::new(n)).run();
+    let s = Engine::new(
+        spec,
+        RnaProtocol::new(n, RnaConfig::default(), 0).with_election(Election::Majority),
+    )
+    .run();
     assert_eq!(s.global_rounds, 120, "simulated majority must not deadlock");
-    assert_eq!(s.worker_iterations[2], 2);
-    assert_eq!(s.worker_iterations[3], 2);
     assert!(s.worker_iterations[0] > 2);
+    if restart {
+        assert!(rejoined(&s.worker_fates[3]), "{:?}", s.worker_fates);
+        assert!(s.worker_iterations[3] > 2, "simulated victim iterates on");
+    } else {
+        assert_eq!(s.worker_iterations[2], 2);
+        assert_eq!(s.worker_iterations[3], 2);
+    }
 }
 
 #[test]

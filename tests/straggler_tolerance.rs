@@ -4,8 +4,8 @@
 //! both straggler sources — dynamic system heterogeneity (§8.1) and
 //! inherent load imbalance (§2.3.1).
 
-use rna_baselines::{EagerSgdProtocol, HorovodProtocol};
-use rna_core::rna::RnaProtocol;
+use rna_baselines::HorovodProtocol;
+use rna_core::rna::{Election, RnaProtocol};
 use rna_core::sim::{Engine, TrainSpec};
 use rna_core::RnaConfig;
 use rna_simnet::SimDuration;
@@ -124,7 +124,11 @@ fn eager_majority_is_hostage_to_deterministic_slow_half() {
             .with_hetero(hetero.clone())
             .with_max_rounds(150)
     };
-    let eager = Engine::new(spec(1), EagerSgdProtocol::new(n)).run();
+    let eager = Engine::new(
+        spec(1),
+        RnaProtocol::new(n, RnaConfig::default(), 0).with_election(Election::Majority),
+    )
+    .run();
     let rna = Engine::new(spec(1), RnaProtocol::new(n, RnaConfig::default(), 0)).run();
     assert!(
         rna.mean_round_time() < eager.mean_round_time(),
