@@ -131,9 +131,12 @@ timeout 600 cargo test -q -p rna-runtime proto
 # SIMD dispatch forced off, so the portable fallbacks (what non-AVX2 hosts
 # run), the ChaCha8 keystream's and the training kernels' included, get the
 # same debug_assert! coverage as the vector path, and the models' gradient
-# checks run on the baseline builds.
-echo "==> tensor + simnet + training tests with forced-scalar dispatch (debug)"
+# checks run on the baseline builds. The golden digest table then checks
+# every DES protocol end to end on those builds, so an edit to the dispatch
+# cannot pass on the vector path alone.
+echo "==> tensor + simnet + training tests and the golden table with forced-scalar dispatch (debug)"
 RNA_FORCE_SCALAR=1 timeout 600 cargo test -q -p rna-tensor -p rna-simnet -p rna-training
+RNA_FORCE_SCALAR=1 timeout 600 cargo test -q -p rna-experiments --test golden
 
 # The tanh port against the host libm on all 2^32 inputs, under both
 # dispatches. The oracle is f32::tanh, so this gate is for glibc 2.36

@@ -18,6 +18,10 @@ use rna_core::sim::{Ctx, Protocol};
 use rna_simnet::trace::SpanKind;
 use rna_simnet::{SimDuration, SimTime};
 
+/// Time an atomic averaging session holds both endpoints' locks, on top
+/// of the model transfer.
+const LOCK_OVERHEAD: SimDuration = SimDuration::from_millis(1);
+
 /// Messages used by AD-PSGD.
 #[derive(Debug, Clone)]
 pub enum GossipMsg {
@@ -44,7 +48,6 @@ pub enum GossipMsg {
 #[derive(Debug)]
 pub struct AdPsgdProtocol {
     free_at: Vec<SimTime>,
-    lock_overhead: SimDuration,
     sessions: u64,
     conflicts: u64,
 }
@@ -60,16 +63,9 @@ impl AdPsgdProtocol {
         assert!(n >= 2, "AD-PSGD needs at least two workers");
         AdPsgdProtocol {
             free_at: vec![SimTime::ZERO; n],
-            lock_overhead: SimDuration::from_millis(1),
             sessions: 0,
             conflicts: 0,
         }
-    }
-
-    /// Overrides the atomic-averaging lock overhead.
-    pub fn with_lock_overhead(mut self, overhead: SimDuration) -> Self {
-        self.lock_overhead = overhead;
-        self
     }
 
     /// Number of averaging sessions completed.
@@ -119,7 +115,7 @@ impl Protocol for AdPsgdProtocol {
             self.conflicts += 1;
         }
         let transfer = ctx.cost().point_to_point(ctx.grad_bytes());
-        let done = earliest + transfer + self.lock_overhead;
+        let done = earliest + transfer + LOCK_OVERHEAD;
         self.free_at[worker] = done;
         self.free_at[peer] = done;
         ctx.charge_bytes(ctx.grad_bytes() * 2);

@@ -10,12 +10,12 @@
 
 use std::path::{Path, PathBuf};
 
-/// Opening lines of a hand-formatted JSON report (no serde_json in the
-/// offline build): the schema name, the git commit the numbers were
-/// measured at, the detected CPU vector features, and the host thread
-/// count — so a stored report can always be traced back to the exact code
-/// state *and* hardware class it describes (a number measured with AVX2 on
-/// 16 cores is meaningless on a scalar single-core box).
+/// Opening lines of a hand-formatted JSON report (the workspace has no JSON
+/// library): the schema name, the git commit the numbers were measured at,
+/// the detected CPU vector features, and the host thread count — so a
+/// stored report can always be traced back to the exact code state *and*
+/// hardware class it describes (a number measured with AVX2 on 16 cores is
+/// meaningless on a scalar single-core box).
 ///
 /// The returned string is indented key lines ending in a comma; callers
 /// splice it immediately after the opening `{` of their report.

@@ -249,7 +249,9 @@ mod tests {
     fn framed_charge_cross_checks_counted_ring_transfers() {
         // The message count in the cost formula must be the message count
         // the data-movement implementation actually performs, and the total
-        // framed charge must equal messages × (chunk + header).
+        // framed charge must equal messages × (chunk + header) — and, for
+        // the DES's lossy rings, messages × each codec's encoded chunk frame.
+        use rna_tensor::codec::Compression;
         use rna_tensor::{ReduceOp, Tensor};
         for n in [2usize, 3, 5, 8] {
             let elems = n * 8; // divisible: every chunk non-empty and equal
@@ -257,14 +259,26 @@ mod tests {
             let transfers = crate::ring_allreduce(&mut bufs, ReduceOp::Sum);
             assert_eq!(transfers, CollectiveCost::ring_messages(n), "n={n}");
 
-            let payload = 4 * (elems as u64 / n as u64); // bytes per chunk
+            let chunk = elems / n;
+            let payload = 4 * chunk as u64; // bytes per chunk
             let frame = payload + MSG_HEADER_BYTES;
+            assert_eq!(Compression::Lossless.frame_bytes(chunk), frame);
             let c = cost();
-            assert_eq!(
-                c.ring_bytes_per_worker_framed(n, frame) * n as u64,
-                transfers * frame,
-                "total framed bytes must be messages × frame size (n={n})"
-            );
+            for codec in [
+                Compression::Lossless,
+                Compression::Fp16,
+                Compression::Int8,
+                Compression::TopK { permille: 100 },
+                Compression::TopK { permille: 500 },
+            ] {
+                let frame = codec.frame_bytes(chunk);
+                assert_eq!(
+                    c.ring_bytes_per_worker_framed(n, frame) * n as u64,
+                    transfers * frame,
+                    "total framed bytes must be messages × frame size ({} n={n})",
+                    codec.name()
+                );
+            }
         }
     }
 

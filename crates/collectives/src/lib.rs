@@ -13,10 +13,8 @@
 //! * **Cost models** ([`cost`]) — the virtual-time price of each collective
 //!   under the α–β link model, including the bandwidth-optimality property
 //!   the paper leans on (per-worker traffic `2(N−1)/N × bytes`, independent
-//!   of N), plus framed variants that charge the per-message codec header.
-//! * **Coded data movement** ([`coded`]) — the ring schedule over encoded
-//!   chunk frames (fp16 / int8-SR / top-k), pipelined within each step and
-//!   byte-accounted against the cost model.
+//!   of N), plus framed variants that charge each message's encoded frame
+//!   (codec header included), which is how the simulator bills lossy rings.
 //!
 //! Partial AllReduce ([`partial::partial_allreduce`]) is the paper's §3
 //! primitive: workers that have no gradient ready contribute a *null*
@@ -26,12 +24,10 @@
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod coded;
 pub mod cost;
 pub mod partial;
 pub mod ring;
 
-pub use coded::{ring_allreduce_coded, CodedRingStats};
 pub use cost::CollectiveCost;
 pub use partial::{partial_allreduce, partial_allreduce_pooled, PartialOutcome};
 pub use ring::{ring_allreduce, ring_allreduce_pooled, ring_broadcast};

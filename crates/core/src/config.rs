@@ -1,5 +1,4 @@
 use rna_tensor::codec::Compression;
-use serde::{Deserialize, Serialize};
 
 /// Configuration of the RNA protocol.
 ///
@@ -18,7 +17,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(config.probes, 3);
 /// assert_eq!(config.staleness_bound, 2);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RnaConfig {
     /// Number of workers probed per round (`d` in power-of-`d`-choices).
     /// `1` degenerates to pure random initiator selection.

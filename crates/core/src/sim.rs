@@ -546,11 +546,6 @@ impl<M: Clone + std::fmt::Debug> Ctx<'_, M> {
         self.0.computing[worker]
     }
 
-    /// Whether `worker` has crashed.
-    pub fn is_crashed(&self, worker: usize) -> bool {
-        self.0.crashed[worker]
-    }
-
     /// Number of live (non-crashed) workers.
     pub fn live_workers(&self) -> usize {
         self.0.crashed.iter().filter(|&&c| !c).count()

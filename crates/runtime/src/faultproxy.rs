@@ -2,7 +2,7 @@
 //! realized on real sockets.
 //!
 //! The DES world injects network faults by editing virtual-time delivery;
-//! the threaded world rolls them in [`crate::fault::NetShim`] before a
+//! the threaded world rolls them in [`crate::NetShim`] before a
 //! logical hand-off. Both leave the transport itself pristine. This
 //! module is the third rung: each worker↔coordinator link gets its own
 //! proxy listener, and the plan's drops, corruptions, delays, and flap
@@ -145,12 +145,6 @@ impl FaultProxy {
     /// Panics if `w` is out of range.
     pub fn addr_for(&self, w: usize) -> &str {
         &self.addrs[w]
-    }
-
-    /// Total fault events executed so far: frames eaten, mangled,
-    /// truncated-and-severed, or stalled.
-    pub fn faults_injected(&self) -> u64 {
-        self.injected.load(Ordering::Acquire)
     }
 
     /// Stops the accept loops and returns the final injected-fault count.

@@ -29,13 +29,13 @@
 //! ## Crash tolerance
 //!
 //! The runtime executes the shared fault model of [`rna_core::fault`] on
-//! real workers ([`fault`]): a [`FaultPlan`] can crash a worker after an
-//! exact iteration count, freeze it for a duration, or slow it forever.
+//! real workers: a [`FaultPlan`] can crash a worker after an exact
+//! iteration count, freeze it for a duration, or slow it forever.
 //! Workers heartbeat into the mirror; the controller probes and counts
 //! majorities over *live* workers only, resamples initiators away from
 //! dead ones, and completes unservable rounds degraded instead of
 //! blocking. [`ThreadedResult`] reports each worker's
-//! [`fault::WorkerFate`] and the number of degraded rounds.
+//! [`WorkerFate`] and the number of degraded rounds.
 //!
 //! ## Control-plane tolerance
 //!
@@ -62,7 +62,6 @@
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod fault;
 pub mod faultproxy;
 pub mod process;
 pub mod proto;
@@ -70,9 +69,10 @@ mod threaded;
 mod transport;
 pub mod worker;
 
-pub use fault::{FaultPlan, NetFaultPlan, NetShim, ToleranceConfig, WorkerFate, WorkerFault};
 pub use faultproxy::FaultProxy;
 pub use process::{run_process, AddrBook, ProcessConfig, ProcessResult};
 pub use proto::{ct_eq, AuthError, AuthKey};
+pub use rna_core::fault::{FaultPlan, NetFaultPlan, ToleranceConfig, WorkerFate, WorkerFault};
 pub use rna_tensor::codec::Compression;
 pub use threaded::{resume_threaded, run_threaded, SyncMode, ThreadedConfig, ThreadedResult};
+pub use transport::NetShim;

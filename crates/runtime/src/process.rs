@@ -62,7 +62,7 @@
 //! a per-link TCP proxy ([`crate::faultproxy`]) on the real byte stream —
 //! frames eaten, bytes flipped, frames truncated mid-body, deliveries
 //! delayed — while partitions and peer-link entries stay in the
-//! controller's [`crate::fault::NetShim`], which remains the only place
+//! controller's [`crate::NetShim`], which remains the only place
 //! they can exist in a flat worker↔coordinator topology.
 
 use std::collections::VecDeque;
@@ -420,6 +420,9 @@ struct ProcShared {
     nonce_base: u64,
     /// The current coordinator term, bound into every challenge.
     term: AtomicU64,
+    /// The highest round any incarnation has published; like the slots'
+    /// `start_iter` it outlives a coordinator kill.
+    high_water: AtomicU64,
     /// Never-reset handshake sequence: makes every nonce unique across
     /// coordinator incarnations, so a recorded handshake cannot replay.
     conn_seq: AtomicU64,
@@ -504,6 +507,7 @@ impl Transport for ProcessTransport {
         // Scheduled severs fire on the round edge: a real partition at a
         // known protocol point, so tests can assert what it cost.
         let shared = &self.shared;
+        shared.high_water.fetch_max(k, Ordering::AcqRel);
         self.sever.retain(|&(w, at)| {
             if k >= at {
                 shared.sever_conn(w);
@@ -670,7 +674,9 @@ fn accept_loop(
         let start_iter = slot.start_iter.load(Ordering::Acquire);
         let published = lock(&shared.published).clone();
         let round = mirror.round.load(Ordering::Acquire);
-        let setup = WorkerSetup::for_worker(config, w, (start_iter, incarnation), round, published);
+        let rounds = (round, shared.high_water.load(Ordering::Acquire).max(round));
+        let setup =
+            WorkerSetup::for_worker(config, w, (start_iter, incarnation), rounds, published);
         let mut scratch = Vec::new();
         if write_msg(&mut stream, &Msg::Setup(setup), &mut scratch).is_err() {
             continue;
@@ -1035,6 +1041,7 @@ pub fn run_process(config: &ProcessConfig) -> ProcessResult {
         key,
         nonce_base,
         term: AtomicU64::new(0),
+        high_water: AtomicU64::new(0),
         conn_seq: AtomicU64::new(1),
         param_len: initial_state.master.len(),
         compression: base.compression,

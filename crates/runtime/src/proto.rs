@@ -314,6 +314,10 @@ pub struct WorkerSetup {
     pub start_iter: u64,
     /// The round counter at join time (seeds the bounded-lead gate).
     pub round: u64,
+    /// The highest round the coordinator has published (above `round`
+    /// after a failover rolled the counter back): no worker can have led
+    /// it by more than `max_lead`, so `start_iter` is checked against it.
+    pub high_water: u64,
     /// RNG-stream grant for mid-run joiners: 0 for an original member
     /// (standard sampler/compute stream keys), otherwise the base key of a
     /// disjoint stream namespace the worker forks its sampler (`grant`)
@@ -530,6 +534,7 @@ pub fn encode_body(msg: &Msg, out: &mut Vec<u8>) {
             wire::put_u64(out, s.liveness_timeout_us);
             wire::put_u64(out, s.start_iter);
             wire::put_u64(out, s.round);
+            wire::put_u64(out, s.high_water);
             wire::put_u64(out, s.rng_grant);
             wire::put_bool(out, s.leave.is_some());
             if let Some(event) = s.leave {
@@ -609,6 +614,7 @@ pub fn decode_body(body: &[u8]) -> Result<Msg, ProtoError> {
                 .u64()
                 .ok_or(ProtoError::Truncated { what: "start_iter" })?;
             let round = r.u64().ok_or(ProtoError::Truncated { what: "round" })?;
+            let high_water = r.u64().ok_or(ProtoError::Truncated { what: "max round" })?;
             let rng_grant = r.u64().ok_or(ProtoError::Truncated { what: "rng_grant" })?;
             let leave = if r.bool().ok_or(ProtoError::Truncated { what: "leave" })? {
                 Some(match WorkerFate::decode(&mut r) {
@@ -653,6 +659,7 @@ pub fn decode_body(body: &[u8]) -> Result<Msg, ProtoError> {
                 liveness_timeout_us,
                 start_iter,
                 round,
+                high_water,
                 rng_grant,
                 leave,
                 faults,
@@ -1058,6 +1065,7 @@ mod tests {
             liveness_timeout_us: 150_000,
             start_iter: 5,
             round: 9,
+            high_water: 11,
             rng_grant: (5 << 32) + 6,
             leave: Some(ChurnEvent::Retire { at_round: 120 }),
             faults: vec![
@@ -1197,7 +1205,7 @@ mod tests {
         wire::put_u32(&mut body, MAGIC);
         body.push(16); // TAG_SETUP
         wire::put_u32(&mut body, 1); // worker
-        for _ in 0..9 {
+        for _ in 0..10 {
             wire::put_u64(&mut body, 0); // seed..rng_grant scalar fields
         }
         wire::put_bool(&mut body, false); // no departure
@@ -1214,7 +1222,7 @@ mod tests {
         wire::put_u32(&mut body, MAGIC);
         body.push(16); // TAG_SETUP
         wire::put_u32(&mut body, 1); // worker
-        for _ in 0..9 {
+        for _ in 0..10 {
             wire::put_u64(&mut body, 0);
         }
         wire::put_bool(&mut body, false);
@@ -1233,7 +1241,7 @@ mod tests {
             wire::put_u32(&mut body, MAGIC);
             body.push(16); // TAG_SETUP
             wire::put_u32(&mut body, 1); // worker
-            for _ in 0..9 {
+            for _ in 0..10 {
                 wire::put_u64(&mut body, 0);
             }
             wire::put_bool(&mut body, true);

@@ -60,7 +60,7 @@ pub struct ThreadedConfig {
     /// forever).
     pub fault_plan: FaultPlan,
     /// Injected network faults (lossy links, flaps, partitions), executed
-    /// by the controller through a [`crate::fault::NetShim`]. BSP rejects
+    /// by the controller through a [`crate::NetShim`]. BSP rejects
     /// these too: a single lost gradient wedges its barrier.
     pub net_fault_plan: NetFaultPlan,
     /// Liveness / deadline / backoff knobs for the fault-tolerance paths.
@@ -128,13 +128,13 @@ impl ThreadedConfig {
         self
     }
 
-    /// Installs a fault plan (see [`crate::fault`]).
+    /// Installs a fault plan (see [`rna_core::fault`]).
     pub fn with_fault_plan(mut self, plan: FaultPlan) -> Self {
         self.fault_plan = plan;
         self
     }
 
-    /// Installs a network fault plan (see [`crate::fault::NetShim`]).
+    /// Installs a network fault plan (see [`crate::NetShim`]).
     pub fn with_net_fault_plan(mut self, plan: NetFaultPlan) -> Self {
         self.net_fault_plan = plan;
         self
@@ -533,8 +533,8 @@ fn run(
     });
     let handles: Vec<_> = (0..n)
         .map(|w| {
-            let setup =
-                WorkerSetup::for_worker(config, w, (0, 0), state.round, state.master.clone());
+            let rounds = (state.round, state.round);
+            let setup = WorkerSetup::for_worker(config, w, (0, 0), rounds, state.master.clone());
             let streams = worker_streams(&rng, w as u64, setup.rng_grant);
             let mut me = Worker::new(
                 setup,

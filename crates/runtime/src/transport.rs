@@ -23,17 +23,16 @@ use std::time::{Duration, Instant};
 
 use rna_collectives::partial_allreduce_pooled;
 use rna_core::cache::GradientCache;
-use rna_core::fault::{majority_initiator, probe_round_stalled};
+use rna_core::fault::{majority_initiator, probe_round_stalled, NetFaultPlan};
 use rna_core::membership::{Edge, Tenure};
 use rna_core::recovery::CheckpointStore;
 use rna_core::stats::Counters;
-use rna_simnet::SimRng;
+use rna_simnet::{NetFaults, SimRng, SimTime};
 use rna_tensor::wire::{self, Reader};
 use rna_tensor::{Compression, Tensor, TensorPool};
 use rna_training::model::SoftmaxClassifier;
 use rna_training::Dataset;
 
-use crate::fault::NetShim;
 use crate::threaded::{SyncMode, ThreadedConfig};
 
 /// Disjoint RNG stream namespaces shared by the threaded and process
@@ -426,6 +425,63 @@ fn liveness_edge(m: &Mirror, active: &[bool]) -> Duration {
         Duration::from_millis(1)
     } else {
         Duration::from_micros(edge)
+    }
+}
+
+/// The controller-side network-fault interpreter: the same compiled
+/// [`NetFaults`] machinery the discrete-event fabric uses, driven by the
+/// run's real elapsed clock instead of virtual time.
+///
+/// The threaded runtime funnels every logical message through the
+/// controller (probe RPCs, cache drains, parameter pushes), so one shim
+/// owned by the controller thread — no locks — covers the whole fabric.
+/// Node ids follow the simulator's convention: workers `0..n`, controller
+/// `n`, parameter server `n + 1`.
+#[derive(Debug, Clone)]
+pub struct NetShim {
+    faults: Option<NetFaults>,
+    controller: usize,
+}
+
+impl NetShim {
+    /// Compiles `plan` for a cluster of `num_workers` workers. An empty
+    /// plan produces a transparent shim: every delivery succeeds, every
+    /// link is up, and the fast paths stay branch-free.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the plan names out-of-range nodes ([`NetFaultPlan::validate`]).
+    pub fn new(plan: &NetFaultPlan, num_workers: usize) -> Self {
+        plan.validate(num_workers);
+        NetShim {
+            faults: (!plan.is_empty()).then(|| plan.compile(num_workers)),
+            controller: num_workers,
+        }
+    }
+
+    /// Whether any fault is configured (an empty plan's shim admits all).
+    pub fn enabled(&self) -> bool {
+        self.faults.is_some()
+    }
+
+    /// The controller's node id under the shim's numbering.
+    pub fn controller_id(&self) -> usize {
+        self.controller
+    }
+
+    /// Rolls one delivery attempt on the `a → b` link at `now_us`
+    /// microseconds since run start. `false` means the message vanished
+    /// (lossy drop, down-window, or partition).
+    pub fn deliver(&mut self, a: usize, b: usize, now_us: u64) -> bool {
+        let now = SimTime::from_nanos(now_us * 1_000);
+        self.faults.as_mut().is_none_or(|f| f.admits(a, b, now))
+    }
+
+    /// Whether the `a ↔ b` link is administratively up at `now_us` (no
+    /// down-window or partition covers it; lossy drops don't count).
+    pub fn link_up(&self, a: usize, b: usize, now_us: u64) -> bool {
+        let now = SimTime::from_nanos(now_us * 1_000);
+        self.faults.as_ref().is_none_or(|f| f.link_up(a, b, now))
     }
 }
 
@@ -1241,5 +1297,29 @@ mod tests {
             assert_eq!(fused.reduced.as_slice(), expected.as_slice(), "len={len}");
             pool.release(fused.reduced);
         }
+    }
+
+    #[test]
+    fn shim_is_transparent_without_faults() {
+        let mut shim = NetShim::new(&NetFaultPlan::none(), 4);
+        assert!(!shim.enabled());
+        assert_eq!(shim.controller_id(), 4);
+        assert!(shim.deliver(0, 4, 123));
+        assert!(shim.link_up(0, 5, 0));
+    }
+
+    #[test]
+    fn shim_executes_partitions_and_drops() {
+        let plan = NetFaultPlan::none()
+            .with_seed(3)
+            .drop_link(4, 0, 1.0)
+            .partition(vec![2, 3], 1_000, 5_000);
+        let mut shim = NetShim::new(&plan, 4);
+        assert!(shim.enabled());
+        assert!(!shim.deliver(4, 0, 0), "p = 1 link always drops");
+        assert!(shim.link_up(2, 3, 2_000), "intra-island link stays up");
+        assert!(!shim.link_up(0, 2, 2_000), "cross-partition link severed");
+        assert!(shim.link_up(4, 2, 2_000), "controller is a bridge");
+        assert!(shim.link_up(0, 2, 6_000), "heals after the window");
     }
 }

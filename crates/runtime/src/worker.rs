@@ -184,7 +184,7 @@ impl WorkerSetup {
         config: &ThreadedConfig,
         w: usize,
         (start_iter, incarnation): (u64, u64),
-        round: u64,
+        (round, high_water): (u64, u64),
         params: Tensor,
     ) -> WorkerSetup {
         let tenure = config.churn_plan.tenure(w);
@@ -203,6 +203,7 @@ impl WorkerSetup {
             liveness_timeout_us: config.tolerance.liveness_timeout_us,
             start_iter,
             round,
+            high_water,
             // A joiner's sampler/compute streams come from the disjoint grant
             // namespace so original members replay their sequences unchanged.
             rng_grant: tenure.join.map_or(0, |_| STREAM_JOIN + 2 * w as u64),
@@ -222,7 +223,7 @@ impl WorkerSetup {
     fn validate(&self, model: &SoftmaxClassifier, dataset: &Dataset) -> Result<(), ProtoError> {
         let (model_len, samples) = (model.params().len(), dataset.len() as u64);
         // A worker can never have led the round counter by more.
-        let furthest = self.round.saturating_add(self.max_lead);
+        let furthest = self.high_water.saturating_add(self.max_lead);
         let what = if self.params.len() != model_len {
             "setup: wrong parameter count"
         } else if !(1..=samples).contains(&self.batch_size) {
@@ -788,6 +789,7 @@ mod tests {
             liveness_timeout_us: 4_000,
             start_iter: 0,
             round: 0,
+            high_water: 0,
             rng_grant: 0,
             leave: None,
             faults: Vec::new(),
@@ -1024,7 +1026,8 @@ mod tests {
             (
                 "resume just past the lead bound",
                 WorkerSetup {
-                    round: 4,
+                    round: 2,
+                    high_water: 4,
                     start_iter: 4 + 8 + 1,
                     ..good()
                 },

@@ -12,7 +12,7 @@ use std::net::TcpStream;
 use std::path::{Path, PathBuf};
 use std::time::Duration;
 
-use rna_core::fault::ToleranceConfig;
+use rna_core::fault::{ToleranceConfig, WorkerFate};
 use rna_runtime::proto::{compute_mac, read_msg, write_msg, Msg};
 use rna_runtime::{
     run_threaded, AddrBook, Compression, NetFaultPlan, ProcessConfig, ProcessResult, SyncMode,
@@ -185,6 +185,46 @@ fn sigkilled_worker_under_a_codec_restarts_its_residual_cleanly() {
         "a SIGKILL mid-frame corrupted the measured accounting"
     );
     assert!(r.run.final_loss < 1.4, "loss {}", r.run.final_loss);
+}
+
+#[test]
+fn a_respawned_worker_is_readmitted_after_the_round_counter_rolls_back() {
+    // Worker 0 is fast, so it runs its whole lead ahead of the round
+    // counter. It is SIGKILLed at round 12 and respawned to resume at its
+    // iteration count; the coordinator dies at round 14 and restarts from
+    // the cut at round 10. The respawned incarnation now resumes more than
+    // the lead bound past the restored counter, but not past the highest
+    // round the coordinator ever published, so its re-handshake must be
+    // admitted and its lead gate must park it until the redone rounds
+    // catch up. A refused Setup would exit the process and force one
+    // respawn after another until the counter climbed back.
+    let dir = scratch_dir("rollback-respawn");
+    let mut config = quick(3, SyncMode::Rna)
+        .with_kill9(0, 12)
+        .with_coord_kill(14);
+    config.base.rounds = 40;
+    config.base.max_lead = 3;
+    config.base.compute_us = vec![(200, 400), (4_000, 6_000), (4_000, 6_000)];
+    config.base = config
+        .base
+        .with_tolerance(ToleranceConfig::tight())
+        .with_checkpoint_every(5)
+        .with_recovery_dir(&dir);
+    let r = run_bounded(config);
+    assert_eq!(r.run.rounds, 40);
+    assert_eq!(r.coordinator_restarts, 1);
+    assert_eq!(r.worker_respawns, 1, "the SIGKILL is the only death");
+    let WorkerFate::Restarted { at_iter, rejoined } = r.run.worker_fates[0] else {
+        panic!("fates: {:?}", r.run.worker_fates);
+    };
+    assert!(rejoined, "fates: {:?}", r.run.worker_fates);
+    assert!(
+        r.run.worker_iterations[0] > at_iter,
+        "the respawned worker never iterated past its kill point {at_iter}: {:?}",
+        r.run.worker_iterations
+    );
+    assert_eq!(r.run.live_workers(), 3);
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 fn dial(addr: &str) -> TcpStream {

@@ -5,8 +5,6 @@
 //! communication. The defaults match the paper's testbeds: a 10 Gb Ethernet
 //! toy cluster (§2.3.1) and an EDR InfiniBand evaluation cluster (§7.1).
 
-use serde::{Deserialize, Serialize};
-
 use crate::{SimDuration, SimRng, SimTime};
 
 /// Latency/bandwidth cost model for a point-to-point link (the α–β model).
@@ -20,7 +18,7 @@ use crate::{SimDuration, SimRng, SimTime};
 /// let t = link.transfer_time(1_250_000); // 1.25 MB at 1.25 GB/s + 50us
 /// assert_eq!(t.as_micros(), 1050);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LinkModel {
     /// One-way message latency (the α term).
     pub latency: SimDuration,

@@ -2,8 +2,6 @@ use std::fmt;
 use std::iter::Sum;
 use std::ops::{Add, AddAssign, Div, Mul, Sub, SubAssign};
 
-use serde::{Deserialize, Serialize};
-
 /// A span of virtual time with nanosecond resolution.
 ///
 /// # Examples
@@ -15,9 +13,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(d.as_micros(), 2500);
 /// assert!((d.as_secs_f64() - 0.0025).abs() < 1e-12);
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SimDuration(u64);
 
 impl SimDuration {
@@ -72,11 +68,6 @@ impl SimDuration {
     /// Whole microseconds (truncated).
     pub const fn as_micros(&self) -> u64 {
         self.0 / 1_000
-    }
-
-    /// Whole milliseconds (truncated).
-    pub const fn as_millis(&self) -> u64 {
-        self.0 / 1_000_000
     }
 
     /// Fractional seconds.
@@ -175,9 +166,7 @@ impl fmt::Display for SimDuration {
 /// let t = SimTime::ZERO + SimDuration::from_millis(10);
 /// assert_eq!(t.elapsed_since(SimTime::ZERO), SimDuration::from_millis(10));
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SimTime(u64);
 
 impl SimTime {

@@ -5,12 +5,10 @@
 //! accumulates those spans as a protocol engine runs and produces the same
 //! breakdown.
 
-use serde::{Deserialize, Serialize};
-
 use crate::{SimDuration, SimTime};
 
 /// What a worker is doing during a span of virtual time.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SpanKind {
     /// Forward/backward propagation (the useful work).
     Compute,
@@ -33,7 +31,7 @@ pub enum SpanKind {
 /// b.add(SpanKind::Wait, SimDuration::from_millis(10));
 /// assert!((b.compute_fraction() - 0.75).abs() < 1e-9);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct TimeBreakdown {
     /// Total computation time.
     pub compute: SimDuration,

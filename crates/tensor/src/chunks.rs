@@ -6,8 +6,6 @@
 //! workspace: chunk sizes differ by at most one element and every element is
 //! covered exactly once.
 
-use serde::{Deserialize, Serialize};
-
 /// A contiguous element range `[start, end)` within a flattened tensor.
 ///
 /// # Examples
@@ -17,7 +15,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(ranges.len(), 3);
 /// assert_eq!(ranges[0].len() + ranges[1].len() + ranges[2].len(), 10);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ChunkRange {
     /// Inclusive start index.
     pub start: usize,

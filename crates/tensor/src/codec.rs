@@ -146,7 +146,7 @@ pub const FRAME_HEADER_BYTES: u64 = 16;
 /// Compression::Fp16.decode(&frame, &mut out).unwrap();
 /// assert_eq!(out.as_slice(), t.as_slice()); // these values are f16-exact
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Compression {
     /// Raw little-endian f32 bit patterns: 4 bytes/element, bit-exact.
     #[default]
@@ -174,11 +174,6 @@ impl Compression {
     /// Whether this codec reproduces its input bit-for-bit.
     pub fn is_lossless(&self) -> bool {
         matches!(self, Compression::Lossless)
-    }
-
-    /// Whether encoding consumes random draws (stochastic rounding).
-    pub fn needs_rng(&self) -> bool {
-        matches!(self, Compression::Int8)
     }
 
     /// Stable display name for benches and reports.

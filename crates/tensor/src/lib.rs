@@ -19,8 +19,7 @@
 //! * [`alloc`] — a debug-only counter of fresh tensor-buffer allocations,
 //!   used to *prove* the zero-allocation property in tests.
 //! * [`wire`] — hand-rolled little-endian binary (de)serialization
-//!   primitives for crash-recovery checkpoints (the vendored `serde` is a
-//!   no-op stub in this offline build).
+//!   primitives for crash-recovery checkpoints.
 //! * [`codec`] — pluggable gradient wire codecs ([`codec::Compression`]:
 //!   lossless, fp16, int8 with stochastic rounding, top-k) plus the
 //!   error-feedback recurrence that keeps the lossy ones convergent.

@@ -35,7 +35,9 @@
 //! [`active`] is decided once per process: the AVX2 + F16C builds run when
 //! the CPU reports both and `RNA_FORCE_SCALAR` is unset (CI sets it to keep
 //! the portable builds covered); [`set_forced_scalar`] overrides it so tests
-//! run both dispatches in one process.
+//! run both dispatches in one process. Each kernel is one `dispatch!`
+//! declaration — checks, portable body, and which vector build runs — so
+//! the `unsafe` call into a `#[target_feature]` build is written once.
 //!
 //! The contract is **bit-identity**: the same inputs and draw stream give
 //! byte-identical frames, buffers and draw counts under either dispatch, so
@@ -147,27 +149,78 @@ pub fn detected_features() -> Vec<(&'static str, bool)> {
     }
 }
 
+/// Declares kernels that run their vector build when [`active`] and their
+/// portable body otherwise, after the checks (length asserts). The vector
+/// build is the same-named `mod avx2` function (`avx2 { body }`), or the
+/// body built again as a `#[target_feature]` twin (`twin("…") { body }`)
+/// in a module named after the kernel: out of the dispatcher's codegen
+/// unit, each build inlines its own copy of the body's generic helpers (a
+/// copy both share is built without AVX2).
+macro_rules! dispatch {
+    (@emit $(#[$attr:meta])* $vis:vis fn $name:ident $(<$lt:lifetime>)?
+        ($($arg:ident: $ty:ty),*) $(-> $ret:ty)? { $($check:expr;)* }
+        $vector:path = { $($twin:item)? } $body:block
+    ) => {
+        $($twin)?
+        $(#[$attr])*
+        $vis fn $name $(<$lt>)? ($($arg: $ty),*) $(-> $ret)? {
+            $($check;)*
+            #[cfg(target_arch = "x86_64")]
+            if active() {
+                // SAFETY: `active()` verified AVX2 and F16C support at
+                // runtime, all any vector build enables; the hand-written
+                // builds' length contracts are the checks asserted above.
+                return unsafe { $vector($($arg),*) };
+            }
+            $body
+        }
+    };
+    ($($(#[$attr:meta])* $vis:vis fn $name:ident $(<$lt:lifetime>)?
+        ($($arg:ident: $ty:ty),* $(,)?) $(-> $ret:ty)? { $($check:expr;)* }
+        avx2 $body:block
+    )+) => {$(
+        dispatch! { @emit $(#[$attr])* $vis fn $name $(<$lt>)?
+            ($($arg: $ty),*) $(-> $ret)? { $($check;)* }
+            avx2::$name = {} $body
+        }
+    )+};
+    ($($(#[$attr:meta])* $vis:vis fn $name:ident $(<$lt:lifetime>)?
+        ($($arg:ident: $ty:ty),* $(,)?) $(-> $ret:ty)? { $($check:expr;)* }
+        twin($features:literal) $body:block
+    )+) => {$(
+        dispatch! { @emit $(#[$attr])* $vis fn $name $(<$lt>)?
+            ($($arg: $ty),*) $(-> $ret)? { $($check;)* }
+            $name::twin = {
+                #[cfg(target_arch = "x86_64")]
+                mod $name {
+                    use super::*;
+                    #[target_feature(enable = $features)]
+                    pub(super) fn twin $(<$lt>)? ($($arg: $ty),*) $(-> $ret)? $body
+                }
+            }
+            $body
+        }
+    )+};
+}
+
 // ---------------------------------------------------------------------------
 // fp16
 // ---------------------------------------------------------------------------
 
-/// Encodes `xs` as little-endian IEEE binary16 into `out`
-/// (`out.len() == 2 * xs.len()`), round-to-nearest-even, bit-identical to
-/// [`f32_to_f16_bits`] per element (NaN included: the vector path
-/// canonicalises it to `sign | 0x7E00` as the reference does).
-///
-/// # Panics
-///
-/// Panics if `out.len() != 2 * xs.len()`.
-pub fn fp16_encode(xs: &[f32], out: &mut [u8]) {
-    assert_eq!(out.len(), xs.len() * 2, "fp16 output length mismatch");
-    #[cfg(target_arch = "x86_64")]
-    if active() {
-        // SAFETY: `active()` verified AVX2 and F16C support at runtime.
-        unsafe { avx2::fp16_encode(xs, out) };
-        return;
+dispatch! {
+    /// Encodes `xs` as little-endian IEEE binary16 into `out`
+    /// (`out.len() == 2 * xs.len()`), round-to-nearest-even, bit-identical to
+    /// [`f32_to_f16_bits`] per element (NaN included: the vector path
+    /// canonicalises it to `sign | 0x7E00` as the reference does).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `out.len() != 2 * xs.len()`.
+    pub fn fp16_encode(xs: &[f32], out: &mut [u8]) {
+        assert_eq!(out.len(), xs.len() * 2, "fp16 output length mismatch");
+    } avx2 {
+        fp16_encode_scalar(xs, out);
     }
-    fp16_encode_scalar(xs, out);
 }
 
 /// The portable reference for [`fp16_encode`].
@@ -177,23 +230,20 @@ pub fn fp16_encode_scalar(xs: &[f32], out: &mut [u8]) {
     }
 }
 
-/// Decodes little-endian IEEE binary16 `bytes` (`bytes.len() == 2 *
-/// out.len()`) into `out`, bit-identical to [`f16_bits_to_f32`] per
-/// element (NaN payloads included: the vector path keeps a signalling
-/// half's quiet bit clear, as the reference does).
-///
-/// # Panics
-///
-/// Panics if `bytes.len() != 2 * out.len()`.
-pub fn fp16_decode(bytes: &[u8], out: &mut [f32]) {
-    assert_eq!(bytes.len(), out.len() * 2, "fp16 payload length mismatch");
-    #[cfg(target_arch = "x86_64")]
-    if active() {
-        // SAFETY: `active()` verified AVX2 and F16C support at runtime.
-        unsafe { avx2::fp16_decode(bytes, out) };
-        return;
+dispatch! {
+    /// Decodes little-endian IEEE binary16 `bytes` (`bytes.len() == 2 *
+    /// out.len()`) into `out`, bit-identical to [`f16_bits_to_f32`] per
+    /// element (NaN payloads included: the vector path keeps a signalling
+    /// half's quiet bit clear, as the reference does).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `bytes.len() != 2 * out.len()`.
+    pub fn fp16_decode(bytes: &[u8], out: &mut [f32]) {
+        assert_eq!(bytes.len(), out.len() * 2, "fp16 payload length mismatch");
+    } avx2 {
+        fp16_decode_scalar(bytes, out);
     }
-    fp16_decode_scalar(bytes, out);
 }
 
 /// The portable reference for [`fp16_decode`].
@@ -268,18 +318,14 @@ pub fn chacha8_block(key: &[u32; 8], counter: u64, out: &mut [u32; 16]) {
     }
 }
 
-/// Eight consecutive ChaCha8 blocks: `out[b]` is what [`chacha8_block`]
-/// writes for `counter + b`, the counter wrapping as a `u64`.
-/// The AVX2 build computes one block per lane.
-pub fn chacha8_blocks(key: &[u32; 8], counter: u64, out: &mut [[u32; 16]; 8]) {
-    #[cfg(target_arch = "x86_64")]
-    if active() {
-        // SAFETY: `active()` verified AVX2 support at runtime.
-        unsafe { avx2::chacha8_blocks(key, counter, out) };
-        return;
-    }
-    for (b, block) in (0u64..).zip(out.iter_mut()) {
-        chacha8_block(key, counter.wrapping_add(b), block);
+dispatch! {
+    /// Eight consecutive ChaCha8 blocks: `out[b]` is what [`chacha8_block`]
+    /// writes for `counter + b`, the counter wrapping as a `u64`.
+    /// The AVX2 build computes one block per lane.
+    pub fn chacha8_blocks(key: &[u32; 8], counter: u64, out: &mut [[u32; 16]; 8]) {} avx2 {
+        for (b, block) in (0u64..).zip(out.iter_mut()) {
+            chacha8_block(key, counter.wrapping_add(b), block);
+        }
     }
 }
 
@@ -313,26 +359,23 @@ pub fn abs_max(xs: &[f32]) -> f32 {
     rest.iter().fold(m, |m, &x| max_of(m, x.abs()))
 }
 
-/// Quantizes `xs` under `scale` with stochastic rounding into `out`
-/// (`out.len() == xs.len()`, one `i8` stored as `u8` per element).
-///
-/// `draws` gives **exactly** one draw per element whose fractional part
-/// is strictly positive, in element order, so the ChaCha codec stream
-/// advances identically under either dispatch. Each element becomes
-/// `⌊x / scale⌋` plus a stochastic round-up, clamped to ±127.
-///
-/// # Panics
-///
-/// Panics if `out.len() != xs.len()`.
-pub fn int8_quantize(xs: &[f32], scale: f32, out: &mut [u8], draws: &mut impl Draws) {
-    assert_eq!(out.len(), xs.len(), "int8 output length mismatch");
-    #[cfg(target_arch = "x86_64")]
-    if active() {
-        // SAFETY: `active()` verified AVX2 and F16C support at runtime.
-        unsafe { avx2::int8_quantize(xs, scale, out, draws) };
-        return;
+dispatch! {
+    /// Quantizes `xs` under `scale` with stochastic rounding into `out`
+    /// (`out.len() == xs.len()`, one `i8` stored as `u8` per element).
+    ///
+    /// `draws` gives **exactly** one draw per element whose fractional part
+    /// is strictly positive, in element order, so the ChaCha codec stream
+    /// advances identically under either dispatch. Each element becomes
+    /// `⌊x / scale⌋` plus a stochastic round-up, clamped to ±127.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `out.len() != xs.len()`.
+    pub fn int8_quantize(xs: &[f32], scale: f32, out: &mut [u8], draws: &mut impl Draws) {
+        assert_eq!(out.len(), xs.len(), "int8 output length mismatch");
+    } twin("avx2,f16c") {
+        quantize_lanes(xs, scale, out, draws);
     }
-    quantize_lanes(xs, scale, out, draws);
 }
 
 /// The body of [`int8_quantize`], one tile at a time.
@@ -403,22 +446,19 @@ fn int8_byte(q: f32) -> u8 {
     (q + 12_582_912.0).to_bits() as u8
 }
 
-/// Dequantizes signed bytes back to `f32`,
-/// `out[i] = bytes[i] as i8 as f32 * scale`, for every byte a peer may send
-/// (−128 included).
-///
-/// # Panics
-///
-/// Panics if `bytes.len() != out.len()`.
-pub fn int8_dequantize(bytes: &[u8], scale: f32, out: &mut [f32]) {
-    assert_eq!(bytes.len(), out.len(), "int8 payload length mismatch");
-    #[cfg(target_arch = "x86_64")]
-    if active() {
-        // SAFETY: `active()` verified AVX2 and F16C support at runtime.
-        unsafe { avx2::int8_dequantize(bytes, scale, out) };
-        return;
+dispatch! {
+    /// Dequantizes signed bytes back to `f32`,
+    /// `out[i] = bytes[i] as i8 as f32 * scale`, for every byte a peer may send
+    /// (−128 included).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `bytes.len() != out.len()`.
+    pub fn int8_dequantize(bytes: &[u8], scale: f32, out: &mut [f32]) {
+        assert_eq!(bytes.len(), out.len(), "int8 payload length mismatch");
+    } twin("avx2,f16c") {
+        dequantize_lanes(bytes, scale, out);
     }
-    dequantize_lanes(bytes, scale, out);
 }
 
 /// The body of [`int8_dequantize`].
@@ -592,23 +632,26 @@ pub fn feedback_lossless(
     acc
 }
 
-/// Fused fp16 feedback, one sweep: compensate, round to binary16, write
-/// the wire lane, leave the half's value in `grad` and the rounding error
-/// in `residual`. Returns the in-order sum of squared residuals, or −0.0
-/// when `norm` is false.
-///
-/// # Panics
-///
-/// Panics if the lengths disagree (`out.len() == 2 * grad.len()`).
-pub fn feedback_fp16(grad: &mut [f32], residual: &mut [f32], out: &mut [u8], norm: bool) -> f32 {
-    assert_eq!(residual.len(), grad.len(), "residual length mismatch");
-    assert_eq!(out.len(), grad.len() * 2, "fp16 output length mismatch");
-    #[cfg(target_arch = "x86_64")]
-    if active() {
-        // SAFETY: `active()` verified AVX2 and F16C support at runtime.
-        return unsafe { avx2::feedback_fp16(grad, residual, out, norm) };
+dispatch! {
+    /// Fused fp16 feedback, one sweep: compensate, round to binary16, write
+    /// the wire lane, leave the half's value in `grad` and the rounding error
+    /// in `residual`. Returns the in-order sum of squared residuals, or −0.0
+    /// when `norm` is false.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the lengths disagree (`out.len() == 2 * grad.len()`).
+    pub fn feedback_fp16(
+        grad: &mut [f32],
+        residual: &mut [f32],
+        out: &mut [u8],
+        norm: bool,
+    ) -> f32 {
+        assert_eq!(residual.len(), grad.len(), "residual length mismatch");
+        assert_eq!(out.len(), grad.len() * 2, "fp16 output length mismatch");
+    } avx2 {
+        feedback_fp16_scalar(grad, residual, out, norm)
     }
-    feedback_fp16_scalar(grad, residual, out, norm)
 }
 
 /// The portable reference for [`feedback_fp16`].
@@ -671,30 +714,28 @@ pub fn compensate_abs_max(grad: &mut [f32], residual: &[f32]) -> f32 {
     })
 }
 
-/// Int8 feedback, second sweep: quantises the compensated values in `grad`
-/// under `scale` into `out`, leaves the dequantised values in `grad` and
-/// `compensated − dequantised` in `residual`. Draws are consumed exactly as
-/// [`int8_quantize`] consumes them, so this sweep is serial at every thread
-/// count. Returns the in-order sum of squared residuals.
-///
-/// # Panics
-///
-/// Panics if the lengths disagree (`out.len() == grad.len()`).
-pub fn feedback_int8(
-    grad: &mut [f32],
-    residual: &mut [f32],
-    scale: f32,
-    out: &mut [u8],
-    draws: &mut impl Draws,
-) -> f32 {
-    assert_eq!(residual.len(), grad.len(), "residual length mismatch");
-    assert_eq!(out.len(), grad.len(), "int8 output length mismatch");
-    #[cfg(target_arch = "x86_64")]
-    if active() {
-        // SAFETY: `active()` verified AVX2 and F16C support at runtime.
-        return unsafe { avx2::feedback_int8(grad, residual, scale, out, draws) };
+dispatch! {
+    /// Int8 feedback, second sweep: quantises the compensated values in `grad`
+    /// under `scale` into `out`, leaves the dequantised values in `grad` and
+    /// `compensated − dequantised` in `residual`. Draws are consumed exactly as
+    /// [`int8_quantize`] consumes them, so this sweep is serial at every thread
+    /// count. Returns the in-order sum of squared residuals.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the lengths disagree (`out.len() == grad.len()`).
+    pub fn feedback_int8(
+        grad: &mut [f32],
+        residual: &mut [f32],
+        scale: f32,
+        out: &mut [u8],
+        draws: &mut impl Draws,
+    ) -> f32 {
+        assert_eq!(residual.len(), grad.len(), "residual length mismatch");
+        assert_eq!(out.len(), grad.len(), "int8 output length mismatch");
+    } twin("avx2,f16c") {
+        feedback_int8_lanes(grad, residual, scale, out, draws)
     }
-    feedback_int8_lanes(grad, residual, scale, out, draws)
 }
 
 /// The body of [`feedback_int8`], one tile at a time.
@@ -785,118 +826,40 @@ pub fn feedback_topk(grad: &mut [f32], residual: &mut [f32], kept: &[u32], out: 
 //
 // Where `dense`'s public kernels pick a build of their body.
 
-pub(crate) fn matmat<'a>(
-    w: &[f32],
-    dim: usize,
-    xs: impl ExactSizeIterator<Item = &'a [f32]>,
-    tile: &mut Vec<f32>,
-    out: &mut Vec<f32>,
-) {
-    #[cfg(target_arch = "x86_64")]
-    if active() {
-        // SAFETY: `active()` verified AVX2 support at runtime.
-        unsafe { avx2::matmat(w, dim, xs, tile, out) };
-        return;
+dispatch! {
+    pub(crate) fn matmat<'a>(
+        w: &[f32],
+        dim: usize,
+        xs: impl ExactSizeIterator<Item = &'a [f32]>,
+        tile: &mut Vec<f32>,
+        out: &mut Vec<f32>,
+    ) {} twin("avx2") {
+        dense::matmat_lanes(w, dim, xs, tile, out);
     }
-    dense::matmat_lanes(w, dim, xs, tile, out);
-}
 
-pub(crate) fn outer_acc(g: &mut [f32], coef: &[f32], x: &[f32]) {
-    #[cfg(target_arch = "x86_64")]
-    if active() {
-        // SAFETY: `active()` verified AVX2 support at runtime.
-        unsafe { avx2::outer_acc(g, coef, x) };
-        return;
+    pub(crate) fn outer_acc(g: &mut [f32], coef: &[f32], x: &[f32]) {} twin("avx2") {
+        dense::outer_acc_lanes(g, coef, x);
     }
-    dense::outer_acc_lanes(g, coef, x);
-}
 
-pub(crate) fn back(dx: &mut Vec<f32>, coef: &[f32], w: &[f32]) {
-    #[cfg(target_arch = "x86_64")]
-    if active() {
-        // SAFETY: `active()` verified AVX2 support at runtime.
-        unsafe { avx2::back(dx, coef, w) };
-        return;
+    pub(crate) fn back(dx: &mut Vec<f32>, coef: &[f32], w: &[f32]) {} twin("avx2") {
+        dense::back_lanes(dx, coef, w);
     }
-    dense::back_lanes(dx, coef, w);
-}
 
-pub(crate) fn tanh(xs: &mut [f32]) {
-    #[cfg(target_arch = "x86_64")]
-    if active() {
-        // SAFETY: `active()` verified AVX2 support at runtime.
-        unsafe { avx2::tanh(xs) };
-        return;
+    pub(crate) fn tanh(xs: &mut [f32]) {} twin("avx2") {
+        dense::tanh_lanes(xs);
     }
-    dense::tanh_lanes(xs);
 }
 
 // ---------------------------------------------------------------------------
 // AVX2 + F16C builds
 // ---------------------------------------------------------------------------
 
-/// The F16C pipelines, the AVX2 builds of the plain int8 and training
-/// bodies and the eight-lane ChaCha8 keystream. Each may run only once
-/// [`active`] has verified AVX2 and F16C; all are bit-identical to the
-/// portable builds above.
+/// The F16C pipelines and the eight-lane ChaCha8 keystream. Each may run
+/// only once [`active`] has verified AVX2 and F16C; all are bit-identical to
+/// the portable builds above.
 #[cfg(target_arch = "x86_64")]
 mod avx2 {
-    use crate::dense;
     use std::arch::x86_64::*;
-
-    /// [`dense::matmat`]'s body, built for AVX2.
-    #[target_feature(enable = "avx2")]
-    pub fn matmat<'a>(
-        w: &[f32],
-        dim: usize,
-        xs: impl ExactSizeIterator<Item = &'a [f32]>,
-        tile: &mut Vec<f32>,
-        out: &mut Vec<f32>,
-    ) {
-        dense::matmat_lanes(w, dim, xs, tile, out);
-    }
-
-    /// [`dense::outer_acc`]'s body, built for AVX2.
-    #[target_feature(enable = "avx2")]
-    pub fn outer_acc(g: &mut [f32], coef: &[f32], x: &[f32]) {
-        dense::outer_acc_lanes(g, coef, x);
-    }
-
-    /// [`dense::back`]'s body, built for AVX2.
-    #[target_feature(enable = "avx2")]
-    pub fn back(dx: &mut Vec<f32>, coef: &[f32], w: &[f32]) {
-        dense::back_lanes(dx, coef, w);
-    }
-
-    /// [`dense::tanh_in_place`]'s body, built for AVX2.
-    #[target_feature(enable = "avx2")]
-    pub fn tanh(xs: &mut [f32]) {
-        dense::tanh_lanes(xs);
-    }
-
-    /// [`super::int8_quantize`]'s body, built for AVX2.
-    #[target_feature(enable = "avx2,f16c")]
-    pub fn int8_quantize(xs: &[f32], scale: f32, out: &mut [u8], draws: &mut impl super::Draws) {
-        super::quantize_lanes(xs, scale, out, draws);
-    }
-
-    /// [`super::int8_dequantize`]'s body, built for AVX2.
-    #[target_feature(enable = "avx2,f16c")]
-    pub fn int8_dequantize(bytes: &[u8], scale: f32, out: &mut [f32]) {
-        super::dequantize_lanes(bytes, scale, out);
-    }
-
-    /// [`super::feedback_int8`]'s body, built for AVX2.
-    #[target_feature(enable = "avx2,f16c")]
-    pub fn feedback_int8(
-        grad: &mut [f32],
-        residual: &mut [f32],
-        scale: f32,
-        out: &mut [u8],
-        draws: &mut impl super::Draws,
-    ) -> f32 {
-        super::feedback_int8_lanes(grad, residual, scale, out, draws)
-    }
 
     /// [`super::chacha8_blocks`] with block `b` in lane `b` of sixteen
     /// state vectors: `vpshufb` rotates by 16 and 8, shift-or by 12 and 7,

@@ -1,8 +1,6 @@
 use std::fmt;
 use std::ops::{Index, IndexMut, Range};
 
-use serde::{Deserialize, Serialize};
-
 use crate::alloc::note_alloc;
 
 /// Unroll width of the element-wise kernels. Eight `f32` lanes fill one
@@ -63,7 +61,7 @@ pub(crate) fn map_apply(a: &mut [f32], f: impl Fn(f32) -> f32) {
 /// g.axpy(2.0, &Tensor::from_vec(vec![1.0, 1.0, 1.0, 1.0]));
 /// assert_eq!(g.as_slice(), &[2.0, 2.0, 2.0, 2.0]);
 /// ```
-#[derive(PartialEq, Default, Serialize, Deserialize)]
+#[derive(PartialEq, Default)]
 pub struct Tensor {
     data: Vec<f32>,
 }

@@ -1,8 +1,8 @@
 //! Little-endian binary (de)serialization for checkpoint payloads.
 //!
-//! The vendored `serde` stubs are no-ops in this offline build, so durable
-//! formats are hand-rolled. This module provides the primitive writers and
-//! readers every checkpoint codec shares: fixed-width little-endian integers,
+//! The workspace has no serialization framework, so durable formats are
+//! hand-rolled. This module provides the primitive writers and readers
+//! every checkpoint codec shares: fixed-width little-endian integers,
 //! `f32`/`f64` bit patterns, one-byte booleans and `Option` tags, and
 //! length-prefixed [`Tensor`] payloads. Readers never panic on malformed
 //! input — they return `None` so callers can surface a typed corruption error

@@ -12,13 +12,12 @@
 //!   [`rna_workload`](https://docs.rs) length model).
 
 use rna_simnet::SimRng;
-use serde::{Deserialize, Serialize};
 
 /// A supervised learning corpus.
 ///
 /// Inputs are stored flattened; for sequence data each sample is
 /// `seq_len × input_dim` values with its length recorded in `seq_lens`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Dataset {
     inputs: Vec<Vec<f32>>,
     labels: Vec<usize>,

@@ -5,10 +5,8 @@
 //! [`EarlyStopping`] reimplements the Keras callback the paper uses to
 //! terminate training (patience 10, §8.1).
 
-use serde::{Deserialize, Serialize};
-
 /// One convergence measurement.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HistoryPoint {
     /// Virtual seconds since training started.
     pub time_s: f64,
@@ -33,7 +31,7 @@ pub struct HistoryPoint {
 /// assert_eq!(h.best_loss(), Some(1.1));
 /// assert_eq!(h.final_accuracy(), Some(0.6));
 /// ```
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct History {
     points: Vec<HistoryPoint>,
 }
@@ -143,7 +141,7 @@ impl History {
 /// assert!(!stop.update(0.95)); // strike 1
 /// assert!(stop.update(0.91)); // strike 2 → stop
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EarlyStopping {
     patience: u32,
     min_delta: f64,

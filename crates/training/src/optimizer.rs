@@ -7,10 +7,9 @@
 //! argument of [`Sgd::step`].
 
 use rna_tensor::Tensor;
-use serde::{Deserialize, Serialize};
 
 /// A learning-rate schedule evaluated per iteration.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum LrSchedule {
     /// A constant rate.
     Constant(f32),

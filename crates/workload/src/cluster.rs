@@ -6,11 +6,9 @@
 //! list into per-worker speed factors for
 //! [`crate::HeterogeneityModel::with_speed_factors`].
 
-use serde::{Deserialize, Serialize};
-
 /// A GPU hardware tier with a relative compute-speed factor
 /// (compute-time multiplier; larger = slower).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum GpuTier {
     /// NVIDIA Tesla K80 — the oldest tier (≈2.8× the 2080 Ti's time).
     TeslaK80,
@@ -52,7 +50,7 @@ impl GpuTier {
 /// assert_eq!(spec.num_workers(), 8);
 /// assert!(spec.speed_factors().iter().all(|&f| f == 1.0));
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ClusterSpec {
     tiers: Vec<GpuTier>,
 }

@@ -1,5 +1,4 @@
 use rna_simnet::{SimDuration, SimRng};
-use serde::{Deserialize, Serialize};
 
 /// Derives log-normal parameters `(mu, sigma)` of the *underlying normal*
 /// such that the log-normal distribution has the given `mean` and `std_dev`.
@@ -44,7 +43,7 @@ pub fn lognormal_params_for(mean: f64, std_dev: f64) -> (f64, f64) {
 /// let t = model.sample(&mut rng, None);
 /// assert!(t >= SimDuration::from_millis(10) && t < SimDuration::from_millis(20));
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum ComputeTimeModel {
     /// Every iteration takes exactly this long (balanced CNN workloads such
     /// as preprocessed ResNet50/VGG16, §8.1).

@@ -1,10 +1,9 @@
 use rna_simnet::{SimDuration, SimRng};
-use serde::{Deserialize, Serialize};
 
 /// The per-iteration delay injected on one worker.
 ///
 /// Composable via [`DelayModel::Compound`]; sampled once per iteration.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub enum DelayModel {
     /// No injected delay.
     #[default]
@@ -96,7 +95,7 @@ impl DelayModel {
 /// let mixed = HeterogeneityModel::mixed_groups(8, 0, 50, 50, 100);
 /// assert!(mixed.delay_model(7).mean() > mixed.delay_model(0).mean());
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct HeterogeneityModel {
     delays: Vec<DelayModel>,
     /// Compute-time multiplier per worker (1.0 = nominal; 2.0 = half speed).

@@ -11,7 +11,6 @@
 //! payload carried from the payload charged.
 
 use rna_simnet::SimDuration;
-use serde::{Deserialize, Serialize};
 
 use crate::ComputeTimeModel;
 
@@ -24,7 +23,7 @@ use crate::ComputeTimeModel;
 /// assert_eq!(p.param_count, 25_559_081);
 /// assert_eq!(p.grad_bytes(), 25_559_081 * 4);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ModelProfile {
     /// Human-readable name, e.g. `"ResNet50"`.
     pub name: String,

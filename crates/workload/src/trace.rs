@@ -10,12 +10,11 @@
 use std::fmt::Write as _;
 
 use rna_simnet::SimDuration;
-use serde::{Deserialize, Serialize};
 
 use crate::ComputeTimeModel;
 
 /// A recorded set of per-worker iteration durations.
-#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct WorkloadTrace {
     per_worker: Vec<Vec<SimDuration>>,
 }

@@ -9,12 +9,11 @@
 
 use rna_simnet::{SimDuration, SimRng};
 use rna_tensor::stats::Summary;
-use serde::{Deserialize, Serialize};
 
 use crate::lognormal_params_for;
 
 /// A generator of video frame counts matching the UCF101 statistics.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct VideoLengthModel {
     mu: f64,
     sigma: f64,
@@ -77,7 +76,7 @@ impl VideoLengthModel {
 /// let s = corpus.summary();
 /// assert!((s.mean - 186.0).abs() < 10.0);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct VideoCorpus {
     lengths: Vec<u64>,
 }
@@ -141,7 +140,7 @@ impl VideoCorpus {
 ///
 /// Calibrated so a batch whose longest video has the corpus-mean length
 /// costs `target_mean`; time scales linearly with the longest video.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BatchTimeModel {
     per_frame: SimDuration,
 }
