@@ -40,21 +40,24 @@ cargo test --release --offline --manifest-path perf/Cargo.toml
 # the training kernels, the one that runs none of them, the 10 000-worker
 # DES run that drives the simulator's RNA routing at scale, and the three
 # that run the real worlds' controller and worker loop (RNA and the BSP
-# barrier on threads, RNA over sockets). The last stdout line is the result;
-# anything but a correct run with zero failed operations (a broken replay
-# check, a frozen-benchmark check such as BSP's `bytes_on_wire == 0`, a
-# public-API break, a hang) fails here instead of in the benchmark
-# pipeline. The builds refresh perf/Cargo.lock, which is frozen between
-# [benchmark] PRs, so it is restored either way.
-echo "==> benchmark smoke (des-mlp64k, hop-64k, des-scale10k, the three straggler workloads; watchdogged)"
+# barrier on threads, RNA over sockets), then one traced pass, which runs
+# every per-layer ledger row. The last stdout line is the result; anything
+# but a correct run with zero failed operations (a broken replay check, a
+# frozen-benchmark check such as BSP's `bytes_on_wire == 0`, a ledger row
+# that stops measuring, a public-API break, a hang) fails here instead of
+# in the benchmark pipeline. The builds refresh perf/Cargo.lock, which is
+# frozen between [benchmark] PRs, so it is restored either way.
+echo "==> benchmark smoke (des-mlp64k, hop-64k, des-scale10k, the three straggler workloads, one traced pass; watchdogged)"
 smoke_failed=""
-for workload in des-mlp64k hop-64k des-scale10k threaded-straggler \
-    threaded-straggler-bsp process-straggler; do
+for run in des-mlp64k:0 hop-64k:0 des-scale10k:0 threaded-straggler:0 \
+    threaded-straggler-bsp:0 process-straggler:0 des-mlp64k:1; do
+  workload="${run%:*}"
+  trace="${run#*:}"
   last="$(timeout 300 bash perf/run.sh --workload "${workload}" --seed 1 \
-    --seconds 2 --trace 0 | tail -n 1)" || last=""
+    --seconds 2 --trace "${trace}" | tail -n 1)" || last=""
   if [[ "${last}" != *'"correct": true'* || "${last}" != *'"failed": 0,'* ]]; then
-    echo "    ${workload}: ${last:-no result line}" >&2
-    smoke_failed="${smoke_failed} ${workload}"
+    echo "    ${workload} --trace ${trace}: ${last:-no result line}" >&2
+    smoke_failed="${smoke_failed} ${run}"
   fi
 done
 git checkout -q -- perf/Cargo.lock 2>/dev/null || true

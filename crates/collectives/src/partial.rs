@@ -9,15 +9,14 @@
 //!
 //! The hot path is [`partial_allreduce_pooled`]: it draws the output from a
 //! [`TensorPool`], never materializes null tensors, and accumulates every
-//! contributor in a single fused pass — bit-identical to the naive
-//! weighted-average sequence (nulls carried weight 0 and were skipped, and
-//! `1.0 · x` is an identity), but with one memory pass instead of `N + 2`
-//! and zero steady-state allocations.
+//! contributor in the one blocked fold of `rna_tensor`
+//! ([`fold_into`]) — bit-identical to the naive weighted-average sequence
+//! (nulls carried weight 0 and were skipped, and `1.0 · x` is an identity),
+//! but with one memory pass instead of `N + 2` and zero steady-state
+//! allocations.
 
+use rna_tensor::reduce::fold_into;
 use rna_tensor::{Tensor, TensorPool};
-
-/// Unroll width matching the `rna-tensor` fused kernels.
-const LANES: usize = 8;
 
 /// The result of a partial AllReduce round.
 #[derive(Debug, Clone, PartialEq)]
@@ -97,30 +96,9 @@ pub fn partial_allreduce_pooled(
         assert_eq!(t.len(), dim, "tensor length mismatch in partial allreduce");
     }
     let mut reduced = pool.acquire(dim);
+    let rest = contributions.iter().flatten().map(|t| (t.as_slice(), ()));
     let inv = 1.0 / num_contributors as f32;
-    let o = reduced.as_mut_slice();
-    let mut i = 0;
-    while i + LANES <= dim {
-        let mut acc = [0.0f32; LANES];
-        for t in contributions.iter().flatten() {
-            let s = &t.as_slice()[i..i + LANES];
-            for l in 0..LANES {
-                acc[l] += s[l];
-            }
-        }
-        for l in 0..LANES {
-            o[i + l] = acc[l] * inv;
-        }
-        i += LANES;
-    }
-    while i < dim {
-        let mut acc = 0.0f32;
-        for t in contributions.iter().flatten() {
-            acc += t.as_slice()[i];
-        }
-        o[i] = acc * inv;
-        i += 1;
-    }
+    fold_into(reduced.as_mut_slice(), None, rest, |a, x, ()| a + x, inv);
     Some(PartialOutcome {
         reduced,
         num_contributors,

@@ -24,6 +24,7 @@
 use rna_collectives::CollectiveCost;
 use rna_simnet::trace::{SpanKind, SpanTracker};
 use rna_simnet::{EventQueue, LinkModel, NetworkModel, SimDuration, SimRng, SimTime};
+use rna_tensor::reduce::fold_into;
 use rna_tensor::{Tensor, TensorPool};
 use rna_training::model::{ElmanRnn, LinearRegression, Mlp, SoftmaxClassifier};
 use rna_training::{BatchSampler, Dataset, EarlyStopping, History, LrSchedule, Model, Sgd};
@@ -460,8 +461,6 @@ pub struct SimState<M> {
     recovery: Option<EngineRecovery>,
     resumed: bool,
     pool: TensorPool,
-    apply_scratch: Tensor,
-    eval_scratch: Tensor,
 }
 
 /// The protocol's handle onto the engine.
@@ -622,7 +621,10 @@ impl<M: Clone + std::fmt::Debug> Ctx<'_, M> {
             s.fates[worker] = script.fate();
         }
         let batch = s.samplers[worker].sample(&s.train_ds);
-        let (_, grad) = s.models[worker].loss_and_grad(&batch);
+        // The buffer comes from the pool the drained caches release into,
+        // so a steady-state iteration allocates no gradient.
+        let mut grad = s.pool.acquire(s.models[worker].num_params());
+        s.models[worker].loss_and_grad_into(&batch, &mut grad);
         s.next_iter[worker] += 1;
         s.in_flight[worker] = Some((iter, grad));
         s.computing[worker] = true;
@@ -739,18 +741,13 @@ impl<M: Clone + std::fmt::Debug> Ctx<'_, M> {
 
     /// Applies the reduced gradient to every listed worker with the given
     /// learning-rate scale (RNA passes the contributor count, BSP passes 1).
-    ///
-    /// Runs through a persistent scratch tensor — the per-worker parameter
-    /// clone the naive implementation made each round is replaced by a
-    /// `copy_from` into reused storage, so applying allocates nothing.
+    /// Each worker's optimizer steps its replica's parameters in place.
     pub fn apply_reduced(&mut self, workers: &[usize], grad: &Tensor, lr_scale: f32) {
         let s = &mut *self.0;
         let lr = s.spec.lr.lr_at(s.global_round);
         for &w in workers {
             s.opts[w].set_lr(lr);
-            s.apply_scratch.copy_from(s.models[w].params());
-            s.opts[w].step(&mut s.apply_scratch, grad, lr_scale);
-            s.models[w].set_params(&s.apply_scratch);
+            s.opts[w].step(s.models[w].params_mut(), grad, lr_scale);
         }
     }
 
@@ -760,15 +757,21 @@ impl<M: Clone + std::fmt::Debug> Ctx<'_, M> {
         self.apply_reduced(&[worker], grad, lr_scale);
     }
 
-    /// Atomically averages the parameters of two workers (AD-PSGD's
-    /// pairwise model averaging). Allocation-free: the average is formed
-    /// in the persistent scratch tensor.
+    /// Atomically averages the parameters of two distinct workers
+    /// (AD-PSGD's pairwise model averaging): `a`'s replica lerps toward
+    /// `b`'s in place and `b` takes a copy of the result.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `a == b` or either is not a worker.
     pub fn average_pair(&mut self, a: usize, b: usize) {
-        let s = &mut *self.0;
-        s.apply_scratch.copy_from(s.models[a].params());
-        s.apply_scratch.lerp(s.models[b].params(), 0.5);
-        s.models[a].set_params(&s.apply_scratch);
-        s.models[b].set_params(&s.apply_scratch);
+        let [ma, mb] = self
+            .0
+            .models
+            .get_disjoint_mut([a, b])
+            .expect("average_pair takes two distinct workers");
+        ma.params_mut().lerp(mb.params(), 0.5);
+        mb.set_params(ma.params());
     }
 
     /// Completes one global synchronization round: bumps the round counter,
@@ -896,14 +899,13 @@ impl<M: Clone + std::fmt::Debug> Ctx<'_, M> {
 fn evaluate<M>(s: &mut SimState<M>) {
     // Evaluate the mean of the replicas — the standard metric for
     // decentralized training (all replicas coincide under BSP). The mean
-    // is formed in a persistent scratch tensor (allocation-free; zeroing
-    // then summing is bit-identical to summing into a fresh zeros tensor).
-    s.eval_scratch.fill_zero();
-    for m in &s.models {
-        s.eval_scratch.add_assign(m.params());
-    }
-    s.eval_scratch.scale(1.0 / s.models.len() as f32);
-    s.eval_model.set_params(&s.eval_scratch);
+    // is folded into the evaluation model's own parameters in one blocked
+    // pass, in the order of a zeroed sum: from 0.0, add each replica in
+    // worker order, scale once.
+    let replicas = s.models.iter().map(|m| (m.params().as_slice(), ()));
+    let inv = 1.0 / s.models.len() as f32;
+    let mean = s.eval_model.params_mut().as_mut_slice();
+    fold_into(mean, None, replicas, |a, x, ()| a + x, inv);
     let batch = s.eval_ds.full_batch();
     let eval = s.eval_model.evaluate(&batch);
     let (loss, acc) = (f64::from(eval.loss), f64::from(eval.top1));
@@ -994,7 +996,6 @@ impl<P: Protocol> Engine<P> {
         // leaves data/sampler/workload/protocol draws untouched, so runs
         // that never use it (Lossless) replay the pre-codec engine exactly.
         let codec_rng = root.fork(400);
-        let num_params = template.num_params();
         // A small min-delta keeps noisy near-plateau evaluations from
         // resetting the patience counter forever.
         let early = spec.patience.map(|p| EarlyStopping::new(p, 1e-3));
@@ -1034,8 +1035,6 @@ impl<P: Protocol> Engine<P> {
             recovery: None,
             resumed: false,
             pool: TensorPool::new(),
-            apply_scratch: Tensor::zeros(num_params),
-            eval_scratch: Tensor::zeros(num_params),
             clock: SimTime::ZERO,
             // Steady state keeps a few events in flight per worker
             // (compute-done plus protocol messages); sizing the heap up

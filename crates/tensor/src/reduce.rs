@@ -5,19 +5,20 @@
 //! (weight `w = 1`) and rescales by `W = 1 / Σ w`, treating absent workers as
 //! null contributions.
 //!
-//! Every averaging helper has a fused `*_into` variant that writes into a
-//! caller-provided buffer (typically from a [`TensorPool`](crate::TensorPool))
-//! in a **single pass** over memory: instead of the naive
+//! Every multi-input reduction — [`ReduceOp::reduce_into`], the two
+//! weighted averages here and `rna_collectives::partial_allreduce_pooled` —
+//! runs one blocked fold, [`fold_into`]: instead of the naive
 //! zero-the-accumulator → one `axpy` sweep per input → final `scale` sweep
-//! (`N + 2` passes for `N` inputs), the fused kernels accumulate an 8-lane
-//! block across all inputs and write each output element exactly once. The
-//! per-element arithmetic — accumulation order, the single multiply by the
-//! precomputed `1 / Σ w` — is identical to the naive sequence, so results are
-//! bit-for-bit the same.
+//! (`N + 2` passes over memory for `N` inputs), each block of
+//! [`FOLD_BLOCK`] output floats stays in L1 while every input is folded into
+//! it, so each input is read once and each output element written back
+//! once. The per-element arithmetic — accumulation order, the single
+//! multiply by the precomputed `1 / Σ w` — is identical to the naive
+//! sequence, so results are bit-for-bit the same.
 
 use std::borrow::Borrow;
 
-use crate::tensor::{zip_apply, LANES};
+use crate::tensor::zip_apply;
 use crate::Tensor;
 
 /// An element-wise reduction operator applied across tensors.
@@ -79,14 +80,15 @@ impl ReduceOp {
                 "tensor length mismatch in reduce"
             );
         }
+        let out = out.as_mut_slice();
+        let first = Some(inputs[0].borrow().as_slice());
+        let rest = inputs[1..].iter().map(|t| (t.borrow().as_slice(), ()));
+        let inv = 1.0 / inputs.len() as f32;
         match self {
-            ReduceOp::Sum => fold_blocks(out.as_mut_slice(), inputs, |a, b| a + b, 1.0),
-            ReduceOp::Mean => {
-                let inv = 1.0 / inputs.len() as f32;
-                fold_blocks(out.as_mut_slice(), inputs, |a, b| a + b, inv);
-            }
-            ReduceOp::Max => fold_blocks(out.as_mut_slice(), inputs, f32::max, 1.0),
-            ReduceOp::Min => fold_blocks(out.as_mut_slice(), inputs, f32::min, 1.0),
+            ReduceOp::Sum => fold_into(out, first, rest, |a, x, ()| a + x, 1.0),
+            ReduceOp::Mean => fold_into(out, first, rest, |a, x, ()| a + x, inv),
+            ReduceOp::Max => fold_into(out, first, rest, |a, x, ()| a.max(x), 1.0),
+            ReduceOp::Min => fold_into(out, first, rest, |a, x, ()| a.min(x), 1.0),
         }
         true
     }
@@ -125,43 +127,58 @@ impl ReduceOp {
     }
 }
 
-/// Folds all `inputs` into `out` blockwise: each 8-lane block is seeded from
-/// the first input, combined across the remaining inputs with `f`, scaled by
-/// `post`, and written exactly once. `post` is 1.0 except for `Mean`
-/// (multiplying by 1.0 is an identity on every `f32`, so non-mean ops are
-/// unaffected).
+/// Output floats per block of [`fold_into`]: 1 KiB, so one block of the
+/// output and one of each of a handful of inputs fit in L1 together.
+pub const FOLD_BLOCK: usize = 256;
+
+/// The blocked fold every multi-input reduction runs.
+///
+/// Each block of `out` is seeded from `first` (`None` seeds it with `0.0`),
+/// every `(input, weight)` of `rest` is folded into it in order as
+/// `acc = step(acc, x, weight)`, and the block is then multiplied by `post`.
+/// So element `i` is `step(..step(seed[i], x₁[i], w₁).., xₙ[i], wₙ) * post`,
+/// exactly the expression a per-element loop computes; the callers choose
+/// `step` (an unweighted input is added, never multiplied by `1.0`) and
+/// skip zero weights by leaving them out of `rest`.
+///
+/// # Panics
+///
+/// Panics if `first` or an input of `rest` is shorter than `out`.
 #[inline]
-fn fold_blocks<T: Borrow<Tensor>>(
+pub fn fold_into<'a, W: Copy>(
     out: &mut [f32],
-    inputs: &[T],
-    f: impl Fn(f32, f32) -> f32,
+    first: Option<&[f32]>,
+    rest: impl Iterator<Item = (&'a [f32], W)> + Clone,
+    step: impl Fn(f32, f32, W) -> f32,
     post: f32,
 ) {
-    let len = out.len();
-    let first = inputs[0].borrow().as_slice();
-    let rest = &inputs[1..];
-    let mut i = 0;
-    while i + LANES <= len {
-        let mut acc = [0.0f32; LANES];
-        acc.copy_from_slice(&first[i..i + LANES]);
-        for t in rest {
-            let s = &t.borrow().as_slice()[i..i + LANES];
-            for l in 0..LANES {
-                acc[l] = f(acc[l], s[l]);
+    for (b, acc) in out.chunks_mut(FOLD_BLOCK).enumerate() {
+        let at = b * FOLD_BLOCK..b * FOLD_BLOCK + acc.len();
+        match first {
+            Some(x) => acc.copy_from_slice(&x[at.clone()]),
+            None => acc.fill(0.0),
+        }
+        // Two inputs per sweep halve the block's loads and stores; each
+        // element still takes its inputs one at a time, in order.
+        let mut rest = rest.clone();
+        while let Some((x, w)) = rest.next() {
+            let x = &x[at.clone()];
+            match rest.next() {
+                Some((y, v)) => {
+                    for ((a, &x), &y) in acc.iter_mut().zip(x).zip(&y[at.clone()]) {
+                        *a = step(step(*a, x, w), y, v);
+                    }
+                }
+                None => {
+                    for (a, &x) in acc.iter_mut().zip(x) {
+                        *a = step(*a, x, w);
+                    }
+                }
             }
         }
-        for l in 0..LANES {
-            out[i + l] = acc[l] * post;
+        for a in acc {
+            *a *= post;
         }
-        i += LANES;
-    }
-    while i < len {
-        let mut acc = first[i];
-        for t in rest {
-            acc = f(acc, t.borrow().as_slice()[i]);
-        }
-        out[i] = acc * post;
-        i += 1;
     }
 }
 
@@ -228,35 +245,10 @@ pub fn weighted_average_into(out: &mut Tensor, inputs: &[&Tensor], weights: &[f3
             "tensor length mismatch in weighted average"
         );
     }
+    let rest = inputs.iter().zip(weights).filter(|(_, &w)| w > 0.0);
+    let rest = rest.map(|(t, &w)| (t.as_slice(), w));
     let inv = 1.0 / total;
-    let len = out.len();
-    let o = out.as_mut_slice();
-    let mut i = 0;
-    while i + LANES <= len {
-        let mut acc = [0.0f32; LANES];
-        for (t, &w) in inputs.iter().zip(weights) {
-            if w > 0.0 {
-                let s = &t.as_slice()[i..i + LANES];
-                for l in 0..LANES {
-                    acc[l] += w * s[l];
-                }
-            }
-        }
-        for l in 0..LANES {
-            o[i + l] = acc[l] * inv;
-        }
-        i += LANES;
-    }
-    while i < len {
-        let mut acc = 0.0f32;
-        for (t, &w) in inputs.iter().zip(weights) {
-            if w > 0.0 {
-                acc += w * t.as_slice()[i];
-            }
-        }
-        o[i] = acc * inv;
-        i += 1;
-    }
+    fold_into(out.as_mut_slice(), None, rest, |a, x, w| a + w * x, inv);
     true
 }
 
@@ -321,33 +313,11 @@ pub fn staleness_weighted_average_into<T: Borrow<Tensor>>(
         );
         total += (t - base + 1) as f32;
     }
+    let rest = grads
+        .iter()
+        .map(|(t, g)| (g.borrow().as_slice(), (t - base + 1) as f32));
     let inv = 1.0 / total;
-    let len = out.len();
-    let o = out.as_mut_slice();
-    let mut i = 0;
-    while i + LANES <= len {
-        let mut acc = [0.0f32; LANES];
-        for (t, g) in grads {
-            let w = (t - base + 1) as f32;
-            let s = &g.borrow().as_slice()[i..i + LANES];
-            for l in 0..LANES {
-                acc[l] += w * s[l];
-            }
-        }
-        for l in 0..LANES {
-            o[i + l] = acc[l] * inv;
-        }
-        i += LANES;
-    }
-    while i < len {
-        let mut acc = 0.0f32;
-        for (t, g) in grads {
-            let w = (t - base + 1) as f32;
-            acc += w * g.borrow().as_slice()[i];
-        }
-        o[i] = acc * inv;
-        i += 1;
-    }
+    fold_into(out.as_mut_slice(), None, rest, |a, x, w| a + w * x, inv);
     true
 }
 

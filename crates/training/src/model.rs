@@ -47,15 +47,40 @@ pub trait Model: Send {
     /// The flattened parameter vector.
     fn params(&self) -> &Tensor;
 
+    /// The flattened parameter vector, for updating it in place (an
+    /// optimizer step, a replica average). The caller keeps its length at
+    /// [`Model::num_params`].
+    fn params_mut(&mut self) -> &mut Tensor;
+
     /// Overwrites the parameters.
     ///
     /// # Panics
     ///
     /// Panics if the length differs from [`Model::num_params`].
-    fn set_params(&mut self, p: &Tensor);
+    fn set_params(&mut self, p: &Tensor) {
+        assert_eq!(p.len(), self.num_params(), "parameter length mismatch");
+        self.params_mut().copy_from(p);
+    }
 
-    /// Mean loss over the batch and its gradient w.r.t. the parameters.
-    fn loss_and_grad(&self, batch: &Batch<'_>) -> (f32, Tensor);
+    /// Mean loss over the batch; its gradient w.r.t. the parameters
+    /// overwrites `grad`, whatever `grad` held. Allocates nothing once the
+    /// thread's scratch has seen the model's shape, so a caller that
+    /// recycles `grad` (the simulator draws it from its
+    /// [`TensorPool`](rna_tensor::TensorPool)) computes gradients without
+    /// allocating.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `grad.len()` differs from [`Model::num_params`].
+    fn loss_and_grad_into(&self, batch: &Batch<'_>, grad: &mut Tensor) -> f32;
+
+    /// Mean loss over the batch and its gradient w.r.t. the parameters, in
+    /// a fresh tensor: [`Model::loss_and_grad_into`] on `Tensor::zeros`.
+    fn loss_and_grad(&self, batch: &Batch<'_>) -> (f32, Tensor) {
+        let mut grad = Tensor::zeros(self.num_params());
+        let loss = self.loss_and_grad_into(batch, &mut grad);
+        (loss, grad)
+    }
 
     /// Runs one forward pass per sample, in batch order, handing `visit`
     /// each sample's dataset index and per-class scores (logits). No
@@ -129,6 +154,12 @@ fn evaluate_top_k<M: Model + ?Sized>(model: &M, batch: &Batch<'_>, k: usize) -> 
 
 fn init_params(n: usize, scale: f32, rng: &mut SimRng) -> Tensor {
     (0..n).map(|_| rng.uniform_init(scale)).collect()
+}
+
+/// Zeroes the gradient buffer `loss_and_grad_into` accumulates into.
+fn zero_grad(grad: &mut Tensor, num_params: usize) {
+    assert_eq!(grad.len(), num_params, "gradient length mismatch");
+    grad.fill_zero();
 }
 
 /// Splits a flat parameter (or gradient) vector into consecutive layers of
@@ -248,13 +279,12 @@ impl Model for SoftmaxClassifier {
         &self.params
     }
 
-    fn set_params(&mut self, p: &Tensor) {
-        assert_eq!(p.len(), self.num_params(), "parameter length mismatch");
-        self.params.copy_from(p);
+    fn params_mut(&mut self) -> &mut Tensor {
+        &mut self.params
     }
 
-    fn loss_and_grad(&self, batch: &Batch<'_>) -> (f32, Tensor) {
-        let mut grad = Tensor::zeros(self.num_params());
+    fn loss_and_grad_into(&self, batch: &Batch<'_>, grad: &mut Tensor) -> f32 {
+        zero_grad(grad, self.num_params());
         let mut total = 0.0f32;
         let ds = batch.dataset();
         let ([g_w], g_b) = layers_mut(grad.as_mut_slice(), [self.classes * self.dim]);
@@ -270,7 +300,7 @@ impl Model for SoftmaxClassifier {
         });
         let n = batch.len().max(1) as f32;
         grad.scale(1.0 / n);
-        (total / n, grad)
+        total / n
     }
 
     fn forward(&self, batch: &Batch<'_>, visit: &mut dyn FnMut(usize, &[f32])) {
@@ -353,13 +383,12 @@ impl Model for Mlp {
         &self.params
     }
 
-    fn set_params(&mut self, p: &Tensor) {
-        assert_eq!(p.len(), self.num_params(), "parameter length mismatch");
-        self.params.copy_from(p);
+    fn params_mut(&mut self) -> &mut Tensor {
+        &mut self.params
     }
 
-    fn loss_and_grad(&self, batch: &Batch<'_>) -> (f32, Tensor) {
-        let mut grad = Tensor::zeros(self.num_params());
+    fn loss_and_grad_into(&self, batch: &Batch<'_>, grad: &mut Tensor) -> f32 {
+        zero_grad(grad, self.num_params());
         let mut total = 0.0f32;
         let ds = batch.dataset();
         let ([_, _, w2], _) = layers(self.params.as_slice(), self.layout());
@@ -389,7 +418,7 @@ impl Model for Mlp {
         });
         let n = batch.len().max(1) as f32;
         grad.scale(1.0 / n);
-        (total / n, grad)
+        total / n
     }
 
     fn forward(&self, batch: &Batch<'_>, visit: &mut dyn FnMut(usize, &[f32])) {
@@ -449,13 +478,12 @@ impl Model for LinearRegression {
         &self.params
     }
 
-    fn set_params(&mut self, p: &Tensor) {
-        assert_eq!(p.len(), self.num_params(), "parameter length mismatch");
-        self.params.copy_from(p);
+    fn params_mut(&mut self) -> &mut Tensor {
+        &mut self.params
     }
 
-    fn loss_and_grad(&self, batch: &Batch<'_>) -> (f32, Tensor) {
-        let mut grad = Tensor::zeros(self.num_params());
+    fn loss_and_grad_into(&self, batch: &Batch<'_>, grad: &mut Tensor) -> f32 {
+        zero_grad(grad, self.num_params());
         let mut total = 0.0f32;
         let ds = batch.dataset();
         let (g_w, g_b) = grad.as_mut_slice().split_at_mut(self.dim);
@@ -468,7 +496,7 @@ impl Model for LinearRegression {
         }
         let n = batch.len().max(1) as f32;
         grad.scale(1.0 / n);
-        (total / n, grad)
+        total / n
     }
 
     fn forward(&self, _batch: &Batch<'_>, _visit: &mut dyn FnMut(usize, &[f32])) {}
@@ -591,13 +619,12 @@ impl Model for ElmanRnn {
         &self.params
     }
 
-    fn set_params(&mut self, p: &Tensor) {
-        assert_eq!(p.len(), self.num_params(), "parameter length mismatch");
-        self.params.copy_from(p);
+    fn params_mut(&mut self) -> &mut Tensor {
+        &mut self.params
     }
 
-    fn loss_and_grad(&self, batch: &Batch<'_>) -> (f32, Tensor) {
-        let mut grad = Tensor::zeros(self.num_params());
+    fn loss_and_grad_into(&self, batch: &Batch<'_>, grad: &mut Tensor) -> f32 {
+        zero_grad(grad, self.num_params());
         let mut total = 0.0f32;
         let ds = batch.dataset();
         let ([_, wh, _, wo], _) = layers(self.params.as_slice(), self.layout());
@@ -633,7 +660,7 @@ impl Model for ElmanRnn {
         });
         let n = batch.len().max(1) as f32;
         grad.scale(1.0 / n);
-        (total / n, grad)
+        total / n
     }
 
     fn forward(&self, batch: &Batch<'_>, visit: &mut dyn FnMut(usize, &[f32])) {
@@ -719,6 +746,31 @@ mod tests {
     }
 
     #[test]
+    fn loss_and_grad_into_overwrites_to_the_bit() {
+        let mut rng = SimRng::seed(10);
+        let blobs = Dataset::blobs(20, 5, 3, 0.3, &mut rng);
+        let seqs = Dataset::sequences(&[3, 5, 2, 4, 1], 3, 2, 0.2, &mut rng);
+        let line = Dataset::regression(20, 4, 0.1, &mut rng);
+        let models: [(Box<dyn Model>, &Dataset); 4] = [
+            (Box::new(SoftmaxClassifier::new(5, 3, &mut rng)), &blobs),
+            (Box::new(Mlp::new(5, 7, 3, &mut rng)), &blobs),
+            (Box::new(ElmanRnn::new(3, 5, 2, &mut rng)), &seqs),
+            (Box::new(LinearRegression::new(4)), &line),
+        ];
+        for (m, ds) in &models {
+            let batch = ds.full_batch();
+            let (loss, grad) = m.loss_and_grad(&batch);
+            // A stale buffer: any element the call failed to overwrite stays
+            // NaN and fails the comparison.
+            let mut into = Tensor::filled(m.num_params(), f32::NAN);
+            let loss_into = m.loss_and_grad_into(&batch, &mut into);
+            assert_eq!(loss_into.to_bits(), loss.to_bits(), "{}: loss", m.name());
+            let bits = |t: &Tensor| t.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&into), bits(&grad), "{}: gradient", m.name());
+        }
+    }
+
+    #[test]
     fn sgd_reduces_softmax_loss() {
         let mut rng = SimRng::seed(5);
         let ds = Dataset::blobs(200, 6, 3, 0.3, &mut rng);
@@ -728,9 +780,7 @@ mod tests {
         let mut opt = Sgd::new(0.5, 0.0, 0.0, m.num_params());
         for _ in 0..100 {
             let (_, g) = m.loss_and_grad(&batch);
-            let mut p = m.params().clone();
-            opt.step(&mut p, &g, 1.0);
-            m.set_params(&p);
+            opt.step(m.params_mut(), &g, 1.0);
         }
         let trained = m.loss(&batch);
         assert!(trained < initial * 0.5, "loss {initial} -> {trained}");
@@ -748,9 +798,7 @@ mod tests {
         let mut opt = Sgd::new(0.3, 0.5, 0.0, m.num_params());
         for _ in 0..120 {
             let (_, g) = m.loss_and_grad(&batch);
-            let mut p = m.params().clone();
-            opt.step(&mut p, &g, 1.0);
-            m.set_params(&p);
+            opt.step(m.params_mut(), &g, 1.0);
         }
         assert!(m.loss(&batch) < initial * 0.6);
         assert!(m.accuracy(&batch) > 0.8);
@@ -765,9 +813,7 @@ mod tests {
         let mut opt = Sgd::new(0.1, 0.0, 0.0, m.num_params());
         for _ in 0..500 {
             let (_, g) = m.loss_and_grad(&batch);
-            let mut p = m.params().clone();
-            opt.step(&mut p, &g, 1.0);
-            m.set_params(&p);
+            opt.step(m.params_mut(), &g, 1.0);
         }
         assert!(m.loss(&batch) < 1e-3);
         assert_eq!(m.accuracy(&batch), 0.0);
@@ -812,9 +858,7 @@ mod tests {
         let mut opt = Sgd::new(0.5, 0.0, 0.0, m.num_params());
         for _ in 0..60 {
             let (_, g) = m.loss_and_grad(&batch);
-            let mut p = m.params().clone();
-            opt.step(&mut p, &g, 1.0);
-            m.set_params(&p);
+            opt.step(m.params_mut(), &g, 1.0);
         }
         let top1 = m.top_k_accuracy(&batch, 1);
         let top5 = m.top_k_accuracy(&batch, 5);

@@ -1,7 +1,7 @@
 //! Steady-state allocation guarantee of the compute path: once the thread's
-//! scratch has seen a model's shape, `evaluate` performs **zero** heap
-//! allocations and `loss_and_grad` exactly one — the gradient tensor it
-//! returns.
+//! scratch has seen a model's shape, `evaluate` and `loss_and_grad_into`
+//! perform **zero** heap allocations and `loss_and_grad` exactly one — the
+//! gradient tensor it returns.
 //!
 //! Counted by a wrapping global allocator with a per-thread counter, so
 //! tests running in parallel do not see each other's allocations.
@@ -94,6 +94,17 @@ fn warm_evaluate_allocates_nothing_and_loss_and_grad_only_its_gradient() {
             "{}: loss_and_grad",
             model.name()
         );
-        assert_eq!(grad.unwrap().1.len(), model.num_params());
+        let (loss, grad) = grad.unwrap();
+        assert_eq!(grad.len(), model.num_params());
+
+        let mut into = grad;
+        let mut loss_into = f32::NAN;
+        assert_eq!(
+            allocations(|| loss_into = model.loss_and_grad_into(&mini, &mut into)),
+            0,
+            "{}: loss_and_grad_into",
+            model.name()
+        );
+        assert_eq!(loss_into.to_bits(), loss.to_bits());
     }
 }
