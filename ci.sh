@@ -30,6 +30,11 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline -q
 echo "==> cargo test -q"
 cargo test -q
 
+# The benchmark measures release builds, so the golden digest table is
+# checked in release too, not only in the debug pass above.
+echo "==> golden digest table (--release, watchdogged)"
+timeout 600 cargo test -q --release -p rna-experiments --test golden
+
 # The frozen benchmark package (perf/, its own workspace) builds against the
 # crates' public API: run its tests here so an API break fails CI instead of
 # the benchmark pipeline.
@@ -85,7 +90,7 @@ stress "chaos stress (DES)" -p rna-experiments --test chaos --test fault_toleran
 stress "chaos stress (threaded)" -p rna-runtime --test fault_injection
 
 # Control-plane stress: controller kills, checkpoint/resume roundtrips,
-# and PS-shard failover.
+# and counted PS-shard crashes that leave the run unchanged.
 stress "recovery stress" -p rna-experiments --test recovery
 
 # Elastic-membership stress: mid-run joins, graceful retirements,

@@ -161,8 +161,8 @@ pub struct FaultPlan {
     /// Global rounds at which the *active controller* dies (one failover
     /// each; the warm standby takes over after the lease expires).
     controller_crashes: Vec<u64>,
-    /// `(shard, round)` pairs: the primary replica of PS shard `shard`
-    /// dies at global round `round` and pulls degrade to its mirror.
+    /// `(shard, round)` pairs: PS shard `shard` crashes at its group's
+    /// round `round`.
     ps_crashes: Vec<(usize, u64)>,
 }
 
@@ -243,10 +243,10 @@ impl FaultPlan {
         self
     }
 
-    /// Adds a PS shard crash: the primary replica of shard `shard` dies at
-    /// global round `at_round`. Subsequent pushes and pulls for that shard
-    /// degrade to its mirror (read-repaired up to the crash) instead of
-    /// wedging the hierarchical exchange.
+    /// Adds a PS shard crash: shard `shard` (group `shard`'s slot of the
+    /// hierarchical PS) crashes as that group reaches round `at_round`. The
+    /// crash is counted in `ps_failovers` and costs the run nothing: the
+    /// hierarchy's master parameters are the PS and lose no write.
     pub fn crash_ps_shard(mut self, shard: usize, at_round: u64) -> Self {
         self.ps_crashes.push((shard, at_round));
         self
@@ -991,76 +991,30 @@ impl NetFaultPlan {
     /// rolls the same per-edge streams as the unsplit one.
     pub fn split_physical(&self, controller: usize) -> (NetFaultPlan, NetFaultPlan) {
         let touches = |a: usize, b: usize| a == controller || b == controller;
-        let mut physical = NetFaultPlan::none().with_seed(self.seed);
-        let mut virt = NetFaultPlan::none().with_seed(self.seed);
-        for &(a, b, p) in &self.drops {
-            let side = if touches(a, b) {
-                &mut physical
-            } else {
-                &mut virt
-            };
-            side.drops.push((a, b, p));
-        }
-        for &(a, b, from, until) in &self.flaps {
-            let side = if touches(a, b) {
-                &mut physical
-            } else {
-                &mut virt
-            };
-            side.flaps.push((a, b, from, until));
-        }
-        for &(a, b, us) in &self.delays {
-            let side = if touches(a, b) {
-                &mut physical
-            } else {
-                &mut virt
-            };
-            side.delays.push((a, b, us));
-        }
-        for &(a, b, p) in &self.corrupts {
-            let side = if touches(a, b) {
-                &mut physical
-            } else {
-                &mut virt
-            };
-            side.corrupts.push((a, b, p));
-        }
-        virt.partitions = self.partitions.clone();
+        let mut physical = NetFaultPlan {
+            partitions: Vec::new(),
+            ..self.clone()
+        };
+        physical.retain_links(touches);
+        let mut virt = self.clone();
+        virt.retain_links(|a, b| !touches(a, b));
         (physical, virt)
     }
 
     /// Checks every node index against a cluster of `num_workers` workers:
-    /// partition components may name only workers (`< num_workers`); drop
-    /// and flap endpoints may also name the controller (`num_workers`) and
-    /// the PS/master node (`num_workers + 1`).
+    /// partition components may name only workers (`< num_workers`); link
+    /// endpoints may also name the controller (`num_workers`) and the
+    /// PS/master node (`num_workers + 1`).
     ///
     /// # Panics
     ///
     /// Panics on the first out-of-range index.
     pub fn validate(&self, num_workers: usize) {
         let max_node = num_workers + 1;
-        for &(a, b, _) in &self.drops {
+        for (kind, a, b) in self.link_endpoints() {
             assert!(
                 a <= max_node && b <= max_node,
-                "drop endpoint out of range: ({a}, {b}) with {num_workers} workers"
-            );
-        }
-        for &(a, b, ..) in &self.flaps {
-            assert!(
-                a <= max_node && b <= max_node,
-                "flap endpoint out of range: ({a}, {b}) with {num_workers} workers"
-            );
-        }
-        for &(a, b, _) in &self.delays {
-            assert!(
-                a <= max_node && b <= max_node,
-                "delay endpoint out of range: ({a}, {b}) with {num_workers} workers"
-            );
-        }
-        for &(a, b, _) in &self.corrupts {
-            assert!(
-                a <= max_node && b <= max_node,
-                "corrupt endpoint out of range: ({a}, {b}) with {num_workers} workers"
+                "{kind} endpoint out of range: ({a}, {b}) with {num_workers} workers"
             );
         }
         for (component, ..) in &self.partitions {
@@ -1071,6 +1025,24 @@ impl NetFaultPlan {
                 );
             }
         }
+    }
+
+    /// Every per-link entry's endpoints, tagged with its kind: drops,
+    /// flaps, delays, then corrupts, each in insertion order.
+    fn link_endpoints(&self) -> impl Iterator<Item = (&'static str, usize, usize)> + '_ {
+        let drops = self.drops.iter().map(|&(a, b, _)| ("drop", a, b));
+        let flaps = self.flaps.iter().map(|&(a, b, ..)| ("flap", a, b));
+        let delays = self.delays.iter().map(|&(a, b, _)| ("delay", a, b));
+        let corrupts = self.corrupts.iter().map(|&(a, b, _)| ("corrupt", a, b));
+        drops.chain(flaps).chain(delays).chain(corrupts)
+    }
+
+    /// Keeps only the per-link entries whose endpoints satisfy `keep`.
+    fn retain_links(&mut self, keep: impl Fn(usize, usize) -> bool) {
+        self.drops.retain(|&(a, b, _)| keep(a, b));
+        self.flaps.retain(|&(a, b, ..)| keep(a, b));
+        self.delays.retain(|&(a, b, _)| keep(a, b));
+        self.corrupts.retain(|&(a, b, _)| keep(a, b));
     }
 
     /// Lowers the plan to the [`rna_simnet::NetFaults`] mechanism for a
@@ -1507,6 +1479,36 @@ mod tests {
         assert!(f.link_up(2, 3, at(15)));
         assert!(!f.link_up(3, 5, at(15)), "PS is on the majority side");
         assert!(f.link_up(2, 0, at(25)), "heals after the window");
+    }
+
+    #[test]
+    fn net_plan_splits_at_the_controller_link() {
+        // Controller 4: per kind, one entry touching it, one that does not;
+        // the partition is virtual. The whole plan is the two halves joined
+        // kind by kind, and splitting it must give the halves back, seeds
+        // included.
+        let physical = NetFaultPlan::none()
+            .with_seed(9)
+            .drop_link(4, 0, 0.25)
+            .flap(1, 4, 100, 200)
+            .delay_link(4, 3, 50)
+            .corrupt_link(0, 4, 0.1);
+        let virt = NetFaultPlan::none()
+            .with_seed(9)
+            .drop_link(0, 1, 0.5)
+            .flap(1, 2, 300, 400)
+            .delay_link(2, 3, 60)
+            .corrupt_link(3, 1, 0.2)
+            .partition(vec![2, 3], 0, 1_000);
+        let plan = NetFaultPlan {
+            seed: 9,
+            drops: [physical.drops.clone(), virt.drops.clone()].concat(),
+            flaps: [physical.flaps.clone(), virt.flaps.clone()].concat(),
+            partitions: virt.partitions.clone(),
+            delays: [physical.delays.clone(), virt.delays.clone()].concat(),
+            corrupts: [physical.corrupts.clone(), virt.corrupts.clone()].concat(),
+        };
+        assert_eq!(plan.split_physical(4), (physical, virt));
     }
 
     #[test]

@@ -24,6 +24,10 @@
 //! stale-parameter mixing: staleness is confined to the gradients, where
 //! the §5 analysis bounds it.
 //!
+//! The master *is* the parameter server, with no second copy of its state,
+//! so a planned PS-shard crash ([`crate::fault::FaultPlan::crash_ps_shard`])
+//! is counted and costs the run nothing.
+//!
 //! With an exchange cadence above 1
 //! ([`crate::rna::RnaProtocol::with_ps_every`]), intermediate rounds apply
 //! updates group-locally as a preview and the accumulated gradient is
@@ -32,8 +36,6 @@
 //! ([`crate::rna::RnaProtocol::with_regroup_policy`]).
 
 use rna_tensor::Tensor;
-
-use rna_ps::ReplicatedGroupServer;
 
 use crate::cache::GradientCache;
 use crate::fault::ToleranceConfig;
@@ -47,14 +49,9 @@ use crate::RnaConfig;
 /// server, plus the online regroup loop that reshapes the groups.
 #[derive(Debug)]
 pub(crate) struct PsStage {
-    /// The asynchronous master parameters (the PS state). Deliberately kept
-    /// as the broadcast source even under PS-shard faults: the master is
-    /// the analytic model of the exchange, the replicated server below
-    /// mirrors it per slot — so fault-free runs stay bit-identical.
+    /// The asynchronous master parameters: the whole PS state, and the
+    /// broadcast source of every exchange.
     pub(crate) master: Option<Tensor>,
-    /// Slot bookkeeping (per-group versions/staleness diagnostics), each
-    /// slot mirrored to a warm replica with read-repair on pull.
-    pub(crate) server: Option<ReplicatedGroupServer>,
     /// Accumulated `Σ scale·ḡ` per group since its last exchange.
     pending: Vec<Option<Tensor>>,
     /// Group rounds between PS exchanges.
@@ -96,7 +93,6 @@ impl PsStage {
     pub(crate) fn new(num_groups: usize, n: usize) -> Self {
         PsStage {
             master: None,
-            server: None,
             pending: vec![None; num_groups],
             every: 1,
             missed_exchanges: vec![0; num_groups],
@@ -112,33 +108,40 @@ impl PsStage {
         }
     }
 
-    /// Seeds the master and the replicated server from the initial model.
-    pub(crate) fn start(&mut self, ctx: &mut Ctx<'_, RnaMsg>, num_groups: usize) {
+    /// Seeds the master from the initial model.
+    pub(crate) fn start(&mut self, ctx: &mut Ctx<'_, RnaMsg>) {
         self.master = Some(ctx.params(0));
-        self.server = Some(ReplicatedGroupServer::new(ctx.params(0), num_groups));
         self.crashes_done = vec![false; ctx.fault_plan().ps_shard_crashes().len()];
     }
 
     /// Fires any planned PS-shard crash scheduled for group `gid` at its
-    /// current `round`: the slot's primary dies and the exchange degrades
-    /// to the warm mirror. Each plan entry fires exactly once.
-    pub(crate) fn maybe_crash_shard(&mut self, ctx: &mut Ctx<'_, RnaMsg>, gid: usize, round: u64) {
+    /// current `round`: the crash is counted in `ps_failovers` and the
+    /// exchange carries on against the master, which loses nothing. Each
+    /// plan entry fires exactly once.
+    fn maybe_crash_shard(&mut self, ctx: &mut Ctx<'_, RnaMsg>, gid: usize, round: u64) {
         let crashes = ctx.fault_plan().ps_shard_crashes().to_vec();
         for (i, &(shard, at_round)) in crashes.iter().enumerate() {
             if self.crashes_done[i] || shard != gid || at_round != round {
                 continue;
             }
             self.crashes_done[i] = true;
-            if let Some(server) = self.server.as_mut() {
-                if shard < server.num_groups() {
-                    server.kill_primary(shard);
-                    ctx.counters_mut().ps_failovers += 1;
-                }
-            }
+            ctx.counters_mut().ps_failovers += 1;
         }
     }
 
-    /// Takes a group's reduced gradient: accumulate it at the round's
+    /// Applies group `gid`'s accumulated gradient to the master at the
+    /// round's learning rate, discounted by the exchanges the group missed
+    /// (which this resets), and returns the updated master.
+    fn apply(&mut self, ctx: &Ctx<'_, RnaMsg>, gid: usize, grad: &Tensor) -> &Tensor {
+        let missed = std::mem::take(&mut self.missed_exchanges[gid]);
+        let lr = ctx.current_lr() * staleness_discount(missed);
+        let master = self.master.as_mut().expect("master set in start");
+        master.axpy(-lr, grad);
+        master
+    }
+
+    /// Takes a group's reduced gradient: fire any PS-shard crash planned
+    /// for this round, accumulate the gradient at the round's
     /// learning-rate `scale`, and on an exchange round push it to the
     /// master. Returns whether the exchange launched (the round edge then
     /// waits for `PsDone`); otherwise `RnaProtocol` applies the update
@@ -154,6 +157,7 @@ impl PsStage {
         contributors: usize,
     ) -> bool {
         let gid = group.id;
+        self.maybe_crash_shard(ctx, gid, group.round());
         // Pooled buffers arrive zeroed, so the accumulator starts from
         // exact zero.
         self.pending[gid]
@@ -211,20 +215,11 @@ impl PsStage {
         // The master applies the gradient at *send* time: the PS serializes
         // pushes, so the state the group later broadcasts already includes
         // this contribution plus whatever other groups landed meanwhile.
-        let missed = std::mem::take(&mut self.missed_exchanges[gid]);
-        let lr = ctx.current_lr() * rna_ps::staleness_discount(missed);
-        let master = self.master.as_mut().expect("master set in start");
-        master.axpy(-lr, &grad);
-        if let Some(server) = self.server.as_mut() {
-            server.push(gid, master);
-            // The pull half of the exchange read-repairs the slot's mirror,
-            // so a later primary crash degrades to this round's value.
-            let _ = server.pull_slot(gid);
-        }
+        let master = self.apply(ctx, gid, &grad);
         // The broadcast payload snapshots the master; both it and the
         // drained accumulator cycle through the pool.
-        let mut blended = ctx.pool_mut().acquire(master.len());
-        blended.copy_from(master);
+        let mut snapshot = ctx.pool_mut().acquire(master.len());
+        snapshot.copy_from(master);
         ctx.pool_release(grad);
         let bytes = ctx.grad_bytes();
         let cost = ctx.cost();
@@ -245,7 +240,7 @@ impl PsStage {
             duration,
             RnaMsg::PsDone {
                 group: gid,
-                blended,
+                master: snapshot,
                 contributors,
             },
         );
@@ -312,8 +307,8 @@ impl PsStage {
     /// Commits the armed topology swap once every group is drained: flush
     /// pending PS accumulators into the master (nothing contributed is
     /// lost), transplant gradient caches into the new layout, rebuild the
-    /// group states aligned to the maximum round, rebalance the PS shard
-    /// keys from the replica-backed blend, and restart every group.
+    /// group states aligned to the maximum round, rehome the PS shard keys,
+    /// and restart every group.
     pub(crate) fn try_commit_regroup(
         &mut self,
         ctx: &mut Ctx<'_, RnaMsg>,
@@ -345,12 +340,9 @@ impl PsStage {
         //    is full-precision (no codec): the owed error-feedback
         //    residuals are dropped with the old layout — a bounded, rare
         //    loss the swap accepts.
-        let master = self.master.as_mut().expect("master set in start");
         for gid in 0..self.pending.len() {
             if let Some(grad) = self.pending[gid].take() {
-                let missed = std::mem::take(&mut self.missed_exchanges[gid]);
-                let lr = ctx.current_lr() * rna_ps::staleness_discount(missed);
-                master.axpy(-lr, &grad);
+                self.apply(ctx, gid, &grad);
                 ctx.pool_release(grad);
             }
         }
@@ -382,6 +374,7 @@ impl PsStage {
         //    dormant.
         let round = groups.iter().map(GroupState::round).max().unwrap_or(0);
         let election = groups[0].election;
+        let old_k = groups.len();
         *groups = layout
             .iter()
             .enumerate()
@@ -403,13 +396,11 @@ impl PsStage {
             }
             g.recover_for_takeover(round);
         }
-        // 5. Rebalance the PS shard keys: every slot reseeds from the
-        //    replica-backed blend already folded into the master, so no
-        //    pull can wedge on a dead primary mid-handoff.
-        let master = self.master.as_ref().expect("master set in start");
-        let moved = self.server.as_mut().map_or(0, |s| s.rebalance(master, k));
+        // 5. Rehome the PS shard keys: every old group's key drains and
+        //    every new group's key is seeded from the master, which the
+        //    flush above already brought up to date.
         ctx.counters_mut().regroup_events += 1;
-        ctx.counters_mut().ps_keys_rebalanced += moved;
+        ctx.counters_mut().ps_keys_rebalanced += (old_k + k) as u64;
         self.last_swap_edge = self.round_edges;
         self.last_ratio = ratio;
         // 6. Atomic swap done: restart every group's compute and election.
@@ -420,8 +411,16 @@ impl PsStage {
     }
 }
 
+/// Weight of a gradient that sat out `missed` PS exchanges while its group
+/// was partitioned from the server: `1 / (1 + missed)`, the Hop-style
+/// bounded-staleness reading (Luo et al.).
+fn staleness_discount(missed: u64) -> f32 {
+    1.0 / (1.0 + missed as f32)
+}
+
 #[cfg(test)]
 mod tests {
+    use super::staleness_discount;
     use crate::rna::RnaProtocol;
     use crate::sim::{Engine, TrainSpec};
     use crate::RnaConfig;
@@ -431,6 +430,14 @@ mod tests {
         TrainSpec::smoke_test(n, seed)
             .with_hetero(HeterogeneityModel::mixed_groups(n, 0, 10, 50, 60))
             .with_max_rounds(rounds)
+    }
+
+    #[test]
+    fn staleness_discount_decays_harmonically() {
+        assert_eq!(staleness_discount(0), 1.0);
+        assert_eq!(staleness_discount(1), 0.5);
+        assert_eq!(staleness_discount(4), 0.2);
+        assert!(staleness_discount(1_000_000) > 0.0);
     }
 
     #[test]
@@ -563,7 +570,7 @@ mod tests {
             .with_fault_plan(FaultPlan::none().crash_ps_shard(0, 5).crash_ps_shard(1, 9));
         let p = RnaProtocol::auto(&spec, RnaConfig::default());
         let r = Engine::new(spec, p).run();
-        // The exchange degrades to the mirrors instead of wedging.
+        // The crashes are counted; the exchange carries on against the master.
         assert_eq!(r.global_rounds, 60);
         assert_eq!(r.ps_failovers, 2);
         let pts = r.history.points();

@@ -11,10 +11,10 @@
 //!   checkpoint; the previous generation is kept as a fallback and
 //!   [`CheckpointStore::load_latest`] silently falls back to it when the
 //!   newest file is truncated or fails its checksum.
-//! * [`RoundJournal`] — an append-only record of completed probe rounds
-//!   (round id, initiator, contributor count). A warm-standby controller
-//!   replays it after the latest checkpoint to recover the round counter
-//!   it must resume from.
+//! * [`RoundJournal`] — the last completed probe round (round id,
+//!   initiator, contributor count). A warm-standby controller reads it
+//!   from the latest checkpoint to recover the round counter it must
+//!   resume from.
 //! * [`RecoveryConfig`] — the checkpoint cadence, validated at
 //!   construction like [`ToleranceConfig`](crate::fault::ToleranceConfig).
 //! * [`RecoveryError`] — a typed error distinguishing I/O failures from
@@ -43,7 +43,8 @@ pub const CHECKPOINT_MAGIC: &[u8; 8] = b"RNACKPT1";
 /// layouts the callers write under it. 2: payloads moved to the shared field
 /// codec (one-byte booleans and `Option` tags, one `Counters` block). 3: the
 /// simulator's group blob no longer carries per-member initiator counts.
-pub const CHECKPOINT_VERSION: u32 = 3;
+/// 4: the round journal holds at most one record, its last.
+pub const CHECKPOINT_VERSION: u32 = 4;
 
 /// Why a checkpoint could not be loaded.
 #[derive(Debug)]
@@ -275,25 +276,25 @@ fn read_frame(path: &Path) -> Result<Option<Vec<u8>>, FrameError> {
 
 /// One completed probe round, as the journal remembers it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RoundRecord {
+struct RoundRecord {
     /// The global round id that completed.
-    pub round: u64,
+    round: u64,
     /// The worker that initiated the partial collective.
-    pub initiator: usize,
+    initiator: usize,
     /// How many workers contributed non-null gradients.
-    pub contributors: u32,
+    contributors: u32,
 }
 
-/// An append-only journal of completed probe rounds.
+/// The journal of completed probe rounds, which keeps only the last one.
 ///
 /// The active controller records every round it completes; a standby
-/// taking over replays the journal past the latest checkpoint to learn the
+/// taking over reads the last one from the latest checkpoint to learn the
 /// next round id. Rounds must be recorded in strictly increasing order —
 /// the journal panics on a replayed or reordered round id, since that
 /// would mean two controllers believed they were active at once.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RoundJournal {
-    entries: Vec<RoundRecord>,
+    last: Option<RoundRecord>,
 }
 
 impl RoundJournal {
@@ -302,14 +303,14 @@ impl RoundJournal {
         RoundJournal::default()
     }
 
-    /// Appends a completed round.
+    /// Records a completed round, replacing the previous record.
     ///
     /// # Panics
     ///
     /// Panics if `round` is not strictly greater than the last recorded
     /// round (a split-brain symptom).
     pub fn record(&mut self, round: u64, initiator: usize, contributors: u32) {
-        if let Some(last) = self.entries.last() {
+        if let Some(last) = self.last {
             assert!(
                 round > last.round,
                 "journal rounds must be strictly increasing ({} after {})",
@@ -317,7 +318,7 @@ impl RoundJournal {
                 last.round
             );
         }
-        self.entries.push(RoundRecord {
+        self.last = Some(RoundRecord {
             round,
             initiator,
             contributors,
@@ -327,28 +328,14 @@ impl RoundJournal {
     /// The round a recovering controller must run next: one past the last
     /// completed round, or 0 for an empty journal.
     pub fn next_round(&self) -> u64 {
-        self.entries.last().map_or(0, |r| r.round + 1)
+        self.last.map_or(0, |r| r.round + 1)
     }
 
-    /// Number of journaled rounds.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Whether no round has completed yet.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// The journaled records, oldest first.
-    pub fn records(&self) -> &[RoundRecord] {
-        &self.entries
-    }
-
-    /// Serializes the journal into a checkpoint payload.
+    /// Serializes the journal into a checkpoint payload: a record count
+    /// (0 or 1) and the record.
     pub fn encode_into(&self, out: &mut Vec<u8>) {
-        wire::put_u64(out, self.entries.len() as u64);
-        for r in &self.entries {
+        wire::put_u64(out, u64::from(self.last.is_some()));
+        if let Some(r) = self.last {
             wire::put_u64(out, r.round);
             wire::put_u64(out, r.initiator as u64);
             wire::put_u32(out, r.contributors);
@@ -357,28 +344,16 @@ impl RoundJournal {
 
     /// Deserializes a journal from a checkpoint payload.
     pub fn decode(r: &mut Reader<'_>) -> Option<Self> {
-        let n = r.u64()?;
-        if n > r.remaining() as u64 / 20 {
-            return None; // more records claimed than bytes available
-        }
-        let mut entries = Vec::with_capacity(n as usize);
-        for _ in 0..n {
-            let round = r.u64()?;
-            let initiator = r.u64()? as usize;
-            let contributors = r.u32()?;
-            if let Some(last) = entries.last() {
-                let last: &RoundRecord = last;
-                if round <= last.round {
-                    return None;
-                }
-            }
-            entries.push(RoundRecord {
-                round,
-                initiator,
-                contributors,
-            });
-        }
-        Some(RoundJournal { entries })
+        let last = match r.u64()? {
+            0 => None,
+            1 => Some(RoundRecord {
+                round: r.u64()?,
+                initiator: r.u64()? as usize,
+                contributors: r.u32()?,
+            }),
+            _ => return None, // a journal holds at most one record
+        };
+        Some(RoundJournal { last })
     }
 }
 
@@ -516,7 +491,20 @@ mod tests {
         j.record(0, 2, 3);
         j.record(1, 0, 4);
         assert_eq!(j.next_round(), 2);
-        assert_eq!(j.len(), 2);
+    }
+
+    #[test]
+    fn journal_encoding_stays_one_record_long() {
+        let encoded_len = |rounds: u64| {
+            let mut j = RoundJournal::new();
+            for round in 0..rounds {
+                j.record(round, 1, 3);
+            }
+            let mut buf = Vec::new();
+            j.encode_into(&mut buf);
+            buf.len()
+        };
+        assert_eq!(encoded_len(1_000), encoded_len(1));
     }
 
     #[test]
@@ -529,16 +517,18 @@ mod tests {
 
     #[test]
     fn journal_wire_roundtrip() {
+        let roundtrip = |j: &RoundJournal| {
+            let mut buf = Vec::new();
+            j.encode_into(&mut buf);
+            let mut r = Reader::new(&buf);
+            assert_eq!(RoundJournal::decode(&mut r).as_ref(), Some(j));
+            assert_eq!(r.remaining(), 0);
+        };
         let mut j = RoundJournal::new();
+        roundtrip(&j);
         j.record(0, 1, 4);
-        j.record(1, 3, 2);
         j.record(5, 0, 4);
-        let mut buf = Vec::new();
-        j.encode_into(&mut buf);
-        let mut r = Reader::new(&buf);
-        let back = RoundJournal::decode(&mut r).unwrap();
-        assert_eq!(back, j);
-        assert_eq!(r.remaining(), 0);
+        roundtrip(&j);
     }
 
     #[test]

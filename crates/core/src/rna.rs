@@ -86,12 +86,12 @@ pub enum RnaMsg {
         round: u64,
     },
     /// Self-scheduled completion of a hierarchical PS push-pull +
-    /// intra-group broadcast, carrying the blended parameters.
+    /// intra-group broadcast, carrying the master parameters.
     PsDone {
         /// Group whose exchange finished.
         group: usize,
-        /// Blended parameters pulled from the server.
-        blended: Tensor,
+        /// The master parameters pulled from the PS.
+        master: Tensor,
         /// Contributor count of the round the exchange completes.
         contributors: usize,
     },
@@ -1013,12 +1013,6 @@ impl RnaProtocol {
         self.groups.iter().map(|g| g.members.clone()).collect()
     }
 
-    /// PS shard primaries that crashed and degraded to their replica.
-    pub fn ps_failovers(&self) -> u64 {
-        let server = self.ps.as_ref().and_then(|ps| ps.server.as_ref());
-        server.map_or(0, |s| s.failovers())
-    }
-
     /// Opens group `gid`'s next election — unless the fault plan kills
     /// the (flat) controller at this round, in which case the controller
     /// goes dark and the warm standby's lease timer is armed instead.
@@ -1085,9 +1079,6 @@ impl RnaProtocol {
         } else {
             1.0
         };
-        if let Some(ps) = &mut self.ps {
-            ps.maybe_crash_shard(ctx, gid, self.groups[gid].round());
-        }
         // Delta-sample the alloc hook around the data-path work (PS push,
         // apply) but not the round edge, whose compute launches allocate
         // on the out-of-scope compute path.
@@ -1111,27 +1102,27 @@ impl RnaProtocol {
         }
     }
 
-    /// A group's PS exchange returned: broadcast the blended master inside
+    /// A group's PS exchange returned: broadcast the master inside
     /// the group, then run the round edge it held back.
     fn on_ps_done(
         &mut self,
         ctx: &mut Ctx<'_, RnaMsg>,
         gid: usize,
-        blended: Tensor,
+        master: Tensor,
         contributors: usize,
     ) {
         // A group with an exchange in flight always survives the swap
         // untouched (`drained` refuses to commit while one is
         // outstanding), so a valid id here is never stale.
         let Some(group) = self.groups.get_mut(gid) else {
-            ctx.pool_release(blended);
+            ctx.pool_release(master);
             return;
         };
         let allocs_before = rna_tensor::alloc::count();
         for &w in &group.members {
-            ctx.set_params(w, &blended);
+            ctx.set_params(w, &master);
         }
-        ctx.pool_release(blended);
+        ctx.pool_release(master);
         ctx.counters_mut().datapath_allocs += rna_tensor::alloc::count() - allocs_before;
         self.round_edge(ctx, gid, contributors);
     }
@@ -1278,7 +1269,7 @@ impl Protocol for RnaProtocol {
             "grouping must cover exactly the spec's workers"
         );
         if let Some(ps) = &mut self.ps {
-            ps.start(ctx, self.groups.len());
+            ps.start(ctx);
         }
         for w in 0..ctx.num_workers() {
             if ctx.churn_plan().tenure(w).join.is_some() {
@@ -1355,9 +1346,9 @@ impl Protocol for RnaProtocol {
             RnaMsg::ReduceDone { group, round } => self.on_reduce_done(ctx, group, round),
             RnaMsg::PsDone {
                 group,
-                blended,
+                master,
                 contributors,
-            } => self.on_ps_done(ctx, group, blended, contributors),
+            } => self.on_ps_done(ctx, group, master, contributors),
             RnaMsg::StandbyTakeover { term } => self.handle_takeover(ctx, term),
         }
     }

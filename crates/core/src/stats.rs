@@ -91,8 +91,8 @@ pub struct Counters {
     /// the real worlds it is the progress redone since the last checkpoint
     /// (crash round minus checkpoint round, summed).
     pub failover_rounds_lost: u64,
-    /// PS shard primaries that crashed and degraded to their replica
-    /// (hierarchical DES protocol only).
+    /// Planned PS shard crashes that fired; each is counted and costs the
+    /// run nothing (hierarchical DES protocol only).
     pub ps_failovers: u64,
     /// Crash-consistent checkpoints written during the run.
     pub checkpoints_written: u64,
@@ -131,8 +131,8 @@ pub struct Counters {
     /// re-split from live speed estimates and swapped at a quiesce point.
     /// Always 0 for flat protocols and in the real worlds.
     pub regroup_events: u64,
-    /// Parameter-server keys (slots) rehomed during regroup rebalancing.
-    /// Always 0 when no regroup fires.
+    /// Parameter-server keys rehomed by regroups: each swap counts the old
+    /// groups' keys plus the new groups'. Always 0 when no regroup fires.
     pub ps_keys_rebalanced: u64,
     /// Bytes of model snapshot streamed to joining workers during
     /// admission (parameters only; framing excluded).

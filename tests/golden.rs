@@ -5,7 +5,10 @@
 //!
 //! Rows are every DES protocol × {clean, crash + restart, churn,
 //! partition}, plus the int8 wire codec for the two `RnaProtocol`
-//! elections (the other protocols ignore `RnaConfig`). The table is the
+//! elections (the other protocols ignore `RnaConfig`), plus three rows for
+//! the hierarchy's parameter-server paths: two PS-shard crashes, an online
+//! regroup forced by a gray straggler in one launch group, and the int8 PS
+//! push. Each of those three asserts that its path fired. The table is the
 //! one place a change to the simulator, a protocol or the data path shows
 //! up as a named, reviewable diff: on a mismatch the test prints the whole
 //! recomputed table, and a deliberate re-pin is that table pasted over
@@ -18,7 +21,7 @@ use rna_baselines::{
     AdPsgdProtocol, AsyncPsProtocol, BackupWorkersProtocol, HorovodProtocol, SgpProtocol,
 };
 use rna_core::fault::{FaultPlan, NetFaultPlan};
-use rna_core::membership::ChurnPlan;
+use rna_core::membership::{ChurnPlan, RegroupPolicy};
 use rna_core::rna::{Election, RnaProtocol};
 use rna_core::sim::{Engine, Protocol, TrainSpec};
 use rna_core::stats::Counters;
@@ -73,6 +76,9 @@ const GOLDEN: &[(&str, u64)] = &[
     ("eager-sgd/churn/int8", 0xc1a54a9ed42c7c10),
     ("rna/partition/int8", 0xa0eb2936b78e493c),
     ("eager-sgd/partition/int8", 0xc8d03a7a153361dc),
+    ("rna-hier/ps-shard-crash", 0x7732fc57746787d6),
+    ("rna-hier/regroup", 0x464d43e1d323e721),
+    ("rna-hier/clean/int8", 0xccaa3ba9e72d3c34),
 ];
 
 /// The four scenarios, each on the same jittered six-worker cluster.
@@ -136,20 +142,22 @@ fn rna(config: RnaConfig, election: Election) -> RnaProtocol {
     RnaProtocol::new(N, config, 0).with_election(election)
 }
 
+/// The hierarchy: two groups of three, coupled through the PS stage.
+fn hier(config: RnaConfig) -> RnaProtocol {
+    let groups = vec![(0..N / 2).collect(), (N / 2..N).collect()];
+    RnaProtocol::grouped(groups, config)
+}
+
 /// One row per protocol × scenario, then the int8 rows.
 fn table() -> Vec<(String, u64)> {
     let mut rows = Vec::new();
     for scene in ["clean", "crash+restart", "churn", "partition"] {
         let s = || scenario(scene);
-        let hier = || {
-            let groups = vec![(0..N / 2).collect(), (N / 2..N).collect()];
-            RnaProtocol::grouped(groups, RnaConfig::default())
-        };
         let lossless = RnaConfig::default();
         let cells = [
             ("rna", run(s(), rna(lossless.clone(), Election::Probe))),
             ("eager-sgd", run(s(), rna(lossless, Election::Majority))),
-            ("rna-hier", run(s(), hier())),
+            ("rna-hier", run(s(), hier(RnaConfig::default()))),
             ("horovod", run(s(), HorovodProtocol::new(N))),
             ("backup", run(s(), BackupWorkersProtocol::new(N, 1))),
             ("ad-psgd", run(s(), AdPsgdProtocol::new(N))),
@@ -165,6 +173,25 @@ fn table() -> Vec<(String, u64)> {
             rows.push((format!("{name}/{scene}/int8"), d));
         }
     }
+    // The hierarchy's PS paths, each checked to fire on its own row.
+    let shards = FaultPlan::none().crash_ps_shard(0, 4).crash_ps_shard(1, 7);
+    let r = Engine::new(
+        scenario("clean").with_fault_plan(shards),
+        hier(RnaConfig::default()),
+    )
+    .run();
+    assert_eq!(r.ps_failovers, 2, "both shard crashes fire");
+    rows.push(("rna-hier/ps-shard-crash".to_owned(), digest(&r)));
+    let gray = scenario("clean").with_fault_plan(FaultPlan::none().gray(2, 5, 2_000, 20_000));
+    let one_group = RnaProtocol::grouped(vec![(0..N).collect()], RnaConfig::default())
+        .with_regroup_policy(RegroupPolicy::default());
+    let r = Engine::new(gray, one_group).run();
+    assert!(r.regroup_events >= 1, "the gray straggler forces a swap");
+    rows.push(("rna-hier/regroup".to_owned(), digest(&r)));
+    let int8 = RnaConfig::default().with_compression(Compression::Int8);
+    let r = Engine::new(scenario("clean"), hier(int8)).run();
+    assert!(r.bytes_saved > 0, "the PS push is int8-encoded");
+    rows.push(("rna-hier/clean/int8".to_owned(), digest(&r)));
     rows
 }
 
