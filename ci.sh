@@ -35,6 +35,16 @@ cargo test -q
 echo "==> golden digest table (--release, watchdogged)"
 timeout 600 cargo test -q --release -p rna-experiments --test golden
 
+# The paper tables: `repro all` (release) must print repro_output.txt byte
+# for byte, so a change that moves a figure or table regenerates that file,
+# and the EXPERIMENTS.md claims read from it, in the same commit.
+echo "==> paper tables (repro all --release vs repro_output.txt, watchdogged)"
+if ! timeout 600 cargo run -q --release -p rna-experiments --bin repro -- all |
+  diff -u repro_output.txt - >&2; then
+  echo "repro all no longer prints repro_output.txt" >&2
+  exit 1
+fi
+
 # The frozen benchmark package (perf/, its own workspace) builds against the
 # crates' public API: run its tests here so an API break fails CI instead of
 # the benchmark pipeline.

@@ -15,10 +15,10 @@
 //!   and the process coordinator's death classifier all call it, so a plan
 //!   means the same thing in all three worlds.
 //! * [`WorkerFate`] — the post-mortem verdict both worlds report.
-//! * [`majority_initiator`] / [`probe_round_stalled`] — the two rules
-//!   that decide when (and by whom) an eager-majority round fires and when
-//!   an RNA probe round must be resampled. The simulator's `GroupState`
-//!   and the real worlds' controller both call these.
+//! * [`quorum_initiator`] / [`probe_round_stalled`] — the two rules that
+//!   decide when (and by whom) a counted round (majority, barrier, n − b)
+//!   fires and when an RNA probe round must be resampled. The simulator's
+//!   `GroupState` and the real worlds' controller both call these.
 //! * [`NetFaultPlan`] — the network-level counterpart: per-link message
 //!   drop probabilities, link flaps (timed down-windows), and timed
 //!   partitions. It compiles to the `rna_simnet::NetFaults` mechanism that
@@ -554,18 +554,18 @@ impl WorkerFate {
 /// fire, given the number of *live* members. Crashed workers shrink the
 /// electorate: a majority of survivors, never less than one.
 ///
-/// [`majority_initiator`] counts against it, so an electorate that loses
+/// [`quorum_initiator`] counts against it, so an electorate that loses
 /// half its members still fires instead of spinning forever.
 pub fn live_majority(live_members: usize) -> usize {
     (live_members / 2 + 1).max(1)
 }
 
-/// The eager-majority trigger: the first of the `ready` members (in member
-/// order) once they number at least [`live_majority`] of the `live` ones.
-/// `GroupState` and `SyncMode::EagerMajority` both fire through it.
-pub fn majority_initiator(mut ready: impl Iterator<Item = usize>, live: usize) -> Option<usize> {
+/// Every counted trigger: the first `ready` member (in member order) once
+/// at least `need` are ready, never on an empty set. `GroupState` and
+/// `SyncMode::fires` both fire through it.
+pub fn quorum_initiator(mut ready: impl Iterator<Item = usize>, need: usize) -> Option<usize> {
     let first = ready.next()?;
-    (1 + ready.count() >= live_majority(live)).then_some(first)
+    (1 + ready.count() >= need).then_some(first)
 }
 
 /// Whether an in-flight probe round can no longer elect an initiator
@@ -1205,11 +1205,23 @@ mod tests {
         // Even an empty electorate demands one contributor, so a fully
         // dead cluster can never fire a round by accident.
         assert_eq!(live_majority(0), 1);
-        // The trigger: the first ready member, once enough are ready.
-        assert_eq!(majority_initiator([2, 3].into_iter(), 4), None);
-        assert_eq!(majority_initiator([1, 2, 3].into_iter(), 4), Some(1));
-        assert_eq!(majority_initiator([3, 5].into_iter(), 2), Some(3));
-        assert_eq!(majority_initiator(std::iter::empty(), 0), None);
+    }
+
+    #[test]
+    fn quorum_fires_on_its_count_and_names_the_first_ready() {
+        // The majority arm: two of four live short of `live_majority(4)`.
+        let majority =
+            |ready: &[usize], live| quorum_initiator(ready.iter().copied(), live_majority(live));
+        assert_eq!(majority(&[2, 3], 4), None);
+        assert_eq!(majority(&[1, 2, 3], 4), Some(1));
+        assert_eq!(majority(&[3, 5], 2), Some(3));
+        assert_eq!(majority(&[], 0), None);
+        // The barrier (need = every member) and one backup (need = n − 1).
+        assert_eq!(quorum_initiator([0, 1, 2].into_iter(), 4), None);
+        assert_eq!(quorum_initiator([0, 1, 2, 3].into_iter(), 4), Some(0));
+        assert_eq!(quorum_initiator([1, 2, 3].into_iter(), 3), Some(1));
+        // Nothing ready never fires, even when nothing is needed.
+        assert_eq!(quorum_initiator(std::iter::empty(), 0), None);
     }
 
     #[test]

@@ -32,10 +32,10 @@
 //! [`sim`] is a deterministic discrete-event engine that owns the training
 //! state (one model replica, optimizer, and batch stream per worker; real
 //! gradients from `rna-training`) and delegates *synchronization policy* to
-//! a [`sim::Protocol`] implementation. RNA lives here; Horovod-style BSP,
-//! AD-PSGD, eager-SGD, and SGP live in `rna-baselines` as other
-//! implementations of the same trait, which is what makes the paper's
-//! head-to-head comparisons apples-to-apples.
+//! a [`sim::Protocol`] implementation. RNA lives here, and so do eager-SGD,
+//! Horovod's barrier and backup workers as other triggers of its driver;
+//! AD-PSGD, SGP and the async PS are `rna-baselines`' implementations of
+//! the same trait, which keeps the head-to-head comparisons apples-to-apples.
 //!
 //! # Examples
 //!

@@ -43,8 +43,9 @@ pub const CHECKPOINT_MAGIC: &[u8; 8] = b"RNACKPT1";
 /// layouts the callers write under it. 2: payloads moved to the shared field
 /// codec (one-byte booleans and `Option` tags, one `Counters` block). 3: the
 /// simulator's group blob no longer carries per-member initiator counts.
-/// 4: the round journal holds at most one record, its last.
-pub const CHECKPOINT_VERSION: u32 = 4;
+/// 4: the round journal holds at most one record, its last. 5: the group
+/// blob carries each member's crash flag and the round its gradient began.
+pub const CHECKPOINT_VERSION: u32 = 5;
 
 /// Why a checkpoint could not be loaded.
 #[derive(Debug)]

@@ -1,9 +1,7 @@
 //! Shared configuration for all experiments: the approach registry and the
 //! mapping from the paper's four workloads onto [`TrainSpec`]s.
 
-use rna_baselines::{
-    AdPsgdProtocol, AsyncPsProtocol, BackupWorkersProtocol, HorovodProtocol, SgpProtocol,
-};
+use rna_baselines::{AdPsgdProtocol, AsyncPsProtocol, HorovodProtocol, SgpProtocol};
 use rna_core::rna::{Election, RnaProtocol};
 use rna_core::sim::{Engine, TaskKind, TrainSpec};
 use rna_core::{RnaConfig, RunResult};
@@ -124,9 +122,12 @@ pub fn run_approach(approach: Approach, spec: &TrainSpec, config: &RnaConfig) ->
             Engine::new(spec.clone(), protocol).run()
         }
         Approach::Sgp => Engine::new(spec.clone(), SgpProtocol::new(n)).run(),
-        Approach::BackupWorkers => {
-            Engine::new(spec.clone(), BackupWorkersProtocol::new(n, 1.min(n - 1))).run()
-        }
+        Approach::BackupWorkers => Engine::new(
+            spec.clone(),
+            RnaProtocol::new(n, RnaConfig::default(), spec.seed)
+                .with_election(Election::AllBut(1.min(n - 1))),
+        )
+        .run(),
         Approach::AsyncPs => Engine::new(spec.clone(), AsyncPsProtocol::new(n)).run(),
     }
 }

@@ -23,7 +23,7 @@ use std::time::{Duration, Instant};
 
 use rna_collectives::partial_allreduce_pooled;
 use rna_core::cache::GradientCache;
-use rna_core::fault::{majority_initiator, probe_round_stalled, NetFaultPlan};
+use rna_core::fault::{live_majority, probe_round_stalled, quorum_initiator, NetFaultPlan};
 use rna_core::membership::{Edge, Tenure};
 use rna_core::recovery::CheckpointStore;
 use rna_core::stats::Counters;
@@ -538,12 +538,12 @@ impl SyncMode {
             SyncMode::EagerMajority => {
                 let live = m.live_view();
                 let electors = electorate().filter(|&w| live[w]).count();
-                majority_initiator(electorate().filter(ready), electors)
+                quorum_initiator(electorate().filter(ready), live_majority(electors))
             }
             // BSP: every active worker that is not dead.
             SyncMode::Bsp => {
-                let barrier = electorate().all(|w| m.is_dead(w) || m.cache_ready(w));
-                barrier.then(|| electorate().find(ready)).flatten()
+                let barrier = electorate().filter(|&w| !m.is_dead(w)).count();
+                quorum_initiator(electorate().filter(ready), barrier)
             }
         }
     }

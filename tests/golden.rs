@@ -4,11 +4,10 @@
 //! the wire bytes, every worker's iteration count and every fate.
 //!
 //! Rows are every DES protocol × {clean, crash + restart, churn,
-//! partition}, plus the int8 wire codec for the two `RnaProtocol`
-//! elections (the other protocols ignore `RnaConfig`), plus three rows for
-//! the hierarchy's parameter-server paths: two PS-shard crashes, an online
-//! regroup forced by a gray straggler in one launch group, and the int8 PS
-//! push. Each of those three asserts that its path fired. The table is the
+//! partition}, plus the int8 wire codec for RNA's probe and majority
+//! elections, plus three rows for the hierarchy's parameter-server paths:
+//! two PS-shard crashes, an online regroup forced by a gray straggler in
+//! one launch group, and the int8 PS push. Each of those three asserts that its path fired. The table is the
 //! one place a change to the simulator, a protocol or the data path shows
 //! up as a named, reviewable diff: on a mismatch the test prints the whole
 //! recomputed table, and a deliberate re-pin is that table pasted over
@@ -17,9 +16,7 @@
 //! `Counters::datapath_allocs` is left out: its hook counts only in debug
 //! builds, so it differs between profiles while the numbers never do.
 
-use rna_baselines::{
-    AdPsgdProtocol, AsyncPsProtocol, BackupWorkersProtocol, HorovodProtocol, SgpProtocol,
-};
+use rna_baselines::{AdPsgdProtocol, AsyncPsProtocol, HorovodProtocol, SgpProtocol};
 use rna_core::fault::{FaultPlan, NetFaultPlan};
 use rna_core::membership::{ChurnPlan, RegroupPolicy};
 use rna_core::rna::{Election, RnaProtocol};
@@ -39,32 +36,32 @@ const GOLDEN: &[(&str, u64)] = &[
     ("rna/clean", 0x79af364151a88e0f),
     ("eager-sgd/clean", 0x12465c6a1fa28a74),
     ("rna-hier/clean", 0x8ab80c6c96466a60),
-    ("horovod/clean", 0x08c2bdcfa5a22b4f),
-    ("backup/clean", 0x60f729918794f32a),
+    ("horovod/clean", 0xd7132c027107e2c6),
+    ("backup/clean", 0x3729ddb7b7a024a9),
     ("ad-psgd/clean", 0x2a40d98e04e27b84),
     ("sgp/clean", 0x13f32af1c7eaf5b7),
     ("async-ps/clean", 0xb455b3b704dbf386),
     ("rna/crash+restart", 0x4dc089647467a82a),
     ("eager-sgd/crash+restart", 0x1d470774e96d743f),
     ("rna-hier/crash+restart", 0xbde8c5b431cab05f),
-    ("horovod/crash+restart", 0xf393a3b309a83cbc),
-    ("backup/crash+restart", 0xb5d99b9e1f20f31d),
+    ("horovod/crash+restart", 0xd8c65333fa863354),
+    ("backup/crash+restart", 0x8d695e49d54473f6),
     ("ad-psgd/crash+restart", 0x873e8a6b956542df),
     ("sgp/crash+restart", 0x39e97a934f4ee9a9),
     ("async-ps/crash+restart", 0xc34c8a0249549ced),
     ("rna/churn", 0xbdbd6c34d71dc3f1),
     ("eager-sgd/churn", 0x09c8c36e84ca9377),
     ("rna-hier/churn", 0xa2b216d195a96f21),
-    ("horovod/churn", 0x31c66cc2eab902d6),
-    ("backup/churn", 0x25cf9d5525e47d97),
+    ("horovod/churn", 0xa65e8feafa3f8e0f),
+    ("backup/churn", 0xda76590f9b6efbfd),
     ("ad-psgd/churn", 0x1c39b213833b2762),
     ("sgp/churn", 0x26274a985daa088d),
     ("async-ps/churn", 0xad405dee0e5e5cec),
     ("rna/partition", 0x54d88d50cce1af50),
     ("eager-sgd/partition", 0x7d9a5313d0492534),
     ("rna-hier/partition", 0x6ff6e21c6a978173),
-    ("horovod/partition", 0x08c2bdcfa5a22b4f),
-    ("backup/partition", 0x60f729918794f32a),
+    ("horovod/partition", 0x80438f1db7d048ac),
+    ("backup/partition", 0x9cbf5bbe4bb5235f),
     ("ad-psgd/partition", 0x2a40d98e04e27b84),
     ("sgp/partition", 0x13f32af1c7eaf5b7),
     ("async-ps/partition", 0xb455b3b704dbf386),
@@ -156,10 +153,16 @@ fn table() -> Vec<(String, u64)> {
         let lossless = RnaConfig::default();
         let cells = [
             ("rna", run(s(), rna(lossless.clone(), Election::Probe))),
-            ("eager-sgd", run(s(), rna(lossless, Election::Majority))),
+            (
+                "eager-sgd",
+                run(s(), rna(lossless.clone(), Election::Majority)),
+            ),
             ("rna-hier", run(s(), hier(RnaConfig::default()))),
             ("horovod", run(s(), HorovodProtocol::new(N))),
-            ("backup", run(s(), BackupWorkersProtocol::new(N, 1))),
+            (
+                "backup",
+                run(s(), rna(lossless.clone(), Election::AllBut(1))),
+            ),
             ("ad-psgd", run(s(), AdPsgdProtocol::new(N))),
             ("sgp", run(s(), SgpProtocol::new(N))),
             ("async-ps", run(s(), AsyncPsProtocol::new(N))),

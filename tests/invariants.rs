@@ -4,9 +4,7 @@
 //! bounded resource usage — independent of which synchronization policy
 //! ran.
 
-use rna_baselines::{
-    AdPsgdProtocol, AsyncPsProtocol, BackupWorkersProtocol, HorovodProtocol, SgpProtocol,
-};
+use rna_baselines::{AdPsgdProtocol, AsyncPsProtocol, HorovodProtocol, SgpProtocol};
 use rna_core::rna::{Election, RnaProtocol};
 use rna_core::sim::{Engine, TrainSpec};
 use rna_core::{RnaConfig, RunResult};
@@ -29,7 +27,11 @@ fn run_all(n: usize, seed: u64) -> Vec<RunResult> {
         .run(),
         Engine::new(spec(n, seed), AdPsgdProtocol::new(n)).run(),
         Engine::new(spec(n, seed), SgpProtocol::new(n)).run(),
-        Engine::new(spec(n, seed), BackupWorkersProtocol::new(n, 1)).run(),
+        Engine::new(
+            spec(n, seed),
+            RnaProtocol::new(n, RnaConfig::default(), 0).with_election(Election::AllBut(1)),
+        )
+        .run(),
         Engine::new(spec(n, seed), AsyncPsProtocol::new(n)).run(),
         Engine::new(spec(n, seed), RnaProtocol::new(n, RnaConfig::default(), 0)).run(),
         Engine::new(

@@ -15,7 +15,7 @@
 use rna_core::fault::FaultPlan;
 use rna_core::membership::ChurnPlan;
 use rna_core::recovery::{CheckpointStore, RecoveryConfig, RecoveryError};
-use rna_core::rna::RnaProtocol;
+use rna_core::rna::{Election, RnaProtocol};
 use rna_core::sim::{Engine, TrainSpec};
 use rna_core::{RnaConfig, RunResult};
 use rna_runtime::{resume_threaded, run_threaded, SyncMode, ThreadedConfig, ToleranceConfig};
@@ -62,37 +62,42 @@ fn assert_identical(a: &RunResult, b: &RunResult) {
 
 /// The headline guarantee: kill the simulated run mid-stream, resume from
 /// the newest disk checkpoint, and the continuation is bit-identical to
-/// the run that was never interrupted.
+/// the run that was never interrupted — for RNA's probe and for backup
+/// workers, whose checkpoint also carries the round each member's
+/// gradient began.
 #[test]
 fn des_checkpoint_kill_resume_is_bit_identical() {
     let seed = chaos_seed();
     let every = RecoveryConfig::new(10).unwrap();
+    for election in [Election::Probe, Election::AllBut(1)] {
+        let protocol = || RnaProtocol::new(N, RnaConfig::default(), 0).with_election(election);
 
-    let uninterrupted_dir = scratch_dir("uninterrupted");
-    let uninterrupted = Engine::new(spec(seed, 40), RnaProtocol::new(N, RnaConfig::default(), 0))
-        .with_recovery(CheckpointStore::new(&uninterrupted_dir).unwrap(), every)
+        let uninterrupted_dir = scratch_dir("uninterrupted");
+        let uninterrupted = Engine::new(spec(seed, 40), protocol())
+            .with_recovery(CheckpointStore::new(&uninterrupted_dir).unwrap(), every)
+            .run();
+
+        // "Kill": the first process only gets 25 of the 40 rounds; its
+        // newest surviving checkpoint is from round 20.
+        let dir = scratch_dir("killed");
+        let partial = Engine::new(spec(seed, 25), protocol())
+            .with_recovery(CheckpointStore::new(&dir).unwrap(), every)
+            .run();
+        assert!(partial.checkpoints_written >= 2, "{election:?}");
+
+        let resumed = Engine::resume(
+            spec(seed, 40),
+            protocol(),
+            CheckpointStore::new(&dir).unwrap(),
+            every,
+        )
+        .expect("resume from the killed run's checkpoints")
         .run();
 
-    // "Kill": the first process only gets 25 of the 40 rounds; its newest
-    // surviving checkpoint is from round 20.
-    let dir = scratch_dir("killed");
-    let partial = Engine::new(spec(seed, 25), RnaProtocol::new(N, RnaConfig::default(), 0))
-        .with_recovery(CheckpointStore::new(&dir).unwrap(), every)
-        .run();
-    assert!(partial.checkpoints_written >= 2);
-
-    let resumed = Engine::resume(
-        spec(seed, 40),
-        RnaProtocol::new(N, RnaConfig::default(), 0),
-        CheckpointStore::new(&dir).unwrap(),
-        every,
-    )
-    .expect("resume from the killed run's checkpoints")
-    .run();
-
-    assert_identical(&uninterrupted, &resumed);
-    let _ = std::fs::remove_dir_all(&uninterrupted_dir);
-    let _ = std::fs::remove_dir_all(&dir);
+        assert_identical(&uninterrupted, &resumed);
+        let _ = std::fs::remove_dir_all(&uninterrupted_dir);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }
 
 /// The same guarantee under every lossy wire codec: the checkpoint also
