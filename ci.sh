@@ -156,6 +156,13 @@ echo "==> tensor + simnet + training tests and the golden table with forced-scal
 RNA_FORCE_SCALAR=1 timeout 600 cargo test -q -p rna-tensor -p rna-simnet -p rna-training
 RNA_FORCE_SCALAR=1 timeout 600 cargo test -q -p rna-experiments --test golden
 
+# The benchmark measures release builds, so the fused bodies against their
+# oracle and the golden table run forced-scalar in release too: every
+# dispatch × profile pair gives the norm's eight-lane order the same bits.
+echo "==> fused kernels and the golden table with forced-scalar dispatch (--release)"
+RNA_FORCE_SCALAR=1 timeout 600 cargo test -q --release -p rna-tensor --test fused_kernels
+RNA_FORCE_SCALAR=1 timeout 600 cargo test -q --release -p rna-experiments --test golden
+
 # The tanh port against the host libm on all 2^32 inputs, under both
 # dispatches. The oracle is f32::tanh, so this gate is for glibc 2.36
 # x86-64 hosts (the tier-1 suite checks a captured table instead).

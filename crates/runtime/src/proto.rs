@@ -716,8 +716,9 @@ pub fn write_msg(
 }
 
 /// Reads one length-delimited frame body into `body` — the per-connection
-/// reusable read buffer — without decoding it. `body` is cleared and
-/// resized to the frame's exact length; once its capacity has warmed up to
+/// reusable read buffer — without decoding it. `body` is resized to the
+/// frame's exact length, which zeroes only growth past its old length
+/// (`read_exact` overwrites the rest); once its capacity has warmed up to
 /// the connection's largest frame, reads stop allocating entirely.
 ///
 /// The length prefix is validated against [`MAX_FRAME_BYTES`] *before* the
@@ -743,7 +744,6 @@ pub fn read_frame_body(r: &mut impl Read, body: &mut Vec<u8>) -> Result<(), Prot
             what: "zero-length frame",
         });
     }
-    body.clear();
     body.resize(len, 0);
     r.read_exact(body)?;
     Ok(())
@@ -1183,6 +1183,28 @@ mod tests {
             }
             other => panic!("expected Oversized, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn a_reused_body_holds_exactly_the_latest_frame() {
+        let frame = |bytes: &[u8]| {
+            let mut f = Vec::new();
+            wire::put_u32(&mut f, bytes.len() as u32);
+            f.extend_from_slice(bytes);
+            f
+        };
+        let mut stream = frame(&[7; 64]);
+        stream.extend(frame(&[1, 2, 3]));
+        let mut stream = stream.as_slice();
+        let mut body = Vec::new();
+        read_frame_body(&mut stream, &mut body).unwrap();
+        assert_eq!(body, [7; 64]);
+        read_frame_body(&mut stream, &mut body).unwrap();
+        assert_eq!(body, [1, 2, 3]);
+
+        let cut = frame(&[9; 64]);
+        let err = read_frame_body(&mut &cut[..40], &mut body).unwrap_err();
+        assert!(matches!(err, ProtoError::Io(_)), "got {err}");
     }
 
     #[test]

@@ -592,14 +592,15 @@ pub fn encode_with_feedback_mt(
 /// Each codec runs one fused body from [`crate::simd`], doing per element
 /// what `decode(encode(grad + residual))` did in six sweeps — compensate,
 /// encode the wire lane, leave the dequantised value in `grad`, store
-/// `compensated − dequantised` in `residual`, fold its square into the norm
-/// in element order: lossless and fp16 in one sweep; int8 in two (compensate
-/// plus abs-max, which fixes the scale, then quantise with its draws in
-/// element order); top-k in a compensate/keys sweep, the select pass, and
-/// one write-back sweep. With `threads > 1` the lane-independent sweeps
-/// (lossless, fp16, int8's first) run chunk-parallel and the norm is folded
-/// serially afterwards, so frames, buffers, draw counts and the norm are
-/// bit-identical for every thread count.
+/// `compensated − dequantised` in `residual`: lossless and fp16 in one sweep;
+/// int8 in two (compensate plus abs-max, which fixes the scale, then
+/// quantise with its draws in element order); top-k in a compensate/keys
+/// sweep, the select pass, and one write-back sweep. The norm is the
+/// residual's [`simd::sum_squares`], whose fixed eight-lane order each body
+/// folds in as it goes. With `threads > 1` the lane-independent sweeps
+/// (lossless, fp16, int8's first) run chunk-parallel and the norm is summed
+/// over the finished residual, so frames, buffers, draw counts and the norm
+/// are bit-identical for every thread count.
 ///
 /// # Panics
 ///
@@ -663,18 +664,18 @@ pub fn encode_with_feedback_append(
 
 /// Runs a lane-independent fused body over `grad`, `residual` and its wire
 /// payload: in one serial sweep that folds the norm as it goes, or split on
-/// element boundaries across `threads` scoped threads with the norm folded
-/// serially over the finished residual (same order, same bits). Returns
-/// the sum of squared residuals.
+/// element boundaries across `threads` scoped threads with the norm summed
+/// over the finished residual (same order, same bits). Returns the
+/// residual's [`simd::sum_squares`].
 fn lanes_parallel(
     grad: &mut [f32],
     residual: &mut [f32],
     payload: &mut [u8],
     threads: usize,
-    body: impl Fn(&mut [f32], &mut [f32], &mut [u8], bool) -> f32 + Sync,
+    body: impl Fn(&mut [f32], &mut [f32], &mut [u8]) -> f32 + Sync,
 ) -> f32 {
     if threads <= 1 {
-        return body(grad, residual, payload, true);
+        return body(grad, residual, payload);
     }
     let chunk = grad.len().div_ceil(threads);
     let lane_bytes = payload.len() / grad.len();
@@ -685,10 +686,10 @@ fn lanes_parallel(
             .zip(residual.chunks_mut(chunk))
             .zip(payload.chunks_mut(lane_bytes * chunk))
         {
-            s.spawn(move || body(gc, rc, pc, false));
+            s.spawn(move || body(gc, rc, pc));
         }
     });
-    residual.iter().map(|v| v * v).sum()
+    simd::sum_squares(residual)
 }
 
 /// Grows `out` by `len` zero bytes and returns them, for a payload written

@@ -49,8 +49,9 @@
 //! in `simnet/tests/keystream.rs`, where `SimRng` can be named.
 //!
 //! The error-feedback recurrence has one fused body per codec
-//! (`feedback_*`): each element is compensated, encoded, dequantised and
-//! its residual squared into the norm in a single pass.
+//! (`feedback_*`): each element is compensated, encoded and dequantised in
+//! a single pass, and the residual's norm is [`sum_squares`], one fixed
+//! eight-lane order.
 
 // The one module allowed `unsafe`: F16C and ChaCha intrinsics and
 // `target_feature` builds behind runtime detection, and byte-view casts
@@ -582,6 +583,46 @@ mod raw {
 }
 
 // ---------------------------------------------------------------------------
+// residual norm
+// ---------------------------------------------------------------------------
+
+/// The neutral element of `Sum for f32`. Every lane and the lane fold start
+/// from it, so an empty slice's sum of squares is −0.0.
+const NORM_ZERO: f32 = -0.0;
+
+/// The sum of squares of `xs` in the one fixed order every residual norm
+/// uses: element `i` of each whole block of eight is squared into lane
+/// `i % 8`, the lanes are then added in order onto −0.0, and the tail's
+/// squares follow in order. Eight independent add chains keep the fold off
+/// a sweep's critical path; the fused feedback bodies fold in this order as
+/// they sweep, so their norms keep the same bits under either dispatch and
+/// at every thread count.
+pub fn sum_squares(xs: &[f32]) -> f32 {
+    let (blocks, tail) = xs.as_chunks::<LANES>();
+    let mut lanes = [NORM_ZERO; LANES];
+    for block in blocks {
+        square_into(&mut lanes, block);
+    }
+    finish_squares(lanes, tail)
+}
+
+/// Squares block element `j` into lane `j`.
+#[inline(always)]
+fn square_into(lanes: &mut [f32; LANES], block: &[f32; LANES]) {
+    for (l, &x) in lanes.iter_mut().zip(block) {
+        *l += x * x;
+    }
+}
+
+/// The end of [`sum_squares`]'s order: the lanes onto −0.0, then the
+/// squares of the `tail` after the last whole block.
+#[inline(always)]
+fn finish_squares(lanes: [f32; LANES], tail: &[f32]) -> f32 {
+    let sum = lanes.into_iter().fold(NORM_ZERO, |s, l| s + l);
+    tail.iter().fold(sum, |s, &x| s + x * x)
+}
+
+// ---------------------------------------------------------------------------
 // fused error-feedback bodies
 // ---------------------------------------------------------------------------
 //
@@ -589,68 +630,48 @@ mod raw {
 // `grad` holds the fresh gradient and `residual` the carried error; each
 // element is compensated (`c = grad + residual`), encoded into the wire
 // payload, decoded again into `grad`, and its new residual `c − grad` is
-// stored and — in element order — squared into the returned sum. The
-// per-element arithmetic is exactly the six-sweep recurrence's, so frames,
-// buffers, draw counts and the norm keep their bits.
-//
-// Lossless and fp16 bodies are lane-independent and take `norm: bool`: the
-// chunk-parallel wire path runs them with `false` on disjoint chunks and
-// folds the finished residual serially afterwards (same order, same bits).
-
-/// The neutral element of `Sum for f32`. Every fused body folds its squared
-/// residuals onto it, so an empty tensor's norm is −0.0 exactly as
-/// [`crate::Tensor::norm_l2`] reports it.
-const NORM_ZERO: f32 = -0.0;
+// stored. The per-element arithmetic is exactly the six-sweep recurrence's,
+// so frames, buffers and draw counts keep their bits. Each body returns
+// the residual's [`sum_squares`]: fp16 folds each block of eight into the
+// lanes as it sweeps, int8 each tile once it is quantised, and lossless
+// and top-k sum the finished residual.
 
 /// Fused lossless feedback: the payload is the compensated values' byte
 /// image, `grad` keeps them, and the residual is `c − c` (zero for finite
-/// `c`). Portable only — the in-order norm chain, not the vector width,
-/// bounds this loop. Returns the in-order sum of squared residuals, or
-/// −0.0 when `norm` is false.
+/// `c`). Returns the residual's [`sum_squares`].
 ///
 /// # Panics
 ///
 /// Panics if the lengths disagree (`out.len() == 4 * grad.len()`).
-pub fn feedback_lossless(
-    grad: &mut [f32],
-    residual: &mut [f32],
-    out: &mut [u8],
-    norm: bool,
-) -> f32 {
+pub fn feedback_lossless(grad: &mut [f32], residual: &mut [f32], out: &mut [u8]) -> f32 {
     assert_eq!(residual.len(), grad.len(), "residual length mismatch");
     assert_eq!(out.len(), grad.len() * 4, "lossless output length mismatch");
-    let mut acc = NORM_ZERO;
-    for ((g, r), o) in grad.iter_mut().zip(residual).zip(out.chunks_exact_mut(4)) {
+    for ((g, r), o) in grad
+        .iter_mut()
+        .zip(&mut *residual)
+        .zip(out.chunks_exact_mut(4))
+    {
         let c = *g + *r;
         o.copy_from_slice(&c.to_le_bytes());
         *g = c;
         *r = c - *g;
-        if norm {
-            acc += *r * *r;
-        }
     }
-    acc
+    sum_squares(residual)
 }
 
 dispatch! {
     /// Fused fp16 feedback, one sweep: compensate, round to binary16, write
     /// the wire lane, leave the half's value in `grad` and the rounding error
-    /// in `residual`. Returns the in-order sum of squared residuals, or −0.0
-    /// when `norm` is false.
+    /// in `residual`. Returns the residual's [`sum_squares`].
     ///
     /// # Panics
     ///
     /// Panics if the lengths disagree (`out.len() == 2 * grad.len()`).
-    pub fn feedback_fp16(
-        grad: &mut [f32],
-        residual: &mut [f32],
-        out: &mut [u8],
-        norm: bool,
-    ) -> f32 {
+    pub fn feedback_fp16(grad: &mut [f32], residual: &mut [f32], out: &mut [u8]) -> f32 {
         assert_eq!(residual.len(), grad.len(), "residual length mismatch");
         assert_eq!(out.len(), grad.len() * 2, "fp16 output length mismatch");
     } avx2 {
-        feedback_fp16_scalar(grad, residual, out, norm)
+        feedback_fp16_scalar(grad, residual, out)
     }
 }
 
@@ -659,22 +680,34 @@ dispatch! {
 /// # Panics
 ///
 /// Panics if the lengths disagree.
-pub fn feedback_fp16_scalar(
-    grad: &mut [f32],
-    residual: &mut [f32],
-    out: &mut [u8],
-    norm: bool,
-) -> f32 {
+pub fn feedback_fp16_scalar(grad: &mut [f32], residual: &mut [f32], out: &mut [u8]) -> f32 {
     assert_eq!(residual.len(), grad.len(), "residual length mismatch");
     assert_eq!(out.len(), grad.len() * 2, "fp16 output length mismatch");
-    let mut acc = NORM_ZERO;
-    for ((g, r), o) in grad.iter_mut().zip(residual).zip(out.chunks_exact_mut(2)) {
-        let e = fp16_lane(g, r, o);
-        if norm {
-            acc += e * e;
+    let (g_blocks, g_rest) = grad.as_chunks_mut::<LANES>();
+    let (r_blocks, r_rest) = residual.as_chunks_mut::<LANES>();
+    let (o_blocks, o_rest) = out.as_chunks_mut::<{ 2 * LANES }>();
+    let mut lanes = [NORM_ZERO; LANES];
+    for ((g, r), o) in g_blocks.iter_mut().zip(r_blocks).zip(o_blocks) {
+        for (((l, g), r), o) in lanes.iter_mut().zip(g).zip(r).zip(o.chunks_exact_mut(2)) {
+            let e = fp16_lane(g, r, o);
+            *l += e * e;
         }
     }
-    acc
+    fp16_tail(lanes, g_rest, r_rest, o_rest)
+}
+
+/// Both fp16 builds' last step: the elements after the last whole block,
+/// then [`finish_squares`] over the `lanes` the blocks filled.
+#[inline(always)]
+fn fp16_tail(lanes: [f32; LANES], grad: &mut [f32], residual: &mut [f32], out: &mut [u8]) -> f32 {
+    for ((g, r), o) in grad
+        .iter_mut()
+        .zip(&mut *residual)
+        .zip(out.chunks_exact_mut(2))
+    {
+        fp16_lane(g, r, o);
+    }
+    finish_squares(lanes, residual)
 }
 
 /// One fp16 feedback element; returns the new residual.
@@ -719,7 +752,7 @@ dispatch! {
     /// under `scale` into `out`, leaves the dequantised values in `grad` and
     /// `compensated − dequantised` in `residual`. Draws are consumed exactly as
     /// [`int8_quantize`] consumes them, so this sweep is serial at every thread
-    /// count. Returns the in-order sum of squared residuals.
+    /// count. Returns the residual's [`sum_squares`].
     ///
     /// # Panics
     ///
@@ -747,8 +780,9 @@ fn feedback_int8_lanes(
     out: &mut [u8],
     draws: &mut impl Draws,
 ) -> f32 {
+    const { assert!(TILE.is_multiple_of(LANES), "a tile holds whole blocks") };
     let mut q = [0.0; TILE];
-    let mut acc = NORM_ZERO;
+    let mut lanes = [NORM_ZERO; LANES];
     for ((g, r), o) in grad
         .chunks_mut(TILE)
         .zip(residual.chunks_mut(TILE))
@@ -762,9 +796,11 @@ fn feedback_int8_lanes(
             *g = q * scale;
             *r = c - *g;
         }
-        acc = r.iter().fold(acc, |acc, &r| acc + r * r);
+        for block in r.as_chunks::<LANES>().0 {
+            square_into(&mut lanes, block);
+        }
     }
-    acc
+    finish_squares(lanes, &residual[residual.len() / LANES * LANES..])
 }
 
 /// Top-k feedback, first sweep: `grad += residual` in place and the
@@ -788,8 +824,8 @@ pub fn compensate_keys(grad: &mut [f32], residual: &[f32]) -> Vec<u32> {
 /// every index in `kept` (ascending) is written to `out` as an
 /// `(index, value)` pair and keeps its value, every other element becomes
 /// zero, and `residual` gets `compensated − kept value`. Portable only —
-/// the select pass, not this sweep, is top-k's cost. Returns the in-order
-/// sum of squared residuals.
+/// the select pass, not this sweep, is top-k's cost. Returns the residual's
+/// [`sum_squares`].
 ///
 /// # Panics
 ///
@@ -800,8 +836,7 @@ pub fn feedback_topk(grad: &mut [f32], residual: &mut [f32], kept: &[u32], out: 
     assert_eq!(out.len(), kept.len() * 8, "top-k output length mismatch");
     let mut pairs = out.chunks_exact_mut(8);
     let mut next = kept.iter().peekable();
-    let mut acc = NORM_ZERO;
-    for (i, (g, r)) in grad.iter_mut().zip(residual).enumerate() {
+    for (i, (g, r)) in grad.iter_mut().zip(&mut *residual).enumerate() {
         let c = *g;
         if next.next_if(|&&k| k as usize == i).is_some() {
             let pair = pairs.next().expect("one pair per kept index");
@@ -811,13 +846,12 @@ pub fn feedback_topk(grad: &mut [f32], residual: &mut [f32], kept: &[u32], out: 
             *g = 0.0;
         }
         *r = c - *g;
-        acc += *r * *r;
     }
     assert!(
         next.next().is_none(),
         "kept indices must ascend within grad"
     );
-    acc
+    sum_squares(residual)
 }
 
 // ---------------------------------------------------------------------------
@@ -1026,37 +1060,20 @@ mod avx2 {
         super::fp16_decode_scalar(&bytes[2 * i..], &mut out[i..]);
     }
 
-    /// Horizontal sum of `r²` onto `acc`, lane 0 first — the element order
-    /// of the scalar fold.
-    ///
-    /// # Safety
-    ///
-    /// Caller must have verified AVX2 support.
-    #[inline]
-    #[target_feature(enable = "avx2")]
-    unsafe fn fold_squares(acc: f32, r: __m256) -> f32 {
-        let mut sq = [0.0f32; 8];
-        _mm256_storeu_ps(sq.as_mut_ptr(), _mm256_mul_ps(r, r));
-        sq.iter().fold(acc, |a, &s| a + s)
-    }
-
     /// Fused fp16 feedback, eight lanes per step: the decoded value is
     /// `vcvtph2ps` of the canonical half just written, so it matches
-    /// [`crate::codec::f16_bits_to_f32`] without the decode fix-up.
+    /// [`crate::codec::f16_bits_to_f32`] without the decode fix-up. The
+    /// squared residuals go into one `__m256` of lanes, multiply then add
+    /// (never an FMA), as the portable body's `[f32; 8]` takes them.
     ///
     /// # Safety
     ///
     /// Caller must have verified AVX2 and F16C support, and the lengths
     /// (`residual.len() == grad.len()`, `out.len() == 2 * grad.len()`).
     #[target_feature(enable = "avx2,f16c")]
-    pub unsafe fn feedback_fp16(
-        grad: &mut [f32],
-        residual: &mut [f32],
-        out: &mut [u8],
-        norm: bool,
-    ) -> f32 {
+    pub unsafe fn feedback_fp16(grad: &mut [f32], residual: &mut [f32], out: &mut [u8]) -> f32 {
         let n = grad.len();
-        let mut acc = super::NORM_ZERO;
+        let mut acc = _mm256_set1_ps(super::NORM_ZERO);
         let mut i = 0;
         while i + 8 <= n {
             let c = _mm256_add_ps(
@@ -1069,22 +1086,12 @@ mod avx2 {
             let r = _mm256_sub_ps(c, d);
             _mm256_storeu_ps(grad.as_mut_ptr().add(i), d);
             _mm256_storeu_ps(residual.as_mut_ptr().add(i), r);
-            if norm {
-                acc = fold_squares(acc, r);
-            }
+            acc = _mm256_add_ps(acc, _mm256_mul_ps(r, r));
             i += 8;
         }
-        for ((g, r), o) in grad[i..]
-            .iter_mut()
-            .zip(&mut residual[i..])
-            .zip(out[2 * i..].chunks_exact_mut(2))
-        {
-            let e = super::fp16_lane(g, r, o);
-            if norm {
-                acc += e * e;
-            }
-        }
-        acc
+        let mut lanes = [0.0f32; 8];
+        _mm256_storeu_ps(lanes.as_mut_ptr(), acc);
+        super::fp16_tail(lanes, &mut grad[i..], &mut residual[i..], &mut out[2 * i..])
     }
 }
 
@@ -1107,6 +1114,57 @@ mod tests {
         (0..len)
             .map(|_| (d() as f32 / (1u32 << 24) as f32) - 128.0)
             .collect()
+    }
+
+    /// The element-order fold the norm used before [`sum_squares`].
+    fn in_order(xs: &[f32]) -> f32 {
+        xs.iter().fold(NORM_ZERO, |s, &x| s + x * x)
+    }
+
+    #[test]
+    fn sum_squares_adds_eight_lanes_then_the_tail() {
+        // 1.0 then 2^-12s, whose squares are half an ulp of 1.0. In element
+        // order each one ties and rounds back to 1.0; in lanes, lane 0 does
+        // the same, but lanes 1..7 hold 2^-23 each, which survive the fold.
+        let mut xs = vec![2f32.powi(-12); 17];
+        xs[0] = 1.0;
+        assert_eq!(in_order(&xs[..16]), 1.0);
+        assert_eq!(sum_squares(&xs[..16]), 1.0 + 7.0 * 2f32.powi(-23));
+        // The tail comes after the lanes, where its half ulp ties with an
+        // odd mantissa and rounds up; in lane 0 it would vanish.
+        assert_eq!(sum_squares(&xs), 1.0 + 8.0 * 2f32.powi(-23));
+        assert_eq!(sum_squares(&[]).to_bits(), (-0.0f32).to_bits());
+    }
+
+    #[test]
+    fn fused_norms_are_the_residuals_sum_squares_under_both_dispatches() {
+        for len in [0, 7, 8, 9, 65_541] {
+            for scalar in [true, false] {
+                let what = format!("len={len} scalar={scalar}");
+                let check = |codec: &str, norm: f32, residual: &[f32]| {
+                    let want = sum_squares(residual);
+                    assert_eq!(norm.to_bits(), want.to_bits(), "{codec} {what}");
+                    if len == 65_541 {
+                        assert_ne!(want, in_order(residual), "{codec} {what}");
+                    }
+                };
+                with_dispatch_lock(|| {
+                    set_forced_scalar(scalar);
+                    let mut grad = pseudo(len, 1);
+                    let mut residual: Vec<f32> = pseudo(len, 2).iter().map(|r| r / 64.0).collect();
+                    let mut out = vec![0; 2 * len];
+                    let norm = feedback_fp16(&mut grad, &mut residual, &mut out);
+                    check("fp16", norm, &residual);
+
+                    let mut grad = pseudo(len, 3);
+                    let scale = compensate_abs_max(&mut grad, &residual) / 127.0;
+                    let mut out = vec![0; len];
+                    let norm =
+                        feedback_int8(&mut grad, &mut residual, scale, &mut out, &mut lcg(4));
+                    check("int8", norm, &residual);
+                });
+            }
+        }
     }
 
     #[test]

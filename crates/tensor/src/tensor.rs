@@ -193,24 +193,9 @@ impl Tensor {
         zip_apply(&mut self.data, &other.data, |a, b| (1.0 - t) * a + t * b);
     }
 
-    /// Dot product with `other`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the lengths differ.
-    pub fn dot(&self, other: &Tensor) -> f32 {
-        assert_eq!(self.len(), other.len(), "tensor length mismatch in dot");
-        self.data.iter().zip(&other.data).map(|(a, b)| a * b).sum()
-    }
-
-    /// Euclidean (L2) norm.
+    /// Euclidean (L2) norm: the square root of [`crate::simd::sum_squares`].
     pub fn norm_l2(&self) -> f32 {
-        self.data.iter().map(|v| v * v).sum::<f32>().sqrt()
-    }
-
-    /// L1 norm (sum of absolute values).
-    pub fn norm_l1(&self) -> f32 {
-        self.data.iter().map(|v| v.abs()).sum()
+        crate::simd::sum_squares(&self.data).sqrt()
     }
 
     /// Maximum absolute element, or 0.0 for an empty tensor.
@@ -445,9 +430,7 @@ mod tests {
     #[test]
     fn dot_and_norms() {
         let a = Tensor::from_vec(vec![3.0, 4.0]);
-        assert_eq!(a.dot(&a), 25.0);
         assert_eq!(a.norm_l2(), 5.0);
-        assert_eq!(a.norm_l1(), 7.0);
         assert_eq!(a.norm_inf(), 4.0);
     }
 

@@ -65,17 +65,17 @@ const GOLDEN: &[(&str, u64)] = &[
     ("ad-psgd/partition", 0x2a40d98e04e27b84),
     ("sgp/partition", 0x13f32af1c7eaf5b7),
     ("async-ps/partition", 0xb455b3b704dbf386),
-    ("rna/clean/int8", 0x4455509cddac1a55),
-    ("eager-sgd/clean/int8", 0x1fd6f3c28fad65f9),
-    ("rna/crash+restart/int8", 0x7cc75ac67dc91567),
-    ("eager-sgd/crash+restart/int8", 0xfb739a9425df8a1b),
-    ("rna/churn/int8", 0x31e33010c26f92b4),
-    ("eager-sgd/churn/int8", 0xc1a54a9ed42c7c10),
-    ("rna/partition/int8", 0xa0eb2936b78e493c),
-    ("eager-sgd/partition/int8", 0xc8d03a7a153361dc),
+    ("rna/clean/int8", 0x15b879f56f0ae07b),
+    ("eager-sgd/clean/int8", 0x008c39d0a4f7a467),
+    ("rna/crash+restart/int8", 0x2957186d2d7457a7),
+    ("eager-sgd/crash+restart/int8", 0x97cd6962d08b4895),
+    ("rna/churn/int8", 0x909dc9729ffd8c15),
+    ("eager-sgd/churn/int8", 0x80d9064b15092a01),
+    ("rna/partition/int8", 0x5cac47e057c9bede),
+    ("eager-sgd/partition/int8", 0x9851c890cb5da646),
     ("rna-hier/ps-shard-crash", 0x7732fc57746787d6),
     ("rna-hier/regroup", 0x464d43e1d323e721),
-    ("rna-hier/clean/int8", 0xccaa3ba9e72d3c34),
+    ("rna-hier/clean/int8", 0xf8ba97f7e1b187b2),
 ];
 
 /// The four scenarios, each on the same jittered six-worker cluster.
