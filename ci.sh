@@ -45,6 +45,18 @@ if ! timeout 600 cargo run -q --release -p rna-experiments --bin repro -- all |
   exit 1
 fi
 
+# The examples are the documented entry points (the verify recipe drives
+# them too), so each one is built and run, not only compiled: an API move
+# that still type-checks but breaks an example at run time fails here. None
+# writes a file, so the tree fingerprint below still holds.
+echo "==> examples (--release, each run watchdogged)"
+cargo build -q --release -p rna-experiments --examples
+for example in examples/*.rs; do
+  name="$(basename "${example}" .rs)"
+  echo "    ${name}"
+  timeout 120 "target/release/examples/${name}" >/dev/null
+done
+
 # The frozen benchmark package (perf/, its own workspace) builds against the
 # crates' public API: run its tests here so an API break fails CI instead of
 # the benchmark pipeline.

@@ -1,15 +1,15 @@
 //! Checks of §9's backup workers (Chen et al. 2016), which are RNA's
-//! driver under `Election::AllBut(b)`: each round proceeds with the
+//! driver under `SyncMode::Backup(b)`: each round proceeds with the
 //! fastest `n − b` gradients and drops the rest.
 
 mod tests {
-    use rna_core::rna::{Election, RnaProtocol};
+    use rna_core::rna::RnaProtocol;
     use rna_core::sim::{Engine, TrainSpec};
-    use rna_core::RnaConfig;
+    use rna_core::{RnaConfig, SyncMode};
     use rna_workload::HeterogeneityModel;
 
     fn backup_workers(n: usize, b: usize) -> RnaProtocol {
-        RnaProtocol::new(n, RnaConfig::default(), 0).with_election(Election::AllBut(b))
+        RnaProtocol::new(n, RnaConfig::default(), 0).with_election(SyncMode::Backup(b))
     }
 
     #[test]

@@ -1,5 +1,5 @@
 //! Checks of Horovod's strict barrier, which is RNA's driver under
-//! `Election::AllBut(0)` built by [`crate::HorovodProtocol`].
+//! `SyncMode::Bsp` built by [`crate::HorovodProtocol`].
 
 mod tests {
     use crate::HorovodProtocol;

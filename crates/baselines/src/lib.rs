@@ -20,10 +20,10 @@
 //!
 //! The baselines that differ from RNA only in what fires the collective
 //! are RNA's own driver, `rna_core::rna::RnaProtocol`, under another
-//! `Election`: eager-SGD (Li et al.) is `Majority`, Horovod's strict
-//! barrier is `AllBut(0)` and §9's backup workers (Chen et al. 2016),
-//! which proceed with the fastest `n − b` gradients and drop the rest, are
-//! `AllBut(b)`. [`HorovodProtocol`] remains as the barrier's constructor.
+//! `SyncMode`: eager-SGD (Li et al.) is `EagerMajority`, Horovod's strict
+//! barrier is `Bsp` and §9's backup workers (Chen et al. 2016), which
+//! proceed with the fastest `n − b` gradients and drop the rest, are
+//! `Backup(b)`. [`HorovodProtocol`] remains as the barrier's constructor.
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
@@ -40,11 +40,11 @@ pub use adpsgd::AdPsgdProtocol;
 pub use async_ps::AsyncPsProtocol;
 pub use sgp::SgpProtocol;
 
-use rna_core::rna::{Election, RnaProtocol};
-use rna_core::RnaConfig;
+use rna_core::rna::RnaProtocol;
+use rna_core::{RnaConfig, SyncMode};
 
 /// Horovod (BSP ring AllReduce with tensor fusion): RNA's driver under
-/// `Election::AllBut(0)`. Kept as a constructor because the benchmark
+/// `SyncMode::Bsp`. Kept as a constructor because the benchmark
 /// package builds its baseline through it.
 ///
 /// # Examples
@@ -68,6 +68,6 @@ impl HorovodProtocol {
     /// Panics if `n == 0`.
     #[allow(clippy::new_ret_no_self)]
     pub fn new(n: usize) -> RnaProtocol {
-        RnaProtocol::new(n, RnaConfig::default(), 0).with_election(Election::AllBut(0))
+        RnaProtocol::new(n, RnaConfig::default(), 0).with_election(SyncMode::Bsp)
     }
 }

@@ -15,19 +15,18 @@
 //!   and the process coordinator's death classifier all call it, so a plan
 //!   means the same thing in all three worlds.
 //! * [`WorkerFate`] — the post-mortem verdict both worlds report.
-//! * [`quorum_initiator`] / [`probe_round_stalled`] — the two rules that
-//!   decide when (and by whom) a counted round (majority, barrier, n − b)
-//!   fires and when an RNA probe round must be resampled. The simulator's
-//!   `GroupState` and the real worlds' controller both call these.
 //! * [`NetFaultPlan`] — the network-level counterpart: per-link message
 //!   drop probabilities, link flaps (timed down-windows), and timed
 //!   partitions. It compiles to the `rna_simnet::NetFaults` mechanism that
 //!   both the DES fabric and the threaded runtime's channel shim execute.
-//! * [`ToleranceConfig`] — the liveness/retry/deadline timeouts the
-//!   threaded controller uses to presume a silent worker dead. The
-//!   simulator does not need them (its crashes are delivered as exact
-//!   events), but they live here because they *define* the crash semantics
-//!   the threaded world approximates.
+//! * [`ToleranceConfig`] — the liveness/retry/deadline timeouts: the
+//!   controller lease in both worlds, the probe-retry ladder that
+//!   [`crate::election::Election`] validates and climbs in both worlds, and
+//!   the liveness window and round deadline the real worlds use to presume a
+//!   silent worker dead (the simulator delivers crashes as exact events).
+//!
+//! When a round fires and when a probe set is resampled is
+//! [`crate::election`]'s, not this module's.
 
 use rna_simnet::{NetFaults, SimDuration, SimTime};
 use rna_tensor::wire::{self, Reader};
@@ -550,40 +549,6 @@ impl WorkerFate {
     }
 }
 
-/// How many ready workers an eager-majority round needs before it may
-/// fire, given the number of *live* members. Crashed workers shrink the
-/// electorate: a majority of survivors, never less than one.
-///
-/// [`quorum_initiator`] counts against it, so an electorate that loses
-/// half its members still fires instead of spinning forever.
-pub fn live_majority(live_members: usize) -> usize {
-    (live_members / 2 + 1).max(1)
-}
-
-/// Every counted trigger: the first `ready` member (in member order) once
-/// at least `need` are ready, never on an empty set. `GroupState` and
-/// `SyncMode::fires` both fire through it.
-pub fn quorum_initiator(mut ready: impl Iterator<Item = usize>, need: usize) -> Option<usize> {
-    let first = ready.next()?;
-    (1 + ready.count() >= need).then_some(first)
-}
-
-/// Whether an in-flight probe round can no longer elect an initiator
-/// because every probed member is dead, and must be resampled from the
-/// live set. `probed` holds member-local indices into `live`.
-///
-/// Shared by the simulator's `GroupState::handle_crash` and the threaded
-/// controller's re-probe loop. Tolerant of degenerate inputs: an empty
-/// probe set is not stalled (there is nothing to wait on), and a probed
-/// index outside `live` — possible transiently while a rejoining worker is
-/// re-admitted — counts as dead rather than panicking.
-pub fn probe_round_stalled(probed: &[usize], live: &[bool]) -> bool {
-    !probed.is_empty()
-        && probed
-            .iter()
-            .all(|&l| live.get(l).is_none_or(|&alive| !alive))
-}
-
 /// Real-time heartbeat age (microseconds) past which the threaded
 /// controller presumes a silent worker dead. Chosen ≫ any benign compute
 /// interval the test/bench configurations use (tens of milliseconds), and
@@ -791,7 +756,7 @@ impl ToleranceConfig {
 
     /// Checks the invariants [`ToleranceConfig::new`] enforces. Callers
     /// that build the struct literally (or deserialize it) should validate
-    /// before use; `run_threaded` does.
+    /// before use; [`crate::election::Election::new`] does, in every world.
     ///
     /// # Errors
     ///
@@ -1074,6 +1039,7 @@ impl NetFaultPlan {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::election::{live_majority, probe_round_stalled, quorum_initiator};
 
     #[test]
     fn fate_codec_roundtrips_and_rejects_malformed_input() {

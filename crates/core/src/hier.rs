@@ -373,12 +373,12 @@ impl PsStage {
         //    backwards, with caches transplanted and non-live members
         //    dormant.
         let round = groups.iter().map(GroupState::round).max().unwrap_or(0);
-        let election = groups[0].election;
+        let mode = groups[0].election.mode();
         let old_k = groups.len();
         *groups = layout
             .iter()
             .enumerate()
-            .map(|(id, members)| GroupState::new(id, members.clone(), config, election))
+            .map(|(id, members)| GroupState::new(id, members.clone(), config, tolerance, mode))
             .collect();
         *worker_group = group_of(&layout, n);
         let k = groups.len();
@@ -406,7 +406,7 @@ impl PsStage {
         // 6. Atomic swap done: restart every group's compute and election.
         for g in groups.iter_mut() {
             g.resume_all(ctx, config);
-            g.open_election(ctx, config, tolerance);
+            g.open_election(ctx, config);
         }
     }
 }

@@ -56,6 +56,7 @@
 pub mod analysis;
 pub mod cache;
 mod config;
+pub mod election;
 pub mod fault;
 pub mod grouping;
 pub mod hier;
@@ -68,6 +69,7 @@ pub mod stats;
 pub mod timeline;
 
 pub use config::RnaConfig;
+pub use election::SyncMode;
 pub use fault::{FaultPlan, ToleranceConfig, WorkerFate, WorkerFault};
 pub use membership::{ChurnEvent, ChurnPlan, RegroupPolicy, SpeedEstimator};
 pub use recovery::{CheckpointStore, RecoveryConfig, RecoveryError, RoundJournal};

@@ -2,9 +2,10 @@
 //!
 //! Two pieces live here:
 //!
-//! * [`ProbeRound`] — the controller-side bookkeeping for one probing round:
-//!   which workers were probed, which reply wins, and when later replies are
-//!   expired (the scheduling-conflict rule of §3.2).
+//! * [`ProbeRound`] — the bookkeeping for one probing attempt: which
+//!   workers were probed, which reply wins, and when later replies are
+//!   expired (the scheduling-conflict rule of §3.2). The one election of
+//!   every world, [`crate::election::Election`], holds it.
 //! * [`simulate_response_times`] — the closed-world microbenchmark behind
 //!   Figure 10: `n` workers with uniformly skewed readiness, `d` probes per
 //!   round, and a per-probe messaging overhead that makes oversampling
@@ -48,8 +49,8 @@ impl ProbeRound {
         }
     }
 
-    /// Builds a probe round from an explicit probe set (used when sampling
-    /// must exclude crashed workers).
+    /// Builds a probe round from an explicit probe set: the ids
+    /// [`crate::election::Election::draw`] admitted.
     ///
     /// # Panics
     ///

@@ -4,7 +4,7 @@
 //! member workers:
 //!
 //! 1. The controller samples `d` members and probes them
-//!    ([`crate::probe::ProbeRound`]). A probed member replies as soon as its
+//!    ([`Election::draw`]). A probed member replies as soon as its
 //!    [`crate::cache::GradientCache`] is non-empty.
 //! 2. The first accepted reply elects the **initiator**; the controller
 //!    immediately forces the collective. Every member contributes its
@@ -18,9 +18,11 @@
 //! iterations (Figure 4), bounded by `max_lead` so stragglers cannot be
 //! left arbitrarily far behind.
 //!
-//! Under [`Election::Majority`] (eager-SGD) and [`Election::AllBut`] (Horovod,
-//! backup workers) steps 1–2 give way to a count: the collective fires once a
-//! live majority holds a gradient, or all but `b` members reported theirs.
+//! Steps 1–2 are [`Election`]'s, the one election the real worlds' controller
+//! drives too; this module sends the probes and replies. Under the counted
+//! [`SyncMode`]s they give way to a count: the collective fires once a live
+//! majority holds a gradient (eager-SGD), or all but `b` members reported
+//! theirs over a 64-byte hop (Horovod, backup workers).
 //!
 //! [`RnaProtocol`] owns one `GroupState` per group and writes the round
 //! edge once. Flat RNA ([`RnaProtocol::new`]) is one group spanning the
@@ -36,11 +38,11 @@ use rna_tensor::wire::{self, Reader};
 use rna_tensor::Tensor;
 
 use crate::cache::GradientCache;
-use crate::fault::{live_majority, quorum_initiator, ToleranceConfig};
+use crate::election::{Election, SyncMode};
+use crate::fault::ToleranceConfig;
 use crate::grouping::{group_of, partition_groups};
 use crate::hier::PsStage;
 use crate::membership::{Edge, RegroupPolicy, SpeedEstimator};
-use crate::probe::ProbeRound;
 use crate::recovery::RoundJournal;
 use crate::sim::{Ctx, Protocol, TrainSpec};
 use crate::RnaConfig;
@@ -107,22 +109,6 @@ pub enum RnaMsg {
     },
 }
 
-/// What fires a group's partial collective.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Election {
-    /// RNA (§3.2): the controller probes `d` live members and the first
-    /// ready reply elects the initiator.
-    Probe,
-    /// eager-SGD: no probes; the collective fires once a live majority of
-    /// members holds a gradient ([`quorum_initiator`]).
-    Majority,
-    /// Horovod's barrier (`AllBut(0)`) or backup workers: each member
-    /// reports one gradient per round over a 64-byte hop, and the ring fires
-    /// once all but `b` reported. Crashes go unnoticed (the barrier waits on
-    /// the dead); reports that land after the fire are pooled.
-    AllBut(usize),
-}
-
 /// Per-group RNA state machine, driven by [`RnaProtocol`] (one per group).
 #[derive(Debug)]
 pub struct GroupState {
@@ -131,14 +117,10 @@ pub struct GroupState {
     /// Global worker ids belonging to this group.
     pub members: Vec<usize>,
     pub(crate) election: Election,
-    /// Counted arms: this round's election is open and has not fired
-    /// (closed while the controller is down or a drain is pending).
-    armed: bool,
     /// The round each member's latest gradient began in (`None`: rejoined).
     began: Vec<Option<u64>>,
     caches: Vec<GradientCache>,
     pending_reply: Vec<Option<u64>>,
-    probe: Option<ProbeRound>,
     round: u64,
     reducing: bool,
     paused: Vec<bool>,
@@ -149,8 +131,6 @@ pub struct GroupState {
     /// through their staleness-weighted caches on heal).
     in_flight: Option<(Tensor, usize, Vec<usize>)>,
     last_initiator: Option<usize>,
-    probe_epoch: u64,
-    retry_backoff_us: u64,
     /// Checkpoint quiesce in progress: members finishing an iteration are
     /// paused instead of continuing, until every live member is idle and
     /// the checkpoint can be cut.
@@ -177,7 +157,8 @@ pub(crate) fn empty_cache(config: &RnaConfig) -> GradientCache {
 }
 
 impl GroupState {
-    /// Creates the state machine for `members` under `config` and `election`.
+    /// Creates the state machine for `members` under `config` and `mode`,
+    /// retrying lost probes on `tolerance`'s ladder.
     ///
     /// A `config.probes` larger than the group is not an error: probe
     /// counts are clamped to the group size, so small groups simply probe
@@ -185,8 +166,14 @@ impl GroupState {
     ///
     /// # Panics
     ///
-    /// Panics if `members` is empty.
-    pub fn new(id: usize, members: Vec<usize>, config: &RnaConfig, election: Election) -> Self {
+    /// Panics if `members` is empty or `tolerance` is invalid.
+    pub fn new(
+        id: usize,
+        members: Vec<usize>,
+        config: &RnaConfig,
+        tolerance: &ToleranceConfig,
+        mode: SyncMode,
+    ) -> Self {
         assert!(!members.is_empty(), "group needs at least one member");
         let n = members.len();
         let mut member_slots: Vec<(u32, u32)> = members
@@ -198,20 +185,16 @@ impl GroupState {
         GroupState {
             id,
             members,
-            election,
-            armed: false,
+            election: Election::new(mode, config.probes, tolerance),
             began: vec![Some(0); n],
             caches: (0..n).map(|_| empty_cache(config)).collect(),
             pending_reply: vec![None; n],
-            probe: None,
             round: 0,
             reducing: false,
             paused: vec![false; n],
             live: vec![true; n],
             in_flight: None,
             last_initiator: None,
-            probe_epoch: 0,
-            retry_backoff_us: 0,
             quiescing: false,
             residuals: (0..n).map(|_| None).collect(),
             codec_buf: Vec::new(),
@@ -236,67 +219,60 @@ impl GroupState {
     }
 
     /// Opens this round's election: the probe arm probes `d` *live* members
-    /// (a retry starts at `tolerance.probe_backoff_us`); the counted arms
-    /// arm their trigger, and the majority fires at once if it is ready.
-    pub fn open_election(
-        &mut self,
-        ctx: &mut Ctx<'_, RnaMsg>,
-        config: &RnaConfig,
-        tolerance: &ToleranceConfig,
-    ) {
-        self.armed = self.election != Election::Probe;
-        if let Election::AllBut(_) = self.election {
-            // After a takeover: resend the reports the dead controller lost.
-            for (local, &w) in self.members.iter().enumerate() {
-                if self.paused[local] && self.began[local] == Some(self.round) {
-                    self.send_reply(ctx, w, self.round);
+    /// from the ladder's base; the counted arms arm their trigger, and the
+    /// majority fires at once if it is ready.
+    pub fn open_election(&mut self, ctx: &mut Ctx<'_, RnaMsg>, config: &RnaConfig) {
+        self.election.open();
+        match self.election.mode() {
+            SyncMode::Rna => self.issue_probes(ctx, false),
+            SyncMode::EagerMajority => self.maybe_fire(ctx, config),
+            SyncMode::Bsp | SyncMode::Backup(_) => {
+                // After a takeover: resend the reports the dead controller lost.
+                for (local, &w) in self.members.iter().enumerate() {
+                    if self.paused[local] && self.began[local] == Some(self.round) {
+                        self.send_reply(ctx, w, self.round);
+                    }
                 }
             }
-        } else if self.armed {
-            self.maybe_fire(ctx, config);
-        } else {
-            self.retry_backoff_us = tolerance.probe_backoff_us;
-            self.issue_probes(ctx, config);
         }
     }
 
     /// The counted arms' trigger, checked wherever the ready or live count
-    /// changes: the first ready member initiates ([`quorum_initiator`]).
+    /// changes: the live members are the electorate.
     fn maybe_fire(&mut self, ctx: &mut Ctx<'_, RnaMsg>, config: &RnaConfig) {
-        if !self.armed || self.reducing || ctx.stopped() {
+        if !self.election.armed() || self.reducing || ctx.stopped() {
             return;
         }
         let live = self.live.iter().filter(|&&l| l).count();
-        let (need, since) = match self.election {
-            Election::AllBut(b) => (live.saturating_sub(b), self.round),
-            _ => (live_majority(live), 0),
+        // The barrier family counts gradients begun this round, not a
+        // partition's older ones.
+        let since = if self.election.mode().reports() {
+            self.round
+        } else {
+            0
         };
-        // `AllBut` counts gradients begun this round, not a partition's older ones.
         let newest = |l: usize| self.caches[l].entries().last().map(|e| e.0);
         let ready = (0..self.members.len()).filter(|&l| self.live[l] && newest(l) >= Some(since));
-        if let Some(local) = quorum_initiator(ready, need) {
-            self.armed = false;
+        if let Some(local) = self.election.quorum(live, ready) {
             self.last_initiator = Some(self.members[local]);
             self.launch_reduce(ctx, config);
         }
     }
 
-    /// Samples and sends one batch of probes, bumping the probe epoch (so
-    /// any retry timer armed for an earlier batch expires) and arming a
-    /// fresh retry timer when the fabric is faulty.
-    fn issue_probes(&mut self, ctx: &mut Ctx<'_, RnaMsg>, config: &RnaConfig) {
+    /// Draws and sends one batch of probes to live members (after a `lost`
+    /// attempt the ladder doubles first), and arms a retry timer for the
+    /// attempt's epoch when the fabric is faulty.
+    fn issue_probes(&mut self, ctx: &mut Ctx<'_, RnaMsg>, lost: bool) {
         let live: Vec<usize> = (0..self.members.len()).filter(|&l| self.live[l]).collect();
-        if live.is_empty() {
-            // The whole group died; nothing left to coordinate.
-            self.probe = None;
+        // An empty pool: the whole group died; nothing left to coordinate.
+        let Some(attempt) = self
+            .election
+            .draw(self.round, &live, lost, ctx.rng(), |_| true)
+        else {
             return;
-        }
-        let d = config.probes.min(live.len());
-        let picks = ctx.rng().choose_distinct(live.len(), d);
-        let probed: Vec<usize> = picks.into_iter().map(|i| live[i]).collect();
-        let round = ProbeRound::from_probed(self.round, probed);
+        };
         let ctrl = ctx.controller_id();
-        for &local in round.probed() {
+        for &local in self.election.probed() {
             ctx.send(
                 ctrl,
                 self.members[local],
@@ -307,8 +283,6 @@ impl GroupState {
                 },
             );
         }
-        self.probe = Some(round);
-        self.probe_epoch += 1;
         if ctx.net_faults_enabled() {
             // A dropped probe or reply would otherwise wedge the election
             // forever: the controller only reacts to messages, and none
@@ -316,63 +290,41 @@ impl GroupState {
             // arming it would perturb event-for-event determinism of
             // existing runs), so it is gated on faults being present.
             ctx.send_after(
-                ctx.controller_id(),
-                SimDuration::from_micros(self.retry_backoff_us),
+                ctrl,
+                SimDuration::from_micros(self.election.backoff_us()),
                 RnaMsg::ProbeRetry {
                     group: self.id,
                     round: self.round,
-                    attempt: self.probe_epoch,
+                    attempt,
                 },
             );
         }
     }
 
-    /// A probe-retry timer fired: if the election round it was armed for
-    /// is still the current one, still winnerless, and no other path has
-    /// re-probed since (same epoch), resample with the backoff doubled up
-    /// to `tolerance.probe_backoff_cap_us`.
-    pub fn handle_probe_retry(
-        &mut self,
-        ctx: &mut Ctx<'_, RnaMsg>,
-        config: &RnaConfig,
-        tolerance: &ToleranceConfig,
-        round: u64,
-        attempt: u64,
-    ) {
-        let stale = round != self.round || attempt != self.probe_epoch;
-        let decided = self.probe.as_ref().is_none_or(|p| p.winner().is_some());
-        if stale || decided || self.reducing || ctx.stopped() {
+    /// A probe-retry timer fired: if the attempt it was armed for is still
+    /// the latest and winnerless, the attempt counts as lost and the
+    /// election redraws on the doubled backoff.
+    pub fn handle_probe_retry(&mut self, ctx: &mut Ctx<'_, RnaMsg>, round: u64, attempt: u64) {
+        let due = round == self.round && self.election.retry_due(round, attempt);
+        if !due || self.reducing || ctx.stopped() {
             return;
         }
         ctx.counters_mut().probe_retries += 1;
-        self.retry_backoff_us = self
-            .retry_backoff_us
-            .saturating_mul(2)
-            .min(tolerance.probe_backoff_cap_us);
-        self.issue_probes(ctx, config);
+        self.issue_probes(ctx, true);
     }
 
-    /// A member crashed (`AllBut` does not notice): remove it from election,
-    /// re-check the majority over the shrunk electorate, and — if every
-    /// probed member of the in-flight probe round is dead — resample now.
-    pub fn handle_crash(
-        &mut self,
-        ctx: &mut Ctx<'_, RnaMsg>,
-        config: &RnaConfig,
-        tolerance: &ToleranceConfig,
-        worker: usize,
-    ) {
-        if let Election::AllBut(_) = self.election {
+    /// A member crashed (the barrier family does not notice): remove it from
+    /// election, re-check the majority over the shrunk electorate, and — if
+    /// every probed member of the in-flight probe round is dead — resample
+    /// now.
+    pub fn handle_crash(&mut self, ctx: &mut Ctx<'_, RnaMsg>, config: &RnaConfig, worker: usize) {
+        if self.election.mode().reports() {
             return;
         }
         self.depart(config, worker);
         self.maybe_fire(ctx, config);
-        let stalled = !self.reducing
-            && self.probe.as_ref().is_some_and(|p| {
-                p.winner().is_none() && crate::fault::probe_round_stalled(p.probed(), &self.live)
-            });
-        if stalled {
-            self.open_election(ctx, config, tolerance);
+        if !self.reducing && self.election.stalled(&self.live) {
+            self.open_election(ctx, config);
         }
     }
 
@@ -405,7 +357,7 @@ impl GroupState {
 
     /// A member finished a local iteration: cache its gradient, answer any
     /// pending probe or fire the majority, and keep computing unless the
-    /// lead bound is hit. Under `AllBut` the member reports its gradient.
+    /// lead bound is hit. Under the barrier family the member reports its gradient.
     pub fn handle_compute_done(
         &mut self,
         ctx: &mut Ctx<'_, RnaMsg>,
@@ -416,7 +368,7 @@ impl GroupState {
         let Some(local) = self.member_index(worker) else {
             return;
         };
-        if let (Election::AllBut(_), Some(round)) = (self.election, self.began[local]) {
+        if let (true, Some(round)) = (self.election.mode().reports(), self.began[local]) {
             self.send_reply(ctx, worker, round);
         } else {
             if let Some((_, grad)) = ctx.take_gradient(worker) {
@@ -431,16 +383,17 @@ impl GroupState {
     }
 
     /// Starts the member's next iteration unless it is too far ahead of the
-    /// group round (bounded lead, one gradient a round under `AllBut`), a
+    /// group round (bounded lead, one gradient a round under the barrier family), a
     /// checkpoint quiesce is draining the group, or the run has stopped.
     fn maybe_continue(&mut self, ctx: &mut Ctx<'_, RnaMsg>, config: &RnaConfig, local: usize) {
         let worker = self.members[local];
         if ctx.stopped() || ctx.is_computing(worker) || !self.live[local] {
             return;
         }
-        let held = match self.election {
-            Election::AllBut(_) => self.began[local] == Some(self.round),
-            _ => ctx.local_iter(worker).saturating_sub(self.round) >= config.max_lead,
+        let held = if self.election.mode().reports() {
+            self.began[local] == Some(self.round)
+        } else {
+            ctx.local_iter(worker).saturating_sub(self.round) >= config.max_lead
         };
         if self.quiescing || held {
             self.paused[local] = true;
@@ -453,7 +406,7 @@ impl GroupState {
     }
 
     /// A reply reached the controller: a probe's first accepted reply elects
-    /// the initiator and launches the collective; an `AllBut` report is
+    /// the initiator and launches the collective; a barrier-family report is
     /// collected, or pooled if its round already fired.
     pub fn handle_reply(
         &mut self,
@@ -465,7 +418,7 @@ impl GroupState {
         let Some(local) = self.member_index(worker) else {
             return;
         };
-        if let Election::AllBut(_) = self.election {
+        if self.election.mode().reports() {
             if let Some((_, grad)) = ctx.take_gradient(worker) {
                 if round == self.round && !self.reducing && self.live[local] {
                     self.caches[local].write(round, grad);
@@ -476,13 +429,7 @@ impl GroupState {
             }
             return;
         }
-        if self.reducing {
-            return;
-        }
-        let Some(probe) = &mut self.probe else {
-            return;
-        };
-        if probe.offer_reply(local, round) {
+        if !self.reducing && self.election.offer_reply(local, round) {
             self.last_initiator = Some(worker);
             self.launch_reduce(ctx, config);
         }
@@ -582,10 +529,11 @@ impl GroupState {
                 cost.ring_bytes_per_worker_framed(n, frame) * n as u64,
             )
         };
-        // Trigger broadcast and staging; `AllBut`'s hop was the reports.
-        let duration = match self.election {
-            Election::AllBut(_) => ring_time,
-            _ => cost.link().transfer_time(64) + ring_time + ctx.transfer_overhead(),
+        // Trigger broadcast and staging; the barrier family's hop was the reports.
+        let duration = if self.election.mode().reports() {
+            ring_time
+        } else {
+            cost.link().transfer_time(64) + ring_time + ctx.transfer_overhead()
         };
         ctx.charge_bytes(wire);
         ctx.note_wire_bytes(wire, legacy_wire);
@@ -631,13 +579,7 @@ impl GroupState {
     /// "pull the current model" half of a restart), and restart its
     /// compute pipeline. If the whole group had died, this also revives
     /// the probe loop (an armed majority trigger simply stays armed).
-    pub fn handle_rejoin(
-        &mut self,
-        ctx: &mut Ctx<'_, RnaMsg>,
-        config: &RnaConfig,
-        tolerance: &ToleranceConfig,
-        worker: usize,
-    ) {
+    pub fn handle_rejoin(&mut self, ctx: &mut Ctx<'_, RnaMsg>, config: &RnaConfig, worker: usize) {
         let Some(local) = self.member_index(worker) else {
             return;
         };
@@ -653,9 +595,10 @@ impl GroupState {
             let params = ctx.params(donor);
             ctx.set_params(worker, &params);
         }
-        let probes_dead = self.election == Election::Probe && self.probe.is_none();
+        let probes_dead =
+            self.election.mode() == SyncMode::Rna && self.election.probed().is_empty();
         if probes_dead && !self.reducing && !ctx.stopped() {
-            self.open_election(ctx, config, tolerance);
+            self.open_election(ctx, config);
         }
         self.maybe_continue(ctx, config, local);
     }
@@ -774,11 +717,9 @@ impl GroupState {
     /// so any timer armed by the dead controller expires.
     pub fn recover_for_takeover(&mut self, round: u64) {
         self.round = round;
-        self.probe = None;
-        self.armed = false;
+        self.election.reset();
         self.reducing = false;
         self.in_flight = None;
-        self.probe_epoch += 1;
     }
 
     /// Serializes the group's quiesced state into a checkpoint blob:
@@ -792,8 +733,7 @@ impl GroupState {
     pub fn encode_into(&self, out: &mut Vec<u8>) {
         debug_assert!(!self.reducing && self.in_flight.is_none());
         wire::put_u64(out, self.round);
-        wire::put_u64(out, self.probe_epoch);
-        wire::put_u64(out, self.retry_backoff_us);
+        self.election.encode_into(out);
         wire::put_u64(out, self.members.len() as u64);
         wire::put_opt_u64(out, self.last_initiator.map(|w| w as u64));
         for local in 0..self.members.len() {
@@ -823,8 +763,7 @@ impl GroupState {
     /// surfaces the typed corruption error.
     pub fn restore_from(&mut self, r: &mut Reader<'_>) -> Option<()> {
         self.round = r.u64()?;
-        self.probe_epoch = r.u64()?;
-        self.retry_backoff_us = r.u64()?;
+        self.election.restore_from(r)?;
         if r.u64()? != self.members.len() as u64 {
             return None;
         }
@@ -849,8 +788,6 @@ impl GroupState {
                 GradientCache::from_checkpoint(bound as usize, weighted, evicted, entries);
             self.residuals[local] = r.opt_tensor()?;
         }
-        self.probe = None;
-        self.armed = false;
         self.reducing = false;
         self.in_flight = None;
         self.quiescing = false;
@@ -938,14 +875,15 @@ impl RnaProtocol {
         let n = groups.iter().map(Vec::len).sum();
         let worker_group = group_of(&groups, n);
         let ps = Some(PsStage::new(groups.len(), n));
+        let tolerance = ToleranceConfig::default();
         let groups = groups
             .into_iter()
             .enumerate()
-            .map(|(id, members)| GroupState::new(id, members, &config, Election::Probe))
+            .map(|(id, members)| GroupState::new(id, members, &config, &tolerance, SyncMode::Rna))
             .collect();
         RnaProtocol {
             config,
-            tolerance: ToleranceConfig::default(),
+            tolerance,
             groups,
             worker_group,
             departed: vec![false; n],
@@ -987,37 +925,54 @@ impl RnaProtocol {
         RnaProtocol::grouped(partition_groups(&times), config)
     }
 
-    /// Sets what fires each group's collective (default [`Election::Probe`]).
-    /// [`Election::Majority`] is eager-SGD (`"eager-sgd"`), `AllBut(0)`
-    /// Horovod (`"horovod"`) and `AllBut(b)` backup workers (`"backup-workers"`;
-    /// panics unless `b` is below every group's size).
+    /// Sets what fires each group's collective (default [`SyncMode::Rna`]).
+    /// [`SyncMode::EagerMajority`] is eager-SGD (`"eager-sgd"`),
+    /// [`SyncMode::Bsp`] Horovod (`"horovod"`) and [`SyncMode::Backup`]
+    /// backup workers (`"backup-workers"`).
+    ///
+    /// # Panics
+    ///
+    /// Panics on `Backup(0)` (spelled `Bsp`) and unless a `Backup(b)`'s `b`
+    /// is below every group's size.
     ///
     /// # Examples
     ///
     /// ```
-    /// use rna_core::rna::{Election, RnaProtocol};
+    /// use rna_core::rna::RnaProtocol;
     /// use rna_core::sim::{Engine, TrainSpec};
-    /// use rna_core::RnaConfig;
+    /// use rna_core::{RnaConfig, SyncMode};
     ///
-    /// let eager = RnaProtocol::new(4, RnaConfig::default(), 1).with_election(Election::Majority);
+    /// let eager =
+    ///     RnaProtocol::new(4, RnaConfig::default(), 1).with_election(SyncMode::EagerMajority);
     /// let result = Engine::new(TrainSpec::smoke_test(4, 1), eager).run();
     /// assert_eq!(result.protocol, "eager-sgd");
     /// assert!(result.mean_participation() >= 0.5);
     /// ```
-    pub fn with_election(mut self, election: Election) -> Self {
+    pub fn with_election(mut self, mode: SyncMode) -> Self {
+        assert_ne!(
+            mode,
+            SyncMode::Backup(0),
+            "Backup(0) is spelled SyncMode::Bsp"
+        );
         for g in &mut self.groups {
-            if let Election::AllBut(b) = election {
+            if let SyncMode::Backup(b) = mode {
                 assert!(b < g.members.len(), "need at least one non-backup worker");
             }
-            g.election = election;
+            g.election = Election::new(mode, self.config.probes, &self.tolerance);
         }
         self
     }
 
     /// Overrides the control-plane tolerance knobs: the controller lease
-    /// and the probe-retry backoff (base and cap). The config was
-    /// validated at its own construction.
+    /// and the probe-retry backoff (base and cap).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `tolerance` is invalid ([`ToleranceConfig::validate`]).
     pub fn with_tolerance(mut self, tolerance: ToleranceConfig) -> Self {
+        for g in &mut self.groups {
+            g.election = Election::new(g.election.mode(), self.config.probes, &tolerance);
+        }
         self.tolerance = tolerance;
         self
     }
@@ -1090,7 +1045,7 @@ impl RnaProtocol {
             );
             return;
         }
-        self.groups[gid].open_election(ctx, &self.config, &self.tolerance);
+        self.groups[gid].open_election(ctx, &self.config);
     }
 
     /// The warm standby's lease timer fired: bump the term, recover the
@@ -1239,7 +1194,7 @@ impl RnaProtocol {
                             ctx.set_params(w, master);
                         }
                     }
-                    group.handle_rejoin(ctx, &self.config, &self.tolerance, w);
+                    group.handle_rejoin(ctx, &self.config, w);
                     ctx.charge_bytes(snapshot_bytes);
                     ctx.note_worker_joined(snapshot_bytes);
                 }
@@ -1310,12 +1265,12 @@ impl Protocol for RnaProtocol {
     type Msg = RnaMsg;
 
     fn name(&self) -> &'static str {
-        match (self.groups[0].election, &self.ps) {
-            (Election::Majority, _) => "eager-sgd",
-            (Election::AllBut(0), _) => "horovod",
-            (Election::AllBut(_), _) => "backup-workers",
-            (Election::Probe, Some(_)) => "rna-hier",
-            (Election::Probe, None) => "rna",
+        match (self.groups[0].election.mode(), &self.ps) {
+            (SyncMode::EagerMajority, _) => "eager-sgd",
+            (SyncMode::Bsp, _) => "horovod",
+            (SyncMode::Backup(_), _) => "backup-workers",
+            (SyncMode::Rna, Some(_)) => "rna-hier",
+            (SyncMode::Rna, None) => "rna",
         }
     }
 
@@ -1375,7 +1330,7 @@ impl Protocol for RnaProtocol {
         // A committed topology swap may shrink the group count; messages
         // addressed to a no-longer-existing group id are stale by
         // definition and expire here.
-        let (config, tolerance) = (&self.config, &self.tolerance);
+        let config = &self.config;
         match msg {
             RnaMsg::Probe { group, round } => {
                 if let Some(g) = self.groups.get_mut(group) {
@@ -1397,7 +1352,7 @@ impl Protocol for RnaProtocol {
                 attempt,
             } => {
                 if let Some(g) = self.groups.get_mut(group) {
-                    g.handle_probe_retry(ctx, config, tolerance, round, attempt);
+                    g.handle_probe_retry(ctx, round, attempt);
                 }
             }
             RnaMsg::ReduceDone { group, round } => self.on_reduce_done(ctx, group, round),
@@ -1417,14 +1372,14 @@ impl Protocol for RnaProtocol {
             ps.speed.forget(worker);
         }
         let gid = self.worker_group[worker];
-        self.groups[gid].handle_crash(ctx, &self.config, &self.tolerance, worker);
+        self.groups[gid].handle_crash(ctx, &self.config, worker);
         // The crashed member no longer gates a drain.
         self.try_finish_drain(ctx);
     }
 
     fn on_rejoin(&mut self, ctx: &mut Ctx<'_, RnaMsg>, worker: usize) {
         let gid = self.worker_group[worker];
-        self.groups[gid].handle_rejoin(ctx, &self.config, &self.tolerance, worker);
+        self.groups[gid].handle_rejoin(ctx, &self.config, worker);
     }
 
     fn restore(&mut self, blob: &[u8]) -> bool {
@@ -1647,7 +1602,7 @@ mod tests {
 
     #[test]
     fn single_worker_rna_degenerates_to_sgd() {
-        for election in [Election::Probe, Election::AllBut(0)] {
+        for election in [SyncMode::Rna, SyncMode::Bsp] {
             let config = RnaConfig::default().with_probes(1);
             let spec = TrainSpec::smoke_test(1, 2).with_max_rounds(50);
             let protocol = RnaProtocol::new(1, config, 2).with_election(election);
@@ -1669,10 +1624,10 @@ mod tests {
     fn controller_failover_is_survived_and_deterministic() {
         use crate::fault::FaultPlan;
         let elections = [
-            Election::Probe,
-            Election::Majority,
-            Election::AllBut(0),
-            Election::AllBut(1),
+            SyncMode::Rna,
+            SyncMode::EagerMajority,
+            SyncMode::Bsp,
+            SyncMode::Backup(1),
         ];
         for election in elections {
             let run = |plan: FaultPlan| {
@@ -1756,7 +1711,7 @@ mod tests {
     }
 
     fn eager(n: usize) -> RnaProtocol {
-        RnaProtocol::new(n, RnaConfig::default(), 0).with_election(Election::Majority)
+        RnaProtocol::new(n, RnaConfig::default(), 0).with_election(SyncMode::EagerMajority)
     }
 
     #[test]
@@ -1800,7 +1755,11 @@ mod tests {
     }
 
     fn all_but(n: usize, b: usize) -> RnaProtocol {
-        RnaProtocol::new(n, RnaConfig::default(), 0).with_election(Election::AllBut(b))
+        RnaProtocol::new(n, RnaConfig::default(), 0).with_election(if b == 0 {
+            SyncMode::Bsp
+        } else {
+            SyncMode::Backup(b)
+        })
     }
 
     #[test]
@@ -1831,6 +1790,34 @@ mod tests {
     #[should_panic(expected = "non-backup")]
     fn all_but_rejects_a_group_of_backups() {
         let _ = all_but(2, 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "Backup(0) is spelled SyncMode::Bsp")]
+    fn zero_backups_are_spelled_bsp() {
+        let _ = RnaProtocol::new(4, RnaConfig::default(), 0).with_election(SyncMode::Backup(0));
+    }
+
+    /// Unvalidated tolerances used to pass `with_tolerance` untouched: a zero
+    /// base re-armed the retry timer at +0 µs on a lossy fabric, and virtual
+    /// time never advanced.
+    #[test]
+    #[should_panic(expected = "probe backoff must be positive")]
+    fn a_zero_probe_backoff_is_rejected() {
+        let _ = RnaProtocol::new(4, RnaConfig::default(), 0).with_tolerance(ToleranceConfig {
+            probe_backoff_us: 0,
+            ..ToleranceConfig::default()
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "below the base")]
+    fn a_probe_backoff_cap_below_the_base_is_rejected() {
+        let _ = RnaProtocol::new(4, RnaConfig::default(), 0).with_tolerance(ToleranceConfig {
+            probe_backoff_us: 2_000,
+            probe_backoff_cap_us: 1_000,
+            ..ToleranceConfig::default()
+        });
     }
 
     #[test]

@@ -2,9 +2,9 @@
 //! mapping from the paper's four workloads onto [`TrainSpec`]s.
 
 use rna_baselines::{AdPsgdProtocol, AsyncPsProtocol, HorovodProtocol, SgpProtocol};
-use rna_core::rna::{Election, RnaProtocol};
+use rna_core::rna::RnaProtocol;
 use rna_core::sim::{Engine, TaskKind, TrainSpec};
-use rna_core::{RnaConfig, RunResult};
+use rna_core::{RnaConfig, RunResult, SyncMode};
 use rna_simnet::{LinkModel, SimDuration};
 use rna_training::LrSchedule;
 use rna_workload::{HeterogeneityModel, ModelProfile};
@@ -106,7 +106,8 @@ pub fn run_approach(approach: Approach, spec: &TrainSpec, config: &RnaConfig) ->
         Approach::Horovod => Engine::new(spec.clone(), HorovodProtocol::new(n)).run(),
         Approach::EagerSgd => Engine::new(
             spec.clone(),
-            RnaProtocol::new(n, RnaConfig::default(), spec.seed).with_election(Election::Majority),
+            RnaProtocol::new(n, RnaConfig::default(), spec.seed)
+                .with_election(SyncMode::EagerMajority),
         )
         .run(),
         Approach::AdPsgd => Engine::new(spec.clone(), AdPsgdProtocol::new(n)).run(),
@@ -122,12 +123,16 @@ pub fn run_approach(approach: Approach, spec: &TrainSpec, config: &RnaConfig) ->
             Engine::new(spec.clone(), protocol).run()
         }
         Approach::Sgp => Engine::new(spec.clone(), SgpProtocol::new(n)).run(),
-        Approach::BackupWorkers => Engine::new(
-            spec.clone(),
-            RnaProtocol::new(n, RnaConfig::default(), spec.seed)
-                .with_election(Election::AllBut(1.min(n - 1))),
-        )
-        .run(),
+        Approach::BackupWorkers => {
+            // One backup worker; a single worker has none to spare.
+            let mode = if n > 1 {
+                SyncMode::Backup(1)
+            } else {
+                SyncMode::Bsp
+            };
+            let protocol = RnaProtocol::new(n, RnaConfig::default(), spec.seed).with_election(mode);
+            Engine::new(spec.clone(), protocol).run()
+        }
         Approach::AsyncPs => Engine::new(spec.clone(), AsyncPsProtocol::new(n)).run(),
     }
 }

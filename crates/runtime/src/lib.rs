@@ -19,8 +19,9 @@
 //! deposit, honoring the bounded-lead gate) that a thread or a subprocess
 //! executes over its `WorkerLink`; one `Mirror` of the cluster that workers
 //! (or the socket readers standing in for them) write; and one controller
-//! that reads it, waits for the [`SyncMode`]'s round trigger — RNA's probed
-//! worker, eager-SGD's live majority, BSP's barrier — forces the partial
+//! that reads it, drives the [`SyncMode`]'s election (rna-core's one
+//! `Election`, which the simulator drives too) until RNA's probed worker,
+//! eager-SGD's live majority or BSP's barrier fires, forces the partial
 //! reduction and publishes parameters through the world's `Transport`. It
 //! all exists to show the protocol is implementable outside the simulator
 //! and that the DES results are not simulation artifacts; the integration
@@ -73,6 +74,7 @@ pub use faultproxy::FaultProxy;
 pub use process::{run_process, AddrBook, ProcessConfig, ProcessResult};
 pub use proto::{ct_eq, AuthError, AuthKey};
 pub use rna_core::fault::{FaultPlan, NetFaultPlan, ToleranceConfig, WorkerFate, WorkerFault};
+pub use rna_core::SyncMode;
 pub use rna_tensor::codec::Compression;
-pub use threaded::{resume_threaded, run_threaded, SyncMode, ThreadedConfig, ThreadedResult};
+pub use threaded::{resume_threaded, run_threaded, ThreadedConfig, ThreadedResult};
 pub use transport::NetShim;

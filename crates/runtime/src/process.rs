@@ -76,6 +76,7 @@ use std::time::{Duration, Instant};
 
 use rna_core::fault::{ConfigError, IterDirective, WorkerFate, WorkerFault};
 use rna_core::recovery::{CheckpointStore, RecoveryError};
+use rna_core::SyncMode;
 use rna_simnet::SimRng;
 use rna_tensor::{Tensor, TensorPool};
 use rna_training::Model;
@@ -88,7 +89,7 @@ use crate::proto::{
     EncodedGradBatch, Msg, WorkerSetup, TAG_ENC_GRAD,
 };
 use crate::threaded::{
-    finish, interruptible_sleep, validate_config, SyncMode, ThreadedConfig, ThreadedResult,
+    finish, interruptible_sleep, validate_config, ThreadedConfig, ThreadedResult,
 };
 use crate::transport::{
     decode_ctrl_checkpoint, lock, past_workers, supervise, task, CtrlCheckpoint, Lineage, Mirror,

@@ -3,6 +3,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
+use rna_core::election::{Election, SyncMode};
 use rna_core::fault::{FaultPlan, NetFaultPlan, ToleranceConfig, WorkerFate};
 use rna_core::membership::{ChurnPlan, Edge};
 use rna_core::recovery::{CheckpointStore, RecoveryConfig, RecoveryError};
@@ -18,18 +19,6 @@ use crate::transport::{
     Lineage, Mirror, Transport,
 };
 use crate::worker::{Encoder, Gate, Worker, WorkerLink};
-
-/// Which synchronization strategy the threaded runtime runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SyncMode {
-    /// Strict barrier: every round waits for all workers (Horovod-style).
-    Bsp,
-    /// Randomized non-blocking AllReduce with power-of-d probing.
-    Rna,
-    /// Majority-triggered partial collectives (eager-SGD): like RNA but
-    /// the round fires when more than half the live caches are ready.
-    EagerMajority,
-}
 
 /// Configuration of a threaded run.
 #[derive(Debug, Clone)]
@@ -381,8 +370,9 @@ impl WorkerLink for ThreadLink {
 ///
 /// Panics if the configuration is inconsistent (zero workers/rounds, a
 /// `compute_us` list of the wrong length, a fault plan naming an absent
-/// worker, or a crash injected under [`SyncMode::Bsp`], whose barrier
-/// cannot survive one).
+/// worker, an invalid [`ToleranceConfig`], a crash injected under
+/// [`SyncMode::Bsp`], whose barrier cannot survive one, or
+/// [`SyncMode::Backup`], which only the simulator runs).
 pub fn run_threaded(config: &ThreadedConfig) -> ThreadedResult {
     validate_config(config);
     run(config, task(config.seed), None)
@@ -453,9 +443,8 @@ pub(crate) fn validate_config(config: &ThreadedConfig) {
         assert!(max < config.num_workers, "fault plan names worker {max}");
     }
     config.net_fault_plan.validate(config.num_workers);
-    if let Err(e) = config.tolerance.validate() {
-        panic!("invalid tolerance config: {e}");
-    }
+    // The election validates the tolerance knobs that pace its retries.
+    Election::new(config.mode, config.probes, &config.tolerance);
     if let Err(e) = config
         .churn_plan
         .validate(config.num_workers, &config.tolerance)
@@ -469,6 +458,11 @@ pub(crate) fn validate_config(config: &ThreadedConfig) {
     {
         panic!("invalid checkpoint cadence: {e}");
     }
+    assert!(
+        !matches!(config.mode, SyncMode::Backup(_)),
+        "backup workers run in the simulator only: the real worlds' barrier \
+         has no drain that returns late reports to the pool"
+    );
     if config.mode == SyncMode::Bsp {
         assert!(
             config.fault_plan.faults().iter().all(|(_, f)| !f.kills()),
@@ -768,6 +762,12 @@ mod tests {
         let config =
             ThreadedConfig::quick(2, SyncMode::Rna).with_fault_plan(FaultPlan::none().crash(7, 1));
         run_threaded(&config);
+    }
+
+    #[test]
+    #[should_panic(expected = "backup workers run in the simulator only")]
+    fn backup_workers_are_rejected_up_front() {
+        run_threaded(&ThreadedConfig::quick(3, SyncMode::Backup(1)));
     }
 
     #[test]

@@ -1,7 +1,8 @@
 //! The world-agnostic half of the real runtimes: the [`Mirror`] every world
-//! keeps of its workers, and the controller that reads it — probe
-//! elections, the three round triggers, partial collectives, degraded
-//! rounds, and lease-based failover, written once.
+//! keeps of its workers, and the controller that reads it — it drives
+//! rna-core's one `Election` (the simulator drives the same one) over the
+//! mirror, and runs partial collectives, degraded rounds and lease-based
+//! failover, written once for both real worlds.
 //!
 //! Workers (threads, or the socket readers standing in for subprocesses)
 //! write the mirror; the controller reads it directly and reaches back out
@@ -23,7 +24,8 @@ use std::time::{Duration, Instant};
 
 use rna_collectives::partial_allreduce_pooled;
 use rna_core::cache::GradientCache;
-use rna_core::fault::{live_majority, probe_round_stalled, quorum_initiator, NetFaultPlan};
+use rna_core::election::{Election, SyncMode};
+use rna_core::fault::NetFaultPlan;
 use rna_core::membership::{Edge, Tenure};
 use rna_core::recovery::CheckpointStore;
 use rna_core::stats::Counters;
@@ -33,7 +35,7 @@ use rna_tensor::{Compression, Tensor, TensorPool};
 use rna_training::model::SoftmaxClassifier;
 use rna_training::Dataset;
 
-use crate::threaded::{SyncMode, ThreadedConfig};
+use crate::threaded::ThreadedConfig;
 
 /// Disjoint RNG stream namespaces shared by the threaded and process
 /// runtimes. Earlier code forked worker streams at `10 + w` and `50 + w`,
@@ -485,68 +487,63 @@ impl NetShim {
     }
 }
 
-/// One probe election attempt over the faulty fabric. Draws up to `probes`
-/// distinct candidates from the live view restricted to the round's active
-/// membership (dormant joiners and departed workers never probe) — falling
-/// back to the active not-yet-crashed set when no active worker is live
-/// (all silent, e.g. mid-hang) so a recovering worker can still be elected —
-/// then rolls the controller→worker probe and the worker→controller reply
-/// on the shim. Returns the candidates whose RPC round-trip survived and
-/// whether the fabric ate any (never on a clean fabric); eaten messages are
-/// tallied into `counters`.
+/// One probe attempt over the faulty fabric. The pool is the live view
+/// restricted to the round's active membership (dormant joiners and departed
+/// workers never probe) — falling back to the active not-yet-crashed set when
+/// no active worker is live (all silent, e.g. mid-hang) so a recovering
+/// worker can still be elected. Each drawn candidate is admitted iff its
+/// controller→worker probe and worker→controller reply both survive the
+/// shim. Returns whether the fabric ate any (never on a clean fabric); eaten
+/// probes are tallied into `counters`.
+#[allow(clippy::too_many_arguments)]
 fn probe_rpc(
+    election: &mut Election,
+    round: u64,
+    lost: bool,
     rng: &mut SimRng,
     m: &Mirror,
     active: &[bool],
-    probes: usize,
     shim: &mut NetShim,
     counters: &mut Counters,
-) -> (Vec<usize>, bool) {
+) -> bool {
     let n = active.len();
     let live = m.live_view();
     let mut pool: Vec<usize> = (0..n).filter(|&w| active[w] && live[w]).collect();
     if pool.is_empty() {
         pool = (0..n).filter(|&w| active[w] && !m.is_dead(w)).collect();
     }
-    if pool.is_empty() {
-        return (Vec::new(), false);
-    }
-    let d = probes.clamp(1, pool.len());
     let (now_us, ctrl) = (m.now_us(), shim.controller_id());
-    let survived: Vec<usize> = rng
-        .choose_distinct(pool.len(), d)
-        .into_iter()
-        .map(|i| pool[i])
-        .filter(|&w| shim.deliver(ctrl, w, now_us) && shim.deliver(w, ctrl, now_us))
-        .collect();
-    let lost = d - survived.len();
-    counters.messages_dropped += lost as u64;
-    (survived, lost > 0)
+    let mut eaten = 0;
+    election.draw(round, &pool, lost, rng, |w| {
+        let reached = shim.deliver(ctrl, w, now_us) && shim.deliver(w, ctrl, now_us);
+        eaten += u64::from(!reached);
+        reached
+    });
+    counters.messages_dropped += eaten;
+    eaten > 0
 }
 
-impl SyncMode {
-    /// The round trigger: the worker whose readiness fires the round, once
-    /// the policy's condition holds over the mirror. Ready means not dead
-    /// with a non-empty cache; `probed` is RNA's current candidate set.
-    fn fires(self, m: &Mirror, active: &[bool], probed: &[usize]) -> Option<usize> {
-        let ready = |w: &usize| !m.is_dead(*w) && m.cache_ready(*w);
-        let electorate = || (0..active.len()).filter(|&w| active[w]);
-        match self {
-            // RNA: any probed worker is ready.
-            SyncMode::Rna => probed.iter().copied().find(ready),
-            // eager-SGD: a majority of the *live, active* electorate.
-            SyncMode::EagerMajority => {
-                let live = m.live_view();
-                let electors = electorate().filter(|&w| live[w]).count();
-                quorum_initiator(electorate().filter(ready), live_majority(electors))
-            }
-            // BSP: every active worker that is not dead.
-            SyncMode::Bsp => {
-                let barrier = electorate().filter(|&w| !m.is_dead(w)).count();
-                quorum_initiator(electorate().filter(ready), barrier)
-            }
+/// The round trigger over the mirror: the worker whose readiness fires
+/// round `k`, if any. Ready means not dead with a non-empty cache. A probed
+/// worker replies by being ready, the first in drawn order first; the
+/// counted modes count the active workers under two-tier liveness — the
+/// majority's electorate is the fresh live view, the barrier's every worker
+/// not known dead.
+fn fires(election: &mut Election, k: u64, m: &Mirror, active: &[bool]) -> Option<usize> {
+    let ready = |w: usize| !m.is_dead(w) && m.cache_ready(w);
+    let members = || (0..active.len()).filter(|&w| active[w]);
+    let electorate = match election.mode() {
+        SyncMode::Rna => {
+            let w = election.probed().iter().copied().find(|&w| ready(w))?;
+            return election.offer_reply(w, k).then_some(w);
         }
-    }
+        SyncMode::EagerMajority => {
+            let live = m.live_view();
+            members().filter(|&w| live[w]).count()
+        }
+        SyncMode::Bsp | SyncMode::Backup(_) => members().filter(|&w| !m.is_dead(w)).count(),
+    };
+    election.quorum(electorate, members().filter(|&w| ready(w)))
 }
 
 /// How a controller incarnation died before the round budget was spent.
@@ -585,8 +582,8 @@ fn controller_loop<T: Transport + ?Sized>(
     let mut shim = NetShim::new(&config.net_fault_plan, n);
     let ctrl = shim.controller_id();
     let round_deadline = Duration::from_micros(config.tolerance.round_deadline_us);
-    let probe_backoff = Duration::from_micros(config.tolerance.probe_backoff_us);
     let rna = config.mode == SyncMode::Rna;
+    let mut election = Election::new(config.mode, config.probes, &config.tolerance);
     let tenures: Vec<Tenure> = (0..n).map(|w| config.churn_plan.tenure(w)).collect();
     for k in ck.round..config.rounds {
         // A coordinator-level kill outranks a planned controller crash at
@@ -605,20 +602,21 @@ fn controller_loop<T: Transport + ?Sized>(
         plane.heartbeat_us = mirror.now_us();
 
         // The election: wait until the mode's trigger fires. RNA probes —
-        // power-of-d over live workers, resampling away from workers that
-        // died or went silent (backoff-paced so a merely slow probed set
-        // still gets a chance to answer). Each probe is a
+        // power-of-d over live workers, redrawing when nothing is
+        // outstanding, when the stall rule says every probed worker died or
+        // went silent, or when the backoff runs out (so a merely slow probed
+        // set still gets a chance to answer). Each probe is a
         // controller→worker→controller RPC pair: the shim may eat either
-        // leg, and an election that loses every probe to the fabric is
-        // retried with exponential backoff — an idempotent re-issue, never
-        // a wedge. The other triggers watch the whole electorate and never
-        // sample. Every wait is event-driven: a deposit or death wakes the
-        // channel, a heartbeat going stale is bounded by the liveness edge,
-        // and the round deadline caps everything.
+        // leg, and an attempt that lost one doubles the election's backoff
+        // — an idempotent re-issue, never a wedge. The other triggers watch
+        // the whole electorate and never sample. Every wait is event-driven:
+        // a deposit or death wakes the channel, a heartbeat going stale is
+        // bounded by the liveness edge, and the round deadline caps
+        // everything.
         let round_start = Instant::now();
-        let mut backoff = if rna { probe_backoff } else { Duration::MAX };
-        let (mut probed, mut last_lost) = (Vec::new(), false);
-        let mut last_sample = round_start;
+        election.open();
+        let (mut last_lost, mut last_sample) = (false, round_start);
+        let backoff = |e: &Election| Duration::from_micros(e.backoff_us());
         // The worker whose readiness fired the round (`None`: degraded).
         // Partition semantics follow the simulator's `launch_reduce`:
         // gradients and parameter broadcasts ride initiator↔member links,
@@ -630,36 +628,39 @@ fn controller_loop<T: Transport + ?Sized>(
                 break None;
             }
             if rna
-                && (probed.is_empty()
-                    || probe_round_stalled(&probed, &mirror.live_view())
-                    || last_sample.elapsed() >= backoff)
+                && (election.probed().is_empty()
+                    || election.stalled(&mirror.live_view())
+                    || last_sample.elapsed() >= backoff(&election))
             {
                 if last_lost {
                     ck.counters.probe_retries += 1;
-                    backoff = backoff
-                        .saturating_mul(2)
-                        .min(Duration::from_micros(config.tolerance.probe_backoff_cap_us));
                 }
-                let counters = &mut ck.counters;
-                (probed, last_lost) = probe_rpc(
+                last_lost = probe_rpc(
+                    &mut election,
+                    k,
+                    last_lost,
                     probe_rng,
                     mirror,
                     &active,
-                    config.probes,
                     &mut shim,
-                    counters,
+                    &mut ck.counters,
                 );
                 last_sample = Instant::now();
             }
-            if let Some(w) = config.mode.fires(mirror, &active, &probed) {
+            if let Some(w) = fires(&mut election, k, mirror, &active) {
                 break Some(w);
             }
             let elapsed = round_start.elapsed();
             if elapsed >= round_deadline {
                 break None;
             }
+            let redraw = if rna {
+                backoff(&election).saturating_sub(last_sample.elapsed())
+            } else {
+                Duration::MAX
+            };
             let wait = (round_deadline - elapsed)
-                .min(backoff.saturating_sub(last_sample.elapsed()))
+                .min(redraw)
                 .min(liveness_edge(mirror, &active))
                 .max(MIN_WAIT);
             mirror.wait_ready(wait);
@@ -1155,30 +1156,34 @@ mod tests {
             mirror.beat(w);
             mirror.deposit(w, 0, Tensor::zeros(LEN), None);
         };
+        // A freshly opened election per check; `probed` is RNA's admitted set.
+        let fires = |mode, active: &[bool], probed: &[usize]| {
+            let mut election = Election::new(mode, probed.len(), &config.tolerance);
+            election.open();
+            election.draw(0, probed, false, &mut SimRng::seed(0), |_| true);
+            super::fires(&mut election, 0, &mirror, active)
+        };
         (0..4).for_each(|w| mirror.beat(w));
         ready(1);
         ready(2);
         // Two of four live workers: short of `live_majority(4) == 3`, short
         // of the barrier, and invisible to RNA unless one of them was probed.
-        assert_eq!(SyncMode::EagerMajority.fires(&mirror, &active, &[]), None);
-        assert_eq!(SyncMode::Bsp.fires(&mirror, &active, &[]), None);
-        assert_eq!(SyncMode::Rna.fires(&mirror, &active, &[0, 3]), None);
-        assert_eq!(SyncMode::Rna.fires(&mirror, &active, &[3, 2]), Some(2));
+        assert_eq!(fires(SyncMode::EagerMajority, &active, &[]), None);
+        assert_eq!(fires(SyncMode::Bsp, &active, &[]), None);
+        assert_eq!(fires(SyncMode::Rna, &active, &[0, 3]), None);
+        assert_eq!(fires(SyncMode::Rna, &active, &[3, 2]), Some(2));
         ready(3);
         // The third deposit is the majority; the barrier still waits for 0.
-        assert_eq!(
-            SyncMode::EagerMajority.fires(&mirror, &active, &[]),
-            Some(1)
-        );
-        assert_eq!(SyncMode::Bsp.fires(&mirror, &active, &[]), None);
+        assert_eq!(fires(SyncMode::EagerMajority, &active, &[]), Some(1));
+        assert_eq!(fires(SyncMode::Bsp, &active, &[]), None);
         // A dead or inactive worker is outside the barrier's electorate.
         mirror.set_alive(0, false);
-        assert_eq!(SyncMode::Bsp.fires(&mirror, &active, &[]), Some(1));
+        assert_eq!(fires(SyncMode::Bsp, &active, &[]), Some(1));
         mirror.set_alive(0, true);
         let without_0 = [false, true, true, true];
-        assert_eq!(SyncMode::Bsp.fires(&mirror, &without_0, &[]), Some(1));
+        assert_eq!(fires(SyncMode::Bsp, &without_0, &[]), Some(1));
         ready(0);
-        assert_eq!(SyncMode::Bsp.fires(&mirror, &active, &[]), Some(0));
+        assert_eq!(fires(SyncMode::Bsp, &active, &[]), Some(0));
     }
 
     #[test]

@@ -38,7 +38,7 @@ use crate::process::still_pending;
 use crate::proto::{
     compute_mac, read_msg, write_msg, AuthKey, GradBatch, Msg, ProtoError, WorkerSetup,
 };
-use crate::threaded::{interruptible_sleep, sleep_range, SyncMode, ThreadedConfig};
+use crate::threaded::{interruptible_sleep, sleep_range, ThreadedConfig};
 use crate::transport::{lock, task, worker_streams, STREAM_JOIN};
 
 /// How long the worker keeps re-offering its first handshake: the
@@ -194,9 +194,10 @@ impl WorkerSetup {
             batch_size: config.batch_size as u64,
             // The barrier is the lead gate at its tightest: one iteration
             // per published round.
-            max_lead: match config.mode {
-                SyncMode::Bsp => 1,
-                SyncMode::Rna | SyncMode::EagerMajority => config.max_lead,
+            max_lead: if config.mode.reports() {
+                1
+            } else {
+                config.max_lead
             },
             compute_lo_us: config.compute_us[w].0,
             compute_hi_us: config.compute_us[w].1,

@@ -15,7 +15,7 @@ use rna_core::grouping::partition_groups;
 use rna_core::membership::{
     canonical_groups, hetero_ratio, regroup_decision, ChurnPlan, RegroupPolicy, SpeedEstimator,
 };
-use rna_core::rna::{Election, RnaProtocol};
+use rna_core::rna::RnaProtocol;
 use rna_core::sim::{Engine, TrainSpec};
 use rna_core::{RnaConfig, RunResult};
 use rna_runtime::{run_process, run_threaded, ProcessConfig, SyncMode, ThreadedConfig};
@@ -224,15 +224,12 @@ fn all_three_worlds_agree_on_the_same_churn_plan() {
     // Worker 4 joins at round 8, worker 1 retires after round 20 — in the
     // simulator, in OS threads, and in real subprocesses over TCP, under
     // RNA's probe election and under eager-SGD's majority trigger.
-    for (election, mode) in [
-        (Election::Probe, SyncMode::Rna),
-        (Election::Majority, SyncMode::EagerMajority),
-    ] {
-        three_worlds_agree_on_a_churn_plan(election, mode);
+    for mode in [SyncMode::Rna, SyncMode::EagerMajority] {
+        three_worlds_agree_on_a_churn_plan(mode);
     }
 }
 
-fn three_worlds_agree_on_a_churn_plan(election: Election, mode: SyncMode) {
+fn three_worlds_agree_on_a_churn_plan(mode: SyncMode) {
     let n = 5;
     let plan = ChurnPlan::none().join(4, 8, ADMIT_US).retire(1, 20);
 
@@ -241,7 +238,7 @@ fn three_worlds_agree_on_a_churn_plan(election: Election, mode: SyncMode) {
     let spec = TrainSpec::smoke_test(n, 7)
         .with_max_rounds(30)
         .with_churn_plan(plan.clone());
-    let protocol = RnaProtocol::new(n, RnaConfig::default(), 0).with_election(election);
+    let protocol = RnaProtocol::new(n, RnaConfig::default(), 0).with_election(mode);
     let s = Engine::new(spec, protocol).run();
     assert_eq!(s.global_rounds, 30);
     assert_eq!(s.workers_joined, 1);

@@ -4,9 +4,9 @@
 //! meaningful if re-running a configuration yields the same trace.
 
 use rna_baselines::{AdPsgdProtocol, HorovodProtocol, SgpProtocol};
-use rna_core::rna::{Election, RnaProtocol};
+use rna_core::rna::RnaProtocol;
 use rna_core::sim::{Engine, TrainSpec};
-use rna_core::{RnaConfig, RunResult};
+use rna_core::{RnaConfig, RunResult, SyncMode};
 use rna_workload::HeterogeneityModel;
 
 fn spec(seed: u64) -> TrainSpec {
@@ -45,7 +45,8 @@ fn all_protocols_are_seed_deterministic() {
             Box::new(move || {
                 Engine::new(
                     spec(2),
-                    RnaProtocol::new(n, RnaConfig::default(), 0).with_election(Election::Majority),
+                    RnaProtocol::new(n, RnaConfig::default(), 0)
+                        .with_election(SyncMode::EagerMajority),
                 )
                 .run()
             }),

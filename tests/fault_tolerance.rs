@@ -9,9 +9,9 @@
 
 use rna_baselines::HorovodProtocol;
 use rna_core::fault::FaultPlan;
-use rna_core::rna::{Election, RnaProtocol};
+use rna_core::rna::RnaProtocol;
 use rna_core::sim::{Engine, TrainSpec};
-use rna_core::{RnaConfig, StopReason};
+use rna_core::{RnaConfig, StopReason, SyncMode};
 use rna_simnet::SimDuration;
 
 fn crash_spec(n: usize, seed: u64, victim: usize) -> TrainSpec {
@@ -145,7 +145,7 @@ fn eager_majority_survives_majority_death_in_the_simulator() {
         .with_fault_plan(FaultPlan::none().crash(0, 3).crash(1, 4).crash(2, 4));
     let r = Engine::new(
         spec,
-        RnaProtocol::new(n, RnaConfig::default(), 0).with_election(Election::Majority),
+        RnaProtocol::new(n, RnaConfig::default(), 0).with_election(SyncMode::EagerMajority),
     )
     .run();
     assert_eq!(r.global_rounds, 150, "majority must re-form over survivors");

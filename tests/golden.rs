@@ -19,10 +19,10 @@
 use rna_baselines::{AdPsgdProtocol, AsyncPsProtocol, HorovodProtocol, SgpProtocol};
 use rna_core::fault::{FaultPlan, NetFaultPlan};
 use rna_core::membership::{ChurnPlan, RegroupPolicy};
-use rna_core::rna::{Election, RnaProtocol};
+use rna_core::rna::RnaProtocol;
 use rna_core::sim::{Engine, Protocol, TrainSpec};
 use rna_core::stats::Counters;
-use rna_core::{RnaConfig, RunResult};
+use rna_core::{RnaConfig, RunResult, SyncMode};
 use rna_tensor::wire::fnv1a;
 use rna_tensor::Compression;
 use rna_workload::HeterogeneityModel;
@@ -135,7 +135,7 @@ fn run<P: Protocol>(spec: TrainSpec, protocol: P) -> u64 {
     digest(&Engine::new(spec, protocol).run())
 }
 
-fn rna(config: RnaConfig, election: Election) -> RnaProtocol {
+fn rna(config: RnaConfig, election: SyncMode) -> RnaProtocol {
     RnaProtocol::new(N, config, 0).with_election(election)
 }
 
@@ -152,16 +152,16 @@ fn table() -> Vec<(String, u64)> {
         let s = || scenario(scene);
         let lossless = RnaConfig::default();
         let cells = [
-            ("rna", run(s(), rna(lossless.clone(), Election::Probe))),
+            ("rna", run(s(), rna(lossless.clone(), SyncMode::Rna))),
             (
                 "eager-sgd",
-                run(s(), rna(lossless.clone(), Election::Majority)),
+                run(s(), rna(lossless.clone(), SyncMode::EagerMajority)),
             ),
             ("rna-hier", run(s(), hier(RnaConfig::default()))),
             ("horovod", run(s(), HorovodProtocol::new(N))),
             (
                 "backup",
-                run(s(), rna(lossless.clone(), Election::AllBut(1))),
+                run(s(), rna(lossless.clone(), SyncMode::Backup(1))),
             ),
             ("ad-psgd", run(s(), AdPsgdProtocol::new(N))),
             ("sgp", run(s(), SgpProtocol::new(N))),
@@ -171,7 +171,10 @@ fn table() -> Vec<(String, u64)> {
     }
     for scene in ["clean", "crash+restart", "churn", "partition"] {
         let int8 = || RnaConfig::default().with_compression(Compression::Int8);
-        for (name, election) in [("rna", Election::Probe), ("eager-sgd", Election::Majority)] {
+        for (name, election) in [
+            ("rna", SyncMode::Rna),
+            ("eager-sgd", SyncMode::EagerMajority),
+        ] {
             let d = run(scenario(scene), rna(int8(), election));
             rows.push((format!("{name}/{scene}/int8"), d));
         }

@@ -5,9 +5,9 @@
 //! ran.
 
 use rna_baselines::{AdPsgdProtocol, AsyncPsProtocol, HorovodProtocol, SgpProtocol};
-use rna_core::rna::{Election, RnaProtocol};
+use rna_core::rna::RnaProtocol;
 use rna_core::sim::{Engine, TrainSpec};
-use rna_core::{RnaConfig, RunResult};
+use rna_core::{RnaConfig, RunResult, SyncMode};
 use rna_simnet::SimDuration;
 use rna_workload::HeterogeneityModel;
 
@@ -22,14 +22,14 @@ fn run_all(n: usize, seed: u64) -> Vec<RunResult> {
         Engine::new(spec(n, seed), HorovodProtocol::new(n)).run(),
         Engine::new(
             spec(n, seed),
-            RnaProtocol::new(n, RnaConfig::default(), 0).with_election(Election::Majority),
+            RnaProtocol::new(n, RnaConfig::default(), 0).with_election(SyncMode::EagerMajority),
         )
         .run(),
         Engine::new(spec(n, seed), AdPsgdProtocol::new(n)).run(),
         Engine::new(spec(n, seed), SgpProtocol::new(n)).run(),
         Engine::new(
             spec(n, seed),
-            RnaProtocol::new(n, RnaConfig::default(), 0).with_election(Election::AllBut(1)),
+            RnaProtocol::new(n, RnaConfig::default(), 0).with_election(SyncMode::Backup(1)),
         )
         .run(),
         Engine::new(spec(n, seed), AsyncPsProtocol::new(n)).run(),

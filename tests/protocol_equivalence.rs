@@ -6,9 +6,9 @@
 //! protocols must drive the same task to a comparable loss.
 
 use rna_baselines::{AdPsgdProtocol, HorovodProtocol, SgpProtocol};
-use rna_core::rna::{Election, RnaProtocol};
+use rna_core::rna::RnaProtocol;
 use rna_core::sim::{Engine, TrainSpec};
-use rna_core::{RnaConfig, RunResult};
+use rna_core::{RnaConfig, RunResult, SyncMode};
 use rna_workload::HeterogeneityModel;
 
 fn homogeneous_spec(n: usize, seed: u64, rounds: u64) -> TrainSpec {
@@ -23,7 +23,7 @@ fn run_all(n: usize, seed: u64, rounds: u64) -> Vec<RunResult> {
         Engine::new(spec.clone(), HorovodProtocol::new(n)).run(),
         Engine::new(
             spec.clone(),
-            RnaProtocol::new(n, RnaConfig::default(), 0).with_election(Election::Majority),
+            RnaProtocol::new(n, RnaConfig::default(), 0).with_election(SyncMode::EagerMajority),
         )
         .run(),
         Engine::new(spec.clone(), AdPsgdProtocol::new(n)).run(),

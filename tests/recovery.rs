@@ -15,7 +15,7 @@
 use rna_core::fault::FaultPlan;
 use rna_core::membership::ChurnPlan;
 use rna_core::recovery::{CheckpointStore, RecoveryConfig, RecoveryError};
-use rna_core::rna::{Election, RnaProtocol};
+use rna_core::rna::RnaProtocol;
 use rna_core::sim::{Engine, TrainSpec};
 use rna_core::{RnaConfig, RunResult};
 use rna_runtime::{resume_threaded, run_threaded, SyncMode, ThreadedConfig, ToleranceConfig};
@@ -69,7 +69,7 @@ fn assert_identical(a: &RunResult, b: &RunResult) {
 fn des_checkpoint_kill_resume_is_bit_identical() {
     let seed = chaos_seed();
     let every = RecoveryConfig::new(10).unwrap();
-    for election in [Election::Probe, Election::AllBut(1)] {
+    for election in [SyncMode::Rna, SyncMode::Backup(1)] {
         let protocol = || RnaProtocol::new(N, RnaConfig::default(), 0).with_election(election);
 
         let uninterrupted_dir = scratch_dir("uninterrupted");

@@ -7,7 +7,7 @@
 
 use rna_baselines::HorovodProtocol;
 use rna_core::fault::FaultPlan;
-use rna_core::rna::{Election, RnaProtocol};
+use rna_core::rna::RnaProtocol;
 use rna_core::sim::{Engine, TrainSpec};
 use rna_core::RnaConfig;
 use rna_runtime::{run_threaded, SyncMode, ThreadedConfig};
@@ -144,7 +144,7 @@ fn eager_majority_survives(n: usize, plan: FaultPlan, restart: bool) {
         .with_fault_plan(plan);
     let s = Engine::new(
         spec,
-        RnaProtocol::new(n, RnaConfig::default(), 0).with_election(Election::Majority),
+        RnaProtocol::new(n, RnaConfig::default(), 0).with_election(SyncMode::EagerMajority),
     )
     .run();
     assert_eq!(s.global_rounds, 120, "simulated majority must not deadlock");

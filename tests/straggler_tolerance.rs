@@ -5,9 +5,9 @@
 //! inherent load imbalance (§2.3.1).
 
 use rna_baselines::HorovodProtocol;
-use rna_core::rna::{Election, RnaProtocol};
+use rna_core::rna::RnaProtocol;
 use rna_core::sim::{Engine, TrainSpec};
-use rna_core::RnaConfig;
+use rna_core::{RnaConfig, SyncMode};
 use rna_simnet::SimDuration;
 use rna_workload::{ComputeTimeModel, HeterogeneityModel};
 
@@ -126,7 +126,7 @@ fn eager_majority_is_hostage_to_deterministic_slow_half() {
     };
     let eager = Engine::new(
         spec(1),
-        RnaProtocol::new(n, RnaConfig::default(), 0).with_election(Election::Majority),
+        RnaProtocol::new(n, RnaConfig::default(), 0).with_election(SyncMode::EagerMajority),
     )
     .run();
     let rna = Engine::new(spec(1), RnaProtocol::new(n, RnaConfig::default(), 0)).run();
