@@ -31,9 +31,12 @@ echo "==> cargo test -q"
 cargo test -q
 
 # The benchmark measures release builds, so the golden digest table is
-# checked in release too, not only in the debug pass above.
-echo "==> golden digest table (--release, watchdogged)"
+# checked in release too, not only in the debug pass above, and so are the
+# pinned MLP, RNN and softmax trajectories, the only tests that replay the
+# training kernels end to end under both dispatches.
+echo "==> golden digest table and pinned trajectories (--release, watchdogged)"
 timeout 600 cargo test -q --release -p rna-experiments --test golden
+timeout 600 cargo test -q --release -p rna-experiments --test determinism
 
 # The paper tables: `repro all` (release) must print repro_output.txt byte
 # for byte, so a change that moves a figure or table regenerates that file,

@@ -9,6 +9,13 @@
 //! add's latency per element, while [`matmat`] carries `ROWS × LANES`
 //! independent sums, the samples of a tile side by side in SIMD lanes.
 //!
+//! **Tiles.** A tile is up to [`LANES`] = 16 samples, so a batch of 16
+//! crosses each weight matrix once: [`matmat`] reads it once per tile
+//! forward, and [`outer_acc`] reads and writes its gradient once per tile
+//! backward, adding every sample's term to a 32-float block while the
+//! block is in registers. Each gradient element still receives the
+//! per-sample adds it always did, in sample order, from its stored value.
+//!
 //! **Builds.** [`matmat`], [`outer_acc`], [`back`] and [`tanh_in_place`]
 //! are one plain `#[inline(always)]` body each, compiled twice: for the
 //! baseline target and for AVX2 behind [`simd::active`] (the wrappers live
@@ -28,11 +35,16 @@
 
 use crate::simd;
 
-/// Samples per [`matmat`] call: one transposed tile, one SIMD lane each.
-pub const LANES: usize = 8;
+/// Samples per tile, the most one [`matmat`] or [`outer_acc`] call takes:
+/// one lane each of a transposed tile row, two AVX2 registers.
+pub const LANES: usize = 16;
 
 /// Rows per [`matmat`] block (`ROWS × LANES` accumulators stay in registers).
 const ROWS: usize = 4;
+
+/// Gradient floats per [`outer_acc`] block: four AVX2 registers that take
+/// every sample's term between one load and one store.
+const BLOCK: usize = 32;
 
 /// `Σ_d row[d] · x[d]`, the way `iter().sum()` adds it up: the reference
 /// [`matmat`] must match to the bit.
@@ -112,9 +124,9 @@ pub(crate) fn matmat_lanes<'a>(
     }
 }
 
-/// `acc[l] += w · x[l]` across the lanes of one tile row.
+/// `acc[l] += w · x[l]` across the lanes of one tile row or gradient block.
 #[inline(always)]
-fn lanes_axpy(acc: &mut [f32; LANES], w: f32, x: &[f32; LANES]) {
+fn lanes_axpy<const N: usize>(acc: &mut [f32; N], w: f32, x: &[f32; N]) {
     for (a, &xl) in acc.iter_mut().zip(x) {
         *a += w * xl;
     }
@@ -147,18 +159,78 @@ pub fn axpy(y: &mut [f32], a: f32, x: &[f32]) {
     }
 }
 
-/// Weight gradient of a dense layer: `g[j·dim + d] += coef[j] · x[d]`, with
-/// `dim = x.len()`.
-pub fn outer_acc(g: &mut [f32], coef: &[f32], x: &[f32]) {
-    simd::outer_acc(g, coef, x);
+/// Weight gradient of a dense layer over one tile of samples:
+/// `g[j·dim + d] += coefs[s·rows + j] · xs[s][d]` for every sample `s` in
+/// order, with `rows = coefs.len() / xs.len()` and `dim = g.len() / rows`.
+/// The coefficients are sample-major, one `rows`-long row per sample.
+///
+/// Each element gets exactly the adds of one per-sample pass after
+/// another, so the result is that loop's to the bit; the gradient is read
+/// and written once per call instead of once per sample.
+///
+/// # Panics
+///
+/// Panics if `xs` holds more than [`LANES`] samples, if `coefs` is not one
+/// row per sample, if `g.len()` is not a multiple of `rows`, or if a sample
+/// is not `dim` long.
+pub fn outer_acc<'a>(g: &mut [f32], coefs: &[f32], xs: impl ExactSizeIterator<Item = &'a [f32]>) {
+    simd::outer_acc(g, coefs, xs);
 }
 
 /// The body of [`outer_acc`].
 #[inline(always)]
-pub(crate) fn outer_acc_lanes(g: &mut [f32], coef: &[f32], x: &[f32]) {
-    for (row, &c) in g.chunks_exact_mut(x.len()).zip(coef) {
-        axpy(row, c, x);
+pub(crate) fn outer_acc_lanes<'a>(
+    g: &mut [f32],
+    coefs: &[f32],
+    xs: impl ExactSizeIterator<Item = &'a [f32]>,
+) {
+    let n = xs.len();
+    assert!(n <= LANES, "outer_acc takes one tile of samples");
+    if n == 0 {
+        return;
     }
+    let rows = coefs.len() / n;
+    assert_eq!(coefs.len(), n * rows, "one coefficient row per sample");
+    let dim = g.len() / rows;
+    assert_eq!(g.len(), rows * dim, "gradient shape");
+    let mut samples: [&[f32]; LANES] = [&[]; LANES];
+    for (slot, x) in samples.iter_mut().zip(xs) {
+        assert_eq!(x.len(), dim, "sample length");
+        *slot = x;
+    }
+    let samples = &samples[..n];
+    for (j, row) in g.chunks_exact_mut(dim).enumerate() {
+        // Row `j`'s coefficient of each sample, gathered once per row.
+        let mut c = [0.0f32; LANES];
+        for (c, &coef) in c.iter_mut().zip(coefs[j..].iter().step_by(rows)) {
+            *c = coef;
+        }
+        let (blocks, tail) = row.as_chunks_mut::<BLOCK>();
+        for (b, block) in blocks.iter_mut().enumerate() {
+            outer_block(block, &c, samples, b * BLOCK);
+        }
+        // The row's tail: 8-float blocks, then what is left, sample by sample.
+        let at = dim - tail.len();
+        let (eights, rest) = tail.as_chunks_mut::<8>();
+        for (b, block) in eights.iter_mut().enumerate() {
+            outer_block(block, &c, samples, at + b * 8);
+        }
+        for (&c, x) in c.iter().zip(samples) {
+            axpy(rest, c, &x[dim - rest.len()..]);
+        }
+    }
+}
+
+/// `block[i] += c[s] · xs[s][at + i]` for every sample `s` in order, with
+/// the block held in registers from one load to one store.
+#[inline(always)]
+fn outer_block<const N: usize>(block: &mut [f32; N], c: &[f32], xs: &[&[f32]], at: usize) {
+    let mut acc = *block;
+    for (&c, x) in c.iter().zip(xs) {
+        let (x, _) = x[at..].as_chunks::<N>();
+        lanes_axpy(&mut acc, c, &x[0]);
+    }
+    *block = acc;
 }
 
 /// Gradient into a dense layer's input: `dx[d] = Σ_j coef[j] · w[j·dim + d]`,
@@ -346,7 +418,7 @@ mod tests {
 
                 under_both_dispatches(|forced| {
                     let mut tile = Vec::new();
-                    for batch in [1usize, 7, 16, 409] {
+                    for batch in [1usize, 7, 16, 17, 31, 409] {
                         let mut out = Vec::new();
                         for (chunk, want) in xs[..batch]
                             .chunks(LANES)
@@ -367,48 +439,57 @@ mod tests {
         }
     }
 
-    /// Three samples accumulated into one gradient, against a per-element
-    /// loop. Row 1 of `g` starts at `-0.0` with a `+0.0` coefficient and
-    /// non-negative inputs, so a kernel that skips zero coefficients keeps a
-    /// `-0.0` the reference turns into `+0.0`.
+    /// One tile of 1 to 16 samples accumulated into one gradient, against
+    /// the per-element loop over the samples in order, to the bit. Row 1 of
+    /// `g` starts at `-0.0` with `+0.0` coefficients and non-negative
+    /// inputs, so a kernel that skips zero coefficients keeps a `-0.0` the
+    /// reference turns into `+0.0`. Row 2 takes a NaN coefficient and row 3
+    /// `+∞` then `−∞`, which must propagate as the loop propagates them.
     #[test]
     fn outer_acc_matches_the_per_element_loop_bit_for_bit() {
         let mut next = lcg(78);
         for rows in [4usize, 16, 240, 241] {
-            for dim in [1usize, 8, 255, 256] {
-                let start = {
-                    let mut g = random(rows * dim, &mut next);
-                    g[dim..2 * dim].fill(-0.0);
-                    g
-                };
-                let samples: Vec<(Vec<f32>, Vec<f32>)> = (0..3)
-                    .map(|_| {
-                        let mut coef = random(rows, &mut next);
-                        coef[1] = 0.0;
-                        let x = random(dim, &mut next).iter().map(|x| x.abs()).collect();
-                        (coef, x)
-                    })
+            for dim in [1usize, 8, 31, 32, 33, 255, 256] {
+                let mut start = random(rows * dim, &mut next);
+                start[dim..2 * dim].fill(-0.0);
+                let xs: Vec<Vec<f32>> = (0..LANES)
+                    .map(|_| random(dim, &mut next).iter().map(|x| x.abs()).collect())
                     .collect();
-                let mut want = start.clone();
-                for (coef, x) in &samples {
-                    for j in 0..rows {
-                        for d in 0..dim {
-                            want[j * dim + d] += coef[j] * x[d];
-                        }
+                let mut coefs = random(LANES * rows, &mut next);
+                for (s, c) in coefs.chunks_exact_mut(rows).enumerate() {
+                    c[1] = 0.0;
+                    match s {
+                        3 => c[2] = f32::NAN,
+                        5 => c[3] = f32::INFINITY,
+                        9 => c[3] = f32::NEG_INFINITY,
+                        _ => {}
                     }
                 }
-                assert_eq!(want[dim].to_bits(), 0.0f32.to_bits());
+                // `wants[n]`: the loop's gradient after the first `n` samples.
+                let mut wants = vec![start.clone()];
+                for (x, c) in xs.iter().zip(coefs.chunks_exact(rows)) {
+                    let mut want = wants[wants.len() - 1].clone();
+                    for j in 0..rows {
+                        for d in 0..dim {
+                            want[j * dim + d] += c[j] * x[d];
+                        }
+                    }
+                    wants.push(want);
+                }
+                assert_eq!(wants[1][dim].to_bits(), 0.0f32.to_bits());
+                assert!(wants[LANES][2 * dim].is_nan() && wants[LANES][3 * dim].is_nan());
 
                 under_both_dispatches(|forced| {
-                    let mut g = start.clone();
-                    for (coef, x) in &samples {
-                        outer_acc(&mut g, coef, x);
+                    for n in 1..=LANES {
+                        let mut g = start.clone();
+                        let samples = xs[..n].iter().map(Vec::as_slice);
+                        outer_acc(&mut g, &coefs[..n * rows], samples);
+                        assert_eq!(
+                            bits(&g),
+                            bits(&wants[n]),
+                            "outer_acc {n} samples, {rows}x{dim}, forced_scalar {forced}"
+                        );
                     }
-                    assert_eq!(
-                        bits(&g),
-                        bits(&want),
-                        "outer_acc {rows}x{dim}, forced_scalar {forced}"
-                    );
                 });
             }
         }

@@ -871,8 +871,12 @@ dispatch! {
         dense::matmat_lanes(w, dim, xs, tile, out);
     }
 
-    pub(crate) fn outer_acc(g: &mut [f32], coef: &[f32], x: &[f32]) {} twin("avx2") {
-        dense::outer_acc_lanes(g, coef, x);
+    pub(crate) fn outer_acc<'a>(
+        g: &mut [f32],
+        coefs: &[f32],
+        xs: impl ExactSizeIterator<Item = &'a [f32]>,
+    ) {} twin("avx2") {
+        dense::outer_acc_lanes(g, coefs, xs);
     }
 
     pub(crate) fn back(dx: &mut Vec<f32>, coef: &[f32], w: &[f32]) {} twin("avx2") {

@@ -3,12 +3,14 @@
 //! evaluation runs on.
 
 /// Numerically stable softmax of `logits` (log-sum-exp trick), written into
-/// `probs`.
-fn softmax_into(logits: &[f32], probs: &mut Vec<f32>) {
+/// `probs`, which is as long as `logits`.
+fn softmax_into(logits: &[f32], probs: &mut [f32]) {
     assert!(!logits.is_empty(), "softmax of empty logits");
+    assert_eq!(probs.len(), logits.len(), "softmax output length");
     let max = logits.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
-    probs.clear();
-    probs.extend(logits.iter().map(|&l| (l - max).exp()));
+    for (p, &l) in probs.iter_mut().zip(logits) {
+        *p = (l - max).exp();
+    }
     let sum: f32 = probs.iter().sum();
     for p in probs {
         *p /= sum;
@@ -28,7 +30,7 @@ fn softmax_into(logits: &[f32], probs: &mut Vec<f32>) {
 /// assert!((p[0] - 0.5).abs() < 1e-6);
 /// ```
 pub fn softmax(logits: &[f32]) -> Vec<f32> {
-    let mut probs = Vec::with_capacity(logits.len());
+    let mut probs = vec![0.0; logits.len()];
     softmax_into(logits, &mut probs);
     probs
 }
@@ -52,13 +54,14 @@ pub fn cross_entropy(probs: &[f32], label: usize) -> f32 {
 }
 
 /// Softmax cross-entropy and its gradient with respect to the logits,
-/// written into `dlogits` (`p - onehot(label)`, reusing its buffer); returns
-/// the loss.
+/// written into `dlogits` (`p - onehot(label)`; as long as `logits`, so it
+/// can be one row of a tile's gradient rows); returns the loss.
 ///
 /// # Panics
 ///
-/// Panics if `logits` is empty or `label` is out of range.
-pub fn softmax_xent_grad_into(logits: &[f32], label: usize, dlogits: &mut Vec<f32>) -> f32 {
+/// Panics if `logits` is empty, if `dlogits` is not as long as `logits`,
+/// or if `label` is out of range.
+pub fn softmax_xent_grad_into(logits: &[f32], label: usize, dlogits: &mut [f32]) -> f32 {
     softmax_into(logits, dlogits);
     let loss = cross_entropy(dlogits, label);
     dlogits[label] -= 1.0;
@@ -72,7 +75,7 @@ pub fn softmax_xent_grad_into(logits: &[f32], label: usize, dlogits: &mut Vec<f3
 ///
 /// Panics if `logits` is empty or `label` is out of range.
 pub fn softmax_xent_grad(logits: &[f32], label: usize) -> (f32, Vec<f32>) {
-    let mut dlogits = Vec::with_capacity(logits.len());
+    let mut dlogits = vec![0.0; logits.len()];
     let loss = softmax_xent_grad_into(logits, label, &mut dlogits);
     (loss, dlogits)
 }

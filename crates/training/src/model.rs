@@ -202,11 +202,15 @@ struct Scratch {
     rec: Vec<f32>,
     /// Class scores, one row per sample of a tile.
     logits: Vec<f32>,
-    /// One sample's `dL/dlogits`.
+    /// `dL/dlogits`, one row per sample of a tile: the coefficients of the
+    /// output layer's one `outer_acc` per tile.
     dlogits: Vec<f32>,
-    /// One sample's gradient into the hidden layer.
+    /// The gradient into the hidden pre-activations, one row per sample of a
+    /// tile (the MLP's `W1` coefficients) or per time step of one sample's
+    /// BPTT chunk (the RNN's `Wx` and `Wh` coefficients).
     dh: Vec<f32>,
-    /// The RNN's gradient into the previous time step.
+    /// One `back` product: the gradient into a hidden state before tanh'
+    /// (one sample's for the MLP, one time step's for the RNN).
     dprev: Vec<f32>,
 }
 
@@ -291,11 +295,15 @@ impl Model for SoftmaxClassifier {
         SCRATCH.with_borrow_mut(|s| {
             for tile in batch.indices().chunks(LANES) {
                 self.forward_tile(ds, tile, s);
-                for (&i, logits) in tile.iter().zip(s.logits.chunks_exact(self.classes)) {
-                    total += softmax_xent_grad_into(logits, ds.label(i), &mut s.dlogits);
-                    outer_acc(g_w, &s.dlogits, ds.input(i));
-                    axpy(g_b, 1.0, &s.dlogits);
+                s.dlogits.resize(s.logits.len(), 0.0);
+                let rows = s.logits.chunks_exact(self.classes);
+                let drows = s.dlogits.chunks_exact_mut(self.classes);
+                for ((&i, logits), dlogits) in tile.iter().zip(rows).zip(drows) {
+                    total += softmax_xent_grad_into(logits, ds.label(i), dlogits);
+                    axpy(g_b, 1.0, dlogits);
                 }
+                let inputs = tile.iter().map(|&i| ds.input(i));
+                outer_acc(g_w, &s.dlogits, inputs);
             }
         });
         let n = batch.len().max(1) as f32;
@@ -396,24 +404,28 @@ impl Model for Mlp {
         SCRATCH.with_borrow_mut(|s| {
             for tile in batch.indices().chunks(LANES) {
                 self.forward_tile(ds, tile, s);
-                let rows = s.h.chunks_exact(self.hidden);
-                for ((&i, h), logits) in tile
+                s.dlogits.resize(s.logits.len(), 0.0);
+                s.dh.resize(s.h.len(), 0.0);
+                let per_sample = tile
                     .iter()
-                    .zip(rows)
                     .zip(s.logits.chunks_exact(self.classes))
-                {
-                    total += softmax_xent_grad_into(logits, ds.label(i), &mut s.dlogits);
-                    // Output layer.
-                    outer_acc(g_w2, &s.dlogits, h);
-                    axpy(g_b2, 1.0, &s.dlogits);
-                    back(&mut s.dh, &s.dlogits, w2);
+                    .zip(s.dlogits.chunks_exact_mut(self.classes))
+                    .zip(s.h.chunks_exact(self.hidden))
+                    .zip(s.dh.chunks_exact_mut(self.hidden));
+                for ((((&i, logits), dlogits), h), dh) in per_sample {
+                    total += softmax_xent_grad_into(logits, ds.label(i), dlogits);
+                    axpy(g_b2, 1.0, dlogits);
+                    back(&mut s.dprev, dlogits, w2);
                     // Hidden layer (tanh' = 1 - h²).
-                    for (dpre, &hj) in s.dh.iter_mut().zip(h) {
-                        *dpre *= 1.0 - hj * hj;
+                    for ((dpre, &dhj), &hj) in dh.iter_mut().zip(&s.dprev).zip(h) {
+                        *dpre = dhj * (1.0 - hj * hj);
                     }
-                    outer_acc(g_w1, &s.dh, ds.input(i));
-                    axpy(g_b1, 1.0, &s.dh);
+                    axpy(g_b1, 1.0, dh);
                 }
+                // The weight gradients, one pass over each per tile.
+                outer_acc(g_w2, &s.dlogits, s.h.chunks_exact(self.hidden));
+                let inputs = tile.iter().map(|&i| ds.input(i));
+                outer_acc(g_w1, &s.dh, inputs);
             }
         });
         let n = batch.len().max(1) as f32;
@@ -630,32 +642,51 @@ impl Model for ElmanRnn {
         let ([_, wh, _, wo], _) = layers(self.params.as_slice(), self.layout());
         let ([g_wx, g_wh, g_bh, g_wo], g_bo) = layers_mut(grad.as_mut_slice(), self.layout());
         SCRATCH.with_borrow_mut(|s| {
-            let (hidden, block) = (self.hidden, LANES * self.hidden);
+            let (dim, hidden, block) = (self.dim, self.hidden, LANES * self.hidden);
             for tile in batch.indices().chunks(LANES) {
                 self.forward_tile(ds, tile, s);
+                s.dlogits.resize(s.logits.len(), 0.0);
                 let scores = s.logits.chunks_exact(self.classes);
-                for ((lane, &i), logits) in tile.iter().enumerate().zip(scores) {
-                    total += softmax_xent_grad_into(logits, ds.label(i), &mut s.dlogits);
+                let drows = s.dlogits.chunks_exact_mut(self.classes);
+                for (((lane, &i), logits), dlogits) in
+                    tile.iter().enumerate().zip(scores).zip(drows)
+                {
+                    total += softmax_xent_grad_into(logits, ds.label(i), dlogits);
                     // This sample's hidden state after step `t` (0: initial).
                     let state = |t: usize| &s.h[t * block + lane * hidden..][..hidden];
-                    let len = ds.seq_len(i);
                     // Output layer → gradient into the final hidden state.
-                    outer_acc(g_wo, &s.dlogits, state(len));
-                    axpy(g_bo, 1.0, &s.dlogits);
-                    back(&mut s.dh, &s.dlogits, wo);
-                    // BPTT over all time steps.
-                    let steps = ds.input(i).chunks_exact(self.dim).take(len);
-                    for (t, x) in steps.enumerate().rev() {
-                        for (dpre, &hj) in s.dh.iter_mut().zip(state(t + 1)) {
-                            *dpre *= 1.0 - hj * hj;
+                    axpy(g_bo, 1.0, dlogits);
+                    back(&mut s.dprev, dlogits, wo);
+                    // BPTT, up to LANES steps at a time: each step's `dh` row
+                    // is kept, and the steps' input and recurrent weight
+                    // gradients are one `outer_acc` each, in BPTT's order.
+                    let seq = ds.input(i);
+                    let mut end = ds.seq_len(i);
+                    while end > 0 {
+                        let start = end.saturating_sub(LANES);
+                        let steps = (start..end).rev();
+                        s.dh.clear();
+                        for t in steps.clone() {
+                            let at = s.dh.len();
+                            s.dh.resize(at + hidden, 0.0);
+                            let dh = &mut s.dh[at..];
+                            for ((dpre, &d), &hj) in dh.iter_mut().zip(&s.dprev).zip(state(t + 1)) {
+                                *dpre = d * (1.0 - hj * hj);
+                            }
+                            axpy(g_bh, 1.0, dh);
+                            back(&mut s.dprev, dh, wh);
                         }
-                        outer_acc(g_wx, &s.dh, x);
-                        outer_acc(g_wh, &s.dh, state(t));
-                        axpy(g_bh, 1.0, &s.dh);
-                        back(&mut s.dprev, &s.dh, wh);
-                        std::mem::swap(&mut s.dh, &mut s.dprev);
+                        let inputs = steps.clone().map(|t| &seq[t * dim..][..dim]);
+                        outer_acc(g_wx, &s.dh, inputs);
+                        outer_acc(g_wh, &s.dh, steps.map(state));
+                        end = start;
                     }
                 }
+                let last = tile
+                    .iter()
+                    .enumerate()
+                    .map(|(lane, &i)| &s.h[ds.seq_len(i) * block + lane * hidden..][..hidden]);
+                outer_acc(g_wo, &s.dlogits, last);
             }
         });
         let n = batch.len().max(1) as f32;
@@ -1131,13 +1162,19 @@ mod tests {
         v.iter().map(|x| x.to_bits()).collect()
     }
 
-    /// Full batch, two sub-batches (one spanning a tile boundary with a
-    /// repeated sample) and the empty batch.
+    /// Full batch, sub-batches of one tile and less (one with a repeated
+    /// sample), 16, 17 and 33 samples drawn with repeats (a full 16-lane
+    /// tile, then partial tiles of 1 after one and two full ones) and the
+    /// empty batch.
     fn batches(ds: &Dataset) -> Vec<Batch<'_>> {
+        let cycled = |n: usize| ds.batch((0..n).map(|k| (5 * k + 2) % ds.len()).collect());
         vec![
             ds.full_batch(),
             ds.batch(vec![3, 0, 3, 7, 1, 9, 2, 8, 5, 4, 6]),
             ds.batch(vec![5]),
+            cycled(16),
+            cycled(17),
+            cycled(33),
             ds.batch(vec![]),
         ]
     }
@@ -1212,7 +1249,11 @@ mod tests {
     #[test]
     fn rnn_matches_the_reference_loops_bit_for_bit() {
         let mut rng = SimRng::seed(32);
-        let lens: Vec<usize> = (0..21).map(|i| 1 + i % 6).collect();
+        // Lengths 1 to 6, and 20, 27 and 34 steps: BPTT's outer products
+        // take 16 steps at a time, so these end on partial chunks.
+        let lens: Vec<usize> = (0..21)
+            .map(|i| if i % 7 == 3 { 17 + i } else { 1 + i % 6 })
+            .collect();
         let ds = Dataset::sequences(&lens, 3, 6, 0.3, &mut rng);
         // 19 hidden units: four row blocks of four and a three-row remainder.
         let shape = [3, 19, 6];

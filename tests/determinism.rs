@@ -124,6 +124,8 @@ fn experiment_runner_is_deterministic() {
 use rna_core::sim::TaskKind;
 use rna_core::Compression;
 use rna_simnet::SimDuration;
+use rna_tensor::simd;
+use std::sync::Mutex;
 
 /// `[loss bits, accuracy bits]` per history point, then `final_top5` bits,
 /// `bytes_on_wire` and `wall_time` in nanoseconds.
@@ -220,21 +222,32 @@ const SOFTMAX36_PINS: [u64; 37] = [
     0x427dd7c4,
 ];
 
+/// The forced-scalar override is process-wide and the harness runs tests in
+/// parallel: the pinned trajectories flip it only while holding this lock.
+/// The other tests here are indifferent to it by the same contract.
+static DISPATCH: Mutex<()> = Mutex::new(());
+
+/// Runs `run` under the forced-scalar dispatch, then the detected one, and
+/// checks both fingerprints against `pins`; restores the mode it found.
+fn pinned_under_both_dispatches(run: impl Fn() -> RunResult, pins: &[u64]) {
+    let _guard = DISPATCH.lock().unwrap_or_else(|e| e.into_inner());
+    let was = simd::forced_scalar();
+    let runs = [true, false].map(|forced_scalar| {
+        simd::set_forced_scalar(forced_scalar);
+        (forced_scalar, fingerprint(&run()))
+    });
+    simd::set_forced_scalar(was);
+    for (forced_scalar, fingerprint) in runs {
+        assert_eq!(fingerprint, pins, "forced_scalar = {forced_scalar}");
+    }
+}
+
 /// Under both codec dispatches: int8 stochastic rounding consumes a draw per
 /// element, so a vector kernel that routes one draw differently from the
-/// scalar reference lands on another trajectory. (Forcing the scalar path is
-/// process-wide; the other tests here are indifferent to it by the same
-/// contract.)
+/// scalar reference lands on another trajectory.
 #[test]
 fn mlp64k_trajectory_is_pinned_to_the_bit() {
-    for forced_scalar in [true, false] {
-        rna_tensor::simd::set_forced_scalar(forced_scalar);
-        assert_eq!(
-            fingerprint(&mlp64k_run()),
-            MLP64K_PINS,
-            "forced_scalar = {forced_scalar}"
-        );
-    }
+    pinned_under_both_dispatches(mlp64k_run, &MLP64K_PINS);
 }
 
 /// The Elman RNN on variable-length sequences (lengths 3–12, 10 hidden
@@ -280,18 +293,15 @@ const RNN_PINS: [u64; 13] = [
 /// and `tanh_in_place`, its backward `outer_acc` and `back`.
 #[test]
 fn rnn_trajectory_is_pinned_to_the_bit() {
-    for forced_scalar in [true, false] {
-        rna_tensor::simd::set_forced_scalar(forced_scalar);
-        assert_eq!(
-            fingerprint(&rnn_run()),
-            RNN_PINS,
-            "forced_scalar = {forced_scalar}"
-        );
-    }
+    pinned_under_both_dispatches(rnn_run, &RNN_PINS);
 }
 
+/// Under both dispatches: the 36-float softmax's forward and backward run
+/// the dispatching `matmat` and `outer_acc`.
 #[test]
 fn softmax36_trajectory_is_pinned_to_the_bit() {
-    let r = Engine::new(spec(5), RnaProtocol::new(5, RnaConfig::default(), 0)).run();
-    assert_eq!(fingerprint(&r), SOFTMAX36_PINS);
+    pinned_under_both_dispatches(
+        || Engine::new(spec(5), RnaProtocol::new(5, RnaConfig::default(), 0)).run(),
+        &SOFTMAX36_PINS,
+    );
 }
