@@ -191,6 +191,13 @@ timeout 600 cargo test -q --release -p rna-tensor --lib -- --ignored \
 echo "==> pooled data-path alloc check (debug)"
 timeout 600 cargo test -q -p rna-core --test pooling
 
+# The large-allocation count (warm iterations allocate no gradient, and
+# identical worker replicas are stored once) uses a counting global
+# allocator that works in every profile; the benchmark measures release
+# builds, so it runs in release too.
+echo "==> large-allocation count (--release, watchdogged)"
+timeout 600 cargo test -q --release -p rna-core --test compute_allocs
+
 # Worker wire-encode zero-alloc assert: the same counter guards the
 # worker's encode-into-frame path (a debug_assert inside the worker
 # process — steady-state pushes may not allocate a tensor buffer). Run

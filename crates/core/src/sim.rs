@@ -1,7 +1,8 @@
 //! The discrete-event protocol harness.
 //!
 //! [`Engine`] owns the *training state* — one model replica, optimizer, and
-//! seeded batch stream per worker, plus the virtual clock, network model,
+//! seeded batch stream per worker (identical replicas stored once, see
+//! [`Engine::stored_replicas`]), plus the virtual clock, network model,
 //! and span accounting — and delegates all *synchronization policy* to a
 //! [`Protocol`] implementation through [`Ctx`]. The same engine therefore
 //! runs RNA, Horovod-style BSP, AD-PSGD, eager-SGD, and SGP, which is what
@@ -428,8 +429,7 @@ pub struct SimState<M> {
     queue: EventQueue<Event<M>>,
     net: NetworkModel,
     cost: CollectiveCost,
-    models: Vec<Box<dyn Model>>,
-    opts: Vec<Sgd>,
+    replicas: Replicas,
     eval_model: Box<dyn Model>,
     train_ds: Dataset,
     eval_ds: Dataset,
@@ -461,6 +461,141 @@ pub struct SimState<M> {
     recovery: Option<EngineRecovery>,
     resumed: bool,
     pool: TensorPool,
+}
+
+/// One stored replica: a model and its optimizer.
+type Slot = (Box<dyn Model>, Sgd);
+
+/// Every worker's model replica and optimizer, stored once per distinct
+/// value (copy on write). A write that reaches only some workers of a slot
+/// moves exactly those onto a fresh copy first, so each worker's parameters
+/// and momentum are still its own, to the bit. Slots never merge during a
+/// run; only a restore re-shares them. DESIGN.md, "One stored replica per
+/// distinct value", gives the rules.
+struct Replicas {
+    /// The stored replicas; each has a holder.
+    slots: Vec<Slot>,
+    /// Worker → the slot holding its replica.
+    slot_of: Vec<usize>,
+    /// Per slot: how many workers it holds.
+    holders: Vec<usize>,
+    /// Per-slot scratch of `apply`: listed holders, and the slot they step
+    /// (the slot itself between calls).
+    listed: Vec<usize>,
+    dest: Vec<usize>,
+    /// Scratch of `apply`: the slots one call reaches.
+    touched: Vec<usize>,
+}
+
+impl Replicas {
+    /// `n` workers sharing one slot.
+    fn new(model: Box<dyn Model>, opt: Sgd, n: usize) -> Self {
+        Replicas {
+            slots: vec![(model, opt)],
+            slot_of: vec![0; n],
+            holders: vec![n],
+            listed: vec![0],
+            dest: vec![0],
+            touched: Vec::new(),
+        }
+    }
+
+    fn model(&self, w: usize) -> &dyn Model {
+        &*self.slots[self.slot_of[w]].0
+    }
+
+    fn opt(&self, w: usize) -> &Sgd {
+        &self.slots[self.slot_of[w]].1
+    }
+
+    /// A new slot holding a copy of slot `s`, and no worker yet.
+    fn copy_of(&mut self, s: usize) -> usize {
+        let (model, opt) = &self.slots[s];
+        let copy = (model.clone_model(), opt.clone());
+        let t = self.slots.len();
+        self.slots.push(copy);
+        self.holders.push(0);
+        self.listed.push(0);
+        self.dest.push(t);
+        t
+    }
+
+    fn move_worker(&mut self, w: usize, to: usize) {
+        let from = std::mem::replace(&mut self.slot_of[w], to);
+        self.holders[from] -= 1;
+        self.holders[to] += 1;
+        debug_assert!(self.holders[from] > 0, "slot {from} left without a holder");
+    }
+
+    /// The slot `w` holds alone, moving it onto a copy if it shares one.
+    fn detach(&mut self, w: usize) -> usize {
+        let s = self.slot_of[w];
+        if self.holders[s] == 1 {
+            return s;
+        }
+        let t = self.copy_of(s);
+        self.move_worker(w, t);
+        t
+    }
+
+    /// One optimizer step for every listed worker (each listed once), taken
+    /// once per slot: in place when all its holders are listed, else on a
+    /// fresh copy the listed holders move to together.
+    fn apply(&mut self, workers: &[usize], grad: &Tensor, lr: f32, lr_scale: f32) {
+        // Split or in place is decided from the counts the call began
+        // with, before any worker moves.
+        for &w in workers {
+            let s = self.slot_of[w];
+            if self.listed[s] == 0 {
+                self.touched.push(s);
+            }
+            self.listed[s] += 1;
+        }
+        for i in 0..self.touched.len() {
+            let s = self.touched[i];
+            let listed = std::mem::take(&mut self.listed[s]);
+            debug_assert!(listed <= self.holders[s], "a worker listed twice");
+            if listed < self.holders[s] {
+                self.dest[s] = self.copy_of(s);
+            }
+        }
+        for &w in workers {
+            let to = self.dest[self.slot_of[w]];
+            if to != self.slot_of[w] {
+                self.move_worker(w, to);
+            }
+        }
+        for s in self.touched.drain(..) {
+            let (model, opt) = &mut self.slots[std::mem::replace(&mut self.dest[s], s)];
+            opt.set_lr(lr);
+            opt.step(model.params_mut(), grad, lr_scale);
+        }
+    }
+
+    /// Restores worker `w`'s checkpointed pair into a freshly built store,
+    /// workers in order. Worker 0 writes the shared slot in place (every
+    /// later worker is still to be restored); a worker whose pair is
+    /// bit-identical to the previous worker's joins that worker's slot.
+    fn restore(&mut self, w: usize, params: &Tensor, velocity: &Tensor) {
+        let same = |a: &Tensor, b: &Tensor| {
+            let (a, b) = (a.as_slice(), b.as_slice());
+            a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
+        };
+        if let Some(prev) = w.checked_sub(1).map(|p| self.slot_of[p]) {
+            let (model, opt) = &self.slots[prev];
+            if same(model.params(), params) && same(opt.velocity(), velocity) {
+                return self.move_worker(w, prev);
+            }
+        }
+        debug_assert!(
+            w > 0 || self.slots.len() == 1,
+            "restore needs a fresh store"
+        );
+        let s = if w == 0 { 0 } else { self.detach(w) };
+        let (model, opt) = &mut self.slots[s];
+        model.set_params(params);
+        opt.set_velocity(velocity);
+    }
 }
 
 /// The protocol's handle onto the engine.
@@ -561,16 +696,21 @@ impl<M: Clone + std::fmt::Debug> Ctx<'_, M> {
         self.0.pending[worker].take()
     }
 
-    /// A copy of `worker`'s current parameters.
+    /// A copy of `worker`'s current parameters, read through the replica
+    /// store (identical replicas may share one stored copy).
     pub fn params(&self, worker: usize) -> Tensor {
-        self.0.models[worker].params().clone()
+        self.0.replicas.model(worker).params().clone()
     }
 
     /// Overwrites `worker`'s parameters (hierarchical broadcast / gossip
     /// averaging). Momentum is preserved, matching the paper's
-    /// implementation where `set_weight()` replaces variables only.
+    /// implementation where `set_weight()` replaces variables only. A
+    /// worker that shares its replica slot is first detached onto a copy
+    /// of it (its own momentum included); the other holders keep theirs.
     pub fn set_params(&mut self, worker: usize, params: &Tensor) {
-        self.0.models[worker].set_params(params);
+        let r = &mut self.0.replicas;
+        let s = r.detach(worker);
+        r.slots[s].0.set_params(params);
     }
 
     /// Starts `worker`'s next local iteration: samples a batch, computes
@@ -623,8 +763,9 @@ impl<M: Clone + std::fmt::Debug> Ctx<'_, M> {
         let batch = s.samplers[worker].sample(&s.train_ds);
         // The buffer comes from the pool the drained caches release into,
         // so a steady-state iteration allocates no gradient.
-        let mut grad = s.pool.acquire(s.models[worker].num_params());
-        s.models[worker].loss_and_grad_into(&batch, &mut grad);
+        let model = s.replicas.model(worker);
+        let mut grad = s.pool.acquire(model.num_params());
+        model.loss_and_grad_into(&batch, &mut grad);
         s.next_iter[worker] += 1;
         s.in_flight[worker] = Some((iter, grad));
         s.computing[worker] = true;
@@ -739,16 +880,19 @@ impl<M: Clone + std::fmt::Debug> Ctx<'_, M> {
         s.spans.begin(worker, kind, s.clock);
     }
 
-    /// Applies the reduced gradient to every listed worker with the given
-    /// learning-rate scale (RNA passes the contributor count, BSP passes 1).
-    /// Each worker's optimizer steps its replica's parameters in place.
+    /// Applies the reduced gradient to every listed worker (each listed
+    /// once) with the given learning-rate scale (RNA passes the
+    /// contributor count, BSP passes 1). Each worker's optimizer steps its
+    /// replica's parameters and momentum in place, and workers that share
+    /// a replica slot share the step: a slot whose holders are all listed
+    /// steps once. A slot only some of whose holders are listed splits
+    /// first — the listed ones move together onto one fresh copy, which
+    /// steps — so the unlisted holders keep their parameters and momentum
+    /// to the bit.
     pub fn apply_reduced(&mut self, workers: &[usize], grad: &Tensor, lr_scale: f32) {
         let s = &mut *self.0;
         let lr = s.spec.lr.lr_at(s.global_round);
-        for &w in workers {
-            s.opts[w].set_lr(lr);
-            s.opts[w].step(s.models[w].params_mut(), grad, lr_scale);
-        }
+        s.replicas.apply(workers, grad, lr, lr_scale);
     }
 
     /// Applies `worker`'s own gradient to its own replica (AD-PSGD's local
@@ -759,17 +903,21 @@ impl<M: Clone + std::fmt::Debug> Ctx<'_, M> {
 
     /// Atomically averages the parameters of two distinct workers
     /// (AD-PSGD's pairwise model averaging): `a`'s replica lerps toward
-    /// `b`'s in place and `b` takes a copy of the result.
+    /// `b`'s in place and `b` takes a copy of the result. Both are first
+    /// detached from any replica slot they share (even with each other),
+    /// so no third worker's replica moves; each keeps its own momentum.
     ///
     /// # Panics
     ///
     /// Panics if `a == b` or either is not a worker.
     pub fn average_pair(&mut self, a: usize, b: usize) {
-        let [ma, mb] = self
-            .0
-            .models
-            .get_disjoint_mut([a, b])
-            .expect("average_pair takes two distinct workers");
+        assert_ne!(a, b, "average_pair takes two distinct workers");
+        let r = &mut self.0.replicas;
+        let (sa, sb) = (r.detach(a), r.detach(b));
+        let [(ma, _), (mb, _)] = r
+            .slots
+            .get_disjoint_mut([sa, sb])
+            .expect("detached workers hold distinct slots");
         ma.params_mut().lerp(mb.params(), 0.5);
         mb.set_params(ma.params());
     }
@@ -901,9 +1049,12 @@ fn evaluate<M>(s: &mut SimState<M>) {
     // decentralized training (all replicas coincide under BSP). The mean
     // is folded into the evaluation model's own parameters in one blocked
     // pass, in the order of a zeroed sum: from 0.0, add each replica in
-    // worker order, scale once.
-    let replicas = s.models.iter().map(|m| (m.params().as_slice(), ()));
-    let inv = 1.0 / s.models.len() as f32;
+    // worker order, scale once. All n workers are folded even when they
+    // share one stored replica: the rounded mean of n equal values is not
+    // always that value, and the reported loss must not move.
+    let n = s.spec.num_workers;
+    let replicas = (0..n).map(|w| (s.replicas.model(w).params().as_slice(), ()));
+    let inv = 1.0 / n as f32;
     let mean = s.eval_model.params_mut().as_mut_slice();
     fold_into(mean, None, replicas, |a, x, ()| a + x, inv);
     let batch = s.eval_ds.full_batch();
@@ -931,9 +1082,10 @@ pub struct Engine<P: Protocol> {
 }
 
 impl<P: Protocol> Engine<P> {
-    /// Builds the engine: constructs the dataset, one model replica and
-    /// optimizer per worker (all replicas start from identical parameters),
-    /// and forks the RNG streams.
+    /// Builds the engine: constructs the dataset, the workers' model
+    /// replicas and optimizers (all start from identical parameters and
+    /// zero momentum, so they are stored once, in one slot every worker
+    /// shares), and forks the RNG streams.
     ///
     /// # Panics
     ///
@@ -952,17 +1104,13 @@ impl<P: Protocol> Engine<P> {
         let mut data_rng = root.fork(1);
         let (train_ds, eval_ds, template) = spec.task.build(&mut data_rng);
         let n = spec.num_workers;
-        let models: Vec<Box<dyn Model>> = (0..n).map(|_| template.clone_model()).collect();
-        let opts = (0..n)
-            .map(|_| {
-                Sgd::new(
-                    spec.lr.lr_at(0),
-                    spec.momentum,
-                    spec.weight_decay,
-                    template.num_params(),
-                )
-            })
-            .collect();
+        let opt = Sgd::new(
+            spec.lr.lr_at(0),
+            spec.momentum,
+            spec.weight_decay,
+            template.num_params(),
+        );
+        let replicas = Replicas::new(template.clone_model(), opt, n);
         // Planned joiners draw their streams from a disjoint grant
         // namespace (`(5 << 32) + 2w` / `+ 2w + 1`, mirroring the runtime's
         // join-grant convention). `fork` consumes exactly one parent draw
@@ -1006,8 +1154,7 @@ impl<P: Protocol> Engine<P> {
             eval_model: template,
             train_ds,
             eval_ds,
-            models,
-            opts,
+            replicas,
             samplers,
             workload_rngs,
             proto_rng,
@@ -1115,6 +1262,15 @@ impl<P: Protocol> Engine<P> {
             last_round,
         });
         Ok(engine)
+    }
+
+    /// How many worker replicas (model and optimizer state) the engine
+    /// stores. Workers with identical replicas can share one: a new engine
+    /// stores one for all workers, a write that reaches only some workers
+    /// of a stored replica splits it, and [`Engine::resume`] re-shares
+    /// neighbouring workers whose checkpointed state is bit-identical.
+    pub fn stored_replicas(&self) -> usize {
+        self.state.replicas.slots.len()
     }
 
     /// Runs the event loop to completion and returns the results.
@@ -1300,17 +1456,20 @@ impl<M> SimState<M> {
             ..self.counters
         }
         .encode_into(out);
-        wire::put_u64(out, self.models.len() as u64);
-        wire::put_u64(out, self.models[0].num_params() as u64);
-        for w in 0..self.models.len() {
+        let n = self.spec.num_workers;
+        wire::put_u64(out, n as u64);
+        wire::put_u64(out, self.eval_model.num_params() as u64);
+        // One params/velocity pair per worker, shared slots or not: the
+        // format does not depend on how the replicas are stored.
+        for w in 0..n {
             wire::put_u64(out, self.local_iter[w]);
             wire::put_u64(out, self.next_iter[w]);
             wire::put_bool(out, self.crashed[w]);
             wire::put_bool(out, self.scripts[w].restart_fired());
             wire::put_opt_u64(out, self.rejoin_at[w].map(|t| t.as_nanos()));
             self.fates[w].encode_into(out);
-            wire::put_tensor(out, self.models[w].params());
-            wire::put_tensor(out, self.opts[w].velocity());
+            wire::put_tensor(out, self.replicas.model(w).params());
+            wire::put_tensor(out, self.replicas.opt(w).velocity());
             recovery::put_rng(out, &self.samplers[w].rng_state());
             recovery::put_rng(out, &self.workload_rngs[w].state());
         }
@@ -1338,7 +1497,7 @@ impl<M> SimState<M> {
         self.evals_done = r.u64()?;
         self.last_top5 = r.f64()?;
         self.counters = Counters::decode(r)?;
-        let num_params = self.models[0].num_params();
+        let num_params = self.eval_model.num_params();
         if r.u64()? != self.spec.num_workers as u64 || r.u64()? != num_params as u64 {
             return None;
         }
@@ -1355,8 +1514,7 @@ impl<M> SimState<M> {
             if params.len() != num_params || velocity.len() != num_params {
                 return None;
             }
-            self.models[w].set_params(&params);
-            self.opts[w].set_velocity(&velocity);
+            self.replicas.restore(w, &params, &velocity);
             self.samplers[w].restore_rng(&recovery::read_rng(r)?);
             self.workload_rngs[w] = SimRng::from_state(&recovery::read_rng(r)?);
             self.in_flight[w] = None;
@@ -1762,5 +1920,274 @@ mod tests {
     #[should_panic(expected = "fault plan names worker")]
     fn fault_plan_validates_worker_range() {
         let _ = TrainSpec::smoke_test(2, 0).with_fault_plan(FaultPlan::none().crash(5, 1));
+    }
+
+    /// Runs `inner` and records the most replica slots the engine held
+    /// after any of its callbacks.
+    struct SlotWatch<P> {
+        inner: P,
+        most: std::rc::Rc<std::cell::Cell<usize>>,
+    }
+
+    impl<P: Protocol> SlotWatch<P> {
+        fn note(&self, ctx: &Ctx<'_, P::Msg>) {
+            self.most
+                .set(self.most.get().max(ctx.0.replicas.slots.len()));
+        }
+    }
+
+    impl<P: Protocol> Protocol for SlotWatch<P> {
+        type Msg = P::Msg;
+        fn name(&self) -> &'static str {
+            self.inner.name()
+        }
+        fn on_start(&mut self, ctx: &mut Ctx<'_, P::Msg>) {
+            self.inner.on_start(ctx);
+            self.note(ctx);
+        }
+        fn on_compute_done(&mut self, ctx: &mut Ctx<'_, P::Msg>, worker: usize, iter: u64) {
+            self.inner.on_compute_done(ctx, worker, iter);
+            self.note(ctx);
+        }
+        fn on_message(&mut self, ctx: &mut Ctx<'_, P::Msg>, from: usize, to: usize, msg: P::Msg) {
+            self.inner.on_message(ctx, from, to, msg);
+            self.note(ctx);
+        }
+        fn on_crash(&mut self, ctx: &mut Ctx<'_, P::Msg>, worker: usize) {
+            self.inner.on_crash(ctx, worker);
+            self.note(ctx);
+        }
+        fn on_rejoin(&mut self, ctx: &mut Ctx<'_, P::Msg>, worker: usize) {
+            self.inner.on_rejoin(ctx, worker);
+            self.note(ctx);
+        }
+    }
+
+    /// The most replica slots a 40-round flat RNA run of `spec` holds.
+    fn rna_slots(spec: TrainSpec) -> usize {
+        let most = std::rc::Rc::new(std::cell::Cell::new(0));
+        let inner = crate::rna::RnaProtocol::new(spec.num_workers, crate::RnaConfig::default(), 0);
+        let watch = SlotWatch {
+            inner,
+            most: most.clone(),
+        };
+        let result = Engine::new(spec.with_max_rounds(40), watch).run();
+        assert_eq!(result.global_rounds, 40);
+        most.get()
+    }
+
+    #[test]
+    fn a_fault_free_flat_rna_run_stores_one_replica() {
+        let spec =
+            TrainSpec::smoke_test(6, 3).with_hetero(HeterogeneityModel::dynamic_uniform(6, 0, 40));
+        assert_eq!(rna_slots(spec), 1);
+        // A partition keeps some updates from some workers: their
+        // replicas split off.
+        let plan = NetFaultPlan::none().partition(vec![0, 1], 30_000, 90_000);
+        let spec = TrainSpec::smoke_test(6, 3).with_net_fault_plan(plan);
+        assert!(rna_slots(spec) > 1);
+    }
+
+    fn same_bits(a: &Tensor, b: &Tensor) -> bool {
+        let (a, b) = (a.as_slice(), b.as_slice());
+        a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
+    }
+
+    /// Asserts that every worker's stored replica equals its entry in a
+    /// plain per-worker reference (params, velocity and lr, to the bit).
+    fn assert_matches(r: &Replicas, reference: &[Slot]) {
+        for (w, (model, opt)) in reference.iter().enumerate() {
+            assert!(
+                same_bits(r.model(w).params(), model.params()),
+                "worker {w} params"
+            );
+            assert!(
+                same_bits(r.opt(w).velocity(), opt.velocity()),
+                "worker {w} velocity"
+            );
+            assert_eq!(r.opt(w).lr().to_bits(), opt.lr().to_bits(), "worker {w} lr");
+        }
+        let held: usize = r.holders.iter().sum();
+        assert_eq!(held, reference.len());
+        assert!(r.holders.iter().all(|&h| h > 0), "every slot has a holder");
+    }
+
+    /// A store of `n` workers on the smoke test's softmax, momentum 0.9,
+    /// and the per-worker reference it must match.
+    fn store_and_reference(n: usize) -> (Replicas, Vec<Slot>) {
+        let mut rng = SimRng::seed(4);
+        let model: Box<dyn Model> = Box::new(SoftmaxClassifier::new(8, 4, &mut rng));
+        let opt = Sgd::new(0.1, 0.9, 1e-4, model.num_params());
+        let reference = (0..n).map(|_| (model.clone_model(), opt.clone())).collect();
+        (Replicas::new(model, opt, n), reference)
+    }
+
+    fn grad(seed: u64, len: usize) -> Tensor {
+        let mut rng = SimRng::seed(seed);
+        Tensor::from_vec(
+            (0..len)
+                .map(|_| rng.uniform_f64(-0.5..0.5) as f32)
+                .collect(),
+        )
+    }
+
+    fn step_reference(
+        reference: &mut [Slot],
+        workers: &[usize],
+        g: &Tensor,
+        lr: f32,
+        lr_scale: f32,
+    ) {
+        for &w in workers {
+            let (model, opt) = &mut reference[w];
+            opt.set_lr(lr);
+            opt.step(model.params_mut(), g, lr_scale);
+        }
+    }
+
+    #[test]
+    fn apply_on_a_strict_subset_moves_exactly_that_subset() {
+        let (mut r, mut reference) = store_and_reference(5);
+        let len = r.model(0).num_params();
+        let all = [0, 1, 2, 3, 4];
+        let g = grad(1, len);
+        r.apply(&all, &g, 0.1, 5.0);
+        step_reference(&mut reference, &all, &g, 0.1, 5.0);
+        assert_eq!(
+            r.slots.len(),
+            1,
+            "a step reaching every holder stays in place"
+        );
+        assert_matches(&r, &reference);
+
+        // Four of five holders, listed out of order: all four leave
+        // together (counts are taken before anyone moves), one stays.
+        let subset = [4, 0, 2, 1];
+        let g = grad(2, len);
+        r.apply(&subset, &g, 0.05, 4.0);
+        step_reference(&mut reference, &subset, &g, 0.05, 4.0);
+        assert_eq!(r.slots.len(), 2);
+        assert_eq!(r.slot_of, vec![1, 1, 1, 0, 1]);
+        assert_eq!(r.holders, vec![1, 4]);
+        assert_matches(&r, &reference);
+
+        // One listed worker from each slot: the lone holder steps in
+        // place, the shared slot splits off worker 2 alone.
+        let mixed = [3, 2];
+        let g = grad(3, len);
+        r.apply(&mixed, &g, 0.02, 2.0);
+        step_reference(&mut reference, &mixed, &g, 0.02, 2.0);
+        assert_eq!(r.slots.len(), 3);
+        assert_eq!(r.slot_of, vec![1, 1, 2, 0, 1]);
+        assert_matches(&r, &reference);
+
+        // Every holder of every slot, across slots: no split.
+        r.apply(&all, &g, 0.1, 5.0);
+        step_reference(&mut reference, &all, &g, 0.1, 5.0);
+        assert_eq!(r.slots.len(), 3);
+        assert_matches(&r, &reference);
+    }
+
+    /// An engine over the smoke test's softmax with momentum, its
+    /// replicas given one shared step so the velocity is not zero.
+    fn stepped_engine(n: usize) -> Engine<RoundRobin> {
+        let mut spec = TrainSpec::smoke_test(n, 9);
+        spec.momentum = 0.9;
+        let mut engine = Engine::new(spec, RoundRobin { current: 0 });
+        let ctx = &mut Ctx(&mut engine.state);
+        let g = grad(5, ctx.params(0).len());
+        let all: Vec<usize> = (0..n).collect();
+        ctx.apply_reduced(&all, &g, 1.0);
+        engine
+    }
+
+    /// Each worker's params and velocity, as stored.
+    fn pairs(engine: &Engine<RoundRobin>) -> Vec<(Tensor, Tensor)> {
+        let r = &engine.state.replicas;
+        (0..r.slot_of.len())
+            .map(|w| (r.model(w).params().clone(), r.opt(w).velocity().clone()))
+            .collect()
+    }
+
+    #[test]
+    fn set_params_and_average_pair_detach_only_their_workers() {
+        let mut engine = stepped_engine(5);
+        let before = pairs(&engine);
+        let ctx = &mut Ctx(&mut engine.state);
+        let target = grad(6, before[0].0.len());
+        ctx.set_params(1, &target);
+        ctx.set_params(3, &target);
+        let r = &engine.state.replicas;
+        assert_eq!(r.slots.len(), 3);
+        assert_eq!(r.slot_of, vec![0, 1, 0, 2, 0]);
+        let after = pairs(&engine);
+        for w in [0, 2, 4] {
+            assert!(same_bits(&after[w].0, &before[w].0), "worker {w} params");
+        }
+        for w in [1, 3] {
+            assert!(
+                same_bits(&after[w].0, &target),
+                "worker {w} takes the write"
+            );
+        }
+        for w in 0..5 {
+            assert!(
+                same_bits(&after[w].1, &before[w].1),
+                "worker {w} momentum kept"
+            );
+        }
+
+        // Workers 0 and 2 share a slot with worker 4: averaging them
+        // detaches both, each onto its own slot, and leaves 4 alone.
+        let ctx = &mut Ctx(&mut engine.state);
+        ctx.average_pair(0, 2);
+        let r = &engine.state.replicas;
+        assert_eq!(r.slots.len(), 5);
+        assert_eq!(r.holders, vec![1; 5]);
+        let mut mean = before[0].0.clone();
+        mean.lerp(&before[2].0, 0.5);
+        let averaged = pairs(&engine);
+        for w in [0, 2] {
+            assert!(same_bits(&averaged[w].0, &mean), "worker {w} averaged");
+        }
+        assert_eq!(
+            r.slot_of[4], 0,
+            "the unaveraged holder keeps the original slot"
+        );
+        assert!(same_bits(&averaged[4].0, &before[4].0));
+        for w in 0..5 {
+            assert!(
+                same_bits(&averaged[w].1, &before[w].1),
+                "worker {w} momentum kept"
+            );
+        }
+    }
+
+    #[test]
+    fn restore_gives_each_worker_its_checkpointed_pair() {
+        // Workers 0-1 and 3-4 share slots; 2 holds its own, 4 shares
+        // worker 3's values but not its neighbour 2's.
+        let mut engine = stepped_engine(5);
+        let ctx = &mut Ctx(&mut engine.state);
+        let len = ctx.params(0).len();
+        ctx.apply_reduced(&[3, 4], &grad(7, len), 2.0);
+        ctx.apply_reduced(&[2], &grad(8, len), 1.0);
+        assert_eq!(engine.stored_replicas(), 3);
+        let saved = pairs(&engine);
+        let section = engine.state.encode_engine_section();
+
+        let mut spec = TrainSpec::smoke_test(5, 9);
+        spec.momentum = 0.9;
+        let mut fresh = Engine::new(spec, RoundRobin { current: 0 });
+        fresh
+            .state
+            .restore_engine_section(&section)
+            .expect("restores");
+        assert_eq!(fresh.stored_replicas(), 3);
+        assert_eq!(fresh.state.replicas.slot_of, vec![0, 0, 1, 2, 2]);
+        for (w, ((p, v), (sp, sv))) in pairs(&fresh).iter().zip(&saved).enumerate() {
+            assert!(same_bits(p, sp), "worker {w} params");
+            assert!(same_bits(v, sv), "worker {w} velocity");
+        }
     }
 }

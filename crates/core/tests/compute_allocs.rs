@@ -5,6 +5,10 @@
 //! 20-round one; an engine that allocated one gradient per iteration would
 //! make hundreds more.
 //!
+//! The workers' replicas are stored once while they are identical, so
+//! building an engine makes as many large allocations at sixteen workers as
+//! at four; one replica and one momentum buffer per worker would be 24 more.
+//!
 //! Counted by a wrapping global allocator with a per-thread counter of
 //! allocations of at least [`LARGE`] bytes (every gradient and parameter
 //! buffer of the model below; none of the engine's small bookkeeping).
@@ -61,10 +65,16 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static ALLOCATOR: Counting = Counting;
 
-/// Large allocations of one `rounds`-round RNA run of a 128-128-8 MLP on
-/// four workers, one of them a dynamic straggler, and its iteration count.
-fn large_allocations(rounds: u64) -> (u64, u64) {
-    let n = 4;
+/// Large allocations `f` makes on this thread, and what it returns.
+fn counted<T>(f: impl FnOnce() -> T) -> (u64, T) {
+    let before = LARGE_ALLOCS.with(Cell::get);
+    let value = f();
+    (LARGE_ALLOCS.with(Cell::get) - before, value)
+}
+
+/// A `rounds`-round RNA run of a 128-128-8 MLP on `n` workers, one of them
+/// a dynamic straggler.
+fn engine(n: usize, rounds: u64) -> Engine<RnaProtocol> {
     let mut spec = TrainSpec::smoke_test(n, 7)
         .with_hetero(HeterogeneityModel::dynamic_uniform(n, 0, 50))
         .with_max_rounds(rounds);
@@ -76,13 +86,15 @@ fn large_allocations(rounds: u64) -> (u64, u64) {
         spread: 4.0,
     };
     spec.eval_every = 10;
-    let before = LARGE_ALLOCS.with(Cell::get);
-    let result = Engine::new(spec, RnaProtocol::new(n, RnaConfig::default(), 0)).run();
+    Engine::new(spec, RnaProtocol::new(n, RnaConfig::default(), 0))
+}
+
+/// Large allocations of one `rounds`-round run on four workers, and its
+/// iteration count.
+fn large_allocations(rounds: u64) -> (u64, u64) {
+    let (allocs, result) = counted(|| engine(4, rounds).run());
     assert_eq!(result.global_rounds, rounds, "the run must use its budget");
-    (
-        LARGE_ALLOCS.with(Cell::get) - before,
-        result.total_iterations(),
-    )
+    (allocs, result.total_iterations())
 }
 
 #[test]
@@ -96,5 +108,15 @@ fn warm_iterations_allocate_no_gradient() {
     assert_eq!(
         short, long,
         "a warm engine allocates no gradient or parameter buffer per iteration"
+    );
+}
+
+#[test]
+fn identical_replicas_are_allocated_once() {
+    let (four, _) = counted(|| engine(4, 20));
+    let (sixteen, _) = counted(|| engine(16, 20));
+    assert_eq!(
+        four, sixteen,
+        "a new engine stores one replica and one momentum buffer for all its workers"
     );
 }

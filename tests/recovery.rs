@@ -64,7 +64,8 @@ fn assert_identical(a: &RunResult, b: &RunResult) {
 /// the newest disk checkpoint, and the continuation is bit-identical to
 /// the run that was never interrupted — for RNA's probe and for backup
 /// workers, whose checkpoint also carries the round each member's
-/// gradient began.
+/// gradient began. The checkpoint holds one replica per worker, all
+/// equal on a clean fabric, and the resumed engine stores them once.
 #[test]
 fn des_checkpoint_kill_resume_is_bit_identical() {
     let seed = chaos_seed();
@@ -85,14 +86,19 @@ fn des_checkpoint_kill_resume_is_bit_identical() {
             .run();
         assert!(partial.checkpoints_written >= 2, "{election:?}");
 
-        let resumed = Engine::resume(
+        let engine = Engine::resume(
             spec(seed, 40),
             protocol(),
             CheckpointStore::new(&dir).unwrap(),
             every,
         )
-        .expect("resume from the killed run's checkpoints")
-        .run();
+        .expect("resume from the killed run's checkpoints");
+        assert_eq!(
+            engine.stored_replicas(),
+            1,
+            "{election:?}: the restored replicas are identical and stored once"
+        );
+        let resumed = engine.run();
 
         assert_identical(&uninterrupted, &resumed);
         let _ = std::fs::remove_dir_all(&uninterrupted_dir);
@@ -127,14 +133,15 @@ fn des_lossy_codec_kill_resume_is_bit_identical() {
             .run();
         assert!(partial.checkpoints_written >= 2, "{codec:?}");
 
-        let resumed = Engine::resume(
+        let engine = Engine::resume(
             spec(seed, 40),
             RnaProtocol::new(N, config(), 0),
             CheckpointStore::new(&dir).unwrap(),
             every,
         )
-        .expect("resume from the killed run's checkpoints")
-        .run();
+        .expect("resume from the killed run's checkpoints");
+        assert_eq!(engine.stored_replicas(), 1, "{codec:?}");
+        let resumed = engine.run();
 
         assert_identical(&uninterrupted, &resumed);
         assert_eq!(
