@@ -16,6 +16,11 @@ if git rev-parse --is-inside-work-tree >/dev/null 2>&1; then
   tree_before="$(tree_fingerprint)"
 fi
 
+# Non-test lines per crate, the ROADMAP's size measure: printed for
+# information, not gated.
+echo "==> non-test lines per crate (information only)"
+bash scripts/loc.sh
+
 echo "==> cargo fmt --check"
 cargo fmt --all -- --check
 
@@ -199,10 +204,12 @@ echo "==> large-allocation count (--release, watchdogged)"
 timeout 600 cargo test -q --release -p rna-core --test compute_allocs
 
 # Worker wire-encode zero-alloc assert: the same counter guards the
-# worker's encode-into-frame path (a debug_assert inside the worker
-# process — steady-state pushes may not allocate a tensor buffer). Run
-# the smoke in debug with a real codec so the assert executes in the
-# spawned debug workers; a violation aborts the worker and fails the run.
+# error-feedback encode every world runs, `FeedbackEncoder::encode` in
+# rna_tensor::codec (a debug_assert: only an encoder's first encode may
+# allocate a tensor buffer, its residual). The pooled DES tests above run it
+# through int8; here the smoke runs in debug with a real codec so the assert
+# also executes in the spawned debug workers' socket links; a violation
+# aborts the worker and fails the run.
 echo "==> worker encode zero-alloc assert (debug, int8 wire)"
 RNA_HOP_CODEC=int8 timeout 600 cargo test -q -p rna-runtime \
   --test process_world compressed_hop_smoke

@@ -108,13 +108,9 @@ impl RnaConfig {
     ///
     /// Panics if the codec is `TopK` with `permille` outside `1..=1000`.
     pub fn with_compression(mut self, compression: Compression) -> Self {
-        if let Compression::TopK { permille } = compression {
-            assert!(
-                (1..=1000).contains(&permille),
-                "TopK permille must be in 1..=1000, got {permille}"
-            );
-        }
-        self.compression = compression;
+        self.compression = compression
+            .checked()
+            .unwrap_or_else(|| panic!("TopK permille must be in 1..=1000, got {compression:?}"));
         self
     }
 }

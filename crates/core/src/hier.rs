@@ -35,7 +35,8 @@
 //! with the master view. The stage also owns the online regroup loop
 //! ([`crate::rna::RnaProtocol::with_regroup_policy`]).
 
-use rna_tensor::Tensor;
+use rna_tensor::codec::FeedbackEncoder;
+use rna_tensor::{Compression, Tensor};
 
 use crate::cache::GradientCache;
 use crate::fault::ToleranceConfig;
@@ -62,9 +63,9 @@ pub(crate) struct PsStage {
     /// Which [`crate::fault::FaultPlan::ps_shard_crashes`] entries have
     /// already fired (sized in `start`).
     crashes_done: Vec<bool>,
-    /// Per-group error-feedback residuals for the lossy PS push (the pull
+    /// Per-group error-feedback encoders for the lossy PS push (the pull
     /// stays full-precision — the master must reach every group exactly).
-    residuals: Vec<Option<Tensor>>,
+    encoders: Vec<FeedbackEncoder>,
     /// Reusable encode scratch for the PS push.
     codec_buf: Vec<u8>,
     /// Per-worker EWMA of observed compute times — the live counterpart
@@ -89,15 +90,16 @@ pub(crate) struct PsStage {
 }
 
 impl PsStage {
-    /// The stage for `num_groups` groups over `n` workers.
-    pub(crate) fn new(num_groups: usize, n: usize) -> Self {
+    /// The stage for `num_groups` groups over `n` workers, pushing under
+    /// `codec`.
+    pub(crate) fn new(num_groups: usize, n: usize, codec: Compression) -> Self {
         PsStage {
             master: None,
             pending: vec![None; num_groups],
             every: 1,
             missed_exchanges: vec![0; num_groups],
             crashes_done: Vec::new(),
-            residuals: vec![None; num_groups],
+            encoders: vec![FeedbackEncoder::new(codec); num_groups],
             codec_buf: Vec::new(),
             speed: SpeedEstimator::new(n, RegroupPolicy::default().alpha),
             policy: None,
@@ -200,16 +202,9 @@ impl PsStage {
             // Lossy push: the PS receives decode(encode(grad + residual));
             // the dropped remainder stays in the group's residual and rides
             // the next push (error feedback).
-            let residual = self.residuals[gid].get_or_insert_with(|| Tensor::zeros(grad.len()));
-            let threads = rna_tensor::codec::wire_threads(grad.len());
-            let (_, err) = rna_tensor::codec::encode_with_feedback_mt(
-                codec,
-                &mut grad,
-                residual,
-                &mut self.codec_buf,
-                ctx.codec_rng(),
-                threads,
-            );
+            self.codec_buf.clear();
+            let (_, err) =
+                self.encoders[gid].encode(&mut grad, &mut self.codec_buf, ctx.codec_rng());
             ctx.counters_mut().codec_error_l2 += err;
         }
         // The master applies the gradient at *send* time: the PS serializes
@@ -384,7 +379,7 @@ impl PsStage {
         let k = groups.len();
         self.pending = vec![None; k];
         self.missed_exchanges = vec![0; k];
-        self.residuals = vec![None; k];
+        self.encoders = vec![FeedbackEncoder::new(config.compression); k];
         for g in groups.iter_mut() {
             for w in g.members.clone() {
                 if let Some(cache) = caches[w].take() {

@@ -51,6 +51,14 @@ use rna_simnet::SimDuration;
 use crate::fault::{ConfigError, ToleranceConfig, WorkerFate};
 use crate::grouping::partition_groups;
 
+/// The RNG stream grant of joiner `w`, the same in every world: it forks
+/// its sampler from the grant and its compute stream from the grant + 1.
+/// The namespace (`5 << 32`) is disjoint from every member stream, so
+/// incumbents replay their sequences without knowing who joined.
+pub fn join_grant(w: usize) -> u64 {
+    (5 << 32) + 2 * w as u64
+}
+
 /// One membership event against one worker identity.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ChurnEvent {

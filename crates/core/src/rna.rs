@@ -33,7 +33,7 @@
 use rna_collectives::partial_allreduce_pooled;
 use rna_simnet::trace::SpanKind;
 use rna_simnet::SimDuration;
-use rna_tensor::codec;
+use rna_tensor::codec::FeedbackEncoder;
 use rna_tensor::wire::{self, Reader};
 use rna_tensor::Tensor;
 
@@ -135,11 +135,10 @@ pub struct GroupState {
     /// paused instead of continuing, until every live member is idle and
     /// the checkpoint can be cut.
     quiescing: bool,
-    /// Per-member error-feedback residuals for lossy wire codecs: what the
-    /// last encode dropped, re-added to the next contribution so the
-    /// quantization error telescopes instead of accumulating. Allocated
-    /// lazily on the first lossy encode (always empty under `Lossless`).
-    residuals: Vec<Option<Tensor>>,
+    /// Per-member error-feedback encoders for lossy codecs: what a member's
+    /// last encode dropped rides its next contribution, so quantization
+    /// error telescopes instead of accumulating (unused under `Lossless`).
+    encoders: Vec<FeedbackEncoder>,
     /// Reusable encode scratch so steady-state lossy rounds do not
     /// allocate a fresh frame buffer.
     codec_buf: Vec<u8>,
@@ -196,7 +195,7 @@ impl GroupState {
             in_flight: None,
             last_initiator: None,
             quiescing: false,
-            residuals: (0..n).map(|_| None).collect(),
+            encoders: vec![FeedbackEncoder::new(config.compression); n],
             codec_buf: Vec::new(),
             member_slots,
         }
@@ -372,7 +371,10 @@ impl GroupState {
             self.send_reply(ctx, worker, round);
         } else {
             if let Some((_, grad)) = ctx.take_gradient(worker) {
-                self.caches[local].write(iter, grad);
+                // An evicted gradient goes back to the pool, not the heap.
+                if let Some(evicted) = self.caches[local].write(iter, grad) {
+                    ctx.pool_release(evicted);
+                }
             }
             if let Some(round) = self.pending_reply[local].take() {
                 self.send_reply(ctx, worker, round);
@@ -480,19 +482,10 @@ impl GroupState {
             // decode(encode(grad + residual)); the dropped remainder stays
             // behind in the member's residual (error feedback), so the
             // reduce below sees exactly what a receiver could reconstruct.
-            for (local, slot) in contributions.iter_mut().enumerate() {
+            for (encoder, slot) in self.encoders.iter_mut().zip(&mut contributions) {
                 let Some(grad) = slot.as_mut() else { continue };
-                let residual =
-                    self.residuals[local].get_or_insert_with(|| Tensor::zeros(grad.len()));
-                let threads = codec::wire_threads(grad.len());
-                let (_, err) = codec::encode_with_feedback_mt(
-                    codec,
-                    grad,
-                    residual,
-                    &mut self.codec_buf,
-                    ctx.codec_rng(),
-                    threads,
-                );
+                self.codec_buf.clear();
+                let (_, err) = encoder.encode(grad, &mut self.codec_buf, ctx.codec_rng());
                 ctx.counters_mut().codec_error_l2 += err;
             }
         }
@@ -752,7 +745,7 @@ impl GroupState {
             }
             // Error-feedback residual: without it a lossy-codec resume
             // would re-drop what the pre-crash run already owed the member.
-            wire::put_opt_tensor(out, self.residuals[local].as_ref());
+            wire::put_opt_tensor(out, self.encoders[local].residual.as_ref());
         }
     }
 
@@ -786,7 +779,7 @@ impl GroupState {
             }
             self.caches[local] =
                 GradientCache::from_checkpoint(bound as usize, weighted, evicted, entries);
-            self.residuals[local] = r.opt_tensor()?;
+            self.encoders[local].residual = r.opt_tensor()?;
         }
         self.reducing = false;
         self.in_flight = None;
@@ -874,7 +867,7 @@ impl RnaProtocol {
         assert!(!groups.is_empty(), "need at least one group");
         let n = groups.iter().map(Vec::len).sum();
         let worker_group = group_of(&groups, n);
-        let ps = Some(PsStage::new(groups.len(), n));
+        let ps = Some(PsStage::new(groups.len(), n, config.compression));
         let tolerance = ToleranceConfig::default();
         let groups = groups
             .into_iter()

@@ -35,7 +35,7 @@ use rna_workload::{HeterogeneityModel, ModelProfile};
 use crate::fault::{
     FaultPlan, FaultScript, IterDirective, NetFaultPlan, ToleranceConfig, WorkerFate,
 };
-use crate::membership::ChurnPlan;
+use crate::membership::{join_grant, ChurnPlan};
 use crate::recovery::{self, CheckpointStore, RecoveryConfig, RecoveryError};
 use crate::stats::{Counters, RunResult, StopReason};
 use rna_tensor::wire::{self, Reader};
@@ -86,7 +86,21 @@ pub enum TaskKind {
 }
 
 impl TaskKind {
-    fn build(&self, rng: &mut SimRng) -> (Dataset, Dataset, Box<dyn Model>) {
+    /// The smoke task: 256 blobs in 8 dimensions over 4 classes, on the
+    /// 36-parameter softmax. [`TrainSpec::smoke_test`] trains it, and so
+    /// does every run of the real worlds.
+    pub const SMOKE: TaskKind = TaskKind::Classification {
+        dim: 8,
+        classes: 4,
+        hidden: None,
+        samples: 256,
+        spread: 0.4,
+    };
+
+    /// Draws the whole dataset, then the initial model, from `rng`: the one
+    /// constructor of every world's task. The simulator splits off an
+    /// evaluation set; the real worlds train and evaluate on all of it.
+    pub fn build(&self, rng: &mut SimRng) -> (Dataset, Box<dyn Model>) {
         match *self {
             TaskKind::Classification {
                 dim,
@@ -96,12 +110,11 @@ impl TaskKind {
                 spread,
             } => {
                 let ds = Dataset::blobs(samples, dim, classes, spread, rng);
-                let (train, val) = ds.split(0.2);
                 let model: Box<dyn Model> = match hidden {
                     Some(h) => Box::new(Mlp::new(dim, h, classes, rng)),
                     None => Box::new(SoftmaxClassifier::new(dim, classes, rng)),
                 };
-                (train, val, model)
+                (ds, model)
             }
             TaskKind::Sequence {
                 input_dim,
@@ -116,9 +129,8 @@ impl TaskKind {
                     .map(|_| rng.uniform_usize(min_len..max_len + 1))
                     .collect();
                 let ds = Dataset::sequences(&lengths, input_dim, classes, noise, rng);
-                let (train, val) = ds.split(0.2);
                 let model = Box::new(ElmanRnn::new(input_dim, hidden, classes, rng));
-                (train, val, model)
+                (ds, model)
             }
             TaskKind::Regression {
                 dim,
@@ -126,8 +138,7 @@ impl TaskKind {
                 noise,
             } => {
                 let ds = Dataset::regression(samples, dim, noise, rng);
-                let (train, val) = ds.split(0.2);
-                (train, val, Box::new(LinearRegression::new(dim)))
+                (ds, Box::new(LinearRegression::new(dim)))
             }
         }
     }
@@ -214,13 +225,7 @@ impl TrainSpec {
             profile,
             hetero: HeterogeneityModel::homogeneous(n),
             link: LinkModel::infiniband_edr(),
-            task: TaskKind::Classification {
-                dim: 8,
-                classes: 4,
-                hidden: None,
-                samples: 256,
-                spread: 0.4,
-            },
+            task: TaskKind::SMOKE,
             seed,
             batch_size: 16,
             lr: LrSchedule::Constant(0.1),
@@ -1102,7 +1107,10 @@ impl<P: Protocol> Engine<P> {
         assert!(spec.eval_every > 0, "evaluation cadence must be positive");
         let mut root = SimRng::seed(spec.seed);
         let mut data_rng = root.fork(1);
-        let (train_ds, eval_ds, template) = spec.task.build(&mut data_rng);
+        let (dataset, template) = spec.task.build(&mut data_rng);
+        // The split draws nothing, so splitting after the model is drawn
+        // leaves every stream where splitting first did.
+        let (train_ds, eval_ds) = dataset.split(0.2);
         let n = spec.num_workers;
         let opt = Sgd::new(
             spec.lr.lr_at(0),
@@ -1111,18 +1119,17 @@ impl<P: Protocol> Engine<P> {
             template.num_params(),
         );
         let replicas = Replicas::new(template.clone_model(), opt, n);
-        // Planned joiners draw their streams from a disjoint grant
-        // namespace (`(5 << 32) + 2w` / `+ 2w + 1`, mirroring the runtime's
-        // join-grant convention). `fork` consumes exactly one parent draw
-        // regardless of the key, so handing a joiner a different key leaves
-        // every original member's stream — and the protocol/codec streams
-        // forked after this block — bit-identical to a churn-free run of
-        // the same seed.
+        // Planned joiners draw their streams from the disjoint grant
+        // namespace every world shares (`join_grant`). `fork` consumes
+        // exactly one parent draw regardless of the key, so handing a joiner
+        // a different key leaves every original member's stream — and the
+        // protocol/codec streams forked after this block — bit-identical to
+        // a churn-free run of the same seed.
         let joins = |w| spec.churn_plan.tenure(w).join.is_some();
         let samplers = (0..n)
             .map(|w| {
                 let key = if joins(w) {
-                    (5 << 32) + 2 * w as u64
+                    join_grant(w)
                 } else {
                     100 + w as u64
                 };
@@ -1132,7 +1139,7 @@ impl<P: Protocol> Engine<P> {
         let workload_rngs = (0..n)
             .map(|w| {
                 let key = if joins(w) {
-                    (5 << 32) + 2 * w as u64 + 1
+                    join_grant(w) + 1
                 } else {
                     200 + w as u64
                 };

@@ -1,9 +1,11 @@
 //! End-to-end guarantee of the pooled reduce data path, over whole
 //! training runs: **zero steady-state allocations**. Once the pool is warm,
 //! reduce rounds perform no fresh tensor-buffer allocations — a 6× longer
-//! run records exactly the same `datapath_allocs` as a short one. (The
-//! underlying hook is debug-only, so these assertions are exercised by
-//! debug builds and vacuous in release.)
+//! run records exactly the same `datapath_allocs` as a short one, lossless
+//! or through the int8 error-feedback encoders, whose residuals are
+//! allocated by their first encode only. (The underlying hook is
+//! debug-only, so these assertions are exercised by debug builds and
+//! vacuous in release.)
 //!
 //! That pooling changes only *where buffers come from*, never the numbers in
 //! them, is pinned kernel by kernel against the allocating reference
@@ -13,6 +15,7 @@
 use rna_core::rna::RnaProtocol;
 use rna_core::sim::{Engine, TrainSpec};
 use rna_core::{RnaConfig, RunResult};
+use rna_tensor::Compression;
 use rna_workload::HeterogeneityModel;
 
 fn mixed_spec(n: usize, seed: u64, rounds: u64) -> TrainSpec {
@@ -21,16 +24,22 @@ fn mixed_spec(n: usize, seed: u64, rounds: u64) -> TrainSpec {
         .with_max_rounds(rounds)
 }
 
-fn run_flat(rounds: u64) -> RunResult {
+/// The two wire codecs the steady-state tests run: the lossless path, and
+/// int8, which sends every contribution and PS push through a warm
+/// `FeedbackEncoder`.
+const CODECS: [Compression; 2] = [Compression::Lossless, Compression::Int8];
+
+fn run_flat(rounds: u64, codec: Compression) -> RunResult {
     let n = 6;
     let spec = mixed_spec(n, 42, rounds);
-    Engine::new(spec, RnaProtocol::new(n, RnaConfig::default(), 0)).run()
+    let config = RnaConfig::default().with_compression(codec);
+    Engine::new(spec, RnaProtocol::new(n, config, 0)).run()
 }
 
-fn run_hier(rounds: u64) -> RunResult {
+fn run_hier(rounds: u64, codec: Compression) -> RunResult {
     let n = 6;
     let spec = mixed_spec(n, 11, rounds);
-    let protocol = RnaProtocol::auto(&spec, RnaConfig::default());
+    let protocol = RnaProtocol::auto(&spec, RnaConfig::default().with_compression(codec));
     Engine::new(spec, protocol).run()
 }
 
@@ -40,17 +49,21 @@ fn steady_state_rounds_are_allocation_free() {
         // The alloc hook is compiled out in release builds.
         return;
     }
-    let short = run_flat(20);
-    let long = run_flat(120);
-    assert!(long.global_rounds > short.global_rounds);
-    assert_eq!(
-        short.datapath_allocs, long.datapath_allocs,
-        "a warm pool must make every extra round allocation-free"
-    );
-    assert!(
-        short.datapath_allocs > 0,
-        "warm-up must be visible to the debug alloc hook"
-    );
+    for codec in CODECS {
+        let short = run_flat(20, codec);
+        let long = run_flat(120, codec);
+        assert!(long.global_rounds > short.global_rounds);
+        assert_eq!(
+            short.datapath_allocs,
+            long.datapath_allocs,
+            "{}: a warm pool must make every extra round allocation-free",
+            codec.name()
+        );
+        assert!(
+            short.datapath_allocs > 0,
+            "warm-up must be visible to the debug alloc hook"
+        );
+    }
 }
 
 #[test]
@@ -58,13 +71,17 @@ fn hier_steady_state_rounds_are_allocation_free() {
     if !cfg!(debug_assertions) {
         return;
     }
-    let short = run_hier(20);
-    let long = run_hier(120);
-    assert!(long.global_rounds > short.global_rounds);
-    assert_eq!(
-        short.datapath_allocs, long.datapath_allocs,
-        "the hierarchical data path must also go allocation-free once warm"
-    );
+    for codec in CODECS {
+        let short = run_hier(20, codec);
+        let long = run_hier(120, codec);
+        assert!(long.global_rounds > short.global_rounds);
+        assert_eq!(
+            short.datapath_allocs,
+            long.datapath_allocs,
+            "{}: the hierarchical data path must also go allocation-free once warm",
+            codec.name()
+        );
+    }
 }
 
 /// The real-thread controller's fused reduce region (cache drain, codec

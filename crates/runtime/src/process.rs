@@ -79,7 +79,6 @@ use rna_core::recovery::{CheckpointStore, RecoveryError};
 use rna_core::SyncMode;
 use rna_simnet::SimRng;
 use rna_tensor::{Tensor, TensorPool};
-use rna_training::Model;
 
 use rna_tensor::codec::{self, Compression};
 

@@ -9,8 +9,8 @@ use rna_core::membership::{ChurnPlan, Edge};
 use rna_core::recovery::{CheckpointStore, RecoveryConfig, RecoveryError};
 use rna_core::stats::Counters;
 use rna_simnet::SimRng;
+use rna_tensor::codec::FeedbackEncoder;
 use rna_tensor::{Compression, Tensor, TensorPool};
-use rna_training::model::SoftmaxClassifier;
 use rna_training::{Dataset, Model};
 
 use crate::proto::WorkerSetup;
@@ -18,7 +18,7 @@ use crate::transport::{
     decode_ctrl_checkpoint, lock, past_workers, supervise, task, worker_streams, CtrlCheckpoint,
     Lineage, Mirror, Transport,
 };
-use crate::worker::{Encoder, Gate, Worker, WorkerLink};
+use crate::worker::{Gate, Worker, WorkerLink};
 
 /// Configuration of a threaded run.
 #[derive(Debug, Clone)]
@@ -164,13 +164,9 @@ impl ThreadedConfig {
     ///
     /// Panics if the codec is `TopK` with `permille` outside `1..=1000`.
     pub fn with_compression(mut self, compression: Compression) -> Self {
-        if let Compression::TopK { permille } = compression {
-            assert!(
-                (1..=1000).contains(&permille),
-                "TopK permille must be in 1..=1000, got {permille}"
-            );
-        }
-        self.compression = compression;
+        self.compression = compression
+            .checked()
+            .unwrap_or_else(|| panic!("TopK permille must be in 1..=1000, got {compression:?}"));
         self
     }
 }
@@ -270,10 +266,10 @@ impl Transport for &ThreadShared {
 struct ThreadLink {
     shared: Arc<ThreadShared>,
     w: usize,
-    /// The encode leg, with the scratch its frames land in. `None` under
-    /// BSP: the barrier hands raw gradients over in shared memory and
-    /// tallies no wire bytes.
-    encoder: Option<(Encoder, Vec<u8>)>,
+    /// The encode leg, its stochastic-rounding stream and the scratch its
+    /// frames land in. `None` under BSP: the barrier hands raw gradients
+    /// over in shared memory and tallies no wire bytes.
+    encoder: Option<(FeedbackEncoder, SimRng, Vec<u8>)>,
 }
 
 impl ThreadLink {
@@ -315,7 +311,7 @@ impl WorkerLink for ThreadLink {
         self.shared.mirror.beat(self.w);
     }
 
-    fn refresh(&mut self, model: &mut SoftmaxClassifier) {
+    fn refresh(&mut self, model: &mut dyn Model) {
         // The snapshot is immutable once published, so the lock is held
         // only for a refcount bump.
         let params = Arc::clone(&lock(&self.shared.params[self.w]));
@@ -328,9 +324,9 @@ impl WorkerLink for ThreadLink {
         // Encode in place: the cache receives the wire-valued gradient and
         // the mirror the measured frame, exactly as a socket reader would
         // deliver them.
-        let frame = self.encoder.as_mut().map(|(encoder, scratch)| {
+        let frame = self.encoder.as_mut().map(|(encoder, wire, scratch)| {
             scratch.clear();
-            encoder.encode(&mut grad, scratch)
+            encoder.encode(&mut grad, scratch, wire)
         });
         mirror.deposit(self.w, iter, grad, frame);
         mirror.notify();
@@ -507,7 +503,7 @@ pub(crate) fn interruptible_sleep(total: Duration, stop: &AtomicBool) {
 /// supervised on this thread.
 fn run(
     config: &ThreadedConfig,
-    (rng, dataset, template): (SimRng, Arc<Dataset>, SoftmaxClassifier),
+    (rng, dataset, template): (SimRng, Arc<Dataset>, Box<dyn Model>),
     resume: Option<CtrlCheckpoint>,
 ) -> ThreadedResult {
     let n = config.num_workers;
@@ -533,7 +529,7 @@ fn run(
             let mut me = Worker::new(
                 setup,
                 Arc::clone(&dataset),
-                template.clone(),
+                template.clone_model(),
                 streams.sampler,
                 streams.compute,
             );
@@ -541,9 +537,11 @@ fn run(
                 shared: Arc::clone(&shared),
                 w,
                 encoder: (config.mode != SyncMode::Bsp).then(|| {
-                    let encoder =
-                        Encoder::new(config.compression, state.master.len(), streams.wire);
-                    (encoder, Vec::new())
+                    (
+                        FeedbackEncoder::new(config.compression),
+                        streams.wire,
+                        Vec::new(),
+                    )
                 }),
             };
             let join_round = config.churn_plan.tenure(w).join;
@@ -611,7 +609,7 @@ fn run(
 pub(crate) fn finish(
     config: &ThreadedConfig,
     dataset: Arc<Dataset>,
-    template: SoftmaxClassifier,
+    template: Box<dyn Model>,
     start: Instant,
     workers: Vec<(u64, WorkerFate)>,
     final_state: CtrlCheckpoint,

@@ -28,12 +28,12 @@ use rna_core::election::{Election, SyncMode};
 use rna_core::fault::NetFaultPlan;
 use rna_core::membership::{Edge, Tenure};
 use rna_core::recovery::CheckpointStore;
+use rna_core::sim::TaskKind;
 use rna_core::stats::Counters;
 use rna_simnet::{NetFaults, SimRng, SimTime};
 use rna_tensor::wire::{self, Reader};
 use rna_tensor::{Compression, Tensor, TensorPool};
-use rna_training::model::SoftmaxClassifier;
-use rna_training::Dataset;
+use rna_training::{Dataset, Model};
 
 use crate::threaded::ThreadedConfig;
 
@@ -41,18 +41,13 @@ use crate::threaded::ThreadedConfig;
 /// runtimes. Earlier code forked worker streams at `10 + w` and `50 + w`,
 /// which collide once the cluster reaches 40 workers; spacing the
 /// namespaces `1 << 32` apart keeps every role disjoint for any realistic
-/// worker count.
+/// worker count. Mid-run joiners take their sampler and compute streams from
+/// [`rna_core::membership::join_grant`] (`5 << 32` up), as in the simulator.
 pub(crate) const STREAM_SAMPLER: u64 = 1 << 32;
 pub(crate) const STREAM_COMPUTE: u64 = 2 << 32;
 /// Probe stream, forked per controller incarnation (`STREAM_PROBE + term`)
 /// so a failed-over controller replays deterministic draws.
 pub(crate) const STREAM_PROBE: u64 = 3 << 32;
-/// Stream grants for mid-run joiners: joiner `w` forks its sampler from
-/// `STREAM_JOIN + 2w` and its compute stream from `STREAM_JOIN + 2w + 1`.
-/// Disjoint from every other namespace, and — because a fork advances the
-/// parent generator identically regardless of the key — original members
-/// replay the shared fork sequence without knowing who joined.
-pub(crate) const STREAM_JOIN: u64 = 5 << 32;
 /// Per-worker reconnect-jitter streams: worker `w` forks
 /// `STREAM_RECONNECT + w` for the jitter its capped-exponential-backoff
 /// reconnect loop draws, so a soak that kills the coordinator replays the
@@ -64,16 +59,16 @@ pub(crate) const STREAM_RECONNECT: u64 = 6 << 32;
 /// sequence, whose next fork is term 0's probe stream in every world.
 pub(crate) const STREAM_WIRE: u64 = 7 << 32;
 
-/// The training task of a run, rebuilt from the master seed by every role
-/// that needs it (both controllers, every worker subprocess): the dataset,
-/// the model template, and the generator as the template draw left it — the
-/// shared prefix every per-role stream is forked behind. Shipping the seed
-/// instead of the dataset is what keeps the worlds' data streams identical.
-pub(crate) fn task(seed: u64) -> (SimRng, Arc<Dataset>, SoftmaxClassifier) {
+/// The run's smoke task, rebuilt from the master seed by every role that
+/// needs it (both controllers, every worker subprocess) through the
+/// simulator's constructor: the dataset, the model template, and the
+/// generator as the template draw left it — the shared prefix every per-role
+/// stream forks behind. Shipping the seed, not the dataset, keeps the
+/// worlds' data streams identical.
+pub(crate) fn task(seed: u64) -> (SimRng, Arc<Dataset>, Box<dyn Model>) {
     let mut rng = SimRng::seed(seed);
-    let dataset = Arc::new(Dataset::blobs(256, 8, 4, 0.4, &mut rng));
-    let template = SoftmaxClassifier::new(8, 4, &mut rng);
-    (rng, dataset, template)
+    let (dataset, template) = TaskKind::SMOKE.build(&mut rng);
+    (rng, Arc::new(dataset), template)
 }
 
 /// A copy of the post-template generator advanced past the sampler/compute
@@ -924,6 +919,7 @@ pub(crate) fn supervise<T: Transport + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rna_core::membership::join_grant;
 
     #[test]
     fn ctrl_checkpoint_codec_roundtrips() {
@@ -1215,7 +1211,7 @@ mod tests {
         // must land every stream on the same bits, for members and joiners.
         let draws = |mut r: SimRng| [r.uniform_u64(0..u64::MAX), r.uniform_u64(0..u64::MAX)];
         let n = 5u64;
-        let grant_of = |w: u64| if w == 3 { STREAM_JOIN + 2 * w } else { 0 };
+        let grant_of = |w: u64| if w == 3 { join_grant(w as usize) } else { 0 };
         let (post_template, ..) = task(11);
         let mut shared = post_template.clone();
         for w in 0..n {
@@ -1240,6 +1236,77 @@ mod tests {
         assert_eq!(draws(probe), draws(shared.fork(STREAM_PROBE)));
     }
 
+    /// FNV-1a digests of `task(seed)`'s features, labels, initial parameters
+    /// and the next draws of its post-template generator.
+    fn task_digest(seed: u64) -> [u64; 4] {
+        use rna_tensor::wire::fnv1a;
+        let (mut rng, dataset, model) = task(seed);
+        let (mut features, mut labels) = (Vec::new(), Vec::new());
+        for i in 0..dataset.len() {
+            features.extend(dataset.input(i).iter().flat_map(|x| x.to_le_bytes()));
+            labels.extend((dataset.label(i) as u64).to_le_bytes());
+        }
+        let params: Vec<u8> = model
+            .params()
+            .as_slice()
+            .iter()
+            .flat_map(|x| x.to_le_bytes())
+            .collect();
+        let draws: Vec<u8> = (0..4)
+            .flat_map(|_| rng.uniform_u64(0..u64::MAX).to_le_bytes())
+            .collect();
+        [
+            fnv1a(&features),
+            fnv1a(&labels),
+            fnv1a(&params),
+            fnv1a(&draws),
+        ]
+    }
+
+    #[test]
+    fn the_real_worlds_task_is_pinned() {
+        // Captured from the task's own `Dataset::blobs` + `SoftmaxClassifier`
+        // draws before it moved to `TaskKind::build`: the constructor must
+        // reproduce the dataset, the initial model and the generator every
+        // per-role stream forks from.
+        let pins = [
+            (
+                1,
+                [
+                    0x01f5_ffdd_431e_28dd,
+                    0x0cba_fff7_93ad_c325,
+                    0x5360_27c9_e7d1_774e,
+                    0x88cb_f39f_3be3_96b7,
+                ],
+            ),
+            (
+                7,
+                [
+                    0x9f2b_48e9_cc31_5c9f,
+                    0x0cba_fff7_93ad_c325,
+                    0x001b_269d_b772_b56d,
+                    0x65db_e6fb_d40e_7cda,
+                ],
+            ),
+            (
+                33,
+                [
+                    0x6b86_180c_1e6e_de32,
+                    0x0cba_fff7_93ad_c325,
+                    0xfbf8_6cf0_15b9_6065,
+                    0xa37b_fbbc_a9ea_35a2,
+                ],
+            ),
+        ];
+        for (seed, want) in pins {
+            assert_eq!(
+                task_digest(seed),
+                want,
+                "seed {seed}: features, labels, params, draws"
+            );
+        }
+    }
+
     #[test]
     fn rng_stream_namespaces_are_disjoint() {
         // Regression: the old per-worker forks at `10 + w` and `50 + w`
@@ -1253,14 +1320,14 @@ mod tests {
                 assert_ne!(STREAM_COMPUTE + v, STREAM_PROBE);
                 // Joiner grants (two keys per worker) are their own
                 // namespace too.
-                assert_ne!(STREAM_SAMPLER + w, STREAM_JOIN + 2 * v);
-                assert_ne!(STREAM_COMPUTE + w, STREAM_JOIN + 2 * v + 1);
-                assert_ne!(STREAM_PROBE + w, STREAM_JOIN + 2 * v);
+                assert_ne!(STREAM_SAMPLER + w, join_grant(v as usize));
+                assert_ne!(STREAM_COMPUTE + w, join_grant(v as usize) + 1);
+                assert_ne!(STREAM_PROBE + w, join_grant(v as usize));
                 // Reconnect jitter and worker-side wire-codec draws are
                 // per-worker namespaces of their own.
                 assert_ne!(STREAM_RECONNECT + w, STREAM_WIRE + v);
-                assert_ne!(STREAM_RECONNECT + w, STREAM_JOIN + 2 * v);
-                assert_ne!(STREAM_WIRE + w, STREAM_JOIN + 2 * v + 1);
+                assert_ne!(STREAM_RECONNECT + w, join_grant(v as usize));
+                assert_ne!(STREAM_WIRE + w, join_grant(v as usize) + 1);
                 assert_ne!(STREAM_WIRE + w, STREAM_PROBE + v);
                 assert_ne!(STREAM_WIRE + w, STREAM_SAMPLER + v);
                 assert_ne!(STREAM_WIRE + w, STREAM_COMPUTE + v);

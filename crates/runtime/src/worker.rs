@@ -27,11 +27,10 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use rna_core::fault::{FaultScript, IterDirective, WorkerFate};
-use rna_core::membership::Edge;
+use rna_core::membership::{join_grant, Edge};
 use rna_simnet::SimRng;
-use rna_tensor::codec::{self, Compression};
+use rna_tensor::codec::FeedbackEncoder;
 use rna_tensor::Tensor;
-use rna_training::model::SoftmaxClassifier;
 use rna_training::{BatchSampler, Dataset, Model};
 
 use crate::process::still_pending;
@@ -39,7 +38,7 @@ use crate::proto::{
     compute_mac, read_msg, write_msg, AuthKey, GradBatch, Msg, ProtoError, WorkerSetup,
 };
 use crate::threaded::{interruptible_sleep, sleep_range, ThreadedConfig};
-use crate::transport::{lock, task, worker_streams, STREAM_JOIN};
+use crate::transport::{lock, task, worker_streams};
 
 /// How long the worker keeps re-offering its first handshake: the
 /// coordinator spawns the whole cluster before some listeners' backlogs
@@ -85,7 +84,7 @@ pub(crate) trait WorkerLink {
     /// A sign of life, `iter` iterations completed.
     fn beat(&mut self, iter: u64);
     /// Installs the newest published parameters, if any are new.
-    fn refresh(&mut self, model: &mut SoftmaxClassifier);
+    fn refresh(&mut self, model: &mut dyn Model);
     /// Encodes iteration `iter`'s gradient and hands it to the controller
     /// (a coalescing link may hold it until the next [`WorkerLink::flush`]).
     fn deposit(&mut self, iter: u64, grad: Tensor);
@@ -130,53 +129,6 @@ impl Gate {
     }
 }
 
-/// The worker's encode leg of the compressed hop, shared by both links:
-/// the run codec, the error-feedback residual, and the stochastic-rounding
-/// stream. All of it is *worker* state: it survives a reconnect and a
-/// controller failover, and is rebuilt from zero only by a genuine respawn
-/// — like the model and sampler position — so same-seed replays stay
-/// bit-identical.
-pub(crate) struct Encoder {
-    codec: Compression,
-    residual: Tensor,
-    rng: SimRng,
-}
-
-impl Encoder {
-    pub fn new(codec: Compression, len: usize, rng: SimRng) -> Self {
-        Encoder {
-            codec,
-            residual: Tensor::zeros(len),
-            rng,
-        }
-    }
-
-    /// Encodes one gradient (error feedback included) behind `out`'s
-    /// current end, leaving `grad` holding the wire values. Returns the
-    /// frame length and the post-encode residual norm.
-    pub fn encode(&mut self, grad: &mut Tensor, out: &mut Vec<u8>) -> (u64, f64) {
-        // The encode leg must stay off the tensor allocator in steady
-        // state: the residual is preallocated and the codec appends
-        // straight into the caller's buffer.
-        let allocs = rna_tensor::alloc::count();
-        let threads = codec::wire_threads(grad.len());
-        let charge = codec::encode_with_feedback_append(
-            self.codec,
-            grad,
-            &mut self.residual,
-            out,
-            &mut self.rng,
-            threads,
-        );
-        debug_assert_eq!(
-            rna_tensor::alloc::count(),
-            allocs,
-            "worker encode path allocated a tensor buffer in steady state"
-        );
-        charge
-    }
-}
-
 impl WorkerSetup {
     /// What worker `w` of `config` is told when it starts — as a thread, or
     /// as incarnation `incarnation` of a subprocess resuming at `start_iter`.
@@ -207,7 +159,7 @@ impl WorkerSetup {
             high_water,
             // A joiner's sampler/compute streams come from the disjoint grant
             // namespace so original members replay their sequences unchanged.
-            rng_grant: tenure.join.map_or(0, |_| STREAM_JOIN + 2 * w as u64),
+            rng_grant: tenure.join.map_or(0, |_| join_grant(w)),
             leave: tenure.leave,
             compression: config.compression,
             faults: config
@@ -221,7 +173,7 @@ impl WorkerSetup {
 
     /// Checks the coordinator's numbers against this worker's own model and
     /// dataset before anything is built or sized from them.
-    fn validate(&self, model: &SoftmaxClassifier, dataset: &Dataset) -> Result<(), ProtoError> {
+    fn validate(&self, model: &dyn Model, dataset: &Dataset) -> Result<(), ProtoError> {
         let (model_len, samples) = (model.params().len(), dataset.len() as u64);
         // A worker can never have led the round counter by more.
         let furthest = self.high_water.saturating_add(self.max_lead);
@@ -249,7 +201,7 @@ impl WorkerSetup {
 pub(crate) struct Worker {
     setup: WorkerSetup,
     dataset: Arc<Dataset>,
-    model: SoftmaxClassifier,
+    model: Box<dyn Model>,
     sampler: BatchSampler,
     compute_rng: SimRng,
     pub faults: FaultScript,
@@ -261,7 +213,7 @@ impl Worker {
     pub fn new(
         setup: WorkerSetup,
         dataset: Arc<Dataset>,
-        mut model: SoftmaxClassifier,
+        mut model: Box<dyn Model>,
         sampler_rng: SimRng,
         compute_rng: SimRng,
     ) -> Self {
@@ -350,7 +302,7 @@ impl Worker {
             if link.stop().load(Ordering::Acquire) {
                 break;
             }
-            link.refresh(&mut self.model);
+            link.refresh(self.model.as_mut());
             let batch = self.sampler.sample(&self.dataset);
             let (_, grad) = self.model.loss_and_grad(&batch);
             let compute_us = (self.setup.compute_lo_us, self.setup.compute_hi_us);
@@ -435,7 +387,10 @@ fn reader_loop(mut stream: TcpStream, conn: &Conn) {
 struct SocketLink {
     stream: TcpStream,
     conn: Arc<Conn>,
-    encoder: Encoder,
+    /// The encode leg and its stochastic-rounding stream: worker state, like
+    /// the model, so it survives a reconnect and a controller failover.
+    encoder: FeedbackEncoder,
+    wire: SimRng,
     batch: GradBatch,
     /// Iteration value of the last piggybacked heartbeat, so the standalone
     /// beat that follows a flush is skipped. Cleared by a park (time has
@@ -495,7 +450,7 @@ impl WorkerLink for SocketLink {
         }
     }
 
-    fn refresh(&mut self, model: &mut SoftmaxClassifier) {
+    fn refresh(&mut self, model: &mut dyn Model) {
         if let Some(p) = lock(&self.conn.fresh_params).take() {
             model.set_params(&p);
         }
@@ -506,7 +461,8 @@ impl WorkerLink for SocketLink {
         // either flush (one write carries the batch and the next heartbeat)
         // or coalesce: a small frame with lead headroom may wait for
         // company, amortizing header and syscall cost.
-        let (_, err) = self.encoder.encode(&mut grad, self.batch.begin_entry(iter));
+        let out = self.batch.begin_entry(iter);
+        let (_, err) = self.encoder.encode(&mut grad, out, &mut self.wire);
         self.batch.finish_entry(err);
         let lead = (iter + 1).saturating_sub(self.round());
         let defer = self.batch.wire_len() < DEFER_MAX_WIRE_BYTES
@@ -627,16 +583,16 @@ pub fn run_worker(
         }
     };
     let (rng, dataset, model) = task(setup.seed);
-    setup.validate(&model, &dataset)?;
+    setup.validate(model.as_ref(), &dataset)?;
     let streams = worker_streams(&rng, u64::from(worker), setup.rng_grant);
     // Reconnect-backoff jitter comes from this worker's own stream, so a
     // soak with a fixed kill schedule replays the same backoff intervals.
     let mut reconnect_rng = streams.reconnect;
-    let param_len = setup.params.len();
     let mut link = SocketLink {
         stream,
-        conn: Arc::new(Conn::new(setup.round, param_len)),
-        encoder: Encoder::new(setup.compression, param_len, streams.wire),
+        conn: Arc::new(Conn::new(setup.round, setup.params.len())),
+        encoder: FeedbackEncoder::new(setup.compression),
+        wire: streams.wire,
         batch: GradBatch::new(),
         last_hb: None,
         max_lead: setup.max_lead,
@@ -686,7 +642,7 @@ pub fn run_worker(
         // count, sampler position, fired fault triggers, and the codec
         // residual: the Setup's start_iter and fault list describe a fresh
         // incarnation, and this is not one.
-        setup.validate(&me.model, &me.dataset)?;
+        setup.validate(me.model.as_ref(), &me.dataset)?;
         me.model.set_params(&setup.params);
         link.reattach(stream, setup.round);
     }
@@ -697,6 +653,7 @@ mod tests {
     use super::*;
     use rna_core::fault::WorkerFault;
     use rna_core::membership::ChurnEvent;
+    use rna_tensor::Compression;
 
     /// What a [`ScriptedLink`] saw, in order. Deposits carry the round
     /// counter at the moment they were made; a death carries how many
@@ -762,7 +719,7 @@ mod tests {
         fn beat(&mut self, iter: u64) {
             self.see(Ev::Beat(iter));
         }
-        fn refresh(&mut self, _model: &mut SoftmaxClassifier) {}
+        fn refresh(&mut self, _model: &mut dyn Model) {}
         fn deposit(&mut self, iter: u64, _grad: Tensor) {
             self.unsent += 1;
             self.see(Ev::Deposit(iter, self.round));

@@ -6,9 +6,9 @@
 //! count) followed by the codec-specific payload. The header is what the
 //! cost model charges per message on top of the payload (latency α covers
 //! propagation, not framing), and [`Compression::frame_bytes`] is the exact
-//! size [`Compression::encode`] emits — the discrete-event simulator charges
-//! that same figure, so virtual-time savings and measured savings agree to
-//! the byte.
+//! size [`Compression::encode_slice`] emits — the discrete-event simulator
+//! charges that same figure, so virtual-time savings and measured savings
+//! agree to the byte.
 //!
 //! Lossy codecs are made convergent by the *error-feedback* recurrence
 //! ([`encode_with_feedback`]): the quantization error of round `t` is
@@ -136,15 +136,14 @@ pub const FRAME_HEADER_BYTES: u64 = 16;
 ///
 /// ```
 /// use rna_tensor::codec::Compression;
-/// use rna_tensor::Tensor;
 ///
-/// let t = Tensor::from_vec(vec![1.0, -2.5, 0.25, 8.0]);
+/// let xs = [1.0, -2.5, 0.25, 8.0];
 /// let mut frame = Vec::new();
-/// Compression::Fp16.encode(&t, &mut frame, &mut || 0);
+/// Compression::Fp16.encode_slice(&xs, &mut frame, &mut || 0);
 /// assert_eq!(frame.len() as u64, Compression::Fp16.frame_bytes(4));
-/// let mut out = Tensor::zeros(4);
-/// Compression::Fp16.decode(&frame, &mut out).unwrap();
-/// assert_eq!(out.as_slice(), t.as_slice()); // these values are f16-exact
+/// let mut out = [0.0; 4];
+/// Compression::Fp16.decode_slice(&frame, &mut out).unwrap();
+/// assert_eq!(out, xs); // these values are f16-exact
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Compression {
@@ -205,6 +204,15 @@ impl Compression {
         }
     }
 
+    /// The codec if its parameter is in range (a `TopK` permille in
+    /// `1..=1000`; the others take none), else `None`: the one such rule.
+    pub fn checked(self) -> Option<Self> {
+        match self {
+            Compression::TopK { permille } if !(1..=1000).contains(&permille) => None,
+            codec => Some(codec),
+        }
+    }
+
     /// Number of elements `TopK` keeps for a tensor of `elems` elements.
     ///
     /// # Panics
@@ -214,7 +222,7 @@ impl Compression {
         match self {
             Compression::TopK { permille } => {
                 assert!(
-                    (1..=1000).contains(permille),
+                    self.checked().is_some(),
                     "TopK permille must be in 1..=1000, got {permille}"
                 );
                 if elems == 0 {
@@ -229,7 +237,7 @@ impl Compression {
 
     /// Payload bytes (header excluded) for a tensor of `elems` elements.
     ///
-    /// This is a pure size model equal to what [`Compression::encode`]
+    /// This is a pure size model equal to what [`Compression::encode_slice`]
     /// emits, so the cost model can charge encoded bytes without encoding.
     pub fn payload_bytes(&self, elems: usize) -> u64 {
         let e = elems as u64;
@@ -265,8 +273,7 @@ impl Compression {
             2 => (param == 0).then_some(Compression::Int8),
             3 => u16::try_from(param)
                 .ok()
-                .filter(|p| (1..=1000).contains(p))
-                .map(|permille| Compression::TopK { permille }),
+                .and_then(|permille| Compression::TopK { permille }.checked()),
             _ => None,
         }
     }
@@ -421,20 +428,6 @@ impl Compression {
             });
         }
         Ok(())
-    }
-
-    /// [`Compression::encode_slice`] over a whole tensor.
-    pub fn encode(&self, t: &Tensor, out: &mut Vec<u8>, draws: &mut impl Draws) {
-        self.encode_slice(t.as_slice(), out, draws);
-    }
-
-    /// [`Compression::decode_slice`] into a whole tensor.
-    ///
-    /// # Errors
-    ///
-    /// See [`Compression::decode_slice`].
-    pub fn decode(&self, frame: &[u8], out: &mut Tensor) -> Result<(), CodecError> {
-        self.decode_slice(frame, out.as_mut_slice())
     }
 }
 
@@ -660,6 +653,59 @@ pub fn encode_with_feedback_append(
     };
     debug_assert_eq!((out.len() - frame_start) as u64, codec.frame_bytes(n));
     ((out.len() - frame_start) as u64, f64::from(sum_sq.sqrt()))
+}
+
+/// One sender's error-feedback state under the run's codec: the residual
+/// its next contribution re-adds, allocated on the first encode. The
+/// simulator holds one per group member and per PS group, a real worker one
+/// per link; the draws stay with the caller, each world's own stream.
+#[derive(Debug, Clone)]
+pub struct FeedbackEncoder {
+    codec: Compression,
+    /// The carried residual, `None` until the first encode (a checkpoint
+    /// restore sets it).
+    pub residual: Option<Tensor>,
+}
+
+impl FeedbackEncoder {
+    /// A cold encoder for `codec`: no residual until the first encode.
+    pub fn new(codec: Compression) -> Self {
+        FeedbackEncoder {
+            codec,
+            residual: None,
+        }
+    }
+
+    /// Appends one frame of `grad`, error feedback included, at `out`'s
+    /// end through [`encode_with_feedback_append`] at
+    /// [`wire_threads`]`(grad.len())`, leaving `grad` holding the wire
+    /// values. Returns the frame length and the post-encode residual norm.
+    ///
+    /// Only the first encode allocates a tensor buffer (the residual); a
+    /// debug assertion holds every later one to none.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `grad`'s length differs from the residual's.
+    pub fn encode(
+        &mut self,
+        grad: &mut Tensor,
+        out: &mut Vec<u8>,
+        draws: &mut impl Draws,
+    ) -> (u64, f64) {
+        let (allocs, cold) = (crate::alloc::count(), self.residual.is_none());
+        let residual = self
+            .residual
+            .get_or_insert_with(|| Tensor::zeros(grad.len()));
+        let threads = wire_threads(grad.len());
+        let charge = encode_with_feedback_append(self.codec, grad, residual, out, draws, threads);
+        debug_assert_eq!(
+            crate::alloc::count(),
+            allocs + u64::from(cold),
+            "an error-feedback encode allocated a tensor buffer besides its residual"
+        );
+        charge
+    }
 }
 
 /// Runs a lane-independent fused body over `grad`, `residual` and its wire
@@ -1227,6 +1273,54 @@ mod tests {
                     "{} residual",
                     codec.name()
                 );
+            }
+        }
+    }
+
+    #[test]
+    fn feedback_encoder_matches_the_append_recurrence_cold_and_warm() {
+        let counted = u64::from(cfg!(debug_assertions));
+        for codec in [
+            Compression::Lossless,
+            Compression::Fp16,
+            Compression::Int8,
+            Compression::TopK { permille: 100 },
+        ] {
+            // One length on the serial path, one past the chunk-parallel
+            // threshold wherever the host has a second core.
+            for len in [37, 2 * PAR_MIN_ELEMS + 5] {
+                let what = format!("{} len={len}", codec.name());
+                let mut encoder = FeedbackEncoder::new(codec);
+                let mut residual = Tensor::zeros(len);
+                let (mut draw_a, mut draw_b) = (lcg_draws(len as u64), lcg_draws(len as u64));
+                let (mut out_a, mut out_b) = (b"hdr".to_vec(), b"hdr".to_vec());
+                assert!(encoder.residual.is_none(), "{what}: cold");
+                for round in 0..4u64 {
+                    let grad = pseudo(len, round + 1);
+                    let (mut ga, mut gb) = (Tensor::from_vec(grad.clone()), Tensor::from_vec(grad));
+                    let allocs = crate::alloc::count();
+                    let (bytes_a, err_a) = encoder.encode(&mut ga, &mut out_a, &mut draw_a);
+                    let fresh = crate::alloc::count() - allocs;
+                    let (bytes_b, err_b) = encode_with_feedback_append(
+                        codec,
+                        &mut gb,
+                        &mut residual,
+                        &mut out_b,
+                        &mut draw_b,
+                        wire_threads(len),
+                    );
+                    let want = if round == 0 { counted } else { 0 };
+                    assert_eq!(fresh, want, "{what} round {round}: tensor allocations");
+                    assert_eq!(bytes_a, bytes_b, "{what} round {round}: bytes");
+                    assert_eq!(err_a.to_bits(), err_b.to_bits(), "{what} round {round}");
+                    assert!(out_a == out_b, "{what} round {round}: frames");
+                    assert_eq!(ga.as_slice(), gb.as_slice(), "{what} round {round}");
+                    let kept = encoder
+                        .residual
+                        .as_ref()
+                        .expect("allocated by the first encode");
+                    assert_eq!(kept.as_slice(), residual.as_slice(), "{what} round {round}");
+                }
             }
         }
     }
