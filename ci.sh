@@ -119,8 +119,7 @@ stress() {
 stress "chaos stress (DES)" -p rna-experiments --test chaos --test fault_tolerance
 stress "chaos stress (threaded)" -p rna-runtime --test fault_injection
 
-# Control-plane stress: controller kills, checkpoint/resume roundtrips,
-# and counted PS-shard crashes that leave the run unchanged.
+# Control-plane stress: controller kills and checkpoint/resume roundtrips.
 stress "recovery stress" -p rna-experiments --test recovery
 
 # Elastic-membership stress: mid-run joins, graceful retirements,

@@ -14,9 +14,6 @@
 //!   gossip on a time-varying exponential graph, one neighbor exchange per
 //!   iteration with a per-iteration barrier; local updates propagate in
 //!   O(log P) rounds.
-//! * [`AsyncPsProtocol`] — the centralized asynchronous parameter server
-//!   (§9), whose serialized server link is the communication hotspot that
-//!   motivates decentralized AllReduce (§2.2).
 //!
 //! The baselines that differ from RNA only in what fires the collective
 //! are RNA's own driver, `rna_core::rna::RnaProtocol`, under another
@@ -24,12 +21,14 @@
 //! barrier is `Bsp` and §9's backup workers (Chen et al. 2016), which
 //! proceed with the fastest `n − b` gradients and drop the rest, are
 //! `Backup(b)`. [`HorovodProtocol`] remains as the barrier's constructor.
+//! The centralized asynchronous parameter server (§2.2, §9) is the
+//! hierarchy's parameter-server stage over groups of one,
+//! `RnaProtocol::async_ps`.
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
 
 mod adpsgd;
-mod async_ps;
 #[cfg(test)]
 mod backup;
 #[cfg(test)]
@@ -37,7 +36,6 @@ mod horovod;
 mod sgp;
 
 pub use adpsgd::AdPsgdProtocol;
-pub use async_ps::AsyncPsProtocol;
 pub use sgp::SgpProtocol;
 
 use rna_core::rna::RnaProtocol;

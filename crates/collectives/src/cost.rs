@@ -9,8 +9,8 @@
 //!
 //! Per-worker traffic is `2 (n − 1) / n × bytes → 2 × bytes` as `n → ∞`,
 //! which is the bandwidth-optimality property (§2.2) that makes AllReduce
-//! beat a parameter server at scale; the PS cost model below shows the
-//! contrast (the server link serializes all `n` flows).
+//! beat a parameter server at scale, whose one link serializes all `n`
+//! flows.
 
 use rna_simnet::{LinkModel, SimDuration};
 
@@ -71,17 +71,6 @@ impl CollectiveCost {
         // stream behind it.
         self.link.transfer_time(chunk) * (n as u64 - 1)
             + self.link.serialization_time(chunk) * (n as u64 - 1)
-    }
-
-    /// Parameter-server round: `n` workers push `bytes` each to one server
-    /// and pull the update back; the server's link serializes the flows.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n == 0`.
-    pub fn ps_round(&self, n: usize, bytes: u64) -> SimDuration {
-        assert!(n > 0, "collective over zero workers");
-        self.link.transfer_time(bytes) * (2 * n as u64)
     }
 
     /// Point-to-point transfer of `bytes` (AD-PSGD pairwise averaging moves
@@ -199,14 +188,6 @@ mod tests {
     }
 
     #[test]
-    fn ps_round_scales_linearly_with_n() {
-        let c = CollectiveCost::new(LinkModel::new(SimDuration::ZERO, 1e9));
-        let t4 = c.ps_round(4, 1 << 20).as_secs_f64();
-        let t8 = c.ps_round(8, 1 << 20).as_secs_f64();
-        assert!((t8 / t4 - 2.0).abs() < 1e-9);
-    }
-
-    #[test]
     fn bytes_per_worker_bandwidth_optimal() {
         let c = cost();
         let bytes = 1_000_000u64;
@@ -299,7 +280,6 @@ mod tests {
             let c = cost();
             let (lo, hi) = (b1.min(b2), b1.max(b2));
             prop_assert!(c.ring_allreduce(n, lo) <= c.ring_allreduce(n, hi));
-            prop_assert!(c.ps_round(n, lo) <= c.ps_round(n, hi));
             prop_assert!(c.ring_broadcast(n, lo) <= c.ring_broadcast(n, hi));
         }
     }

@@ -160,9 +160,6 @@ pub struct FaultPlan {
     /// Global rounds at which the *active controller* dies (one failover
     /// each; the warm standby takes over after the lease expires).
     controller_crashes: Vec<u64>,
-    /// `(shard, round)` pairs: PS shard `shard` crashes at its group's
-    /// round `round`.
-    ps_crashes: Vec<(usize, u64)>,
 }
 
 impl FaultPlan {
@@ -242,15 +239,6 @@ impl FaultPlan {
         self
     }
 
-    /// Adds a PS shard crash: shard `shard` (group `shard`'s slot of the
-    /// hierarchical PS) crashes as that group reaches round `at_round`. The
-    /// crash is counted in `ps_failovers` and costs the run nothing: the
-    /// hierarchy's master parameters are the PS and lose no write.
-    pub fn crash_ps_shard(mut self, shard: usize, at_round: u64) -> Self {
-        self.ps_crashes.push((shard, at_round));
-        self
-    }
-
     /// The sorted global rounds at which the active controller dies.
     pub fn controller_crashes(&self) -> &[u64] {
         &self.controller_crashes
@@ -265,14 +253,9 @@ impl FaultPlan {
         self.controller_crashes.get(term).copied()
     }
 
-    /// The `(shard, round)` PS-shard crashes in insertion order.
-    pub fn ps_shard_crashes(&self) -> &[(usize, u64)] {
-        &self.ps_crashes
-    }
-
     /// Whether the plan injects nothing.
     pub fn is_empty(&self) -> bool {
-        self.faults.is_empty() && self.controller_crashes.is_empty() && self.ps_crashes.is_empty()
+        self.faults.is_empty() && self.controller_crashes.is_empty()
     }
 
     /// All `(worker, fault)` entries in insertion order.
@@ -1417,20 +1400,15 @@ mod tests {
 
     #[test]
     fn control_plane_faults_accumulate_and_sort() {
-        let plan = FaultPlan::none()
-            .crash_controller(9)
-            .crash_ps_shard(1, 4)
-            .crash_controller(3);
+        let plan = FaultPlan::none().crash_controller(9).crash_controller(3);
         assert_eq!(plan.controller_crashes(), &[3, 9]);
         assert_eq!(plan.controller_crash(0), Some(3));
         assert_eq!(plan.controller_crash(1), Some(9));
         assert_eq!(plan.controller_crash(2), None);
-        assert_eq!(plan.ps_shard_crashes(), &[(1, 4)]);
         assert!(!plan.is_empty());
         // Control-plane targets are not workers: cluster-size validation
         // keys off worker faults only.
         assert_eq!(plan.max_worker(), None);
-        assert!(FaultPlan::none().crash_ps_shard(0, 1).faults().is_empty());
     }
 
     #[test]

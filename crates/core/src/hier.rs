@@ -24,9 +24,10 @@
 //! stale-parameter mixing: staleness is confined to the gradients, where
 //! the §5 analysis bounds it.
 //!
-//! The master *is* the parameter server, with no second copy of its state,
-//! so a planned PS-shard crash ([`crate::fault::FaultPlan::crash_ps_shard`])
-//! is counted and costs the run nothing.
+//! The §2.2 asynchronous parameter server is this stage's singleton case
+//! ([`crate::rna::RnaProtocol::async_ps`]): one group per worker under the
+//! barrier, so each worker blocks on its own push and pull, and one server
+//! whose link serializes every exchange — the communication hotspot.
 //!
 //! With an exchange cadence above 1
 //! ([`crate::rna::RnaProtocol::with_ps_every`]), intermediate rounds apply
@@ -35,6 +36,7 @@
 //! with the master view. The stage also owns the online regroup loop
 //! ([`crate::rna::RnaProtocol::with_regroup_policy`]).
 
+use rna_simnet::SimTime;
 use rna_tensor::codec::FeedbackEncoder;
 use rna_tensor::{Compression, Tensor};
 
@@ -60,9 +62,10 @@ pub(crate) struct PsStage {
     /// Exchanges each group skipped because the PS was unreachable
     /// (partition). Reset when the group reconciles on heal.
     missed_exchanges: Vec<u64>,
-    /// Which [`crate::fault::FaultPlan::ps_shard_crashes`] entries have
-    /// already fired (sized in `start`).
-    crashes_done: Vec<bool>,
+    /// When the single server's link is next free: `Some` serializes every
+    /// push and pull on it (async-PS's hotspot); `None`, the hierarchy,
+    /// prices each exchange on its own.
+    pub(crate) server_free_at: Option<SimTime>,
     /// Per-group error-feedback encoders for the lossy PS push (the pull
     /// stays full-precision — the master must reach every group exactly).
     encoders: Vec<FeedbackEncoder>,
@@ -98,7 +101,7 @@ impl PsStage {
             pending: vec![None; num_groups],
             every: 1,
             missed_exchanges: vec![0; num_groups],
-            crashes_done: Vec::new(),
+            server_free_at: None,
             encoders: vec![FeedbackEncoder::new(codec); num_groups],
             codec_buf: Vec::new(),
             speed: SpeedEstimator::new(n, RegroupPolicy::default().alpha),
@@ -113,22 +116,6 @@ impl PsStage {
     /// Seeds the master from the initial model.
     pub(crate) fn start(&mut self, ctx: &mut Ctx<'_, RnaMsg>) {
         self.master = Some(ctx.params(0));
-        self.crashes_done = vec![false; ctx.fault_plan().ps_shard_crashes().len()];
-    }
-
-    /// Fires any planned PS-shard crash scheduled for group `gid` at its
-    /// current `round`: the crash is counted in `ps_failovers` and the
-    /// exchange carries on against the master, which loses nothing. Each
-    /// plan entry fires exactly once.
-    fn maybe_crash_shard(&mut self, ctx: &mut Ctx<'_, RnaMsg>, gid: usize, round: u64) {
-        let crashes = ctx.fault_plan().ps_shard_crashes().to_vec();
-        for (i, &(shard, at_round)) in crashes.iter().enumerate() {
-            if self.crashes_done[i] || shard != gid || at_round != round {
-                continue;
-            }
-            self.crashes_done[i] = true;
-            ctx.counters_mut().ps_failovers += 1;
-        }
     }
 
     /// Applies group `gid`'s accumulated gradient to the master at the
@@ -142,8 +129,7 @@ impl PsStage {
         master
     }
 
-    /// Takes a group's reduced gradient: fire any PS-shard crash planned
-    /// for this round, accumulate the gradient at the round's
+    /// Takes a group's reduced gradient: accumulate it at the round's
     /// learning-rate `scale`, and on an exchange round push it to the
     /// master. Returns whether the exchange launched (the round edge then
     /// waits for `PsDone`); otherwise `RnaProtocol` applies the update
@@ -159,7 +145,6 @@ impl PsStage {
         contributors: usize,
     ) -> bool {
         let gid = group.id;
-        self.maybe_crash_shard(ctx, gid, group.round());
         // Pooled buffers arrive zeroed, so the accumulator starts from
         // exact zero.
         self.pending[gid]
@@ -182,7 +167,8 @@ impl PsStage {
 
     /// Launches the asynchronous exchange: the accumulated gradient travels
     /// to the PS and the refreshed master comes back, paying push + pull on
-    /// the star link plus the intra-group broadcast.
+    /// the star link (queued behind earlier exchanges on a single server's
+    /// link) plus the intra-group broadcast.
     ///
     /// A gradient accumulated across `missed_exchanges` skipped exchanges
     /// (the group was partitioned from the PS) is reconciled with a
@@ -225,9 +211,13 @@ impl PsStage {
         } else {
             codec.frame_bytes((bytes / 4) as usize)
         };
-        let duration = cost.point_to_point(push_bytes)
-            + cost.point_to_point(bytes)
-            + cost.ring_broadcast(group.members.len(), bytes);
+        let now = ctx.now();
+        let start = self.server_free_at.map_or(now, |free| now.max(free));
+        let done = start + cost.point_to_point(push_bytes) + cost.point_to_point(bytes);
+        if let Some(free_at) = &mut self.server_free_at {
+            *free_at = done;
+        }
+        let duration = done - now + cost.ring_broadcast(group.members.len(), bytes);
         ctx.charge_bytes(push_bytes + bytes);
         ctx.note_wire_bytes(push_bytes + bytes, bytes * 2);
         ctx.send_after(
@@ -302,8 +292,7 @@ impl PsStage {
     /// Commits the armed topology swap once every group is drained: flush
     /// pending PS accumulators into the master (nothing contributed is
     /// lost), transplant gradient caches into the new layout, rebuild the
-    /// group states aligned to the maximum round, rehome the PS shard keys,
-    /// and restart every group.
+    /// group states aligned to the maximum round, and restart every group.
     pub(crate) fn try_commit_regroup(
         &mut self,
         ctx: &mut Ctx<'_, RnaMsg>,
@@ -369,7 +358,6 @@ impl PsStage {
         //    dormant.
         let round = groups.iter().map(GroupState::round).max().unwrap_or(0);
         let mode = groups[0].election.mode();
-        let old_k = groups.len();
         *groups = layout
             .iter()
             .enumerate()
@@ -391,11 +379,9 @@ impl PsStage {
             }
             g.recover_for_takeover(round);
         }
-        // 5. Rehome the PS shard keys: every old group's key drains and
-        //    every new group's key is seeded from the master, which the
-        //    flush above already brought up to date.
+        // 5. Every new group pulls from the master, which the flush above
+        //    already brought up to date.
         ctx.counters_mut().regroup_events += 1;
-        ctx.counters_mut().ps_keys_rebalanced += (old_k + k) as u64;
         self.last_swap_edge = self.round_edges;
         self.last_ratio = ratio;
         // 6. Atomic swap done: restart every group's compute and election.
@@ -419,6 +405,7 @@ mod tests {
     use crate::rna::RnaProtocol;
     use crate::sim::{Engine, TrainSpec};
     use crate::RnaConfig;
+    use rna_simnet::SimDuration;
     use rna_workload::HeterogeneityModel;
 
     fn mixed_spec(n: usize, seed: u64, rounds: u64) -> TrainSpec {
@@ -559,25 +546,101 @@ mod tests {
     }
 
     #[test]
-    fn ps_shard_crash_degrades_to_replica() {
-        use crate::fault::FaultPlan;
-        let spec = mixed_spec(6, 11, 60)
-            .with_fault_plan(FaultPlan::none().crash_ps_shard(0, 5).crash_ps_shard(1, 9));
-        let p = RnaProtocol::auto(&spec, RnaConfig::default());
-        let r = Engine::new(spec, p).run();
-        // The crashes are counted; the exchange carries on against the master.
-        assert_eq!(r.global_rounds, 60);
-        assert_eq!(r.ps_failovers, 2);
-        let pts = r.history.points();
-        assert!(pts.last().unwrap().loss < pts[0].loss);
-    }
-
-    #[test]
     fn slow_group_sees_fast_group_progress() {
         let spec = mixed_spec(6, 7, 80);
         let p = RnaProtocol::auto(&spec, RnaConfig::default());
         let r = Engine::new(spec, p).run();
         assert!(r.global_rounds >= 60);
         assert!(r.mean_participation() > 0.3);
+    }
+
+    #[test]
+    fn async_ps_trains() {
+        let spec = TrainSpec::smoke_test(4, 1).with_max_rounds(200);
+        let r = Engine::new(spec, RnaProtocol::async_ps(4)).run();
+        let pts = r.history.points();
+        assert!(pts.last().unwrap().loss < pts[0].loss);
+        assert!((r.mean_participation() - 0.25).abs() < 1e-9);
+    }
+
+    #[test]
+    fn stragglers_hurt_only_themselves() {
+        // Small model so the server link is NOT the bottleneck — the
+        // asymmetry must then come purely from compute speed.
+        let n = 4;
+        let mut spec = TrainSpec::smoke_test(n, 3)
+            .with_hetero(HeterogeneityModel::deterministic(&[0, 0, 0, 45]))
+            .with_max_rounds(300);
+        spec.profile = rna_workload::ModelProfile::resnet56().with_compute(
+            rna_workload::ComputeTimeModel::Constant(SimDuration::from_millis(5)),
+        );
+        let r = Engine::new(spec, RnaProtocol::async_ps(n)).run();
+        assert!(
+            r.worker_iterations[0] > r.worker_iterations[3] * 2,
+            "{:?}",
+            r.worker_iterations
+        );
+    }
+
+    #[test]
+    fn server_link_is_the_hotspot() {
+        // With a big model over a slow link, the server serializes flows:
+        // doubling the workers must NOT double the exchange throughput.
+        let run = |n: usize| {
+            let mut spec = TrainSpec::smoke_test(n, 7)
+                .with_max_rounds(100_000)
+                .with_max_time(SimDuration::from_secs(5));
+            spec.link = rna_simnet::LinkModel::ethernet_10g();
+            // Full VGG16-sized pushes saturate 10 GbE quickly.
+            spec.profile = rna_workload::ModelProfile::vgg16().with_compute(
+                rna_workload::ComputeTimeModel::Constant(SimDuration::from_millis(5)),
+            );
+            let r = Engine::new(spec, RnaProtocol::async_ps(n)).run();
+            r.global_rounds as f64 / r.wall_time.as_secs_f64()
+        };
+        let t4 = run(4);
+        let t8 = run(8);
+        assert!(
+            t8 < t4 * 1.3,
+            "server link should cap throughput: {t4} vs {t8} exchanges/s"
+        );
+    }
+
+    #[test]
+    fn deterministic_runs() {
+        let run = || {
+            Engine::new(
+                TrainSpec::smoke_test(4, 9).with_max_rounds(80),
+                RnaProtocol::async_ps(4),
+            )
+            .run()
+        };
+        let (a, b) = (run(), run());
+        assert_eq!(a.wall_time, b.wall_time);
+        assert_eq!(a.final_loss(), b.final_loss());
+    }
+
+    #[test]
+    fn a_restarted_async_ps_worker_returns() {
+        use crate::fault::FaultPlan;
+        let spec = TrainSpec::smoke_test(4, 5)
+            .with_fault_plan(FaultPlan::none().restart(2, 10, 20_000))
+            .with_max_rounds(200);
+        let r = Engine::new(spec, RnaProtocol::async_ps(4)).run();
+        // Seeded from the master, the worker computes again after its dwell.
+        assert!(r.worker_iterations[2] > 20, "{:?}", r.worker_iterations);
+    }
+
+    #[test]
+    fn a_partition_reaches_async_ps() {
+        use crate::fault::NetFaultPlan;
+        // The golden table's partition scenario: workers 0 and 1 lose the
+        // server for 60 ms and skip the exchange that falls in the window.
+        let spec = TrainSpec::smoke_test(6, 17)
+            .with_hetero(HeterogeneityModel::dynamic_uniform(6, 0, 20))
+            .with_max_rounds(40)
+            .with_net_fault_plan(NetFaultPlan::none().partition(vec![0, 1], 30_000, 90_000));
+        let r = Engine::new(spec, RnaProtocol::async_ps(6)).run();
+        assert!(r.partition_rounds >= 1, "{}", r.partition_rounds);
     }
 }

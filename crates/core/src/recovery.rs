@@ -45,7 +45,8 @@ pub const CHECKPOINT_MAGIC: &[u8; 8] = b"RNACKPT1";
 /// simulator's group blob no longer carries per-member initiator counts.
 /// 4: the round journal holds at most one record, its last. 5: the group
 /// blob carries each member's crash flag and the round its gradient began.
-pub const CHECKPOINT_VERSION: u32 = 5;
+/// 6: the `Counters` block drops the two parameter-server shard tallies.
+pub const CHECKPOINT_VERSION: u32 = 6;
 
 /// Why a checkpoint could not be loaded.
 #[derive(Debug)]
@@ -474,6 +475,21 @@ mod tests {
             store.load_latest(),
             Err(RecoveryError::Corrupt(_))
         ));
+    }
+
+    #[test]
+    fn a_previous_version_is_refused() {
+        let store = CheckpointStore::new(scratch_dir("version")).unwrap();
+        store.save(b"payload").unwrap();
+        let mut bytes = fs::read(store.latest_path()).unwrap();
+        bytes[8..12].copy_from_slice(&(CHECKPOINT_VERSION - 1).to_le_bytes());
+        fs::write(store.latest_path(), &bytes).unwrap();
+        match store.load_latest() {
+            Err(RecoveryError::Corrupt(why)) => {
+                assert!(why.contains("unsupported version"), "{why}")
+            }
+            other => panic!("expected Corrupt, got {other:?}"),
+        }
     }
 
     #[test]

@@ -28,11 +28,13 @@
 //! edge once. Flat RNA ([`RnaProtocol::new`]) is one group spanning the
 //! cluster, with controller failover and checkpoint/resume. The §4
 //! hierarchy ([`RnaProtocol::grouped`], [`RnaProtocol::auto`]) is several
-//! groups plus the asynchronous parameter-server stage of `crate::hier`.
+//! groups plus the asynchronous parameter-server stage of `crate::hier`, and
+//! the §2.2 asynchronous parameter server ([`RnaProtocol::async_ps`]) is
+//! that stage over groups of one.
 
 use rna_collectives::partial_allreduce_pooled;
 use rna_simnet::trace::SpanKind;
-use rna_simnet::SimDuration;
+use rna_simnet::{SimDuration, SimTime};
 use rna_tensor::codec::FeedbackEncoder;
 use rna_tensor::wire::{self, Reader};
 use rna_tensor::Tensor;
@@ -597,13 +599,14 @@ impl GroupState {
     }
 
     /// Completes the round: clears the reduce latch, bumps the round, and
-    /// records participation. `RnaProtocol`'s round edge follows with churn,
+    /// records participation, the contributors over the whole cluster.
+    /// `RnaProtocol`'s round edge follows with churn,
     /// the regroup or checkpoint check, [`GroupState::resume_paused`] and
     /// the next election.
     pub fn complete_round(&mut self, ctx: &mut Ctx<'_, RnaMsg>, contributors: usize) {
         self.reducing = false;
         self.round += 1;
-        ctx.finish_round(contributors as f64 / self.members.len() as f64);
+        ctx.finish_round(contributors as f64 / ctx.num_workers() as f64);
     }
 
     /// Gives every paused member a chance to continue (in member order —
@@ -889,6 +892,33 @@ impl RnaProtocol {
         }
     }
 
+    /// The asynchronous centralized parameter server (§2.2, §9): the PS
+    /// stage over `n` groups of one under [`SyncMode::Bsp`]. A worker's
+    /// round is its own blocking push and pull, and the single server's
+    /// link serializes every worker's exchange — the communication hotspot
+    /// that motivates decentralized AllReduce. Named `"async-ps"`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n == 0`.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use rna_core::rna::RnaProtocol;
+    /// use rna_core::sim::{Engine, TrainSpec};
+    ///
+    /// let result = Engine::new(TrainSpec::smoke_test(4, 1), RnaProtocol::async_ps(4)).run();
+    /// assert_eq!(result.protocol, "async-ps");
+    /// assert!(result.global_rounds > 0);
+    /// ```
+    pub fn async_ps(n: usize) -> Self {
+        let mut p = RnaProtocol::grouped((0..n).map(|w| vec![w]).collect(), RnaConfig::default())
+            .with_election(SyncMode::Bsp);
+        p.ps_stage().server_free_at = Some(SimTime::ZERO);
+        p
+    }
+
     /// Hierarchical RNA with the grouping derived from the spec's
     /// heterogeneity model by the ζ > v recursion over expected
     /// per-iteration times.
@@ -920,7 +950,8 @@ impl RnaProtocol {
 
     /// Sets what fires each group's collective (default [`SyncMode::Rna`]).
     /// [`SyncMode::EagerMajority`] is eager-SGD (`"eager-sgd"`),
-    /// [`SyncMode::Bsp`] Horovod (`"horovod"`) and [`SyncMode::Backup`]
+    /// [`SyncMode::Bsp`] Horovod (`"horovod"`; `"async-ps"` with the PS
+    /// stage, see [`RnaProtocol::async_ps`]) and [`SyncMode::Backup`]
     /// backup workers (`"backup-workers"`).
     ///
     /// # Panics
@@ -1165,14 +1196,12 @@ impl RnaProtocol {
 
     /// Applies the churn plan's edges due by group `gid`'s next round to
     /// its members: a **leave** (a retiree past its final round, an evictee
-    /// at its own) takes the member out; a **join** admits it with the
-    /// parameters of a live peer (or the PS master when the group has none)
-    /// streamed over the virtual wire. Every edge up to `next` is read, once
-    /// each, because a committed topology swap jumps the round clock: edges
-    /// in the jumped-over range must still fire.
+    /// at its own) takes the member out; a **join** admits it as a restart
+    /// rejoins, its snapshot streamed over the virtual wire. Every edge up to `next` is read, once each, because a committed
+    /// topology swap jumps the round clock: edges in the jumped-over range
+    /// must still fire.
     fn process_churn(&mut self, ctx: &mut Ctx<'_, RnaMsg>, gid: usize) {
-        let group = &mut self.groups[gid];
-        let next = group.round();
+        let next = self.groups[gid].round();
         let due: Vec<(usize, Edge)> = ctx.churn_plan().edges(..=next).collect();
         for (w, edge) in due {
             if self.worker_group[w] != gid {
@@ -1182,17 +1211,12 @@ impl RnaProtocol {
                 Edge::Join if !self.joined[w] => {
                     self.joined[w] = true;
                     let snapshot_bytes = 4 * ctx.params(w).len() as u64;
-                    if let Some(master) = self.ps.as_ref().and_then(|ps| ps.master.as_ref()) {
-                        if group.live_members().is_empty() {
-                            ctx.set_params(w, master);
-                        }
-                    }
-                    group.handle_rejoin(ctx, &self.config, w);
+                    self.rejoin(ctx, w);
                     ctx.charge_bytes(snapshot_bytes);
                     ctx.note_worker_joined(snapshot_bytes);
                 }
                 Edge::Leave(fate) if !self.departed[w] => {
-                    group.depart(&self.config, w);
+                    self.groups[gid].depart(&self.config, w);
                     self.departed[w] = true;
                     if let Some(ps) = &mut self.ps {
                         ps.speed.forget(w);
@@ -1202,6 +1226,18 @@ impl RnaProtocol {
                 _ => {}
             }
         }
+    }
+
+    /// Re-admits `worker` after a restart or as a planned joiner. A group
+    /// with no other live member seeds it from the PS master;
+    /// [`GroupState::handle_rejoin`] otherwise seeds it from a live peer.
+    fn rejoin(&mut self, ctx: &mut Ctx<'_, RnaMsg>, worker: usize) {
+        let group = &mut self.groups[self.worker_group[worker]];
+        let master = self.ps.as_ref().and_then(|ps| ps.master.as_ref());
+        if let Some(master) = master.filter(|_| group.live_members().iter().all(|&w| w == worker)) {
+            ctx.set_params(worker, master);
+        }
+        group.handle_rejoin(ctx, &self.config, worker);
     }
 
     /// Finishes a drain once nothing gates it: the checkpoint quiesce
@@ -1260,7 +1296,8 @@ impl Protocol for RnaProtocol {
     fn name(&self) -> &'static str {
         match (self.groups[0].election.mode(), &self.ps) {
             (SyncMode::EagerMajority, _) => "eager-sgd",
-            (SyncMode::Bsp, _) => "horovod",
+            (SyncMode::Bsp, Some(_)) => "async-ps",
+            (SyncMode::Bsp, None) => "horovod",
             (SyncMode::Backup(_), _) => "backup-workers",
             (SyncMode::Rna, Some(_)) => "rna-hier",
             (SyncMode::Rna, None) => "rna",
@@ -1371,8 +1408,7 @@ impl Protocol for RnaProtocol {
     }
 
     fn on_rejoin(&mut self, ctx: &mut Ctx<'_, RnaMsg>, worker: usize) {
-        let gid = self.worker_group[worker];
-        self.groups[gid].handle_rejoin(ctx, &self.config, worker);
+        self.rejoin(ctx, worker);
     }
 
     fn restore(&mut self, blob: &[u8]) -> bool {

@@ -829,8 +829,8 @@ impl<M: Clone + std::fmt::Debug> Ctx<'_, M> {
 
     /// The run's fault plan. Worker faults (crash/hang/slow/restart) are
     /// executed by the engine itself; *control-plane* faults (controller
-    /// and PS-shard crashes) are consulted and executed by the protocol,
-    /// which owns the control plane.
+    /// crashes) are consulted and executed by the protocol, which owns the
+    /// control plane.
     pub fn fault_plan(&self) -> &crate::fault::FaultPlan {
         &self.0.spec.fault_plan
     }

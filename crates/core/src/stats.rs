@@ -91,9 +91,6 @@ pub struct Counters {
     /// the real worlds it is the progress redone since the last checkpoint
     /// (crash round minus checkpoint round, summed).
     pub failover_rounds_lost: u64,
-    /// Planned PS shard crashes that fired; each is counted and costs the
-    /// run nothing (hierarchical DES protocol only).
-    pub ps_failovers: u64,
     /// Crash-consistent checkpoints written during the run.
     pub checkpoints_written: u64,
     /// Fresh tensor-buffer heap allocations performed by the reduce data
@@ -131,9 +128,6 @@ pub struct Counters {
     /// re-split from live speed estimates and swapped at a quiesce point.
     /// Always 0 for flat protocols and in the real worlds.
     pub regroup_events: u64,
-    /// Parameter-server keys rehomed by regroups: each swap counts the old
-    /// groups' keys plus the new groups'. Always 0 when no regroup fires.
-    pub ps_keys_rebalanced: u64,
     /// Bytes of model snapshot streamed to joining workers during
     /// admission (parameters only; framing excluded).
     pub snapshot_bytes_streamed: u64,
@@ -147,7 +141,6 @@ impl Counters {
         wire::put_u64(out, self.partition_rounds);
         wire::put_u64(out, self.controller_failovers);
         wire::put_u64(out, self.failover_rounds_lost);
-        wire::put_u64(out, self.ps_failovers);
         wire::put_u64(out, self.checkpoints_written);
         wire::put_u64(out, self.datapath_allocs);
         wire::put_u64(out, self.bytes_on_wire);
@@ -156,7 +149,6 @@ impl Counters {
         wire::put_u64(out, self.workers_joined);
         wire::put_u64(out, self.workers_retired);
         wire::put_u64(out, self.regroup_events);
-        wire::put_u64(out, self.ps_keys_rebalanced);
         wire::put_u64(out, self.snapshot_bytes_streamed);
     }
 
@@ -169,7 +161,6 @@ impl Counters {
             partition_rounds: r.u64()?,
             controller_failovers: r.u64()?,
             failover_rounds_lost: r.u64()?,
-            ps_failovers: r.u64()?,
             checkpoints_written: r.u64()?,
             datapath_allocs: r.u64()?,
             bytes_on_wire: r.u64()?,
@@ -178,7 +169,6 @@ impl Counters {
             workers_joined: r.u64()?,
             workers_retired: r.u64()?,
             regroup_events: r.u64()?,
-            ps_keys_rebalanced: r.u64()?,
             snapshot_bytes_streamed: r.u64()?,
         })
     }
@@ -287,11 +277,11 @@ mod tests {
         /// strict prefix decodes.
         #[test]
         fn counters_codec_is_a_bijection_on_bytes(
-            words in proptest::collection::vec(any::<u64>(), 16..17),
+            words in proptest::collection::vec(any::<u64>(), 14..15),
         ) {
             let bytes: Vec<u8> = words.iter().flat_map(|w| w.to_le_bytes()).collect();
             let mut r = Reader::new(&bytes);
-            let counters = Counters::decode(&mut r).expect("sixteen words decode");
+            let counters = Counters::decode(&mut r).expect("fourteen words decode");
             prop_assert_eq!(r.remaining(), 0);
             let mut back = Vec::new();
             counters.encode_into(&mut back);

@@ -1,7 +1,7 @@
 //! Shared configuration for all experiments: the approach registry and the
 //! mapping from the paper's four workloads onto [`TrainSpec`]s.
 
-use rna_baselines::{AdPsgdProtocol, AsyncPsProtocol, HorovodProtocol, SgpProtocol};
+use rna_baselines::{AdPsgdProtocol, HorovodProtocol, SgpProtocol};
 use rna_core::rna::RnaProtocol;
 use rna_core::sim::{Engine, TaskKind, TrainSpec};
 use rna_core::{RnaConfig, RunResult, SyncMode};
@@ -133,7 +133,7 @@ pub fn run_approach(approach: Approach, spec: &TrainSpec, config: &RnaConfig) ->
             let protocol = RnaProtocol::new(n, RnaConfig::default(), spec.seed).with_election(mode);
             Engine::new(spec.clone(), protocol).run()
         }
-        Approach::AsyncPs => Engine::new(spec.clone(), AsyncPsProtocol::new(n)).run(),
+        Approach::AsyncPs => Engine::new(spec.clone(), RnaProtocol::async_ps(n)).run(),
     }
 }
 

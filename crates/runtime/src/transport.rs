@@ -938,7 +938,6 @@ mod tests {
                 partition_rounds: 1,
                 controller_failovers: 5,
                 failover_rounds_lost: 9,
-                ps_failovers: 6,
                 checkpoints_written: 4,
                 datapath_allocs: 11,
                 bytes_on_wire: 4096,
@@ -947,7 +946,6 @@ mod tests {
                 workers_joined: 8,
                 workers_retired: 10,
                 regroup_events: 3,
-                ps_keys_rebalanced: 12,
                 snapshot_bytes_streamed: 144,
             },
         };

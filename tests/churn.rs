@@ -163,7 +163,6 @@ fn online_regroup_fires_under_gray_degradation() {
         "persistent straggler must trigger a topology swap: {:?}",
         r.regroup_events
     );
-    assert!(r.ps_keys_rebalanced > 0, "a committed swap rehomes PS keys");
     assert_eq!(r.worker_fates[3], WorkerFate::Slowed { from_iter: 5 });
     let pts = r.history.points();
     assert!(
@@ -181,7 +180,6 @@ fn online_regroup_replay_is_bit_identical() {
     let a = hier_gray_run();
     let b = hier_gray_run();
     assert_eq!(a.regroup_events, b.regroup_events);
-    assert_eq!(a.ps_keys_rebalanced, b.ps_keys_rebalanced);
     assert_eq!(a.wall_time, b.wall_time);
     assert_eq!(a.comm_bytes, b.comm_bytes);
     assert_eq!(a.worker_iterations, b.worker_iterations);

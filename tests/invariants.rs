@@ -4,7 +4,7 @@
 //! bounded resource usage — independent of which synchronization policy
 //! ran.
 
-use rna_baselines::{AdPsgdProtocol, AsyncPsProtocol, HorovodProtocol, SgpProtocol};
+use rna_baselines::{AdPsgdProtocol, HorovodProtocol, SgpProtocol};
 use rna_core::rna::RnaProtocol;
 use rna_core::sim::{Engine, TrainSpec};
 use rna_core::{RnaConfig, RunResult, SyncMode};
@@ -32,7 +32,7 @@ fn run_all(n: usize, seed: u64) -> Vec<RunResult> {
             RnaProtocol::new(n, RnaConfig::default(), 0).with_election(SyncMode::Backup(1)),
         )
         .run(),
-        Engine::new(spec(n, seed), AsyncPsProtocol::new(n)).run(),
+        Engine::new(spec(n, seed), RnaProtocol::async_ps(n)).run(),
         Engine::new(spec(n, seed), RnaProtocol::new(n, RnaConfig::default(), 0)).run(),
         Engine::new(
             spec(n, seed),

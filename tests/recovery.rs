@@ -332,42 +332,3 @@ fn threaded_checkpoint_roundtrip_across_processes() {
     );
     let _ = std::fs::remove_dir_all(&dir);
 }
-
-/// A PS shard crash under hierarchical RNA is counted and costs the run
-/// nothing: the master is the parameter server and loses no write, so the
-/// run reports exactly what the same run without the crashes reports.
-#[test]
-fn hier_ps_shard_crash_is_counted_and_costs_nothing() {
-    let seed = chaos_seed() ^ 0x95;
-    let n = 8;
-    let run = |plan: FaultPlan| {
-        let spec = TrainSpec::smoke_test(n, seed)
-            .with_hetero(HeterogeneityModel::mixed_groups(n, 0, 10, 40, 50))
-            .with_max_rounds(60)
-            .with_fault_plan(plan);
-        let groups: Vec<Vec<usize>> = vec![(0..4).collect(), (4..8).collect()];
-        Engine::new(spec, RnaProtocol::grouped(groups, RnaConfig::default())).run()
-    };
-    let r = run(FaultPlan::none()
-        .crash_ps_shard(0, 15)
-        // Shard crashes fire at the owning *group's* round; the slow group
-        // advances far fewer rounds than the fast one.
-        .crash_ps_shard(1, 6));
-    assert_eq!(r.ps_failovers, 2);
-    assert_eq!(r.global_rounds, 60);
-    let first = r.history.points().first().map(|p| p.loss).unwrap();
-    let last = r.final_loss().unwrap();
-    assert!(last < first, "loss must still fall: {first} -> {last}");
-
-    // Everything else the run reports matches the run without the crashes.
-    // `Debug` prints every float in its shortest round-trip form, so equal
-    // reports are equal to the bit: history, wall time, bytes, iterations,
-    // fates and the ledger (whose debug-only alloc count is left out).
-    let report = |r: &RunResult| {
-        let mut r = r.clone();
-        r.counters.ps_failovers = 0;
-        r.counters.datapath_allocs = 0;
-        format!("{r:?}")
-    };
-    assert_eq!(report(&r), report(&run(FaultPlan::none())));
-}
