@@ -92,6 +92,7 @@ fn resolve_head(git: &Path) -> Option<String> {
 #[cfg(test)]
 mod tests {
     use super::{git_dir, resolve_head};
+    use rna_tensor::simd::Tier;
     use std::fs;
 
     const HASH: &str = "0123456789abcdef0123456789abcdef01234567";
@@ -168,8 +169,15 @@ mod tests {
             .parse()
             .unwrap();
         assert!(n >= 1);
-        if rna_tensor::simd::vector_available() {
-            assert!(h.contains("\"avx2\""));
+        // The header names the features of every tier the host runs.
+        let best = rna_tensor::simd::best_tier();
+        if best >= Tier::Avx2 {
+            assert!(h.contains("\"avx2\""), "header: {h}");
+        }
+        if best == Tier::Avx512 {
+            for feature in ["avx512f", "avx512bw", "avx512vl"] {
+                assert!(h.contains(&format!("\"{feature}\"")), "header: {h}");
+            }
         }
     }
 }

@@ -1,14 +1,14 @@
 //! Pins `SimRng`'s bulk draws to its single draws, bit for bit.
 //!
-//! `Draws::fill` takes stochastic-rounding draws eight ChaCha8 blocks at a
-//! time; every draw, every `SimRngState` and every int8 frame must be the
-//! ones that single `uniform_u64(0..1 << 32)` calls give, under both
-//! dispatches of the keystream kernel. These tests live here because
+//! `Draws::fill` takes stochastic-rounding draws up to sixteen ChaCha8
+//! blocks at a time; every draw, every `SimRngState` and every int8 frame
+//! must be the ones that single `uniform_u64(0..1 << 32)` calls give, under
+//! every tier of the keystream kernel the host has. These tests live here because
 //! `rna-tensor`'s own tests cannot name `SimRng` (a dev-dependency on this
 //! crate would build a second copy of the `Draws` trait).
 //!
-//! The forced-scalar override is process-global, so tests that toggle it
-//! serialize on a mutex.
+//! The tier override is process-global, so tests that set it serialize on
+//! a mutex.
 
 use rna_simnet::{SimRng, SimRngState};
 use rna_tensor::codec::{self, Compression};
@@ -18,18 +18,16 @@ use std::sync::Mutex;
 
 static DISPATCH: Mutex<()> = Mutex::new(());
 
-/// Runs `f` once per dispatch the host has (portable first), restoring auto
-/// dispatch after.
+/// Runs `f` once per tier the host has (portable first), restoring the
+/// tier it found after.
 fn each_dispatch(mut f: impl FnMut(&str)) {
     let _guard = DISPATCH.lock().unwrap_or_else(|e| e.into_inner());
-    for forced_scalar in [true, false] {
-        if !forced_scalar && !simd::vector_available() {
-            continue;
-        }
-        simd::set_forced_scalar(forced_scalar);
-        f(if forced_scalar { "portable" } else { "avx2" });
+    let was = simd::tier();
+    for tier in simd::tiers() {
+        simd::set_tier(tier);
+        f(tier.name());
     }
-    simd::set_forced_scalar(false);
+    simd::set_tier(was);
 }
 
 fn draw(rng: &mut SimRng) -> u32 {
@@ -38,7 +36,9 @@ fn draw(rng: &mut SimRng) -> u32 {
 
 /// Generators at every pair-aligned word of a block: a fresh stream after
 /// 0–8 draws, and positions 0, 2, …, 16 restored with `from_state` at a
-/// plain counter, below a low-word carry and below the `u64` wrap.
+/// plain counter and below a low-word carry and the `u64` wrap, both close
+/// enough that an eight-block pass carries (`…FC`) and far enough that
+/// only a sixteen-block pass does (`…F8`).
 fn starts() -> Vec<(String, SimRng)> {
     let mut out = Vec::new();
     for pairs in 0..=8 {
@@ -49,7 +49,7 @@ fn starts() -> Vec<(String, SimRng)> {
         out.push((format!("seed 7 after {pairs} draws"), rng));
     }
     for next_word in (0..=16).step_by(2) {
-        for counter in [5, 0xFFFF_FFFC, u64::MAX - 3] {
+        for counter in [5, 0xFFFF_FFFC, 0xFFFF_FFF8, u64::MAX - 3, u64::MAX - 7] {
             let state = SimRngState {
                 counter,
                 next_word,
@@ -66,7 +66,10 @@ fn starts() -> Vec<(String, SimRng)> {
 fn fill_matches_single_draws_from_every_start() {
     each_dispatch(|dispatch| {
         for (start, rng) in starts() {
-            for len in [0, 1, 7, 8, 9, 63, 64, 65, 127, 128, 129, 1000, 65_536] {
+            for len in [
+                0, 1, 7, 8, 9, 63, 64, 65, 127, 128, 129, 255, 256, 257, 1000, 1023, 1024, 1025,
+                65_536, 65_537,
+            ] {
                 let what = format!("{dispatch}, {start}, len {len}");
                 let mut bulk = rng.clone();
                 let mut single = rng.clone();
@@ -83,18 +86,36 @@ fn fill_matches_single_draws_from_every_start() {
     });
 }
 
+/// Every pass length from none to a whole pass, at counters where a pass
+/// carries into the high word or wraps the `u64`: block `b` of a pass is
+/// the single block at `counter + b`, and blocks past `out.len()` are left
+/// as they were.
 #[test]
 fn avx2_blocks_match_the_portable_block_function() {
     let key = SimRng::seed(3).state().key;
-    for counter in [0, 0xFFFF_FFFC, u64::MAX - 3, 0x0123_4567_89AB_CDEF] {
-        let mut want = [[0u32; 16]; 8];
+    for counter in [
+        0,
+        0xFFFF_FFFC,
+        0xFFFF_FFF8,
+        u64::MAX - 3,
+        u64::MAX - 7,
+        0x0123_4567_89AB_CDEF,
+    ] {
+        let mut want = [[0u32; 16]; simd::CHACHA_PASS];
         for (b, block) in (0u64..).zip(&mut want) {
             simd::chacha8_block(&key, counter.wrapping_add(b), block);
         }
         each_dispatch(|dispatch| {
-            let mut got = [[0u32; 16]; 8];
-            simd::chacha8_blocks(&key, counter, &mut got);
-            assert!(got == want, "{dispatch}, counter {counter:#x}");
+            for len in 0..=simd::CHACHA_PASS {
+                let mut got = [[7u32; 16]; simd::CHACHA_PASS];
+                simd::chacha8_blocks(&key, counter, &mut got[..len]);
+                let what = format!("{dispatch}, counter {counter:#x}, {len} blocks");
+                assert!(got[..len] == want[..len], "{what}");
+                assert!(
+                    got[len..].iter().all(|b| *b == [7; 16]),
+                    "{what}: past the end"
+                );
+            }
         });
     }
 }
@@ -171,7 +192,7 @@ fn same_bits(a: &Tensor, b: &Tensor) -> bool {
 #[test]
 fn int8_feedback_through_simrng_matches_per_draw_reference() {
     each_dispatch(|dispatch| {
-        for len in (1..=133).chain([65_536]) {
+        for len in (1..=133).chain([1023, 1024, 1025, 65_536, 65_537]) {
             for shape in 0..4 {
                 let what = format!("{dispatch}, len {len}, shape {shape}");
                 let mut bulk = SimRng::seed(len as u64);

@@ -17,12 +17,13 @@
 //! per-sample adds it always did, in sample order, from its stored value.
 //!
 //! **Builds.** [`matmat`], [`outer_acc`], [`back`] and [`tanh_in_place`]
-//! are one plain `#[inline(always)]` body each, compiled twice: for the
-//! baseline target and for AVX2 behind [`simd::active`] (the wrappers live
-//! in `simd.rs`, the crate's one `unsafe` module). Nothing here fuses
-//! `a * b + c`: Rust does not contract it, so the same per-lane multiply
-//! and add give the same bits at any vector width, and `RNA_FORCE_SCALAR`
-//! switches these kernels along with the codecs.
+//! are one plain `#[inline(always)]` body each, compiled once per
+//! [`simd::Tier`]: for the baseline target, for AVX2 and for AVX-512, the
+//! one [`simd::tier`] picks (the wrappers live in `simd.rs`, the crate's one
+//! `unsafe` module). Nothing here fuses `a * b + c`: Rust does not contract
+//! it, so the same per-lane multiply and add give the same bits at any
+//! vector width, and `RNA_FORCE_SCALAR` switches these kernels along with
+//! the codecs.
 //!
 //! **tanh.** [`tanh_in_place`] is a lane port of glibc 2.36's `tanhf` and
 //! the `expm1f` it calls (fdlibm's flt-32 `s_tanhf.c` and `s_expm1f.c` as
@@ -36,14 +37,15 @@
 use crate::simd;
 
 /// Samples per tile, the most one [`matmat`] or [`outer_acc`] call takes:
-/// one lane each of a transposed tile row, two AVX2 registers.
+/// one lane each of a transposed tile row, two AVX2 registers or one
+/// AVX-512 register.
 pub const LANES: usize = 16;
 
 /// Rows per [`matmat`] block (`ROWS × LANES` accumulators stay in registers).
 const ROWS: usize = 4;
 
-/// Gradient floats per [`outer_acc`] block: four AVX2 registers that take
-/// every sample's term between one load and one store.
+/// Gradient floats per [`outer_acc`] block: four AVX2 or two AVX-512
+/// registers that take every sample's term between one load and one store.
 const BLOCK: usize = 32;
 
 /// `Σ_d row[d] · x[d]`, the way `iter().sum()` adds it up: the reference
@@ -255,10 +257,14 @@ pub fn tanh_in_place(xs: &mut [f32]) {
     simd::tanh(xs);
 }
 
-/// The body of [`tanh_in_place`], one lane per element.
+/// The body of [`tanh_in_place`], one lane per element. A plain loop: a
+/// closure handed to `for_each` is one monomorphisation every build shares,
+/// which LLVM left out of line, without AVX2, once there were two twins.
 #[inline(always)]
 pub(crate) fn tanh_lanes(xs: &mut [f32]) {
-    xs.iter_mut().for_each(|x| *x = tanhf(*x));
+    for x in xs {
+        *x = tanhf(*x);
+    }
 }
 
 /// glibc's `tanhf`, every branch computed and selected.
@@ -386,12 +392,12 @@ mod tests {
         v.iter().map(|x| x.to_bits()).collect()
     }
 
-    /// Runs `check` under the forced-scalar dispatch, then the detected one.
-    fn under_both_dispatches(mut check: impl FnMut(bool)) {
+    /// Runs `check` under every tier the host has, portable first.
+    fn under_every_tier(mut check: impl FnMut(&str)) {
         simd::with_dispatch_lock(|| {
-            for forced in [true, false] {
-                simd::set_forced_scalar(forced);
-                check(forced);
+            for tier in simd::tiers() {
+                simd::set_tier(tier);
+                check(tier.name());
             }
         });
     }
@@ -416,7 +422,7 @@ mod tests {
                     .collect();
                 assert_eq!(reference[0][1].to_bits(), (-0.0f32).to_bits());
 
-                under_both_dispatches(|forced| {
+                under_every_tier(|tier| {
                     let mut tile = Vec::new();
                     for batch in [1usize, 7, 16, 17, 31, 409] {
                         let mut out = Vec::new();
@@ -430,7 +436,7 @@ mod tests {
                             assert_eq!(
                                 bits(&out),
                                 bits(&want),
-                                "matmat {rows}x{dim}, batch {batch}, forced_scalar {forced}"
+                                "matmat {rows}x{dim}, batch {batch}, tier {tier}"
                             );
                         }
                     }
@@ -479,7 +485,7 @@ mod tests {
                 assert_eq!(wants[1][dim].to_bits(), 0.0f32.to_bits());
                 assert!(wants[LANES][2 * dim].is_nan() && wants[LANES][3 * dim].is_nan());
 
-                under_both_dispatches(|forced| {
+                under_every_tier(|tier| {
                     for n in 1..=LANES {
                         let mut g = start.clone();
                         let samples = xs[..n].iter().map(Vec::as_slice);
@@ -487,7 +493,7 @@ mod tests {
                         assert_eq!(
                             bits(&g),
                             bits(&wants[n]),
-                            "outer_acc {n} samples, {rows}x{dim}, forced_scalar {forced}"
+                            "outer_acc {n} samples, {rows}x{dim}, tier {tier}"
                         );
                     }
                 });
@@ -511,15 +517,11 @@ mod tests {
                     .collect();
                 assert_eq!(want[0].to_bits(), 0.0f32.to_bits());
 
-                under_both_dispatches(|forced| {
+                under_every_tier(|tier| {
                     // A stale, longer buffer: `back` must size and clear it.
                     let mut dx = vec![f32::NAN; dim + 3];
                     back(&mut dx, &coef, &w);
-                    assert_eq!(
-                        bits(&dx),
-                        bits(&want),
-                        "back {rows}x{dim}, forced_scalar {forced}"
-                    );
+                    assert_eq!(bits(&dx), bits(&want), "back {rows}x{dim}, tier {tier}");
                 });
             }
         }
@@ -574,7 +576,7 @@ mod tests {
         (0xffff_ffff, 0xffff_ffff),
     ];
 
-    /// The oracle table under both dispatches: all of it in one call, one
+    /// The oracle table under every tier: all of it in one call, one
     /// entry per call (the loop's scalar tail), and each entry planted
     /// among finite values (a full vector block).
     #[test]
@@ -582,10 +584,10 @@ mod tests {
         let (xs, want): (Vec<u32>, Vec<u32>) = TANH_ORACLE.iter().copied().unzip();
         let xs: Vec<f32> = xs.into_iter().map(f32::from_bits).collect();
         let filler = f32::from_bits(TANH_ORACLE[12].0);
-        under_both_dispatches(|forced| {
+        under_every_tier(|tier| {
             let mut all = xs.clone();
             tanh_in_place(&mut all);
-            assert_eq!(bits(&all), want, "forced_scalar {forced}");
+            assert_eq!(bits(&all), want, "tier {tier}");
             for (&x, &y) in xs.iter().zip(&want) {
                 let mut one = [x];
                 tanh_in_place(&mut one);
@@ -614,21 +616,21 @@ mod tests {
         })
     }
 
-    /// The strided sweep under both dispatches, against the captured
+    /// The strided sweep under every tier, against the captured
     /// digest: the table pins the branch edges, this the arithmetic between
     /// them.
     #[test]
     fn tanh_matches_the_glibc_digest_on_a_strided_sweep() {
-        under_both_dispatches(|forced| {
+        under_every_tier(|tier| {
             assert_eq!(
                 sweep_digest(tanh_in_place),
                 TANH_SWEEP_DIGEST,
-                "forced_scalar {forced}"
+                "tier {tier}"
             );
         });
     }
 
-    /// Every `f32` against the host's `f32::tanh`, under both dispatches:
+    /// Every `f32` against the host's `f32::tanh`, under every tier:
     /// meaningful on a glibc 2.36 x86-64 host, minutes long, so ignored
     /// (`cargo test --release -p rna-tensor --lib -- --ignored tanh`).
     #[test]
@@ -636,7 +638,7 @@ mod tests {
     fn tanh_matches_the_host_libm_on_every_f32() {
         const BLOCK: usize = 1 << 12;
         let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
-        under_both_dispatches(|forced| {
+        under_every_tier(|tier| {
             let mismatches: u64 = std::thread::scope(|scope| {
                 let workers: Vec<_> = (0..threads as u64)
                     .map(|worker| {
@@ -671,7 +673,7 @@ mod tests {
                     .collect();
                 workers.into_iter().map(|w| w.join().unwrap()).sum()
             });
-            assert_eq!(mismatches, 0, "forced_scalar {forced}");
+            assert_eq!(mismatches, 0, "tier {tier}");
         });
     }
 }

@@ -14,7 +14,8 @@ use rna_tensor::reduce::{
     staleness_weighted_average, staleness_weighted_average_into, weighted_average,
     weighted_average_into,
 };
-use rna_tensor::{simd, ReduceOp, Tensor, TensorPool};
+use rna_tensor::simd::{self, Tier};
+use rna_tensor::{ReduceOp, Tensor, TensorPool};
 use std::cell::Cell;
 use std::rc::Rc;
 use std::sync::Mutex;
@@ -270,7 +271,7 @@ fn six_sweep_feedback(
     residual: &mut Tensor,
     draw: &mut impl FnMut() -> u32,
 ) -> (Vec<u8>, f64) {
-    with_dispatch(true, || {
+    with_dispatch(Tier::Portable, || {
         let mut frame = Vec::new();
         grad.add_assign(residual);
         if matches!(codec, Compression::Int8) {
@@ -287,15 +288,16 @@ fn six_sweep_feedback(
     })
 }
 
-/// The forced-scalar override is process-global: cases that pin it hold
-/// this lock.
+/// The tier override is process-global: cases that pin it hold this lock.
 static DISPATCH: Mutex<()> = Mutex::new(());
 
-fn with_dispatch<T>(forced_scalar: bool, f: impl FnOnce() -> T) -> T {
+/// Runs `f` at `tier`, restoring the tier it found after.
+fn with_dispatch<T>(tier: Tier, f: impl FnOnce() -> T) -> T {
     let _guard = DISPATCH.lock().unwrap_or_else(|e| e.into_inner());
-    simd::set_forced_scalar(forced_scalar);
+    let was = simd::tier();
+    simd::set_tier(tier);
     let out = f();
-    simd::set_forced_scalar(false);
+    simd::set_tier(was);
     out
 }
 
@@ -323,11 +325,12 @@ fn same_bits(a: f32, b: f32) -> bool {
 /// Three rounds sharing one residual through the fused body and through
 /// the six-sweep oracle; asserts frames, grad, residual, draw count and
 /// norm agree bit for bit (NaN-ness only where a NaN arises).
-fn pin_to_oracle(codec: Compression, inputs: &[Vec<f32>], threads: usize, forced_scalar: bool) {
+fn pin_to_oracle(codec: Compression, inputs: &[Vec<f32>], threads: usize, tier: Tier) {
     let len = inputs[0].len();
     let what = format!(
-        "{} len={len} threads={threads} scalar={forced_scalar}",
-        codec.name()
+        "{} len={len} threads={threads} tier={}",
+        codec.name(),
+        tier.name()
     );
     let (mut draw_fused, fused_draws) = draws(17);
     let (mut draw_oracle, oracle_draws) = draws(17);
@@ -336,7 +339,7 @@ fn pin_to_oracle(codec: Compression, inputs: &[Vec<f32>], threads: usize, forced
     let mut out = Vec::new();
     for (round, input) in inputs.iter().enumerate() {
         let mut fused = Tensor::from_vec(input.clone());
-        let (bytes, norm) = with_dispatch(forced_scalar, || {
+        let (bytes, norm) = with_dispatch(tier, || {
             codec::encode_with_feedback_mt(
                 codec,
                 &mut fused,
@@ -388,8 +391,8 @@ fn fused_feedback_matches_the_six_sweep_recurrence() {
                 .map(|round| pseudo(len, 31 * len as u64 + round))
                 .collect();
             for threads in [1, 3] {
-                for forced_scalar in [true, false] {
-                    pin_to_oracle(codec, &inputs, threads, forced_scalar);
+                for tier in simd::tiers() {
+                    pin_to_oracle(codec, &inputs, threads, tier);
                 }
             }
         }
@@ -425,8 +428,8 @@ fn fused_fp16_feedback_matches_the_oracle_on_special_values() {
         .collect();
     for inputs in [vec![finite.clone(); 3], vec![finite, input.clone(), input]] {
         for threads in [1, 3] {
-            for forced_scalar in [true, false] {
-                pin_to_oracle(Compression::Fp16, &inputs, threads, forced_scalar);
+            for tier in simd::tiers() {
+                pin_to_oracle(Compression::Fp16, &inputs, threads, tier);
             }
         }
     }
@@ -434,10 +437,12 @@ fn fused_fp16_feedback_matches_the_oracle_on_special_values() {
 
 #[test]
 fn int8_encode_matches_the_per_element_reference() {
-    // Short last blocks (7, 9, 133), whole tiles and tile remainders; blocks
-    // where every element draws, blocks with zeros that do not, and
-    // non-finite elements.
-    for len in [1usize, 7, 8, 9, 63, 64, 65, 133] {
+    // Short last blocks (7, 9, 133), sixteen-lane edges, whole tiles and
+    // tile remainders; blocks where every element draws, blocks with zeros
+    // that do not, and non-finite elements.
+    for len in [
+        1usize, 7, 8, 9, 15, 16, 17, 63, 64, 65, 133, 1023, 1024, 1025,
+    ] {
         let dense = pseudo(len, 5 + len as u64);
         let mut sparse = dense.clone();
         sparse.iter_mut().step_by(3).for_each(|x| *x = 0.0);
@@ -448,13 +453,13 @@ fn int8_encode_matches_the_per_element_reference() {
         for xs in [dense, sparse, special] {
             let (mut draw, want_draws) = draws(23);
             let want = reference_int8_frame(&xs, &mut draw);
-            for forced_scalar in [true, false] {
+            for tier in simd::tiers() {
                 let (mut draw, got_draws) = draws(23);
                 let mut frame = Vec::new();
-                with_dispatch(forced_scalar, || {
+                with_dispatch(tier, || {
                     Compression::Int8.encode_slice(&xs, &mut frame, &mut draw)
                 });
-                let what = format!("len={len} scalar={forced_scalar} xs[0]={}", xs[0]);
+                let what = format!("len={len} tier={} xs[0]={}", tier.name(), xs[0]);
                 assert_eq!(frame, want, "{what}: frame");
                 assert_eq!(got_draws.get(), want_draws.get(), "{what}: draws");
             }

@@ -1,28 +1,36 @@
 //! Pins the SIMD data path to the scalar reference, bit for bit.
 //!
 //! Every assertion here compares *frames* (and decoded bit patterns, and
-//! stochastic-rounding draw counts) across the three executions of the same
-//! codec: the portable scalar reference, the runtime-dispatched SIMD path,
+//! stochastic-rounding draw counts) across the executions of the same
+//! codec: the portable scalar reference, every vector tier the host has,
 //! and the chunk-parallel path. Same-seed replays must not depend on the
-//! host CPU or the thread count, so all three must agree exactly — on every
+//! host CPU or the thread count, so all must agree exactly — on every
 //! codec, every lane-remainder length, and the error-feedback recurrence.
 //!
-//! The forced-scalar override is process-global, so tests that toggle it
-//! serialize on a mutex.
+//! The tier override is process-global, so tests that set it serialize on
+//! a mutex.
 
 use rna_tensor::codec::{self, Compression};
-use rna_tensor::{simd, Tensor};
+use rna_tensor::simd::{self, Tier};
+use rna_tensor::Tensor;
 use std::sync::Mutex;
 
 static MODE_LOCK: Mutex<()> = Mutex::new(());
 
-/// Runs `f` with the dispatch mode pinned, restoring auto dispatch after.
-fn with_forced_scalar<T>(forced: bool, f: impl FnOnce() -> T) -> T {
-    let _guard = MODE_LOCK.lock().unwrap();
-    simd::set_forced_scalar(forced);
+/// Runs `f` at `tier`, restoring the tier it found after.
+fn with_tier<T>(tier: Tier, f: impl FnOnce() -> T) -> T {
+    let _guard = MODE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let was = simd::tier();
+    simd::set_tier(tier);
     let out = f();
-    simd::set_forced_scalar(false);
+    simd::set_tier(was);
     out
+}
+
+/// Every vector tier the host has (none on a portable-only host, where
+/// there is nothing to compare).
+fn vector_tiers() -> impl Iterator<Item = Tier> {
+    simd::tiers().filter(|&t| t > Tier::Portable)
 }
 
 /// Deterministic draw stream (SplitMix-ish LCG) that counts consumption.
@@ -116,15 +124,15 @@ fn all_codecs() -> Vec<Compression> {
     ]
 }
 
-/// Encodes then decodes under the given dispatch mode, returning the frame,
-/// the decoded bit patterns, and how many draws were consumed.
+/// Encodes then decodes at the given tier, returning the frame, the
+/// decoded bit patterns, and how many draws were consumed.
 fn run_roundtrip(
     codec: Compression,
     xs: &[f32],
-    forced: bool,
+    tier: Tier,
     seed: u64,
 ) -> (Vec<u8>, Vec<u32>, u64) {
-    with_forced_scalar(forced, || {
+    with_tier(tier, || {
         let (mut draw, count) = counted_lcg(seed);
         let mut frame = Vec::new();
         codec.encode_slice(xs, &mut frame, &mut draw);
@@ -137,11 +145,10 @@ fn run_roundtrip(
 
 #[test]
 fn simd_matches_scalar_for_all_codecs_and_lane_remainders() {
-    if !simd::vector_available() {
-        // Dispatch degenerates to the scalar path; nothing to compare.
-        return;
-    }
-    for codec in all_codecs() {
+    for (codec, tier) in all_codecs()
+        .into_iter()
+        .flat_map(|c| vector_tiers().map(move |t| (c, t)))
+    {
         for len in 0..=33 {
             for seed in [1u64, 7, 1234] {
                 let mut inputs = vec![pseudo(len, seed ^ (len as u64) << 8)];
@@ -149,25 +156,24 @@ fn simd_matches_scalar_for_all_codecs_and_lane_remainders() {
                     inputs.extend(non_finite(len, seed));
                 }
                 for xs in &inputs {
-                    let (f_scalar, d_scalar, n_scalar) = run_roundtrip(codec, xs, true, seed);
-                    let (f_simd, d_simd, n_simd) = run_roundtrip(codec, xs, false, seed);
+                    let (f_scalar, d_scalar, n_scalar) =
+                        run_roundtrip(codec, xs, Tier::Portable, seed);
+                    let (f_simd, d_simd, n_simd) = run_roundtrip(codec, xs, tier, seed);
+                    let codec = format!("{} {}", codec.name(), tier.name());
                     assert_eq!(
-                        f_scalar,
-                        f_simd,
+                        f_scalar, f_simd,
                         "{} len={len} seed={seed}: frame bytes diverged",
-                        codec.name()
+                        codec
                     );
                     assert_eq!(
-                        d_scalar,
-                        d_simd,
+                        d_scalar, d_simd,
                         "{} len={len} seed={seed}: decoded bits diverged",
-                        codec.name()
+                        codec
                     );
                     assert_eq!(
-                        n_scalar,
-                        n_simd,
+                        n_scalar, n_simd,
                         "{} len={len} seed={seed}: draw streams advanced differently",
-                        codec.name()
+                        codec
                     );
                 }
             }
@@ -177,14 +183,17 @@ fn simd_matches_scalar_for_all_codecs_and_lane_remainders() {
 
 #[test]
 fn fp16_simd_matches_scalar_on_special_values() {
-    if !simd::vector_available() {
-        return;
-    }
     let xs = fp16_specials();
-    let (f_scalar, d_scalar, _) = run_roundtrip(Compression::Fp16, &xs, true, 0);
-    let (f_simd, d_simd, _) = run_roundtrip(Compression::Fp16, &xs, false, 0);
-    assert_eq!(f_scalar, f_simd, "fp16 specials: frames diverged");
-    assert_eq!(d_scalar, d_simd, "fp16 specials: decoded bits diverged");
+    let (f_scalar, d_scalar, _) = run_roundtrip(Compression::Fp16, &xs, Tier::Portable, 0);
+    for tier in vector_tiers() {
+        let (f_simd, d_simd, _) = run_roundtrip(Compression::Fp16, &xs, tier, 0);
+        let tier = tier.name();
+        assert_eq!(f_scalar, f_simd, "fp16 specials {tier}: frames diverged");
+        assert_eq!(
+            d_scalar, d_simd,
+            "fp16 specials {tier}: decoded bits diverged"
+        );
+    }
 }
 
 fn bits(xs: &[f32]) -> Vec<u32> {
@@ -261,9 +270,6 @@ fn chunk_parallel_matches_serial_for_every_thread_count() {
 
 #[test]
 fn fp16_decode_matches_scalar_on_every_half() {
-    if !simd::vector_available() {
-        return;
-    }
     // All 2^16 halves (NaN payloads, signalling ones included), plus five
     // to leave a lane remainder.
     let bytes: Vec<u8> = (0..=u16::MAX)
@@ -272,10 +278,13 @@ fn fp16_decode_matches_scalar_on_every_half() {
         .collect();
     let mut scalar = vec![0.0f32; bytes.len() / 2];
     simd::fp16_decode_scalar(&bytes, &mut scalar);
-    let mut vector = vec![0.0f32; bytes.len() / 2];
-    with_forced_scalar(false, || simd::fp16_decode(&bytes, &mut vector));
-    for (h, (s, v)) in scalar.iter().zip(&vector).enumerate() {
-        assert_eq!(s.to_bits(), v.to_bits(), "half {:#06x}", h & 0xFFFF);
+    for tier in vector_tiers() {
+        let mut vector = vec![0.0f32; bytes.len() / 2];
+        with_tier(tier, || simd::fp16_decode(&bytes, &mut vector));
+        for (h, (s, v)) in scalar.iter().zip(&vector).enumerate() {
+            let tier = tier.name();
+            assert_eq!(s.to_bits(), v.to_bits(), "half {:#06x} {tier}", h & 0xFFFF);
+        }
     }
 }
 
@@ -286,14 +295,15 @@ fn int8_decode_matches_scalar_on_every_byte() {
     // remainder.
     let bytes: Vec<u8> = (0..=u8::MAX).chain(0x7E..0x83).collect();
     let scale = 0.123_456_79f32;
-    for forced in [true, false] {
+    for tier in simd::tiers() {
         let mut out = vec![f32::NAN; bytes.len()];
-        with_forced_scalar(forced, || simd::int8_dequantize(&bytes, scale, &mut out));
+        with_tier(tier, || simd::int8_dequantize(&bytes, scale, &mut out));
         for (&b, x) in bytes.iter().zip(&out) {
             assert_eq!(
                 x.to_bits(),
                 (f32::from(b as i8) * scale).to_bits(),
-                "byte {b:#04x} forced_scalar={forced}"
+                "byte {b:#04x} tier={}",
+                tier.name()
             );
         }
     }
@@ -301,9 +311,6 @@ fn int8_decode_matches_scalar_on_every_byte() {
 
 #[test]
 fn fp16_encode_matches_scalar_on_random_bit_patterns() {
-    if !simd::vector_available() {
-        return;
-    }
     // 2^20 + 3 uniformly random f32 bit patterns (every class: NaN, ±∞,
     // subnormals, overflow), then every f32 in the overflow band from the
     // largest half (65504) to the first value rounding to ∞ (65520) and a
@@ -314,10 +321,13 @@ fn fp16_encode_matches_scalar_on_random_bit_patterns() {
     xs.extend((lo..=hi).flat_map(|b| [f32::from_bits(b), -f32::from_bits(b)]));
     let mut scalar = vec![0u8; 2 * xs.len()];
     simd::fp16_encode_scalar(&xs, &mut scalar);
-    let mut vector = vec![0u8; 2 * xs.len()];
-    with_forced_scalar(false, || simd::fp16_encode(&xs, &mut vector));
-    for (i, (s, v)) in scalar.chunks(2).zip(vector.chunks(2)).enumerate() {
-        assert_eq!(s, v, "f32 bits {:#010x}", xs[i].to_bits());
+    for tier in vector_tiers() {
+        let mut vector = vec![0u8; 2 * xs.len()];
+        with_tier(tier, || simd::fp16_encode(&xs, &mut vector));
+        for (i, (s, v)) in scalar.chunks(2).zip(vector.chunks(2)).enumerate() {
+            let tier = tier.name();
+            assert_eq!(s, v, "f32 bits {:#010x} {tier}", xs[i].to_bits());
+        }
     }
 }
 
@@ -331,66 +341,54 @@ fn error_feedback_is_identical_across_scalar_simd_and_parallel() {
         for (grad0, grad1) in &rounds {
             // One run = two feedback rounds sharing a residual, like a protocol
             // round sequence. Returns (frames, grad bits, residual bits, draws).
-            let run = |mode: &str| {
-                let exec = |forced: bool, threads: usize| {
-                    with_forced_scalar(forced, || {
-                        let (mut draw, count) = counted_lcg(11);
-                        let mut residual = Tensor::zeros(len);
-                        let mut scratch = Vec::new();
-                        let mut frames = Vec::new();
-                        let mut grads = Vec::new();
-                        for g0 in [grad0, grad1] {
-                            let mut g = Tensor::from_vec(g0.clone());
-                            if threads <= 1 {
-                                codec::encode_with_feedback(
-                                    codec,
-                                    &mut g,
-                                    &mut residual,
-                                    &mut scratch,
-                                    &mut draw,
-                                );
-                            } else {
-                                codec::encode_with_feedback_mt(
-                                    codec,
-                                    &mut g,
-                                    &mut residual,
-                                    &mut scratch,
-                                    &mut draw,
-                                    threads,
-                                );
-                            }
-                            frames.push(scratch.clone());
-                            grads
-                                .push(g.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>());
+            let exec = |tier: Tier, threads: usize| {
+                with_tier(tier, || {
+                    let (mut draw, count) = counted_lcg(11);
+                    let mut residual = Tensor::zeros(len);
+                    let mut scratch = Vec::new();
+                    let mut frames = Vec::new();
+                    let mut grads = Vec::new();
+                    for g0 in [grad0, grad1] {
+                        let mut g = Tensor::from_vec(g0.clone());
+                        if threads <= 1 {
+                            codec::encode_with_feedback(
+                                codec,
+                                &mut g,
+                                &mut residual,
+                                &mut scratch,
+                                &mut draw,
+                            );
+                        } else {
+                            codec::encode_with_feedback_mt(
+                                codec,
+                                &mut g,
+                                &mut residual,
+                                &mut scratch,
+                                &mut draw,
+                                threads,
+                            );
                         }
-                        let res: Vec<u32> =
-                            residual.as_slice().iter().map(|x| x.to_bits()).collect();
-                        (frames, grads, res, count.get())
-                    })
-                };
-                match mode {
-                    "scalar" => exec(true, 1),
-                    "simd" => exec(false, 1),
-                    "parallel" => exec(false, 3),
-                    _ => unreachable!(),
-                }
+                        frames.push(scratch.clone());
+                        grads.push(g.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>());
+                    }
+                    let res: Vec<u32> = residual.as_slice().iter().map(|x| x.to_bits()).collect();
+                    (frames, grads, res, count.get())
+                })
             };
-
-            let scalar = run("scalar");
-            let simd_run = run("simd");
-            let parallel = run("parallel");
-            assert_eq!(
-                scalar,
-                simd_run,
-                "{}: scalar vs simd feedback diverged",
-                codec.name()
-            );
-            assert_eq!(
-                scalar,
-                parallel,
-                "{}: scalar vs parallel feedback diverged",
-                codec.name()
-            );
+            // The portable serial run is the reference: every tier, serial
+            // and chunk-parallel, must match it.
+            let scalar = exec(Tier::Portable, 1);
+            for tier in simd::tiers() {
+                for threads in [1, 3] {
+                    assert_eq!(
+                        scalar,
+                        exec(tier, threads),
+                        "{} {} threads={threads}: feedback diverged from the scalar run",
+                        codec.name(),
+                        tier.name()
+                    );
+                }
+            }
         }
     }
 }

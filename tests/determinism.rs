@@ -222,32 +222,34 @@ const SOFTMAX36_PINS: [u64; 37] = [
     0x427dd7c4,
 ];
 
-/// The forced-scalar override is process-wide and the harness runs tests in
-/// parallel: the pinned trajectories flip it only while holding this lock.
+/// The tier override is process-wide and the harness runs tests in
+/// parallel: the pinned trajectories set it only while holding this lock.
 /// The other tests here are indifferent to it by the same contract.
 static DISPATCH: Mutex<()> = Mutex::new(());
 
-/// Runs `run` under the forced-scalar dispatch, then the detected one, and
-/// checks both fingerprints against `pins`; restores the mode it found.
-fn pinned_under_both_dispatches(run: impl Fn() -> RunResult, pins: &[u64]) {
+/// Runs `run` under every tier the host has, portable first, and checks
+/// each fingerprint against `pins`; restores the tier it found.
+fn pinned_under_every_tier(run: impl Fn() -> RunResult, pins: &[u64]) {
     let _guard = DISPATCH.lock().unwrap_or_else(|e| e.into_inner());
-    let was = simd::forced_scalar();
-    let runs = [true, false].map(|forced_scalar| {
-        simd::set_forced_scalar(forced_scalar);
-        (forced_scalar, fingerprint(&run()))
-    });
-    simd::set_forced_scalar(was);
-    for (forced_scalar, fingerprint) in runs {
-        assert_eq!(fingerprint, pins, "forced_scalar = {forced_scalar}");
+    let was = simd::tier();
+    let runs: Vec<_> = simd::tiers()
+        .map(|tier| {
+            simd::set_tier(tier);
+            (tier, fingerprint(&run()))
+        })
+        .collect();
+    simd::set_tier(was);
+    for (tier, fingerprint) in runs {
+        assert_eq!(fingerprint, pins, "tier {}", tier.name());
     }
 }
 
-/// Under both codec dispatches: int8 stochastic rounding consumes a draw per
+/// Under every tier: int8 stochastic rounding consumes a draw per
 /// element, so a vector kernel that routes one draw differently from the
 /// scalar reference lands on another trajectory.
 #[test]
 fn mlp64k_trajectory_is_pinned_to_the_bit() {
-    pinned_under_both_dispatches(mlp64k_run, &MLP64K_PINS);
+    pinned_under_every_tier(mlp64k_run, &MLP64K_PINS);
 }
 
 /// The Elman RNN on variable-length sequences (lengths 3–12, 10 hidden
@@ -289,18 +291,18 @@ const RNN_PINS: [u64; 13] = [
     0x233843fe,
 ];
 
-/// Under both dispatches: the RNN's forward runs the dispatching `matmat`
+/// Under every tier: the RNN's forward runs the dispatching `matmat`
 /// and `tanh_in_place`, its backward `outer_acc` and `back`.
 #[test]
 fn rnn_trajectory_is_pinned_to_the_bit() {
-    pinned_under_both_dispatches(rnn_run, &RNN_PINS);
+    pinned_under_every_tier(rnn_run, &RNN_PINS);
 }
 
-/// Under both dispatches: the 36-float softmax's forward and backward run
+/// Under every tier: the 36-float softmax's forward and backward run
 /// the dispatching `matmat` and `outer_acc`.
 #[test]
 fn softmax36_trajectory_is_pinned_to_the_bit() {
-    pinned_under_both_dispatches(
+    pinned_under_every_tier(
         || Engine::new(spec(5), RnaProtocol::new(5, RnaConfig::default(), 0)).run(),
         &SOFTMAX36_PINS,
     );
