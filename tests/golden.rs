@@ -64,8 +64,8 @@ const GOLDEN: &[(&str, u64)] = &[
     ("rna-hier/partition", 0xe0b5114ae868d493),
     ("horovod/partition", 0xa857ff7c82e85b4c),
     ("backup/partition", 0xe9c4eee8386bd9bf),
-    ("ad-psgd/partition", 0x86d47d37f72835c4),
-    ("sgp/partition", 0x8fa0987c0accac77),
+    ("ad-psgd/partition", 0x4c717149a863e53c),
+    ("sgp/partition", 0x1331ecc3a94353cc),
     ("async-ps/partition", 0xa55498342bdce634),
     ("rna/clean/int8", 0x00cbbc64152f72db),
     ("eager-sgd/clean/int8", 0x4e3de630aa89b707),
@@ -217,11 +217,6 @@ fn every_des_protocol_matches_its_golden_digest() {
     }
 }
 
-/// The fault rows that equal their protocol's clean row, with the reason:
-/// the gossip baselines never call `ctx.link_up`, so a partition cannot
-/// reach them.
-const UNREACHED: &[&str] = &["ad-psgd/partition", "sgp/partition"];
-
 #[test]
 fn every_fault_scenario_reaches_its_protocol() {
     let rows = table();
@@ -236,8 +231,8 @@ fn every_fault_scenario_reaches_its_protocol() {
             unreached.push(name.as_str());
         }
     }
-    assert_eq!(
-        unreached, UNREACHED,
-        "a fault row equals its protocol's clean row"
+    assert!(
+        unreached.is_empty(),
+        "fault rows equal to their protocol's clean row: {unreached:?}"
     );
 }
