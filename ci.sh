@@ -38,10 +38,15 @@ cargo test -q
 # The benchmark measures release builds, so the golden digest table is
 # checked in release too, not only in the debug pass above, and so are the
 # pinned MLP, RNN and softmax trajectories, the only tests that replay the
-# training kernels end to end under every tier the host has.
-echo "==> golden digest table and pinned trajectories (--release, watchdogged)"
+# training kernels end to end under every tier the host has. The keystream
+# pins and the fused codec bodies against their oracle run here too: their
+# unsafe vector kernels are what the benchmark runs, and only an optimized
+# build shows how they behave under optimization.
+echo "==> golden digest table, pinned trajectories, keystream and fused kernels (--release, watchdogged)"
 timeout 600 cargo test -q --release -p rna-experiments --test golden
 timeout 600 cargo test -q --release -p rna-experiments --test determinism
+timeout 600 cargo test -q --release -p rna-simnet --test keystream
+timeout 600 cargo test -q --release -p rna-tensor --test fused_kernels
 
 # The paper tables: `repro all` (release) must print repro_output.txt byte
 # for byte, so a change that moves a figure or table regenerates that file,

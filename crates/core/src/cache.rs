@@ -12,7 +12,10 @@
 //! within the bound").
 
 use rna_tensor::{
-    reduce::{staleness_weighted_average, staleness_weighted_average_into},
+    reduce::{
+        staleness_weighted_average, staleness_weighted_average_in_place,
+        staleness_weighted_average_into,
+    },
     ReduceOp, Tensor, TensorPool,
 };
 
@@ -116,13 +119,25 @@ impl GradientCache {
     /// [`GradientCache::take_contribution`] on the pooled data path: the
     /// contribution buffer comes from `pool` and the drained entry buffers
     /// are released back to it, so a steady-state drain allocates nothing.
+    /// A single entry is drained in place instead: its own buffer takes the
+    /// fold's per-element expression and is the contribution, with no pool
+    /// buffer, zero fill or copy.
     ///
     /// Bit-identical to the unpooled drain — the fused `*_into` reductions
-    /// preserve per-element accumulation order, and pooled buffers are
-    /// zeroed on acquire.
+    /// preserve per-element accumulation order, pooled buffers are zeroed
+    /// on acquire, and the in-place forms share the fold's step and post.
     pub fn take_contribution_pooled(&mut self, k: u64, pool: &mut TensorPool) -> Option<Tensor> {
         if self.entries.is_empty() {
             return None;
+        }
+        if self.entries.len() == 1 {
+            let (t, mut g) = self.entries.pop().expect("one entry is pending");
+            if self.weighted {
+                staleness_weighted_average_in_place(&mut g, t, k);
+            } else {
+                ReduceOp::Mean.reduce_one_in_place(&mut g);
+            }
+            return Some(g);
         }
         let mut out = pool.acquire(self.entries[0].1.len());
         let ok = if self.weighted {
@@ -288,6 +303,101 @@ mod tests {
             }
             assert!(pool.hits() > 0, "drained entries must be recycled");
         }
+    }
+
+    /// Values the in-place drain must keep to the bit: both zeros,
+    /// subnormals, the extremes, ±∞ and quiet NaNs with payloads and
+    /// either sign. A signalling NaN is left out: whether `x · 1.0` quiets
+    /// it is left unspecified by Rust, which may fold the product to `x`.
+    fn edge_values() -> Vec<f32> {
+        let mut xs = vec![
+            -0.0,
+            0.0,
+            f32::from_bits(1),
+            f32::from_bits(0x8000_0001),
+            f32::from_bits(0x007F_FFFF),
+            f32::MIN_POSITIVE,
+            f32::MAX,
+            f32::MIN,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::from_bits(0x7FC0_0000),
+            f32::from_bits(0x7FC0_1234),
+            f32::from_bits(0xFFC0_0001),
+            f32::from_bits(0x7FFF_FFFF),
+        ];
+        xs.extend((0..19).map(|j| ((j * 37) as f32).sin() * 3.0));
+        xs
+    }
+
+    /// The in-place drain of one entry against the pooled fold over that
+    /// entry, bit for bit, weighted and not, for entries tagged before, at
+    /// and after the round (weights 1, 1 and 4).
+    #[test]
+    fn one_entry_drain_in_place_matches_the_fold_to_the_bit() {
+        let xs = Tensor::from_vec(edge_values());
+        for weighted in [true, false] {
+            for (t, k) in [(3, 7), (7, 7), (10, 7)] {
+                let mut fold = Tensor::filled(xs.len(), 5.0);
+                let entries = [(t, &xs)];
+                if weighted {
+                    assert!(staleness_weighted_average_into(&mut fold, &entries, k));
+                } else {
+                    assert!(ReduceOp::Mean.reduce_into(&mut fold, &[&xs]));
+                }
+                let mut cache = GradientCache::new(4, weighted);
+                cache.write(t, xs.clone());
+                let mut pool = TensorPool::new();
+                let drained = cache.take_contribution_pooled(k, &mut pool).unwrap();
+                let bits = |g: &Tensor| g.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                let what = format!("weighted={weighted} t={t} k={k}");
+                assert_eq!(bits(&drained), bits(&fold), "{what}");
+                assert_eq!(pool.hits() + pool.misses(), 0, "{what}: no pool buffer");
+                assert!(cache.is_empty(), "{what}");
+            }
+        }
+        // A weight other than 1 reaches the values: ≠ x for -0.0 and for
+        // large magnitudes, as the fold computes.
+        let mut cache = GradientCache::new(4, true);
+        cache.write(10, Tensor::from_vec(vec![-0.0, f32::MAX, 3.0]));
+        let g = cache
+            .take_contribution_pooled(7, &mut TensorPool::new())
+            .unwrap();
+        assert_eq!(
+            g.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
+            [0, f32::INFINITY.to_bits(), 3.0f32.to_bits()]
+        );
+    }
+
+    /// Warm drains, one entry and several, fresh gradients coming from the
+    /// pool as the simulator takes them: no tensor buffer is allocated
+    /// (the debug-only counter behind `datapath_allocs`).
+    #[test]
+    fn steady_state_drains_allocate_nothing() {
+        if !cfg!(debug_assertions) {
+            return;
+        }
+        let mut cache = GradientCache::new(4, true);
+        let mut pool = TensorPool::new();
+        let mut cycle = |pool: &mut TensorPool, k: u64| {
+            for i in 0..(k % 3) + 1 {
+                let mut g = pool.acquire_for_overwrite(33);
+                g.as_mut_slice().fill((k + i) as f32);
+                if let Some(evicted) = cache.write(k + i, g) {
+                    pool.release(evicted);
+                }
+            }
+            let out = cache.take_contribution_pooled(k + 2, pool).unwrap();
+            pool.release(out);
+        };
+        for k in 0..6 {
+            cycle(&mut pool, k);
+        }
+        let before = rna_tensor::alloc::count();
+        for k in 6..60 {
+            cycle(&mut pool, k);
+        }
+        assert_eq!(rna_tensor::alloc::count(), before);
     }
 
     proptest! {

@@ -767,9 +767,11 @@ impl<M: Clone + std::fmt::Debug> Ctx<'_, M> {
         }
         let batch = s.samplers[worker].sample(&s.train_ds);
         // The buffer comes from the pool the drained caches release into,
-        // so a steady-state iteration allocates no gradient.
+        // so a steady-state iteration allocates no gradient, and
+        // `loss_and_grad_into` overwrites every element, so it skips the
+        // pool's zero fill.
         let model = s.replicas.model(worker);
-        let mut grad = s.pool.acquire(model.num_params());
+        let mut grad = s.pool.acquire_for_overwrite(model.num_params());
         model.loss_and_grad_into(&batch, &mut grad);
         s.next_iter[worker] += 1;
         s.in_flight[worker] = Some((iter, grad));

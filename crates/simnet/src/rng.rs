@@ -11,7 +11,7 @@ use rna_tensor::simd::{self, Draws};
 /// cannot fetch `rand_chacha`): the cipher has a documented, portable
 /// stream, so seeds produce the same values on every platform and
 /// toolchain release. Its block function lives in `rna_tensor::simd`,
-/// beside the sixteen-block kernel that [`Draws::fill`] uses for
+/// beside the high-word kernel that [`Draws::fill`] uses for
 /// stochastic-rounding draws.
 ///
 /// Every method takes keystream words in pairs, so a stream position (and
@@ -119,11 +119,11 @@ impl ChaCha8 {
 
     /// The high words of the next `out.len()` [`ChaCha8::next_u64`] calls,
     /// leaving the generator where those calls would: first the current
-    /// block's buffered pairs, then passes of up to [`simd::CHACHA_PASS`]
-    /// blocks, word `2j + 1` of each. A pass computes only the blocks it
-    /// uses, and the last becomes the current block, so a block used
-    /// part-way is drained by the next call and never rebuilt. Needs a
-    /// pair-aligned position (`next_word` even).
+    /// block's buffered pairs, then word `2j + 1` of each following block,
+    /// written by [`simd::chacha8_high_words`] straight into `out`. A block
+    /// used part-way becomes the current block, so the next call drains it
+    /// and never rebuilds it; a run that ends on a block edge leaves
+    /// `next_word = 16`. Needs a pair-aligned position (`next_word` even).
     fn fill_high_words(&mut self, out: &mut [u32]) {
         let buffered = out.len().min((16 - self.next_word) / 2);
         let (head, rest) = out.split_at_mut(buffered);
@@ -134,19 +134,13 @@ impl ChaCha8 {
             *o = pair[1];
         }
         self.next_word += 2 * buffered;
-        let mut blocks = [[0u32; 16]; simd::CHACHA_PASS];
-        for pass in rest.chunks_mut(8 * simd::CHACHA_PASS) {
-            let used = pass.len().div_ceil(8);
-            simd::chacha8_blocks(&self.key, self.counter, &mut blocks[..used]);
-            for (o, block) in pass.chunks_mut(8).zip(&blocks) {
-                for (o, pair) in o.iter_mut().zip(block.chunks_exact(2)) {
-                    *o = pair[1];
-                }
-            }
-            self.buf = blocks[used - 1];
-            self.counter = self.counter.wrapping_add(used as u64);
-            self.next_word = 2 * (pass.len() - 8 * (used - 1));
+        if rest.is_empty() {
+            return;
         }
+        simd::chacha8_high_words(&self.key, self.counter, rest, &mut self.buf);
+        let used = rest.len().div_ceil(8);
+        self.counter = self.counter.wrapping_add(used as u64);
+        self.next_word = 2 * (rest.len() - 8 * (used - 1));
     }
 }
 
@@ -361,10 +355,10 @@ impl SimRng {
 }
 
 /// Stochastic-rounding draws, `uniform_u64(0..1 << 32)` each: the high
-/// word of the next pair. [`Draws::fill`] takes a run of them up to sixteen
-/// ChaCha8 blocks per pass ([`simd::chacha8_blocks`]) and leaves the
-/// generator, and its [`SimRng::state`], exactly where `out.len()` single
-/// draws would.
+/// word of the next pair. [`Draws::fill`] has the keystream kernel
+/// ([`simd::chacha8_high_words`]) write a run of them, the high words only,
+/// straight into `out`, and leaves the generator, and its
+/// [`SimRng::state`], exactly where `out.len()` single draws would.
 impl Draws for SimRng {
     fn fill(&mut self, out: &mut [u32]) {
         self.inner.fill_high_words(out);

@@ -25,19 +25,23 @@ impl SimDuration {
         SimDuration(ns)
     }
 
-    /// Creates a duration from whole microseconds.
+    /// Creates a duration from whole microseconds, saturating at the
+    /// longest duration (`u64::MAX` ns, ~584 years), so `u64::MAX` means
+    /// "the whole run".
     pub const fn from_micros(us: u64) -> Self {
-        SimDuration(us * 1_000)
+        SimDuration(us.saturating_mul(1_000))
     }
 
-    /// Creates a duration from whole milliseconds.
+    /// Creates a duration from whole milliseconds, saturating at the
+    /// longest duration as [`SimDuration::from_micros`] does.
     pub const fn from_millis(ms: u64) -> Self {
-        SimDuration(ms * 1_000_000)
+        SimDuration(ms.saturating_mul(1_000_000))
     }
 
-    /// Creates a duration from whole seconds.
+    /// Creates a duration from whole seconds, saturating at the longest
+    /// duration as [`SimDuration::from_micros`] does.
     pub const fn from_secs(s: u64) -> Self {
-        SimDuration(s * 1_000_000_000)
+        SimDuration(s.saturating_mul(1_000_000_000))
     }
 
     /// Creates a duration from fractional seconds, saturating negative
@@ -240,6 +244,30 @@ mod tests {
         assert_eq!(SimDuration::from_secs(1), SimDuration::from_millis(1000));
         assert_eq!(SimDuration::from_millis(1), SimDuration::from_micros(1000));
         assert_eq!(SimDuration::from_micros(1), SimDuration::from_nanos(1000));
+    }
+
+    /// The longest duration, and the largest whole count of `unit`
+    /// nanoseconds below it, which still converts exactly.
+    fn saturates(from: fn(u64) -> SimDuration, unit: u64) {
+        assert_eq!(from(u64::MAX), SimDuration::from_nanos(u64::MAX));
+        assert_eq!(from(u64::MAX / unit).as_nanos(), u64::MAX / unit * unit);
+    }
+
+    #[test]
+    fn from_micros_saturates_at_u64_max() {
+        const WHOLE_RUN: SimDuration = SimDuration::from_micros(u64::MAX);
+        assert_eq!(WHOLE_RUN.as_nanos(), u64::MAX);
+        saturates(SimDuration::from_micros, 1_000);
+    }
+
+    #[test]
+    fn from_millis_saturates_at_u64_max() {
+        saturates(SimDuration::from_millis, 1_000_000);
+    }
+
+    #[test]
+    fn from_secs_saturates_at_u64_max() {
+        saturates(SimDuration::from_secs, 1_000_000_000);
     }
 
     #[test]

@@ -1,9 +1,10 @@
 //! Pins `SimRng`'s bulk draws to its single draws, bit for bit.
 //!
-//! `Draws::fill` takes stochastic-rounding draws up to sixteen ChaCha8
-//! blocks at a time; every draw, every `SimRngState` and every int8 frame
-//! must be the ones that single `uniform_u64(0..1 << 32)` calls give, under
-//! every tier of the keystream kernel the host has. These tests live here because
+//! `Draws::fill` has the keystream kernel write stochastic-rounding draws,
+//! the high words of ChaCha8 blocks computed side by side; every draw,
+//! every `SimRngState` and every int8 frame must be the ones that single
+//! `uniform_u64(0..1 << 32)` calls give, under every tier of the keystream
+//! kernel the host has. These tests live here because
 //! `rna-tensor`'s own tests cannot name `SimRng` (a dev-dependency on this
 //! crate would build a second copy of the `Draws` trait).
 //!
@@ -78,6 +79,16 @@ fn fill_matches_single_draws_from_every_start() {
                 let want: Vec<u32> = (0..len).map(|_| draw(&mut single)).collect();
                 assert!(got == want, "{what}: draws");
                 assert_eq!(bulk.state(), single.state(), "{what}: state");
+                // A second fill starts in the block the first one left.
+                let mut got = [0u32; 9];
+                bulk.fill(&mut got);
+                let want: Vec<u32> = (0..9).map(|_| draw(&mut single)).collect();
+                assert!(got[..] == want[..], "{what}: the next fill");
+                assert_eq!(
+                    bulk.state(),
+                    single.state(),
+                    "{what}: state after the next fill"
+                );
                 for step in 0..32 {
                     assert_eq!(draw(&mut bulk), draw(&mut single), "{what}: step {step}");
                 }
@@ -86,10 +97,12 @@ fn fill_matches_single_draws_from_every_start() {
     });
 }
 
-/// Every pass length from none to a whole pass, at counters where a pass
-/// carries into the high word or wraps the `u64`: block `b` of a pass is
-/// the single block at `counter + b`, and blocks past `out.len()` are left
-/// as they were.
+/// Every run length from none to past two sixteen-block passes, at
+/// counters where a pass carries into the high word or wraps the `u64`:
+/// the run is word `2j + 1` of each single block at `counter + b`, nothing
+/// past `out.len()` is written, the block a run ends part-way through lands
+/// whole in `partial`, and a run that ends on a block edge leaves `partial`
+/// as it was.
 #[test]
 fn avx2_blocks_match_the_portable_block_function() {
     let key = SimRng::seed(3).state().key;
@@ -101,20 +114,28 @@ fn avx2_blocks_match_the_portable_block_function() {
         u64::MAX - 7,
         0x0123_4567_89AB_CDEF,
     ] {
-        let mut want = [[0u32; 16]; simd::CHACHA_PASS];
-        for (b, block) in (0u64..).zip(&mut want) {
+        let mut blocks = [[0u32; 16]; 40];
+        for (b, block) in (0u64..).zip(&mut blocks) {
             simd::chacha8_block(&key, counter.wrapping_add(b), block);
         }
+        let want: Vec<u32> = blocks
+            .iter()
+            .flat_map(|block| block.chunks_exact(2).map(|pair| pair[1]))
+            .collect();
         each_dispatch(|dispatch| {
-            for len in 0..=simd::CHACHA_PASS {
-                let mut got = [[7u32; 16]; simd::CHACHA_PASS];
-                simd::chacha8_blocks(&key, counter, &mut got[..len]);
-                let what = format!("{dispatch}, counter {counter:#x}, {len} blocks");
+            for len in 0..=want.len() {
+                let mut got = vec![7u32; want.len()];
+                let mut partial = [7u32; 16];
+                simd::chacha8_high_words(&key, counter, &mut got[..len], &mut partial);
+                let what = format!("{dispatch}, counter {counter:#x}, {len} words");
                 assert!(got[..len] == want[..len], "{what}");
-                assert!(
-                    got[len..].iter().all(|b| *b == [7; 16]),
-                    "{what}: past the end"
-                );
+                assert!(got[len..].iter().all(|&w| w == 7), "{what}: past the end");
+                let last = if len % 8 == 0 {
+                    [7; 16]
+                } else {
+                    blocks[len / 8]
+                };
+                assert!(partial == last, "{what}: the part-used block");
             }
         });
     }

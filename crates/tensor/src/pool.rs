@@ -7,7 +7,11 @@
 //! [`TensorPool`] keyed by length turns the per-round `Vec<f32>` churn into
 //! pointer swaps: [`TensorPool::acquire`] pops a recycled buffer (zeroed, so
 //! it is indistinguishable from `Tensor::zeros`) and
-//! [`TensorPool::release`] pushes it back.
+//! [`TensorPool::release`] pushes it back. A caller that overwrites every
+//! element before reading any (a gradient computed into the buffer) takes
+//! [`TensorPool::acquire_for_overwrite`] instead, which skips the zero fill
+//! and hands back stale contents: "callers never observe stale contents"
+//! holds for `acquire` only.
 //!
 //! The pool is deliberately std-only and single-threaded (`&mut self`
 //! everywhere): the simulator is single-threaded by construction and the
@@ -68,15 +72,33 @@ impl TensorPool {
     /// The result is bit-identical to `Tensor::zeros(len)` — callers never
     /// observe stale contents.
     pub fn acquire(&mut self, len: usize) -> Tensor {
-        if let Some(list) = self.free.get_mut(&len) {
-            if let Some(mut buf) = list.pop() {
-                self.hits += 1;
+        match self.recycled(len) {
+            Some(mut buf) => {
                 buf.fill(0.0);
-                return Tensor::from_vec(buf);
+                Tensor::from_vec(buf)
             }
+            None => Tensor::zeros(len),
         }
-        self.misses += 1;
-        Tensor::zeros(len)
+    }
+
+    /// Returns a tensor of `len` elements for a caller that overwrites
+    /// every element before it reads any: a recycled buffer keeps whatever
+    /// it last held, so no zero fill is paid. A miss allocates zeros.
+    pub fn acquire_for_overwrite(&mut self, len: usize) -> Tensor {
+        self.recycled(len)
+            .map_or_else(|| Tensor::zeros(len), Tensor::from_vec)
+    }
+
+    /// A released buffer of `len` elements, if one is parked, counted as a
+    /// hit; a miss is counted otherwise.
+    fn recycled(&mut self, len: usize) -> Option<Vec<f32>> {
+        let buf = self.free.get_mut(&len).and_then(Vec::pop);
+        if buf.is_some() {
+            self.hits += 1;
+        } else {
+            self.misses += 1;
+        }
+        buf
     }
 
     /// Returns a tensor's buffer to the pool for later reuse.
@@ -124,6 +146,20 @@ mod tests {
         let t = pool.acquire(8);
         assert_eq!(pool.hits(), 1);
         assert_eq!(t.as_slice(), &[0.0; 8], "recycled buffers are zeroed");
+    }
+
+    #[test]
+    fn acquire_for_overwrite_skips_the_zero_fill() {
+        let mut pool = TensorPool::new();
+        let t = pool.acquire_for_overwrite(8);
+        assert_eq!(pool.misses(), 1);
+        assert_eq!(t.as_slice(), &[0.0; 8], "a miss allocates zeros");
+        let mut t = t;
+        t.as_mut_slice().fill(7.0);
+        pool.release(t);
+        let t = pool.acquire_for_overwrite(8);
+        assert_eq!(pool.hits(), 1);
+        assert_eq!(t.as_slice(), &[7.0; 8], "a hit keeps the stale contents");
     }
 
     #[test]

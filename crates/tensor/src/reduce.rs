@@ -83,7 +83,7 @@ impl ReduceOp {
         let out = out.as_mut_slice();
         let first = Some(inputs[0].borrow().as_slice());
         let rest = inputs[1..].iter().map(|t| (t.borrow().as_slice(), ()));
-        let inv = 1.0 / inputs.len() as f32;
+        let inv = mean_post(inputs.len());
         match self {
             ReduceOp::Sum => fold_into(out, first, rest, |a, x, ()| a + x, 1.0),
             ReduceOp::Mean => fold_into(out, first, rest, |a, x, ()| a + x, inv),
@@ -91,6 +91,20 @@ impl ReduceOp {
             ReduceOp::Min => fold_into(out, first, rest, |a, x, ()| a.min(x), 1.0),
         }
         true
+    }
+
+    /// [`ReduceOp::reduce_into`] of the single input `x`, written over it,
+    /// bit for bit: the fold seeds each element with `x` and takes no step,
+    /// so every element becomes `x · post`, where `post` is `1.0` (the mean
+    /// of one input included).
+    pub fn reduce_one_in_place(&self, x: &mut Tensor) {
+        let post = match self {
+            ReduceOp::Mean => mean_post(1),
+            ReduceOp::Sum | ReduceOp::Max | ReduceOp::Min => 1.0,
+        };
+        for x in x.as_mut_slice() {
+            *x *= post;
+        }
     }
 
     /// Combines a partial accumulator with one more input, for streaming
@@ -125,6 +139,11 @@ impl ReduceOp {
             ReduceOp::Min => zip_apply(acc, input, f32::min),
         }
     }
+}
+
+/// The mean's `post` factor for [`fold_into`] over `n` inputs.
+fn mean_post(n: usize) -> f32 {
+    1.0 / n as f32
 }
 
 /// Output floats per block of [`fold_into`]: 1 KiB, so one block of the
@@ -248,7 +267,7 @@ pub fn weighted_average_into(out: &mut Tensor, inputs: &[&Tensor], weights: &[f3
     let rest = inputs.iter().zip(weights).filter(|(_, &w)| w > 0.0);
     let rest = rest.map(|(t, &w)| (t.as_slice(), w));
     let inv = 1.0 / total;
-    fold_into(out.as_mut_slice(), None, rest, |a, x, w| a + w * x, inv);
+    fold_into(out.as_mut_slice(), None, rest, weighted_step, inv);
     true
 }
 
@@ -297,28 +316,55 @@ pub fn staleness_weighted_average_into<T: Borrow<Tensor>>(
     if grads.is_empty() {
         return false;
     }
-    // Largest iteration gap τ among the accumulated results.
-    let tau = grads
-        .iter()
-        .map(|(t, _)| k.saturating_sub(*t))
-        .max()
-        .unwrap();
-    let base = k - tau; // oldest iteration present or older
-    let mut total = 0.0_f32;
-    for (t, g) in grads {
+    for (_, g) in grads {
         assert_eq!(
             out.len(),
             g.borrow().len(),
             "tensor length mismatch in staleness average"
         );
-        total += (t - base + 1) as f32;
     }
+    let (weights, post) = staleness_terms(grads, k);
     let rest = grads
         .iter()
-        .map(|(t, g)| (g.borrow().as_slice(), (t - base + 1) as f32));
-    let inv = 1.0 / total;
-    fold_into(out.as_mut_slice(), None, rest, |a, x, w| a + w * x, inv);
+        .zip(weights)
+        .map(|((_, g), w)| (g.borrow().as_slice(), w));
+    fold_into(out.as_mut_slice(), None, rest, weighted_step, post);
     true
+}
+
+/// [`staleness_weighted_average_into`] of the single gradient `grad`,
+/// computed at iteration `t`, written over it, bit for bit: every element
+/// becomes `(0.0 + w·x)·(1/w)`, the fold's own expression, where `w` is 1
+/// unless `t` is after `k`.
+pub fn staleness_weighted_average_in_place(grad: &mut Tensor, t: u64, k: u64) {
+    let one = [(t, ())];
+    let (mut weights, post) = staleness_terms(&one, k);
+    let w = weights.next().expect("one gradient has one weight");
+    for x in grad.as_mut_slice() {
+        *x = weighted_step(0.0, *x, w) * post;
+    }
+}
+
+/// The step of the weighted folds: an input scaled by its weight, added.
+#[inline(always)]
+fn weighted_step(a: f32, x: f32, w: f32) -> f32 {
+    a + w * x
+}
+
+/// The staleness weights of `grads` at round `k`, in order, and the
+/// fold's `post` factor, the reciprocal of their sum. `τ` is the largest
+/// iteration gap, and each weight is `t − (k − τ) + 1`.
+fn staleness_terms<T>(grads: &[(u64, T)], k: u64) -> (impl Iterator<Item = f32> + Clone + '_, f32) {
+    // Largest iteration gap τ among the accumulated results.
+    let tau = grads
+        .iter()
+        .map(|(t, _)| k.saturating_sub(*t))
+        .max()
+        .unwrap_or(0);
+    let base = k - tau; // oldest iteration present or older
+    let weights = grads.iter().map(move |(t, _)| (t - base + 1) as f32);
+    let total: f32 = weights.clone().fold(0.0, |total, w| total + w);
+    (weights, 1.0 / total)
 }
 
 #[cfg(test)]

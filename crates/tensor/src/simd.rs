@@ -28,14 +28,18 @@
 //! [`Draws::fill`], a tile at a time, and a fill must leave its source
 //! exactly where that many single draws would. Any `FnMut() -> u32` is a
 //! source (one call per draw). `rna_simnet::SimRng` fills from
-//! [`chacha8_blocks`], up to [`CHACHA_PASS`] ChaCha8 blocks per pass: its
-//! draw is the high word of a word pair, and every `SimRng` method takes
-//! words in pairs, so a stream position is always pair-aligned and a draw
-//! never straddles two blocks. ChaCha is counter mode, so a pass's blocks
-//! are the words [`chacha8_block`] computes one at a time. The vector
-//! builds keep one block per lane in `std::arch` code — eight per AVX2
-//! pass, sixteen per AVX-512 pass with native rotates — because a
-//! plain-lane body was fast only when built as one codegen unit.
+//! [`chacha8_high_words`]: its draw is the high word of a word pair, and
+//! every `SimRng` method takes words in pairs, so a stream position is
+//! always pair-aligned, a draw never straddles two blocks, and draw `j` of
+//! a block is word `2j + 1`. ChaCha is counter mode, so a run of blocks
+//! side by side gives the words [`chacha8_block`] computes one at a time.
+//! The kernel writes only the high words, straight into the caller's
+//! draws, plus the whole last block when a run ends part-way through it
+//! (the generator's current block). The vector builds keep one block per
+//! lane in `std::arch` code — eight per AVX2 pass, sixteen per AVX-512
+//! pass with native rotates — and transpose only the eight odd-word
+//! vectors, because a plain-lane body was fast only when built as one
+//! codegen unit.
 //!
 //! **Training kernels.** [`crate::dense`]'s `matmat`, `outer_acc`, `back`
 //! and `tanh_in_place` are plain-lane bodies too, kept in that safe module
@@ -381,25 +385,40 @@ pub fn chacha8_block(key: &[u32; 8], counter: u64, out: &mut [u32; 16]) {
     }
 }
 
-/// Blocks one [`chacha8_blocks`] call computes at most: one lane each of an
-/// AVX-512 register, two passes of the AVX2 kernel.
-pub const CHACHA_PASS: usize = 16;
-
 dispatch! {
-    /// Up to [`CHACHA_PASS`] consecutive ChaCha8 blocks: `out[b]` is what
-    /// [`chacha8_block`] writes for `counter + b`, the counter wrapping as a
-    /// `u64`. The vector builds compute one block per lane, eight per AVX2
-    /// pass and sixteen per AVX-512 pass, and store only `out.len()`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `out` holds more than [`CHACHA_PASS`] blocks.
-    pub fn chacha8_blocks(key: &[u32; 8], counter: u64, out: &mut [[u32; 16]]) {
-        assert!(out.len() <= CHACHA_PASS, "one pass makes at most {CHACHA_PASS} blocks");
-    } avx512 {
-        for (b, block) in (0u64..).zip(out.iter_mut()) {
-            chacha8_block(key, counter.wrapping_add(b), block);
+    /// The high words of ChaCha8 blocks `counter`, `counter + 1`, … (the
+    /// counter wrapping as a `u64`): `out[8b + j]` is word `2j + 1` of what
+    /// [`chacha8_block`] writes for `counter + b`, over `⌈out.len() / 8⌉`
+    /// blocks. When `out.len()` is not a multiple of eight the last block
+    /// is used part-way, and it is also written whole into `partial`;
+    /// otherwise `partial` is left as it was. The vector builds compute one
+    /// block per lane, eight per AVX2 pass and sixteen per AVX-512 pass,
+    /// and store the high words straight from the lanes.
+    pub fn chacha8_high_words(
+        key: &[u32; 8],
+        counter: u64,
+        out: &mut [u32],
+        partial: &mut [u32; 16],
+    ) {} avx512 {
+        let (whole, tail) = out.as_chunks_mut::<8>();
+        let used = whole.len() as u64;
+        let mut block = [0u32; 16];
+        for (b, o) in (0u64..).zip(whole) {
+            chacha8_block(key, counter.wrapping_add(b), &mut block);
+            high_words(&block, o);
         }
+        if !tail.is_empty() {
+            chacha8_block(key, counter.wrapping_add(used), partial);
+            high_words(partial, tail);
+        }
+    }
+}
+
+/// Word `2j + 1` of `block` into `out[j]`, for the first `out.len()` pairs.
+#[inline]
+fn high_words(block: &[u32; 16], out: &mut [u32]) {
+    for (o, pair) in out.iter_mut().zip(block.as_chunks::<2>().0) {
+        *o = pair[1];
     }
 }
 
@@ -979,21 +998,48 @@ dispatch! {
 mod avx2 {
     use std::arch::x86_64::*;
 
-    /// [`super::chacha8_blocks`], eight blocks per pass.
+    /// [`super::chacha8_high_words`], eight blocks per pass: a whole pass
+    /// stores its high words straight into `out`, a part-used last pass
+    /// through a staging buffer.
     #[target_feature(enable = "avx2")]
-    pub fn chacha8_blocks(key: &[u32; 8], counter: u64, out: &mut [[u32; 16]]) {
-        for (pass, blocks) in (0u64..).zip(out.chunks_mut(8)) {
-            eight_blocks(key, counter.wrapping_add(8 * pass), blocks);
+    pub fn chacha8_high_words(
+        key: &[u32; 8],
+        mut counter: u64,
+        out: &mut [u32],
+        partial: &mut [u32; 16],
+    ) {
+        let (passes, rest) = out.as_chunks_mut::<64>();
+        for pass in passes {
+            let (x, input) = eight_blocks(key, counter);
+            high_rows(&x, &input, pass);
+            counter = counter.wrapping_add(8);
+        }
+        if !rest.is_empty() {
+            let (x, input) = eight_blocks(key, counter);
+            let mut staged = [0u32; 64];
+            high_rows(&x, &input, &mut staged);
+            rest.copy_from_slice(&staged[..rest.len()]);
+            if !rest.len().is_multiple_of(8) {
+                let mut words = [[0u32; 8]; 16];
+                for ((w, x), i) in words.iter_mut().zip(x).zip(input) {
+                    // SAFETY: one unaligned store of eight words into a
+                    // `[u32; 8]`.
+                    unsafe { _mm256_storeu_si256(w.as_mut_ptr().cast(), _mm256_add_epi32(x, i)) };
+                }
+                for (p, w) in partial.iter_mut().zip(words) {
+                    *p = w[rest.len() / 8];
+                }
+            }
         }
     }
 
-    /// Blocks `counter..counter + 8` with block `b` in lane `b` of sixteen
-    /// state vectors: `vpshufb` rotates by 16 and 8, shift-or by 12 and 7,
-    /// and an 8×8 transpose per half turns the lanes back into blocks, of
-    /// which the first `out.len()` (at most eight) are stored.
+    /// The input state of blocks `counter..counter + 8` and the state
+    /// after the rounds, without the feed-forward add, block `b` in lane
+    /// `b` of sixteen vectors: `vpshufb` rotates by 16 and 8, shift-or by
+    /// 12 and 7.
     #[inline]
     #[target_feature(enable = "avx2")]
-    fn eight_blocks(key: &[u32; 8], counter: u64, out: &mut [[u32; 16]]) {
+    fn eight_blocks(key: &[u32; 8], counter: u64) -> ([__m256i; 16], [__m256i; 16]) {
         let mut input = [_mm256_setzero_si256(); 16];
         for (v, &w) in input
             .iter_mut()
@@ -1041,39 +1087,48 @@ mod avx2 {
             quarter_round!(2, 7, 8, 13);
             quarter_round!(3, 4, 9, 14);
         }
-        for (x, i) in x.iter_mut().zip(input) {
-            *x = _mm256_add_epi32(*x, i);
+        (x, input)
+    }
+
+    /// The eight blocks' high words into `out`, block `b` at `8b`: the
+    /// feed-forward add on the odd words only, then one 8×8 transpose of
+    /// those eight vectors (32- then 64-bit interleaves, then 128-bit
+    /// halves: blocks `b` and `b + 4`).
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    fn high_rows(x: &[__m256i; 16], input: &[__m256i; 16], out: &mut [u32; 64]) {
+        let mut a = [_mm256_setzero_si256(); 8];
+        for (j, a) in a.iter_mut().enumerate() {
+            *a = _mm256_add_epi32(x[2 * j + 1], input[2 * j + 1]);
         }
-        // Half `h` holds words 8h..8h+8: interleave 32-bit then 64-bit
-        // pairs, then take 128-bit halves (blocks b and b + 4).
-        let mut rows = [[_mm256_setzero_si256(); 2]; 8];
-        for (h, a) in x.chunks_exact(8).enumerate() {
-            let t0 = _mm256_unpacklo_epi32(a[0], a[1]);
-            let t1 = _mm256_unpackhi_epi32(a[0], a[1]);
-            let t2 = _mm256_unpacklo_epi32(a[2], a[3]);
-            let t3 = _mm256_unpackhi_epi32(a[2], a[3]);
-            let t4 = _mm256_unpacklo_epi32(a[4], a[5]);
-            let t5 = _mm256_unpackhi_epi32(a[4], a[5]);
-            let t6 = _mm256_unpacklo_epi32(a[6], a[7]);
-            let t7 = _mm256_unpackhi_epi32(a[6], a[7]);
-            let pairs = [
-                (_mm256_unpacklo_epi64(t0, t2), _mm256_unpacklo_epi64(t4, t6)),
-                (_mm256_unpackhi_epi64(t0, t2), _mm256_unpackhi_epi64(t4, t6)),
-                (_mm256_unpacklo_epi64(t1, t3), _mm256_unpacklo_epi64(t5, t7)),
-                (_mm256_unpackhi_epi64(t1, t3), _mm256_unpackhi_epi64(t5, t7)),
-            ];
-            for (b, (lo, hi)) in pairs.into_iter().enumerate() {
-                rows[b][h] = _mm256_permute2x128_si256::<0x20>(lo, hi);
-                rows[b + 4][h] = _mm256_permute2x128_si256::<0x31>(lo, hi);
-            }
-        }
-        // SAFETY: each store writes eight words inside one half of a
-        // `[u32; 16]` block; unaligned stores need no alignment.
-        unsafe {
-            for (block, row) in out.iter_mut().zip(rows) {
-                let (lo, hi) = block.split_at_mut(8);
-                _mm256_storeu_si256(lo.as_mut_ptr().cast(), row[0]);
-                _mm256_storeu_si256(hi.as_mut_ptr().cast(), row[1]);
+        let t0 = _mm256_unpacklo_epi32(a[0], a[1]);
+        let t1 = _mm256_unpackhi_epi32(a[0], a[1]);
+        let t2 = _mm256_unpacklo_epi32(a[2], a[3]);
+        let t3 = _mm256_unpackhi_epi32(a[2], a[3]);
+        let t4 = _mm256_unpacklo_epi32(a[4], a[5]);
+        let t5 = _mm256_unpackhi_epi32(a[4], a[5]);
+        let t6 = _mm256_unpacklo_epi32(a[6], a[7]);
+        let t7 = _mm256_unpackhi_epi32(a[6], a[7]);
+        let pairs = [
+            (_mm256_unpacklo_epi64(t0, t2), _mm256_unpacklo_epi64(t4, t6)),
+            (_mm256_unpackhi_epi64(t0, t2), _mm256_unpackhi_epi64(t4, t6)),
+            (_mm256_unpacklo_epi64(t1, t3), _mm256_unpacklo_epi64(t5, t7)),
+            (_mm256_unpackhi_epi64(t1, t3), _mm256_unpackhi_epi64(t5, t7)),
+        ];
+        let (rows, _) = out.as_chunks_mut::<8>();
+        let (front, back) = rows.split_at_mut(4);
+        for ((f, b), (lo, hi)) in front.iter_mut().zip(back).zip(pairs) {
+            // SAFETY: two unaligned stores of eight words, each into a
+            // `[u32; 8]` row.
+            unsafe {
+                _mm256_storeu_si256(
+                    f.as_mut_ptr().cast(),
+                    _mm256_permute2x128_si256::<0x20>(lo, hi),
+                );
+                _mm256_storeu_si256(
+                    b.as_mut_ptr().cast(),
+                    _mm256_permute2x128_si256::<0x31>(lo, hi),
+                );
             }
         }
     }
@@ -1195,13 +1250,47 @@ mod avx2 {
 mod avx512 {
     use std::arch::x86_64::*;
 
-    /// [`super::chacha8_blocks`] with block `b` in lane `b` of sixteen
-    /// state vectors: every rotate is one `vprold`, and a 16×16 transpose
-    /// (32- then 64-bit interleaves, then two rounds of 128-bit lane
-    /// shuffles) turns the lanes back into blocks, of which the first
-    /// `out.len()` are stored.
+    /// [`super::chacha8_high_words`], sixteen blocks per pass: a whole
+    /// pass stores its high words straight into `out`, a part-used last
+    /// pass through a staging buffer.
     #[target_feature(enable = "avx512f")]
-    pub fn chacha8_blocks(key: &[u32; 8], counter: u64, out: &mut [[u32; 16]]) {
+    pub fn chacha8_high_words(
+        key: &[u32; 8],
+        mut counter: u64,
+        out: &mut [u32],
+        partial: &mut [u32; 16],
+    ) {
+        let (passes, rest) = out.as_chunks_mut::<128>();
+        for pass in passes {
+            let (x, input) = sixteen_blocks(key, counter);
+            high_rows(&x, &input, pass);
+            counter = counter.wrapping_add(16);
+        }
+        if !rest.is_empty() {
+            let (x, input) = sixteen_blocks(key, counter);
+            let mut staged = [0u32; 128];
+            high_rows(&x, &input, &mut staged);
+            rest.copy_from_slice(&staged[..rest.len()]);
+            if !rest.len().is_multiple_of(8) {
+                let mut words = [[0u32; 16]; 16];
+                for ((w, x), i) in words.iter_mut().zip(x).zip(input) {
+                    // SAFETY: one unaligned store of sixteen words into a
+                    // `[u32; 16]`.
+                    unsafe { _mm512_storeu_si512(w.as_mut_ptr().cast(), _mm512_add_epi32(x, i)) };
+                }
+                for (p, w) in partial.iter_mut().zip(words) {
+                    *p = w[rest.len() / 8];
+                }
+            }
+        }
+    }
+
+    /// The input state of blocks `counter..counter + 16` and the state
+    /// after the rounds, without the feed-forward add, block `b` in lane
+    /// `b` of sixteen vectors: every rotate is one `vprold`.
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    fn sixteen_blocks(key: &[u32; 8], counter: u64) -> ([__m512i; 16], [__m512i; 16]) {
         let mut input = [_mm512_setzero_si512(); 16];
         for (v, &w) in input
             .iter_mut()
@@ -1248,42 +1337,52 @@ mod avx512 {
             quarter_round!(2, 7, 8, 13);
             quarter_round!(3, 4, 9, 14);
         }
-        for (x, i) in x.iter_mut().zip(input) {
-            *x = _mm512_add_epi32(*x, i);
+        (x, input)
+    }
+
+    /// The sixteen blocks' high words into `out`, block `b` at `8b`: the
+    /// feed-forward add on the odd words only, then a transpose of those
+    /// eight vectors. Interleaving 32- then 64-bit pairs leaves words
+    /// `4g..4g + 4` of block `4k + r` in 128-bit lane `k` of `quad[r][g]`;
+    /// a 4×4 transpose of 128-bit lanes over `quad[2p]` and `quad[2p + 1]`
+    /// then gives blocks `4k + 2p` and `4k + 2p + 1` side by side, one
+    /// sixteen-word store.
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    fn high_rows(x: &[__m512i; 16], input: &[__m512i; 16], out: &mut [u32; 128]) {
+        let mut a = [_mm512_setzero_si512(); 8];
+        for (j, a) in a.iter_mut().enumerate() {
+            *a = _mm512_add_epi32(x[2 * j + 1], input[2 * j + 1]);
         }
-        // Group g of four words: interleaving 32- then 64-bit pairs leaves
-        // words 4g..4g+4 of block 4k + r in 128-bit lane k of quad[g][r].
-        let mut quad = [[_mm512_setzero_si512(); 4]; 4];
-        for (q, a) in quad.iter_mut().zip(x.chunks_exact(4)) {
+        let mut quad = [[_mm512_setzero_si512(); 2]; 4];
+        for (g, a) in a.chunks_exact(4).enumerate() {
             let t0 = _mm512_unpacklo_epi32(a[0], a[1]);
             let t1 = _mm512_unpackhi_epi32(a[0], a[1]);
             let t2 = _mm512_unpacklo_epi32(a[2], a[3]);
             let t3 = _mm512_unpackhi_epi32(a[2], a[3]);
-            *q = [
-                _mm512_unpacklo_epi64(t0, t2),
-                _mm512_unpackhi_epi64(t0, t2),
-                _mm512_unpacklo_epi64(t1, t3),
-                _mm512_unpackhi_epi64(t1, t3),
-            ];
+            quad[0][g] = _mm512_unpacklo_epi64(t0, t2);
+            quad[1][g] = _mm512_unpackhi_epi64(t0, t2);
+            quad[2][g] = _mm512_unpacklo_epi64(t1, t3);
+            quad[3][g] = _mm512_unpackhi_epi64(t1, t3);
         }
-        // A 4×4 transpose of 128-bit lanes per r: block 4k + r is lane k of
-        // quad[0..4][r], in word-group order.
-        let mut rows = [_mm512_setzero_si512(); 16];
-        for r in 0..4 {
-            let [a, b, c, d] = [quad[0][r], quad[1][r], quad[2][r], quad[3][r]];
+        let (rows, _) = out.as_chunks_mut::<16>();
+        for (p, pair) in quad.chunks_exact(2).enumerate() {
+            let [a, b, c, d] = [pair[0][0], pair[0][1], pair[1][0], pair[1][1]];
             let ab01 = _mm512_shuffle_i32x4::<0x44>(a, b);
             let ab23 = _mm512_shuffle_i32x4::<0xEE>(a, b);
             let cd01 = _mm512_shuffle_i32x4::<0x44>(c, d);
             let cd23 = _mm512_shuffle_i32x4::<0xEE>(c, d);
-            rows[r] = _mm512_shuffle_i32x4::<0x88>(ab01, cd01);
-            rows[4 + r] = _mm512_shuffle_i32x4::<0xDD>(ab01, cd01);
-            rows[8 + r] = _mm512_shuffle_i32x4::<0x88>(ab23, cd23);
-            rows[12 + r] = _mm512_shuffle_i32x4::<0xDD>(ab23, cd23);
-        }
-        for (block, row) in out.iter_mut().zip(rows) {
-            // SAFETY: one unaligned store of sixteen words into a
-            // `[u32; 16]` block.
-            unsafe { _mm512_storeu_si512(block.as_mut_ptr().cast(), row) };
+            let lanes = [
+                _mm512_shuffle_i32x4::<0x88>(ab01, cd01),
+                _mm512_shuffle_i32x4::<0xDD>(ab01, cd01),
+                _mm512_shuffle_i32x4::<0x88>(ab23, cd23),
+                _mm512_shuffle_i32x4::<0xDD>(ab23, cd23),
+            ];
+            for (k, lane) in lanes.into_iter().enumerate() {
+                // SAFETY: one unaligned store of sixteen words into a
+                // `[u32; 16]` row.
+                unsafe { _mm512_storeu_si512(rows[2 * k + p].as_mut_ptr().cast(), lane) };
+            }
         }
     }
 }
