@@ -119,13 +119,15 @@ impl GradientCache {
     /// [`GradientCache::take_contribution`] on the pooled data path: the
     /// contribution buffer comes from `pool` and the drained entry buffers
     /// are released back to it, so a steady-state drain allocates nothing.
-    /// A single entry is drained in place instead: its own buffer takes the
-    /// fold's per-element expression and is the contribution, with no pool
-    /// buffer, zero fill or copy.
+    /// A single entry, most drains, is drained in place instead and is the
+    /// contribution itself, with no pool buffer, zero fill or copy: the
+    /// weighted fold's `(0.0 + w·x)·(1/w)` is computed over its buffer, and
+    /// the mean of one entry, `x·1.0`, is the entry unchanged.
     ///
     /// Bit-identical to the unpooled drain — the fused `*_into` reductions
     /// preserve per-element accumulation order, pooled buffers are zeroed
-    /// on acquire, and the in-place forms share the fold's step and post.
+    /// on acquire, and the weighted in-place form shares the fold's step
+    /// and post.
     pub fn take_contribution_pooled(&mut self, k: u64, pool: &mut TensorPool) -> Option<Tensor> {
         if self.entries.is_empty() {
             return None;
@@ -134,8 +136,6 @@ impl GradientCache {
             let (t, mut g) = self.entries.pop().expect("one entry is pending");
             if self.weighted {
                 staleness_weighted_average_in_place(&mut g, t, k);
-            } else {
-                ReduceOp::Mean.reduce_one_in_place(&mut g);
             }
             return Some(g);
         }
@@ -307,8 +307,9 @@ mod tests {
 
     /// Values the in-place drain must keep to the bit: both zeros,
     /// subnormals, the extremes, ±∞ and quiet NaNs with payloads and
-    /// either sign. A signalling NaN is left out: whether `x · 1.0` quiets
-    /// it is left unspecified by Rust, which may fold the product to `x`.
+    /// either sign. A signalling NaN is left out: whether the fold's
+    /// `x · 1.0` quiets it is left unspecified by Rust, which may fold the
+    /// product to `x`.
     fn edge_values() -> Vec<f32> {
         let mut xs = vec![
             -0.0,

@@ -83,7 +83,7 @@ impl ReduceOp {
         let out = out.as_mut_slice();
         let first = Some(inputs[0].borrow().as_slice());
         let rest = inputs[1..].iter().map(|t| (t.borrow().as_slice(), ()));
-        let inv = mean_post(inputs.len());
+        let inv = 1.0 / inputs.len() as f32;
         match self {
             ReduceOp::Sum => fold_into(out, first, rest, |a, x, ()| a + x, 1.0),
             ReduceOp::Mean => fold_into(out, first, rest, |a, x, ()| a + x, inv),
@@ -91,20 +91,6 @@ impl ReduceOp {
             ReduceOp::Min => fold_into(out, first, rest, |a, x, ()| a.min(x), 1.0),
         }
         true
-    }
-
-    /// [`ReduceOp::reduce_into`] of the single input `x`, written over it,
-    /// bit for bit: the fold seeds each element with `x` and takes no step,
-    /// so every element becomes `x · post`, where `post` is `1.0` (the mean
-    /// of one input included).
-    pub fn reduce_one_in_place(&self, x: &mut Tensor) {
-        let post = match self {
-            ReduceOp::Mean => mean_post(1),
-            ReduceOp::Sum | ReduceOp::Max | ReduceOp::Min => 1.0,
-        };
-        for x in x.as_mut_slice() {
-            *x *= post;
-        }
     }
 
     /// Combines a partial accumulator with one more input, for streaming
@@ -139,11 +125,6 @@ impl ReduceOp {
             ReduceOp::Min => zip_apply(acc, input, f32::min),
         }
     }
-}
-
-/// The mean's `post` factor for [`fold_into`] over `n` inputs.
-fn mean_post(n: usize) -> f32 {
-    1.0 / n as f32
 }
 
 /// Output floats per block of [`fold_into`]: 1 KiB, so one block of the
