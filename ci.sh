@@ -89,19 +89,24 @@ cargo test --release --offline --manifest-path perf/Cargo.toml
 # frozen between [benchmark] PRs, so it is restored either way.
 # The kernels run the widest SIMD tier the host has (portable, AVX2 or
 # AVX-512), so the smoke's numbers compare only with numbers measured on the
-# same tier; name it first.
+# same tier; name it first. Each workload's rounds_per_s is echoed, ungated,
+# so a gap between the process and threaded worlds shows in every log.
 echo "==> SIMD tier"
 cargo test -q --release -p rna-tensor --lib -- --exact simd::tests::names_the_active_tier \
   --nocapture | grep '^simd tier'
 
 echo "==> benchmark smoke (des-mlp64k, hop-64k, des-scale10k, the three straggler workloads, one traced pass; watchdogged)"
 smoke_failed=""
+rate_re='"rounds_per_s": [{]"value": ([^,}]+)'
 for run in des-mlp64k:0 hop-64k:0 des-scale10k:0 threaded-straggler:0 \
     threaded-straggler-bsp:0 process-straggler:0 des-mlp64k:1; do
   workload="${run%:*}"
   trace="${run#*:}"
   last="$(timeout 300 bash perf/run.sh --workload "${workload}" --seed 1 \
     --seconds 2 --trace "${trace}" | tail -n 1)" || last=""
+  if [[ "${last}" =~ ${rate_re} ]]; then
+    echo "    ${workload} --trace ${trace}: rounds_per_s ${BASH_REMATCH[1]}"
+  fi
   if [[ "${last}" != *'"correct": true'* || "${last}" != *'"failed": 0,'* ]]; then
     echo "    ${workload} --trace ${trace}: ${last:-no result line}" >&2
     smoke_failed="${smoke_failed} ${run}"

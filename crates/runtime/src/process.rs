@@ -29,14 +29,13 @@
 //!
 //! As in the threaded world the wire codec's encode leg belongs to the
 //! worker ([`crate::worker`]); here the hop is a real one. The worker's
-//! socket link encodes `grad + residual` straight into the outgoing frame
-//! buffer and may coalesce several small gradients into one batched frame
-//! ([`crate::proto::GradBatch`]) with the next heartbeat piggybacked on
-//! the same socket write; the coordinator's reader threads decode
-//! chunk-parallel into recycled cache buffers and deposit each gradient
-//! with the frame length that physically crossed the socket, and the
-//! three-world crosscheck pins that every such frame matches the DES
-//! formula byte-for-byte.
+//! socket link encodes `grad + residual` straight into a one-entry frame
+//! ([`crate::proto::GradBatch`]) and writes it, with the next heartbeat
+//! piggybacked, before the deposit returns; the coordinator's reader
+//! threads decode chunk-parallel into recycled cache buffers and deposit
+//! each gradient with the frame length that physically crossed the
+//! socket, and the three-world crosscheck pins that every such frame
+//! matches the DES formula byte-for-byte.
 //!
 //! ## Survivability
 //!

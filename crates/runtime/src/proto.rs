@@ -686,10 +686,10 @@ pub fn decode_body(body: &[u8]) -> Result<Msg, ProtoError> {
 }
 
 /// Appends one complete length-delimited frame (prefix + body) for `msg`
-/// at `out`'s current end: length placeholder, body, patched length. This
-/// is the coalescing write path — several frames assembled back-to-back in
-/// one buffer leave in a single socket write, which is how the worker
-/// piggybacks its heartbeat on a gradient flush.
+/// at `out`'s current end: length placeholder, body, patched length.
+/// Several frames assembled back-to-back in one buffer leave in a single
+/// socket write, which is how the worker piggybacks its heartbeat on each
+/// gradient frame.
 pub fn append_msg(out: &mut Vec<u8>, msg: &Msg) {
     let prefix = out.len();
     out.extend_from_slice(&[0u8; 4]); // length placeholder
@@ -795,8 +795,10 @@ pub fn read_msg(r: &mut impl Read) -> Result<Msg, ProtoError> {
 /// copy); [`GradBatch::finish_entry`] patches the reserved fields, and
 /// [`GradBatch::frame`] patches the outer length prefix and entry count.
 /// One buffer, one `write_all`, zero steady-state allocations once the
-/// capacity is warm — and several gradients can ride one frame, amortizing
-/// header and syscall cost on small-tensor rounds.
+/// capacity is warm. The process world's worker writes one entry per frame,
+/// as soon as the gradient exists; a sender that holds several gradients at
+/// once (perf's `hop-64k` sends four) may put them in one frame, and the
+/// coordinator parses any count.
 ///
 /// Wire layout (body, behind the standard `u32` length prefix):
 ///
@@ -823,10 +825,6 @@ impl Default for GradBatch {
     }
 }
 
-/// Bytes of the frame prefix before the first entry: length placeholder,
-/// magic, tag, entry count placeholder.
-const BATCH_PREFIX: usize = 4 + 4 + 1 + 4;
-
 /// Fixed per-entry header: iteration, error norm, codec frame length.
 const ENTRY_HEADER: usize = 8 + 8 + 4;
 
@@ -835,24 +833,6 @@ impl GradBatch {
     #[must_use]
     pub fn new() -> Self {
         GradBatch::default()
-    }
-
-    /// Entries completed so far.
-    #[must_use]
-    pub fn entries(&self) -> u32 {
-        self.entries
-    }
-
-    /// Whether no entry has been written since the last reset.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.entries == 0
-    }
-
-    /// Bytes the finished frame will occupy on the wire (prefix included).
-    #[must_use]
-    pub fn wire_len(&self) -> usize {
-        self.buf.len().max(BATCH_PREFIX)
     }
 
     /// Begins one entry for local iteration `iter` and returns the frame
@@ -909,7 +889,7 @@ impl GradBatch {
 
     /// Appends a complete length-delimited frame for `msg` behind the
     /// batch frame, so both leave in the same socket write — the worker
-    /// piggybacks its next heartbeat on every gradient flush, halving the
+    /// piggybacks its next heartbeat on every gradient frame, halving the
     /// steady-state syscall count. Call after [`GradBatch::frame`].
     pub fn piggyback(&mut self, msg: &Msg) {
         append_msg(&mut self.buf, msg);
@@ -1327,7 +1307,7 @@ mod tests {
         let first = batch.frame().to_vec();
         let ptr = batch.wire_bytes().as_ptr();
         batch.reset();
-        assert!(batch.is_empty());
+        assert!(batch.wire_bytes().is_empty());
         let buf = batch.begin_entry(0);
         codec.encode_slice_append(&xs, buf, &mut || 7);
         batch.finish_entry(0.5);

@@ -262,7 +262,7 @@ impl Transport for &ThreadShared {
 }
 
 /// [`WorkerLink`] over shared memory: the worker writes its own mirror slot
-/// and reads its parameter slot; nothing is framed, coalesced or flushed.
+/// and reads its parameter slot; nothing is framed.
 struct ThreadLink {
     shared: Arc<ThreadShared>,
     w: usize,
@@ -331,8 +331,6 @@ impl WorkerLink for ThreadLink {
         mirror.deposit(self.w, iter, grad, frame);
         mirror.notify();
     }
-
-    fn flush(&mut self, _next_iter: u64) {}
 
     fn die(&mut self, down_for: Option<Duration>) -> bool {
         // Flag it so the controller stops probing / counting this worker

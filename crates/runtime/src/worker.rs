@@ -61,17 +61,11 @@ const RECONNECT_CAP_US: u64 = 640_000;
 /// gives up early turns a survivable outage into a lost worker.
 const RECONNECT_TIMEOUT: Duration = Duration::from_secs(20);
 
-/// Batches below this wire length may coalesce another gradient instead
-/// of flushing — small-tensor rounds amortize header and syscall cost.
-const DEFER_MAX_WIRE_BYTES: usize = 4096;
-
-/// Most gradients one coalesced batch frame may carry.
-const DEFER_MAX_ENTRIES: u32 = 4;
-
 /// How a worker observes the run and reaches the controller — exactly the
 /// I/O the loop must not know, failures included (a link whose I/O breaks
 /// raises its own stop flag). The thread link reads and writes the shared
-/// mirror; the socket link frames, coalesces and piggybacks over TCP.
+/// mirror; the socket link frames each gradient, with the next heartbeat
+/// piggybacked, over TCP.
 pub(crate) trait WorkerLink {
     /// The round counter as this worker last saw it.
     fn round(&self) -> u64;
@@ -86,11 +80,9 @@ pub(crate) trait WorkerLink {
     /// Installs the newest published parameters, if any are new.
     fn refresh(&mut self, model: &mut dyn Model);
     /// Encodes iteration `iter`'s gradient and hands it to the controller
-    /// (a coalescing link may hold it until the next [`WorkerLink::flush`]).
+    /// before returning: nothing is held back, so nothing is unsent at a
+    /// park, a hang or a death.
     fn deposit(&mut self, iter: u64, grad: Tensor);
-    /// Sends whatever [`WorkerLink::deposit`] held back; `next_iter` is the
-    /// iteration the worker is about to start.
-    fn flush(&mut self, next_iter: u64);
     /// Executes a death: a crash, or with `down_for` a crash-restart. `true`
     /// once the same worker is back (a thread that slept out its down
     /// window), `false` if it stays dead; a subprocess aborts instead of
@@ -261,15 +253,11 @@ impl Worker {
                 }
             }
             match self.faults.on_iteration_start(self.local_iter) {
-                // Coalesced gradients drain before a death: the directive
-                // models a compute death, not a lost send.
                 IterDirective::Crash => {
-                    link.flush(self.local_iter);
                     link.die(None);
                     return None;
                 }
                 IterDirective::Restart(down_us) => {
-                    link.flush(self.local_iter);
                     if !link.die(Some(Duration::from_micros(down_us))) {
                         return None;
                     }
@@ -277,7 +265,6 @@ impl Worker {
                 }
                 IterDirective::HangFor(us) => {
                     // Frozen: no heartbeats until the hang lifts.
-                    link.flush(self.local_iter);
                     interruptible_sleep(Duration::from_micros(us), link.stop());
                 }
                 IterDirective::Proceed => {}
@@ -292,10 +279,6 @@ impl Worker {
                 {
                     break;
                 }
-                // A parking worker must not sit on coalesced gradients — the
-                // controller may need exactly those contributions to advance
-                // the round this park waits for.
-                link.flush(self.local_iter);
                 link.park(seen, self.park_recheck());
                 link.beat(self.local_iter);
             }
@@ -381,9 +364,9 @@ fn reader_loop(mut stream: TcpStream, conn: &Conn) {
 }
 
 /// [`WorkerLink`] over TCP. Owns what the loop must not know about the
-/// wire: the outgoing batch frame gradients are encoded straight into, the
-/// coalescing decision, the heartbeat piggybacked on every flush, and the
-/// current connection with its reader thread.
+/// wire: the outgoing frame each gradient is encoded straight into, the
+/// heartbeat piggybacked on it, and the current connection with its reader
+/// thread.
 struct SocketLink {
     stream: TcpStream,
     conn: Arc<Conn>,
@@ -393,10 +376,9 @@ struct SocketLink {
     wire: SimRng,
     batch: GradBatch,
     /// Iteration value of the last piggybacked heartbeat, so the standalone
-    /// beat that follows a flush is skipped. Cleared by a park (time has
+    /// beat that follows a deposit is skipped. Cleared by a park (time has
     /// passed) and a reconnect (a fresh socket owes fresh liveness).
     last_hb: Option<u64>,
-    max_lead: u64,
     scratch: Vec<u8>,
 }
 
@@ -414,13 +396,12 @@ impl SocketLink {
         }
     }
 
-    /// Adopts a freshly re-handshaken socket. Only the unsent batch is
-    /// dropped (frames the old socket ate are lost like any other in-flight
-    /// write); the encoder's residual carries over.
+    /// Adopts a freshly re-handshaken socket. Frames the old socket ate are
+    /// lost like any other in-flight write; the encoder's residual carries
+    /// over.
     fn reattach(&mut self, stream: TcpStream, round: u64) {
         self.stream = stream;
         self.conn = Arc::new(Conn::new(round, self.conn.param_len));
-        self.batch.reset();
         self.last_hb = None;
     }
 }
@@ -457,33 +438,16 @@ impl WorkerLink for SocketLink {
     }
 
     fn deposit(&mut self, iter: u64, mut grad: Tensor) {
-        // Error-feedback encode straight into the outgoing frame, then
-        // either flush (one write carries the batch and the next heartbeat)
-        // or coalesce: a small frame with lead headroom may wait for
-        // company, amortizing header and syscall cost.
+        // Error-feedback encode straight into a one-entry frame; one write
+        // carries it and the next heartbeat.
+        self.batch.reset();
         let out = self.batch.begin_entry(iter);
         let (_, err) = self.encoder.encode(&mut grad, out, &mut self.wire);
         self.batch.finish_entry(err);
-        let lead = (iter + 1).saturating_sub(self.round());
-        let defer = self.batch.wire_len() < DEFER_MAX_WIRE_BYTES
-            && self.batch.entries() < DEFER_MAX_ENTRIES
-            && lead + 2 <= self.max_lead;
-        if !defer {
-            self.flush(iter + 1);
-        }
-    }
-
-    /// Writes the pending batch (if any) and the next heartbeat in one
-    /// socket write.
-    fn flush(&mut self, next_iter: u64) {
-        if self.batch.is_empty() {
-            return;
-        }
         let _ = self.batch.frame();
-        self.batch.piggyback(&Msg::Heartbeat { iter: next_iter });
+        self.batch.piggyback(&Msg::Heartbeat { iter: iter + 1 });
         let sent = self.stream.write_all(self.batch.wire_bytes());
-        self.batch.reset();
-        self.last_hb = Some(next_iter);
+        self.last_hb = Some(iter + 1);
         self.sent(sent);
     }
 
@@ -595,7 +559,6 @@ pub fn run_worker(
         wire: streams.wire,
         batch: GradBatch::new(),
         last_hb: None,
-        max_lead: setup.max_lead,
         scratch: Vec::new(),
     };
     let mut me = Worker::new(setup, dataset, model, streams.sampler, streams.compute);
@@ -606,9 +569,8 @@ pub fn run_worker(
             // Graceful exit: report the post-mortem. The socket may already
             // be gone (severed), in which case the coordinator composes the
             // fate itself — exactly the information a real network would
-            // have. Coalesced gradients drain first: a retiree's final
-            // contribution must reach the coordinator before its fate.
-            link.flush(me.local_iter);
+            // have. Every deposit is already on the wire, so a retiree's
+            // final contribution reaches the coordinator before its fate.
             let fate = departed.unwrap_or_else(|| me.faults.fate());
             let _ = write_msg(&mut link.stream, &Msg::Fate(fate), &mut link.scratch);
             let _ = link.stream.shutdown(Shutdown::Both);
@@ -651,31 +613,28 @@ pub fn run_worker(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::proto::{body_tag, read_frame_body, EncodedGradBatch, TAG_ENC_GRAD};
     use rna_core::fault::WorkerFault;
     use rna_core::membership::ChurnEvent;
     use rna_tensor::Compression;
 
     /// What a [`ScriptedLink`] saw, in order. Deposits carry the round
-    /// counter at the moment they were made; a death carries how many
-    /// coalesced gradients were still unsent.
+    /// counter at the moment they were made.
     #[derive(Debug, Clone, PartialEq)]
     enum Ev {
         Beat(u64),
         Park(u64),
-        Flush(u64),
         Deposit(u64, u64),
-        Die(Option<Duration>, usize),
+        Die(Option<Duration>),
     }
 
-    /// A coalescing [`WorkerLink`] with no threads, sockets or clocks: every
-    /// call is logged, deposits are held until the next flush, and `script`
-    /// — run after each event — plays the controller by moving the round
-    /// counter, and ends the run by returning `true`.
+    /// A [`WorkerLink`] with no threads, sockets or clocks: every call is
+    /// logged, and `script` — run after each event — plays the controller by
+    /// moving the round counter, and ends the run by returning `true`.
     struct ScriptedLink<F> {
         round: u64,
         stop: AtomicBool,
         log: Vec<Ev>,
-        unsent: usize,
         script: F,
     }
 
@@ -685,7 +644,6 @@ mod tests {
                 round: 0,
                 stop: AtomicBool::new(false),
                 log: Vec::new(),
-                unsent: 0,
                 script,
             }
         }
@@ -721,15 +679,10 @@ mod tests {
         }
         fn refresh(&mut self, _model: &mut dyn Model) {}
         fn deposit(&mut self, iter: u64, _grad: Tensor) {
-            self.unsent += 1;
             self.see(Ev::Deposit(iter, self.round));
         }
-        fn flush(&mut self, next_iter: u64) {
-            self.unsent = 0;
-            self.see(Ev::Flush(next_iter));
-        }
         fn die(&mut self, down_for: Option<Duration>) -> bool {
-            self.see(Ev::Die(down_for, self.unsent));
+            self.see(Ev::Die(down_for));
             // A crash-restart comes back at once; a crash does not.
             down_for.is_some()
         }
@@ -807,12 +760,11 @@ mod tests {
         // Three iterations fit under the bound; the fourth never starts.
         assert_eq!(link.deposits(), [(0, 0), (1, 0), (2, 0)]);
         assert_eq!(me.local_iter, 3);
-        let tail = &link.log[link.log.len() - 10..];
-        let (flush, park, beat) = (Ev::Flush(3), Ev::Park(0), Ev::Beat(3));
-        // Every park is preceded by a flush of the coalesced gradients and
-        // followed by a heartbeat.
-        let cycle = [flush, park, beat];
-        assert_eq!(tail[0], cycle[2], "the top-of-iteration beat");
+        let tail = &link.log[link.log.len() - 7..];
+        // Every park is followed by a heartbeat, and none waits on a
+        // gradient held back: each deposit was sent when made.
+        let cycle = [Ev::Park(0), Ev::Beat(3)];
+        assert_eq!(tail[0], cycle[1], "the top-of-iteration beat");
         assert_eq!(tail[1..], [&cycle[..], &cycle[..], &cycle[..]].concat());
     }
 
@@ -855,25 +807,70 @@ mod tests {
             link.log,
             [
                 Ev::Beat(0),
+                // Each deposit is sent when made, so the hang that follows
+                // (silent: no beat) leaves nothing unsent.
                 Ev::Deposit(0, 0),
-                // The hang: flushed before the worker goes silent.
-                Ev::Flush(1),
                 Ev::Beat(1),
                 Ev::Deposit(1, 0),
-                // The crash-restart: flushed, died with nothing unsent,
-                // came back and carried on.
-                Ev::Flush(2),
-                Ev::Die(Some(down), 0),
+                // The crash-restart: died with nothing unsent, came back
+                // and carried on.
+                Ev::Die(Some(down)),
                 Ev::Beat(2),
                 Ev::Deposit(2, 0),
                 Ev::Beat(3),
                 Ev::Deposit(3, 0),
                 // The crash: the same, and final.
-                Ev::Flush(4),
-                Ev::Die(None, 0),
+                Ev::Die(None),
             ]
         );
         assert_eq!(me.faults.fate(), WorkerFate::Crashed { at_iter: 4 });
+    }
+
+    #[test]
+    fn a_socket_deposit_is_on_the_wire_when_it_returns() {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
+        let stream = TcpStream::connect(listener.local_addr().expect("bound")).expect("dial");
+        let (mut peer, _) = listener.accept().expect("accept");
+        let g = Tensor::from_vec(vec![1.5, -0.75, f32::MIN_POSITIVE, 3.25e7]);
+        let mut link = SocketLink {
+            stream,
+            conn: Arc::new(Conn::new(0, g.len())),
+            encoder: FeedbackEncoder::new(Compression::Lossless),
+            wire: SimRng::seed(1),
+            batch: GradBatch::new(),
+            last_hb: None,
+            scratch: Vec::new(),
+        };
+        link.deposit(5, g.clone());
+        // The piggybacked heartbeat already covers iteration 6.
+        link.beat(6);
+        // A park (here one that returns at once: the counter is not at 1)
+        // owes fresh liveness, so the next beat is a standalone frame.
+        link.park(1, Duration::from_secs(60));
+        link.beat(6);
+        link.stream.shutdown(Shutdown::Write).expect("shutdown");
+
+        let mut body = Vec::new();
+        read_frame_body(&mut peer, &mut body).expect("the gradient frame");
+        assert!(matches!(body_tag(&body), Ok(TAG_ENC_GRAD)));
+        let entries: Vec<_> = EncodedGradBatch::parse(&body)
+            .and_then(|b| b.collect::<Result<Vec<_>, _>>())
+            .expect("one well-formed batch");
+        assert_eq!(entries.len(), 1);
+        assert_eq!(entries[0].iter, 5);
+        let mut got = vec![0.0f32; g.len()];
+        Compression::Lossless
+            .decode_slice(entries[0].frame, &mut got)
+            .expect("lossless payload");
+        let bits = |xs: &[f32]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&got), bits(g.as_slice()));
+        // Then the piggybacked heartbeat, the one standalone heartbeat
+        // after the park, and the end of the stream: the first beat(6)
+        // wrote nothing.
+        let mut next = || read_msg(&mut peer);
+        assert!(matches!(next(), Ok(Msg::Heartbeat { iter: 6 })));
+        assert!(matches!(next(), Ok(Msg::Heartbeat { iter: 6 })));
+        assert!(next().is_err());
     }
 
     /// The coordinator's half of one handshake, answered with `setup`. The
