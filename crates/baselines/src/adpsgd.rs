@@ -52,8 +52,6 @@ pub enum GossipMsg {
 #[derive(Debug)]
 pub struct AdPsgdProtocol {
     free_at: Vec<SimTime>,
-    sessions: u64,
-    conflicts: u64,
 }
 
 impl AdPsgdProtocol {
@@ -67,19 +65,7 @@ impl AdPsgdProtocol {
         assert!(n >= 2, "AD-PSGD needs at least two workers");
         AdPsgdProtocol {
             free_at: vec![SimTime::ZERO; n],
-            sessions: 0,
-            conflicts: 0,
         }
-    }
-
-    /// Number of averaging sessions completed.
-    pub fn sessions(&self) -> u64 {
-        self.sessions
-    }
-
-    /// Number of sessions that had to wait on a busy endpoint.
-    pub fn conflicts(&self) -> u64 {
-        self.conflicts
     }
 }
 
@@ -123,9 +109,6 @@ impl Protocol for AdPsgdProtocol {
         // Atomic averaging session: serialized on both endpoints.
         let now = ctx.now();
         let earliest = now.max(self.free_at[worker]).max(self.free_at[peer]);
-        if earliest > now {
-            self.conflicts += 1;
-        }
         let transfer = ctx.cost().point_to_point(ctx.grad_bytes());
         let done = earliest + transfer + LOCK_OVERHEAD;
         self.free_at[worker] = done;
@@ -151,7 +134,6 @@ impl Protocol for AdPsgdProtocol {
     ) {
         let GossipMsg::AvgDone { requester, peer } = msg;
         ctx.average_pair(requester, peer);
-        self.sessions += 1;
         ctx.finish_round(2.0 / ctx.num_workers() as f64);
         // The requester was blocked on the atomic averaging; the passive
         // peer never stopped computing.

@@ -54,25 +54,16 @@ pub enum WorkerFault {
         /// Hang duration in microseconds of real (threaded) time.
         for_us: u64,
     },
-    /// From `from_iter` on, every iteration takes `extra_us` additional
-    /// microseconds — a persistent straggler, not a failure. The worker
-    /// keeps heartbeating and stays live.
-    SlowFrom {
-        /// Completed-iteration count at which the slowdown begins.
-        from_iter: u64,
-        /// Extra per-iteration compute time in microseconds.
-        extra_us: u64,
-    },
-    /// Gray degradation: from `from_iter` on, the worker's extra
+    /// A slowdown, not a failure: from `from_iter` on, the worker's extra
     /// per-iteration time *ramps up* by `step_us` each iteration, capped
-    /// at `cap_us` — a node quietly souring (thermal throttling, a dying
-    /// disk, a noisy neighbour) rather than failing outright. At
-    /// iteration `i >= from_iter` the extra delay is
-    /// `min((i - from_iter + 1) * step_us, cap_us)`. Distinct from
-    /// [`WorkerFault::SlowFrom`]'s constant persistent straggler and from
-    /// the paper's random per-iteration stragglers; this is the regime
-    /// online regrouping reacts to, because the launch-time speed probe
-    /// saw a healthy worker.
+    /// at `cap_us`. At iteration `i >= from_iter` the extra delay is
+    /// `min((i - from_iter + 1) * step_us, cap_us)`. With `step_us ==
+    /// cap_us` it is a constant persistent straggler ([`FaultPlan::slow`]);
+    /// a shallower ramp is gray degradation ([`FaultPlan::gray`]) — a node
+    /// quietly souring (thermal throttling, a dying disk, a noisy
+    /// neighbour), the regime online regrouping reacts to, because the
+    /// launch-time speed probe saw a healthy worker. The worker keeps
+    /// heartbeating and stays live.
     GrayFrom {
         /// Completed-iteration count at which the degradation begins.
         from_iter: u64,
@@ -101,7 +92,6 @@ impl WorkerFault {
         match *self {
             WorkerFault::CrashAt { at_iter } => at_iter,
             WorkerFault::HangAt { at_iter, .. } => at_iter,
-            WorkerFault::SlowFrom { from_iter, .. } => from_iter,
             WorkerFault::GrayFrom { from_iter, .. } => from_iter,
             WorkerFault::RestartAt { at_iter, .. } => at_iter,
         }
@@ -120,10 +110,6 @@ impl WorkerFault {
     /// iteration `iter`, in microseconds.
     pub fn slowdown_at(&self, iter: u64) -> u64 {
         match *self {
-            WorkerFault::SlowFrom {
-                from_iter,
-                extra_us,
-            } if iter >= from_iter => extra_us,
             WorkerFault::GrayFrom {
                 from_iter,
                 step_us,
@@ -151,7 +137,7 @@ impl WorkerFault {
 /// assert_eq!(plan.script(1).slowdown_us(7), 30_000);
 /// assert!(matches!(
 ///     plan.for_worker(1).next(),
-///     Some(WorkerFault::SlowFrom { .. })
+///     Some(WorkerFault::GrayFrom { .. })
 /// ));
 /// ```
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -183,16 +169,10 @@ impl FaultPlan {
     }
 
     /// Adds a permanent slowdown: from `from_iter` on, `worker` takes
-    /// `extra_us` extra microseconds per iteration.
-    pub fn slow(mut self, worker: usize, from_iter: u64, extra_us: u64) -> Self {
-        self.faults.push((
-            worker,
-            WorkerFault::SlowFrom {
-                from_iter,
-                extra_us,
-            },
-        ));
-        self
+    /// `extra_us` extra microseconds per iteration (a ramp already at its
+    /// cap).
+    pub fn slow(self, worker: usize, from_iter: u64, extra_us: u64) -> Self {
+        self.gray(worker, from_iter, extra_us, extra_us)
     }
 
     /// Adds a gray-degradation ramp: from `from_iter` on, `worker`'s
@@ -368,12 +348,7 @@ impl FaultScript {
         }
         if self.fate == WorkerFate::Healthy {
             let slowed = self.faults.iter().find_map(|f| match *f {
-                WorkerFault::SlowFrom { from_iter, .. }
-                | WorkerFault::GrayFrom { from_iter, .. }
-                    if from_iter <= iter =>
-                {
-                    Some(from_iter)
-                }
+                WorkerFault::GrayFrom { from_iter, .. } if from_iter <= iter => Some(from_iter),
                 _ => None,
             });
             if let Some(from_iter) = slowed {
@@ -384,7 +359,7 @@ impl FaultScript {
     }
 
     /// The extra compute time, in microseconds, the plan's slowdowns
-    /// (constant stragglers and gray ramps, summed) add to iteration `iter`.
+    /// (summed) add to iteration `iter`.
     pub fn slowdown_us(&self, iter: u64) -> u64 {
         self.faults.iter().map(|f| f.slowdown_at(iter)).sum()
     }
@@ -580,17 +555,6 @@ pub enum ConfigError {
     /// A checkpoint cadence of zero rounds: there is no round boundary at
     /// which such a checkpoint could ever be cut.
     ZeroCheckpointCadence,
-    /// A `ChurnPlan` join whose admission deadline is shorter than the
-    /// liveness lease: the controller would presume the joiner dead while
-    /// the snapshot stream is still legitimately in flight.
-    AdmissionDeadlineBelowLease {
-        /// The joining worker.
-        worker: usize,
-        /// The configured admission deadline.
-        deadline_us: u64,
-        /// The liveness lease it must cover.
-        lease_us: u64,
-    },
     /// A structurally impossible `ChurnPlan`: duplicate events, a leave
     /// scheduled at or before the same worker's join, an out-of-capacity
     /// identity, or a plan that drains the cluster. `worker` is
@@ -635,17 +599,6 @@ impl std::fmt::Display for ConfigError {
             }
             ConfigError::ZeroCheckpointCadence => {
                 write!(f, "checkpoint cadence must be at least one round")
-            }
-            ConfigError::AdmissionDeadlineBelowLease {
-                worker,
-                deadline_us,
-                lease_us,
-            } => {
-                write!(
-                    f,
-                    "worker {worker}: admission deadline ({deadline_us} us) is \
-                     below the liveness lease ({lease_us} us)"
-                )
             }
             ConfigError::ChurnPlanMalformed { worker, why } => {
                 if *worker == usize::MAX {
@@ -913,11 +866,6 @@ impl NetFaultPlan {
         &self.flaps
     }
 
-    /// The timed partitions `(component, from_us, until_us)`.
-    pub fn partitions(&self) -> &[(Vec<usize>, u64, u64)] {
-        &self.partitions
-    }
-
     /// The per-link delay entries `(a, b, extra_us)`.
     pub fn delays(&self) -> &[(usize, usize, u64)] {
         &self.delays
@@ -1092,14 +1040,8 @@ mod tests {
             .trigger_iter(),
             2
         );
-        assert_eq!(
-            WorkerFault::SlowFrom {
-                from_iter: 4,
-                extra_us: 1
-            }
-            .trigger_iter(),
-            4
-        );
+        let slow = FaultPlan::none().slow(0, 4, 1).faults()[0].1;
+        assert_eq!(slow.trigger_iter(), 4);
         assert_eq!(
             WorkerFault::GrayFrom {
                 from_iter: 6,
@@ -1124,14 +1066,17 @@ mod tests {
         assert_eq!(gray.slowdown_at(12), 900);
         assert_eq!(gray.slowdown_at(13), 1_000, "capped");
         assert_eq!(gray.slowdown_at(10_000), 1_000);
-        // Constant straggler through the same lens.
-        let slow = WorkerFault::SlowFrom {
-            from_iter: 5,
-            extra_us: 700,
-        };
+        // A constant straggler is a ramp already at its cap: every
+        // iteration from its first is slowed by exactly the extra time.
+        let plan = FaultPlan::none().slow(1, 5, 700);
+        let slow = plan.faults()[0].1;
         assert_eq!(slow.slowdown_at(4), 0);
         assert_eq!(slow.slowdown_at(5), 700);
         assert_eq!(slow.slowdown_at(500), 700);
+        let script = plan.script(1);
+        assert!((0..5).all(|i| script.slowdown_us(i) == 0));
+        assert!((5..64).all(|i| script.slowdown_us(i) == 700));
+        assert_eq!(script.slowdown_us(u64::MAX), 700, "saturated ramp");
         // Non-slowdown faults never slow anything.
         assert_eq!(WorkerFault::CrashAt { at_iter: 3 }.slowdown_at(9), 0);
         // The builder registers it like any other fault.
@@ -1222,11 +1167,7 @@ mod tests {
         assert!(restart.kills());
         assert_eq!(restart.trigger_iter(), 5);
         assert!(WorkerFault::CrashAt { at_iter: 3 }.kills());
-        assert!(!WorkerFault::SlowFrom {
-            from_iter: 0,
-            extra_us: 1
-        }
-        .kills());
+        assert!(!FaultPlan::none().slow(0, 0, 1).faults()[0].1.kills());
     }
 
     // The one interpreter, as every world executes it.

@@ -48,7 +48,7 @@ use std::ops::RangeBounds;
 
 use rna_simnet::SimDuration;
 
-use crate::fault::{ConfigError, ToleranceConfig, WorkerFate};
+use crate::fault::{ConfigError, WorkerFate};
 use crate::grouping::partition_groups;
 
 /// The RNG stream grant of joiner `w`, the same in every world: it forks
@@ -63,17 +63,10 @@ pub fn join_grant(w: usize) -> u64 {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ChurnEvent {
     /// The worker becomes active at global round `at_round` (dormant
-    /// before). `admission_deadline_us` bounds how long admission — the
-    /// snapshot stream plus handshake — may take before the controller
-    /// gives up on the joiner for this round and treats it as not yet
-    /// arrived; it must be at least the liveness lease, or the joiner
-    /// would be declared dead mid-admission.
+    /// before).
     Join {
         /// First global round the worker participates in.
         at_round: u64,
-        /// Admission budget in microseconds (real time in the runtimes,
-        /// virtual time in the DES).
-        admission_deadline_us: u64,
     },
     /// Graceful leave: the worker contributes through round `at_round`
     /// (its in-flight gradient is drained, not dropped) and is removed
@@ -158,15 +151,11 @@ impl Tenure {
 ///
 /// ```
 /// use rna_core::membership::ChurnPlan;
-/// use rna_core::fault::ToleranceConfig;
 ///
 /// // Capacity 8: workers 0..6 start active, 6 and 7 join mid-run,
 /// // worker 1 retires gracefully after round 20.
-/// let plan = ChurnPlan::none()
-///     .join(6, 10, 500_000)
-///     .join(7, 14, 500_000)
-///     .retire(1, 20);
-/// plan.validate(8, &ToleranceConfig::default()).unwrap();
+/// let plan = ChurnPlan::none().join(6, 10).join(7, 14).retire(1, 20);
+/// plan.validate(8).unwrap();
 /// assert!(!plan.active_at(6, 9));
 /// assert!(plan.active_at(6, 10));
 /// assert!(plan.active_at(1, 20)); // retiree drains through its round
@@ -184,15 +173,9 @@ impl ChurnPlan {
     }
 
     /// Adds a join: `worker` is dormant until global round `at_round`,
-    /// then admitted with an `admission_deadline_us` budget.
-    pub fn join(mut self, worker: usize, at_round: u64, admission_deadline_us: u64) -> Self {
-        self.events.push((
-            worker,
-            ChurnEvent::Join {
-                at_round,
-                admission_deadline_us,
-            },
-        ));
+    /// then admitted.
+    pub fn join(mut self, worker: usize, at_round: u64) -> Self {
+        self.events.push((worker, ChurnEvent::Join { at_round }));
         self
     }
 
@@ -258,28 +241,21 @@ impl ChurnPlan {
         self.events.iter().map(|(w, _)| *w).max()
     }
 
-    /// Checks the plan against a cluster of `capacity` identities and the
-    /// run's [`ToleranceConfig`], returning the first structural problem
-    /// as a typed [`ConfigError`] instead of wedging mid-run.
+    /// Checks the plan against a cluster of `capacity` identities, returning
+    /// the first structural problem as a typed [`ConfigError`] instead of
+    /// wedging mid-run.
     ///
     /// Rejected shapes: an event naming a worker `>= capacity`; duplicate
     /// events of the same kind for one worker; both a retirement and an
     /// eviction for one worker; a join at round 0 (launch members need no
     /// join event); a leave scheduled at or before the same worker's
     /// join (the identity would never participate); an eviction at round
-    /// 0; an admission deadline shorter than the liveness lease (the
-    /// controller would presume the joiner dead mid-admission); and a
-    /// plan that leaves no active worker at some event round.
+    /// 0; and a plan that leaves no active worker at some event round.
     ///
     /// # Errors
     ///
-    /// [`ConfigError::ChurnPlanMalformed`] or
-    /// [`ConfigError::AdmissionDeadlineBelowLease`] per the shapes above.
-    pub fn validate(
-        &self,
-        capacity: usize,
-        tolerance: &ToleranceConfig,
-    ) -> Result<(), ConfigError> {
+    /// [`ConfigError::ChurnPlanMalformed`] per the shapes above.
+    pub fn validate(&self, capacity: usize) -> Result<(), ConfigError> {
         let malformed = |worker, why| Err(ConfigError::ChurnPlanMalformed { worker, why });
         for &(w, e) in &self.events {
             if w >= capacity {
@@ -313,25 +289,13 @@ impl ChurnPlan {
                 }
             }
             match e {
-                ChurnEvent::Join {
-                    at_round,
-                    admission_deadline_us,
-                } => {
-                    if at_round == 0 {
-                        return malformed(w, "join at round 0; launch members need no join event");
-                    }
-                    if admission_deadline_us < tolerance.liveness_timeout_us {
-                        return Err(ConfigError::AdmissionDeadlineBelowLease {
-                            worker: w,
-                            deadline_us: admission_deadline_us,
-                            lease_us: tolerance.liveness_timeout_us,
-                        });
-                    }
+                ChurnEvent::Join { at_round: 0 } => {
+                    return malformed(w, "join at round 0; launch members need no join event");
                 }
                 ChurnEvent::Evict { at_round: 0 } => {
                     return malformed(w, "evicted at round 0; the identity never participates");
                 }
-                ChurnEvent::Retire { .. } | ChurnEvent::Evict { .. } => {}
+                _ => {}
             }
         }
         // The cluster must never drain completely: check every round at
@@ -461,7 +425,7 @@ impl Default for RegroupPolicy {
 
 impl RegroupPolicy {
     /// Checks the policy's invariants with a typed error, mirroring
-    /// [`ToleranceConfig::validate`].
+    /// [`ToleranceConfig::validate`](crate::fault::ToleranceConfig::validate).
     ///
     /// # Errors
     ///
@@ -567,10 +531,7 @@ mod tests {
 
     #[test]
     fn plan_builders_accumulate() {
-        let plan = ChurnPlan::none()
-            .join(6, 10, 500_000)
-            .retire(1, 20)
-            .evict(2, 5);
+        let plan = ChurnPlan::none().join(6, 10).retire(1, 20).evict(2, 5);
         assert_eq!(
             plan.tenure(6),
             Tenure {
@@ -611,10 +572,7 @@ mod tests {
 
     #[test]
     fn activity_windows() {
-        let plan = ChurnPlan::none()
-            .join(3, 10, 500_000)
-            .retire(1, 20)
-            .evict(2, 5);
+        let plan = ChurnPlan::none().join(3, 10).retire(1, 20).evict(2, 5);
         // Launch member with no events: always active.
         assert!(plan.active_at(0, 0));
         assert!(plan.active_at(0, 1_000));
@@ -641,38 +599,31 @@ mod tests {
 
     #[test]
     fn join_then_leave_windows() {
-        let plan = ChurnPlan::none().join(0, 5, 500_000).retire(0, 9);
+        let plan = ChurnPlan::none().join(0, 5).retire(0, 9);
         assert!(!plan.active_at(0, 4));
         assert!(plan.active_at(0, 5));
         assert!(plan.active_at(0, 9));
         assert!(!plan.active_at(0, 10));
-        plan.validate(2, &ToleranceConfig::default()).unwrap();
+        plan.validate(2).unwrap();
     }
 
     #[test]
     fn validation_rejects_malformed_shapes() {
-        let tol = ToleranceConfig::default();
         let cases: Vec<(ChurnPlan, &str)> = vec![
-            (
-                ChurnPlan::none().join(5, 3, 500_000),
-                "beyond cluster capacity",
-            ),
-            (
-                ChurnPlan::none().join(1, 3, 500_000).join(1, 7, 500_000),
-                "duplicate events",
-            ),
+            (ChurnPlan::none().join(5, 3), "beyond cluster capacity"),
+            (ChurnPlan::none().join(1, 3).join(1, 7), "duplicate events"),
             (
                 ChurnPlan::none().retire(1, 3).evict(1, 7),
                 "both a retirement and an eviction",
             ),
-            (ChurnPlan::none().join(1, 0, 500_000), "join at round 0"),
+            (ChurnPlan::none().join(1, 0), "join at round 0"),
             (
-                ChurnPlan::none().join(1, 8, 500_000).retire(1, 3),
+                ChurnPlan::none().join(1, 8).retire(1, 3),
                 "leaves at or before its join round",
             ),
             (ChurnPlan::none().evict(1, 0), "evicted at round 0"),
             (
-                ChurnPlan::none().join(1, 8, 500_000).evict(1, 8),
+                ChurnPlan::none().join(1, 8).evict(1, 8),
                 "at or before its join round",
             ),
             (
@@ -685,40 +636,13 @@ mod tests {
             ),
         ];
         for (plan, needle) in cases {
-            match plan.validate(4, &tol) {
+            match plan.validate(4) {
                 Err(ConfigError::ChurnPlanMalformed { why, .. }) => {
                     assert!(why.contains(needle), "{why:?} missing {needle:?}");
                 }
                 other => panic!("expected malformed ({needle}), got {other:?}"),
             }
         }
-    }
-
-    #[test]
-    fn validation_rejects_admission_deadline_below_lease() {
-        let tol = ToleranceConfig::default();
-        let plan = ChurnPlan::none().join(1, 3, tol.liveness_timeout_us - 1);
-        assert_eq!(
-            plan.validate(4, &tol),
-            Err(ConfigError::AdmissionDeadlineBelowLease {
-                worker: 1,
-                deadline_us: tol.liveness_timeout_us - 1,
-                lease_us: tol.liveness_timeout_us,
-            })
-        );
-        // Exactly the lease is fine.
-        ChurnPlan::none()
-            .join(1, 3, tol.liveness_timeout_us)
-            .validate(4, &tol)
-            .unwrap();
-        // The error renders readably.
-        let msg = ConfigError::AdmissionDeadlineBelowLease {
-            worker: 1,
-            deadline_us: 10,
-            lease_us: 20,
-        }
-        .to_string();
-        assert!(msg.contains("admission deadline"), "{msg}");
     }
 
     #[test]

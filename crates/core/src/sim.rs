@@ -32,9 +32,7 @@ use rna_training::{BatchSampler, Dataset, EarlyStopping, History, LrSchedule, Mo
 use rna_workload::trace::WorkloadTrace;
 use rna_workload::{HeterogeneityModel, ModelProfile};
 
-use crate::fault::{
-    FaultPlan, FaultScript, IterDirective, NetFaultPlan, ToleranceConfig, WorkerFate,
-};
+use crate::fault::{FaultPlan, FaultScript, IterDirective, NetFaultPlan, WorkerFate};
 use crate::membership::{join_grant, ChurnPlan};
 use crate::recovery::{self, CheckpointStore, RecoveryConfig, RecoveryError};
 use crate::stats::{Counters, RunResult, StopReason};
@@ -288,17 +286,14 @@ impl TrainSpec {
     /// Installs a [`ChurnPlan`] (joins, retirements, evictions at global
     /// rounds). `num_workers` stays the cluster *capacity*: identities
     /// with a scheduled join start dormant. The plan is validated against
-    /// the capacity and the default [`ToleranceConfig`] — the simulator
-    /// has no real clocks, but keeping the admission-deadline check here
-    /// means a plan rejected by the runtimes is rejected by the DES too.
+    /// the capacity, as the runtimes validate it.
     ///
     /// # Panics
     ///
-    /// Panics if the plan is malformed (see
-    /// [`ChurnPlan::validate`]), e.g. it names a worker outside
-    /// `0..num_workers` or an admission deadline below the liveness lease.
+    /// Panics if the plan is malformed (see [`ChurnPlan::validate`]), e.g.
+    /// it names a worker outside `0..num_workers`.
     pub fn with_churn_plan(mut self, plan: ChurnPlan) -> Self {
-        if let Err(e) = plan.validate(self.num_workers, &ToleranceConfig::default()) {
+        if let Err(e) = plan.validate(self.num_workers) {
             panic!("invalid churn plan: {e}");
         }
         self.churn_plan = plan;

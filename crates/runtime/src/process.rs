@@ -550,7 +550,7 @@ fn resolve_worker_exe(explicit: Option<&PathBuf>) -> PathBuf {
 }
 
 /// Whether a fault directive is still ahead of a rejoining incarnation.
-/// `SlowFrom` and `GrayFrom` are permanent conditions, not events — a slow
+/// A slowdown (`GrayFrom`) is a permanent condition, not an event — a slow
 /// or gray-degrading worker stays that way across restarts, as it does
 /// for a restarted thread's `FaultScript`.
 pub(crate) fn still_pending(f: &WorkerFault, start_iter: u64, incarnation: u64) -> bool {
@@ -558,7 +558,7 @@ pub(crate) fn still_pending(f: &WorkerFault, start_iter: u64, incarnation: u64) 
         return true;
     }
     match *f {
-        WorkerFault::SlowFrom { .. } | WorkerFault::GrayFrom { .. } => true,
+        WorkerFault::GrayFrom { .. } => true,
         WorkerFault::CrashAt { at_iter }
         | WorkerFault::HangAt { at_iter, .. }
         | WorkerFault::RestartAt { at_iter, .. } => at_iter > start_iter,
@@ -1282,10 +1282,7 @@ mod tests {
     #[test]
     fn still_pending_filters_consumed_triggers_on_rejoin() {
         let crash = WorkerFault::CrashAt { at_iter: 5 };
-        let slow = WorkerFault::SlowFrom {
-            from_iter: 0,
-            extra_us: 100,
-        };
+        let slow = rna_core::fault::FaultPlan::none().slow(0, 0, 100).faults()[0].1;
         let restart = WorkerFault::RestartAt {
             at_iter: 5,
             rejoin_after_us: 1,

@@ -425,7 +425,6 @@ const TAG_CHALLENGE: u8 = 20;
 
 const FAULT_CRASH: u8 = 1;
 const FAULT_HANG: u8 = 2;
-const FAULT_SLOW: u8 = 3;
 const FAULT_RESTART: u8 = 4;
 const FAULT_GRAY: u8 = 5;
 
@@ -437,10 +436,6 @@ fn put_fault(out: &mut Vec<u8>, f: &WorkerFault) {
     let (kind, a, b, c) = match *f {
         WorkerFault::CrashAt { at_iter } => (FAULT_CRASH, at_iter, 0, 0),
         WorkerFault::HangAt { at_iter, for_us } => (FAULT_HANG, at_iter, for_us, 0),
-        WorkerFault::SlowFrom {
-            from_iter,
-            extra_us,
-        } => (FAULT_SLOW, from_iter, extra_us, 0),
         WorkerFault::RestartAt {
             at_iter,
             rejoin_after_us,
@@ -469,10 +464,6 @@ fn read_fault(r: &mut Reader<'_>) -> Result<WorkerFault, ProtoError> {
         FAULT_HANG => Ok(WorkerFault::HangAt {
             at_iter: a,
             for_us: b,
-        }),
-        FAULT_SLOW => Ok(WorkerFault::SlowFrom {
-            from_iter: a,
-            extra_us: b,
         }),
         FAULT_RESTART => Ok(WorkerFault::RestartAt {
             at_iter: a,
@@ -1054,9 +1045,10 @@ mod tests {
                     at_iter: 3,
                     for_us: 40_000,
                 },
-                WorkerFault::SlowFrom {
+                WorkerFault::GrayFrom {
                     from_iter: 1,
-                    extra_us: 500,
+                    step_us: 500,
+                    cap_us: 500,
                 },
                 WorkerFault::GrayFrom {
                     from_iter: 2,

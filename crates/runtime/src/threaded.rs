@@ -439,10 +439,7 @@ pub(crate) fn validate_config(config: &ThreadedConfig) {
     config.net_fault_plan.validate(config.num_workers);
     // The election validates the tolerance knobs that pace its retries.
     Election::new(config.mode, config.probes, &config.tolerance);
-    if let Err(e) = config
-        .churn_plan
-        .validate(config.num_workers, &config.tolerance)
-    {
+    if let Err(e) = config.churn_plan.validate(config.num_workers) {
         panic!("invalid churn plan: {e}");
     }
     if let Err(e) = (RecoveryConfig {

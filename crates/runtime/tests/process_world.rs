@@ -204,9 +204,7 @@ fn external_worker_joins_via_the_address_book() {
     let mut config = quick(4, SyncMode::Rna)
         .with_external(3)
         .with_addr_file(&book);
-    config.base = config
-        .base
-        .with_churn_plan(ChurnPlan::none().join(3, 5, 500_000));
+    config.base = config.base.with_churn_plan(ChurnPlan::none().join(3, 5));
     // Slow the rounds down to a few ms each: the external worker's
     // handshake retry ticks every 50 ms, and the admission window (rounds
     // 5..30) must comfortably contain several retries.

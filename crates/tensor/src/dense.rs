@@ -394,7 +394,7 @@ mod tests {
 
     /// Runs `check` under every tier the host has, portable first.
     fn under_every_tier(mut check: impl FnMut(&str)) {
-        simd::with_dispatch_lock(|| {
+        simd::tests::with_dispatch_lock(|| {
             for tier in simd::tiers() {
                 simd::set_tier(tier);
                 check(tier.name());

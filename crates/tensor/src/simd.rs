@@ -56,10 +56,10 @@
 //! `tensor/tests/simd_codecs.rs` pins it; the keystream's bits are pinned
 //! in `simnet/tests/keystream.rs`, where `SimRng` can be named.
 //!
-//! The error-feedback recurrence has one fused body per codec
-//! (`feedback_*`): each element is compensated, encoded and dequantised in
-//! a single pass, and the residual's norm is [`sum_squares`], one fixed
-//! eight-lane order.
+//! The error-feedback recurrence has one fused body per lossy codec
+//! (`feedback_*`; lossless carries no residual): each element is
+//! compensated, encoded and dequantised in a single pass, and the
+//! residual's norm is [`sum_squares`], one fixed eight-lane order.
 
 // The one module allowed `unsafe`: F16C and ChaCha intrinsics and
 // `target_feature` builds behind runtime detection, and byte-view casts
@@ -157,20 +157,6 @@ pub fn tier() -> Tier {
 pub fn set_tier(tier: Tier) {
     assert!(tier <= best_tier(), "this CPU has no {} tier", tier.name());
     TIER.store(tier as u8 + 1, Ordering::Relaxed);
-}
-
-/// Runs `f` while no other unit test of this crate changes the tier, and
-/// restores the tier afterwards.
-#[cfg(test)]
-pub(crate) fn with_dispatch_lock<T>(f: impl FnOnce() -> T) -> T {
-    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-    let _guard = LOCK
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner);
-    let was = tier();
-    let out = f();
-    set_tier(was);
-    out
 }
 
 /// Detected CPU features relevant to the kernels, for report headers
@@ -718,38 +704,16 @@ fn finish_squares(lanes: [f32; LANES], tail: &[f32]) -> f32 {
 // fused error-feedback bodies
 // ---------------------------------------------------------------------------
 //
-// One body per codec for `codec::encode_with_feedback_append`. On entry
+// One body per lossy codec for `codec::encode_with_feedback_append`
+// (lossless carries no residual and is a plain copy there). On entry
 // `grad` holds the fresh gradient and `residual` the carried error; each
 // element is compensated (`c = grad + residual`), encoded into the wire
 // payload, decoded again into `grad`, and its new residual `c − grad` is
 // stored. The per-element arithmetic is exactly the six-sweep recurrence's,
 // so frames, buffers and draw counts keep their bits. Each body returns
 // the residual's [`sum_squares`]: fp16 folds each block of eight into the
-// lanes as it sweeps, int8 each tile once it is quantised, and lossless
-// and top-k sum the finished residual.
-
-/// Fused lossless feedback: the payload is the compensated values' byte
-/// image, `grad` keeps them, and the residual is `c − c` (zero for finite
-/// `c`). Returns the residual's [`sum_squares`].
-///
-/// # Panics
-///
-/// Panics if the lengths disagree (`out.len() == 4 * grad.len()`).
-pub fn feedback_lossless(grad: &mut [f32], residual: &mut [f32], out: &mut [u8]) -> f32 {
-    assert_eq!(residual.len(), grad.len(), "residual length mismatch");
-    assert_eq!(out.len(), grad.len() * 4, "lossless output length mismatch");
-    for ((g, r), o) in grad
-        .iter_mut()
-        .zip(&mut *residual)
-        .zip(out.chunks_exact_mut(4))
-    {
-        let c = *g + *r;
-        o.copy_from_slice(&c.to_le_bytes());
-        *g = c;
-        *r = c - *g;
-    }
-    sum_squares(residual)
-}
+// lanes as it sweeps, int8 each tile once it is quantised, and top-k sums
+// the finished residual.
 
 dispatch! {
     /// Fused fp16 feedback, one sweep: compensate, round to binary16, write
@@ -1388,8 +1352,21 @@ mod avx512 {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+
+    /// Runs `f` while no other unit test of this crate changes the tier, and
+    /// restores the tier afterwards.
+    pub(crate) fn with_dispatch_lock<T>(f: impl FnOnce() -> T) -> T {
+        static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+        let _guard = LOCK
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        let was = tier();
+        let out = f();
+        set_tier(was);
+        out
+    }
 
     fn lcg(seed: u64) -> impl FnMut() -> u32 {
         let mut s = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;

@@ -264,7 +264,9 @@ fn reference_int8_frame(xs: &[f32], draw: &mut impl FnMut() -> u32) -> Vec<u8> {
 /// and run on the scalar references: compensate, encode, copy, decode,
 /// subtract, norm. Int8 encodes through [`reference_int8_frame`], so its
 /// frames and draw counts are checked against code the fused body does not
-/// share. Returns the frame and the norm.
+/// share. Returns the frame and the norm. Lossless carries no residual:
+/// its oracle is the plain frame, with `grad` and `residual` untouched and
+/// norm 0.
 fn six_sweep_feedback(
     codec: Compression,
     grad: &mut Tensor,
@@ -273,6 +275,10 @@ fn six_sweep_feedback(
 ) -> (Vec<u8>, f64) {
     with_dispatch(Tier::Portable, || {
         let mut frame = Vec::new();
+        if codec.is_lossless() {
+            codec.encode_slice(grad.as_slice(), &mut frame, draw);
+            return (frame, 0.0);
+        }
         grad.add_assign(residual);
         if matches!(codec, Compression::Int8) {
             frame = reference_int8_frame(grad.as_slice(), draw);
@@ -334,8 +340,14 @@ fn pin_to_oracle(codec: Compression, inputs: &[Vec<f32>], threads: usize, tier: 
     );
     let (mut draw_fused, fused_draws) = draws(17);
     let (mut draw_oracle, oracle_draws) = draws(17);
-    let mut res_fused = Tensor::zeros(len);
-    let mut res_oracle = Tensor::zeros(len);
+    // A lossless encode must leave even a nonzero residual as it found it.
+    let start = if codec.is_lossless() {
+        pseudo(len, 5)
+    } else {
+        vec![0.0; len]
+    };
+    let mut res_fused = Tensor::from_vec(start.clone());
+    let mut res_oracle = Tensor::from_vec(start);
     let mut out = Vec::new();
     for (round, input) in inputs.iter().enumerate() {
         let mut fused = Tensor::from_vec(input.clone());

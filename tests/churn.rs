@@ -21,10 +21,6 @@ use rna_core::{RnaConfig, RunResult};
 use rna_runtime::{run_process, run_threaded, ProcessConfig, SyncMode, ThreadedConfig};
 use rna_simnet::SimDuration;
 
-/// Generous admission budget — comfortably above every world's liveness
-/// lease, so validation accepts the plan everywhere.
-const ADMIT_US: u64 = 500_000;
-
 /// `RNA_CHAOS_SEED` varies the soak seeds so CI can sweep several without
 /// recompiling (see `ci.sh`); the hard convergence pin keeps its fixed
 /// seed.
@@ -43,8 +39,8 @@ fn des_churn_run(seed: u64) -> RunResult {
     // Capacity 8: six launch members, workers 6 and 7 join mid-run,
     // worker 1 retires gracefully, worker 2 is evicted.
     let plan = ChurnPlan::none()
-        .join(6, 10, ADMIT_US)
-        .join(7, 14, ADMIT_US)
+        .join(6, 10)
+        .join(7, 14)
         .retire(1, 25)
         .evict(2, 20);
     let spec = TrainSpec::smoke_test(8, churn_seed())
@@ -126,7 +122,7 @@ fn des_joins_leave_pre_churn_streams_untouched() {
 fn des_cluster_grows_from_six_to_eight_and_converges() {
     // The acceptance scenario: a 6-worker run grows to 8 via the plan and
     // still reaches the pinned convergence tolerance.
-    let plan = ChurnPlan::none().join(6, 8, ADMIT_US).join(7, 12, ADMIT_US);
+    let plan = ChurnPlan::none().join(6, 8).join(7, 12);
     let spec = TrainSpec::smoke_test(8, 17)
         .with_max_rounds(300)
         .with_churn_plan(plan);
@@ -229,7 +225,7 @@ fn all_three_worlds_agree_on_the_same_churn_plan() {
 
 fn three_worlds_agree_on_a_churn_plan(mode: SyncMode) {
     let n = 5;
-    let plan = ChurnPlan::none().join(4, 8, ADMIT_US).retire(1, 20);
+    let plan = ChurnPlan::none().join(4, 8).retire(1, 20);
 
     // World one: discrete-event simulation, same 30-round budget as the
     // runtimes' quick config.
@@ -287,11 +283,10 @@ fn three_worlds_agree_on_a_churn_plan(mode: SyncMode) {
 
 #[test]
 #[should_panic(expected = "invalid churn plan")]
-fn runtime_rejects_admission_deadline_below_the_lease() {
-    // Satellite guard: the typed ConfigError surfaces at the runtime
-    // boundary before any thread is spawned.
+fn runtime_rejects_a_malformed_churn_plan_at_its_boundary() {
+    // The typed ConfigError surfaces at the runtime boundary before any
+    // thread is spawned: a join at round 0 names a launch member.
     let config = ThreadedConfig::quick(3, SyncMode::Rna);
-    let lease = config.tolerance.liveness_timeout_us;
-    let bad = config.with_churn_plan(ChurnPlan::none().join(2, 5, lease - 1));
+    let bad = config.with_churn_plan(ChurnPlan::none().join(2, 0));
     let _ = run_threaded(&bad);
 }

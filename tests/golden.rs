@@ -89,12 +89,7 @@ fn scenario(name: &str) -> TrainSpec {
         "crash+restart" => {
             spec.with_fault_plan(FaultPlan::none().crash(5, 8).restart(2, 6, 20_000))
         }
-        "churn" => spec.with_churn_plan(
-            ChurnPlan::none()
-                .join(4, 6, 500_000)
-                .retire(1, 15)
-                .evict(3, 22),
-        ),
+        "churn" => spec.with_churn_plan(ChurnPlan::none().join(4, 6).retire(1, 15).evict(3, 22)),
         "partition" => {
             spec.with_net_fault_plan(NetFaultPlan::none().partition(vec![0, 1], 30_000, 90_000))
         }

@@ -217,10 +217,7 @@ fn des_churn_kill_resume_is_bit_identical() {
     let seed = chaos_seed() ^ 0xC4A2;
     let every = RecoveryConfig::new(10).unwrap();
     let n = N + 1;
-    let plan = ChurnPlan::none()
-        .join(N, 8, 500_000)
-        .evict(2, 15)
-        .retire(1, 24);
+    let plan = ChurnPlan::none().join(N, 8).evict(2, 15).retire(1, 24);
     let spec = |rounds| {
         TrainSpec::smoke_test(n, seed)
             .with_hetero(HeterogeneityModel::dynamic_uniform(n, 0, 30))
