@@ -206,6 +206,13 @@ echo "==> exhaustive tanh sweep (--release --ignored, watchdogged)"
 timeout 600 cargo test -q --release -p rna-tensor --lib -- --ignored \
   dense::tests::tanh_matches_the_host_libm_on_every_f32
 
+# The same for the exp port. Its oracle is glibc 2.36's expf as the x86-64
+# libm resolves it on an FMA host (its FMA build), the build the port
+# follows; the plain build differs on two inputs.
+echo "==> exhaustive exp sweep (--release --ignored, watchdogged)"
+timeout 600 cargo test -q --release -p rna-tensor --lib -- --ignored \
+  dense::tests::exp_matches_the_host_libm_on_every_f32
+
 # Zero-alloc guarantee: the debug-only allocation counter must show that
 # warm pooled rounds allocate nothing (vacuous in release, so run debug).
 # Covers the simulator pool and the threaded controller's reduce region.

@@ -1,5 +1,6 @@
 //! The training kernels every model runs on: the dense layer's forward
-//! product, its two backward loops and the tanh activation.
+//! product, its two backward loops, the softmax cross-entropy tile pass and
+//! the tanh and exp activations.
 //!
 //! **Order.** Each dot product is summed **in index order** from [`Sum`]'s
 //! identity, exactly like the serial [`dot`] it replaces, so every logit,
@@ -16,21 +17,40 @@
 //! block is in registers. Each gradient element still receives the
 //! per-sample adds it always did, in sample order, from its stored value.
 //!
-//! **Builds.** [`matmat`], [`outer_acc`], [`back`] and [`tanh_in_place`]
-//! are one plain `#[inline(always)]` body each, compiled once per
-//! [`simd::Tier`]: for the baseline target, for AVX2 and for AVX-512, the
-//! one [`simd::tier`] picks (the wrappers live in `simd.rs`, the crate's one
-//! `unsafe` module). Nothing here fuses `a * b + c`: Rust does not contract
-//! it, so the same per-lane multiply and add give the same bits at any
-//! vector width, and `RNA_FORCE_SCALAR` switches these kernels along with
-//! the codecs.
+//! **The lane pass.** A softmax tile is one call, not one call per sample
+//! and kernel: [`linear_xent`] (the linear classifier's whole tile: class
+//! scores, softmax, loss terms and both gradients) and [`softmax_xent`]
+//! (the MLP's and RNN's output layer) keep the tile's scores class-major,
+//! one lane row per class with the samples in lanes, so the max, the exps,
+//! the in-order sum and the divide run across samples, and the weight
+//! gradient takes each class row's coefficients without a gather.
+//! [`linear_scores`] is the same forward for evaluation.
+//!
+//! **Builds.** The kernels are one plain `#[inline(always)]` body each,
+//! compiled once per [`simd::Tier`]: for the baseline target, for AVX2 and
+//! for AVX-512, the one [`simd::tier`] picks (the wrappers live in
+//! `simd.rs`, the crate's one `unsafe` module). Rust does not contract
+//! `a * b + c`, so the same per-lane multiply and add give the same bits at
+//! any vector width, and `RNA_FORCE_SCALAR` switches these kernels along
+//! with the codecs. Nothing here fuses, with one explicit exception: the
+//! exp port's four `mul_add`s, which are the fused steps of the libm it
+//! ports. The vector tiers build them to FMA instructions, which is why
+//! those tiers require FMA; the portable tier's `f64::mul_add` is the
+//! correctly rounded libm `fma`, the same bits.
 //!
 //! **tanh.** [`tanh_in_place`] is a lane port of glibc 2.36's `tanhf` and
 //! the `expm1f` it calls (fdlibm's flt-32 `s_tanhf.c` and `s_expm1f.c` as
 //! built for x86-64, without FMA), operation for operation, with the
 //! branches turned into lane selects. It gives `f32::tanh`'s bits on such a
-//! host for every input, and the same bits on any other host, so no
-//! model's trajectory depends on the host's libm.
+//! host for every input, and the same bits on any other host.
+//!
+//! **exp.** [`exp_in_place`] is a lane port of glibc 2.36's `expf`
+//! (`e_expf.c` with its 32-entry `2^(i/32)` table), as the x86-64 libm's
+//! ifunc resolves it on an FMA host: the FMA build. The plain build differs
+//! from it on two inputs by one ulp (`0x4202422f` and `0xc27c65d9`), so
+//! until this port a trajectory *did* depend on which build the host's libm
+//! picked. Every `f32` exp of the models runs through the port; `ln`, one
+//! call per sample's loss, is still the host's.
 //!
 //! [`Sum`]: std::iter::Sum
 
@@ -65,7 +85,7 @@ pub fn dot(row: &[f32], x: &[f32]) -> f32 {
 /// # Panics
 ///
 /// Panics if `xs` holds more than [`LANES`] samples, if `w.len()` is not a
-/// multiple of `dim`, or if a sample is shorter than `dim`.
+/// multiple of `dim`, or if a sample is not `dim` long.
 pub fn matmat<'a>(
     w: &[f32],
     dim: usize,
@@ -89,41 +109,47 @@ pub(crate) fn matmat_lanes<'a>(
     assert!(n <= LANES, "matmat takes one tile of samples");
     let rows = w.len() / dim;
     assert_eq!(w.len(), rows * dim, "weight matrix shape");
-    tile.clear();
-    tile.resize(dim * LANES, 0.0);
-    let (tile, _) = tile.as_chunks_mut::<LANES>();
-    for (s, x) in xs.enumerate() {
-        for (t, &xd) in tile.iter_mut().zip(&x[..dim]) {
-            t[s] = xd;
-        }
-    }
+    let tile = lanes_of(&sample_refs(xs, dim), dim, tile);
     out.resize(n * rows, 0.0);
     let mut w_blocks = w.chunks_exact(ROWS * dim);
     let mut j = 0;
     for wb in w_blocks.by_ref() {
-        let (r0, rest) = wb.split_at(dim);
-        let (r1, rest) = rest.split_at(dim);
-        let (r2, r3) = rest.split_at(dim);
-        let [mut a0, mut a1, mut a2, mut a3] = [[-0.0f32; LANES]; ROWS];
-        for ((((xt, &w0), &w1), &w2), &w3) in tile.iter().zip(r0).zip(r1).zip(r2).zip(r3) {
-            lanes_axpy(&mut a0, w0, xt);
-            lanes_axpy(&mut a1, w1, xt);
-            lanes_axpy(&mut a2, w2, xt);
-            lanes_axpy(&mut a3, w3, xt);
-        }
-        for (r, a) in [a0, a1, a2, a3].iter().enumerate() {
+        for (r, a) in row_block(tile, wb).iter().enumerate() {
             scatter(&mut out[j + r..], rows, a);
         }
         j += ROWS;
     }
     for row in w_blocks.remainder().chunks_exact(dim) {
-        let mut acc = [-0.0f32; LANES];
-        for (xt, &wv) in tile.iter().zip(row) {
-            lanes_axpy(&mut acc, wv, xt);
-        }
-        scatter(&mut out[j..], rows, &acc);
+        scatter(&mut out[j..], rows, &row_dot(tile, row));
         j += 1;
     }
+}
+
+/// `Σ_d row[d] · tile[d]` in every lane, from `-0.0` in `d` order.
+#[inline(always)]
+fn row_dot(tile: &[[f32; LANES]], row: &[f32]) -> [f32; LANES] {
+    let mut acc = [-0.0f32; LANES];
+    for (xt, &wv) in tile.iter().zip(row) {
+        lanes_axpy(&mut acc, wv, xt);
+    }
+    acc
+}
+
+/// [`row_dot`] for the [`ROWS`] rows of `wb`, their sums in flight together.
+#[inline(always)]
+fn row_block(tile: &[[f32; LANES]], wb: &[f32]) -> [[f32; LANES]; ROWS] {
+    let dim = wb.len() / ROWS;
+    let (r0, rest) = wb.split_at(dim);
+    let (r1, rest) = rest.split_at(dim);
+    let (r2, r3) = rest.split_at(dim);
+    let [mut a0, mut a1, mut a2, mut a3] = [[-0.0f32; LANES]; ROWS];
+    for ((((xt, &w0), &w1), &w2), &w3) in tile.iter().zip(r0).zip(r1).zip(r2).zip(r3) {
+        lanes_axpy(&mut a0, w0, xt);
+        lanes_axpy(&mut a1, w1, xt);
+        lanes_axpy(&mut a2, w2, xt);
+        lanes_axpy(&mut a3, w3, xt);
+    }
+    [a0, a1, a2, a3]
 }
 
 /// `acc[l] += w · x[l]` across the lanes of one tile row or gradient block.
@@ -195,11 +221,7 @@ pub(crate) fn outer_acc_lanes<'a>(
     assert_eq!(coefs.len(), n * rows, "one coefficient row per sample");
     let dim = g.len() / rows;
     assert_eq!(g.len(), rows * dim, "gradient shape");
-    let mut samples: [&[f32]; LANES] = [&[]; LANES];
-    for (slot, x) in samples.iter_mut().zip(xs) {
-        assert_eq!(x.len(), dim, "sample length");
-        *slot = x;
-    }
+    let samples = sample_refs(xs, dim);
     let samples = &samples[..n];
     for (j, row) in g.chunks_exact_mut(dim).enumerate() {
         // Row `j`'s coefficient of each sample, gathered once per row.
@@ -207,16 +229,37 @@ pub(crate) fn outer_acc_lanes<'a>(
         for (c, &coef) in c.iter_mut().zip(coefs[j..].iter().step_by(rows)) {
             *c = coef;
         }
-        let (blocks, tail) = row.as_chunks_mut::<BLOCK>();
-        for (b, block) in blocks.iter_mut().enumerate() {
-            outer_block(block, &c, samples, b * BLOCK);
-        }
-        // The row's tail: 8-float blocks, then what is left, sample by sample.
-        let at = dim - tail.len();
-        let (eights, rest) = tail.as_chunks_mut::<8>();
-        for (b, block) in eights.iter_mut().enumerate() {
-            outer_block(block, &c, samples, at + b * 8);
-        }
+        outer_row(row, &c, samples);
+    }
+}
+
+/// The first [`LANES`] samples of `xs`, each asserted `dim` long; empty
+/// slices past the last.
+#[inline(always)]
+fn sample_refs<'a>(xs: impl Iterator<Item = &'a [f32]>, dim: usize) -> [&'a [f32]; LANES] {
+    let mut samples: [&[f32]; LANES] = [&[]; LANES];
+    for (slot, x) in samples.iter_mut().zip(xs) {
+        assert_eq!(x.len(), dim, "sample length");
+        *slot = x;
+    }
+    samples
+}
+
+/// `row[d] += c[s] · xs[s][d]` for every sample `s` in order: 32-float
+/// blocks, then 8-float blocks, then what is left, sample by sample.
+#[inline(always)]
+fn outer_row(row: &mut [f32], c: &[f32; LANES], samples: &[&[f32]]) {
+    let dim = row.len();
+    let (blocks, tail) = row.as_chunks_mut::<BLOCK>();
+    for (b, block) in blocks.iter_mut().enumerate() {
+        outer_block(block, c, samples, b * BLOCK);
+    }
+    let at = dim - tail.len();
+    let (eights, rest) = tail.as_chunks_mut::<8>();
+    for (b, block) in eights.iter_mut().enumerate() {
+        outer_block(block, c, samples, at + b * 8);
+    }
+    if !rest.is_empty() {
         for (&c, x) in c.iter().zip(samples) {
             axpy(rest, c, &x[dim - rest.len()..]);
         }
@@ -249,6 +292,274 @@ pub(crate) fn back_lanes(dx: &mut Vec<f32>, coef: &[f32], w: &[f32]) {
     for (row, &c) in w.chunks_exact(dx.len()).zip(coef) {
         axpy(dx, c, row);
     }
+}
+
+/// Class scores of one tile, `scores[s·classes + c] = Σ_d w[c·dim + d] ·
+/// xs[s][d] + b[c]` with `classes = b.len()` and `dim = w.len() / classes`,
+/// one row per sample: the sum in `d` order from `-0.0` and then the bias,
+/// exactly as [`matmat`] and [`add_bias`] give it. The forward of
+/// [`linear_xent`], for evaluation: computed class-major in `rows`, one
+/// [`LANES`]-lane row per class, then written out a row per sample.
+///
+/// # Panics
+///
+/// Panics if `xs` holds more than [`LANES`] samples, if `w` is not `b.len()`
+/// rows, or if a sample is not `dim` long.
+pub fn linear_scores<'a>(
+    w: &[f32],
+    b: &[f32],
+    xs: impl ExactSizeIterator<Item = &'a [f32]>,
+    tile: &mut Vec<f32>,
+    rows: &mut Vec<f32>,
+    scores: &mut Vec<f32>,
+) {
+    simd::linear_scores(w, b, xs, tile, rows, scores);
+}
+
+/// The body of [`linear_scores`].
+#[inline(always)]
+pub(crate) fn linear_scores_lanes<'a>(
+    w: &[f32],
+    b: &[f32],
+    xs: impl ExactSizeIterator<Item = &'a [f32]>,
+    tile: &mut Vec<f32>,
+    rows: &mut Vec<f32>,
+    out: &mut Vec<f32>,
+) {
+    let n = xs.len();
+    assert!(n <= LANES, "linear_scores takes one tile of samples");
+    let dim = linear_dim(w, b);
+    let tile = lanes_of(&sample_refs(xs, dim), dim, tile);
+    let rows = lane_rows(rows, b.len());
+    scores(w, b, tile, rows);
+    out.resize(n * b.len(), 0.0);
+    for (c, row) in rows.iter().enumerate() {
+        scatter(&mut out[c..], b.len(), row);
+    }
+}
+
+/// A linear softmax classifier's training pass over one tile, in one call:
+/// the class scores [`linear_scores`] gives, the softmax and gradient
+/// [`softmax_xent`] gives, then, with `grad` laid out as `w` then `b`,
+/// `g_b[c] += dlogits[s][c]` and `g_w[c·dim + d] += dlogits[s][c] ·
+/// xs[s][d]` for every sample `s` in order, each element from its stored
+/// value. Returns each sample's `p[label]`, whose clamped `−ln` is its
+/// loss, zero past the last sample.
+///
+/// # Panics
+///
+/// Panics if `xs` holds more than [`LANES`] samples, if `w` is not `b.len()`
+/// rows, if `grad` is not `w.len() + b.len()` long, if a sample is not
+/// `dim` long, or if a label is not below `b.len()`.
+pub fn linear_xent<'a>(
+    w: &[f32],
+    b: &[f32],
+    xs: impl ExactSizeIterator<Item = &'a [f32]>,
+    labels: impl Iterator<Item = usize>,
+    grad: &mut [f32],
+    tile: &mut Vec<f32>,
+    rows: &mut Vec<f32>,
+) -> [f32; LANES] {
+    simd::linear_xent(w, b, xs, labels, grad, tile, rows)
+}
+
+/// The body of [`linear_xent`].
+#[inline(always)]
+pub(crate) fn linear_xent_lanes<'a>(
+    w: &[f32],
+    b: &[f32],
+    xs: impl ExactSizeIterator<Item = &'a [f32]>,
+    labels: impl Iterator<Item = usize>,
+    grad: &mut [f32],
+    tile: &mut Vec<f32>,
+    rows: &mut Vec<f32>,
+) -> [f32; LANES] {
+    let n = xs.len();
+    assert!(n <= LANES, "linear_xent takes one tile of samples");
+    let dim = linear_dim(w, b);
+    assert_eq!(grad.len(), w.len() + b.len(), "gradient shape");
+    let (g_w, g_b) = grad.split_at_mut(w.len());
+    let samples = sample_refs(xs, dim);
+    let labels = label_lanes(labels, b.len());
+    let tile = lanes_of(&samples, dim, tile);
+    let rows = lane_rows(rows, b.len());
+    scores(w, b, tile, rows);
+    let p = softmax_xent_lanes(rows, &labels);
+    for ((g, c), g_b) in g_w.chunks_exact_mut(dim).zip(&*rows).zip(g_b) {
+        outer_row(g, c, &samples[..n]);
+        for &d in &c[..n] {
+            *g_b += d;
+        }
+    }
+    p
+}
+
+/// Softmax cross-entropy over one tile of sample-major logits, one
+/// `classes`-long row per sample: `dlogits` becomes each sample's
+/// `p − onehot(label)`, one row per sample. The logits go through `rows`
+/// transposed, one lane row per class, so the pass runs across samples.
+/// Per sample, the max folds from `−∞` with `f32::max` (NaN-ignoring),
+/// `exp(l − max)` is summed in class order from `-0.0`, and each
+/// probability is a true divide by that sum: the per-sample softmax's
+/// bits. Returns each sample's `p[label]`, whose clamped `−ln` is its loss,
+/// zero past the last sample.
+///
+/// # Panics
+///
+/// Panics if `logits` is not at most [`LANES`] whole rows, or if a label is
+/// not below `classes`.
+pub fn softmax_xent(
+    logits: &[f32],
+    classes: usize,
+    labels: impl Iterator<Item = usize>,
+    rows: &mut Vec<f32>,
+    dlogits: &mut Vec<f32>,
+) -> [f32; LANES] {
+    simd::softmax_xent(logits, classes, labels, rows, dlogits)
+}
+
+/// The body of [`softmax_xent`].
+#[inline(always)]
+pub(crate) fn softmax_xent_rows(
+    logits: &[f32],
+    classes: usize,
+    labels: impl Iterator<Item = usize>,
+    rows: &mut Vec<f32>,
+    dlogits: &mut Vec<f32>,
+) -> [f32; LANES] {
+    let n = logits.len() / classes;
+    assert!(
+        n <= LANES && logits.len() == n * classes,
+        "softmax_xent takes one tile of logit rows"
+    );
+    let labels = label_lanes(labels, classes);
+    let samples = sample_refs(logits.chunks_exact(classes), classes);
+    let rows = lanes_of(&samples, classes, rows);
+    let p = softmax_xent_lanes(rows, &labels);
+    dlogits.resize(logits.len(), 0.0);
+    for (c, row) in rows.iter().enumerate() {
+        scatter(&mut dlogits[c..], classes, row);
+    }
+    p
+}
+
+/// Columns of a `b.len()`-row weight matrix `w`.
+#[inline(always)]
+fn linear_dim(w: &[f32], b: &[f32]) -> usize {
+    let dim = w.len() / b.len();
+    assert_eq!(w.len(), b.len() * dim, "weight matrix shape");
+    dim
+}
+
+/// The samples transposed into `tile`: `dim` lane rows, lane `s` holding
+/// sample `s`, lanes past the last zero. Eight rows at a time are built in
+/// registers from one 8-float load per sample and stored whole: rows
+/// written lane by lane stall the vector loads that read them.
+#[inline(always)]
+fn lanes_of<'t>(
+    samples: &[&[f32]; LANES],
+    dim: usize,
+    tile: &'t mut Vec<f32>,
+) -> &'t mut [[f32; LANES]] {
+    tile.resize(dim * LANES, 0.0);
+    let (tile, _) = tile.as_chunks_mut::<LANES>();
+    let (blocks, rest) = tile.as_chunks_mut::<8>();
+    for (k, rows) in blocks.iter_mut().enumerate() {
+        let mut block = [[0.0f32; LANES]; 8];
+        for (s, x) in samples.iter().enumerate() {
+            if let Some((x, _)) = x.get(k * 8..).and_then(<[f32]>::split_first_chunk::<8>) {
+                for (row, &xd) in block.iter_mut().zip(x) {
+                    row[s] = xd;
+                }
+            }
+        }
+        *rows = block;
+    }
+    let at = dim - rest.len();
+    for (d, row) in rest.iter_mut().enumerate() {
+        for (t, x) in row.iter_mut().zip(samples) {
+            *t = x.get(at + d).copied().unwrap_or(0.0);
+        }
+    }
+    tile
+}
+
+/// `rows` sized to `classes` lane rows, each written before it is read.
+#[inline(always)]
+fn lane_rows(rows: &mut Vec<f32>, classes: usize) -> &mut [[f32; LANES]] {
+    rows.resize(classes * LANES, 0.0);
+    rows.as_chunks_mut().0
+}
+
+/// Up to [`LANES`] labels, one per lane; lanes past the last hold
+/// `u32::MAX`, which is no class.
+#[inline(always)]
+fn label_lanes(labels: impl Iterator<Item = usize>, classes: usize) -> [u32; LANES] {
+    let mut lanes = [u32::MAX; LANES];
+    for (lane, label) in lanes.iter_mut().zip(labels) {
+        assert!(label < classes, "label out of range");
+        *lane = label as u32;
+    }
+    lanes
+}
+
+/// `rows[c] = Σ_d w[c·dim + d] · tile[d] + b[c]`, [`ROWS`] classes at a
+/// time.
+#[inline(always)]
+fn scores(w: &[f32], b: &[f32], tile: &[[f32; LANES]], rows: &mut [[f32; LANES]]) {
+    let dim = tile.len();
+    let mut w_blocks = w.chunks_exact(ROWS * dim);
+    let mut out = rows.chunks_exact_mut(ROWS);
+    let mut bias = b.chunks_exact(ROWS);
+    for ((wb, ob), bb) in w_blocks.by_ref().zip(out.by_ref()).zip(bias.by_ref()) {
+        for ((o, a), &bj) in ob.iter_mut().zip(row_block(tile, wb)).zip(bb) {
+            *o = plus(a, bj);
+        }
+    }
+    let rest = w_blocks.remainder().chunks_exact(dim);
+    for ((row, o), &bj) in rest.zip(out.into_remainder()).zip(bias.remainder()) {
+        *o = plus(row_dot(tile, row), bj);
+    }
+}
+
+/// `acc[l] + b` in every lane.
+#[inline(always)]
+fn plus(mut acc: [f32; LANES], b: f32) -> [f32; LANES] {
+    for a in &mut acc {
+        *a += b;
+    }
+    acc
+}
+
+/// The softmax of every lane over the class-major `rows`, in place, then
+/// `p − onehot(label)`; returns each lane's `p[label]` (zero where the
+/// label is no class).
+#[inline(always)]
+fn softmax_xent_lanes(rows: &mut [[f32; LANES]], labels: &[u32; LANES]) -> [f32; LANES] {
+    let mut max = [f32::NEG_INFINITY; LANES];
+    for row in rows.iter() {
+        for (m, &l) in max.iter_mut().zip(row) {
+            *m = m.max(l);
+        }
+    }
+    let mut sum = [-0.0f32; LANES];
+    for row in rows.iter_mut() {
+        for ((x, &m), s) in row.iter_mut().zip(&max).zip(&mut sum) {
+            *x = expf(*x - m);
+            *s += *x;
+        }
+    }
+    let mut p_label = [0.0f32; LANES];
+    for (c, row) in rows.iter_mut().enumerate() {
+        let lanes = row.iter_mut().zip(&sum).zip(labels).zip(&mut p_label);
+        for (((x, &s), &label), p_label) in lanes {
+            let p = *x / s;
+            let hit = label == c as u32;
+            *p_label = if hit { p } else { *p_label };
+            *x = if hit { p - 1.0 } else { p };
+        }
+    }
+    p_label
 }
 
 /// `x = tanh(x)` for every element, bit for bit what glibc 2.36's `tanhf`
@@ -365,6 +676,85 @@ fn expm1f(x: f32) -> f32 {
     // |x| < 2⁻²⁵: x itself.
     if hx < 0x3300_0000 {
         x
+    } else {
+        y
+    }
+}
+
+/// `x = exp(x)` for every element, bit for bit what glibc 2.36's `expf`
+/// returns on an x86-64 host with FMA — NaN payloads, infinities and
+/// subnormal results included.
+pub fn exp_in_place(xs: &mut [f32]) {
+    simd::exp(xs);
+}
+
+/// The body of [`exp_in_place`], one lane per element, a [`LANES`] block at
+/// a time: a plain loop over the slice left a 16-element call wholly to
+/// its scalar tail.
+#[inline(always)]
+pub(crate) fn exp_lanes(xs: &mut [f32]) {
+    let (blocks, rest) = xs.as_chunks_mut::<LANES>();
+    for block in blocks {
+        for x in block {
+            *x = expf(*x);
+        }
+    }
+    for x in rest {
+        *x = expf(*x);
+    }
+}
+
+/// `__exp2f_data.tab`: `bits(2^(i/32)) − (i << 47)`, so adding `k << 47`
+/// for `k ≡ i (mod 32)` gives the bits of `2^(k/32)`.
+#[rustfmt::skip]
+const EXP2_TABLE: [u64; 32] = [
+    0x3ff0_0000_0000_0000, 0x3fef_d9b0_d315_8574, 0x3fef_b558_6cf9_890f, 0x3fef_9301_d012_5b51,
+    0x3fef_72b8_3c7d_517b, 0x3fef_5487_3168_b9aa, 0x3fef_387a_6e75_6238, 0x3fef_1e9d_f51f_dee1,
+    0x3fef_06fe_0a31_b715, 0x3fee_f1a7_373a_a9cb, 0x3fee_dea6_4c12_3422, 0x3fee_ce08_6061_892d,
+    0x3fee_bfda_d536_2a27, 0x3fee_b42b_569d_4f82, 0x3fee_ab07_dd48_5429, 0x3fee_a47e_b03a_5585,
+    0x3fee_a09e_667f_3bcd, 0x3fee_9f75_e8ec_5f74, 0x3fee_a114_73eb_0187, 0x3fee_a589_994c_ce13,
+    0x3fee_ace5_422a_a0db, 0x3fee_b737_b0cd_c5e5, 0x3fee_c491_82a3_f090, 0x3fee_d503_b23e_255d,
+    0x3fee_e89f_995a_d3ad, 0x3fee_ff76_f2fb_5e47, 0x3fef_199b_dd85_529c, 0x3fef_3720_dcef_9069,
+    0x3fef_5818_dcfb_a487, 0x3fef_7c97_337b_9b5f, 0x3fef_a4af_a2a4_90da, 0x3fef_d076_5b6e_4540,
+];
+
+// `e_expf.c`'s constants: 32/ln 2, the rounding shift 1.5·2⁵², and the
+// cubic's coefficients pre-scaled by 32⁻³, 32⁻² and 32⁻¹.
+const INV_LN2_N: f64 = f64::from_bits(0x4047_1547_652b_82fe);
+const SHIFT: f64 = f64::from_bits(0x4338_0000_0000_0000);
+const EXP_C0: f64 = f64::from_bits(0x3ebc_6af8_4b91_2394);
+const EXP_C1: f64 = f64::from_bits(0x3f2e_bfce_50fa_c4f3);
+const EXP_C2: f64 = f64::from_bits(0x3f96_2e42_ff0c_52d6);
+/// ln(2¹²⁸) rounded down: above it `expf` overflows to `+∞`.
+const EXP_OVERFLOW: f32 = f32::from_bits(0x42b1_7217);
+/// ln(2⁻¹⁵⁰) rounded up: below it `expf` underflows to `+0`.
+const EXP_UNDERFLOW: f32 = f32::from_bits(0xc2cf_f1b4);
+
+/// glibc's `expf` in its FMA build, every branch computed and selected.
+#[inline(always)]
+fn expf(x: f32) -> f32 {
+    let xd = f64::from(x);
+    // x·32/ln 2 = k + r with |r| ≤ 1/2: adding SHIFT rounds k to nearest,
+    // ties to even, and leaves it in the low mantissa bits.
+    let kd = INV_LN2_N * xd + SHIFT;
+    let ki = kd.to_bits();
+    let kd = kd - SHIFT;
+    let r = INV_LN2_N.mul_add(xd, -kd);
+    // exp(x) = 2^(k/32) · 2^(r/32) ≈ s · (C0·r³ + C1·r² + C2·r + 1).
+    let s = f64::from_bits(EXP2_TABLE[(ki % 32) as usize].wrapping_add(ki << 47));
+    let z = EXP_C0.mul_add(r, EXP_C1);
+    let y = EXP_C2.mul_add(r, 1.0);
+    let y = z.mul_add(r * r, y);
+    let y = (y * s) as f32;
+    // The `|x| ≥ 88` branch: NaN is `x + x` (quieted, payload kept), −∞
+    // is +0, as is everything below the underflow bound, and +∞ and
+    // everything above the overflow bound is +∞.
+    if x.is_nan() {
+        x + x
+    } else if x > EXP_OVERFLOW {
+        f32::INFINITY
+    } else if x < EXP_UNDERFLOW {
+        0.0
     } else {
         y
     }
@@ -606,11 +996,11 @@ mod tests {
     /// mantissas), as glibc 2.36's `tanhf` gives them on x86-64.
     const TANH_SWEEP_DIGEST: u64 = 0x6806_0549_584e_b5fa;
 
-    fn sweep_digest(tanh: impl Fn(&mut [f32])) -> u64 {
+    fn sweep_digest(kernel: impl Fn(&mut [f32])) -> u64 {
         let mut xs: Vec<f32> = (0..=u32::MAX / 4093)
             .map(|i| f32::from_bits(i * 4093))
             .collect();
-        tanh(&mut xs);
+        kernel(&mut xs);
         xs.iter().fold(0xcbf2_9ce4_8422_2325, |h, y| {
             (h ^ u64::from(y.to_bits())).wrapping_mul(0x100_0000_01b3)
         })
@@ -630,12 +1020,9 @@ mod tests {
         });
     }
 
-    /// Every `f32` against the host's `f32::tanh`, under every tier:
-    /// meaningful on a glibc 2.36 x86-64 host, minutes long, so ignored
-    /// (`cargo test --release -p rna-tensor --lib -- --ignored tanh`).
-    #[test]
-    #[ignore]
-    fn tanh_matches_the_host_libm_on_every_f32() {
+    /// Every `f32` through `kernel` against `host`, under every tier, on
+    /// all the host's threads.
+    fn matches_the_host_on_every_f32(kernel: fn(&mut [f32]), host: fn(f32) -> f32) {
         const BLOCK: usize = 1 << 12;
         let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
         under_every_tier(|tier| {
@@ -651,16 +1038,16 @@ mod tests {
                                 for (i, x) in buf.iter_mut().enumerate() {
                                     *x = f32::from_bits((first + i as u64) as u32);
                                 }
-                                tanh_in_place(&mut buf);
+                                kernel(&mut buf);
                                 for (i, y) in buf.iter().enumerate() {
                                     let x = f32::from_bits((first + i as u64) as u32);
-                                    if y.to_bits() != x.tanh().to_bits() {
+                                    if y.to_bits() != host(x).to_bits() {
                                         if mismatches < 8 {
                                             eprintln!(
-                                                "tanh({:#010x}) = {:#010x}, host {:#010x}",
+                                                "f({:#010x}) = {:#010x}, host {:#010x}",
                                                 x.to_bits(),
                                                 y.to_bits(),
-                                                x.tanh().to_bits()
+                                                host(x).to_bits()
                                             );
                                         }
                                         mismatches += 1;
@@ -673,7 +1060,95 @@ mod tests {
                     .collect();
                 workers.into_iter().map(|w| w.join().unwrap()).sum()
             });
+            println!("{mismatches} mismatches over every f32, tier {tier}");
             assert_eq!(mismatches, 0, "tier {tier}");
         });
+    }
+
+    /// Every `f32` against the host's `f32::tanh`, under every tier:
+    /// meaningful on a glibc 2.36 x86-64 host, minutes long, so ignored
+    /// (`cargo test --release -p rna-tensor --lib -- --ignored tanh`).
+    #[test]
+    #[ignore]
+    fn tanh_matches_the_host_libm_on_every_f32() {
+        matches_the_host_on_every_f32(tanh_in_place, f32::tanh);
+    }
+
+    /// `(x, expf(x))` bit patterns from glibc 2.36 on an x86-64 host with
+    /// FMA: both branch edges of `|x| ≥ 88`, the overflow and underflow
+    /// bounds ±1 ulp, results at and below the smallest normal, the two
+    /// inputs where the plain build rounds the other way, and NaN payloads.
+    #[rustfmt::skip]
+    const EXP_ORACLE: [(u32, u32); 50] = [
+        // ±0, subnormal inputs, plain values
+        (0x0000_0000, 0x3f80_0000), (0x8000_0000, 0x3f80_0000), (0x0000_0001, 0x3f80_0000),
+        (0x8000_0001, 0x3f80_0000), (0x0040_0000, 0x3f80_0000), (0x807f_ffff, 0x3f80_0000),
+        (0x3f80_0000, 0x402d_f854), (0xbf80_0000, 0x3ebc_5ab2), (0x3f00_0000, 0x3fd3_094c),
+        (0xbf00_0000, 0x3f1b_4598), (0x2f80_0000, 0x3f80_0000), (0xaf80_0000, 0x3f80_0000),
+        (0x4120_0000, 0x46ac_14ee), (0xc120_0000, 0x383e_6bce), (0x3dcc_cccd, 0x3f8d_763e),
+        (0xc0a0_0000, 0x3bdc_c9ff), (0x4280_0000, 0x6da1_2cc1),
+        // fused-only: glibc's plain build is one ulp off on these two
+        (0x4202_422f, 0x56fc_9f1c), (0xc27c_65d9, 0x11fa_2993),
+        // |x| = 88: the special-case branch from here
+        (0x42af_ffff, 0x7ef8_823b), (0x42b0_0000, 0x7ef8_82b7), (0x42b0_0001, 0x7ef8_8333),
+        (0xc2af_ffff, 0x0041_ede5), (0xc2b0_0000, 0x0041_edc4), (0xc2b0_0001, 0x0041_eda3),
+        // overflow above ln(2¹²⁸)
+        (0x42b1_7216, 0x7f7f_ff04), (0x42b1_7217, 0x7f7f_ff84), (0x42b1_7218, 0x7f80_0000),
+        (0x7f7f_ffff, 0x7f80_0000),
+        // the smallest normal result, then subnormal ones, then +0 below ln(2⁻¹⁵⁰)
+        (0xc2ae_ac4f, 0x0080_0026), (0xc2ae_ac50, 0x007f_ffe6), (0xc2ae_ac51, 0x007f_ffa6),
+        (0xc2c8_0000, 0x0000_001b), (0xc2ce_8ece, 0x0000_0001), (0xc2ce_8ecf, 0x0000_0001),
+        (0xc2ce_8ed0, 0x0000_0001), (0xc2cf_f1b3, 0x0000_0001), (0xc2cf_f1b4, 0x0000_0001),
+        (0xc2cf_f1b5, 0x0000_0000), (0xff7f_ffff, 0x0000_0000),
+        // ±∞, quiet and signalling NaNs of both signs and several payloads
+        (0x7f80_0000, 0x7f80_0000), (0xff80_0000, 0x0000_0000), (0x7fc0_0000, 0x7fc0_0000),
+        (0xffc0_0000, 0xffc0_0000), (0x7f80_0001, 0x7fc0_0001), (0xff80_0001, 0xffc0_0001),
+        (0x7fa5_a5a5, 0x7fe5_a5a5), (0xffd2_d2d2, 0xffd2_d2d2), (0x7fff_ffff, 0x7fff_ffff),
+        (0xffff_ffff, 0xffff_ffff),
+    ];
+
+    /// The oracle table under every tier: all of it in one call, one entry
+    /// per call (the loop's scalar tail), and each entry planted among
+    /// finite values (a full vector block).
+    #[test]
+    fn exp_matches_the_glibc_oracle_bit_for_bit() {
+        let (xs, want): (Vec<u32>, Vec<u32>) = EXP_ORACLE.iter().copied().unzip();
+        let xs: Vec<f32> = xs.into_iter().map(f32::from_bits).collect();
+        let filler = f32::from_bits(EXP_ORACLE[6].0);
+        under_every_tier(|tier| {
+            let mut all = xs.clone();
+            exp_in_place(&mut all);
+            assert_eq!(bits(&all), want, "tier {tier}");
+            for (&x, &y) in xs.iter().zip(&want) {
+                let mut one = [x];
+                exp_in_place(&mut one);
+                assert_eq!(one[0].to_bits(), y, "exp({:#010x}) alone", x.to_bits());
+                let mut block = [filler; 64];
+                block[35] = x;
+                exp_in_place(&mut block);
+                assert_eq!(block[35].to_bits(), y, "exp({:#010x})", x.to_bits());
+                assert_eq!(block[0].to_bits(), EXP_ORACLE[6].1);
+            }
+        });
+    }
+
+    /// [`TANH_SWEEP_DIGEST`]'s sweep through glibc 2.36's `expf` on an
+    /// x86-64 host with FMA.
+    const EXP_SWEEP_DIGEST: u64 = 0x78b0_994f_473f_b04f;
+
+    #[test]
+    fn exp_matches_the_glibc_digest_on_a_strided_sweep() {
+        under_every_tier(|tier| {
+            assert_eq!(sweep_digest(exp_in_place), EXP_SWEEP_DIGEST, "tier {tier}");
+        });
+    }
+
+    /// Every `f32` against the host's `f32::exp`, under every tier:
+    /// meaningful on a glibc 2.36 x86-64 host with FMA, minutes long, so
+    /// ignored (`cargo test --release -p rna-tensor --lib -- --ignored exp`).
+    #[test]
+    #[ignore]
+    fn exp_matches_the_host_libm_on_every_f32() {
+        matches_the_host_on_every_f32(exp_in_place, f32::exp);
     }
 }

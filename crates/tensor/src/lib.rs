@@ -30,9 +30,9 @@
 //!   stochastic-rounding draws ([`simd::Draws`]) eight blocks at a time,
 //!   picked at runtime; `RNA_FORCE_SCALAR=1` pins the portable builds.
 //! * [`dense`] — the models' training kernels: the order-preserving dense
-//!   layer forward and backward loops and a lane port of glibc's `tanhf`,
-//!   plain safe Rust built for the baseline and for AVX2 behind the same
-//!   dispatch.
+//!   layer forward and backward loops, the softmax cross-entropy tile pass,
+//!   and lane ports of glibc's `tanhf` and `expf`, plain safe Rust built
+//!   for the baseline, AVX2 and AVX-512 behind the same dispatch.
 //!
 //! # Examples
 //!

@@ -1,7 +1,7 @@
 //! The wire-codec hot loops, each with one source for its bits.
 //!
 //! **Tiers.** Each dispatched kernel has a build per [`Tier`]: portable
-//! (the baseline target), AVX2 + F16C, and AVX-512 F + BW + VL. The active
+//! (the baseline target), AVX2 + F16C + FMA, and AVX-512 F + BW + VL. The active
 //! tier is decided once per process: the widest the CPU reports, or the
 //! portable one when `RNA_FORCE_SCALAR` is set (CI sets it to keep the
 //! portable builds covered); [`set_tier`] overrides it so tests walk every
@@ -41,11 +41,16 @@
 //! vectors, because a plain-lane body was fast only when built as one
 //! codegen unit.
 //!
-//! **Training kernels.** [`crate::dense`]'s `matmat`, `outer_acc`, `back`
-//! and `tanh_in_place` are plain-lane bodies too, kept in that safe module
-//! and built here once per tier like the int8 ones: the baseline build runs
-//! them four floats wide, and the tanh port, all selects and integer lanes,
-//! runs 1.8× faster with AVX2's blends and 256-bit integer ops.
+//! **Training kernels.** [`crate::dense`]'s `matmat`, `outer_acc`, `back`,
+//! the softmax tile pass (`linear_scores`, `linear_xent`, `softmax_xent`)
+//! and the tanh and exp ports are plain-lane bodies too, kept in that safe
+//! module and built here once per tier like the int8 ones: the baseline
+//! build runs them four floats wide, and the tanh port, all selects and
+//! integer lanes, runs 1.8× faster with AVX2's blends and 256-bit integer
+//! ops. A softmax tile is one dispatched call. The vector tiers enable
+//! FMA for the exp port's four `mul_add`s, the one place a body fuses
+//! (glibc's FMA build fuses there); every other body is unchanged by it,
+//! since Rust never contracts `a * b + c` on its own.
 //!
 //! The contract is **bit-identity**: the same inputs and draw stream give
 //! byte-identical frames, buffers and draw counts under every tier, so
@@ -88,9 +93,9 @@ const TILE: usize = 1024;
 pub enum Tier {
     /// The baseline target's builds, what every host runs (SSE2 on x86-64).
     Portable,
-    /// AVX2 + F16C.
+    /// AVX2 + F16C + FMA.
     Avx2,
-    /// AVX-512 F + BW + VL, beside the AVX2 + F16C builds.
+    /// AVX-512 F + BW + VL, beside the AVX2 + F16C + FMA builds.
     Avx512,
 }
 
@@ -116,7 +121,7 @@ pub fn best_tier() -> Tier {
     #[cfg(target_arch = "x86_64")]
     {
         use std::arch::is_x86_feature_detected as has;
-        if has!("avx2") && has!("f16c") {
+        if has!("avx2") && has!("f16c") && has!("fma") {
             return if has!("avx512f") && has!("avx512bw") && has!("avx512vl") {
                 Tier::Avx512
             } else {
@@ -207,10 +212,10 @@ macro_rules! dispatch {
             match tier() {
                 // SAFETY: `tier()` names a vector tier only once the CPU has
                 // reported every feature its builds enable (AVX-512 F, BW
-                // and VL on top of AVX2 and F16C); the hand-written builds'
-                // length contracts are the checks asserted above.
+                // and VL on top of AVX2, F16C and FMA); the hand-written
+                // builds' length contracts are the checks asserted above.
                 Tier::Avx512 if $wide => return unsafe { $avx512($($arg),*) },
-                // SAFETY: as above, AVX2 and F16C.
+                // SAFETY: as above, AVX2, F16C and FMA.
                 Tier::Avx2 | Tier::Avx512 => return unsafe { $avx2($($arg),*) },
                 Tier::Portable => {}
             }
@@ -245,9 +250,9 @@ macro_rules! dispatch {
                 #[cfg(target_arch = "x86_64")]
                 mod $name {
                     use super::*;
-                    #[target_feature(enable = "avx2,f16c")]
+                    #[target_feature(enable = "avx2,f16c,fma")]
                     pub(super) fn avx2 $(<$lt>)? ($($arg: $ty),*) $(-> $ret)? $body
-                    #[target_feature(enable = "avx512f,avx512bw,avx512vl,avx2,f16c")]
+                    #[target_feature(enable = "avx512f,avx512bw,avx512vl,avx2,f16c,fma")]
                     pub(super) fn avx512 $(<$lt>)? ($($arg: $ty),*) $(-> $ret)? $body
                 }
             }
@@ -920,7 +925,7 @@ pub fn feedback_topk(grad: &mut [f32], residual: &mut [f32], kept: &[u32], out: 
 /// tier runs its 512-bit build; smaller layers run the AVX2 one. That build
 /// stores each result lane to its sample with `vscatterqps`, which a
 /// 240 × 256 layer amortises (47–50 µs per 16-sample tile, AVX2 57–63 µs)
-/// and the 36-float softmax does not (390–1 380 ns, AVX2 210–240 ns).
+/// and a 4 × 8 layer does not (390–1 380 ns, AVX2 210–240 ns).
 const AVX512_MIN_WEIGHTS: usize = 4096;
 
 dispatch! {
@@ -948,6 +953,43 @@ dispatch! {
 
     pub(crate) fn tanh(xs: &mut [f32]) {} twin {
         dense::tanh_lanes(xs);
+    }
+
+    pub(crate) fn exp(xs: &mut [f32]) {} twin {
+        dense::exp_lanes(xs);
+    }
+
+    pub(crate) fn linear_scores<'a>(
+        w: &[f32],
+        b: &[f32],
+        xs: impl ExactSizeIterator<Item = &'a [f32]>,
+        tile: &mut Vec<f32>,
+        rows: &mut Vec<f32>,
+        scores: &mut Vec<f32>,
+    ) {} twin {
+        dense::linear_scores_lanes(w, b, xs, tile, rows, scores);
+    }
+
+    pub(crate) fn linear_xent<'a>(
+        w: &[f32],
+        b: &[f32],
+        xs: impl ExactSizeIterator<Item = &'a [f32]>,
+        labels: impl Iterator<Item = usize>,
+        grad: &mut [f32],
+        tile: &mut Vec<f32>,
+        rows: &mut Vec<f32>,
+    ) -> [f32; dense::LANES] {} twin {
+        dense::linear_xent_lanes(w, b, xs, labels, grad, tile, rows)
+    }
+
+    pub(crate) fn softmax_xent(
+        logits: &[f32],
+        classes: usize,
+        labels: impl Iterator<Item = usize>,
+        rows: &mut Vec<f32>,
+        dlogits: &mut Vec<f32>,
+    ) -> [f32; dense::LANES] {} twin {
+        dense::softmax_xent_rows(logits, classes, labels, rows, dlogits)
     }
 }
 

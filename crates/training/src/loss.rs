@@ -1,6 +1,12 @@
 //! Loss primitives shared by the models: numerically stable softmax
 //! cross-entropy, mean-squared error, and the per-sample scoring every
 //! evaluation runs on.
+//!
+//! Every `exp` here is [`exp_in_place`], the lane port of glibc's `expf`,
+//! so a loss does not depend on which `expf` build the host's libm picks;
+//! the one `ln` per sample is still the host's.
+
+use rna_tensor::dense::{exp_in_place, LANES};
 
 /// Numerically stable softmax of `logits` (log-sum-exp trick), written into
 /// `probs`, which is as long as `logits`.
@@ -9,8 +15,9 @@ fn softmax_into(logits: &[f32], probs: &mut [f32]) {
     assert_eq!(probs.len(), logits.len(), "softmax output length");
     let max = logits.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
     for (p, &l) in probs.iter_mut().zip(logits) {
-        *p = (l - max).exp();
+        *p = l - max;
     }
+    exp_in_place(probs);
     let sum: f32 = probs.iter().sum();
     for p in probs {
         *p /= sum;
@@ -53,31 +60,28 @@ pub fn cross_entropy(probs: &[f32], label: usize) -> f32 {
     neg_log(probs[label])
 }
 
-/// Softmax cross-entropy and its gradient with respect to the logits,
-/// written into `dlogits` (`p - onehot(label)`; as long as `logits`, so it
-/// can be one row of a tile's gradient rows); returns the loss.
-///
-/// # Panics
-///
-/// Panics if `logits` is empty, if `dlogits` is not as long as `logits`,
-/// or if `label` is out of range.
-pub fn softmax_xent_grad_into(logits: &[f32], label: usize, dlogits: &mut [f32]) -> f32 {
-    softmax_into(logits, dlogits);
-    let loss = cross_entropy(dlogits, label);
-    dlogits[label] -= 1.0;
-    loss
-}
-
 /// Softmax cross-entropy and its gradient with respect to the logits:
 /// returns `(loss, dL/dlogits)` where the gradient is `p - onehot(label)`.
+/// The one-sample reference the models' tile pass
+/// ([`rna_tensor::dense::softmax_xent`]) matches to the bit.
 ///
 /// # Panics
 ///
 /// Panics if `logits` is empty or `label` is out of range.
 pub fn softmax_xent_grad(logits: &[f32], label: usize) -> (f32, Vec<f32>) {
     let mut dlogits = vec![0.0; logits.len()];
-    let loss = softmax_xent_grad_into(logits, label, &mut dlogits);
+    softmax_into(logits, &mut dlogits);
+    let loss = cross_entropy(&dlogits, label);
+    dlogits[label] -= 1.0;
     (loss, dlogits)
+}
+
+/// Adds each sample's loss, the clamped `−ln p[label]`, to `total` in
+/// sample order: the tile pass returns the `p[label]`s.
+pub(crate) fn add_xent(total: &mut f32, p_label: &[f32]) {
+    for &p in p_label {
+        *total += neg_log(p);
+    }
 }
 
 /// Running totals of one evaluation pass: summed loss and the samples
@@ -102,8 +106,24 @@ impl Tally {
     pub(crate) fn score(&mut self, logits: &[f32], label: usize, k: usize) {
         let own = logits[label];
         let max = logits.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
-        let sum: f32 = logits.iter().map(|&l| (l - max).exp()).sum();
-        self.loss += neg_log((own - max).exp() / sum);
+        // `exp(l − max)` up to a lane block of classes per call, summed in
+        // class order from `-0.0` as `iter().sum()` adds.
+        let (mut sum, mut own_exp) = (-0.0f32, 0.0f32);
+        for (at, chunk) in (0..).step_by(LANES).zip(logits.chunks(LANES)) {
+            let mut e = [0.0f32; LANES];
+            let e = &mut e[..chunk.len()];
+            for (e, &l) in e.iter_mut().zip(chunk) {
+                *e = l - max;
+            }
+            exp_in_place(e);
+            for &e in &*e {
+                sum += e;
+            }
+            if let Some(&e) = label.checked_sub(at).and_then(|j| e.get(j)) {
+                own_exp = e;
+            }
+        }
+        self.loss += neg_log(own_exp / sum);
         if own.is_finite() {
             let ties = |side: &[f32]| side.iter().filter(|&&l| l == own).count();
             let above = logits.iter().filter(|&&l| l > own).count();

@@ -15,11 +15,14 @@
 use std::cell::RefCell;
 
 use rna_simnet::SimRng;
-use rna_tensor::dense::{add_bias, axpy, back, dot, matmat, outer_acc, tanh_in_place, LANES};
+use rna_tensor::dense::{
+    add_bias, axpy, back, dot, linear_scores, linear_xent, matmat, outer_acc, softmax_xent,
+    tanh_in_place, LANES,
+};
 use rna_tensor::Tensor;
 
 use crate::dataset::{Batch, Dataset};
-use crate::loss::{mse_grad, softmax_xent_grad_into, Tally};
+use crate::loss::{add_xent, mse_grad, Tally};
 
 /// What one pass over an evaluation batch reports.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -105,15 +108,6 @@ pub trait Model: Send {
     /// The last of several maximal classes is the prediction.
     fn accuracy(&self, batch: &Batch<'_>) -> f32 {
         self.evaluate(batch).top1
-    }
-
-    /// Per-class scores (logits) for sample `i` of the batch's dataset, or
-    /// `None` for non-classification models.
-    fn class_scores(&self, batch: &Batch<'_>, i: usize) -> Option<Vec<f32>> {
-        let mut scores = None;
-        let one = batch.dataset().batch(vec![i]);
-        self.forward(&one, &mut |_, logits| scores = Some(logits.to_vec()));
-        scores
     }
 
     /// Top-`k` accuracy over the batch: the fraction of samples whose true
@@ -202,6 +196,9 @@ struct Scratch {
     rec: Vec<f32>,
     /// Class scores, one row per sample of a tile.
     logits: Vec<f32>,
+    /// Class scores, then their gradient, class-major: one [`LANES`]-lane
+    /// row per class, the softmax tile pass's layout.
+    rows: Vec<f32>,
     /// `dL/dlogits`, one row per sample of a tile: the coefficients of the
     /// output layer's one `outer_acc` per tile.
     dlogits: Vec<f32>,
@@ -261,12 +258,10 @@ impl SoftmaxClassifier {
         }
     }
 
-    /// Forward pass over one tile of samples: fills `s.logits`.
-    fn forward_tile(&self, ds: &Dataset, tile: &[usize], s: &mut Scratch) {
+    /// `W` and `b`.
+    fn layers(&self) -> (&[f32], &[f32]) {
         let ([w], b) = layers(self.params.as_slice(), [self.classes * self.dim]);
-        let inputs = tile.iter().map(|&i| ds.input(i));
-        matmat(w, self.dim, inputs, &mut s.tile, &mut s.logits);
-        add_bias(&mut s.logits, b);
+        (w, b)
     }
 }
 
@@ -287,23 +282,20 @@ impl Model for SoftmaxClassifier {
         &mut self.params
     }
 
+    /// One [`linear_xent`] call per tile: scores, softmax, loss terms and
+    /// both gradients in one pass over the tile's lanes.
     fn loss_and_grad_into(&self, batch: &Batch<'_>, grad: &mut Tensor) -> f32 {
         zero_grad(grad, self.num_params());
         let mut total = 0.0f32;
         let ds = batch.dataset();
-        let ([g_w], g_b) = layers_mut(grad.as_mut_slice(), [self.classes * self.dim]);
+        let (w, b) = self.layers();
+        let g = grad.as_mut_slice();
         SCRATCH.with_borrow_mut(|s| {
             for tile in batch.indices().chunks(LANES) {
-                self.forward_tile(ds, tile, s);
-                s.dlogits.resize(s.logits.len(), 0.0);
-                let rows = s.logits.chunks_exact(self.classes);
-                let drows = s.dlogits.chunks_exact_mut(self.classes);
-                for ((&i, logits), dlogits) in tile.iter().zip(rows).zip(drows) {
-                    total += softmax_xent_grad_into(logits, ds.label(i), dlogits);
-                    axpy(g_b, 1.0, dlogits);
-                }
                 let inputs = tile.iter().map(|&i| ds.input(i));
-                outer_acc(g_w, &s.dlogits, inputs);
+                let labels = tile.iter().map(|&i| ds.label(i));
+                let p = linear_xent(w, b, inputs, labels, g, &mut s.tile, &mut s.rows);
+                add_xent(&mut total, &p[..tile.len()]);
             }
         });
         let n = batch.len().max(1) as f32;
@@ -312,9 +304,12 @@ impl Model for SoftmaxClassifier {
     }
 
     fn forward(&self, batch: &Batch<'_>, visit: &mut dyn FnMut(usize, &[f32])) {
+        let ds = batch.dataset();
+        let (w, b) = self.layers();
         SCRATCH.with_borrow_mut(|s| {
             for tile in batch.indices().chunks(LANES) {
-                self.forward_tile(batch.dataset(), tile, s);
+                let inputs = tile.iter().map(|&i| ds.input(i));
+                linear_scores(w, b, inputs, &mut s.tile, &mut s.rows, &mut s.logits);
                 for (&i, logits) in tile.iter().zip(s.logits.chunks_exact(self.classes)) {
                     visit(i, logits);
                 }
@@ -404,16 +399,17 @@ impl Model for Mlp {
         SCRATCH.with_borrow_mut(|s| {
             for tile in batch.indices().chunks(LANES) {
                 self.forward_tile(ds, tile, s);
-                s.dlogits.resize(s.logits.len(), 0.0);
+                let labels = tile.iter().map(|&i| ds.label(i));
+                let dlogits = &mut s.dlogits;
+                let p = softmax_xent(&s.logits, self.classes, labels, &mut s.rows, dlogits);
+                add_xent(&mut total, &p[..tile.len()]);
                 s.dh.resize(s.h.len(), 0.0);
-                let per_sample = tile
-                    .iter()
-                    .zip(s.logits.chunks_exact(self.classes))
-                    .zip(s.dlogits.chunks_exact_mut(self.classes))
+                let per_sample = s
+                    .dlogits
+                    .chunks_exact(self.classes)
                     .zip(s.h.chunks_exact(self.hidden))
                     .zip(s.dh.chunks_exact_mut(self.hidden));
-                for ((((&i, logits), dlogits), h), dh) in per_sample {
-                    total += softmax_xent_grad_into(logits, ds.label(i), dlogits);
+                for ((dlogits, h), dh) in per_sample {
                     axpy(g_b2, 1.0, dlogits);
                     back(&mut s.dprev, dlogits, w2);
                     // Hidden layer (tanh' = 1 - h²).
@@ -645,13 +641,12 @@ impl Model for ElmanRnn {
             let (dim, hidden, block) = (self.dim, self.hidden, LANES * self.hidden);
             for tile in batch.indices().chunks(LANES) {
                 self.forward_tile(ds, tile, s);
-                s.dlogits.resize(s.logits.len(), 0.0);
-                let scores = s.logits.chunks_exact(self.classes);
-                let drows = s.dlogits.chunks_exact_mut(self.classes);
-                for (((lane, &i), logits), dlogits) in
-                    tile.iter().enumerate().zip(scores).zip(drows)
-                {
-                    total += softmax_xent_grad_into(logits, ds.label(i), dlogits);
+                let labels = tile.iter().map(|&i| ds.label(i));
+                let dlogits = &mut s.dlogits;
+                let p = softmax_xent(&s.logits, self.classes, labels, &mut s.rows, dlogits);
+                add_xent(&mut total, &p[..tile.len()]);
+                let drows = s.dlogits.chunks_exact(self.classes);
+                for ((lane, &i), dlogits) in tile.iter().enumerate().zip(drows) {
                     // This sample's hidden state after step `t` (0: initial).
                     let state = |t: usize| &s.h[t * block + lane * hidden..][..hidden];
                     // Output layer → gradient into the final hidden state.
@@ -908,7 +903,7 @@ mod tests {
         let ds = Dataset::regression(16, 3, 0.1, &mut rng);
         let m = LinearRegression::new(3);
         assert_eq!(m.top_k_accuracy(&ds.full_batch(), 3), 0.0);
-        assert!(m.class_scores(&ds.full_batch(), 0).is_none());
+        assert!(scores_of(&m, &ds.full_batch(), 0).is_none());
     }
 
     #[test]
@@ -918,7 +913,7 @@ mod tests {
         let ds = Dataset::sequences(&lens, 2, 3, 0.2, &mut rng);
         let m = ElmanRnn::new(2, 4, 3, &mut rng);
         let batch = ds.full_batch();
-        assert_eq!(m.class_scores(&batch, 0).unwrap().len(), 3);
+        assert_eq!(scores_of(&m, &batch, 0).unwrap().len(), 3);
         let t = m.top_k_accuracy(&batch, 2);
         assert!((0.0..=1.0).contains(&t));
     }
@@ -1162,6 +1157,15 @@ mod tests {
         v.iter().map(|x| x.to_bits()).collect()
     }
 
+    /// The scores [`Model::forward`] hands sample `i` of the batch's
+    /// dataset, alone in its batch; `None` for regression models.
+    fn scores_of(model: &dyn Model, batch: &Batch<'_>, i: usize) -> Option<Vec<f32>> {
+        let mut scores = None;
+        let one = batch.dataset().batch(vec![i]);
+        model.forward(&one, &mut |_, logits| scores = Some(logits.to_vec()));
+        scores
+    }
+
     /// Full batch, sub-batches of one tile and less (one with a repeated
     /// sample), 16, 17 and 33 samples drawn with repeats (a full 16-lane
     /// tile, then partial tiles of 1 after one and two full ones) and the
@@ -1209,10 +1213,7 @@ mod tests {
             assert_eq!(model.top_k_accuracy(batch, k).to_bits(), top_k.to_bits());
         }
         if let Some(&i) = batch.indices().first() {
-            assert_eq!(
-                bits(&model.class_scores(batch, i).unwrap()),
-                bits(&logits(i))
-            );
+            assert_eq!(bits(&scores_of(model, batch, i).unwrap()), bits(&logits(i)));
         }
     }
 
@@ -1227,6 +1228,94 @@ mod tests {
             check_accuracies(&m, &batch, |i| {
                 reference::softmax_logits(p, 9, 7, ds.input(i))
             });
+        }
+    }
+
+    /// Runs `check` under every SIMD tier the host has, portable first,
+    /// one caller at a time, and restores the tier it found.
+    fn under_every_tier(mut check: impl FnMut(&str)) {
+        use rna_tensor::simd;
+        static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+        let _guard = LOCK
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        let was = simd::tier();
+        for tier in simd::tiers() {
+            simd::set_tier(tier);
+            check(tier.name());
+        }
+        simd::set_tier(was);
+    }
+
+    /// The linear classifier's lane pass against the per-sample reference
+    /// (`softmax_xent_grad` on in-order `dot` logits), to the bit, under
+    /// every tier: odd shapes, tiles of 1 to 16 samples and a ragged third,
+    /// every class a label, and biases that make some `exp` underflow to 0
+    /// or to a subnormal, tie two classes at the max, or put ±∞ or NaN in a
+    /// logit (a NaN loss stays NaN, unclamped).
+    #[test]
+    fn the_softmax_lane_pass_matches_the_per_sample_reference() {
+        // Each edits the parameters of a `dim × classes` model; the bias of
+        // class `c` sits at `classes·dim + c`.
+        type Edit = fn(&mut [f32], usize, usize);
+        let edits: [(&str, Edit); 7] = [
+            ("plain", |_, _, _| {}),
+            ("exp underflows to 0", |p, dim, classes| {
+                p[classes * dim] = -200.0
+            }),
+            ("exp underflows to a subnormal", |p, dim, classes| {
+                p[classes * dim] = -95.0
+            }),
+            ("a tie at the max", |p, dim, classes| {
+                let (w, b) = p.split_at_mut(classes * dim);
+                w.copy_within(..dim, dim);
+                b[0] = 5.0;
+                b[1] = 5.0;
+            }),
+            ("+inf", |p, dim, classes| {
+                p[classes * dim + classes - 1] = f32::INFINITY
+            }),
+            ("-inf", |p, dim, classes| {
+                p[classes * dim] = f32::NEG_INFINITY
+            }),
+            ("NaN", |p, dim, classes| p[classes * dim] = f32::NAN),
+        ];
+        for (dim, classes) in [(8, 4), (12, 6), (1, 2), (17, 3), (3, 16)] {
+            let mut rng = SimRng::seed(40 + dim as u64);
+            let ds = Dataset::blobs(48, dim, classes, 0.8, &mut rng);
+            let mut m = SoftmaxClassifier::new(dim, classes, &mut rng);
+            let base = m.params().clone();
+            for (name, edit) in edits {
+                let mut p = base.clone();
+                edit(p.as_mut_slice(), dim, classes);
+                m.set_params(&p);
+                let p = p.as_slice();
+                for n in [1usize, 15, 16, 17, 33] {
+                    for first in [0, n % classes + 1] {
+                        let batch = ds.batch((first..first + n).map(|k| k % ds.len()).collect());
+                        let want = reference::softmax_grad(p, dim, classes, &batch);
+                        if name.starts_with("exp underflows") && n == 33 {
+                            let x = ds.input(batch.indices()[0]);
+                            let probs = crate::loss::softmax(&reference::softmax_logits(
+                                p, dim, classes, x,
+                            ));
+                            let subnormal = probs[0] != 0.0 && !probs[0].is_normal();
+                            assert_eq!(subnormal, name.ends_with("subnormal"), "{name}");
+                            assert!(probs[0] == 0.0 || subnormal, "{name}: {}", probs[0]);
+                        }
+                        let nan = matches!(name, "+inf" | "NaN");
+                        assert_eq!(want.0.is_nan(), nan, "{name}: {}", want.0);
+                        under_every_tier(|tier| {
+                            let at = format!("{name}, {dim}x{classes}, {n} samples, {tier}");
+                            let (loss, grad) = m.loss_and_grad(&batch);
+                            assert_eq!(loss.to_bits(), want.0.to_bits(), "loss: {at}");
+                            assert_eq!(bits(grad.as_slice()), bits(&want.1), "gradient: {at}");
+                            let eval = m.evaluate(&batch).loss;
+                            assert_eq!(eval.to_bits(), loss.to_bits(), "evaluation: {at}");
+                        });
+                    }
+                }
+            }
         }
     }
 

@@ -62,11 +62,14 @@ fn allocations(f: impl FnOnce()) -> u64 {
 fn warm_evaluate_allocates_nothing_and_loss_and_grad_only_its_gradient() {
     let mut rng = SimRng::seed(40);
     let blobs = Dataset::blobs(50, 12, 6, 0.5, &mut rng);
+    // The 36-float softmax the 10 000-worker simulation trains.
+    let smoke = Dataset::blobs(50, 8, 4, 0.4, &mut rng);
     let lens: Vec<usize> = (0..50).map(|i| 1 + i % 7).collect();
     let seqs = Dataset::sequences(&lens, 4, 6, 0.3, &mut rng);
     let line = Dataset::regression(50, 5, 0.1, &mut rng);
     let models: Vec<(Box<dyn Model>, &Dataset)> = vec![
         (Box::new(SoftmaxClassifier::new(12, 6, &mut rng)), &blobs),
+        (Box::new(SoftmaxClassifier::new(8, 4, &mut rng)), &smoke),
         (Box::new(Mlp::new(12, 9, 6, &mut rng)), &blobs),
         (Box::new(ElmanRnn::new(4, 9, 6, &mut rng)), &seqs),
         (Box::new(LinearRegression::new(5)), &line),
