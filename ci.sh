@@ -158,6 +158,20 @@ echo "==> process-world smoke (real sockets + SIGKILL, watchdogged)"
 timeout 600 cargo test -q --release -p rna-runtime --test process_world
 timeout 600 cargo test -q --release -p rna-experiments --test three_worlds
 
+# The stop must end a straggler's injected compute instead of waiting it
+# out, in both real worlds. Checked again under the benchmark's condition,
+# one CPU for the test and its worker subprocesses, where taskset works.
+echo "==> teardown bound on one CPU (--release, watchdogged)"
+pinned() {
+  if command -v taskset >/dev/null 2>&1 && taskset -c 0 true 2>/dev/null; then
+    taskset -c 0 "$@"
+  else
+    "$@"
+  fi
+}
+pinned timeout 600 cargo test -q --release -p rna-runtime --test process_world -- \
+  --exact stop_cuts_a_straggler_short_in_both_worlds
+
 # Compressed-hop smoke: the worker-side wire codec over real sockets,
 # reseeded three ways and across every lossy codec without recompiling,
 # so each fused error-feedback body crosses a real socket (lossless does

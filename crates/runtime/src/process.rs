@@ -25,7 +25,9 @@
 //! set), and the fresh incarnation's `Setup` frame carries the current
 //! master, the round counter, and the iteration to resume from — the
 //! worker fast-forwards its sampler so the data stream continues instead
-//! of repeating.
+//! of repeating. Supervision waits for events, never on a timer: a child is
+//! reaped as it exits (its supervisor blocks reading the child's stdout
+//! pipe), and teardown reads the fates once every reader has drained.
 //!
 //! As in the threaded world the wire codec's encode leg belongs to the
 //! worker ([`crate::worker`]); here the hop is a real one. The worker's
@@ -69,7 +71,6 @@ use std::net::{Shutdown, TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{channel, Sender};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -86,13 +87,12 @@ use crate::proto::{
     body_tag, decode_body, read_frame_body, read_msg, verify_mac, write_msg, AuthError, AuthKey,
     EncodedGradBatch, Msg, WorkerSetup, TAG_ENC_GRAD,
 };
-use crate::threaded::{
-    finish, interruptible_sleep, validate_config, ThreadedConfig, ThreadedResult,
-};
+use crate::threaded::{finish, validate_config, ThreadedConfig, ThreadedResult};
 use crate::transport::{
     decode_ctrl_checkpoint, lock, past_workers, supervise, task, CtrlCheckpoint, Lineage, Mirror,
     Transport,
 };
+use crate::worker::Gate;
 
 /// Salt folded into the seed to derive the 128-bit cluster auth key, so
 /// the key is deterministic for a given run but never equal to the seed.
@@ -396,6 +396,9 @@ struct ProcSlot {
     /// drain before classifying the death.
     readers_started: AtomicU64,
     readers_exited: AtomicU64,
+    /// The running incarnation's process while its supervisor awaits its
+    /// exit; a scheduled SIGKILL and the stop grace's kill reach it here.
+    child: Mutex<Option<Child>>,
     /// Connection generation, bumped per accepted handshake. A reader may
     /// only clear `alive`/`conn` while it still owns the latest
     /// generation — a *same-incarnation* reconnect must not be clobbered
@@ -410,6 +413,10 @@ struct ProcShared {
     /// Fed by the per-connection reader threads.
     mirror: Mirror,
     slots: Vec<ProcSlot>,
+    /// Every supervision wait parks here, and whatever it may be waiting
+    /// for wakes it: a reader exits, a handshake is admitted, a child is
+    /// reaped, the run stops, a round is published (if a joiner waits).
+    events: Gate,
     /// Latest master published by the controller; what a late joiner's
     /// `Setup` frame carries.
     published: Mutex<Tensor>,
@@ -436,6 +443,20 @@ struct ProcShared {
 }
 
 impl ProcShared {
+    /// Whether every frame worker `w`'s sockets carried, a `Fate` included, is in.
+    fn readers_drained(&self, w: usize) -> bool {
+        let slot = &self.slots[w];
+        slot.readers_exited.load(Ordering::Acquire) >= slot.readers_started.load(Ordering::Acquire)
+    }
+
+    /// Sends SIGKILL to worker `w`'s process; `false` when it has none.
+    fn kill_child(&self, w: usize) -> bool {
+        lock(&self.slots[w].child)
+            .as_mut()
+            .map(Child::kill)
+            .is_some()
+    }
+
     /// Drops worker `w`'s write half and counts the sever. The worker
     /// exits on its dead socket; the child supervisor decides whether it
     /// comes back.
@@ -466,11 +487,14 @@ impl ProcShared {
 }
 
 /// [`Transport`] over TCP: pushes become frames on the per-worker sockets,
-/// and scheduled severs fire on the round edge.
+/// and scheduled severs and SIGKILLs fire on the round edge.
 struct ProcessTransport {
     shared: Arc<ProcShared>,
-    /// Scheduled severs not yet executed.
+    /// Scheduled severs and SIGKILLs not yet executed.
     sever: Vec<(usize, u64)>,
+    kill9: Vec<(usize, u64)>,
+    /// Whether a scheduled joiner's supervisor waits for a round edge.
+    joiners: bool,
     /// The parameter frame is encoded once per round and the same bytes go
     /// to every socket.
     frame: Vec<u8>,
@@ -503,8 +527,10 @@ impl Transport for ProcessTransport {
     }
 
     fn advance_round(&mut self, k: u64) {
-        // Scheduled severs fire on the round edge: a real partition at a
-        // known protocol point, so tests can assert what it cost.
+        // Scheduled severs and SIGKILLs fire on the round edge: a real
+        // partition or death at a known protocol point, so tests can assert
+        // what it cost. A SIGKILL that finds no process (the worker is
+        // between incarnations) stays due for the next one.
         let shared = &self.shared;
         shared.high_water.fetch_max(k, Ordering::AcqRel);
         self.sever.retain(|&(w, at)| {
@@ -513,11 +539,16 @@ impl Transport for ProcessTransport {
             }
             k < at
         });
+        self.kill9
+            .retain(|&(w, at)| k < at || !shared.kill_child(w));
         let mut frame = Vec::new();
         write_msg(&mut frame, &Msg::Round { round: k }, &mut self.scratch)
             .expect("writing to a Vec cannot fail");
         for w in 0..self.shared.slots.len() {
             self.shared.send(w, &frame);
+        }
+        if self.joiners {
+            shared.events.wake();
         }
     }
 }
@@ -626,12 +657,11 @@ fn accept_loop(
     listener: &TcpListener,
     shared: &Arc<ProcShared>,
     config: &ThreadedConfig,
-    join_tx: &Sender<usize>,
     accept_stop: &AtomicBool,
 ) {
     let mirror = &shared.mirror;
     for conn in listener.incoming() {
-        if mirror.stop.load(Ordering::Acquire) || accept_stop.load(Ordering::Acquire) {
+        if mirror.stop.is_raised() || accept_stop.load(Ordering::Acquire) {
             break;
         }
         let Ok(mut stream) = conn else { continue };
@@ -699,8 +729,8 @@ fn accept_loop(
             let shared = Arc::clone(shared);
             std::thread::spawn(move || reader_loop(read_half, &shared, w, incarnation, gen));
         }
-        let _ = join_tx.send(w);
         mirror.notify();
+        shared.events.wake();
     }
 }
 
@@ -792,13 +822,13 @@ fn reader_loop(mut stream: TcpStream, shared: &ProcShared, w: usize, incarnation
     }
     slot.readers_exited.fetch_add(1, Ordering::AcqRel);
     mirror.notify();
+    shared.events.wake();
 }
 
-/// Spawns and re-spawns worker `w`'s process: delivers scheduled SIGKILLs,
-/// classifies each death against the fault plan, executes planned rejoin
-/// delays, and applies the unplanned-death policy. Returns when the worker
-/// is permanently down or the run is stopping.
-#[allow(clippy::too_many_lines)]
+/// Spawns and re-spawns worker `w`'s process: reaps each incarnation when
+/// it exits, classifies each death against the fault plan, executes planned
+/// rejoin delays, and applies the unplanned-death policy. Returns when the
+/// worker is permanently down or the run is stopping.
 fn supervise_child(
     config: &ProcessConfig,
     shared: &Arc<ProcShared>,
@@ -808,19 +838,12 @@ fn supervise_child(
 ) {
     let (slot, mirror) = (&shared.slots[w], &shared.mirror);
     let iterations = &mirror.slots[w].iterations;
-    let kill_at: Option<u64> = config
-        .kill9
-        .iter()
-        .filter(|&&(kw, _)| kw == w)
-        .map(|&(_, at)| at)
-        .min();
     // The coordinator's own reading of the worker's plan: a death is
     // planned exactly when the script says so at the iteration it died at.
     let mut script = config.base.fault_plan.script(w);
     let mut incarnation: u64 = 0;
     let mut start_iter: u64 = 0;
-    let mut kill_fired = false;
-    loop {
+    while !mirror.stop.is_raised() {
         slot.start_iter.store(start_iter, Ordering::Release);
         slot.incarnation.store(incarnation, Ordering::Release);
         // Reachability is granted optimistically at spawn (the threaded
@@ -834,7 +857,7 @@ fn supervise_child(
             .arg(shared.key.to_hex())
             .arg(incarnation.to_string())
             .stdin(Stdio::null())
-            .stdout(Stdio::null())
+            .stdout(Stdio::piped())
             .spawn();
         let mut child: Child = match spawned {
             Ok(c) => c,
@@ -847,56 +870,38 @@ fn supervise_child(
                 return;
             }
         };
-        // Wait for the process to exit, firing the SIGKILL schedule and
-        // honoring stop (with a grace window for the Stop frame to land).
-        let mut stopping = false;
-        loop {
-            match child.try_wait() {
-                Ok(Some(_)) => break,
-                Err(_) => break,
-                Ok(None) => {}
-            }
-            if mirror.stop.load(Ordering::Acquire) {
-                stopping = true;
-                let deadline = Instant::now() + STOP_GRACE;
-                loop {
-                    if matches!(child.try_wait(), Ok(Some(_)) | Err(_)) {
-                        break;
-                    }
-                    if Instant::now() >= deadline {
-                        let _ = child.kill();
-                        let _ = child.wait();
-                        break;
-                    }
-                    std::thread::sleep(Duration::from_millis(5));
-                }
-                break;
-            }
-            if !kill_fired && kill_at.is_some_and(|at| mirror.round.load(Ordering::Acquire) >= at) {
-                // The real thing: SIGKILL, unannounced. The only evidence
-                // is the socket going quiet.
+        // Wait for the process to exit. Its stdout is a pipe only the
+        // child holds, so reading it to the end returns exactly when the
+        // process is gone: a blocking read, not a poll. Meanwhile the
+        // SIGKILL schedule and the stop grace reach the child through the
+        // slot; a child spawned as the run stops never got its Stop frame.
+        let stdout = child.stdout.take();
+        {
+            let mut held = lock(&slot.child);
+            if mirror.stop.is_raised() {
                 let _ = child.kill();
-                kill_fired = true;
             }
-            std::thread::sleep(Duration::from_millis(2));
+            *held = Some(child);
         }
-        if stopping {
+        let _ = stdout.map(|mut out| std::io::copy(&mut out, &mut std::io::sink()));
+        let exited = lock(&slot.child).take();
+        let _ = exited.map(|mut child| child.wait());
+        shared.events.wake();
+        // On stop, teardown collects the fates once the readers drain.
+        if mirror.stop.is_raised() {
             return;
         }
         // The process is gone. Let the reader drain the socket's final
         // frames (EOF arrives after buffered data) so the iteration mirror
         // is complete before the death is classified.
-        let settle = Instant::now() + Duration::from_millis(500);
-        while slot.readers_exited.load(Ordering::Acquire)
-            < slot.readers_started.load(Ordering::Acquire)
-            && Instant::now() < settle
-        {
-            std::thread::sleep(Duration::from_millis(2));
-        }
+        let drained = || shared.readers_drained(w);
+        shared
+            .events
+            .wait_while(Duration::from_millis(500), || !drained());
         *lock(&slot.conn) = None;
         mirror.set_alive(w, false);
         let iters = iterations.load(Ordering::Acquire);
-        if mirror.stop.load(Ordering::Acquire) {
+        if mirror.stop.is_raised() {
             return;
         }
         // A scheduled departure is final: the worker reported Retired or
@@ -914,8 +919,7 @@ fn supervise_child(
                 // Sit out the down window, then rejoin from the
                 // coordinator-side checkpoint.
                 *lock(&slot.fate) = Some(script.fate());
-                interruptible_sleep(Duration::from_micros(down_us), &mirror.stop);
-                if mirror.stop.load(Ordering::Acquire) {
+                if !mirror.stop.sleep(Duration::from_micros(down_us)) {
                     return;
                 }
                 script.mark_rejoined();
@@ -1036,6 +1040,7 @@ pub fn run_process(config: &ProcessConfig) -> ProcessResult {
                 ..ProcSlot::default()
             })
             .collect(),
+        events: Gate::default(),
         published: Mutex::new(initial_state.master.clone()),
         key,
         nonce_base,
@@ -1050,16 +1055,13 @@ pub fn run_process(config: &ProcessConfig) -> ProcessResult {
         reconnect_attempts: AtomicU64::new(0),
     });
 
-    let (join_tx, join_rx) = channel::<usize>();
-
     // One accept thread per coordinator incarnation: a kill closes the
     // listener (so the port can be rebound) and the restart spawns a
     // fresh loop on the same address.
     let spawn_accept = |listener: TcpListener, accept_stop: Arc<AtomicBool>| {
         let shared = Arc::clone(&shared);
         let cfg = ctrl_base.clone();
-        let join_tx = join_tx.clone();
-        std::thread::spawn(move || accept_loop(&listener, &shared, &cfg, &join_tx, &accept_stop))
+        std::thread::spawn(move || accept_loop(&listener, &shared, &cfg, &accept_stop))
     };
     let mut accept_stop = Arc::new(AtomicBool::new(false));
     let mut accept_handle = spawn_accept(listener, Arc::clone(&accept_stop));
@@ -1079,14 +1081,9 @@ pub fn run_process(config: &ProcessConfig) -> ProcessResult {
                 // join round: admission is part of the run, not the spawn.
                 let mirror = &shared.mirror;
                 if let Some(at_round) = config.base.churn_plan.tenure(w).join {
-                    while !mirror.stop.load(Ordering::Acquire)
-                        && mirror.round.load(Ordering::Acquire) < at_round
-                    {
-                        std::thread::sleep(Duration::from_millis(2));
-                    }
-                    if mirror.stop.load(Ordering::Acquire) {
-                        return;
-                    }
+                    shared.events.wait_while(Duration::MAX, || {
+                        !mirror.stop.is_raised() && mirror.round.load(Ordering::Acquire) < at_round
+                    });
                 }
                 supervise_child(&config, &shared, w, &exe, &addr);
             })
@@ -1097,21 +1094,16 @@ pub fn run_process(config: &ProcessConfig) -> ProcessResult {
     // handshaken, so round 0 is not spent electing over an empty room.
     // Scheduled joiners arrive mid-run and external workers are outside
     // our spawn control, so neither is waited for here.
-    let initial = (0..n)
+    let initial: Vec<usize> = (0..n)
         .filter(|&w| base.churn_plan.tenure(w).join.is_none() && !config.external.contains(&w))
-        .count();
-    let join_deadline = Instant::now() + JOIN_TIMEOUT;
-    let mut joined = 0usize;
-    while joined < initial {
-        let left = join_deadline.saturating_duration_since(Instant::now());
-        assert!(
-            !left.is_zero(),
-            "only {joined}/{initial} workers joined within {JOIN_TIMEOUT:?}"
-        );
-        if join_rx.recv_timeout(left).is_ok() {
-            joined += 1;
-        }
-    }
+        .collect();
+    let absent = |&w: &usize| shared.slots[w].last_handshake.load(Ordering::Acquire) == u64::MAX;
+    let pending = || initial.iter().any(absent);
+    let joined = shared.events.wait_while(JOIN_TIMEOUT, pending);
+    assert!(
+        joined,
+        "the initial cluster did not join within {JOIN_TIMEOUT:?}"
+    );
 
     let store = base
         .recovery_dir
@@ -1120,6 +1112,8 @@ pub fn run_process(config: &ProcessConfig) -> ProcessResult {
     let mut transport = ProcessTransport {
         shared: Arc::clone(&shared),
         sever: config.sever.clone(),
+        kill9: config.kill9.clone(),
+        joiners: (0..n).any(|w| base.churn_plan.tenure(w).join.is_some()),
         frame: Vec::new(),
         frame_round: None,
         scratch: Vec::new(),
@@ -1218,24 +1212,28 @@ pub fn run_process(config: &ProcessConfig) -> ProcessResult {
                 // would redo the lost rounds degraded, without the very
                 // workers it is redoing them for. Bounded — a worker that
                 // stays away genuinely died and forfeits the wait.
-                let rejoin_deadline = Instant::now() + REJOIN_TIMEOUT;
-                while severed.iter().any(|&w| shared.mirror.is_dead(w))
-                    && Instant::now() < rejoin_deadline
-                {
-                    std::thread::sleep(Duration::from_millis(1));
-                }
+                shared.events.wait_while(REJOIN_TIMEOUT, || {
+                    severed.iter().any(|&w| shared.mirror.is_dead(w))
+                });
             }
         }
     };
 
-    // Teardown: stop, ask every live worker to finish gracefully (its
-    // Fate frame arrives through the reader), and let the child
-    // supervisors enforce the grace window.
-    shared.mirror.stop.store(true, Ordering::Release);
+    // Teardown: stop, and ask every live worker to finish gracefully (it
+    // sends its Fate frame, closes its socket and exits); kill what still
+    // runs when the grace window closes.
+    shared.mirror.stop.raise();
+    shared.events.wake();
     let mut scratch = Vec::new();
     for slot in &shared.slots {
         if let Some(stream) = lock(&slot.conn).as_mut() {
             let _ = write_msg(stream, &Msg::Stop, &mut scratch);
+        }
+    }
+    let children_left = || shared.slots.iter().any(|s| lock(&s.child).is_some());
+    if !shared.events.wait_while(STOP_GRACE, children_left) {
+        for w in 0..n {
+            shared.kill_child(w);
         }
     }
     for h in sup_handles {
@@ -1244,6 +1242,10 @@ pub fn run_process(config: &ProcessConfig) -> ProcessResult {
     // Unblock the accept loop (it is parked in accept()).
     let _ = TcpStream::connect(&addr);
     let _ = accept_handle.join();
+    // The fates ride the readers, and a reaped child's reader may still be
+    // draining its socket: read them only once every reader has exited.
+    let undrained = || (0..n).any(|w| !shared.readers_drained(w));
+    shared.events.wait_while(STOP_GRACE, undrained);
     let proxy_faults_injected = proxy.map_or(0, FaultProxy::shutdown);
 
     let workers = shared

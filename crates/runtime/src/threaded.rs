@@ -1,5 +1,5 @@
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -18,7 +18,7 @@ use crate::transport::{
     decode_ctrl_checkpoint, lock, past_workers, supervise, task, worker_streams, CtrlCheckpoint,
     Lineage, Mirror, Transport,
 };
-use crate::worker::{Gate, Worker, WorkerLink};
+use crate::worker::{Gate, Stop, Worker, WorkerLink};
 
 /// Configuration of a threaded run.
 #[derive(Debug, Clone)]
@@ -277,14 +277,12 @@ impl ThreadLink {
     /// round counter. The controller streams the model snapshot into this
     /// worker's parameter slot before advancing the counter, so waking
     /// implies the snapshot is in place. `false` if the run ended first.
-    fn await_admission(&self, at_round: u64, recheck: Duration) -> bool {
+    fn await_admission(&self, at_round: u64) -> bool {
         let mirror = &self.shared.mirror;
-        let stopped = || mirror.stop.load(Ordering::Acquire);
-        let dormant = || mirror.round.load(Ordering::Acquire) < at_round && !stopped();
-        while dormant() {
-            self.shared.gate.park(recheck, dormant);
-        }
-        if stopped() {
+        let dormant =
+            || mirror.round.load(Ordering::Acquire) < at_round && !mirror.stop.is_raised();
+        self.shared.gate.wait_while(Duration::MAX, dormant);
+        if mirror.stop.is_raised() {
             return false;
         }
         mirror.beat(self.w);
@@ -298,13 +296,13 @@ impl WorkerLink for ThreadLink {
         self.shared.mirror.round.load(Ordering::Acquire)
     }
 
-    fn stop(&self) -> &AtomicBool {
+    fn stop(&self) -> &Stop {
         &self.shared.mirror.stop
     }
 
     fn park(&mut self, seen: u64, timeout: Duration) {
-        let parked = || self.round() == seen && !self.stop().load(Ordering::Acquire);
-        self.shared.gate.park(timeout, parked);
+        let parked = || self.round() == seen && !self.stop().is_raised();
+        self.shared.gate.wait_while(timeout, parked);
     }
 
     fn beat(&mut self, _iter: u64) {
@@ -340,11 +338,7 @@ impl WorkerLink for ThreadLink {
         // re-enters the liveness view via its next heartbeat.
         let mirror = &self.shared.mirror;
         mirror.set_alive(self.w, false);
-        let Some(down_for) = down_for else {
-            return false;
-        };
-        interruptible_sleep(down_for, &mirror.stop);
-        if mirror.stop.load(Ordering::Acquire) {
+        if !down_for.is_some_and(|d| mirror.stop.sleep(d)) {
             return false;
         }
         mirror.set_alive(self.w, true);
@@ -474,28 +468,9 @@ pub(crate) fn validate_config(config: &ThreadedConfig) {
     }
 }
 
-pub(crate) fn sleep_range(rng: &mut SimRng, (lo, hi): (u64, u64)) {
-    let us = if hi > lo { rng.uniform_u64(lo..hi) } else { lo };
-    std::thread::sleep(Duration::from_micros(us));
-}
-
-/// Sleeps `total` in small slices, bailing out early when `stop` is set,
-/// so a long injected hang cannot outlive the run by more than one slice.
-pub(crate) fn interruptible_sleep(total: Duration, stop: &AtomicBool) {
-    let slice = Duration::from_millis(10);
-    let deadline = Instant::now() + total;
-    while !stop.load(Ordering::Acquire) {
-        let now = Instant::now();
-        if now >= deadline {
-            break;
-        }
-        std::thread::sleep(slice.min(deadline - now));
-    }
-}
-
 /// One threaded run in any [`SyncMode`]: a thread per worker executing the
 /// shared worker loop over a [`ThreadLink`], and the shared controller
-/// supervised on this thread.
+/// supervised on this thread. The stop ends every in-flight injected wait.
 fn run(
     config: &ThreadedConfig,
     (rng, dataset, template): (SimRng, Arc<Dataset>, Box<dyn Model>),
@@ -541,7 +516,7 @@ fn run(
             };
             let join_round = config.churn_plan.tenure(w).join;
             std::thread::spawn(move || -> WorkerFate {
-                if join_round.is_some_and(|j| !link.await_admission(j, me.park_recheck())) {
+                if join_round.is_some_and(|j| !link.await_admission(j)) {
                     return me.faults.fate();
                 }
                 let departed = me.run(&mut link);
@@ -571,7 +546,7 @@ fn run(
         &mut lineage,
     )
     .expect("no abort round was scheduled");
-    mirror.stop.store(true, Ordering::Release);
+    mirror.stop.raise();
     shared.gate.wake();
     let workers = handles
         .into_iter()

@@ -36,6 +36,7 @@ use rna_tensor::{Compression, Tensor, TensorPool};
 use rna_training::{Dataset, Model};
 
 use crate::threaded::ThreadedConfig;
+use crate::worker::Stop;
 
 /// Disjoint RNG stream namespaces shared by the threaded and process
 /// runtimes. Earlier code forked worker streams at `10 + w` and `50 + w`,
@@ -146,7 +147,7 @@ pub(crate) struct Mirror {
     pub slots: Vec<MirrorSlot>,
     /// The published round counter (the bounded-lead gate).
     pub round: AtomicU64,
-    pub stop: AtomicBool,
+    pub stop: Stop,
     pub start: Instant,
     liveness_timeout_us: u64,
     staleness_bound: usize,
@@ -177,7 +178,7 @@ impl Mirror {
                 })
                 .collect(),
             round: AtomicU64::new(round),
-            stop: AtomicBool::new(false),
+            stop: Stop::default(),
             start,
             liveness_timeout_us: config.tolerance.liveness_timeout_us,
             staleness_bound: config.staleness_bound,
@@ -813,7 +814,7 @@ fn controller_loop<T: Transport + ?Sized>(
             // The budget is spent: raise stop before the last counter goes
             // out, so a worker gated on it (lead bound 1) does not start an
             // iteration no round will consume.
-            mirror.stop.store(true, Ordering::Release);
+            mirror.stop.raise();
         }
         mirror.round.store(k + 1, Ordering::Release);
         transport.advance_round(k + 1);

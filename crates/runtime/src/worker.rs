@@ -37,7 +37,7 @@ use crate::process::still_pending;
 use crate::proto::{
     compute_mac, read_msg, write_msg, AuthKey, GradBatch, Msg, ProtoError, WorkerSetup,
 };
-use crate::threaded::{interruptible_sleep, sleep_range, ThreadedConfig};
+use crate::threaded::ThreadedConfig;
 use crate::transport::{lock, task, worker_streams};
 
 /// How long the worker keeps re-offering its first handshake: the
@@ -69,8 +69,9 @@ const RECONNECT_TIMEOUT: Duration = Duration::from_secs(20);
 pub(crate) trait WorkerLink {
     /// The round counter as this worker last saw it.
     fn round(&self) -> u64;
-    /// Raised when the run — or this connection — is over.
-    fn stop(&self) -> &AtomicBool;
+    /// Raised when the run — or this connection — is over; it also cuts
+    /// short the injected waits the loop sleeps through.
+    fn stop(&self) -> &Stop;
     /// Blocks until the round counter moves off `seen`, the link stops, or
     /// `timeout` passes (a missed-wakeup backstop, and the heartbeat
     /// cadence of a parked worker).
@@ -90,8 +91,8 @@ pub(crate) trait WorkerLink {
     fn die(&mut self, down_for: Option<Duration>) -> bool;
 }
 
-/// The lead gate a parked worker waits at and whoever moves the round
-/// counter wakes.
+/// A condition a thread parks on and whoever changes it wakes: the lead
+/// gate, a `Stop`'s wait, the process world's supervision.
 #[derive(Default)]
 pub(crate) struct Gate {
     lock: Mutex<()>,
@@ -108,16 +109,38 @@ impl Gate {
         self.cv.notify_all();
     }
 
-    /// Waits for a wake-up or `timeout` — unless `parked`, evaluated under
-    /// the lock, says the condition already changed.
-    pub fn park(&self, timeout: Duration, parked: impl FnOnce() -> bool) {
-        let held = lock(&self.lock);
-        if parked() {
-            let _unused = self
-                .cv
-                .wait_timeout(held, timeout)
-                .unwrap_or_else(PoisonError::into_inner);
-        }
+    /// Waits until `pending`, evaluated under the lock at each wake-up,
+    /// turns false or `timeout` passes; `true` if it turned false.
+    pub fn wait_while(&self, timeout: Duration, pending: impl Fn() -> bool) -> bool {
+        let waited = self
+            .cv
+            .wait_timeout_while(lock(&self.lock), timeout, |()| pending());
+        !waited.unwrap_or_else(PoisonError::into_inner).1.timed_out()
+    }
+}
+
+/// A run's (or a connection's) stop flag, and the wait it cuts short. Only
+/// raising it wakes that wait, never a round or a parameter push, so a
+/// worker sleeping out its compute pays no wake-up per round.
+#[derive(Default)]
+pub(crate) struct Stop {
+    raised: AtomicBool,
+    gate: Gate,
+}
+
+impl Stop {
+    pub fn is_raised(&self) -> bool {
+        self.raised.load(Ordering::Acquire)
+    }
+
+    pub fn raise(&self) {
+        self.raised.store(true, Ordering::Release);
+        self.gate.wake();
+    }
+
+    /// Sleeps `d` unless the flag is raised first; `false` when it was.
+    pub fn sleep(&self, d: Duration) -> bool {
+        !self.gate.wait_while(d, || !self.is_raised())
     }
 }
 
@@ -228,19 +251,15 @@ impl Worker {
         }
     }
 
-    /// Parked workers re-check the round counter (and heartbeat) at this
-    /// cadence even without a wake-up; it only bounds how stale a missed
-    /// notify can go, so a quarter of the liveness window is enough.
-    pub fn park_recheck(&self) -> Duration {
-        Duration::from_micros((self.setup.liveness_timeout_us / 4).max(1_000))
-    }
-
     /// The worker loop: departure check → fault directive → heartbeat →
     /// lead gate → parameters → sample → gradient → injected compute →
-    /// deposit, until the link stops. Returns the scheduled departure that
-    /// ended it, if one did.
+    /// deposit, until the link stops. A stop cuts the injected compute
+    /// short and abandons that iteration: it is neither deposited nor
+    /// counted. Returns the scheduled departure that ended it, if one did.
     pub fn run(&mut self, link: &mut impl WorkerLink) -> Option<WorkerFate> {
-        while !link.stop().load(Ordering::Acquire) {
+        // A parked worker beats every quarter of the liveness window.
+        let beat_every = Duration::from_micros((self.setup.liveness_timeout_us / 4).max(1_000));
+        while !link.stop().is_raised() {
             // A scheduled departure, observed on the round counter: the
             // worker leaves once the counter reaches the first round it is
             // no longer a member of — an evictee before contributing to its
@@ -265,7 +284,7 @@ impl Worker {
                 }
                 IterDirective::HangFor(us) => {
                     // Frozen: no heartbeats until the hang lifts.
-                    interruptible_sleep(Duration::from_micros(us), link.stop());
+                    link.stop().sleep(Duration::from_micros(us));
                 }
                 IterDirective::Proceed => {}
             }
@@ -274,25 +293,26 @@ impl Worker {
             // heartbeating so a parked worker is not presumed dead.
             loop {
                 let seen = link.round();
-                if link.stop().load(Ordering::Acquire)
+                if link.stop().is_raised()
                     || self.local_iter.saturating_sub(seen) < self.setup.max_lead
                 {
                     break;
                 }
-                link.park(seen, self.park_recheck());
+                link.park(seen, beat_every);
                 link.beat(self.local_iter);
             }
-            if link.stop().load(Ordering::Acquire) {
+            if link.stop().is_raised() {
                 break;
             }
             link.refresh(self.model.as_mut());
             let batch = self.sampler.sample(&self.dataset);
             let (_, grad) = self.model.loss_and_grad(&batch);
-            let compute_us = (self.setup.compute_lo_us, self.setup.compute_hi_us);
-            sleep_range(&mut self.compute_rng, compute_us);
+            let (lo, hi) = (self.setup.compute_lo_us, self.setup.compute_hi_us);
+            let drawn = (hi > lo).then(|| self.compute_rng.uniform_u64(lo..hi));
             let extra_us = self.faults.slowdown_us(self.local_iter);
-            if extra_us > 0 {
-                std::thread::sleep(Duration::from_micros(extra_us));
+            let injected_us = drawn.unwrap_or(lo).saturating_add(extra_us);
+            if !link.stop().sleep(Duration::from_micros(injected_us)) {
+                break;
             }
             link.deposit(self.local_iter, grad);
             self.local_iter += 1;
@@ -309,7 +329,7 @@ struct Conn {
     /// Freshest parameter snapshot not yet applied.
     fresh_params: Mutex<Option<Tensor>>,
     /// Set on `Stop`, socket death, or any protocol violation.
-    stop: AtomicBool,
+    stop: Stop,
     /// Set *only* on a `Stop` frame: the run ended on purpose. A halt
     /// without this flag is a dead socket, which the reconnect loop owns.
     graceful: AtomicBool,
@@ -328,7 +348,7 @@ impl Conn {
     }
 
     fn halt(&self) {
-        self.stop.store(true, Ordering::Release);
+        self.stop.raise();
         self.gate.wake();
     }
 }
@@ -411,14 +431,14 @@ impl WorkerLink for SocketLink {
         self.conn.round.load(Ordering::Acquire)
     }
 
-    fn stop(&self) -> &AtomicBool {
+    fn stop(&self) -> &Stop {
         &self.conn.stop
     }
 
     fn park(&mut self, seen: u64, timeout: Duration) {
         let conn = &self.conn;
-        conn.gate.park(timeout, || {
-            conn.round.load(Ordering::Acquire) == seen && !conn.stop.load(Ordering::Acquire)
+        conn.gate.wait_while(timeout, || {
+            conn.round.load(Ordering::Acquire) == seen && !conn.stop.is_raised()
         });
         self.last_hb = None;
     }
@@ -633,7 +653,7 @@ mod tests {
     /// moving the round counter, and ends the run by returning `true`.
     struct ScriptedLink<F> {
         round: u64,
-        stop: AtomicBool,
+        stop: Stop,
         log: Vec<Ev>,
         script: F,
     }
@@ -642,7 +662,7 @@ mod tests {
         fn new(script: F) -> Self {
             ScriptedLink {
                 round: 0,
-                stop: AtomicBool::new(false),
+                stop: Stop::default(),
                 log: Vec::new(),
                 script,
             }
@@ -650,7 +670,7 @@ mod tests {
 
         fn see(&mut self, ev: Ev) {
             if (self.script)(&ev, &mut self.round) {
-                self.stop.store(true, Ordering::Release);
+                self.stop.raise();
             }
             self.log.push(ev);
         }
@@ -668,7 +688,7 @@ mod tests {
         fn round(&self) -> u64 {
             self.round
         }
-        fn stop(&self) -> &AtomicBool {
+        fn stop(&self) -> &Stop {
             &self.stop
         }
         fn park(&mut self, seen: u64, _timeout: Duration) {

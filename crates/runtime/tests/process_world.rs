@@ -2,8 +2,12 @@
 //! sockets, real SIGKILLs. Every run binds an ephemeral localhost port,
 //! so parallel test processes never collide.
 
+use std::time::{Duration, Instant};
+
 use rna_core::fault::{ToleranceConfig, WorkerFate};
-use rna_runtime::{run_process, Compression, FaultPlan, ProcessConfig, SyncMode};
+use rna_runtime::{
+    run_process, run_threaded, Compression, FaultPlan, ProcessConfig, ProcessResult, SyncMode,
+};
 
 fn quick(n: usize, mode: SyncMode) -> ProcessConfig {
     ProcessConfig::quick(n, mode).with_worker_exe(env!("CARGO_BIN_EXE_rna-worker"))
@@ -76,6 +80,111 @@ fn a_crash_due_with_a_restart_is_a_crash_to_the_coordinator_too() {
     );
     assert_eq!(r.run.worker_iterations[2], 5);
     assert_eq!(r.worker_respawns, 0);
+}
+
+/// Runs `config` with every worker it marks external played by a thread
+/// running the worker entry point (the code the `rna-worker` binary wraps),
+/// dialing in through an address book under `dir`.
+fn run_with_external_workers(mut config: ProcessConfig, dir: &std::path::Path) -> ProcessResult {
+    use rna_runtime::worker::run_worker;
+    use rna_runtime::AddrBook;
+
+    let book = dir.join("addr");
+    let _ = std::fs::remove_file(&book);
+    config = config.with_addr_file(&book);
+    let externals: Vec<_> = config
+        .external
+        .iter()
+        .map(|&w| {
+            let book = book.clone();
+            // The book is written before the first round, so polling it
+            // every millisecond dials in well before the run ends.
+            std::thread::spawn(move || loop {
+                if let Ok(parsed) = AddrBook::load(&book) {
+                    return run_worker(&parsed.addr, w as u32, &parsed.key, 0);
+                }
+                std::thread::sleep(Duration::from_millis(1));
+            })
+        })
+        .collect();
+    let r = run_process(&config);
+    for external in externals {
+        external
+            .join()
+            .expect("external worker thread")
+            .expect("external worker ran to Stop");
+    }
+    r
+}
+
+#[test]
+fn a_fate_sent_just_before_exit_is_never_lost() {
+    // A worker's Fate frame is the last thing it writes before it closes
+    // its socket and exits, so teardown can be done with a worker before
+    // the coordinator's reader has taken that frame off the socket: a
+    // spawned worker's process may already be reaped, and an external
+    // worker has no process to wait for at all. In the second run below
+    // nothing is left to reap at the stop: the one spawned worker, which
+    // holds the first round until the external ones have dialed in, has
+    // crashed by then. Teardown reads the fates only once every reader has
+    // drained; five runs of each kind give the race ten chances.
+    let dir = std::env::temp_dir().join(format!("rna-fates-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("scratch dir");
+    let mut spawned = quick(3, SyncMode::Rna);
+    let mut external = quick(3, SyncMode::Rna).with_external(1).with_external(2);
+    spawned.base = spawned
+        .base
+        .with_fault_plan(FaultPlan::none().slow(2, 3, 500));
+    external.base = external
+        .base
+        .with_fault_plan(FaultPlan::none().crash(0, 5).slow(2, 3, 500));
+    for run in 0..5 {
+        let spawned = run_process(&spawned);
+        let external = run_with_external_workers(external.clone(), &dir);
+        for (kind, r) in [("spawned", spawned), ("external", external)] {
+            assert_eq!(
+                r.run.worker_fates[2],
+                WorkerFate::Slowed { from_iter: 3 },
+                "run {run}, {kind}: fates {:?}",
+                r.run.worker_fates
+            );
+        }
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn stop_cuts_a_straggler_short_in_both_worlds() {
+    // One round, and a straggler whose injected compute takes a second.
+    // The fast workers close the round after 100 ms, long after the
+    // straggler began its compute; the stop that follows must end that
+    // compute, not wait it out. The bound is half the straggler's second,
+    // so a teardown that waits the compute out cannot meet it. It leaves
+    // 400 ms for the rest, several times what a debug build takes to spawn
+    // and admit the cluster and tear it down (tens of milliseconds).
+    let bound = Duration::from_millis(500);
+    let mut config = quick(3, SyncMode::Rna);
+    config.base.rounds = 1;
+    config.base.compute_us = vec![
+        (100_000, 100_001),
+        (100_000, 100_001),
+        (1_000_000, 1_000_001),
+    ];
+    let t = Instant::now();
+    let threaded = run_threaded(&config.base);
+    let threaded_wall = t.elapsed();
+    let t = Instant::now();
+    let process = run_process(&config).run;
+    let process_wall = t.elapsed();
+    for (world, r, wall) in [
+        ("threaded", threaded, threaded_wall),
+        ("process", process, process_wall),
+    ] {
+        assert!(wall < bound, "{world}: one round took {wall:?}");
+        // The cut iteration was abandoned: neither deposited nor counted.
+        assert_eq!(r.worker_iterations[2], 0, "{world}");
+        assert_eq!(r.live_workers(), 3, "{world}: fates {:?}", r.worker_fates);
+    }
 }
 
 #[test]
