@@ -21,6 +21,11 @@ fi
 echo "==> non-test lines per crate (information only)"
 bash scripts/loc.sh
 
+# Public functions only tests name: candidates for a deletion pass, printed
+# for information, not gated.
+echo "==> pub fns only tests use (information only)"
+bash scripts/unused_pub.sh
+
 echo "==> cargo fmt --check"
 cargo fmt --all -- --check
 

@@ -342,7 +342,7 @@ impl PsStage {
             }
         }
         // 3. The proposal covers live members only; park every other
-        //    identity (dormant joiners, departed, crashed) in the smallest
+        //    identity (yet to join, departed, crashed) in the smallest
         //    group, deterministically (ties break to the lowest index).
         for w in 0..n {
             if !layout.iter().any(|g| g.contains(&w)) {

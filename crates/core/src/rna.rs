@@ -819,7 +819,7 @@ pub struct RnaProtocol {
     /// engine may still deliver an in-flight `ComputeDone` after the
     /// departure edge; the gradient is discarded at the protocol level.
     departed: Vec<bool>,
-    /// Planned joiners already admitted (each join fires exactly once,
+    /// Planned joins already admitted (each join fires exactly once,
     /// even when a topology swap jumps a group's round clock past the
     /// join round).
     joined: Vec<bool>,

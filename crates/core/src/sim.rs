@@ -1013,8 +1013,8 @@ impl<M: Clone + std::fmt::Debug> Ctx<'_, M> {
     }
 
     /// The run's elastic-membership script. Protocols that honour it
-    /// keep joiners dormant until their join round and process leaves at
-    /// round edges; the engine itself never consults it.
+    /// keep a joining worker dormant until its join round and process
+    /// leaves at round edges; the engine itself never consults it.
     pub fn churn_plan(&self) -> &ChurnPlan {
         &self.0.spec.churn_plan
     }
@@ -1116,7 +1116,7 @@ impl<P: Protocol> Engine<P> {
             template.num_params(),
         );
         let replicas = Replicas::new(template.clone_model(), opt, n);
-        // Planned joiners draw their streams from the disjoint grant
+        // Planned joins draw their streams from the disjoint grant
         // namespace every world shares (`join_grant`). `fork` consumes
         // exactly one parent draw regardless of the key, so handing a joiner
         // a different key leaves every original member's stream — and the

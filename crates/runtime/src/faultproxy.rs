@@ -61,7 +61,7 @@ struct LinkSpec {
 /// The accept loops keep running, so a worker's reconnect after a sever
 /// flows through the same adversarial link.
 #[derive(Debug)]
-pub struct FaultProxy {
+pub(crate) struct FaultProxy {
     addrs: Vec<String>,
     injected: Arc<AtomicU64>,
     stop: Arc<AtomicBool>,

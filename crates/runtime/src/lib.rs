@@ -63,18 +63,16 @@
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod faultproxy;
+mod faultproxy;
 pub mod process;
 pub mod proto;
 mod threaded;
 mod transport;
 pub mod worker;
 
-pub use faultproxy::FaultProxy;
 pub use process::{run_process, AddrBook, ProcessConfig, ProcessResult};
 pub use proto::{ct_eq, AuthError, AuthKey};
 pub use rna_core::fault::{FaultPlan, NetFaultPlan, ToleranceConfig, WorkerFate, WorkerFault};
 pub use rna_core::SyncMode;
 pub use rna_tensor::codec::Compression;
 pub use threaded::{resume_threaded, run_threaded, ThreadedConfig, ThreadedResult};
-pub use transport::NetShim;

@@ -32,12 +32,12 @@
 //! As in the threaded world the wire codec's encode leg belongs to the
 //! worker ([`crate::worker`]); here the hop is a real one. The worker's
 //! socket link encodes `grad + residual` straight into a one-entry frame
-//! ([`crate::proto::GradBatch`]) and writes it, with the next heartbeat
-//! piggybacked, before the deposit returns; the coordinator's reader
-//! threads decode chunk-parallel into recycled cache buffers and deposit
-//! each gradient with the frame length that physically crossed the
-//! socket, and the three-world crosscheck pins that every such frame
-//! matches the DES formula byte-for-byte.
+//! ([`crate::proto::GradBatch`]) and writes it before the deposit returns.
+//! That frame is also the heartbeat: the coordinator's reader refreshes the
+//! worker's liveness and iteration count from it, decodes chunk-parallel
+//! into a recycled cache buffer and deposits the gradient with the frame
+//! length that physically crossed the socket; the three-world crosscheck
+//! pins every such frame to the DES formula byte-for-byte.
 //!
 //! ## Survivability
 //!
@@ -60,11 +60,11 @@
 //!
 //! With [`ProcessConfig::with_fault_proxy`], the physical half of the
 //! network-fault plan (entries naming the controller link) is executed by
-//! a per-link TCP proxy ([`crate::faultproxy`]) on the real byte stream —
-//! frames eaten, bytes flipped, frames truncated mid-body, deliveries
-//! delayed — while partitions and peer-link entries stay in the
-//! controller's [`crate::NetShim`], which remains the only place
-//! they can exist in a flat worker↔coordinator topology.
+//! a per-link TCP proxy on the real byte stream — frames eaten, bytes
+//! flipped, frames truncated mid-body, deliveries delayed — while
+//! partitions and peer-link entries stay in the controller's network-fault
+//! shim, which remains the only place they can exist in a flat
+//! worker↔coordinator topology.
 
 use std::collections::VecDeque;
 use std::net::{Shutdown, TcpListener, TcpStream};
@@ -89,7 +89,7 @@ use crate::proto::{
 };
 use crate::threaded::{finish, validate_config, ThreadedConfig, ThreadedResult};
 use crate::transport::{
-    decode_ctrl_checkpoint, lock, past_workers, supervise, task, CtrlCheckpoint, Lineage, Mirror,
+    load_ctrl_checkpoint, lock, past_workers, supervise, task, CtrlCheckpoint, Lineage, Mirror,
     Transport,
 };
 use crate::worker::Gate;
@@ -252,9 +252,9 @@ pub struct ProcessConfig {
     /// restart honestly redoes everything since round 0.
     pub coord_kill: Vec<u64>,
     /// Route every worker↔coordinator socket through a per-link TCP fault
-    /// proxy ([`crate::faultproxy`]) executing the physical half of
-    /// `net_fault_plan` on the real byte stream. The virtual half
-    /// (partitions, peer links) stays in the controller's shim.
+    /// proxy executing the physical half of `net_fault_plan` on the real
+    /// byte stream. The virtual half (partitions, peer links) stays in the
+    /// controller's shim.
     pub fault_proxy: bool,
 }
 
@@ -415,7 +415,7 @@ struct ProcShared {
     slots: Vec<ProcSlot>,
     /// Every supervision wait parks here, and whatever it may be waiting
     /// for wakes it: a reader exits, a handshake is admitted, a child is
-    /// reaped, the run stops, a round is published (if a joiner waits).
+    /// reaped, the run stops, a round is published.
     events: Gate,
     /// Latest master published by the controller; what a late joiner's
     /// `Setup` frame carries.
@@ -493,8 +493,6 @@ struct ProcessTransport {
     /// Scheduled severs and SIGKILLs not yet executed.
     sever: Vec<(usize, u64)>,
     kill9: Vec<(usize, u64)>,
-    /// Whether a scheduled joiner's supervisor waits for a round edge.
-    joiners: bool,
     /// The parameter frame is encoded once per round and the same bytes go
     /// to every socket.
     frame: Vec<u8>,
@@ -547,9 +545,7 @@ impl Transport for ProcessTransport {
         for w in 0..self.shared.slots.len() {
             self.shared.send(w, &frame);
         }
-        if self.joiners {
-            shared.events.wake();
-        }
+        shared.events.wake();
     }
 }
 
@@ -1092,7 +1088,7 @@ pub fn run_process(config: &ProcessConfig) -> ProcessResult {
 
     // Initial barrier: the run starts once the initial cluster has
     // handshaken, so round 0 is not spent electing over an empty room.
-    // Scheduled joiners arrive mid-run and external workers are outside
+    // Scheduled joins arrive mid-run and external workers are outside
     // our spawn control, so neither is waited for here.
     let initial: Vec<usize> = (0..n)
         .filter(|&w| base.churn_plan.tenure(w).join.is_none() && !config.external.contains(&w))
@@ -1113,7 +1109,6 @@ pub fn run_process(config: &ProcessConfig) -> ProcessResult {
         shared: Arc::clone(&shared),
         sever: config.sever.clone(),
         kill9: config.kill9.clone(),
-        joiners: (0..n).any(|w| base.churn_plan.tenure(w).join.is_some()),
         frame: Vec::new(),
         frame_round: None,
         scratch: Vec::new(),
@@ -1166,16 +1161,13 @@ pub fn run_process(config: &ProcessConfig) -> ProcessResult {
                 }
                 // Restart from disk; a kill before the first cut falls
                 // back to the initial state and honestly redoes round 0.
-                state = match store.as_ref() {
-                    Some(st) => match st.load_latest() {
-                        Ok(loaded) => decode_ctrl_checkpoint(&loaded.payload)
-                            .expect("the coordinator's own checkpoint must decode"),
-                        Err(RecoveryError::Missing) => initial_state.clone(),
-                        Err(e) => {
-                            panic!("coordinator restart cannot read the checkpoint store: {e}")
-                        }
-                    },
-                    None => initial_state.clone(),
+                let loaded = store
+                    .as_ref()
+                    .map(|st| load_ctrl_checkpoint(st, shared.param_len, base.rounds));
+                state = match loaded {
+                    Some(Ok(ck)) => ck,
+                    None | Some(Err(RecoveryError::Missing)) => initial_state.clone(),
+                    Some(Err(e)) => panic!("coordinator restart cannot load its checkpoint: {e}"),
                 };
                 lineage.failover_rounds_lost += died_at.saturating_sub(state.round);
                 shared.mirror.round.store(state.round, Ordering::Release);

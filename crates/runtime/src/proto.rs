@@ -318,7 +318,7 @@ pub struct WorkerSetup {
     /// after a failover rolled the counter back): no worker can have led
     /// it by more than `max_lead`, so `start_iter` is checked against it.
     pub high_water: u64,
-    /// RNG-stream grant for mid-run joiners: 0 for an original member
+    /// RNG-stream grant for a mid-run join: 0 for an original member
     /// (standard sampler/compute stream keys), otherwise the base key of a
     /// disjoint stream namespace the worker forks its sampler (`grant`)
     /// and compute (`grant + 1`) streams from. Because a fork advances the
@@ -679,8 +679,7 @@ pub fn decode_body(body: &[u8]) -> Result<Msg, ProtoError> {
 /// Appends one complete length-delimited frame (prefix + body) for `msg`
 /// at `out`'s current end: length placeholder, body, patched length.
 /// Several frames assembled back-to-back in one buffer leave in a single
-/// socket write, which is how the worker piggybacks its heartbeat on each
-/// gradient frame.
+/// socket write.
 pub fn append_msg(out: &mut Vec<u8>, msg: &Msg) {
     let prefix = out.len();
     out.extend_from_slice(&[0u8; 4]); // length placeholder
@@ -875,20 +874,6 @@ impl GradBatch {
         let body_len = u32::try_from(self.buf.len() - 4).expect("frame bodies are far below 4 GiB");
         self.buf[..4].copy_from_slice(&body_len.to_le_bytes());
         self.buf[9..13].copy_from_slice(&self.entries.to_le_bytes());
-        &self.buf
-    }
-
-    /// Appends a complete length-delimited frame for `msg` behind the
-    /// batch frame, so both leave in the same socket write — the worker
-    /// piggybacks its next heartbeat on every gradient frame, halving the
-    /// steady-state syscall count. Call after [`GradBatch::frame`].
-    pub fn piggyback(&mut self, msg: &Msg) {
-        append_msg(&mut self.buf, msg);
-    }
-
-    /// The assembled wire bytes (batch frame plus any piggybacked frames).
-    #[must_use]
-    pub fn wire_bytes(&self) -> &[u8] {
         &self.buf
     }
 
@@ -1297,26 +1282,13 @@ mod tests {
         let xs = [1.0f32; 16];
         let mut batch = build_batch(codec, &[(0, &xs)]);
         let first = batch.frame().to_vec();
-        let ptr = batch.wire_bytes().as_ptr();
+        let ptr = batch.frame().as_ptr();
         batch.reset();
-        assert!(batch.wire_bytes().is_empty());
         let buf = batch.begin_entry(0);
         codec.encode_slice_append(&xs, buf, &mut || 7);
         batch.finish_entry(0.5);
         assert_eq!(batch.frame(), &first[..], "same input, same bytes");
-        assert_eq!(batch.wire_bytes().as_ptr(), ptr, "no realloc on reuse");
-    }
-
-    #[test]
-    fn piggybacked_heartbeat_decodes_behind_the_batch() {
-        let mut batch = build_batch(Compression::Lossless, &[(9, &[2.5f32])]);
-        batch.frame();
-        batch.piggyback(&Msg::Heartbeat { iter: 10 });
-        let wire = batch.wire_bytes();
-        let body_len = u32::from_le_bytes(wire[..4].try_into().unwrap()) as usize;
-        let rest = &wire[4 + body_len..];
-        let msg = read_msg(&mut &rest[..]).expect("heartbeat decodes");
-        assert_eq!(msg, Msg::Heartbeat { iter: 10 });
+        assert_eq!(batch.frame().as_ptr(), ptr, "no realloc on reuse");
     }
 
     #[test]

@@ -15,7 +15,7 @@ use rna_training::{Dataset, Model};
 
 use crate::proto::WorkerSetup;
 use crate::transport::{
-    decode_ctrl_checkpoint, lock, past_workers, supervise, task, worker_streams, CtrlCheckpoint,
+    load_ctrl_checkpoint, lock, past_workers, supervise, task, worker_streams, CtrlCheckpoint,
     Lineage, Mirror, Transport,
 };
 use crate::worker::{Gate, Stop, Worker, WorkerLink};
@@ -49,7 +49,7 @@ pub struct ThreadedConfig {
     /// forever).
     pub fault_plan: FaultPlan,
     /// Injected network faults (lossy links, flaps, partitions), executed
-    /// by the controller through a [`crate::NetShim`]. BSP rejects
+    /// by the controller's network-fault shim. BSP rejects
     /// these too: a single lost gradient wedges its barrier.
     pub net_fault_plan: NetFaultPlan,
     /// Liveness / deadline / backoff knobs for the fault-tolerance paths.
@@ -123,7 +123,7 @@ impl ThreadedConfig {
         self
     }
 
-    /// Installs a network fault plan (see [`crate::NetShim`]).
+    /// Installs a network fault plan (see the `net_fault_plan` field).
     pub fn with_net_fault_plan(mut self, plan: NetFaultPlan) -> Self {
         self.net_fault_plan = plan;
         self
@@ -381,9 +381,9 @@ pub fn run_threaded(config: &ThreadedConfig) -> ThreadedResult {
 ///
 /// # Errors
 ///
-/// [`RecoveryError::Missing`] when no checkpoint exists,
-/// [`RecoveryError::Corrupt`] when both generations fail validation, and
-/// [`RecoveryError::Io`] for filesystem failures.
+/// [`RecoveryError::Missing`] when no checkpoint exists, [`RecoveryError::Io`]
+/// for filesystem failures, and [`RecoveryError::Corrupt`] when no generation
+/// validates or the newest does not fit `config` (model size, round budget).
 ///
 /// # Panics
 ///
@@ -401,21 +401,8 @@ pub fn resume_threaded(config: &ThreadedConfig) -> Result<ThreadedResult, Recove
         .as_ref()
         .expect("resume_threaded requires recovery_dir");
     let store = CheckpointStore::new(dir).map_err(RecoveryError::Io)?;
-    let loaded = store.load_latest()?;
-    let ck = decode_ctrl_checkpoint(&loaded.payload).ok_or_else(|| {
-        RecoveryError::Corrupt("threaded checkpoint payload failed to decode".into())
-    })?;
     let task = task(config.seed);
-    if ck.master.len() != task.2.params().len() {
-        return Err(RecoveryError::Corrupt(
-            "checkpointed model size does not match the configuration".into(),
-        ));
-    }
-    if ck.round > config.rounds {
-        return Err(RecoveryError::Corrupt(
-            "checkpointed round exceeds the round budget".into(),
-        ));
-    }
+    let ck = load_ctrl_checkpoint(&store, task.2.params().len(), config.rounds)?;
     Ok(run(config, task, Some(ck)))
 }
 
@@ -481,7 +468,7 @@ fn run(
     let state = resume.unwrap_or_else(|| CtrlCheckpoint::initial(template.params().clone()));
     let init_params = Arc::new(state.master.clone());
     let shared = Arc::new(ThreadShared {
-        // Dormant joiners stay out of every liveness view until their
+        // Workers yet to join stay out of every liveness view until their
         // admission round arrives.
         mirror: Mirror::new(config, start, state.round, |w| {
             config.churn_plan.tenure(w).join.is_none()

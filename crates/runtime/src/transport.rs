@@ -13,12 +13,11 @@
 //! cannot drift between the worlds because it is this one function.
 //!
 //! Every wait in the controller is event-driven: the election loop blocks
-//! on the mirror's readiness channel with a timeout equal to the next
+//! on the mirror's readiness gate with a timeout equal to the next
 //! *scheduled* event (round deadline, probe re-sample, or the earliest
 //! moment a live worker's heartbeat could go stale).
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
@@ -27,7 +26,7 @@ use rna_core::cache::GradientCache;
 use rna_core::election::{Election, SyncMode};
 use rna_core::fault::NetFaultPlan;
 use rna_core::membership::{Edge, Tenure};
-use rna_core::recovery::CheckpointStore;
+use rna_core::recovery::{CheckpointStore, RecoveryError};
 use rna_core::sim::TaskKind;
 use rna_core::stats::Counters;
 use rna_simnet::{NetFaults, SimRng, SimTime};
@@ -36,14 +35,15 @@ use rna_tensor::{Compression, Tensor, TensorPool};
 use rna_training::{Dataset, Model};
 
 use crate::threaded::ThreadedConfig;
-use crate::worker::Stop;
+use crate::worker::{Gate, Stop};
 
 /// Disjoint RNG stream namespaces shared by the threaded and process
 /// runtimes. Earlier code forked worker streams at `10 + w` and `50 + w`,
 /// which collide once the cluster reaches 40 workers; spacing the
 /// namespaces `1 << 32` apart keeps every role disjoint for any realistic
-/// worker count. Mid-run joiners take their sampler and compute streams from
-/// [`rna_core::membership::join_grant`] (`5 << 32` up), as in the simulator.
+/// worker count. A worker joining mid-run takes its sampler and compute
+/// streams from [`rna_core::membership::join_grant`] (`5 << 32` up), as in
+/// the simulator.
 pub(crate) const STREAM_SAMPLER: u64 = 1 << 32;
 pub(crate) const STREAM_COMPUTE: u64 = 2 << 32;
 /// Probe stream, forked per controller incarnation (`STREAM_PROBE + term`)
@@ -155,9 +155,12 @@ pub(crate) struct Mirror {
     /// them: measured frame lengths, never formula-charged.
     wire: Mutex<Counters>,
     /// "Something changed": one pending wake-up is all the controller
-    /// needs, since it re-polls the slots anyway — so the channel holds one.
-    ready_tx: SyncSender<()>,
-    ready_rx: Mutex<Receiver<()>>,
+    /// needs, since it re-polls the slots anyway — so it is one flag, which
+    /// the controller's wait on `ready_gate` takes down. `notify` raises it
+    /// with `Release` after the change it announces; the wait's `AcqRel`
+    /// swap that takes it down therefore sees that change.
+    ready: AtomicBool,
+    ready_gate: Gate,
 }
 
 impl Mirror {
@@ -167,7 +170,6 @@ impl Mirror {
         round: u64,
         alive: impl Fn(usize) -> bool,
     ) -> Self {
-        let (ready_tx, ready_rx) = sync_channel(1);
         Mirror {
             slots: (0..config.num_workers)
                 .map(|w| MirrorSlot {
@@ -183,8 +185,8 @@ impl Mirror {
             liveness_timeout_us: config.tolerance.liveness_timeout_us,
             staleness_bound: config.staleness_bound,
             wire: Mutex::new(Counters::default()),
-            ready_tx,
-            ready_rx: Mutex::new(ready_rx),
+            ready: AtomicBool::new(false),
+            ready_gate: Gate::default(),
         }
     }
 
@@ -201,7 +203,8 @@ impl Mirror {
     /// Wakes the controller: some worker's state may have changed (gradient
     /// deposited, died, rejoined).
     pub fn notify(&self) {
-        let _ = self.ready_tx.try_send(());
+        self.ready.store(true, Ordering::Release);
+        self.ready_gate.wake();
     }
 
     /// A death or a return changes the electorate just like a deposit does.
@@ -270,9 +273,10 @@ impl Mirror {
     }
 
     /// Blocks until some worker's state may have changed or the timeout
-    /// elapses.
+    /// elapses, and takes the pending wake-up down.
     fn wait_ready(&self, timeout: Duration) {
-        let _ = lock(&self.ready_rx).recv_timeout(timeout);
+        self.ready_gate
+            .wait_while(timeout, || !self.ready.swap(false, Ordering::AcqRel));
     }
 }
 
@@ -373,6 +377,25 @@ pub(crate) fn decode_ctrl_checkpoint(payload: &[u8]) -> Option<CtrlCheckpoint> {
     intact.then_some(ck)
 }
 
+/// The newest controller checkpoint in `store`, checked against a run of
+/// `model_len` parameters and `rounds` rounds: what a resumed threaded run
+/// and a restarted coordinator start from.
+pub(crate) fn load_ctrl_checkpoint(
+    store: &CheckpointStore,
+    model_len: usize,
+    rounds: u64,
+) -> Result<CtrlCheckpoint, RecoveryError> {
+    let corrupt = |why: &str| Err(RecoveryError::Corrupt(why.into()));
+    match decode_ctrl_checkpoint(&store.load_latest()?.payload) {
+        None => corrupt("controller checkpoint payload failed to decode"),
+        Some(ck) if ck.master.len() != model_len => {
+            corrupt("checkpointed model size does not match the configuration")
+        }
+        Some(ck) if ck.round > rounds => corrupt("checkpointed round exceeds the round budget"),
+        Some(ck) => Ok(ck),
+    }
+}
+
 /// Captures the control plane into `ck`, publishes it to the warm-standby
 /// slot, and — when a store is configured — persists the same bytes
 /// crash-consistently on disk. A disk-write failure degrades the run to
@@ -436,7 +459,7 @@ fn liveness_edge(m: &Mirror, active: &[bool]) -> Duration {
 /// Node ids follow the simulator's convention: workers `0..n`, controller
 /// `n`, parameter server `n + 1`.
 #[derive(Debug, Clone)]
-pub struct NetShim {
+pub(crate) struct NetShim {
     faults: Option<NetFaults>,
     controller: usize,
 }
@@ -455,11 +478,6 @@ impl NetShim {
             faults: (!plan.is_empty()).then(|| plan.compile(num_workers)),
             controller: num_workers,
         }
-    }
-
-    /// Whether any fault is configured (an empty plan's shim admits all).
-    pub fn enabled(&self) -> bool {
-        self.faults.is_some()
     }
 
     /// The controller's node id under the shim's numbering.
@@ -484,7 +502,7 @@ impl NetShim {
 }
 
 /// One probe attempt over the faulty fabric. The pool is the live view
-/// restricted to the round's active membership (dormant joiners and departed
+/// restricted to the round's active membership (workers yet to join and departed
 /// workers never probe) — falling back to the active not-yet-crashed set when
 /// no active worker is live (all silent, e.g. mid-hang) so a recovering
 /// worker can still be elected. Each drawn candidate is admitted iff its
@@ -590,7 +608,7 @@ fn controller_loop<T: Transport + ?Sized>(
         if crash_at == Some(k) {
             return Err(Death::Crashed);
         }
-        // Round `k`'s membership: dormant joiners and departed workers are
+        // Round `k`'s membership: workers yet to join and departed ones are
         // outside the electorate, the majority denominator, and the drain
         // set. `n` is the slot *capacity*, never the cluster size.
         let active: Vec<bool> = tenures.iter().map(|t| t.active_at(k)).collect();
@@ -606,7 +624,7 @@ fn controller_loop<T: Transport + ?Sized>(
         // leg, and an attempt that lost one doubles the election's backoff
         // — an idempotent re-issue, never a wedge. The other triggers watch
         // the whole electorate and never sample. Every wait is event-driven:
-        // a deposit or death wakes the channel, a heartbeat going stale is
+        // a deposit or death wakes the gate, a heartbeat going stale is
         // bounded by the liveness edge, and the round deadline caps
         // everything.
         let round_start = Instant::now();
@@ -1207,7 +1225,7 @@ mod tests {
         // one generator, every worker's sampler and compute fork in worker
         // order, then term 0's probe fork — and as a subprocess used to
         // replay it for itself. `worker_streams` (what both worlds call now)
-        // must land every stream on the same bits, for members and joiners.
+        // must land every stream on the same bits, for members and joining workers.
         let draws = |mut r: SimRng| [r.uniform_u64(0..u64::MAX), r.uniform_u64(0..u64::MAX)];
         let n = 5u64;
         let grant_of = |w: u64| if w == 3 { join_grant(w as usize) } else { 0 };
@@ -1373,7 +1391,6 @@ mod tests {
     #[test]
     fn shim_is_transparent_without_faults() {
         let mut shim = NetShim::new(&NetFaultPlan::none(), 4);
-        assert!(!shim.enabled());
         assert_eq!(shim.controller_id(), 4);
         assert!(shim.deliver(0, 4, 123));
         assert!(shim.link_up(0, 5, 0));
@@ -1386,7 +1403,6 @@ mod tests {
             .drop_link(4, 0, 1.0)
             .partition(vec![2, 3], 1_000, 5_000);
         let mut shim = NetShim::new(&plan, 4);
-        assert!(shim.enabled());
         assert!(!shim.deliver(4, 0, 0), "p = 1 link always drops");
         assert!(shim.link_up(2, 3, 2_000), "intra-island link stays up");
         assert!(!shim.link_up(0, 2, 2_000), "cross-partition link severed");

@@ -64,8 +64,7 @@ const RECONNECT_TIMEOUT: Duration = Duration::from_secs(20);
 /// How a worker observes the run and reaches the controller — exactly the
 /// I/O the loop must not know, failures included (a link whose I/O breaks
 /// raises its own stop flag). The thread link reads and writes the shared
-/// mirror; the socket link frames each gradient, with the next heartbeat
-/// piggybacked, over TCP.
+/// mirror; the socket link frames each gradient over TCP.
 pub(crate) trait WorkerLink {
     /// The round counter as this worker last saw it.
     fn round(&self) -> u64;
@@ -92,30 +91,38 @@ pub(crate) trait WorkerLink {
 }
 
 /// A condition a thread parks on and whoever changes it wakes: the lead
-/// gate, a `Stop`'s wait, the process world's supervision.
+/// gate, a `Stop`'s wait, the process world's supervision, the controller's
+/// readiness. The lock guards the count of parked waiters.
 #[derive(Default)]
 pub(crate) struct Gate {
-    lock: Mutex<()>,
+    parked: Mutex<usize>,
     cv: Condvar,
 }
 
 impl Gate {
-    /// Wakes every parker. Passing through the lock first closes the window
-    /// between a parker's last look at the counter and its wait; notifying
-    /// after releasing it spares each woken thread a second sleep on the
-    /// mutex.
+    /// Wakes every parker; with none counted, notifies nobody. Taking the
+    /// lock closes the window between a parker's last look at its condition
+    /// and its wait: one not yet counted looks after this lock is released.
+    /// Notifying after releasing it spares each woken thread a second sleep
+    /// on the mutex.
     pub fn wake(&self) {
-        drop(lock(&self.lock));
-        self.cv.notify_all();
+        let parked = *lock(&self.parked);
+        if parked > 0 {
+            self.cv.notify_all();
+        }
     }
 
     /// Waits until `pending`, evaluated under the lock at each wake-up,
     /// turns false or `timeout` passes; `true` if it turned false.
     pub fn wait_while(&self, timeout: Duration, pending: impl Fn() -> bool) -> bool {
-        let waited = self
+        let mut parked = lock(&self.parked);
+        *parked += 1;
+        let (mut parked, waited) = self
             .cv
-            .wait_timeout_while(lock(&self.lock), timeout, |()| pending());
-        !waited.unwrap_or_else(PoisonError::into_inner).1.timed_out()
+            .wait_timeout_while(parked, timeout, |_| pending())
+            .unwrap_or_else(PoisonError::into_inner);
+        *parked -= 1;
+        !waited.timed_out()
     }
 }
 
@@ -384,9 +391,9 @@ fn reader_loop(mut stream: TcpStream, conn: &Conn) {
 }
 
 /// [`WorkerLink`] over TCP. Owns what the loop must not know about the
-/// wire: the outgoing frame each gradient is encoded straight into, the
-/// heartbeat piggybacked on it, and the current connection with its reader
-/// thread.
+/// wire: the outgoing frame each gradient is encoded straight into, which
+/// is also the worker's heartbeat, and the current connection with its
+/// reader thread.
 struct SocketLink {
     stream: TcpStream,
     conn: Arc<Conn>,
@@ -395,9 +402,11 @@ struct SocketLink {
     encoder: FeedbackEncoder,
     wire: SimRng,
     batch: GradBatch,
-    /// Iteration value of the last piggybacked heartbeat, so the standalone
-    /// beat that follows a deposit is skipped. Cleared by a park (time has
-    /// passed) and a reconnect (a fresh socket owes fresh liveness).
+    /// Iteration count the coordinator last heard, so the standalone beat
+    /// that follows a deposit is skipped: the coordinator's reader takes a
+    /// gradient frame for iteration `i` as a beat at `i + 1`. Cleared by a
+    /// park (time has passed) and a reconnect (a fresh socket owes fresh
+    /// liveness).
     last_hb: Option<u64>,
     scratch: Vec<u8>,
 }
@@ -458,15 +467,13 @@ impl WorkerLink for SocketLink {
     }
 
     fn deposit(&mut self, iter: u64, mut grad: Tensor) {
-        // Error-feedback encode straight into a one-entry frame; one write
-        // carries it and the next heartbeat.
+        // Error-feedback encode straight into a one-entry frame, sent in one
+        // write.
         self.batch.reset();
         let out = self.batch.begin_entry(iter);
         let (_, err) = self.encoder.encode(&mut grad, out, &mut self.wire);
         self.batch.finish_entry(err);
-        let _ = self.batch.frame();
-        self.batch.piggyback(&Msg::Heartbeat { iter: iter + 1 });
-        let sent = self.stream.write_all(self.batch.wire_bytes());
+        let sent = self.stream.write_all(self.batch.frame());
         self.last_hb = Some(iter + 1);
         self.sent(sent);
     }
@@ -847,6 +854,44 @@ mod tests {
     }
 
     #[test]
+    fn a_waiter_parked_before_the_wake_is_not_lost() {
+        let gate = Arc::new(Gate::default());
+        let cleared = Arc::new(AtomicBool::new(false));
+        let waiter = {
+            let (gate, cleared) = (Arc::clone(&gate), Arc::clone(&cleared));
+            std::thread::spawn(move || {
+                gate.wait_while(Duration::from_secs(60), || !cleared.load(Ordering::Acquire))
+            })
+        };
+        // Counted means parked: the waiter holds the lock from its count
+        // until its wait releases it.
+        while *lock(&gate.parked) == 0 {
+            std::thread::yield_now();
+        }
+        cleared.store(true, Ordering::Release);
+        gate.wake();
+        assert!(waiter.join().expect("the waiter"), "the wake was lost");
+        assert_eq!(*lock(&gate.parked), 0);
+    }
+
+    #[test]
+    fn a_wake_with_nobody_parked_leaves_a_cleared_waiter_free_to_return() {
+        let gate = Gate::default();
+        let cleared = AtomicBool::new(false);
+        cleared.store(true, Ordering::Release);
+        gate.wake();
+        assert!(gate.wait_while(Duration::from_secs(60), || !cleared.load(Ordering::Acquire)));
+        assert_eq!(*lock(&gate.parked), 0);
+    }
+
+    #[test]
+    fn a_timed_out_wait_leaves_no_parked_waiter() {
+        let gate = Gate::default();
+        assert!(!gate.wait_while(Duration::from_millis(1), || true));
+        assert_eq!(*lock(&gate.parked), 0);
+    }
+
+    #[test]
     fn a_socket_deposit_is_on_the_wire_when_it_returns() {
         let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
         let stream = TcpStream::connect(listener.local_addr().expect("bound")).expect("dial");
@@ -862,7 +907,7 @@ mod tests {
             scratch: Vec::new(),
         };
         link.deposit(5, g.clone());
-        // The piggybacked heartbeat already covers iteration 6.
+        // The gradient frame already told the coordinator iteration 6.
         link.beat(6);
         // A park (here one that returns at once: the counter is not at 1)
         // owes fresh liveness, so the next beat is a standalone frame.
@@ -884,11 +929,10 @@ mod tests {
             .expect("lossless payload");
         let bits = |xs: &[f32]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         assert_eq!(bits(&got), bits(g.as_slice()));
-        // Then the piggybacked heartbeat, the one standalone heartbeat
-        // after the park, and the end of the stream: the first beat(6)
-        // wrote nothing.
+        // Then the one standalone heartbeat after the park, and the end of
+        // the stream: the deposit wrote one frame and the first beat(6)
+        // none.
         let mut next = || read_msg(&mut peer);
-        assert!(matches!(next(), Ok(Msg::Heartbeat { iter: 6 })));
         assert!(matches!(next(), Ok(Msg::Heartbeat { iter: 6 })));
         assert!(next().is_err());
     }

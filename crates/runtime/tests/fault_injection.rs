@@ -161,11 +161,12 @@ fn healthy_runs_report_no_degradation() {
 
 #[test]
 fn rna_survives_a_crash_restart_rejoin() {
-    // Worker 2 dies after 5 iterations and comes back 30 ms later: it must
+    // Worker 2 dies after 5 iterations and comes back 10 ms later: it must
     // be re-admitted to the liveness view, resume contributing, and end the
-    // run counted among the living.
+    // run counted among the living. The run lasts about 40 ms, so the down
+    // window ends well before it does.
     let mut config = ThreadedConfig::quick(4, SyncMode::Rna)
-        .with_fault_plan(FaultPlan::none().restart(2, 5, 30_000));
+        .with_fault_plan(FaultPlan::none().restart(2, 5, 10_000));
     config.rounds = 60;
     let r = run_bounded(config);
     assert_eq!(r.rounds, 60);

@@ -315,7 +315,7 @@ fn external_worker_joins_via_the_address_book() {
         .with_addr_file(&book);
     config.base = config.base.with_churn_plan(ChurnPlan::none().join(3, 5));
     // Slow the rounds down to a few ms each: the external worker's
-    // handshake retry ticks every 50 ms, and the admission window (rounds
+    // handshake retry ticks every 20 ms, and the admission window (rounds
     // 5..30) must comfortably contain several retries.
     config.base.compute_us = vec![(5_000, 10_000); 4];
 

@@ -278,13 +278,11 @@ impl NetFaults {
     }
 }
 
-/// A cluster-wide network model: a default link plus optional per-pair
-/// overrides (e.g. slower cross-rack links) and an optional fault set
-/// applied at delivery time.
+/// A cluster-wide network model: one link model for every pair, and an
+/// optional fault set applied at delivery time.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct NetworkModel {
     default_link: LinkModel,
-    overrides: Vec<((usize, usize), LinkModel)>,
     faults: Option<NetFaults>,
 }
 
@@ -293,7 +291,6 @@ impl NetworkModel {
     pub fn uniform(link: LinkModel) -> Self {
         NetworkModel {
             default_link: link,
-            overrides: Vec::new(),
             faults: None,
         }
     }
@@ -319,23 +316,6 @@ impl NetworkModel {
         self.faults.as_ref().is_none_or(|f| f.link_up(a, b, now))
     }
 
-    /// Overrides the link between `a` and `b` (symmetric).
-    pub fn with_override(mut self, a: usize, b: usize, link: LinkModel) -> Self {
-        self.overrides.push(((a.min(b), a.max(b)), link));
-        self
-    }
-
-    /// The link model between `a` and `b`.
-    pub fn link(&self, a: usize, b: usize) -> LinkModel {
-        let key = (a.min(b), a.max(b));
-        self.overrides
-            .iter()
-            .rev()
-            .find(|(k, _)| *k == key)
-            .map(|(_, l)| *l)
-            .unwrap_or(self.default_link)
-    }
-
     /// Delivery time of a `bytes`-sized message sent from `a` to `b` at
     /// `now`.
     pub fn delivery(&self, a: usize, b: usize, bytes: u64, now: SimTime) -> SimTime {
@@ -343,7 +323,7 @@ impl NetworkModel {
             // Local delivery is free: same-process hand-off.
             return now;
         }
-        now + self.link(a, b).transfer_time(bytes)
+        now + self.default_link.transfer_time(bytes)
     }
 
     /// Like [`NetworkModel::delivery`], but subject to the attached fault
@@ -398,25 +378,6 @@ mod tests {
         let ib = LinkModel::infiniband_edr();
         let payload = 10_000_000;
         assert!(ib.transfer_time(payload) < eth.transfer_time(payload));
-    }
-
-    #[test]
-    fn network_override_applies_symmetrically() {
-        let slow = LinkModel::new(SimDuration::from_millis(1), 1e6);
-        let net = NetworkModel::uniform(LinkModel::infiniband_edr()).with_override(0, 2, slow);
-        assert_eq!(net.link(0, 2), slow);
-        assert_eq!(net.link(2, 0), slow);
-        assert_eq!(net.link(0, 1), LinkModel::infiniband_edr());
-    }
-
-    #[test]
-    fn later_override_wins() {
-        let l1 = LinkModel::new(SimDuration::from_millis(1), 1e6);
-        let l2 = LinkModel::new(SimDuration::from_millis(2), 1e6);
-        let net = NetworkModel::uniform(LinkModel::default())
-            .with_override(0, 1, l1)
-            .with_override(1, 0, l2);
-        assert_eq!(net.link(0, 1), l2);
     }
 
     #[test]

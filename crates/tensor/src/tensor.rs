@@ -226,28 +226,6 @@ impl Tensor {
         }
     }
 
-    /// Writes `chunk` into `self` at `offset`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `offset + chunk.len()` exceeds the tensor length.
-    pub fn write_chunk(&mut self, offset: usize, chunk: &Tensor) {
-        self.data[offset..offset + chunk.len()].copy_from_slice(&chunk.data);
-    }
-
-    /// Element-wise `self[range] += chunk`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `offset + chunk.len()` exceeds the tensor length.
-    pub fn add_chunk(&mut self, offset: usize, chunk: &Tensor) {
-        zip_apply(
-            &mut self.data[offset..offset + chunk.len()],
-            &chunk.data,
-            |a, b| a + b,
-        );
-    }
-
     /// Whether all elements are within `tol` of the corresponding element of
     /// `other`. Returns `false` if lengths differ.
     pub fn approx_eq(&self, other: &Tensor, tol: f32) -> bool {
@@ -445,11 +423,6 @@ mod tests {
         let a = Tensor::from_vec(vec![0.0, 1.0, 2.0, 3.0]);
         let s = a.slice(1..3);
         assert_eq!(s.as_slice(), &[1.0, 2.0]);
-        let mut b = Tensor::zeros(4);
-        b.write_chunk(1, &s);
-        assert_eq!(b.as_slice(), &[0.0, 1.0, 2.0, 0.0]);
-        b.add_chunk(1, &s);
-        assert_eq!(b.as_slice(), &[0.0, 2.0, 4.0, 0.0]);
     }
 
     #[test]

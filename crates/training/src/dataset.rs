@@ -294,15 +294,6 @@ impl<'a> Batch<'a> {
         &self.indices
     }
 
-    /// Total sequence length across the batch — the `units` fed to
-    /// per-length compute-time models.
-    pub fn total_units(&self) -> u64 {
-        self.indices
-            .iter()
-            .map(|&i| self.data.seq_len(i) as u64)
-            .sum()
-    }
-
     /// Longest sequence in the batch (padding cost driver).
     pub fn max_units(&self) -> u64 {
         self.indices
@@ -455,7 +446,6 @@ mod tests {
         let lens = [3usize, 7];
         let ds = Dataset::sequences(&lens, 2, 2, 0.1, &mut SimRng::seed(5));
         let b = ds.full_batch();
-        assert_eq!(b.total_units(), 10);
         assert_eq!(b.max_units(), 7);
         assert_eq!(b.len(), 2);
     }

@@ -141,12 +141,6 @@ impl Sgd {
         }
     }
 
-    /// Clears the momentum buffer (after a hard parameter overwrite, e.g. a
-    /// hierarchical broadcast).
-    pub fn reset_momentum(&mut self) {
-        self.velocity.fill_zero();
-    }
-
     /// The momentum buffer (for checkpoints — the optimizer state that must
     /// survive a crash alongside the parameters).
     pub fn velocity(&self) -> &Tensor {
@@ -204,9 +198,6 @@ mod tests {
         opt.step(&mut x, &g, 1.0); // v=1,   x=-0.1
         opt.step(&mut x, &g, 1.0); // v=1.5, x=-0.25
         assert!((x[0] + 0.25).abs() < 1e-6);
-        opt.reset_momentum();
-        opt.step(&mut x, &g, 1.0); // v=1 again
-        assert!((x[0] + 0.35).abs() < 1e-6);
     }
 
     #[test]

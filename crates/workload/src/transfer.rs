@@ -10,8 +10,6 @@
 
 use rna_simnet::{LinkModel, SimDuration};
 
-use crate::ModelProfile;
-
 /// The per-iteration transfer cost model.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TransferModel {
@@ -43,16 +41,6 @@ impl TransferModel {
         let total = extra + iteration_time.as_secs_f64();
         100.0 * extra / total
     }
-
-    /// Computes the Table 5 row for a profile given its measured iteration
-    /// time.
-    pub fn table5_row(&self, profile: &ModelProfile, iteration_time: SimDuration) -> Table5Row {
-        Table5Row {
-            model: profile.name.clone(),
-            grad_bytes: profile.grad_bytes(),
-            extra_cost_percent: self.overhead_percent(profile.grad_bytes(), iteration_time),
-        }
-    }
 }
 
 impl Default for TransferModel {
@@ -61,20 +49,10 @@ impl Default for TransferModel {
     }
 }
 
-/// One row of the Table 5 reproduction.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Table5Row {
-    /// Network name.
-    pub model: String,
-    /// Gradient payload in bytes.
-    pub grad_bytes: u64,
-    /// Extra transmission cost as a percentage of iteration time.
-    pub extra_cost_percent: f64,
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ModelProfile;
 
     #[test]
     fn cost_is_two_crossings() {
@@ -120,17 +98,17 @@ mod tests {
         // The ordering follows from bytes/iteration-time; use the paper's
         // per-iteration times implied by each profile.
         let t = TransferModel::default();
+        let pct = |profile: ModelProfile, ms| {
+            t.overhead_percent(profile.grad_bytes(), SimDuration::from_millis(ms))
+        };
         let rows = [
-            t.table5_row(&ModelProfile::vgg16(), SimDuration::from_millis(140)),
-            t.table5_row(
-                &ModelProfile::transformer_wmt17(),
-                SimDuration::from_millis(400),
-            ),
-            t.table5_row(&ModelProfile::resnet50(), SimDuration::from_millis(210)),
-            t.table5_row(&ModelProfile::lstm_ucf101(), SimDuration::from_millis(1219)),
+            pct(ModelProfile::vgg16(), 140),
+            pct(ModelProfile::transformer_wmt17(), 400),
+            pct(ModelProfile::resnet50(), 210),
+            pct(ModelProfile::lstm_ucf101(), 1219),
         ];
-        assert!(rows[0].extra_cost_percent > rows[1].extra_cost_percent);
-        assert!(rows[1].extra_cost_percent > rows[2].extra_cost_percent);
-        assert!(rows[2].extra_cost_percent > rows[3].extra_cost_percent);
+        assert!(rows[0] > rows[1]);
+        assert!(rows[1] > rows[2]);
+        assert!(rows[2] > rows[3]);
     }
 }

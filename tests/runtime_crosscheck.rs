@@ -119,7 +119,9 @@ fn both_worlds_agree_eager_majority_shrinks_to_survivors() {
     // victim must come back into the electorate everywhere.
     let n = 4;
     eager_majority_survives(n, FaultPlan::none().crash(2, 2).crash(3, 2), false);
-    eager_majority_survives(n, FaultPlan::none().restart(3, 2, 30_000), true);
+    // The threaded run lasts about 35 ms, so the victim is down for far
+    // less than that and has rounds left to iterate in once back.
+    eager_majority_survives(n, FaultPlan::none().restart(3, 2, 10_000), true);
 }
 
 fn eager_majority_survives(n: usize, plan: FaultPlan, restart: bool) {
@@ -169,7 +171,9 @@ fn both_worlds_agree_on_chaos_crash_restart_and_lossy_links() {
     use rna_core::fault::{NetFaultPlan, WorkerFate};
     use rna_runtime::ToleranceConfig;
     let n = 4;
-    let plan = FaultPlan::none().crash(3, 4).restart(2, 5, 30_000);
+    // The threaded run lasts about 40 ms: the restart's down window ends
+    // well before it does.
+    let plan = FaultPlan::none().crash(3, 4).restart(2, 5, 10_000);
     let net = NetFaultPlan::none()
         .with_seed(9)
         .drop_link(n, 0, 0.2)
